@@ -3,14 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pasco_graph::{generators, ReverseChainIndex};
-use pasco_simrank::engine::local;
+use pasco_simrank::engine::kernel::build_diagonal_on;
 use pasco_simrank::{queries, SimRankConfig};
 use std::hint::black_box;
 
 fn bench_queries(c: &mut Criterion) {
     let g = generators::barabasi_albert(7_115, 15, 0xB0A710AD);
     let cfg = SimRankConfig::default_paper().with_r_query(2_000);
-    let out = local::build_diagonal(&g, &cfg);
+    let out = build_diagonal_on(&g, &cfg);
     let diag = out.diag.as_slice();
     let rci = ReverseChainIndex::build(&g);
 
@@ -32,7 +32,7 @@ fn bench_queries(c: &mut Criterion) {
     group.sample_size(20);
     for scale in [12u32, 14, 16] {
         let g = generators::rmat(scale, (1u64 << scale) * 8, generators::RmatParams::default(), 5);
-        let out = local::build_diagonal(&g, &cfg.with_r(20));
+        let out = build_diagonal_on(&g, &cfg.with_r(20));
         let diag = out.diag.as_slice().to_vec();
         group.bench_with_input(BenchmarkId::from_parameter(1u64 << scale), &g, |b, g| {
             b.iter(|| black_box(queries::single_pair(g, &diag, &cfg, 3, 999)));

@@ -4,7 +4,7 @@
 
 use pasco_bench::{datasets, fmt_duration, table::Table, time};
 use pasco_graph::ReverseChainIndex;
-use pasco_simrank::engine::local;
+use pasco_simrank::engine::kernel::build_diagonal_on;
 use pasco_simrank::exact::ExactSimRank;
 use pasco_simrank::{metrics, queries, AiStrategy, SimRankConfig};
 
@@ -28,7 +28,7 @@ fn mcss_ablation() {
     let g = &ds.graph;
     let cfg = SimRankConfig::default_paper();
     println!("A1: MCSS estimator on {}\n", ds.spec.name);
-    let out = local::build_diagonal(g, &cfg);
+    let out = build_diagonal_on(g.as_ref(), &cfg);
     let diag = out.diag.as_slice();
     let rci = ReverseChainIndex::build(g);
     let exact = ExactSimRank::compute(g, cfg.c, 15);
@@ -74,9 +74,10 @@ fn ai_ablation() {
     let cfg = SimRankConfig::default_paper();
     println!("A2: aᵢ row strategy on {}\n", ds.spec.name);
     let mut t = Table::new(&["strategy", "D wall", "row memory", "identical x?"]);
-    let (store, d_store) = time(|| local::build_diagonal_with_strategy(g, &cfg, AiStrategy::Store));
+    let (store, d_store) =
+        time(|| build_diagonal_on(g.as_ref(), &cfg.with_ai_strategy(AiStrategy::Store)));
     let (recompute, d_rec) =
-        time(|| local::build_diagonal_with_strategy(g, &cfg, AiStrategy::Recompute));
+        time(|| build_diagonal_on(g.as_ref(), &cfg.with_ai_strategy(AiStrategy::Recompute)));
     let same = store.diag == recompute.diag;
     t.row(vec![
         "Store".into(),
@@ -95,7 +96,7 @@ fn walker_ablation() {
     let g = &ds.graph;
     let base = SimRankConfig::default_paper();
     println!("A3: query walker budget R' on {}\n", ds.spec.name);
-    let out = local::build_diagonal(g, &base);
+    let out = build_diagonal_on(g.as_ref(), &base);
     let diag = out.diag.as_slice();
     let exact = ExactSimRank::compute(g, base.c, 15);
     let pairs = [(1u32, 2u32), (10, 400), (55, 56), (800, 4001)];

@@ -2,9 +2,7 @@
 //! snapshot: a closed-loop load harness driving `PascoServer` with N
 //! concurrent clients (N ∈ {1, 8, 64, 256}) over a fixed request mix
 //! (sp / ss / topk / cohort round-robin) and reporting QPS plus
-//! p50/p99/p999 latency per N. The emitted JSON also carries the
-//! thread-per-connection numbers measured at the seed commit, so the
-//! reactor's jump stays a visible, committed delta.
+//! p50/p99/p999 latency per N.
 //!
 //! ```text
 //! cargo run --release -p pasco_bench --bin bench_serving -- [out.json]
@@ -31,18 +29,6 @@ const CLIENT_COUNTS: &[usize] = &[1, 8, 64, 256];
 /// Measured seconds per concurrency level (after warmup).
 const RUN_SECS: f64 = 1.5;
 const WARMUP_SECS: f64 = 0.4;
-
-/// The thread-per-connection server's numbers, measured at the seed
-/// commit on the same graph/mix/machine family before the reactor
-/// replaced it (PR 6). Kept as literal rows so `BENCH_serving.json`
-/// always shows the before/after even though the old core is gone.
-const SEED_BASELINE: &[(usize, f64, f64, f64, f64)] = &[
-    // (clients, qps, p50_us, p99_us, p999_us)
-    (1, 2340.7, 79.0, 1691.0, 3637.0),
-    (8, 2818.7, 2529.0, 8248.0, 9409.0),
-    (64, 2722.0, 23503.0, 48810.0, 54389.0),
-    (256, 2710.0, 92925.0, 283720.0, 303932.0),
-];
 
 /// Phases of the run, shared with every client thread.
 const PHASE_WARMUP: u8 = 0;
@@ -215,19 +201,6 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    if !smoke {
-        for &(clients, qps, p50, p99, p999) in SEED_BASELINE {
-            rows.push(Row {
-                server: "threaded-seed".to_string(),
-                clients,
-                qps,
-                p50_us: p50,
-                p99_us: p99,
-                p999_us: p999,
-                requests: 0,
-            });
-        }
-    }
     for &clients in counts {
         let row = run_load(addr, clients, nodes, &label);
         println!(

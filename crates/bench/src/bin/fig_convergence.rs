@@ -12,7 +12,7 @@
 use pasco_bench::{datasets, table::Table, time};
 use pasco_graph::NodeId;
 use pasco_graph::ReverseChainIndex;
-use pasco_simrank::engine::local;
+use pasco_simrank::engine::kernel::build_diagonal_on;
 use pasco_simrank::exact::ExactSimRank;
 use pasco_simrank::{metrics, queries, SimRankConfig};
 
@@ -46,13 +46,14 @@ fn main() {
     }
 
     // Fully converged reference solution for ‖x_L − x*‖∞.
-    let (x_star, _) = local::solve_with_iterations(g, &cfg, 50);
+    let x_star = build_diagonal_on(g.as_ref(), &cfg.with_l(50)).diag;
 
     // Sweep L at the paper's R.
     let mut t =
         Table::new(&["L", "residual", "|x_L - x*|inf", "pair max-err", "SS mean-err", "NDCG@20"]);
     for l in 0..=6usize {
-        let (diag, residuals) = local::solve_with_iterations(g, &cfg, l);
+        let out = build_diagonal_on(g.as_ref(), &cfg.with_l(l));
+        let (diag, residuals) = (out.diag, out.residuals);
         let dist = metrics::max_abs_diff(diag.as_slice(), x_star.as_slice());
         let row = evaluate(g, &rci, &exact, diag.as_slice(), &cfg, &sources, &pairs);
         t.row(vec![
@@ -72,7 +73,7 @@ fn main() {
     let mut t = Table::new(&["R", "|x - x_exact|inf", "pair max-err", "SS mean-err", "NDCG@20"]);
     for r in [10u32, 25, 50, 100, 200, 400] {
         let cfg_r = cfg.with_r(r);
-        let out = local::build_diagonal(g, &cfg_r);
+        let out = build_diagonal_on(g.as_ref(), &cfg_r);
         let dist = metrics::max_abs_diff(out.diag.as_slice(), exact_diag.as_slice());
         let row = evaluate(g, &rci, &exact, out.diag.as_slice(), &cfg_r, &sources, &pairs);
         t.row(vec![

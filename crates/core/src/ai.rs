@@ -7,9 +7,9 @@
 //! `aᵢᵢ ≥ 1` (all walkers sit on `i` at `t = 0`), making the system
 //! strongly diagonally dominant — the reason `L = 3` Jacobi sweeps suffice.
 
-use pasco_graph::{CsrGraph, NodeId};
+use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
 use pasco_mc::counts::MassMap;
-use pasco_mc::walks::{reverse_walk_distributions, StepDistributions, WalkParams};
+use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
 use pasco_solver::jacobi::RowSource;
 
 /// Builds the sparse row `aᵢ` (sorted by column) from a cohort's step
@@ -48,7 +48,8 @@ pub fn ai_row_exact(graph: &CsrGraph, i: NodeId, c: f64, t_max: usize) -> Vec<(u
     acc.into_sorted_vec()
 }
 
-/// [`RowSource`] over fully materialised rows — the `Store` strategy.
+/// [`RowSource`] over fully materialised rows in node order — the `Store`
+/// strategy, and the shape worker-shipped rows flatten into.
 #[derive(Clone, Debug)]
 pub struct StoredRows {
     rows: Vec<Vec<(u32, f64)>>,
@@ -83,31 +84,31 @@ impl RowSource for StoredRows {
 }
 
 /// [`RowSource`] that regenerates each row from seeded walks on demand —
-/// the `Recompute` strategy. Because walk randomness is a pure function of
-/// `(seed, source, walker, step)`, regenerated rows are identical to stored
-/// ones.
-pub struct RecomputedRows<'g> {
-    graph: &'g CsrGraph,
+/// the `Recompute` strategy, over any adjacency source. Because walk
+/// randomness is a pure function of `(seed, source, walker, step)`,
+/// regenerated rows are identical to stored ones.
+pub struct RecomputedRows<'a, A> {
+    adj: &'a A,
     params: WalkParams,
     seed: u64,
     c: f64,
 }
 
-impl<'g> RecomputedRows<'g> {
-    /// A recomputing row source over `graph` with the index walk
+impl<'a, A: WalkAdjacency> RecomputedRows<'a, A> {
+    /// A recomputing row source over `adj` with the index walk
     /// parameters.
-    pub fn new(graph: &'g CsrGraph, params: WalkParams, seed: u64, c: f64) -> Self {
-        Self { graph, params, seed, c }
+    pub fn new(adj: &'a A, params: WalkParams, seed: u64, c: f64) -> Self {
+        Self { adj, params, seed, c }
     }
 }
 
-impl RowSource for RecomputedRows<'_> {
+impl<A: WalkAdjacency> RowSource for RecomputedRows<'_, A> {
     fn dim(&self) -> usize {
-        self.graph.node_count() as usize
+        self.adj.node_count() as usize
     }
 
     fn row(&self, i: u32, row: &mut Vec<(u32, f64)>) {
-        let dists = reverse_walk_distributions(self.graph, i, self.params, self.seed);
+        let dists = reverse_walk_distributions_on(self.adj, i, self.params, self.seed);
         row.clear();
         row.extend(ai_row(&dists, self.c));
     }
@@ -117,6 +118,7 @@ impl RowSource for RecomputedRows<'_> {
 mod tests {
     use super::*;
     use pasco_graph::generators;
+    use pasco_mc::walks::reverse_walk_distributions;
 
     #[test]
     fn diagonal_entry_at_least_one() {

@@ -5,14 +5,14 @@ use crate::config::{AiStrategy, SimRankConfig};
 use crate::diag::DiagonalIndex;
 use crate::engine::broadcast::BroadcastEngine;
 use crate::engine::distributed::DistributedEngine;
-use crate::engine::local::LocalEngine;
-use crate::engine::mapped::MappedEngine;
+use crate::engine::kernel::{KernelEngine, Resident};
 use crate::engine::rdd::RddEngine;
-use crate::engine::sharded::ShardedEngine;
 use crate::engine::{ExecMode, SimRankEngine};
 use crate::error::SimRankError;
 use crate::queries;
 use pasco_cluster::ClusterReport;
+use pasco_graph::partition::Partitioner;
+use pasco_graph::partitioned::PartitionedView;
 use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
 use pasco_store::MappedStore;
 use rayon::prelude::*;
@@ -57,20 +57,15 @@ pub struct CloudWalker {
     engine: Box<dyn SimRankEngine>,
 }
 
-/// What the walker holds for adjacency: a resident CSR graph (plus the
-/// reverse-chain sampling index the in-memory engines share) or a
-/// zero-copy mapped `PASCOSH1` shard store with no resident adjacency at
-/// all. Query paths never match on this — they go through the engine —
-/// only the resident-specific surfaces (`graph()`, the deterministic-push
-/// ablation, `save_store`) do.
+/// What the walker holds for adjacency: the resident CSR graph plus its
+/// reverse-chain sampling index (the very [`Resident`] value a local
+/// engine runs on) or a zero-copy mapped `PASCOSH1` shard store with no
+/// resident adjacency at all. Query paths never match on this — they go
+/// through the engine — only the resident-specific surfaces (`graph()`,
+/// the deterministic-push ablation, `save_store`) do.
 enum GraphBacking {
     /// The graph lives in memory; every [`ExecMode`] engine is available.
-    Resident {
-        /// The indexed graph.
-        graph: Arc<CsrGraph>,
-        /// The reverse-chain sampling index shared with the engine.
-        rci: Arc<ReverseChainIndex>,
-    },
+    Resident(Arc<Resident>),
     /// Adjacency stays on disk behind the kernel page cache; walks read
     /// the mapped shards directly ([`CloudWalker::open_store`]).
     Mapped(Arc<MappedStore>),
@@ -79,7 +74,7 @@ enum GraphBacking {
 impl GraphBacking {
     fn node_count(&self) -> u32 {
         match self {
-            GraphBacking::Resident { graph, .. } => graph.node_count(),
+            GraphBacking::Resident(resident) => resident.graph.node_count(),
             GraphBacking::Mapped(store) => store.node_count(),
         }
     }
@@ -107,8 +102,8 @@ impl CloudWalker {
             return Err(SimRankError::InvalidConfig("graph has no nodes".into()));
         }
         let start = Instant::now();
-        let rci = Arc::new(ReverseChainIndex::build(&graph));
-        let engine = make_engine(mode, &graph, &rci)?;
+        let resident = Arc::new(Resident::new(graph));
+        let engine = make_engine(mode, &resident)?;
         let out = engine.build_diagonal(&cfg)?;
         let stats = IndexBuildStats {
             wall: start.elapsed(),
@@ -117,10 +112,7 @@ impl CloudWalker {
             rows_bytes: out.rows_bytes,
             cluster: out.cluster,
         };
-        Ok((
-            Self { backing: GraphBacking::Resident { graph, rci }, cfg, diag: out.diag, engine },
-            stats,
-        ))
+        Ok((Self { backing: GraphBacking::Resident(resident), cfg, diag: out.diag, engine }, stats))
     }
 
     /// Opens a [`pasco_store`] shard directory (written by
@@ -130,8 +122,9 @@ impl CloudWalker {
     /// and no CSR graph or reverse-chain index is rebuilt — restart cost
     /// is `O(headers + offset spines)`, independent of edge count.
     ///
-    /// Queries run on the [`MappedEngine`] and are bit-identical to a
-    /// resident walker built from the same graph, diagonal and config,
+    /// Queries run on the [`KernelEngine`] over the mapped store and are
+    /// bit-identical to a resident walker built from the same graph,
+    /// diagonal and config,
     /// except the deterministic-push ablation
     /// ([`CloudWalker::try_single_source_push`]), which needs the resident
     /// CSR and reports [`QueryError::Unsupported`].
@@ -139,7 +132,7 @@ impl CloudWalker {
         cfg.validate()?;
         let store = Arc::new(MappedStore::open(dir)?);
         let diag = store_diag(&store)?;
-        let engine: Box<dyn SimRankEngine> = Box::new(MappedEngine::new(Arc::clone(&store)));
+        let engine: Box<dyn SimRankEngine> = Box::new(KernelEngine::new(Arc::clone(&store)));
         Ok(Self { backing: GraphBacking::Mapped(store), cfg, diag, engine })
     }
 
@@ -166,8 +159,10 @@ impl CloudWalker {
     }
 
     /// Persists this walker's graph and diagonal as a [`pasco_store`]
-    /// shard directory with `parts` range-partitioned shards — the
-    /// out-of-core dual of [`crate::persist::save_index`]. Reopen with
+    /// shard directory with at most `parts` range-partitioned shards
+    /// ([`Partitioner::range_nonempty`]: never an empty shard file, so 8
+    /// parts of a 5-node graph write 5) — the out-of-core dual of
+    /// [`crate::persist::save_index`]. Reopen with
     /// [`CloudWalker::open_store`] (or serve it fleet-wide with
     /// [`CloudWalker::open_store_distributed`]).
     ///
@@ -179,8 +174,8 @@ impl CloudWalker {
             return Err(SimRankError::InvalidConfig("store needs at least one shard".into()));
         }
         match &self.backing {
-            GraphBacking::Resident { graph, .. } => {
-                pasco_store::write_store(dir, graph, self.diag.as_slice(), parts)?;
+            GraphBacking::Resident(resident) => {
+                pasco_store::write_store(dir, &resident.graph, self.diag.as_slice(), parts)?;
                 Ok(())
             }
             GraphBacking::Mapped(store) => Err(SimRankError::InvalidConfig(format!(
@@ -218,9 +213,9 @@ impl CloudWalker {
                 graph.node_count()
             )));
         }
-        let rci = Arc::new(ReverseChainIndex::build(&graph));
-        let engine = make_engine(mode, &graph, &rci)?;
-        Ok(Self { backing: GraphBacking::Resident { graph, rci }, cfg, diag, engine })
+        let resident = Arc::new(Resident::new(graph));
+        let engine = make_engine(mode, &resident)?;
+        Ok(Self { backing: GraphBacking::Resident(resident), cfg, diag, engine })
     }
 
     /// MCSP — similarity of one node pair, `O(T·R′)`. Estimates are
@@ -285,14 +280,15 @@ impl CloudWalker {
     /// CSR graph, which a mapped store deliberately does not build.
     pub fn try_single_source_push(&self, i: NodeId) -> Result<Vec<f64>, QueryError> {
         self.check_node(i)?;
-        let GraphBacking::Resident { graph, .. } = &self.backing else {
+        let GraphBacking::Resident(resident) = &self.backing else {
             return Err(QueryError::Unsupported {
                 detail: "single-source push needs the resident CSR graph; a mapped store \
                          serves only the Monte-Carlo query paths"
                     .into(),
             });
         };
-        let mut out = queries::single_source_push(graph, self.diag.as_slice(), &self.cfg, i);
+        let mut out =
+            queries::single_source_push(&resident.graph, self.diag.as_slice(), &self.cfg, i);
         for v in &mut out {
             *v = v.clamp(0.0, 1.0);
         }
@@ -389,7 +385,7 @@ impl CloudWalker {
     /// count — it never depends on the backing.
     pub fn graph(&self) -> Option<&Arc<CsrGraph>> {
         match &self.backing {
-            GraphBacking::Resident { graph, .. } => Some(graph),
+            GraphBacking::Resident(resident) => Some(&resident.graph),
             GraphBacking::Mapped(_) => None,
         }
     }
@@ -399,7 +395,7 @@ impl CloudWalker {
     /// cumulative-outflow arrays instead).
     pub fn reverse_chain_index(&self) -> Option<&Arc<ReverseChainIndex>> {
         match &self.backing {
-            GraphBacking::Resident { rci, .. } => Some(rci),
+            GraphBacking::Resident(resident) => Some(&resident.rci),
             GraphBacking::Mapped(_) => None,
         }
     }
@@ -410,7 +406,7 @@ impl CloudWalker {
     /// backings.
     pub fn store(&self) -> Option<&Arc<MappedStore>> {
         match &self.backing {
-            GraphBacking::Resident { .. } => None,
+            GraphBacking::Resident(_) => None,
             GraphBacking::Mapped(store) => Some(store),
         }
     }
@@ -429,8 +425,9 @@ impl CloudWalker {
         self.engine.worker_stats()
     }
 
-    /// Per-shard resident bytes for in-process partitioned engines
-    /// (`ExecMode::Sharded`); `None` on unsharded substrates.
+    /// Per-shard bytes for partitioned substrates (`ExecMode::Sharded`
+    /// shards, mapped shard files, distributed workers' owned
+    /// partitions); `None` on unsharded substrates.
     pub fn shard_footprints(&self) -> Option<Vec<u64>> {
         self.engine.shard_footprints()
     }
@@ -445,8 +442,10 @@ impl CloudWalker {
         self.engine.memory_footprint()
     }
 
-    /// RDD mode's per-worker memory requirement (largest partition); `None`
-    /// in other modes.
+    /// The largest partition's bytes — the per-worker memory requirement
+    /// of every substrate that splits the graph (RDD, sharded, mapped);
+    /// `None` where the whole graph is resident per worker (local,
+    /// broadcast, distributed).
     pub fn max_partition_bytes(&self) -> Option<u64> {
         let fp = self.engine.memory_footprint();
         fp.partitioned.then_some(fp.per_worker_bytes)
@@ -481,14 +480,16 @@ fn store_diag(store: &MappedStore) -> Result<DiagonalIndex, SimRankError> {
 /// [`CloudWalker::from_index_with_mode`].
 fn make_engine(
     mode: ExecMode,
-    graph: &Arc<CsrGraph>,
-    rci: &Arc<ReverseChainIndex>,
+    resident: &Arc<Resident>,
 ) -> Result<Box<dyn SimRankEngine>, SimRankError> {
+    let graph: &Arc<CsrGraph> = &resident.graph;
     Ok(match mode {
-        ExecMode::Local => Box::new(LocalEngine::new(Arc::clone(graph), Arc::clone(rci))),
-        ExecMode::Broadcast(cluster_cfg) => {
-            Box::new(BroadcastEngine::new(cluster_cfg, Arc::clone(graph), Arc::clone(rci))?)
-        }
+        ExecMode::Local => Box::new(KernelEngine::new(Arc::clone(resident))),
+        ExecMode::Broadcast(cluster_cfg) => Box::new(BroadcastEngine::new(
+            cluster_cfg,
+            Arc::clone(graph),
+            Arc::clone(&resident.rci),
+        )?),
         ExecMode::Rdd(cluster_cfg) => Box::new(RddEngine::new(cluster_cfg, graph)),
         ExecMode::Sharded { shards } => {
             if shards == 0 {
@@ -496,7 +497,8 @@ fn make_engine(
                     "sharded mode needs at least one shard".into(),
                 ));
             }
-            Box::new(ShardedEngine::new(graph, shards))
+            let partitioner = Partitioner::range_nonempty(graph.node_count(), shards);
+            Box::new(KernelEngine::new(Arc::new(PartitionedView::of_graph(graph, partitioner))))
         }
         ExecMode::Distributed { workers } => {
             if workers.is_empty() {
@@ -512,7 +514,7 @@ fn make_engine(
 impl std::fmt::Debug for CloudWalker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let edges = match &self.backing {
-            GraphBacking::Resident { graph, .. } => graph.edge_count(),
+            GraphBacking::Resident(resident) => resident.graph.edge_count(),
             GraphBacking::Mapped(store) => store.edge_count(),
         };
         f.debug_struct("CloudWalker")
@@ -622,6 +624,32 @@ mod tests {
             mapped.save_store(dir.join("copy"), 2),
             Err(SimRankError::InvalidConfig(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_store_never_writes_an_empty_shard() {
+        // Regression: `save_store(dir, 8)` on 5 nodes wrote 8 shard files,
+        // 3 of them empty, and a distributed open then demanded 8 workers,
+        // 3 owning nothing. Now: 5 one-node shards.
+        let dir = std::env::temp_dir().join("pasco_cw_store_nonempty");
+        let _ = std::fs::remove_dir_all(&dir);
+        let g = Arc::new(generators::cycle(5));
+        let cfg = SimRankConfig::fast();
+        let resident = CloudWalker::build(g, cfg, ExecMode::Local).unwrap();
+        resident.save_store(&dir, 8).unwrap();
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 5);
+
+        let mapped = CloudWalker::open_store(&dir, cfg).unwrap();
+        let store = mapped.store().unwrap();
+        assert_eq!(MappedStore::parts(store), 5);
+        assert!(store.shards().iter().all(|s| !s.is_empty()), "every shard owns a node");
+        assert_eq!(mapped.diagonal(), resident.diagonal());
+        for i in 0..5 {
+            assert_eq!(mapped.single_pair(i, (i + 2) % 5), resident.single_pair(i, (i + 2) % 5));
+            assert_eq!(mapped.single_source(i), resident.single_source(i));
+            assert_eq!(mapped.single_source_topk(i, 3), resident.single_source_topk(i, 3));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -361,7 +361,7 @@ impl std::fmt::Debug for BroadcastEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::local;
+    use crate::engine::kernel::build_diagonal_on;
     use pasco_cluster::ClusterError;
     use pasco_graph::generators;
 
@@ -376,7 +376,7 @@ mod tests {
         let cfg = SimRankConfig::fast().with_seed(77);
         let eng = engine(&g, 3);
         let out_b = eng.build_diagonal(&cfg).unwrap();
-        let out_l = local::build_diagonal(&g, &cfg);
+        let out_l = build_diagonal_on(&*g, &cfg);
         assert_eq!(out_b.diag, out_l.diag);
         assert_eq!(out_b.residuals, out_l.residuals);
         assert!(out_b.rows_bytes.is_some());
@@ -398,7 +398,7 @@ mod tests {
         let g = Arc::new(generators::barabasi_albert(120, 3, 2));
         let cfg = SimRankConfig::fast();
         let eng = engine(&g, 3);
-        let out = local::build_diagonal(&g, &cfg);
+        let out = build_diagonal_on(&*g, &cfg);
         let diag = out.diag.as_slice();
 
         let sp_b = eng.single_pair(diag, &cfg, 4, 70).unwrap();

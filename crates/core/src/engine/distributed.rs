@@ -5,17 +5,20 @@
 //! actual processes, actual sockets, actual serialised bytes:
 //!
 //! * [`DistributedEngine`] (the **coordinator**) range-partitions the
-//!   graph with the same [`Partitioner`] the sharded engine proved,
+//!   graph with the same [`Partitioner`] the sharded storage uses,
 //!   ships the partitions to `pasco worker` processes over TCP, routes
 //!   the offline walk phase and every query to the worker owning its
-//!   source, and finishes top-`k` with the sharded engine's k-way merge
-//!   (`merge_ranked`).
+//!   source, and finishes top-`k` with a k-way merge (`merge_ranked`)
+//!   of the per-partition rankings the worker emits (`topk_lists`) —
+//!   the one plan where only `k` candidates per partition cross the
+//!   wire.
 //! * [`ShardWorkerCore`] (the **worker half**, hosted by the
 //!   `pasco_worker` crate's TCP shell) assembles the shipped partitions
-//!   into the same [`PartitionedView`] the sharded engine walks, and
-//!   answers build/query/top-k requests by running the *identical*
-//!   generic kernels ([`reverse_walk_distributions_on`],
-//!   [`single_source_from_dists_on`], `topk_lists`).
+//!   into the same [`PartitionedView`] the sharded storage is, and
+//!   answers build/query/top-k requests through the *same* generic
+//!   entry points as the in-process [`super::kernel::KernelEngine`]
+//!   ([`queries::single_pair_on`], [`queries::single_source_on`],
+//!   [`queries::query_cohort_on`]).
 //!
 //! ## Work partitions; adjacency replicates
 //!
@@ -34,7 +37,7 @@
 //! The offline build walks on workers and solves on the coordinator: the
 //! walk phase (the `O(n·R·T)` term that dominates) distributes, the `L`
 //! Jacobi sweeps (cheap, `O(nnz)` each) run over the assembled rows
-//! through the very same [`jacobi::solve`] call as every other engine.
+//! through the very same [`solve_rows`] call as the in-process engine.
 //! Since each walk step's randomness is a pure function of
 //! `(seed, source, walker, step)` and workers execute the shared
 //! kernels over a view that answers adjacency exactly like the resident
@@ -57,7 +60,7 @@
 //! empty keeps failing typed ("partition set not loaded") until the
 //! engine is rebuilt to re-provision it.
 
-use crate::ai::ai_row;
+use crate::ai::{ai_row, StoredRows};
 use crate::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
 use crate::api::transport::{read_envelope, write_envelope};
 use crate::api::wire::WireCodec;
@@ -68,10 +71,10 @@ use crate::api::worker::{
 use crate::api::{check_node, QueryError, QueryResponse};
 use crate::config::{AiStrategy, SimRankConfig};
 use crate::diag::DiagonalIndex;
-use crate::engine::sharded::{merge_ranked, topk_lists};
+use crate::engine::kernel::solve_rows;
 use crate::engine::{BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries::{query_seed, score_pair, single_source_from_dists_on};
+use crate::queries::{self, rank_topk, ranking_cmp, sparse_masses_on};
 use pasco_cluster::metrics::{MetricsLog, ShuffleMetrics, StageMetrics};
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
@@ -79,7 +82,6 @@ use pasco_graph::partition::Partitioner;
 use pasco_graph::partitioned::{partition_graph, GraphPartition, PartitionedView};
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
-use pasco_solver::jacobi::{self, JacobiConfig, RowSource};
 use pasco_store::MappedStore;
 use rayon::prelude::*;
 use std::io::BufReader;
@@ -376,55 +378,41 @@ impl ShardWorkerCore {
     }
 
     /// The routed view as a typed error when loading has not finished.
-    /// Re-borrowed per use: [`ShardWorkerCore::resolve_diag`] takes
-    /// `&mut self`, so a view borrow cannot live across it.
     fn routed_view(&self) -> Result<&WorkerView, QueryError> {
         self.view.as_ref().ok_or_else(|| self.not_ready("query routed"))
     }
 
+    /// What a scored query runs on: the routed view plus the diagonal
+    /// `payload` names (installed first when it ships one).
+    fn scored(&mut self, payload: DiagPayload) -> Result<(&WorkerView, &[f64]), QueryError> {
+        self.resolve_diag(payload)?;
+        Ok((self.routed_view()?, self.cached_diag()?))
+    }
+
     /// Answers one routed [`ShardQuery`]: MCSP, dense MCSS, or a raw
-    /// cohort — raw (unclamped) estimates, exactly what the in-process
-    /// engines return at this layer.
+    /// cohort — raw (unclamped) estimates through the same entry points
+    /// as the in-process engine.
     pub fn query(&mut self, msg: ShardQuery) -> Result<QueryResponse, QueryError> {
-        if self.view.is_none() {
-            return Err(self.not_ready("query routed"));
-        }
+        let n = WalkAdjacency::node_count(self.routed_view()?);
         let cfg = msg.cfg;
-        let n = self.node_count();
-        let params = WalkParams::new(cfg.t, cfg.r_query);
-        let seed = query_seed(&cfg);
         let resp = match msg.kind {
             ShardQueryKind::SinglePair { i, j } => {
                 check_node(i, n)?;
                 check_node(j, n)?;
-                self.resolve_diag(msg.diag)?;
-                let diag = self.cached_diag()?;
-                let view = self.routed_view()?;
-                if i == j {
-                    QueryResponse::Score(1.0)
-                } else {
-                    let di = reverse_walk_distributions_on(view, i, params, seed);
-                    let dj = reverse_walk_distributions_on(view, j, params, seed);
-                    QueryResponse::Score(score_pair(&di, &dj, diag, cfg.c))
-                }
+                let (view, diag) = self.scored(msg.diag)?;
+                QueryResponse::Score(queries::single_pair_on(view, diag, &cfg, i, j))
             }
             ShardQueryKind::SingleSource { i } => {
                 check_node(i, n)?;
-                self.resolve_diag(msg.diag)?;
-                let diag = self.cached_diag()?;
-                let view = self.routed_view()?;
-                let dists = reverse_walk_distributions_on(view, i, params, seed);
-                QueryResponse::Scores(single_source_from_dists_on(
-                    n as usize, view, &dists, diag, &cfg,
-                ))
+                let (view, diag) = self.scored(msg.diag)?;
+                QueryResponse::Scores(queries::single_source_on(view, diag, &cfg, i))
             }
             // Cohorts are score-free: the diagonal payload is ignored
             // (the coordinator sends a placeholder and leaves its
             // per-link cache state untouched).
             ShardQueryKind::Cohort { v } => {
                 check_node(v, n)?;
-                let view = self.routed_view()?;
-                QueryResponse::Cohort(reverse_walk_distributions_on(view, v, params, seed))
+                QueryResponse::Cohort(queries::query_cohort_on(self.routed_view()?, &cfg, v))
             }
         };
         self.queries += 1;
@@ -435,15 +423,10 @@ impl ShardWorkerCore {
     /// distributed top-`k` plan — per-partition rankings out, the
     /// coordinator merges.
     pub fn topk(&mut self, msg: ShardTopK) -> Result<ShardTopKReply, QueryError> {
-        if self.view.is_none() {
-            return Err(self.not_ready("top-k routed"));
-        }
-        check_node(msg.i, self.node_count())?;
-        self.resolve_diag(msg.diag)?;
-        let diag = self.cached_diag()?;
-        let view = self.routed_view()?;
+        check_node(msg.i, WalkAdjacency::node_count(self.routed_view()?))?;
+        let (view, diag) = self.scored(msg.diag)?;
         let k = usize::try_from(msg.k).unwrap_or(usize::MAX);
-        let lists = topk_lists(view, view.partitioner(), diag, &msg.cfg, msg.i, k);
+        let lists = topk_lists(view, diag, &msg.cfg, msg.i, k);
         self.topk_queries += 1;
         Ok(ShardTopKReply { lists })
     }
@@ -472,6 +455,70 @@ impl ShardWorkerCore {
             topk_queries: self.topk_queries,
         }
     }
+}
+
+// ====================================================================
+// The distributed top-k plan (worker ranks, coordinator merges)
+// ====================================================================
+
+/// The worker's stage: simulate `i`'s cohort on `view`, accumulate the
+/// sparse masses, split the candidates by owning partition, and rank
+/// each split with [`rank_topk`] — one already-sorted list per
+/// partition, ready for [`merge_ranked`]. A single global `rank_topk`
+/// gives the same answer (what the in-process engine does; the tests
+/// assert the equality); the split-rank-merge shape exists so that only
+/// `k` candidates per partition ever cross the wire.
+fn topk_lists(
+    view: &WorkerView,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    i: NodeId,
+    k: usize,
+) -> Vec<Vec<(NodeId, f64)>> {
+    let partitioner: Partitioner = view.partitioner();
+    let dists = queries::query_cohort_on(view, cfg, i);
+    let acc = sparse_masses_on(view, &dists, diag, cfg);
+    let mut by_shard: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); partitioner.parts() as usize];
+    for (node, mass) in acc.iter() {
+        by_shard[partitioner.owner(node) as usize].push((node, mass));
+    }
+    by_shard.into_par_iter().map(|entries| rank_topk(entries, i, k)).collect()
+}
+
+/// The coordinator's stage: k-way merge of per-partition rankings, each
+/// already sorted by [`ranking_cmp`]; picks the globally best head until
+/// `k` entries are out. Equivalent to ranking the union through
+/// [`rank_topk`] because the comparator is a total order over unique
+/// node ids.
+fn merge_ranked(lists: &[Vec<(NodeId, f64)>], k: usize) -> Vec<(NodeId, f64)> {
+    let mut heads = vec![0usize; lists.len()];
+    let mut out = Vec::with_capacity(k.min(lists.iter().map(Vec::len).sum()));
+    while out.len() < k {
+        let mut best: Option<usize> = None;
+        for (s, list) in lists.iter().enumerate() {
+            if heads[s] >= list.len() {
+                continue;
+            }
+            best = match best {
+                None => Some(s),
+                Some(b) => {
+                    if ranking_cmp(&list[heads[s]], &lists[b][heads[b]]).is_lt() {
+                        Some(s)
+                    } else {
+                        Some(b)
+                    }
+                }
+            };
+        }
+        match best {
+            None => break,
+            Some(b) => {
+                out.push(lists[b][heads[b]]);
+                heads[b] += 1;
+            }
+        }
+    }
+    out
 }
 
 // ====================================================================
@@ -578,6 +625,18 @@ impl WorkerLink {
         }
         Ok((reply, bytes))
     }
+
+    /// One provisioning exchange: a load frame out, its [`LoadAck`] (plus
+    /// the wire bytes moved) back, every failure flattened to text for the
+    /// per-worker load report.
+    fn load(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(LoadAck, u64), String> {
+        let (reply, bytes) = self.exchange(kind, payload).map_err(|e| match e {
+            CallError::Typed(err) => err.to_string(),
+            CallError::Link(detail) => detail,
+        })?;
+        let ack = LoadAck::from_bytes(&reply.payload).map_err(|e| format!("load ack: {e}"))?;
+        Ok((ack, bytes))
+    }
 }
 
 /// The 5th execution substrate: a coordinator over real `pasco worker`
@@ -609,10 +668,8 @@ impl DistributedEngine {
     pub fn connect(graph: &CsrGraph, addrs: &[String]) -> Result<Self, SimRankError> {
         assert!(!addrs.is_empty(), "need at least one worker address");
         let n = graph.node_count();
-        let want = addrs.len() as u32;
-        let chunk = n.max(1).div_ceil(want.min(n.max(1)));
-        let nparts = n.max(1).div_ceil(chunk);
-        let partitioner = Partitioner::range(n, nparts);
+        let partitioner: Partitioner = Partitioner::range_nonempty(n, addrs.len() as u32);
+        let nparts = partitioner.parts();
         let parts = partition_graph(graph, &partitioner);
         let owned_bytes: Vec<u64> = parts.iter().map(GraphPartition::memory_bytes).collect();
 
@@ -622,78 +679,25 @@ impl DistributedEngine {
         // their header to the shared bytes instead of re-cloning and
         // re-encoding the whole graph W times.
         let encoded_parts: Vec<Vec<u8>> = parts.iter().map(WireCodec::to_bytes).collect();
-        let load_payload =
-            |w: u32, q: u32| load_partition_payload(n, nparts, w, q, &encoded_parts[q as usize]);
-
-        let t0 = Instant::now();
-        let results: Vec<Result<(WorkerLink, u64, u64), String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = addrs[..nparts as usize]
-                .iter()
-                .enumerate()
-                .map(|(w, addr)| {
-                    let load_payload = &load_payload;
-                    scope.spawn(move || {
-                        let mut link = WorkerLink::connect(addr)?;
-                        let mut bytes = 0u64;
-                        let mut resident = 0u64;
-                        for q in 0..nparts {
-                            let (reply, moved) = link
-                                .exchange(FrameKind::LoadPartition, &load_payload(w as u32, q))
-                                .map_err(|e| match e {
-                                    CallError::Typed(err) => err.to_string(),
-                                    CallError::Link(detail) => detail,
-                                })?;
-                            bytes += moved;
-                            let ack = LoadAck::from_bytes(&reply.payload)
-                                .map_err(|e| format!("load ack: {e}"))?;
-                            resident = ack.resident_bytes;
-                        }
-                        Ok((link, bytes, resident))
-                    })
-                })
-                .collect();
-            // A panicked provisioning thread downgrades to a per-worker
-            // load failure instead of tearing down the coordinator.
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| Err("load thread panicked".to_owned())))
-                .collect()
-        });
-
-        let mut links = Vec::with_capacity(nparts as usize);
-        let mut total_bytes = 0u64;
-        let mut resident_max = 0u64;
-        for (w, result) in results.into_iter().enumerate() {
-            match result {
-                Ok((link, bytes, resident)) => {
-                    total_bytes += bytes;
-                    resident_max = resident_max.max(resident);
-                    links.push(Mutex::new(link));
-                }
-                Err(detail) => {
-                    return Err(SimRankError::Query(QueryError::WorkerUnavailable {
-                        detail: format!("worker {w} ({}): {detail}", addrs[w]),
-                    }))
-                }
-            }
-        }
-
-        let engine = DistributedEngine {
+        let frames = u64::from(nparts);
+        Self::provision(
             n,
             partitioner,
             owned_bytes,
-            resident_bytes: resident_max,
-            links,
-            metrics: Mutex::new(MetricsLog::default()),
-        };
-        engine.record_shuffle(
+            addrs,
             "distribute/partitions",
-            total_bytes,
-            nparts as u64 * engine.workers() as u64,
-            nparts as u64 * engine.workers() as u64,
-            t0.elapsed(),
-        );
-        Ok(engine)
+            frames,
+            |w, link| {
+                let (mut bytes, mut resident) = (0u64, 0u64);
+                for (q, enc) in encoded_parts.iter().enumerate() {
+                    let payload = load_partition_payload(n, nparts, w, q as u32, enc);
+                    let (ack, moved) = link.load(FrameKind::LoadPartition, &payload)?;
+                    bytes += moved;
+                    resident = ack.resident_bytes;
+                }
+                Ok((bytes, resident))
+            },
+        )
     }
 
     /// Connects to `addrs` and provisions each worker from `store` by
@@ -728,28 +732,43 @@ impl DistributedEngine {
         let fp = diag_fingerprint(&store.compose_diag());
         let dir = store.dir().to_string_lossy().into_owned();
 
+        Self::provision(n, partitioner, owned_bytes, addrs, "distribute/store", 1, |w, link| {
+            let payload = LoadStore { dir: dir.clone(), owned_part: w }.to_bytes();
+            let (ack, bytes) = link.load(FrameKind::LoadStore, &payload)?;
+            // The worker installed the store's own diagonal under this
+            // fingerprint while acking the load.
+            link.diag_fp = Some(fp);
+            Ok((bytes, ack.resident_bytes))
+        })
+    }
+
+    /// The scaffold both provisioning paths share: one thread per
+    /// partition connects to its worker and runs `ship`, which returns
+    /// the wire bytes it moved and the resident bytes the worker last
+    /// acknowledged. A failed (or panicked) thread is a typed per-worker
+    /// error, not a torn-down coordinator. The traffic is accounted as a
+    /// real shuffle under `label`, `frames` load frames per worker.
+    fn provision(
+        n: u32,
+        partitioner: Partitioner,
+        owned_bytes: Vec<u64>,
+        addrs: &[String],
+        label: &str,
+        frames: u64,
+        ship: impl Fn(u32, &mut WorkerLink) -> Result<(u64, u64), String> + Sync,
+    ) -> Result<Self, SimRankError> {
+        let nparts = owned_bytes.len();
         let t0 = Instant::now();
         let results: Vec<Result<(WorkerLink, u64, u64), String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = addrs[..nparts as usize]
+            let handles: Vec<_> = addrs[..nparts]
                 .iter()
                 .enumerate()
                 .map(|(w, addr)| {
-                    let dir = &dir;
+                    let ship = &ship;
                     scope.spawn(move || {
                         let mut link = WorkerLink::connect(addr)?;
-                        let payload =
-                            LoadStore { dir: dir.clone(), owned_part: w as u32 }.to_bytes();
-                        let (reply, bytes) =
-                            link.exchange(FrameKind::LoadStore, &payload).map_err(|e| match e {
-                                CallError::Typed(err) => err.to_string(),
-                                CallError::Link(detail) => detail,
-                            })?;
-                        let ack = LoadAck::from_bytes(&reply.payload)
-                            .map_err(|e| format!("load ack: {e}"))?;
-                        // The worker installed the store's own diagonal
-                        // under this fingerprint while acking the load.
-                        link.diag_fp = Some(fp);
-                        Ok((link, bytes, ack.resident_bytes))
+                        let (bytes, resident) = ship(w as u32, &mut link)?;
+                        Ok((link, bytes, resident))
                     })
                 })
                 .collect();
@@ -759,39 +778,30 @@ impl DistributedEngine {
                 .collect()
         });
 
-        let mut links = Vec::with_capacity(nparts as usize);
+        let mut links = Vec::with_capacity(nparts);
         let mut total_bytes = 0u64;
-        let mut resident_max = 0u64;
+        let mut resident_bytes = 0u64;
         for (w, result) in results.into_iter().enumerate() {
-            match result {
-                Ok((link, bytes, resident)) => {
-                    total_bytes += bytes;
-                    resident_max = resident_max.max(resident);
-                    links.push(Mutex::new(link));
-                }
-                Err(detail) => {
-                    return Err(SimRankError::Query(QueryError::WorkerUnavailable {
-                        detail: format!("worker {w} ({}): {detail}", addrs[w]),
-                    }))
-                }
-            }
+            let (link, bytes, resident) = result.map_err(|detail| {
+                SimRankError::Query(QueryError::WorkerUnavailable {
+                    detail: format!("worker {w} ({}): {detail}", addrs[w]),
+                })
+            })?;
+            total_bytes += bytes;
+            resident_bytes = resident_bytes.max(resident);
+            links.push(Mutex::new(link));
         }
 
         let engine = DistributedEngine {
             n,
             partitioner,
             owned_bytes,
-            resident_bytes: resident_max,
+            resident_bytes,
             links,
             metrics: Mutex::new(MetricsLog::default()),
         };
-        engine.record_shuffle(
-            "distribute/store",
-            total_bytes,
-            u64::from(nparts),
-            u64::from(nparts),
-            t0.elapsed(),
-        );
+        let records = frames * nparts as u64;
+        engine.record_shuffle(label, total_bytes, records, records, t0.elapsed());
         Ok(engine)
     }
 
@@ -961,29 +971,6 @@ fn load_partition_payload(n: u32, parts: u32, owned: u32, index: u32, enc: &[u8]
     payload
 }
 
-/// [`RowSource`] over the rows the workers shipped back: row `i` lives
-/// in the reply of the worker owning node `i` — the same owner-indexed
-/// shape as the sharded engine's `ShardStoredRows`, so the solve is the
-/// same solve.
-struct ShippedRows<'a> {
-    n: u32,
-    partitioner: Partitioner,
-    shard_rows: &'a [Vec<Row>],
-}
-
-impl RowSource for ShippedRows<'_> {
-    fn dim(&self) -> usize {
-        self.n as usize
-    }
-
-    fn row(&self, i: u32, row: &mut Vec<(u32, f64)>) {
-        let owner = self.partitioner.owner(i);
-        let (start, _) = self.partitioner.range_of(owner).expect("range partitioner");
-        row.clear();
-        row.extend_from_slice(&self.shard_rows[owner as usize][(i - start) as usize]);
-    }
-}
-
 impl SimRankEngine for DistributedEngine {
     fn name(&self) -> &'static str {
         "distributed"
@@ -1047,22 +1034,17 @@ impl SimRankEngine for DistributedEngine {
 
         // The cheap half stays on the coordinator: L Jacobi sweeps over
         // the assembled system — the identical solver call, so the
-        // diagonal is bitwise the other engines'.
+        // diagonal is bitwise the other engines'. Replies arrive in
+        // partition order over a contiguous range partition, so
+        // flattening them *is* node order.
         let strategy = cfg.resolve_ai_strategy(self.n);
-        let b = vec![1.0; self.n as usize];
-        let x0 = vec![1.0 - cfg.c; self.n as usize];
-        let jacobi_cfg =
-            JacobiConfig { iterations: cfg.l, tolerance: None, record_residuals: true };
-        let rows =
-            ShippedRows { n: self.n, partitioner: self.partitioner, shard_rows: &shard_rows };
-        let result = jacobi::solve(&rows, &b, &x0, &jacobi_cfg);
+        let rows = StoredRows::new(shard_rows.into_iter().flatten().collect());
+        let result = solve_rows(&rows, cfg);
         // The workers materialised rows either way (they must, to ship
         // them); the reported footprint honours the strategy the other
         // engines would have used, keeping BuildOutcome comparable.
         let rows_bytes = match strategy {
-            AiStrategy::Store | AiStrategy::Auto { .. } => {
-                Some(shard_rows.iter().flatten().map(|r| 24 + 12 * r.len() as u64).sum::<u64>())
-            }
+            AiStrategy::Store | AiStrategy::Auto { .. } => Some(StoredRows::memory_bytes(&rows)),
             AiStrategy::Recompute => None,
         };
 
@@ -1153,8 +1135,8 @@ impl SimRankEngine for DistributedEngine {
         let lists = ShardTopKReply::from_bytes(&reply.payload).map_err(|e| {
             QueryError::WorkerUnavailable { detail: format!("worker {w}: bad top-k reply: {e}") }
         })?;
-        // The coordinator's half of the plan: the same merge as the
-        // sharded engine, over lists that crossed a real wire.
+        // The coordinator's half of the plan, over lists that crossed
+        // a real wire.
         Ok(merge_ranked(&lists.lists, k))
     }
 
@@ -1200,18 +1182,16 @@ impl std::fmt::Debug for DistributedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::local;
-    use crate::engine::sharded::ShardedEngine;
-    use pasco_graph::generators;
+    use crate::engine::kernel::build_diagonal_on;
+    use pasco_graph::{generators, ReverseChainIndex};
 
     /// Drives `ShardWorkerCore`s directly (no sockets): the wire-free
     /// half of the bit-identity proof. `tests/distributed.rs` repeats it
     /// over real loopback TCP.
     fn load_workers(g: &CsrGraph, workers: u32) -> Vec<ShardWorkerCore> {
         let n = g.node_count();
-        let chunk = n.max(1).div_ceil(workers.min(n.max(1)));
-        let nparts = n.max(1).div_ceil(chunk);
-        let partitioner = Partitioner::range(n, nparts);
+        let partitioner: Partitioner = Partitioner::range_nonempty(n, workers);
+        let nparts = partitioner.parts();
         let parts = partition_graph(g, &partitioner);
         (0..nparts)
             .map(|w| {
@@ -1238,29 +1218,22 @@ mod tests {
     #[test]
     fn worker_cores_rebuild_the_exact_rows_and_queries() {
         let g = generators::barabasi_albert(90, 3, 5);
+        let rci = ReverseChainIndex::build(&g);
         let cfg = SimRankConfig::fast().with_seed(21);
-        let out = local::build_diagonal(&g, &cfg);
+        let out = build_diagonal_on(&g, &cfg);
         let diag = out.diag.as_slice();
-        let sharded = ShardedEngine::new(&g, 3);
         for workers in [1u32, 3] {
             let mut cores = load_workers(&g, workers);
-            // Assembled shipped rows must solve to the local diagonal.
-            let n = g.node_count();
-            let nparts = cores.len() as u32;
-            let partitioner = Partitioner::range(n, nparts);
-            let shard_rows: Vec<Vec<Row>> =
-                cores.iter_mut().map(|c| c.build(&cfg).unwrap().rows).collect();
-            let rows = ShippedRows { n, partitioner, shard_rows: &shard_rows };
-            let b = vec![1.0; n as usize];
-            let x0 = vec![1.0 - cfg.c; n as usize];
-            let jc = JacobiConfig { iterations: cfg.l, tolerance: None, record_residuals: true };
-            let solved = jacobi::solve(&rows, &b, &x0, &jc);
+            // Shipped rows, flattened in partition order, must solve to
+            // the local diagonal.
+            let rows: Vec<Row> =
+                cores.iter_mut().flat_map(|c| c.build(&cfg).unwrap().rows).collect();
+            let solved = solve_rows(&StoredRows::new(rows), &cfg);
             assert_eq!(DiagonalIndex::new(solved.x), out.diag, "{workers} workers");
             assert_eq!(solved.residuals, out.residuals, "{workers} workers");
 
-            // Routed queries equal the sharded engine's (itself bitwise
-            // local).
-            let owner = partitioner.owner(7) as usize;
+            // Routed queries equal the resident kernels'.
+            let owner = Partitioner::range(g.node_count(), cores.len() as u32).owner(7) as usize;
             let resp = cores[owner]
                 .query(ShardQuery {
                     cfg,
@@ -1268,7 +1241,7 @@ mod tests {
                     kind: ShardQueryKind::SinglePair { i: 7, j: 40 },
                 })
                 .unwrap();
-            assert_eq!(resp, QueryResponse::Score(sharded.single_pair(diag, &cfg, 7, 40).unwrap()));
+            assert_eq!(resp, QueryResponse::Score(queries::single_pair(&g, diag, &cfg, 7, 40)));
             // Second query rides the cached fingerprint.
             let resp = cores[owner]
                 .query(ShardQuery {
@@ -1277,8 +1250,11 @@ mod tests {
                     kind: ShardQueryKind::SingleSource { i: 7 },
                 })
                 .unwrap();
-            assert_eq!(resp, QueryResponse::Scores(sharded.single_source(diag, &cfg, 7).unwrap()));
-            // Top-k lists merge to the sharded (= local) ranking.
+            assert_eq!(
+                resp,
+                QueryResponse::Scores(queries::single_source(&g, &rci, diag, &cfg, 7))
+            );
+            // Top-k lists merge to the global ranking.
             let lists = cores[owner]
                 .topk(ShardTopK {
                     cfg,
@@ -1287,15 +1263,28 @@ mod tests {
                     k: 8,
                 })
                 .unwrap();
+            assert_eq!(lists.lists.len(), cores.len(), "one ranking per partition");
             assert_eq!(
                 merge_ranked(&lists.lists, 8),
-                sharded.single_source_topk(diag, &cfg, 7, 8).unwrap()
+                queries::single_source_topk(&g, &rci, diag, &cfg, 7, 8)
             );
             let stats = cores[owner].stats();
             assert_eq!(stats.queries, 2);
             assert_eq!(stats.topk_queries, 1);
             assert!(stats.owned_bytes <= stats.resident_bytes);
         }
+    }
+
+    #[test]
+    fn merge_ranked_equals_global_ranking() {
+        // Hand-built shard lists with a cross-shard tie: node ids break it.
+        let lists =
+            vec![vec![(0u32, 0.9), (2, 0.5), (4, 0.1)], vec![(5u32, 0.9), (1, 0.5), (3, 0.2)]];
+        let merged = merge_ranked(&lists, 5);
+        let all: Vec<(u32, f64)> = lists.concat();
+        assert_eq!(merged, rank_topk(all, u32::MAX, 5));
+        // Exhausting every list stops early.
+        assert_eq!(merge_ranked(&lists, 100).len(), 6);
     }
 
     #[test]

@@ -1,43 +1,45 @@
 //! Execution engines: where CloudWalker's walks and sweeps actually run.
 //!
-//! The same algorithm executes in six places:
+//! One algorithm, two orthogonal choices, plus the paper's two cost models:
 //!
-//! * [`local`] — a rayon pool in-process (the single-machine reference);
-//! * [`sharded`] — the graph range-partitioned across in-process shards,
-//!   queries routed to the shard owning their source (the single-box
-//!   analogue of partition-by-source parallel SimRank);
-//! * [`broadcast`] — the simulated cluster with the graph **replicated** to
-//!   every worker (the paper's faster model, bounded by per-worker RAM);
-//! * [`rdd`] — the simulated cluster with the graph **partitioned** and
-//!   walker state shuffled between steps (the paper's scalable model);
-//! * [`distributed`] — real `pasco worker` processes over TCP: the build
-//!   and every query routed to the worker owning its source through the
-//!   envelope protocol, with real wire bytes in the cluster accounting;
-//! * [`mapped`] — out-of-core execution over a mapped `PASCOSH1` shard
-//!   store: no resident adjacency at all, O(1) restart, graphs larger
-//!   than RAM.
+//! * **Storage** — where the adjacency lives. [`kernel::KernelEngine`] is
+//!   the single in-process engine, generic over a [`kernel::Storage`]:
+//!   the **resident** CSR graph ([`ExecMode::Local`]), a **partitioned
+//!   view** over in-memory range shards ([`ExecMode::Sharded`], the
+//!   single-box analogue of partition-by-source parallel SimRank), or a
+//!   **mapped** `PASCOSH1` shard store ([`crate::CloudWalker::open_store`]:
+//!   no resident adjacency at all, O(1) restart, graphs larger than RAM).
+//! * **Placement** — where the kernels execute. In-process on the caller's
+//!   rayon pool (the three storages above), or on real `pasco worker`
+//!   processes over TCP ([`distributed`]): the build and every query
+//!   routed to the worker owning its source through the envelope
+//!   protocol, each worker running the same kernel functions over a
+//!   partitioned view or a mapped store, with real wire bytes in the
+//!   cluster accounting.
+//! * **Simulated cost models** — [`broadcast`] (graph **replicated** to
+//!   every simulated worker: the paper's faster model, bounded by
+//!   per-worker RAM) and [`rdd`] (graph **partitioned**, walker state
+//!   shuffled between steps: the paper's scalable model) replay the same
+//!   walks under `pasco_cluster`'s accounting.
 //!
-//! Each substrate implements the object-safe [`SimRankEngine`] trait, so
+//! Each implements the object-safe [`SimRankEngine`] trait, so
 //! [`crate::CloudWalker`] holds a `Box<dyn SimRankEngine>` and never
-//! branches on the execution mode in a query path; new substrates plug in
-//! without touching query code (the mapped engine did exactly that).
+//! branches on the execution mode in a query path.
 //!
 //! Because each walk step's randomness is a pure function of
-//! `(seed, source, walker, step)`, all engines produce identical walker
-//! trajectories; integration tests assert Local ≡ Sharded ≡ Broadcast ≡
-//! RDD.
+//! `(seed, source, walker, step)`, every engine produces identical walker
+//! trajectories. For the three storages that is structural (one generic
+//! implementation, [`kernel`]'s table test pins it); `tests/
+//! execution_modes.rs` and `tests/distributed.rs` assert it across the
+//! cost models and the RPC placement.
 
 pub mod broadcast;
 pub mod distributed;
-pub mod local;
-pub mod mapped;
+pub mod kernel;
 pub mod rdd;
-pub mod sharded;
 
 pub use distributed::{DistributedEngine, ShardWorkerCore};
-pub use local::LocalEngine;
-pub use mapped::MappedEngine;
-pub use sharded::ShardedEngine;
+pub use kernel::{KernelEngine, LocalEngine, MappedEngine, Resident, ShardedEngine, Storage};
 
 use crate::api::QueryError;
 use crate::config::{AiStrategy, SimRankConfig};
@@ -111,7 +113,8 @@ pub struct EngineFootprint {
 }
 
 /// One execution substrate for CloudWalker's offline build and online
-/// queries.
+/// queries: the in-process [`KernelEngine`] over its three storages, the
+/// RPC [`DistributedEngine`], and the two simulated cost models.
 ///
 /// The trait is object-safe: [`crate::CloudWalker`] dispatches every query
 /// through `Box<dyn SimRankEngine>`. Implementations must be deterministic
@@ -134,11 +137,10 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     /// cohort cache sits on top of this.
     ///
     /// Queries are fallible at the trait so substrates with a failure
-    /// plane of their own — the distributed engine loses a worker, the
-    /// mapped engine cannot serve a query kind — surface a typed
-    /// [`QueryError`] instead of panicking the serving path. The
-    /// in-process engines (bounds already checked by the caller) never
-    /// return `Err`.
+    /// plane of their own — the distributed engine loses a worker —
+    /// surface a typed [`QueryError`] instead of panicking the serving
+    /// path. The in-process engine (bounds already checked by the caller)
+    /// never returns `Err`.
     fn query_cohort(
         &self,
         cfg: &SimRankConfig,
@@ -179,9 +181,9 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     /// Query-time memory demand per worker.
     fn memory_footprint(&self) -> EngineFootprint;
 
-    /// Per-shard resident bytes, in shard order, for substrates that
-    /// partition the graph in-process; `None` for unsharded substrates
-    /// (the default).
+    /// Per-shard bytes, in shard order, for substrates that partition the
+    /// graph (in-memory shards, mapped shard files, worker-owned
+    /// partitions); `None` for unsharded substrates (the default).
     fn shard_footprints(&self) -> Option<Vec<u64>> {
         None
     }

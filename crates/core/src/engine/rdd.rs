@@ -521,7 +521,7 @@ impl std::fmt::Debug for RddEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::local;
+    use crate::engine::kernel::build_diagonal_on;
     use pasco_graph::generators;
     use pasco_graph::ReverseChainIndex;
 
@@ -535,7 +535,7 @@ mod tests {
         let cfg = SimRankConfig::fast().with_seed(21);
         let eng = engine(&g, 3);
         let out_r = eng.build_diagonal(&cfg).unwrap();
-        let out_l = local::build_diagonal(&g, &cfg);
+        let out_l = build_diagonal_on(&g, &cfg);
         assert_eq!(out_r.diag, out_l.diag, "RDD D must equal local D bitwise");
         assert_eq!(out_r.residuals, out_l.residuals);
         assert!(out_r.cluster.is_some());
@@ -554,7 +554,7 @@ mod tests {
         let g = generators::barabasi_albert(120, 3, 2);
         let cfg = SimRankConfig::fast();
         let eng = engine(&g, 3);
-        let out = local::build_diagonal(&g, &cfg);
+        let out = build_diagonal_on(&g, &cfg);
         let diag = out.diag.as_slice();
 
         assert_eq!(

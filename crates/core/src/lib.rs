@@ -22,15 +22,17 @@
 //! # Execution modes
 //!
 //! [`ExecMode`] selects where the work runs: [`ExecMode::Local`] on a rayon
-//! pool, [`ExecMode::Sharded`] on in-process graph shards, the simulated
-//! Spark cluster in the paper's two models — [`ExecMode::Broadcast`] (graph
-//! replicated per worker; fails when it does not fit the per-worker budget)
-//! and [`ExecMode::Rdd`] (graph partitioned; walker state shuffled every
-//! step) — or [`ExecMode::Distributed`], real `pasco_worker` processes over
-//! TCP with the build and every query routed to the worker owning its
-//! source. Each substrate implements the object-safe [`SimRankEngine`]
-//! trait and [`CloudWalker`] dispatches every query through
-//! `Box<dyn SimRankEngine>`. All five produce **bitwise identical
+//! pool, [`ExecMode::Sharded`] on in-process graph shards (both — and the
+//! mapped store behind [`CloudWalker::open_store`] — are the one generic
+//! [`engine::KernelEngine`] over a different [`engine::Storage`]), the
+//! simulated Spark cluster in the paper's two models —
+//! [`ExecMode::Broadcast`] (graph replicated per worker; fails when it does
+//! not fit the per-worker budget) and [`ExecMode::Rdd`] (graph partitioned;
+//! walker state shuffled every step) — or [`ExecMode::Distributed`], real
+//! `pasco_worker` processes over TCP with the build and every query routed
+//! to the worker owning its source. Each implements the object-safe
+//! [`SimRankEngine`] trait and [`CloudWalker`] dispatches every query
+//! through `Box<dyn SimRankEngine>`. All produce **bitwise identical
 //! results** for the same seed, because every walk step's randomness is a
 //! pure function of `(seed, source, walker, step)`.
 //!
@@ -69,8 +71,8 @@ pub use cloudwalker::{CloudWalker, IndexBuildStats};
 pub use config::{AiStrategy, SimRankConfig};
 pub use diag::DiagonalIndex;
 pub use engine::{
-    BuildOutcome, DistributedEngine, EngineFootprint, ExecMode, LocalEngine, ShardedEngine,
-    SimRankEngine,
+    BuildOutcome, DistributedEngine, EngineFootprint, ExecMode, KernelEngine, LocalEngine,
+    ShardedEngine, SimRankEngine,
 };
 pub use error::SimRankError;
 pub use session::{CacheStats, QuerySession, SessionConfig};

@@ -16,11 +16,13 @@
 //! sampling error.
 
 use crate::config::SimRankConfig;
-use pasco_graph::{CsrGraph, ForwardSampler, GraphSampler, NodeId, ReverseChainIndex};
+use pasco_graph::{
+    CsrGraph, ForwardSampler, GraphSampler, NodeId, ReverseChainIndex, WalkAdjacency,
+};
 use pasco_mc::counts::MassMap;
-use pasco_mc::forward::{forward_walk, forward_walk_on, push_measure};
+use pasco_mc::forward::{forward_walk_on, push_measure};
 use pasco_mc::rng::mix;
-use pasco_mc::walks::{reverse_walk_distributions, StepDistributions, WalkParams};
+use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
 
 /// Salt distinguishing query walks from index walks.
 pub const QUERY_SALT: u64 = 0x0009_a5c0_9e71;
@@ -40,9 +42,21 @@ pub fn forward_seed(cfg: &SimRankConfig, source: NodeId, t: usize) -> u64 {
     mix(&[cfg.seed, FORWARD_SALT, source as u64, t as u64])
 }
 
-/// Simulates the query cohort (`R'` walkers, `T` steps) for `source`.
+/// Simulates the query cohort (`R'` walkers, `T` steps) for `source` on
+/// any adjacency source — the one cohort entry point behind every
+/// in-process storage and the RPC worker, so their bit-equality is
+/// structural.
+pub fn query_cohort_on<A: WalkAdjacency>(
+    adj: &A,
+    cfg: &SimRankConfig,
+    source: NodeId,
+) -> StepDistributions {
+    reverse_walk_distributions_on(adj, source, WalkParams::new(cfg.t, cfg.r_query), query_seed(cfg))
+}
+
+/// [`query_cohort_on`] over the resident graph.
 pub fn query_cohort(graph: &CsrGraph, cfg: &SimRankConfig, source: NodeId) -> StepDistributions {
-    reverse_walk_distributions(graph, source, WalkParams::new(cfg.t, cfg.r_query), query_seed(cfg))
+    query_cohort_on(graph, cfg, source)
 }
 
 /// Scores a pair from two cohorts' distributions:
@@ -77,9 +91,10 @@ pub fn score_pair(di: &StepDistributions, dj: &StepDistributions, diag: &[f64], 
     score
 }
 
-/// MCSP: the single-pair query. `s(i, i)` is 1 by definition.
-pub fn single_pair(
-    graph: &CsrGraph,
+/// MCSP: the single-pair query on any adjacency source. `s(i, i)` is 1
+/// by definition.
+pub fn single_pair_on<A: WalkAdjacency>(
+    adj: &A,
     diag: &[f64],
     cfg: &SimRankConfig,
     i: NodeId,
@@ -88,9 +103,20 @@ pub fn single_pair(
     if i == j {
         return 1.0;
     }
-    let di = query_cohort(graph, cfg, i);
-    let dj = query_cohort(graph, cfg, j);
+    let di = query_cohort_on(adj, cfg, i);
+    let dj = query_cohort_on(adj, cfg, j);
     score_pair(&di, &dj, diag, cfg.c)
+}
+
+/// [`single_pair_on`] over the resident graph.
+pub fn single_pair(
+    graph: &CsrGraph,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    i: NodeId,
+    j: NodeId,
+) -> f64 {
+    single_pair_on(graph, diag, cfg, i, j)
 }
 
 /// The weighted support `yₜ = D ûₜ` of a cohort's step-`t` histogram.
@@ -141,8 +167,8 @@ pub fn single_source_from_dists(
 }
 
 /// [`single_source_from_dists`] generic over the forward-sampling source —
-/// the one dense-MCSS kernel behind the resident-graph engines and the
-/// sharded engine's routed view, so their bit-equality is structural.
+/// the one dense-MCSS kernel behind every storage, so their bit-equality
+/// is structural.
 pub fn single_source_from_dists_on<S: ForwardSampler>(
     n: usize,
     sampler: &S,
@@ -176,7 +202,19 @@ pub fn single_source_from_dists_on<S: ForwardSampler>(
     out
 }
 
-/// MCSS: the single-source query (Monte-Carlo forward propagation).
+/// MCSS: the single-source query (Monte-Carlo forward propagation) on
+/// any storage.
+pub fn single_source_on<A: WalkAdjacency + ForwardSampler>(
+    adj: &A,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    i: NodeId,
+) -> Vec<f64> {
+    let dists = query_cohort_on(adj, cfg, i);
+    single_source_from_dists_on(adj.node_count() as usize, adj, &dists, diag, cfg)
+}
+
+/// [`single_source_on`] over the resident graph and its sampling index.
 pub fn single_source(
     graph: &CsrGraph,
     rci: &ReverseChainIndex,
@@ -184,8 +222,7 @@ pub fn single_source(
     cfg: &SimRankConfig,
     i: NodeId,
 ) -> Vec<f64> {
-    let dists = query_cohort(graph, cfg, i);
-    single_source_from_dists(graph, rci, &dists, diag, cfg)
+    single_source_on(&GraphSampler::new(graph, rci), diag, cfg, i)
 }
 
 /// Ablation variant of MCSS: the `(Pᵀ)ᵗ` powers are applied by exact sparse
@@ -215,24 +252,24 @@ pub fn single_source_push(
     out
 }
 
-/// One mass-carrying forward walk used by MCSS (re-exported kernel for the
-/// cluster engines, which must replay identical trajectories).
-pub fn forward_walk_kernel(
-    graph: &CsrGraph,
-    rci: &ReverseChainIndex,
-    start: NodeId,
-    mass: f64,
-    steps: usize,
-    key: u64,
-) -> Option<(NodeId, f64)> {
-    forward_walk(graph, rci, start, mass, steps, key)
+/// Sparse MCSS: like [`single_source_on`] but accumulating only the nodes
+/// any walker actually reaches (`O(T²·R′)` entries) instead of a dense
+/// length-n vector — the right shape for top-`k` retrieval on very large
+/// graphs. Returns the top `k` scoring nodes (query node excluded), sorted
+/// by descending score with node-id tie-breaks.
+pub fn single_source_topk_on<A: WalkAdjacency + ForwardSampler>(
+    adj: &A,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    i: NodeId,
+    k: usize,
+) -> Vec<(NodeId, f64)> {
+    let dists = query_cohort_on(adj, cfg, i);
+    rank_topk(sparse_masses_on(adj, &dists, diag, cfg).iter(), i, k)
 }
 
-/// Sparse MCSS: like [`single_source`] but accumulating only the nodes any
-/// walker actually reaches (`O(T²·R′)` entries) instead of a dense length-n
-/// vector — the right shape for top-`k` retrieval on very large graphs.
-/// Returns the top `k` scoring nodes (query node excluded), sorted by
-/// descending score with node-id tie-breaks.
+/// [`single_source_topk_on`] over the resident graph and its sampling
+/// index.
 pub fn single_source_topk(
     graph: &CsrGraph,
     rci: &ReverseChainIndex,
@@ -241,16 +278,14 @@ pub fn single_source_topk(
     i: NodeId,
     k: usize,
 ) -> Vec<(NodeId, f64)> {
-    let dists = query_cohort(graph, cfg, i);
-    let acc = sparse_masses_on(&GraphSampler::new(graph, rci), &dists, diag, cfg);
-    rank_topk(acc.iter(), i, k)
+    single_source_topk_on(&GraphSampler::new(graph, rci), diag, cfg, i, k)
 }
 
 /// The sparse accumulation stage shared by every top-`k` path: the
 /// reached-node masses of the MCSS series for one cohort, as a
 /// [`MassMap`] over the (at most `O(T²·R')`) nodes any walker lands on.
-/// Generic over the forward-sampling source so the local and sharded
-/// engines accumulate through the identical kernel.
+/// Generic over the forward-sampling source so every storage accumulates
+/// through the identical kernel.
 pub fn sparse_masses_on<S: ForwardSampler>(
     sampler: &S,
     dists: &StepDistributions,
@@ -285,9 +320,10 @@ pub fn sparse_masses_on<S: ForwardSampler>(
 /// The total order every ranking path sorts by: descending score, node-id
 /// tie-break. Uses [`f64::total_cmp`] so a NaN score (e.g. from a poisoned
 /// diagonal entry) can never panic a query; NaN orders above every finite
-/// score under `total_cmp`, deterministically. The sharded engine's k-way
-/// merge and [`rank_topk`] share this comparator — the cross-engine
-/// ranking-equality guarantee depends on there being exactly one.
+/// score under `total_cmp`, deterministically. The distributed
+/// coordinator's k-way merge and [`rank_topk`] share this comparator — the
+/// cross-engine ranking-equality guarantee depends on there being exactly
+/// one.
 #[inline]
 pub(crate) fn ranking_cmp(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
@@ -295,9 +331,9 @@ pub(crate) fn ranking_cmp(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ord
 
 /// The shared ranking tail of every top-`k` path: clamp into `[0, 1]`,
 /// drop the query node, unreached (zero-score) and NaN entries, sort by
-/// [`ranking_cmp`], truncate to `k`. Local sparse, sharded merged and
-/// cluster dense top-`k` all rank through here, so the cross-mode
-/// ranking-equality guarantee depends on exactly one tie-break
+/// [`ranking_cmp`], truncate to `k`. In-process sparse, worker
+/// per-partition and cluster dense top-`k` all rank through here, so the
+/// cross-mode ranking-equality guarantee depends on exactly one tie-break
 /// implementation.
 pub(crate) fn rank_topk(
     items: impl IntoIterator<Item = (NodeId, f64)>,

@@ -72,6 +72,18 @@ impl<'a> GraphSampler<'a> {
     }
 }
 
+impl WalkAdjacency for GraphSampler<'_> {
+    #[inline]
+    fn node_count(&self) -> u32 {
+        self.graph.node_count()
+    }
+
+    #[inline]
+    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
+        self.graph.in_neighbors(v)
+    }
+}
+
 impl ForwardSampler for GraphSampler<'_> {
     #[inline]
     fn outflow(&self, v: NodeId) -> f64 {

@@ -33,6 +33,17 @@ impl Partitioner {
         Partitioner::Range { n, parts }
     }
 
+    /// A range partitioner over `n` nodes with **at most** `want` parts,
+    /// capped so that every part owns at least one node: 4 parts of a
+    /// 5-node graph become 3 parts of ⌈5/4⌉ = 2, 2 and 1 nodes rather
+    /// than a fourth, empty one. The one shard-count rule shared by the
+    /// sharded engine, the distributed coordinator and the store writer.
+    pub fn range_nonempty(n: u32, want: u32) -> Self {
+        assert!(want > 0, "need at least one partition");
+        let chunk = chunk_size(n, want.min(n.max(1)));
+        Partitioner::range(n, n.max(1).div_ceil(chunk))
+    }
+
     /// A hash partitioner with `parts` partitions.
     pub fn hash(parts: u32) -> Self {
         assert!(parts > 0, "need at least one partition");
@@ -117,6 +128,24 @@ mod tests {
         assert!(p.owner(1) < 8);
         let total: u32 = (0..8).map(|part| p.range_of(part).map(|(s, e)| e - s).unwrap_or(0)).sum();
         assert_eq!(total, 2);
+    }
+
+    #[test]
+    fn range_nonempty_leaves_no_part_empty() {
+        // Regression: ceil-division range partitioning used to leave empty
+        // trailing parts (4 parts of a 5-node graph -> [2, 2, 1, 0]).
+        for (n, want) in [(5u32, 4u32), (7, 5), (9, 8), (3, 3), (100, 7), (3, 16), (5, 8)] {
+            let p = Partitioner::range_nonempty(n, want);
+            let parts = Partitioner::parts(&p);
+            assert!(parts <= want, "n={n} want={want}");
+            let owned: Vec<u32> =
+                (0..parts).map(|q| p.range_of(q).map(|(s, e)| e - s).unwrap()).collect();
+            assert!(owned.iter().all(|&c| c > 0), "n={n} want={want}: {owned:?}");
+            assert_eq!(owned.iter().sum::<u32>(), n);
+        }
+        assert_eq!(Partitioner::range_nonempty(5, 4), Partitioner::range(5, 3));
+        assert_eq!(Partitioner::range_nonempty(5, 8), Partitioner::range(5, 5));
+        assert_eq!(Partitioner::range_nonempty(100, 4), Partitioner::range(100, 4));
     }
 
     #[test]

@@ -242,6 +242,12 @@ impl PartitionedView {
         Self { parts, partitioner }
     }
 
+    /// Range-partitions `graph` by `partitioner` and routes over the
+    /// result — [`partition_graph`] then [`PartitionedView::new`].
+    pub fn of_graph(graph: &CsrGraph, partitioner: Partitioner) -> Self {
+        Self::new(Arc::new(partition_graph(graph, &partitioner)), partitioner)
+    }
+
     /// The partition owning node `v`.
     #[inline]
     pub fn part_of(&self, v: NodeId) -> &GraphPartition {

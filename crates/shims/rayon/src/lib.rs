@@ -278,7 +278,11 @@ where
                     .expect("failed to spawn worker thread")
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        // Like rayon, re-raise a worker's panic with its original payload.
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
     })
 }
 

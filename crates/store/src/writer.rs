@@ -21,9 +21,10 @@ pub fn shard_file_name(part_index: u32) -> String {
 }
 
 /// Writes a complete store directory for `graph`: range-partitions it
-/// into `parts` shards (the same [`Partitioner::range`] the sharded
-/// engine uses, so every reader routes identically), slices `diag`
-/// per-partition, and writes one shard file each.
+/// into at most `parts` shards (the same
+/// [`Partitioner::range_nonempty`] the sharded engine uses, so every
+/// reader routes identically and no shard file is ever empty), slices
+/// `diag` per-partition, and writes one shard file each.
 pub fn write_store(
     dir: impl AsRef<Path>,
     graph: &CsrGraph,
@@ -37,9 +38,12 @@ pub fn write_store(
             diag.len()
         )));
     }
-    let partitioner = Partitioner::range(n, parts);
+    if parts == 0 {
+        return Err(StoreError::BadLayout("a store needs at least one shard".into()));
+    }
+    let partitioner: Partitioner = Partitioner::range_nonempty(n, parts);
     let partitions = partition_graph(graph, &partitioner);
-    let mut writer = StoreWriter::create(dir, n, parts)?;
+    let mut writer = StoreWriter::create(dir, n, partitioner.parts())?;
     for (p, part) in partitions.iter().enumerate() {
         let slice = &diag[part.start as usize..part.end as usize];
         writer.write_partition(p as u32, part, slice)?;

@@ -35,6 +35,7 @@
 //! in the API layer ([`pasco::simrank::QueryError`]), not here.
 
 use pasco::cluster::ClusterConfig;
+use pasco::graph::partition::Partitioner;
 use pasco::graph::stats::{degree_stats, human_bytes, Direction};
 use pasco::graph::{io, CsrGraph};
 use pasco::server::{PascoClient, PascoServer, ServerConfig};
@@ -362,6 +363,9 @@ fn cmd_save_store(flags: &Flags) -> Result<(), String> {
         None => CloudWalker::build(graph, cfg, ExecMode::Local).map_err(|e| e.to_string())?,
     };
     cw.save_store(out, parts).map_err(|e| e.to_string())?;
+    // The writer caps the count so no shard file is empty.
+    let parts =
+        Partitioner::parts(&Partitioner::range_nonempty(CloudWalker::node_count(&cw), parts));
     let bytes: u64 = std::fs::read_dir(out)
         .map_err(|e| format!("{out}: {e}"))?
         .filter_map(|e| e.ok())
