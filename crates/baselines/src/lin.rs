@@ -21,7 +21,7 @@ use pasco_mc::forward::{push_measure, reverse_push_measure};
 use pasco_simrank::ai::ai_row_exact;
 use pasco_simrank::diag::DiagonalIndex;
 use pasco_solver::gauss_seidel::{self, GaussSeidelConfig};
-use pasco_solver::jacobi::DenseRows;
+use pasco_solver::jacobi::StoredRows;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,7 +87,7 @@ impl Lin {
         if abandoned.load(Ordering::Relaxed) {
             return Err(BaselineError::WorkBudget { spent, budget: cfg.work_budget });
         }
-        let rows = DenseRows::new(rows);
+        let rows = StoredRows::new(rows);
         let b = vec![1.0; n as usize];
         let x0 = vec![1.0 - cfg.c; n as usize];
         let result = gauss_seidel::solve(

@@ -1,10 +1,8 @@
-//! Microbenchmarks: sparse accumulation (A4 ablation — the open-addressing
-//! count map against the standard library's hash map) and sparse-vector
-//! kernels.
+//! Microbenchmark: sparse accumulation (A4 ablation — the open-addressing
+//! count map against the standard library's hash map).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pasco_mc::counts::CountMap;
-use pasco_solver::SparseVec;
 use std::collections::HashMap;
 use std::hint::black_box;
 
@@ -46,22 +44,5 @@ fn bench_count_maps(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sparse_vec(c: &mut Criterion) {
-    let a = SparseVec::from_unsorted(keys(2_000).into_iter().map(|k| (k, 0.5)).collect());
-    let b_vec = SparseVec::from_unsorted(keys(2_000).into_iter().map(|k| (k + 1, 0.25)).collect());
-    let weights = vec![1.0; 6_000];
-    let mut group = c.benchmark_group("sparse/vec");
-    group.bench_function("dot_sparse", |bch| {
-        bch.iter(|| black_box(a.dot_sparse(&b_vec)));
-    });
-    group.bench_function("dot_sparse_weighted", |bch| {
-        bch.iter(|| black_box(a.dot_sparse_weighted(&b_vec, &weights)));
-    });
-    group.bench_function("add_scaled", |bch| {
-        bch.iter(|| black_box(a.add_scaled(&b_vec, 0.6)));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_count_maps, bench_sparse_vec);
+criterion_group!(benches, bench_count_maps);
 criterion_main!(benches);

@@ -48,40 +48,9 @@ pub fn ai_row_exact(graph: &CsrGraph, i: NodeId, c: f64, t_max: usize) -> Vec<(u
     acc.into_sorted_vec()
 }
 
-/// [`RowSource`] over fully materialised rows in node order — the `Store`
-/// strategy, and the shape worker-shipped rows flatten into.
-#[derive(Clone, Debug)]
-pub struct StoredRows {
-    rows: Vec<Vec<(u32, f64)>>,
-}
-
-impl StoredRows {
-    /// Wraps materialised rows.
-    pub fn new(rows: Vec<Vec<(u32, f64)>>) -> Self {
-        Self { rows }
-    }
-
-    /// Approximate resident bytes (12 bytes per stored entry + vec headers).
-    pub fn memory_bytes(&self) -> u64 {
-        self.rows.iter().map(|r| 24 + 12 * r.len() as u64).sum()
-    }
-
-    /// Borrow a row.
-    pub fn get(&self, i: u32) -> &[(u32, f64)] {
-        &self.rows[i as usize]
-    }
-}
-
-impl RowSource for StoredRows {
-    fn dim(&self) -> usize {
-        self.rows.len()
-    }
-
-    fn row(&self, i: u32, row: &mut Vec<(u32, f64)>) {
-        row.clear();
-        row.extend_from_slice(&self.rows[i as usize]);
-    }
-}
+/// The `Store` strategy's [`RowSource`] — fully materialised rows in node
+/// order; the solver crate's row store, under the path the engines use.
+pub use pasco_solver::jacobi::StoredRows;
 
 /// [`RowSource`] that regenerates each row from seeded walks on demand —
 /// the `Recompute` strategy, over any adjacency source. Because walk

@@ -184,16 +184,6 @@ impl<A: Storage> SimRankEngine for KernelEngine<A> {
         Ok(queries::query_cohort_on(&*self.adj, cfg, source))
     }
 
-    fn single_pair(
-        &self,
-        diag: &[f64],
-        cfg: &SimRankConfig,
-        i: NodeId,
-        j: NodeId,
-    ) -> Result<f64, QueryError> {
-        Ok(queries::single_pair_on(&*self.adj, diag, cfg, i, j))
-    }
-
     fn single_source(
         &self,
         diag: &[f64],
@@ -270,12 +260,17 @@ pub fn build_diagonal_on<A: WalkAdjacency>(adj: &A, cfg: &SimRankConfig) -> Buil
     }
 }
 
-/// The solve phase every substrate shares: `L` parallel Jacobi sweeps on
-/// `A x = 1` starting from `x⁰ = (1 − c)·1` (the diagonal of the
-/// *first-order* correction, a good warm start), residuals recorded.
+/// The right-hand side and starting iterate of the diagonal system, the
+/// only place they are spelled: `b = 1` and `x⁰ = (1 − c)·1` (the diagonal
+/// of the *first-order* correction, a good warm start).
+pub(crate) fn unit_system(rows: &impl RowSource, cfg: &SimRankConfig) -> (Vec<f64>, Vec<f64>) {
+    (vec![1.0; rows.dim()], vec![1.0 - cfg.c; rows.dim()])
+}
+
+/// The solve phase every in-process substrate shares: `L` parallel Jacobi
+/// sweeps on `A x = 1` from `unit_system`, residuals recorded.
 pub fn solve_rows(rows: &impl RowSource, cfg: &SimRankConfig) -> JacobiResult {
-    let b = vec![1.0; rows.dim()];
-    let x0 = vec![1.0 - cfg.c; rows.dim()];
+    let (b, x0) = unit_system(rows, cfg);
     let sweeps = JacobiConfig { iterations: cfg.l, tolerance: None, record_residuals: true };
     jacobi::solve(rows, &b, &x0, &sweeps)
 }

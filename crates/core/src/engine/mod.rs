@@ -19,19 +19,29 @@
 //! * **Simulated cost models** — [`broadcast`] (graph **replicated** to
 //!   every simulated worker: the paper's faster model, bounded by
 //!   per-worker RAM) and [`rdd`] (graph **partitioned**, walker state
-//!   shuffled between steps: the paper's scalable model) replay the same
-//!   walks under `pasco_cluster`'s accounting.
+//!   shuffled between steps: the paper's scalable model) call the same
+//!   kernels inside `pasco_cluster` stages; only the dataflow is theirs —
+//!   what is replicated, what a task covers, what is shuffled.
 //!
 //! Each implements the object-safe [`SimRankEngine`] trait, so
 //! [`crate::CloudWalker`] holds a `Box<dyn SimRankEngine>` and never
-//! branches on the execution mode in a query path.
+//! branches on the execution mode in a query path. An engine supplies
+//! `build_diagonal`, `query_cohort` and `single_source`; MCSP and top-`k`
+//! are provided on the trait over those (see the methods for the two
+//! engines that override them, and why).
 //!
-//! Because each walk step's randomness is a pure function of
-//! `(seed, source, walker, step)`, every engine produces identical walker
-//! trajectories. For the three storages that is structural (one generic
-//! implementation, [`kernel`]'s table test pins it); `tests/
-//! execution_modes.rs` and `tests/distributed.rs` assert it across the
-//! cost models and the RPC placement.
+//! Every arithmetic step has one home, whichever engine runs it: the
+//! per-walker loop ([`pasco_mc::walks::reverse_walk_counts_on`]), the row
+//! `aᵢ` ([`crate::ai::ai_row`]), the Jacobi row update and residual
+//! ([`pasco_solver::jacobi::update_row`], swept in process by
+//! [`kernel::solve_rows`] and in stages by `staged_solve`), `score_pair`
+//! and the MCSS series (`queries::mcss_series`). Because each walk
+//! step's randomness is a pure function of `(seed, source, walker, step)`,
+//! every engine therefore produces identical walker trajectories and the
+//! same index bit for bit — structurally, with `tests/execution_modes.rs`
+//! (storages, cost models at several cluster shapes) and
+//! `tests/distributed.rs` (the RPC placement) as the oracle; only the RDD
+//! model's shuffled stepping is a second spelling of a walk step.
 
 pub mod broadcast;
 pub mod distributed;
@@ -45,9 +55,11 @@ use crate::api::QueryError;
 use crate::config::{AiStrategy, SimRankConfig};
 use crate::diag::DiagonalIndex;
 use crate::error::SimRankError;
-use pasco_cluster::{ClusterConfig, ClusterReport};
+use crate::queries::{pair_from_cohorts, rank_topk};
+use pasco_cluster::{Cluster, ClusterConfig, ClusterReport};
 use pasco_graph::NodeId;
 use pasco_mc::walks::StepDistributions;
+use pasco_solver::jacobi::{self, RowSource};
 
 /// Selects the execution engine for index construction and queries.
 ///
@@ -148,13 +160,24 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     ) -> Result<StepDistributions, QueryError>;
 
     /// MCSP: the similarity of one node pair (raw estimate, not clamped).
+    ///
+    /// Provided — MCSP is one arithmetic step over whatever cohort dataflow
+    /// the engine has: `s(i, i) = 1` by definition, otherwise two
+    /// [`SimRankEngine::query_cohort`]s scored by
+    /// [`crate::queries::score_pair`] (the same `pair_from_cohorts` as
+    /// [`crate::queries::single_pair_on`]). Only
+    /// [`DistributedEngine`] overrides it: it routes the whole query to
+    /// the worker owning `i`, so an 8-byte score crosses the wire instead
+    /// of two cohorts.
     fn single_pair(
         &self,
         diag: &[f64],
         cfg: &SimRankConfig,
         i: NodeId,
         j: NodeId,
-    ) -> Result<f64, QueryError>;
+    ) -> Result<f64, QueryError> {
+        pair_from_cohorts(diag, cfg.c, (i, j), |v| Self::query_cohort(self, cfg, v))
+    }
 
     /// MCSS: the similarity of every node to `i` (raw estimates).
     fn single_source(
@@ -167,13 +190,25 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     /// Top-`k` MCSS: the `k` nodes most similar to `i` (query node
     /// excluded), sorted by descending score with node-id tie-breaks.
     /// Scores are clamped into `[0, 1]`.
+    ///
+    /// Provided as the dense plan — rank [`SimRankEngine::single_source`]
+    /// through `rank_topk`, the same tail as
+    /// every sparse path, so shapes and tie-breaks match across engines;
+    /// the simulated engines use it, running (and accounting) their own
+    /// single-source dataflow. [`KernelEngine`] overrides it with the
+    /// sparse estimator (`O(T²·R′)` reached nodes instead of a length-`n`
+    /// vector), [`DistributedEngine`] with its worker-ranks /
+    /// coordinator-merges plan (`k` candidates per partition on the wire).
     fn single_source_topk(
         &self,
         diag: &[f64],
         cfg: &SimRankConfig,
         i: NodeId,
         k: usize,
-    ) -> Result<Vec<(NodeId, f64)>, QueryError>;
+    ) -> Result<Vec<(NodeId, f64)>, QueryError> {
+        let scores = Self::single_source(self, diag, cfg, i)?;
+        Ok(rank_topk(scores.iter().enumerate().map(|(v, &s)| (v as NodeId, s)), i, k))
+    }
 
     /// Cluster accounting so far (`None` on the local engine).
     fn cluster_report(&self) -> Option<ClusterReport>;
@@ -199,11 +234,38 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Derives a top-`k` ranking from a dense score vector — shared by the
-/// cluster engines, whose top-`k` runs on their own distributed
-/// single-source path. Ranks through [`crate::queries::rank_topk`], the
-/// same tail as the sparse local estimator, so output shapes and
-/// tie-breaks match across engines.
-pub(crate) fn topk_from_dense(scores: &[f64], i: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-    crate::queries::rank_topk(scores.iter().enumerate().map(|(v, &s)| (v as NodeId, s)), i, k)
+/// The solve phase as the simulated cluster models run it: `L` pairs of
+/// `index/jacobi` and `index/residual` stages, one task per node range,
+/// the iterate `x` held by the driver and conceptually re-broadcast each
+/// sweep (8n bytes — always far under the budget). The arithmetic is the
+/// solver's own [`jacobi::update_row`] / [`jacobi::residual_row`] on the
+/// same [`kernel::unit_system`] as [`kernel::solve_rows`], so the diagonal and
+/// the residuals are bitwise the in-process engine's; only the staging
+/// (and its accounting in `cluster`) belongs to the models. Returns the
+/// diagonal and `‖Ax − 1‖∞` after each sweep.
+pub(crate) fn staged_solve(
+    cluster: &Cluster,
+    ranges: &[(u32, u32)],
+    rows: &impl RowSource,
+    cfg: &SimRankConfig,
+) -> (DiagonalIndex, Vec<f64>) {
+    let (b, mut x) = kernel::unit_system(rows, cfg);
+    let mut residuals = Vec::with_capacity(cfg.l);
+    for _ in 0..cfg.l {
+        let next: Vec<Vec<f64>> =
+            cluster.run_stage("index/jacobi", ranges.to_vec(), |_, (lo, hi)| {
+                let mut buf = Vec::new();
+                (lo..hi).map(|i| jacobi::update_row(rows, &b, &x, i, &mut buf)).collect()
+            });
+        x = next.into_iter().flatten().collect();
+        let worst: Vec<f64> =
+            cluster.run_stage("index/residual", ranges.to_vec(), |_, (lo, hi)| {
+                let mut buf = Vec::new();
+                (lo..hi)
+                    .map(|i| jacobi::residual_row(rows, &b, &x, i, &mut buf))
+                    .fold(0.0, f64::max)
+            });
+        residuals.push(worst.into_iter().fold(0.0, f64::max));
+    }
+    (DiagonalIndex::new(x), residuals)
 }

@@ -15,20 +15,26 @@
 //! accumulate. Because every random choice is a pure function of
 //! `(seed, source, walker, step)`, the produced index is **bitwise equal**
 //! to the Local and Broadcasting engines' output.
+//!
+//! The shuffled stepping *is* this model, so it is written here; the
+//! arithmetic around it is not. The accumulated rows are handed to
+//! `staged_solve` as [`StoredRows`], the forward waves are launched from
+//! the shared `mcss_series` enumeration with its walker keys, and MCSP and
+//! top-`k` are the trait's provided methods over this engine's cohort and
+//! single-source dataflow.
 
+use crate::ai::StoredRows;
 use crate::api::QueryError;
-use crate::config::SimRankConfig;
-use crate::diag::DiagonalIndex;
-use crate::engine::{topk_from_dense, BuildOutcome, EngineFootprint, SimRankEngine};
+use crate::config::{AiStrategy, SimRankConfig};
+use crate::engine::{staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries::{forward_seed, query_seed, score_pair, weighted_support};
+use crate::queries::{mcss_series, query_seed, SeriesTerm};
 use pasco_cluster::{Cluster, ClusterConfig, ClusterReport, DistVec};
 use pasco_graph::partition::Partitioner;
 use pasco_graph::partitioned::{partition_graph, GraphPartition};
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::counts::{CountMap, MassMap};
 use pasco_mc::forward::forward_step_r;
-use pasco_mc::rng::mix;
 use pasco_mc::walks::{pick, step_u64, walker_key, StepDistributions};
 use std::sync::Arc;
 
@@ -86,13 +92,21 @@ impl RddEngine {
     fn empty_parts<T>(&self) -> Vec<Vec<T>> {
         (0..self.nparts()).map(|_| Vec::new()).collect()
     }
+}
+
+impl SimRankEngine for RddEngine {
+    fn name(&self) -> &'static str {
+        "rdd"
+    }
 
     /// Offline indexing in the RDD model. Sources are processed in batches
-    /// of 2¹⁶ (bounding live walker state); per batch, `R` walkers per source take `T`
-    /// steps, shuffling both walker state and row contributions each step.
-    /// Rows are then materialised per partition and `L` Jacobi sweeps run
-    /// with the iterate `x` held by the driver (re-broadcast each sweep).
-    fn build_diagonal_impl(&self, cfg: &SimRankConfig) -> (DiagonalIndex, Vec<f64>) {
+    /// of 2¹⁶ (bounding live walker state); per batch, `R` walkers per
+    /// source take `T` steps, shuffling both walker state and row
+    /// contributions each step.
+    /// Rows are then materialised per partition — partition order over a
+    /// contiguous range partition is node order — and handed to
+    /// `staged_solve`, one task per partition.
+    fn build_diagonal(&self, cfg: &SimRankConfig) -> Result<BuildOutcome, SimRankError> {
         let n = self.n;
         let nparts = self.nparts();
         let parts = Arc::clone(&self.parts);
@@ -228,63 +242,27 @@ impl RddEngine {
             self.cluster.run_stage("index/finalize", rows, |_, maps: Vec<MassMap>| {
                 maps.into_iter().map(|m| m.into_sorted_vec()).collect()
             });
-        let finalized = Arc::new(finalized);
-
-        // Jacobi sweeps with the driver-held iterate.
-        let mut x = vec![1.0 - cfg.c; n as usize];
-        let mut residuals = Vec::with_capacity(cfg.l);
-        let ranges: Vec<(usize, u32, u32)> =
-            self.parts.iter().enumerate().map(|(i, gp)| (i, gp.start, gp.end)).collect();
-        for _ in 0..cfg.l {
-            let x_ref = &x;
-            let fin = Arc::clone(&finalized);
-            let new_parts: Vec<Vec<f64>> =
-                self.cluster.run_stage("index/jacobi", ranges.clone(), move |_, (pidx, lo, hi)| {
-                    let rows = &fin[pidx];
-                    (lo..hi)
-                        .map(|i| {
-                            let row = &rows[(i - lo) as usize];
-                            let mut off = 0.0;
-                            let mut diagv = 0.0;
-                            for &(j, a) in row {
-                                if j == i {
-                                    diagv = a;
-                                } else {
-                                    off += a * x_ref[j as usize];
-                                }
-                            }
-                            assert!(diagv != 0.0, "zero diagonal at row {i}");
-                            (1.0 - off) / diagv
-                        })
-                        .collect()
-                });
-            x = new_parts.into_iter().flatten().collect();
-            let x_ref = &x;
-            let fin = Arc::clone(&finalized);
-            let partial: Vec<f64> = self.cluster.run_stage(
-                "index/residual",
-                ranges.clone(),
-                move |_, (pidx, lo, hi)| {
-                    let rows = &fin[pidx];
-                    let mut worst = 0.0f64;
-                    for i in lo..hi {
-                        let ax: f64 = rows[(i - lo) as usize]
-                            .iter()
-                            .map(|&(j, a)| a * x_ref[j as usize])
-                            .sum();
-                        worst = worst.max((ax - 1.0).abs());
-                    }
-                    worst
-                },
-            );
-            residuals.push(partial.into_iter().fold(0.0, f64::max));
-        }
-        (DiagonalIndex::new(x), residuals)
+        let rows = StoredRows::new(finalized.into_iter().flatten().collect());
+        let ranges: Vec<(u32, u32)> = self.parts.iter().map(|gp| (gp.start, gp.end)).collect();
+        let (diag, residuals) = staged_solve(&self.cluster, &ranges, &rows, cfg);
+        // Every row is materialised whatever `cfg.ai_strategy` asks for:
+        // the shuffled accumulation has no recompute form.
+        Ok(BuildOutcome {
+            diag,
+            strategy: AiStrategy::Store,
+            residuals,
+            rows_bytes: Some(StoredRows::memory_bytes(&rows)),
+            cluster: Some(self.cluster.report()),
+        })
     }
 
     /// Simulates the query cohort for `source` with per-step shuffles.
     /// Counts are bitwise identical to the other engines.
-    pub fn query_cohort(&self, cfg: &SimRankConfig, source: NodeId) -> StepDistributions {
+    fn query_cohort(
+        &self,
+        cfg: &SimRankConfig,
+        source: NodeId,
+    ) -> Result<StepDistributions, QueryError> {
         let seed = query_seed(cfg);
         let nparts = self.nparts();
         let partitioner = self.partitioner;
@@ -346,43 +324,36 @@ impl RddEngine {
             merged.sort_unstable_by_key(|&(k, _)| k);
             counts.push(merged);
         }
-        StepDistributions { source, walkers: cfg.r_query, counts }
+        Ok(StepDistributions { source, walkers: cfg.r_query, counts })
     }
 
     /// MCSS in the RDD model: the cohort stage, then all `T` forward-walk
     /// waves launched together, each carrying its remaining step budget so
     /// one shuffled pass per global step retires wave `t` at step `t`.
-    fn single_source_impl(&self, diag: &[f64], cfg: &SimRankConfig, i: NodeId) -> Vec<f64> {
-        let dists = self.query_cohort(cfg, i);
+    fn single_source(
+        &self,
+        diag: &[f64],
+        cfg: &SimRankConfig,
+        i: NodeId,
+    ) -> Result<Vec<f64>, QueryError> {
+        let dists = Self::query_cohort(self, cfg, i)?;
         let n = self.n as usize;
         let nparts = self.nparts();
         let partitioner = self.partitioner;
         let parts = Arc::clone(&self.parts);
         let mut out = vec![0.0f64; n];
 
-        // Launch every wave: wave t starts with mass cᵗ·y_k/R_f and must
-        // take exactly t steps.
+        // Launch every wave from the shared series enumeration: wave t's
+        // walkers start with mass cᵗ·y_k/n_k and must take exactly t steps.
         let mut initial: Vec<Vec<ForwardWalker>> = self.empty_parts();
-        let mut ct = 1.0f64;
-        for t in 0..=cfg.t {
-            let y = weighted_support(&dists, t, diag);
-            if t == 0 {
-                for &(k, m) in &y {
-                    out[k as usize] += ct * m;
-                }
-            } else {
-                let seed = forward_seed(cfg, i, t);
-                for (k, yk, nk) in crate::queries::forward_allocation(&y, cfg.r_forward) {
-                    let per = ct * yk / nk as f64;
-                    let p = partitioner.owner(k) as usize;
-                    for w in 0..nk {
-                        let key = mix(&[seed, k as u64, w as u64, t as u64]);
-                        initial[p].push((key, k, t as u32, per));
-                    }
-                }
+        mcss_series(&dists, diag, cfg, |term| match term {
+            SeriesTerm::Landed(node, mass) => out[node as usize] += mass,
+            SeriesTerm::Launch(item) => {
+                let per = item.ct * item.y / item.n as f64;
+                let home = &mut initial[partitioner.owner(item.k) as usize];
+                home.extend((0..item.n).map(|w| (item.key(w), item.k, item.t as u32, per)));
             }
-            ct *= cfg.c;
-        }
+        });
 
         let mut walkers = DistVec::from_partitions(initial);
         for s in 1..=cfg.t as u32 {
@@ -434,69 +405,7 @@ impl RddEngine {
             );
         }
         out[i as usize] = 1.0;
-        out
-    }
-}
-
-impl SimRankEngine for RddEngine {
-    fn name(&self) -> &'static str {
-        "rdd"
-    }
-
-    fn build_diagonal(&self, cfg: &SimRankConfig) -> Result<BuildOutcome, SimRankError> {
-        let strategy = cfg.resolve_ai_strategy(self.n);
-        let (diag, residuals) = self.build_diagonal_impl(cfg);
-        Ok(BuildOutcome {
-            diag,
-            strategy,
-            residuals,
-            rows_bytes: None,
-            cluster: Some(self.cluster.report()),
-        })
-    }
-
-    fn query_cohort(
-        &self,
-        cfg: &SimRankConfig,
-        source: NodeId,
-    ) -> Result<StepDistributions, QueryError> {
-        // Resolves to the inherent shuffled-stage implementation.
-        Ok(RddEngine::query_cohort(self, cfg, source))
-    }
-
-    fn single_pair(
-        &self,
-        diag: &[f64],
-        cfg: &SimRankConfig,
-        i: NodeId,
-        j: NodeId,
-    ) -> Result<f64, QueryError> {
-        if i == j {
-            return Ok(1.0);
-        }
-        let di = RddEngine::query_cohort(self, cfg, i);
-        let dj = RddEngine::query_cohort(self, cfg, j);
-        Ok(score_pair(&di, &dj, diag, cfg.c))
-    }
-
-    fn single_source(
-        &self,
-        diag: &[f64],
-        cfg: &SimRankConfig,
-        i: NodeId,
-    ) -> Result<Vec<f64>, QueryError> {
-        Ok(self.single_source_impl(diag, cfg, i))
-    }
-
-    fn single_source_topk(
-        &self,
-        diag: &[f64],
-        cfg: &SimRankConfig,
-        i: NodeId,
-        k: usize,
-    ) -> Result<Vec<(NodeId, f64)>, QueryError> {
-        let scores = self.single_source_impl(diag, cfg, i);
-        Ok(topk_from_dense(&scores, i, k))
+        Ok(out)
     }
 
     fn cluster_report(&self) -> Option<ClusterReport> {
@@ -521,72 +430,15 @@ impl std::fmt::Debug for RddEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::kernel::build_diagonal_on;
     use pasco_graph::generators;
-    use pasco_graph::ReverseChainIndex;
 
-    fn engine(g: &CsrGraph, workers: usize) -> RddEngine {
-        RddEngine::new(ClusterConfig::local(workers), g)
-    }
-
-    #[test]
-    fn rdd_diagonal_matches_local_bitwise() {
-        let g = generators::barabasi_albert(180, 3, 4);
-        let cfg = SimRankConfig::fast().with_seed(21);
-        let eng = engine(&g, 3);
-        let out_r = eng.build_diagonal(&cfg).unwrap();
-        let out_l = build_diagonal_on(&g, &cfg);
-        assert_eq!(out_r.diag, out_l.diag, "RDD D must equal local D bitwise");
-        assert_eq!(out_r.residuals, out_l.residuals);
-        assert!(out_r.cluster.is_some());
-    }
-
-    #[test]
-    fn rdd_cohort_matches_local_cohort() {
-        let g = generators::rmat(8, 1500, generators::RmatParams::default(), 6);
-        let cfg = SimRankConfig::fast();
-        let eng = engine(&g, 4);
-        assert_eq!(eng.query_cohort(&cfg, 9), crate::queries::query_cohort(&g, &cfg, 9));
-    }
-
-    #[test]
-    fn rdd_queries_match_local() {
-        let g = generators::barabasi_albert(120, 3, 2);
-        let cfg = SimRankConfig::fast();
-        let eng = engine(&g, 3);
-        let out = build_diagonal_on(&g, &cfg);
-        let diag = out.diag.as_slice();
-
-        assert_eq!(
-            eng.single_pair(diag, &cfg, 4, 70).unwrap(),
-            crate::queries::single_pair(&g, diag, &cfg, 4, 70),
-            "MCSP bitwise"
-        );
-        let rci = ReverseChainIndex::build(&g);
-        let ss_r = eng.single_source(diag, &cfg, 4).unwrap();
-        let ss_l = crate::queries::single_source(&g, &rci, diag, &cfg, 4);
-        for (idx, (a, b)) in ss_r.iter().zip(&ss_l).enumerate() {
-            assert!((a - b).abs() < 1e-12, "MCSS node {idx}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn rdd_shuffles_are_accounted() {
-        let g = generators::barabasi_albert(100, 3, 8);
-        let cfg = SimRankConfig::fast();
-        let eng = engine(&g, 2);
-        let _ = eng.build_diagonal(&cfg).unwrap();
-        let report = eng.cluster().report();
-        assert!(report.shuffle_bytes > 0, "RDD indexing must shuffle");
-        assert!(report.shuffle_records > 0);
-        // walker + contribution shuffles per step
-        assert!(report.shuffles >= 2 * cfg.t);
-    }
+    // Bit-identity to the kernels, the build report and the shuffle
+    // accounting are table-tested in `tests/execution_modes.rs`.
 
     #[test]
     fn max_partition_is_smaller_than_graph() {
         let g = generators::rmat(10, 10_000, generators::RmatParams::default(), 3);
-        let eng = engine(&g, 4);
+        let eng = RddEngine::new(ClusterConfig::local(4), &g);
         assert!(eng.max_partition_bytes() < g.memory_bytes());
     }
 }

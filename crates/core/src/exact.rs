@@ -12,7 +12,7 @@ use crate::ai::ai_row_exact;
 use crate::diag::DiagonalIndex;
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_solver::dense::Matrix;
-use pasco_solver::jacobi::{self, DenseRows, JacobiConfig};
+use pasco_solver::jacobi::{self, JacobiConfig, StoredRows};
 use rayon::prelude::*;
 
 /// Exact SimRank scores for every node pair.
@@ -121,7 +121,7 @@ pub fn exact_diagonal(graph: &CsrGraph, c: f64, t_max: usize, sweeps: usize) -> 
     let n = graph.node_count();
     let rows: Vec<Vec<(u32, f64)>> =
         (0..n).into_par_iter().map(|i| ai_row_exact(graph, i, c, t_max)).collect();
-    let rows = DenseRows::new(rows);
+    let rows = StoredRows::new(rows);
     let b = vec![1.0; n as usize];
     let x0 = vec![1.0 - c; n as usize];
     let result = jacobi::solve(

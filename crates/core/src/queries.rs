@@ -23,6 +23,7 @@ use pasco_mc::counts::MassMap;
 use pasco_mc::forward::{forward_walk_on, push_measure};
 use pasco_mc::rng::mix;
 use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
+use std::convert::Infallible;
 
 /// Salt distinguishing query walks from index walks.
 pub const QUERY_SALT: u64 = 0x0009_a5c0_9e71;
@@ -91,8 +92,25 @@ pub fn score_pair(di: &StepDistributions, dj: &StepDistributions, diag: &[f64], 
     score
 }
 
-/// MCSP: the single-pair query on any adjacency source. `s(i, i)` is 1
-/// by definition.
+/// MCSP over whatever produces cohorts: `s(i, i)` is 1 by definition,
+/// otherwise the two cohorts scored by [`score_pair`]. The one spelling
+/// behind [`single_pair_on`] (kernel cohorts, cannot fail) and the
+/// provided `SimRankEngine::single_pair` (an engine's cohort dataflow).
+#[inline]
+pub(crate) fn pair_from_cohorts<E>(
+    diag: &[f64],
+    c: f64,
+    (i, j): (NodeId, NodeId),
+    mut cohort: impl FnMut(NodeId) -> Result<StepDistributions, E>,
+) -> Result<f64, E> {
+    if i == j {
+        return Ok(1.0);
+    }
+    let (di, dj) = (cohort(i)?, cohort(j)?);
+    Ok(score_pair(&di, &dj, diag, c))
+}
+
+/// MCSP: the single-pair query on any adjacency source.
 pub fn single_pair_on<A: WalkAdjacency>(
     adj: &A,
     diag: &[f64],
@@ -100,12 +118,9 @@ pub fn single_pair_on<A: WalkAdjacency>(
     i: NodeId,
     j: NodeId,
 ) -> f64 {
-    if i == j {
-        return 1.0;
-    }
-    let di = query_cohort_on(adj, cfg, i);
-    let dj = query_cohort_on(adj, cfg, j);
-    score_pair(&di, &dj, diag, cfg.c)
+    let kernel = |v| Ok::<_, Infallible>(query_cohort_on(adj, cfg, v));
+    let Ok(score) = pair_from_cohorts(diag, cfg.c, (i, j), kernel);
+    score
 }
 
 /// [`single_pair_on`] over the resident graph.
@@ -147,6 +162,104 @@ pub fn forward_allocation(y: &[(NodeId, f64)], total: u32) -> Vec<(NodeId, f64, 
         .collect()
 }
 
+/// One launch of the MCSS series: `n` mass-carrying walkers leave support
+/// node `k` of term `t`, each with mass `y / n`, and whatever lands after
+/// `t` forward steps is weighted by `cᵗ`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct ForwardItem {
+    /// Series term `t ≥ 1` — also the number of forward steps.
+    pub(crate) t: usize,
+    /// The term's weight `cᵗ`.
+    pub(crate) ct: f64,
+    /// [`forward_seed`] of the query source at term `t`.
+    seed: u64,
+    /// Support node the walkers start from.
+    pub(crate) k: NodeId,
+    /// Its mass `y_k = D_kk · ûₜ(k)`.
+    pub(crate) y: f64,
+    /// Walkers allotted by [`forward_allocation`].
+    pub(crate) n: u32,
+}
+
+impl ForwardItem {
+    /// The RNG key of the item's walker `w` — a pure function of the
+    /// query source, the term, the support node and `w`, so the walk can
+    /// run (or, in the RDD model, resume) on any executor.
+    #[inline]
+    pub(crate) fn key(&self, w: u32) -> u64 {
+        mix(&[self.seed, self.k as u64, w as u64, self.t as u64])
+    }
+
+    /// Runs the item's walkers on `sampler`: `emit(node, cᵗ·mass)` for
+    /// every walker that lands (walkers that fall off the graph drop
+    /// their mass).
+    #[inline]
+    pub(crate) fn run<S: ForwardSampler>(&self, sampler: &S, mut emit: impl FnMut(NodeId, f64)) {
+        let per = self.y / self.n as f64;
+        for w in 0..self.n {
+            if let Some((node, mass)) = forward_walk_on(sampler, self.k, per, self.t, self.key(w)) {
+                emit(node, self.ct * mass);
+            }
+        }
+    }
+}
+
+/// One piece of the MCSS series, as [`mcss_series`] enumerates it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum SeriesTerm {
+    /// The `t = 0` term: `(Pᵀ)⁰ = I`, so `mass` lands on `node` as is.
+    Landed(NodeId, f64),
+    /// A batch of forward walkers of a term `t ≥ 1`.
+    Launch(ForwardItem),
+}
+
+/// The one enumeration of the MCSS series `s_i = Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)` for a
+/// cohort: the `t = 0` term, then in `(t, support node)` order the launch
+/// items with their mass-proportional walker allocation. Every substrate
+/// consumes this — in process into a dense vector or a [`MassMap`], the
+/// Broadcasting model by batching the items into a stage, the RDD model
+/// by turning each item into shuffled walker records.
+#[inline]
+pub(crate) fn mcss_series(
+    dists: &StepDistributions,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    mut each: impl FnMut(SeriesTerm),
+) {
+    let mut ct = 1.0;
+    for t in 0..=cfg.t {
+        let support = weighted_support(dists, t, diag);
+        if t == 0 {
+            for &(k, m) in &support {
+                each(SeriesTerm::Landed(k, ct * m));
+            }
+        } else {
+            let seed = forward_seed(cfg, dists.source, t);
+            for (k, y, n) in forward_allocation(&support, cfg.r_forward) {
+                each(SeriesTerm::Launch(ForwardItem { t, ct, seed, k, y, n }));
+            }
+        }
+        ct *= cfg.c;
+    }
+}
+
+/// Evaluates the whole series on `sampler`, handing every landed mass to
+/// `emit` in series order — the in-process sinks (a dense vector, a
+/// [`MassMap`]) differ only in that closure.
+#[inline]
+fn mcss_accumulate<S: ForwardSampler>(
+    sampler: &S,
+    dists: &StepDistributions,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    mut emit: impl FnMut(NodeId, f64),
+) {
+    mcss_series(dists, diag, cfg, |term| match term {
+        SeriesTerm::Landed(node, mass) => emit(node, mass),
+        SeriesTerm::Launch(item) => ForwardItem::run(&item, sampler, &mut emit),
+    });
+}
+
 /// MCSS from precomputed cohort distributions (shared by the execution
 /// modes): `s_i = Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)`, the transpose powers estimated by
 /// mass-carrying forward walks keyed by [`forward_seed`].
@@ -166,9 +279,10 @@ pub fn single_source_from_dists(
     )
 }
 
-/// [`single_source_from_dists`] generic over the forward-sampling source —
-/// the one dense-MCSS kernel behind every storage, so their bit-equality
-/// is structural.
+/// [`single_source_from_dists`] generic over the forward-sampling source:
+/// the MCSS series accumulated into a dense length-`n` vector, the query
+/// node pinned to 1 — the one dense-MCSS kernel behind every storage, so
+/// their bit-equality is structural.
 pub fn single_source_from_dists_on<S: ForwardSampler>(
     n: usize,
     sampler: &S,
@@ -177,27 +291,7 @@ pub fn single_source_from_dists_on<S: ForwardSampler>(
     cfg: &SimRankConfig,
 ) -> Vec<f64> {
     let mut out = vec![0.0f64; n];
-    let mut ct = 1.0;
-    for t in 0..=cfg.t {
-        let y = weighted_support(dists, t, diag);
-        if t == 0 {
-            for &(k, m) in &y {
-                out[k as usize] += ct * m;
-            }
-        } else {
-            let seed = forward_seed(cfg, dists.source, t);
-            for (k, yk, nk) in forward_allocation(&y, cfg.r_forward) {
-                let per = yk / nk as f64;
-                for w in 0..nk {
-                    let key = mix(&[seed, k as u64, w as u64, t as u64]);
-                    if let Some((node, mass)) = forward_walk_on(sampler, k, per, t, key) {
-                        out[node as usize] += ct * mass;
-                    }
-                }
-            }
-        }
-        ct *= cfg.c;
-    }
+    mcss_accumulate(sampler, dists, diag, cfg, |node, mass| out[node as usize] += mass);
     out[dists.source as usize] = 1.0;
     out
 }
@@ -293,27 +387,7 @@ pub fn sparse_masses_on<S: ForwardSampler>(
     cfg: &SimRankConfig,
 ) -> MassMap {
     let mut acc = MassMap::with_capacity(cfg.r_forward as usize);
-    let mut ct = 1.0;
-    for t in 0..=cfg.t {
-        let y = weighted_support(dists, t, diag);
-        if t == 0 {
-            for &(kk, m) in &y {
-                acc.add(kk, ct * m);
-            }
-        } else {
-            let seed = forward_seed(cfg, dists.source, t);
-            for (kk, yk, nk) in forward_allocation(&y, cfg.r_forward) {
-                let per = yk / nk as f64;
-                for w in 0..nk {
-                    let key = mix(&[seed, kk as u64, w as u64, t as u64]);
-                    if let Some((node, mass)) = forward_walk_on(sampler, kk, per, t, key) {
-                        acc.add(node, ct * mass);
-                    }
-                }
-            }
-        }
-        ct *= cfg.c;
-    }
+    mcss_accumulate(sampler, dists, diag, cfg, |node, mass| acc.add(node, mass));
     acc
 }
 

@@ -14,6 +14,7 @@
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::partition::Partitioner;
+use crate::sampling::pick_weighted;
 use std::sync::Arc;
 
 /// One range partition of a graph.
@@ -83,13 +84,7 @@ impl GraphPartition {
         let l = self.local(v);
         let lo = self.out_offsets[l] as usize;
         let hi = self.out_offsets[l + 1] as usize;
-        if lo == hi {
-            return None;
-        }
-        let target = r * self.out_total[l];
-        let slice = &self.out_cum[lo..hi];
-        let idx = slice.partition_point(|&c| c <= target).min(slice.len() - 1);
-        Some(self.out_targets[lo + idx])
+        pick_weighted(&self.out_targets[lo..hi], &self.out_cum[lo..hi], self.out_total[l], r)
     }
 
     /// Resident bytes of this partition's arrays.

@@ -12,6 +12,20 @@
 use crate::csr::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
+/// The weighted pick behind every storage's `sample_out`: one node's
+/// out-`targets` with the running sums `cum` of their weights (same
+/// length; `total` is the last sum), and a uniform `r ∈ [0, 1)`. Returns
+/// the first target whose cumulative weight exceeds `r · total`, clamped
+/// to the last one against rounding at the top; `None` for a node without
+/// out-edges. Resident, partitioned and mapped storage all sample through
+/// here, so their forward walks cannot drift apart.
+#[inline]
+pub fn pick_weighted(targets: &[NodeId], cum: &[f64], total: f64, r: f64) -> Option<NodeId> {
+    let last = cum.len().checked_sub(1)?;
+    let target = r * total;
+    targets.get(cum.partition_point(|&c| c <= target).min(last)).copied()
+}
+
 /// Per-node alias structure for sampling out-neighbours with probability
 /// proportional to `1/|In(target)|`.
 #[derive(Clone, Debug)]
@@ -76,14 +90,7 @@ impl ReverseChainIndex {
     pub fn sample(&self, graph: &CsrGraph, k: NodeId, r: f64) -> Option<NodeId> {
         let lo = graph.out_offsets()[k as usize] as usize;
         let hi = graph.out_offsets()[k as usize + 1] as usize;
-        if lo == hi {
-            return None;
-        }
-        let target = r * self.total[k as usize];
-        let slice = &self.cum[lo..hi];
-        // partition_point returns the first index with cum > target.
-        let idx = slice.partition_point(|&c| c <= target).min(slice.len() - 1);
-        Some(graph.out_targets()[lo + idx])
+        pick_weighted(&graph.out_targets()[lo..hi], &self.cum[lo..hi], self.total[k as usize], r)
     }
 
     /// Resident bytes, reported alongside graph memory by the dataset table.

@@ -112,20 +112,40 @@ pub fn reverse_walk_distributions(
 /// [`reverse_walk_distributions`] generic over the adjacency source —
 /// the one kernel behind the resident-graph engines *and* the sharded
 /// engine's routed [`pasco_graph::partitioned::PartitionedView`], so
-/// cross-engine bit-equality is structural, not merely test-enforced.
+/// cross-engine bit-equality is structural, not merely test-enforced:
+/// [`reverse_walk_counts_on`] over the whole cohort, plus the step-0 entry.
 pub fn reverse_walk_distributions_on<G: WalkAdjacency>(
     graph: &G,
     source: NodeId,
     params: WalkParams,
     seed: u64,
 ) -> StepDistributions {
+    let mut counts = Vec::with_capacity(params.steps + 1);
+    counts.push(vec![(source, params.walkers as u64)]);
+    counts.extend(reverse_walk_counts_on(graph, source, 0..params.walkers, params.steps, seed));
+    StepDistributions { source, walkers: params.walkers, counts }
+}
+
+/// The per-walker loop, said once: walks the cohort members `walkers` of
+/// `source` for `steps` steps and yields the visit histogram of each step
+/// `1..=steps` (sorted by node id). Walker `w`'s trajectory depends only on
+/// `(seed, source, w, step)`, so histograms of disjoint walker ranges sum to
+/// the whole cohort's — how the Broadcasting model splits a cohort across
+/// tasks.
+pub fn reverse_walk_counts_on<G: WalkAdjacency>(
+    graph: &G,
+    source: NodeId,
+    walkers: std::ops::Range<u32>,
+    steps: usize,
+    seed: u64,
+) -> impl Iterator<Item = Vec<(NodeId, u64)>> {
     assert!(source < graph.node_count(), "source out of range");
     let mut maps: Vec<CountMap> =
-        (0..params.steps).map(|_| CountMap::with_capacity(params.walkers as usize)).collect();
-    for w in 0..params.walkers {
+        (0..steps).map(|_| CountMap::with_capacity(walkers.len())).collect();
+    for w in walkers {
         let key = walker_key(seed, source, w);
         let mut pos = source;
-        for t in 1..=params.steps {
+        for t in 1..=steps {
             let ins = graph.in_neighbors(pos);
             if ins.is_empty() {
                 break;
@@ -134,10 +154,7 @@ pub fn reverse_walk_distributions_on<G: WalkAdjacency>(
             maps[t - 1].add(pos, 1);
         }
     }
-    let mut counts = Vec::with_capacity(params.steps + 1);
-    counts.push(vec![(source, params.walkers as u64)]);
-    counts.extend(maps.into_iter().map(|m| m.into_sorted_vec()));
-    StepDistributions { source, walkers: params.walkers, counts }
+    maps.into_iter().map(CountMap::into_sorted_vec)
 }
 
 /// The full trajectory of a single walker (positions after steps `1..=steps`;

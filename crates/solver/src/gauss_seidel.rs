@@ -77,11 +77,11 @@ pub fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jacobi::DenseRows;
+    use crate::jacobi::StoredRows;
 
     #[test]
     fn converges_faster_than_jacobi_on_dominant_system() {
-        let rows = DenseRows::new(vec![
+        let rows = StoredRows::new(vec![
             vec![(0, 4.0), (1, 1.0)],
             vec![(0, 1.0), (1, 5.0), (2, 2.0)],
             vec![(1, 2.0), (2, 6.0)],
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn respects_iteration_cap() {
-        let rows = DenseRows::new(vec![vec![(0, 2.0), (1, 1.0)], vec![(0, 1.0), (1, 2.0)]]);
+        let rows = StoredRows::new(vec![vec![(0, 2.0), (1, 1.0)], vec![(0, 1.0), (1, 2.0)]]);
         let res = solve(
             &rows,
             &[1.0, 1.0],

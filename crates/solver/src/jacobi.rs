@@ -24,22 +24,33 @@ pub trait RowSource: Sync {
     fn row(&self, i: u32, row: &mut Vec<(u32, f64)>);
 }
 
-/// A [`RowSource`] over fully materialised rows; the `Store` strategy and
+/// A [`RowSource`] over fully materialised rows in row order — the `Store`
+/// strategy, the shape worker-shipped and shuffled rows flatten into, and
 /// the workhorse for tests.
 #[derive(Clone, Debug)]
-pub struct DenseRows {
+pub struct StoredRows {
     rows: Vec<Vec<(u32, f64)>>,
 }
 
-impl DenseRows {
+impl StoredRows {
     /// Wraps materialised rows (each sorted by column).
     pub fn new(rows: Vec<Vec<(u32, f64)>>) -> Self {
         debug_assert!(rows.iter().all(|r| r.windows(2).all(|w| w[0].0 < w[1].0)));
         Self { rows }
     }
+
+    /// Approximate resident bytes (12 bytes per stored entry + vec headers).
+    pub fn memory_bytes(&self) -> u64 {
+        self.rows.iter().map(|r| 24 + 12 * r.len() as u64).sum()
+    }
+
+    /// Borrow a row.
+    pub fn get(&self, i: u32) -> &[(u32, f64)] {
+        &self.rows[i as usize]
+    }
 }
 
-impl RowSource for DenseRows {
+impl RowSource for StoredRows {
     fn dim(&self) -> usize {
         self.rows.len()
     }
@@ -80,6 +91,49 @@ pub struct JacobiResult {
     pub residuals: Vec<f64>,
 }
 
+/// One Jacobi row update, `(bᵢ − Σ_{j≠i} aᵢⱼ xⱼ) / aᵢᵢ`, reading row `i`
+/// through `buf` — the only spelling of the update: [`solve`] maps it over
+/// all rows, the simulated cluster engines over a node range per task.
+///
+/// # Panics
+/// Panics if the row's diagonal entry is zero or absent.
+#[inline]
+pub fn update_row(
+    rows: &impl RowSource,
+    b: &[f64],
+    x: &[f64],
+    i: u32,
+    buf: &mut Vec<(u32, f64)>,
+) -> f64 {
+    rows.row(i, buf);
+    let mut off = 0.0;
+    let mut diag = 0.0;
+    for &(j, a) in buf.iter() {
+        if j == i {
+            diag = a;
+        } else {
+            off += a * x[j as usize];
+        }
+    }
+    assert!(diag != 0.0, "zero diagonal at row {i}");
+    (b[i as usize] - off) / diag
+}
+
+/// Row `i`'s absolute residual `|aᵢ·x − bᵢ|`, reading the row through
+/// `buf`; [`residual_inf`] is its maximum over all rows.
+#[inline]
+pub fn residual_row(
+    rows: &impl RowSource,
+    b: &[f64],
+    x: &[f64],
+    i: u32,
+    buf: &mut Vec<(u32, f64)>,
+) -> f64 {
+    rows.row(i, buf);
+    let ax: f64 = buf.iter().map(|&(j, a)| a * x[j as usize]).sum();
+    (ax - b[i as usize]).abs()
+}
+
 /// Runs Jacobi on `A x = b` from initial guess `x0`.
 ///
 /// # Panics
@@ -96,20 +150,7 @@ pub fn solve(rows: &impl RowSource, b: &[f64], x0: &[f64], cfg: &JacobiConfig) -
     for _ in 0..cfg.iterations {
         let next: Vec<f64> = (0..n as u32)
             .into_par_iter()
-            .map_init(Vec::new, |row_buf, i| {
-                rows.row(i, row_buf);
-                let mut off = 0.0;
-                let mut diag = 0.0;
-                for &(j, a) in row_buf.iter() {
-                    if j == i {
-                        diag = a;
-                    } else {
-                        off += a * x[j as usize];
-                    }
-                }
-                assert!(diag != 0.0, "zero diagonal at row {i}");
-                (b[i as usize] - off) / diag
-            })
+            .map_init(Vec::new, |buf, i| update_row(rows, b, &x, i, buf))
             .collect();
         x = next;
         done += 1;
@@ -131,11 +172,7 @@ pub fn residual_inf(rows: &impl RowSource, b: &[f64], x: &[f64]) -> f64 {
     let n = rows.dim();
     (0..n as u32)
         .into_par_iter()
-        .map_init(Vec::new, |row_buf, i| {
-            rows.row(i, row_buf);
-            let ax: f64 = row_buf.iter().map(|&(j, a)| a * x[j as usize]).sum();
-            (ax - b[i as usize]).abs()
-        })
+        .map_init(Vec::new, |buf, i| residual_row(rows, b, x, i, buf))
         .reduce(|| 0.0, f64::max)
 }
 
@@ -143,10 +180,10 @@ pub fn residual_inf(rows: &impl RowSource, b: &[f64], x: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
-    fn diag_dominant_system() -> (DenseRows, Vec<f64>, Vec<f64>) {
+    fn diag_dominant_system() -> (StoredRows, Vec<f64>, Vec<f64>) {
         // A = [[4,1,0],[1,5,2],[0,2,6]], x* = [1, -1, 2]
         // b = A x* = [4-1, 1-5+4, -2+12] = [3, 0, 10]
-        let rows = DenseRows::new(vec![
+        let rows = StoredRows::new(vec![
             vec![(0, 4.0), (1, 1.0)],
             vec![(0, 1.0), (1, 5.0), (2, 2.0)],
             vec![(1, 2.0), (2, 6.0)],
@@ -171,7 +208,7 @@ mod tests {
 
     #[test]
     fn identity_system_solves_in_one_sweep() {
-        let rows = DenseRows::new(vec![vec![(0, 1.0)], vec![(1, 1.0)], vec![(2, 1.0)]]);
+        let rows = StoredRows::new(vec![vec![(0, 1.0)], vec![(1, 1.0)], vec![(2, 1.0)]]);
         let res = solve(
             &rows,
             &[5.0, -2.0, 0.5],
@@ -198,12 +235,18 @@ mod tests {
     fn residual_measures_exact_solution_as_zero() {
         let (rows, b, x_star) = diag_dominant_system();
         assert!(residual_inf(&rows, &b, &x_star) < 1e-12);
+        // Off the solution, the ∞-norm is the worst single-row residual.
+        let x = [0.3, -0.7, 1.1];
+        let mut buf = Vec::new();
+        let per_row: Vec<f64> = (0..3).map(|i| residual_row(&rows, &b, &x, i, &mut buf)).collect();
+        assert_eq!(per_row[0], (4.0 * 0.3 + 1.0 * -0.7 - 3.0f64).abs());
+        assert_eq!(residual_inf(&rows, &b, &x), per_row.iter().copied().fold(0.0, f64::max));
     }
 
     #[test]
     #[should_panic(expected = "zero diagonal")]
     fn zero_diagonal_panics() {
-        let rows = DenseRows::new(vec![vec![(1, 1.0)], vec![(0, 1.0), (1, 1.0)]]);
+        let rows = StoredRows::new(vec![vec![(1, 1.0)], vec![(0, 1.0), (1, 1.0)]]);
         solve(&rows, &[1.0, 1.0], &[0.0, 0.0], &JacobiConfig::default());
     }
 
@@ -218,8 +261,11 @@ mod tests {
             (0.0 - (1.0 * 0.3 + 2.0 * 1.1)) / 5.0,
             (10.0 - 2.0 * -0.7) / 6.0,
         ];
-        for (a, e) in res.x.iter().zip(expected) {
+        let mut buf = Vec::new();
+        for (i, (a, e)) in res.x.iter().zip(expected).enumerate() {
             assert!((a - e).abs() < 1e-14);
+            // A sweep is exactly the row update mapped over the rows.
+            assert_eq!(*a, update_row(&rows, &b, &x0, i as u32, &mut buf));
         }
     }
 }

@@ -1,11 +1,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-//! Sparse vectors and parallel iterative solvers for PASCO / CloudWalker.
+//! Parallel iterative solvers for PASCO / CloudWalker.
 //!
 //! The offline phase solves the `n × n` linear system `A x = 1` whose row
 //! `aᵢ` is the (Monte-Carlo-estimated) truncated similarity series of node
 //! `i`. `A` is never materialised — rows are produced on demand through the
-//! [`jacobi::RowSource`] trait, either replayed from stored sparse vectors or
+//! [`jacobi::RowSource`] trait, either replayed from stored sparse rows or
 //! regenerated from seeded walks. The paper runs `L = 3` iterations of the
 //! [`jacobi`] method, which parallelises over rows; the LIN baseline uses
 //! sequential [`gauss_seidel`]. [`dense`] holds the small dense matrices of
@@ -15,8 +15,6 @@ pub mod dense;
 pub mod gauss_seidel;
 pub mod jacobi;
 pub mod norms;
-pub mod sparse;
 
 pub use dense::Matrix;
 pub use jacobi::{JacobiConfig, JacobiResult, RowSource};
-pub use sparse::SparseVec;

@@ -12,8 +12,8 @@
 //! have to.
 //!
 //! Accessors mirror [`pasco_graph::partitioned::GraphPartition`]
-//! operation for operation (same offsets, same cumulative-weight
-//! `partition_point` sampling), which is what makes walks over a mapped
+//! operation for operation (same offsets, the same cumulative-weight
+//! `pick_weighted` sampling), which is what makes walks over a mapped
 //! store bit-identical to walks over the resident graph.
 
 use crate::format::{
@@ -22,6 +22,7 @@ use crate::format::{
 };
 use crate::sys::Mmap;
 use pasco_graph::csr::NodeId;
+use pasco_graph::sampling::pick_weighted;
 use std::fs::File;
 use std::path::Path;
 
@@ -172,20 +173,17 @@ impl MappedShard {
     /// `∝ 1/|In(j)|` given uniform `r ∈ [0,1)`; `None` when `v` has no
     /// out-edges (or is not owned). Bit-identical to
     /// [`pasco_graph::partitioned::GraphPartition::sample_out`]: same
-    /// cumulative weights, same `partition_point`, same clamp.
+    /// cumulative weights through the same
+    /// [`pasco_graph::sampling::pick_weighted`].
     #[inline]
     pub fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
         let l = self.local(v)?;
         let spine = self.u64_section(SEC_OUT_OFFSETS);
         let lo = spine[l] as usize;
         let hi = spine[l + 1] as usize;
-        if lo == hi {
-            return None;
-        }
-        let target = r * self.f64_section(SEC_OUT_TOTAL).get(l).copied().unwrap_or(0.0);
-        let slice = &self.f64_section(SEC_OUT_CUM)[lo..hi];
-        let idx = slice.partition_point(|&c| c <= target).min(slice.len() - 1);
-        self.u32_section(SEC_OUT_TARGETS).get(lo + idx).copied()
+        let total = self.f64_section(SEC_OUT_TOTAL).get(l).copied().unwrap_or(0.0);
+        let targets = self.u32_section(SEC_OUT_TARGETS).get(lo..hi)?;
+        pick_weighted(targets, &self.f64_section(SEC_OUT_CUM)[lo..hi], total, r)
     }
 
     /// The partition's diagonal-index slice (one entry per owned node).

@@ -5,9 +5,15 @@
 //! order (bitwise for Sharded and Mapped, whose accumulation order
 //! matches Local's exactly).
 
-use pasco::cluster::{ClusterConfig, ClusterError};
-use pasco::graph::generators;
-use pasco::simrank::{CloudWalker, ExecMode, QueryError, SimRankConfig, SimRankError};
+use pasco::cluster::{Cluster, ClusterConfig, ClusterError};
+use pasco::graph::{generators, CsrGraph, ReverseChainIndex};
+use pasco::simrank::engine::broadcast::BroadcastEngine;
+use pasco::simrank::engine::kernel::build_diagonal_on;
+use pasco::simrank::engine::rdd::RddEngine;
+use pasco::simrank::{
+    queries, AiStrategy, CloudWalker, ExecMode, QueryError, SimRankConfig, SimRankEngine,
+    SimRankError,
+};
 use std::sync::Arc;
 
 fn build_all(g: &Arc<pasco::graph::CsrGraph>, cfg: SimRankConfig) -> [CloudWalker; 3] {
@@ -17,6 +23,139 @@ fn build_all(g: &Arc<pasco::graph::CsrGraph>, cfg: SimRankConfig) -> [CloudWalke
             .unwrap(),
         CloudWalker::build(Arc::clone(g), cfg, ExecMode::Rdd(ClusterConfig::local(5))).unwrap(),
     ]
+}
+
+/// A simulated engine of `model` over `g` on `workers` workers, with its
+/// cluster (for the metrics log).
+enum Simulated {
+    Broadcast(BroadcastEngine),
+    Rdd(RddEngine),
+}
+
+impl Simulated {
+    fn new(model: &str, g: &Arc<CsrGraph>, workers: usize) -> Self {
+        let cluster = ClusterConfig::local(workers);
+        match model {
+            "broadcast" => {
+                let rci = Arc::new(ReverseChainIndex::build(g));
+                Self::Broadcast(BroadcastEngine::new(cluster, Arc::clone(g), rci).unwrap())
+            }
+            _ => Self::Rdd(RddEngine::new(cluster, g)),
+        }
+    }
+
+    fn engine(&self) -> &dyn SimRankEngine {
+        match self {
+            Self::Broadcast(e) => e,
+            Self::Rdd(e) => e,
+        }
+    }
+
+    fn cluster(&self) -> &Cluster {
+        match self {
+            Self::Broadcast(e) => BroadcastEngine::cluster(e),
+            Self::Rdd(e) => RddEngine::cluster(e),
+        }
+    }
+}
+
+#[test]
+fn simulated_engines_answer_like_the_kernels_at_every_cluster_shape() {
+    // Both topologies: preferential attachment, and the skewed R-MAT (hubs,
+    // dangling nodes) that RDD's shuffled stepping has to get right.
+    let rmat = generators::rmat(8, 1_500, generators::RmatParams::default(), 6);
+    for (gname, g) in [("ba", generators::barabasi_albert(150, 3, 4)), ("rmat", rmat)] {
+        simulated_engines_answer_like_the_kernels(gname, Arc::new(g));
+    }
+}
+
+fn simulated_engines_answer_like_the_kernels(gname: &str, g: Arc<CsrGraph>) {
+    // {Broadcast, RDD} × workers {1, 3, 4} × {Store, Recompute}: the
+    // simulated engines run the kernels inside cluster stages, so the
+    // index, the residuals, cohorts and MCSP are bitwise the kernel's;
+    // dense MCSS (and the dense top-k over it) sums the same walks in
+    // another order. What differs — and is asserted — is the dataflow:
+    // Broadcast's stage sequence and zero shuffles, RDD's per-step
+    // shuffles and its always-materialised rows.
+    let rci = ReverseChainIndex::build(&g);
+    let cfg = SimRankConfig::fast().with_seed(77);
+    let want = build_diagonal_on(&*g, &cfg.with_ai_strategy(AiStrategy::Store));
+    assert!(want.rows_bytes.is_some());
+    let diag = want.diag.as_slice();
+    let cohort = queries::query_cohort(&g, &cfg, 9);
+    let pair = queries::single_pair(&g, diag, &cfg, 4, 70);
+    let dense = queries::single_source(&g, &rci, diag, &cfg, 4);
+    let topk = queries::single_source_topk(&g, &rci, diag, &cfg, 4, 10);
+    assert_eq!(topk.len(), 10);
+
+    for model in ["broadcast", "rdd"] {
+        for workers in [1usize, 3, 4] {
+            for strategy in [AiStrategy::Store, AiStrategy::Recompute] {
+                let label = format!("{gname} {model} x{workers} {strategy:?}");
+                let sim = Simulated::new(model, &g, workers);
+                let out = sim.engine().build_diagonal(&cfg.with_ai_strategy(strategy)).unwrap();
+                assert_eq!(out.diag, want.diag, "{label}: diagonal");
+                assert_eq!(out.residuals, want.residuals, "{label}: residuals");
+                let log = sim.cluster().metrics();
+                let labels: Vec<&str> = log.stages.iter().map(|s| s.label.as_str()).collect();
+                let sweeps = ["index/jacobi", "index/residual"].repeat(cfg.l);
+                assert_eq!(labels[labels.len() - sweeps.len()..], sweeps[..], "{label}: sweeps");
+                let report = out.cluster.expect("cluster accounting");
+                assert_eq!(report, sim.cluster().report(), "{label}: build report");
+                if model == "broadcast" {
+                    // Rows exist only under Store, from one walks stage.
+                    let stored = strategy == AiStrategy::Store;
+                    assert_eq!(out.strategy, strategy, "{label}");
+                    assert_eq!(out.rows_bytes, want.rows_bytes.filter(|_| stored), "{label}");
+                    let walks: &[&str] = if stored { &["index/walks"] } else { &[] };
+                    assert_eq!(labels[..labels.len() - sweeps.len()], *walks, "{label}: stages");
+                    assert_eq!(report.shuffle_bytes, 0, "{label}: broadcast never shuffles");
+                } else {
+                    // The shuffled accumulation materialises every row
+                    // whatever was asked, and the report says so.
+                    assert_eq!(out.strategy, AiStrategy::Store, "{label}");
+                    assert_eq!(out.rows_bytes, want.rows_bytes, "{label}: rows_bytes");
+                    assert!(report.shuffle_bytes > 0 && report.shuffle_records > 0, "{label}");
+                    // walker + contribution shuffles per step
+                    assert!(report.shuffles >= 2 * cfg.t, "{label}: {} shuffles", report.shuffles);
+                }
+            }
+
+            let label = format!("{gname} {model} x{workers}");
+            let sim = Simulated::new(model, &g, workers);
+            let eng = sim.engine();
+            assert_eq!(SimRankEngine::name(eng), model);
+            assert_eq!(
+                SimRankEngine::query_cohort(eng, &cfg, 9).unwrap(),
+                cohort,
+                "{label}: cohort"
+            );
+            assert_eq!(
+                SimRankEngine::single_pair(eng, diag, &cfg, 4, 70).unwrap(),
+                pair,
+                "{label}: MCSP"
+            );
+            assert_eq!(
+                SimRankEngine::single_pair(eng, diag, &cfg, 4, 4).unwrap(),
+                1.0,
+                "{label}: s(i,i)"
+            );
+            let got = SimRankEngine::single_source(eng, diag, &cfg, 4).unwrap();
+            assert_eq!(got.len(), dense.len());
+            for (v, (a, e)) in got.iter().zip(&dense).enumerate() {
+                assert!((a - e).abs() < 1e-12, "{label}: MCSS node {v}: {a} vs {e}");
+            }
+            let ranked = SimRankEngine::single_source_topk(eng, diag, &cfg, 4, 10).unwrap();
+            assert_eq!(ranked.len(), topk.len(), "{label}: top-k length");
+            for ((gn, gs), (en, es)) in ranked.iter().zip(&topk) {
+                assert_eq!(gn, en, "{label}: top-k ranking");
+                assert!((gs - es).abs() < 1e-12, "{label}: top-k score {gs} vs {es}");
+            }
+            let report = sim.cluster().report();
+            assert!(report.stages > 0, "{label}: queries are accounted");
+            assert_eq!(report.shuffle_bytes > 0, model == "rdd", "{label}: query shuffles");
+        }
+    }
 }
 
 #[test]

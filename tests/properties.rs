@@ -3,7 +3,6 @@
 use pasco::graph::{generators, GraphBuilder};
 use pasco::mc::walks::{reverse_walk_distributions, WalkParams};
 use pasco::simrank::exact::ExactSimRank;
-use pasco::solver::SparseVec;
 use proptest::prelude::*;
 
 /// Arbitrary edge lists over up to 40 nodes.
@@ -72,22 +71,6 @@ proptest! {
             prop_assert!(total <= prev, "step {}: {} > {}", t, total, prev);
             prev = total;
         }
-    }
-
-    /// Sparse vector algebra: add_scaled distributes over dot products.
-    #[test]
-    fn sparse_vec_linearity(
-        a in prop::collection::vec((0u32..500, -10.0f64..10.0), 0..50),
-        b in prop::collection::vec((0u32..500, -10.0f64..10.0), 0..50),
-        w in prop::collection::vec((0u32..500, -10.0f64..10.0), 0..50),
-        k in -4.0f64..4.0,
-    ) {
-        let a = SparseVec::from_unsorted(a);
-        let b = SparseVec::from_unsorted(b);
-        let w = SparseVec::from_unsorted(w);
-        let lhs = w.dot_sparse(&a.add_scaled(&b, k));
-        let rhs = w.dot_sparse(&a) + k * w.dot_sparse(&b);
-        prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs().max(rhs.abs())));
     }
 
     /// The deterministic RNG keying: distinct (seed, source, walker)
