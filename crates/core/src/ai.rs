@@ -12,20 +12,31 @@ use pasco_mc::counts::MassMap;
 use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
 use pasco_solver::jacobi::RowSource;
 
-/// Builds the sparse row `aᵢ` (sorted by column) from a cohort's step
-/// distributions: `aᵢ(k) = Σ_t cᵗ (countₜ(k)/R)²`.
+/// Builds the sparse row `aᵢ` (sorted by column, exact length) from a
+/// cohort's step distributions: `aᵢ(k) = Σ_t cᵗ (countₜ(k)/R)²`.
 pub fn ai_row(dists: &StepDistributions, c: f64) -> Vec<(u32, f64)> {
     let r = dists.walkers as f64;
-    let mut acc = MassMap::with_capacity(dists.counts.iter().map(Vec::len).sum());
+    let mut terms = Vec::with_capacity(dists.counts.iter().map(Vec::len).sum());
     let mut ct = 1.0;
     for step in &dists.counts {
-        for &(node, count) in step {
+        terms.extend(step.iter().map(|&(node, count)| {
             let p = count as f64 / r;
-            acc.add(node, ct * p * p);
-        }
+            (node, ct * p * p)
+        }));
         ct *= c;
     }
-    acc.into_sorted_vec()
+    // Stable, so a node's terms stay in `t` order and fold, left to right,
+    // in the order the series is written; the input is `T + 1` sorted runs,
+    // which the sort merges.
+    terms.sort_by_key(|&(node, _)| node);
+    terms.dedup_by(|term, sum| {
+        let same_node = term.0 == sum.0;
+        if same_node {
+            sum.1 += term.1;
+        }
+        same_node
+    });
+    terms.to_vec() // an exact-length copy: stored rows carry no slack
 }
 
 /// Builds `aᵢ` exactly, propagating `eᵢ` through `Pᵗ` by sparse pushes
@@ -108,6 +119,7 @@ mod tests {
         let row = ai_row(&d, 0.6);
         assert!(row.len() <= 10 * 20 + 1);
         assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
+        assert_eq!(row.capacity(), row.len(), "stored rows carry no slack");
     }
 
     #[test]

@@ -260,6 +260,10 @@ impl WireCodec for StepDistributions {
         let source = read_u32(buf, WHAT)?;
         let walkers = read_u32(buf, WHAT)?;
         let steps = read_len(buf, 4, WHAT)?;
+        if steps == 0 {
+            // `counts[0]` is the step-0 entry; `steps()` subtracts one.
+            return Err(WireError::Invalid { decoding: WHAT, reason: "no step histograms" });
+        }
         let counts = (0..steps)
             .map(|_| {
                 let len = read_len(buf, 12, WHAT)?;
@@ -587,6 +591,20 @@ mod tests {
         roundtrip(QueryError::ResponseTooLarge { bytes: u64::MAX, max_frame: 1 << 20 });
         roundtrip(QueryError::WorkerUnavailable { detail: "worker 3: link down".into() });
         roundtrip(QueryError::Unsupported { detail: "push MCSS needs the resident CSR".into() });
+    }
+
+    #[test]
+    fn a_cohort_frame_without_histograms_is_invalid_not_an_underflow() {
+        // Hostile (or truncated-but-well-framed) worker reply: source 3,
+        // 100 walkers, zero histograms. It used to decode, and `steps()`
+        // then computed `0 - 1` on the coordinator.
+        let bytes = [&3u32.to_le_bytes()[..], &100u32.to_le_bytes(), &0u32.to_le_bytes()].concat();
+        assert_eq!(
+            StepDistributions::from_bytes(&bytes),
+            Err(WireError::Invalid { decoding: "StepDistributions", reason: "no step histograms" })
+        );
+        let framed = [&[RESP_COHORT][..], &bytes].concat();
+        assert!(matches!(QueryResponse::from_bytes(&framed), Err(WireError::Invalid { .. })));
     }
 
     #[test]

@@ -18,14 +18,12 @@ use crate::api::QueryError;
 use crate::config::{AiStrategy, SimRankConfig};
 use crate::engine::{staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries::{mcss_series, query_seed, ForwardItem, SeriesTerm};
+use crate::queries::{forward_term, mcss_series, query_seed, ForwardItem, SeriesTerm};
 use pasco_cluster::{Broadcast, Cluster, ClusterConfig, ClusterReport};
 use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, GraphSampler, NodeId, ReverseChainIndex};
 use pasco_mc::counts::{CountMap, MassMap};
-use pasco_mc::walks::{
-    reverse_walk_counts_on, reverse_walk_distributions_on, StepDistributions, WalkParams,
-};
+use pasco_mc::walks::{reverse_walk_counts_on, StepDistributions, WalkParams, WalkScratch};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -84,10 +82,10 @@ impl SimRankEngine for BroadcastEngine {
         let ((diag, residuals), rows_bytes) = match strategy {
             AiStrategy::Store | AiStrategy::Auto { .. } => {
                 let parts = self.cluster.run_stage("index/walks", ranges.clone(), |_, (lo, hi)| {
+                    let mut scratch = WalkScratch::default();
                     (lo..hi)
                         .map(|i| {
-                            let dists = reverse_walk_distributions_on(graph, i, params, cfg.seed);
-                            ai_row(&dists, cfg.c)
+                            ai_row(&scratch.distributions_on(graph, i, params, cfg.seed), cfg.c)
                         })
                         .collect::<Vec<_>>()
                 });
@@ -145,7 +143,8 @@ impl SimRankEngine for BroadcastEngine {
 
     /// MCSS in the Broadcasting model: the cohort stage, the `t = 0` term
     /// on the driver, then one `query/forward` stage over the series'
-    /// launch items, batched one chunk per task.
+    /// launch items, batched one chunk per task; a task runs the forward
+    /// kernel once per term its chunk touches.
     fn single_source(
         &self,
         diag: &[f64],
@@ -157,7 +156,7 @@ impl SimRankEngine for BroadcastEngine {
         let mut items: Vec<ForwardItem> = Vec::new();
         mcss_series(&dists, diag, cfg, |term| match term {
             SeriesTerm::Landed(node, mass) => out[node as usize] += mass,
-            SeriesTerm::Launch(item) => items.push(item),
+            SeriesTerm::Launch(term) => items.extend_from_slice(term),
         });
         if !items.is_empty() {
             let chunk = items.len().div_ceil(self.cluster.config().default_partitions());
@@ -165,8 +164,9 @@ impl SimRankEngine for BroadcastEngine {
             let sampler = GraphSampler::new(&self.graph, &self.rci);
             let partials = self.cluster.run_stage("query/forward", batches, |_, batch| {
                 let mut acc = MassMap::with_capacity(batch.len() * 4);
-                for item in batch {
-                    ForwardItem::run(item, &sampler, |node, mass| acc.add(node, mass));
+                let mut frontier = Vec::new();
+                for term in batch.chunk_by(|a, b| a.t == b.t) {
+                    forward_term(&sampler, term, &mut frontier, |node, mass| acc.add(node, mass));
                 }
                 acc.into_sorted_vec()
             });

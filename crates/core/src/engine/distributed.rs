@@ -81,7 +81,7 @@ use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
 use pasco_graph::partition::Partitioner;
 use pasco_graph::partitioned::{partition_graph, GraphPartition, PartitionedView};
 use pasco_graph::{CsrGraph, NodeId};
-use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
+use pasco_mc::walks::{StepDistributions, WalkParams, WalkScratch};
 use pasco_store::MappedStore;
 use rayon::prelude::*;
 use std::io::BufReader;
@@ -335,7 +335,9 @@ impl ShardWorkerCore {
         let params = WalkParams::new(cfg.t, cfg.r);
         let rows: Vec<Row> = (start..end)
             .into_par_iter()
-            .map(|i| ai_row(&reverse_walk_distributions_on(view, i, params, cfg.seed), cfg.c))
+            .map_init(WalkScratch::default, |scratch, i| {
+                ai_row(&scratch.distributions_on(view, i, params, cfg.seed), cfg.c)
+            })
             .collect();
         self.builds += 1;
         Ok(BuildShardReply { rows })

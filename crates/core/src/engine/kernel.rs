@@ -37,7 +37,7 @@ use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
 use pasco_graph::partitioned::{GraphPartition, PartitionedView};
 use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
-use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
+use pasco_mc::walks::{StepDistributions, WalkParams, WalkScratch};
 use pasco_solver::jacobi::{self, JacobiConfig, JacobiResult, RowSource};
 use pasco_store::{MappedShard, MappedStore};
 use rayon::prelude::*;
@@ -232,8 +232,9 @@ impl<A: Storage> std::fmt::Debug for KernelEngine<A> {
 /// Builds the diagonal index over any adjacency source.
 ///
 /// Walk phase: a cohort of `R` walkers per node, in parallel over nodes in
-/// node order. Solve phase: [`solve_rows`]. With the `Recompute` strategy
-/// no row is ever resident — each sweep regenerates them from the walks.
+/// node order (one walk scratch per thread). Solve phase: [`solve_rows`].
+/// With the `Recompute` strategy no row is ever resident — each sweep
+/// regenerates them from the walks.
 pub fn build_diagonal_on<A: WalkAdjacency>(adj: &A, cfg: &SimRankConfig) -> BuildOutcome {
     let n = adj.node_count();
     let params = WalkParams::new(cfg.t, cfg.r);
@@ -242,7 +243,9 @@ pub fn build_diagonal_on<A: WalkAdjacency>(adj: &A, cfg: &SimRankConfig) -> Buil
         AiStrategy::Store | AiStrategy::Auto { .. } => {
             let rows: Vec<Vec<(u32, f64)>> = (0..n)
                 .into_par_iter()
-                .map(|i| ai_row(&reverse_walk_distributions_on(adj, i, params, cfg.seed), cfg.c))
+                .map_init(WalkScratch::default, |scratch, i| {
+                    ai_row(&scratch.distributions_on(adj, i, params, cfg.seed), cfg.c)
+                })
                 .collect();
             let rows = StoredRows::new(rows);
             (solve_rows(&rows, cfg), Some(StoredRows::memory_bytes(&rows)))

@@ -34,8 +34,8 @@ use pasco_graph::partition::Partitioner;
 use pasco_graph::partitioned::{partition_graph, GraphPartition};
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::counts::{CountMap, MassMap};
-use pasco_mc::forward::forward_step_r;
-use pasco_mc::walks::{pick, step_u64, walker_key, StepDistributions};
+use pasco_mc::forward::forward_step;
+use pasco_mc::walks::{pick, step_u64, walker_keys, StepDistributions};
 use std::sync::Arc;
 
 /// Reverse-walk walker record: `(rng key, source, position)`.
@@ -137,9 +137,7 @@ impl SimRankEngine for RddEngine {
             let mut initial: Vec<Vec<IndexWalker>> = self.empty_parts();
             for src in batch_start..batch_end {
                 let p = partitioner.owner(src) as usize;
-                for w in 0..r {
-                    initial[p].push((walker_key(cfg.seed, src, w), src, src));
-                }
+                initial[p].extend(walker_keys(cfg.seed, src, 0..r).map(|key| (key, src, src)));
             }
             let mut walkers = DistVec::from_partitions(initial);
             let mut ct = 1.0f64;
@@ -270,9 +268,7 @@ impl SimRankEngine for RddEngine {
 
         let mut initial: Vec<Vec<QueryWalker>> = self.empty_parts();
         let home = partitioner.owner(source) as usize;
-        for w in 0..cfg.r_query {
-            initial[home].push((walker_key(seed, source, w), source));
-        }
+        initial[home].extend(walker_keys(seed, source, 0..cfg.r_query).map(|key| (key, source)));
         let mut walkers = DistVec::from_partitions(initial);
         let mut counts: Vec<Vec<(NodeId, u64)>> = Vec::with_capacity(cfg.t + 1);
         counts.push(vec![(source, cfg.r_query as u64)]);
@@ -348,10 +344,12 @@ impl SimRankEngine for RddEngine {
         let mut initial: Vec<Vec<ForwardWalker>> = self.empty_parts();
         mcss_series(&dists, diag, cfg, |term| match term {
             SeriesTerm::Landed(node, mass) => out[node as usize] += mass,
-            SeriesTerm::Launch(item) => {
-                let per = item.ct * item.y / item.n as f64;
-                let home = &mut initial[partitioner.owner(item.k) as usize];
-                home.extend((0..item.n).map(|w| (item.key(w), item.k, item.t as u32, per)));
+            SeriesTerm::Launch(items) => {
+                for item in items {
+                    let per = item.ct * item.y / item.n as f64;
+                    let home = &mut initial[partitioner.owner(item.k) as usize];
+                    home.extend(item.keys().map(|key| (key, item.k, item.t as u32, per)));
+                }
             }
         });
 
@@ -370,17 +368,9 @@ impl SimRankEngine for RddEngine {
                     let mut active = Vec::with_capacity(batch.len());
                     let mut retired: Vec<(u32, f64)> = Vec::new();
                     for (key, pos, remaining, mass) in batch {
-                        let w = gp.outflow(pos);
-                        if w == 0.0 {
+                        let Some((next, mass)) = forward_step(gp, pos, mass, key, s) else {
                             continue; // mass drops off the graph
-                        }
-                        // `outflow(pos) > 0` (checked above) implies at
-                        // least one out-edge, so the sample always lands.
-                        let next = gp
-                            .sample_out(pos, forward_step_r(key, s))
-                            // pasco-lint: allow(panic-reachable-in-serving)
-                            .expect("outflow > 0 implies out-edges");
-                        let mass = mass * w;
+                        };
                         if remaining == 1 {
                             retired.push((next, mass));
                         } else {

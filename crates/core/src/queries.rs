@@ -14,14 +14,22 @@
 //! Query randomness derives from a *different* stream than indexing (salted
 //! master seed) so query estimates do not correlate with the index's own
 //! sampling error.
+//!
+//! The MCSS forward stage is step-synchronous: `mcss_series` hands out each
+//! term's launches as one slice, and `forward_term` puts all their walkers
+//! on one frontier that [`forward_walk_frontier`] advances a step per pass.
+//! Landed mass comes back in launch order — `(t, support node, walker)`,
+//! the order a walker-at-a-time loop adds in — so the dense vector and the
+//! [`MassMap`] receive every floating-point sum in the same order, bit for
+//! bit, whatever the storage.
 
 use crate::config::SimRankConfig;
 use pasco_graph::{
     CsrGraph, ForwardSampler, GraphSampler, NodeId, ReverseChainIndex, WalkAdjacency,
 };
 use pasco_mc::counts::MassMap;
-use pasco_mc::forward::{forward_walk_on, push_measure};
-use pasco_mc::rng::mix;
+use pasco_mc::forward::{forward_walk_frontier, push_measure, ForwardWalker};
+use pasco_mc::rng::{mix, mix_extend};
 use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
 use std::convert::Infallible;
 
@@ -182,49 +190,61 @@ pub(crate) struct ForwardItem {
 }
 
 impl ForwardItem {
-    /// The RNG key of the item's walker `w` — a pure function of the
-    /// query source, the term, the support node and `w`, so the walk can
-    /// run (or, in the RDD model, resume) on any executor.
+    /// The RNG keys of the item's walkers `0..n` — each a pure function of
+    /// the query source, the term, the support node and the walker, so the
+    /// walk can run (or, in the RDD model, resume) on any executor. The
+    /// rounds of the shared `(seed, k)` prefix are mixed once.
     #[inline]
-    pub(crate) fn key(&self, w: u32) -> u64 {
-        mix(&[self.seed, self.k as u64, w as u64, self.t as u64])
+    pub(crate) fn keys(&self) -> impl Iterator<Item = u64> {
+        let prefix = mix(&[self.seed, self.k as u64]);
+        let t = self.t as u64;
+        (0..self.n).map(move |w| mix_extend(prefix, &[w as u64, t]))
     }
+}
 
-    /// Runs the item's walkers on `sampler`: `emit(node, cᵗ·mass)` for
-    /// every walker that lands (walkers that fall off the graph drop
-    /// their mass).
-    #[inline]
-    pub(crate) fn run<S: ForwardSampler>(&self, sampler: &S, mut emit: impl FnMut(NodeId, f64)) {
-        let per = self.y / self.n as f64;
-        for w in 0..self.n {
-            if let Some((node, mass)) = forward_walk_on(sampler, self.k, per, self.t, self.key(w)) {
-                emit(node, self.ct * mass);
-            }
-        }
+/// The forward stage of one series term (`items` share `t`): all their
+/// walkers, `y / n` of mass each, are launched onto `frontier` (scratch,
+/// overwritten) in `(item, walker)` order and walk `t` steps there;
+/// `emit(node, cᵗ·mass)` sees every one that lands, in that order.
+#[inline]
+pub(crate) fn forward_term<S: ForwardSampler>(
+    sampler: &S,
+    items: &[ForwardItem],
+    frontier: &mut Vec<ForwardWalker>,
+    mut emit: impl FnMut(NodeId, f64),
+) {
+    let Some(&ForwardItem { t, ct, .. }) = items.first() else { return };
+    debug_assert!(items.iter().all(|item| item.t == t), "one term per launch");
+    frontier.clear();
+    for item in items {
+        let per = item.y / item.n as f64;
+        frontier.extend(item.keys().map(|key| (item.k, per, key)));
     }
+    forward_walk_frontier(sampler, frontier, t);
+    frontier.iter().for_each(|&(node, mass, _)| emit(node, ct * mass));
 }
 
 /// One piece of the MCSS series, as [`mcss_series`] enumerates it.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum SeriesTerm {
+pub(crate) enum SeriesTerm<'a> {
     /// The `t = 0` term: `(Pᵀ)⁰ = I`, so `mass` lands on `node` as is.
     Landed(NodeId, f64),
-    /// A batch of forward walkers of a term `t ≥ 1`.
-    Launch(ForwardItem),
+    /// Every launch of one term `t ≥ 1`, in support-node order.
+    Launch(&'a [ForwardItem]),
 }
 
 /// The one enumeration of the MCSS series `s_i = Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)` for a
-/// cohort: the `t = 0` term, then in `(t, support node)` order the launch
-/// items with their mass-proportional walker allocation. Every substrate
-/// consumes this — in process into a dense vector or a [`MassMap`], the
-/// Broadcasting model by batching the items into a stage, the RDD model
-/// by turning each item into shuffled walker records.
+/// cohort: the `t = 0` term, then term by term the launch items, in support
+/// node order, with their mass-proportional walker allocation. Every
+/// substrate consumes this — in process into a dense vector or a
+/// [`MassMap`], the Broadcasting model by batching the items into a stage,
+/// the RDD model by turning each item into shuffled walker records.
 #[inline]
 pub(crate) fn mcss_series(
     dists: &StepDistributions,
     diag: &[f64],
     cfg: &SimRankConfig,
-    mut each: impl FnMut(SeriesTerm),
+    mut each: impl FnMut(SeriesTerm<'_>),
 ) {
     let mut ct = 1.0;
     for t in 0..=cfg.t {
@@ -235,9 +255,11 @@ pub(crate) fn mcss_series(
             }
         } else {
             let seed = forward_seed(cfg, dists.source, t);
-            for (k, y, n) in forward_allocation(&support, cfg.r_forward) {
-                each(SeriesTerm::Launch(ForwardItem { t, ct, seed, k, y, n }));
-            }
+            let items: Vec<ForwardItem> = forward_allocation(&support, cfg.r_forward)
+                .into_iter()
+                .map(|(k, y, n)| ForwardItem { t, ct, seed, k, y, n })
+                .collect();
+            each(SeriesTerm::Launch(&items));
         }
         ct *= cfg.c;
     }
@@ -254,9 +276,10 @@ fn mcss_accumulate<S: ForwardSampler>(
     cfg: &SimRankConfig,
     mut emit: impl FnMut(NodeId, f64),
 ) {
+    let mut frontier = Vec::new();
     mcss_series(dists, diag, cfg, |term| match term {
         SeriesTerm::Landed(node, mass) => emit(node, mass),
-        SeriesTerm::Launch(item) => ForwardItem::run(&item, sampler, &mut emit),
+        SeriesTerm::Launch(items) => forward_term(sampler, items, &mut frontier, &mut emit),
     });
 }
 

@@ -10,7 +10,7 @@
 //! source differs.
 
 use crate::csr::{CsrGraph, NodeId};
-use crate::partitioned::PartitionedView;
+use crate::partitioned::{GraphPartition, PartitionedView};
 use crate::sampling::ReverseChainIndex;
 
 /// In-link adjacency for the SimRank reverse walk.
@@ -93,6 +93,20 @@ impl ForwardSampler for GraphSampler<'_> {
     #[inline]
     fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
         self.rci.sample(self.graph, v, r)
+    }
+}
+
+/// One partition samples for the nodes it owns — the RDD model steps a
+/// walker on the partition its position was shuffled to.
+impl ForwardSampler for GraphPartition {
+    #[inline]
+    fn outflow(&self, v: NodeId) -> f64 {
+        GraphPartition::outflow(self, v)
+    }
+
+    #[inline]
+    fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
+        GraphPartition::sample_out(self, v, r)
     }
 }
 

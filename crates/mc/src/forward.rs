@@ -8,7 +8,20 @@
 //! [`ReverseChainIndex`] (one binary search — the `log d` in the paper's
 //! `O(T²R′ log d)` bound) and multiplies its mass by `W_k`. Walkers whose
 //! node has no out-edges drop their mass, matching the exact operator
-//! (`(Pᵀ)ᵗ y` assigns nothing through missing edges).
+//! (`(Pᵀ)ᵗ y` assigns nothing through missing edges). That one move is
+//! [`forward_step`].
+//!
+//! A walker's uniforms are a pure function of `(key, step)`, so loop order
+//! is free, and [`forward_walk_frontier`] uses that the way the cohort
+//! kernel does: the `(position, mass, key)` of every walker launched for one
+//! series term sit in one flat frontier, in launch order, and a pass
+//! advances them all by one step — independent iterations, so their cache
+//! misses overlap — dropping in place those that fall off the graph. The
+//! survivors stay in launch order, the order a loop over [`forward_walk_on`]
+//! (the per-walker oracle) lands them in, so every floating-point sum a
+//! caller accumulates from them is evaluated in the same order, bit for
+//! bit. The frontier is deliberately *not* sorted by node: measured, the
+//! sort costs more than the locality it buys.
 
 use crate::counts::MassMap;
 use crate::rng::SplitMix64;
@@ -38,9 +51,34 @@ pub fn forward_walk(
     forward_walk_on(&GraphSampler::new(graph, index), start, mass, steps, key)
 }
 
-/// [`forward_walk`] generic over the sampling source — the one kernel
-/// behind the resident-graph engines *and* the sharded engine's routed
-/// [`pasco_graph::partitioned::PartitionedView`].
+/// One move of a mass-carrying walker — its `step`-th, from `pos` — the
+/// only spelling of it: `None` when `pos` has no outflow (the mass drops),
+/// otherwise the sampled out-neighbour and `mass · W_pos`.
+#[inline]
+pub fn forward_step<S: ForwardSampler>(
+    sampler: &S,
+    pos: NodeId,
+    mass: f64,
+    key: u64,
+    step: u32,
+) -> Option<(NodeId, f64)> {
+    let w = sampler.outflow(pos);
+    if w == 0.0 {
+        return None;
+    }
+    let r = forward_step_r(key, step);
+    // `outflow(pos) > 0` (checked above) implies at least one
+    // out-edge, so the sample always lands; an error return here
+    // would put a branch in the per-step hot loop for a state the
+    // sampler contract rules out.
+    // pasco-lint: allow(panic-reachable-in-serving)
+    let next = sampler.sample_out(pos, r).expect("outflow > 0 implies out-edges");
+    Some((next, mass * w))
+}
+
+/// [`forward_walk`] generic over the sampling source: one walker, start to
+/// finish — [`propagate_measure`]'s kernel and the per-walker oracle of
+/// [`forward_walk_frontier`].
 #[inline]
 pub fn forward_walk_on<S: ForwardSampler>(
     sampler: &S,
@@ -49,23 +87,27 @@ pub fn forward_walk_on<S: ForwardSampler>(
     steps: usize,
     key: u64,
 ) -> Option<(NodeId, f64)> {
-    let mut pos = start;
-    let mut m = mass;
-    for t in 1..=steps {
-        let w = sampler.outflow(pos);
-        if w == 0.0 {
-            return None;
-        }
-        let r = forward_step_r(key, t as u32);
-        // `outflow(pos) > 0` (checked above) implies at least one
-        // out-edge, so the sample always lands; an error return here
-        // would put a branch in the per-step hot loop for a state the
-        // sampler contract rules out.
-        // pasco-lint: allow(panic-reachable-in-serving)
-        pos = sampler.sample_out(pos, r).expect("outflow > 0 implies out-edges");
-        m *= w;
+    (1..=steps as u32).try_fold((start, mass), |(pos, m), t| forward_step(sampler, pos, m, key, t))
+}
+
+/// A walker on a forward frontier: `(position, mass, key)`.
+pub type ForwardWalker = (NodeId, f64, u64);
+
+/// The step-synchronous forward kernel: advances every walker of `frontier`
+/// `steps` times, the whole frontier one step per pass. Walkers that fall
+/// off the graph are dropped; the rest keep their order.
+pub fn forward_walk_frontier<S: ForwardSampler>(
+    sampler: &S,
+    frontier: &mut Vec<ForwardWalker>,
+    steps: usize,
+) {
+    for t in 1..=steps as u32 {
+        frontier.retain_mut(|(pos, mass, key)| {
+            let Some(next) = forward_step(sampler, *pos, *mass, *key, t) else { return false };
+            (*pos, *mass) = next;
+            true
+        });
     }
-    Some((pos, m))
 }
 
 /// Estimates `z = (Pᵀ)ᵗ y` for a sparse measure `y`, spending `walkers`

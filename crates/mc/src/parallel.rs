@@ -4,9 +4,10 @@
 //! `aᵢ` by Monte Carlo simulation, in parallel" step of the paper. Work is
 //! data-parallel over source nodes; determinism is preserved because each
 //! cohort's randomness is keyed by `(seed, source, walker, step)` and never
-//! by the executing thread.
+//! by the executing thread. Each worker thread keeps one [`WalkScratch`], so
+//! a batch of tiny cohorts pays the kernel's set-up once, not per cohort.
 
-use crate::walks::{reverse_walk_distributions, StepDistributions, WalkParams};
+use crate::walks::{StepDistributions, WalkParams, WalkScratch};
 use pasco_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
@@ -17,7 +18,12 @@ pub fn batch_distributions(
     params: WalkParams,
     seed: u64,
 ) -> Vec<StepDistributions> {
-    sources.par_iter().map(|&s| reverse_walk_distributions(graph, s, params, seed)).collect()
+    sources
+        .par_iter()
+        .map_init(WalkScratch::default, |scratch, &s| {
+            scratch.distributions_on(graph, s, params, seed)
+        })
+        .collect()
 }
 
 /// Applies `f` to the cohort of every node `0..n` in parallel, collecting
@@ -31,13 +37,16 @@ where
 {
     (0..graph.node_count())
         .into_par_iter()
-        .map(|v| f(v, reverse_walk_distributions(graph, v, params, seed)))
+        .map_init(WalkScratch::default, |scratch, v| {
+            f(v, scratch.distributions_on(graph, v, params, seed))
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walks::reverse_walk_distributions;
     use pasco_graph::generators;
 
     #[test]

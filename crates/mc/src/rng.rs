@@ -38,7 +38,14 @@ impl SplitMix64 {
 /// streams: `mix(&[master, node, walker])`.
 #[inline]
 pub fn mix(keys: &[u64]) -> u64 {
-    let mut acc = 0x243f_6a88_85a3_08d3u64; // pi digits: arbitrary non-zero
+    mix_extend(0x243f_6a88_85a3_08d3, keys) // pi digits: arbitrary non-zero
+}
+
+/// Folds further `keys` into an accumulator [`mix`] already holds:
+/// `mix(&[a, b, c]) == mix_extend(mix(&[a, b]), &[c])`, so a loop over
+/// walkers hoists the rounds of the keys they share.
+#[inline]
+pub fn mix_extend(mut acc: u64, keys: &[u64]) -> u64 {
     for &k in keys {
         let mut sm = SplitMix64::new(acc ^ k);
         acc = sm.next_u64();
@@ -172,6 +179,15 @@ mod tests {
         assert_ne!(mix(&[1, 2, 3]), mix(&[2, 2, 3]));
         assert_ne!(mix(&[1, 2, 3]), mix(&[1, 3, 2]));
         assert_eq!(mix(&[1, 2, 3]), mix(&[1, 2, 3]));
+    }
+
+    #[test]
+    fn mix_is_a_left_fold_that_mix_extend_resumes() {
+        let keys = [7u64, 0, u64::MAX, 0x9a5c0];
+        for split in 0..=keys.len() {
+            let (head, tail) = keys.split_at(split);
+            assert_eq!(mix(&keys), mix_extend(mix(head), tail), "split at {split}");
+        }
     }
 
     #[test]

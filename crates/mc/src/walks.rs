@@ -10,10 +10,21 @@
 //! they are simulated locally, on a broadcast worker pool, or shuffled
 //! across RDD partitions step by step — the property the cross-mode equality
 //! tests rely on.
+//!
+//! It also makes loop order free, and the cohort kernel
+//! ([`WalkScratch::counts_on`]) is **step-synchronous**: the live walkers'
+//! positions and keys sit in two flat arrays, in walker order, and a pass
+//! advances all of them by one step — independent iterations, so their cache
+//! misses overlap, where a walker-major loop is a chain of `T` dependent
+//! loads — compacting out the ones that die. A step's histogram is the
+//! positions copied out, sorted and run-length encoded: sorted, exact-length
+//! output with no hashing. Counts are integers, so the histograms are, entry
+//! for entry, what a per-walker loop ([`reverse_walk_path`], the test
+//! oracle) adds up.
 
-use crate::counts::CountMap;
-use crate::rng::{mix, SplitMix64};
+use crate::rng::{mix, mix_extend, SplitMix64};
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
+use std::ops::Range;
 
 /// Walk-cohort parameters: `steps` is the paper's `T`, `walkers` its `R`
 /// (indexing) or `R'` (queries).
@@ -39,6 +50,14 @@ pub fn walker_key(seed: u64, source: NodeId, walker: u32) -> u64 {
     mix(&[seed, source as u64, walker as u64])
 }
 
+/// [`walker_key`] of every walker in `walkers`, in order, the rounds of the
+/// shared `(seed, source)` prefix mixed once.
+#[inline]
+pub fn walker_keys(seed: u64, source: NodeId, walkers: Range<u32>) -> impl Iterator<Item = u64> {
+    let prefix = mix(&[seed, source as u64]);
+    walkers.map(move |w| mix_extend(prefix, &[w as u64]))
+}
+
 /// The 64 uniform bits consumed by one walk step — a pure function of the
 /// walker key and step index, independent of where the step executes.
 #[inline]
@@ -54,13 +73,9 @@ pub fn pick(u: u64, len: usize) -> usize {
 
 /// One reverse-walk step from `pos`; `None` when `pos` is dangling.
 #[inline]
-pub fn reverse_step(graph: &CsrGraph, pos: NodeId, key: u64, t: u32) -> Option<NodeId> {
+pub fn reverse_step<G: WalkAdjacency>(graph: &G, pos: NodeId, key: u64, t: u32) -> Option<NodeId> {
     let ins = graph.in_neighbors(pos);
-    if ins.is_empty() {
-        None
-    } else {
-        Some(ins[pick(step_u64(key, t), ins.len())])
-    }
+    (!ins.is_empty()).then(|| ins[pick(step_u64(key, t), ins.len())])
 }
 
 /// Empirical per-step distributions of a walker cohort from one source:
@@ -97,6 +112,126 @@ impl StepDistributions {
     }
 }
 
+/// Frontiers of at least this many positions are radix-sorted; below it
+/// `sort_unstable` is faster (the build's `R = 100` cohorts never reach it).
+const RADIX_MIN: usize = 256;
+/// Bits per radix pass: 2048 buckets, two passes up to 4M nodes.
+const RADIX_BITS: u32 = 11;
+
+/// LSD radix sort of `keys`, all below `bound`, through the buffer `tmp`.
+fn radix_sort(keys: &mut Vec<NodeId>, tmp: &mut Vec<NodeId>, bound: u32) {
+    const MASK: u32 = (1 << RADIX_BITS) - 1;
+    tmp.resize(keys.len(), 0);
+    let bits = u32::BITS - bound.saturating_sub(1).leading_zeros();
+    for shift in (0..bits).step_by(RADIX_BITS as usize) {
+        let mut next = [0u32; 1 << RADIX_BITS];
+        for &k in keys.iter() {
+            next[((k >> shift) & MASK) as usize] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        for &k in keys.iter() {
+            let slot = &mut next[((k >> shift) & MASK) as usize];
+            tmp[*slot as usize] = k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, tmp);
+    }
+}
+
+/// The cohort kernel's reusable state: the frontier of live walkers and the
+/// buffers their positions are sorted in. A loop over many small cohorts
+/// (the offline build) keeps one per thread and allocates them once.
+#[derive(Debug, Default)]
+pub struct WalkScratch {
+    /// Position of every live walker, in walker order.
+    pos: Vec<NodeId>,
+    /// Their RNG keys, parallel to `pos`.
+    key: Vec<u64>,
+    /// The positions again, sorted for the step's histogram.
+    sorted: Vec<NodeId>,
+    /// The radix sort's second buffer.
+    tmp: Vec<NodeId>,
+}
+
+impl WalkScratch {
+    /// The full cohort from `source`, every step's distribution recorded:
+    /// [`Self::counts_on`] over all walkers, plus the step-0 entry.
+    pub fn distributions_on<G: WalkAdjacency>(
+        &mut self,
+        graph: &G,
+        source: NodeId,
+        params: WalkParams,
+        seed: u64,
+    ) -> StepDistributions {
+        let mut counts = Vec::with_capacity(params.steps + 1);
+        counts.push(vec![(source, params.walkers as u64)]);
+        self.counts_on(graph, source, 0..params.walkers, params.steps, seed, &mut counts);
+        StepDistributions { source, walkers: params.walkers, counts }
+    }
+
+    /// The cohort kernel, said once: walks the cohort members `walkers` of
+    /// `source` for `steps` steps, the whole frontier one step at a time,
+    /// and appends the visit histogram of each step `1..=steps` (sorted by
+    /// node id, exact length) to `out`.
+    pub fn counts_on<G: WalkAdjacency>(
+        &mut self,
+        graph: &G,
+        source: NodeId,
+        walkers: Range<u32>,
+        steps: usize,
+        seed: u64,
+        out: &mut Vec<Vec<(NodeId, u64)>>,
+    ) {
+        let n = graph.node_count();
+        assert!(source < n, "source out of range");
+        self.key.clear();
+        self.key.extend(walker_keys(seed, source, walkers));
+        self.pos.clear();
+        self.pos.resize(self.key.len(), source);
+        for t in 1..=steps as u32 {
+            // One pass advances every live walker; the survivors are
+            // compacted to the front, still in walker order.
+            let mut live = 0;
+            for i in 0..self.pos.len() {
+                let key = self.key[i];
+                if let Some(next) = reverse_step(graph, self.pos[i], key, t) {
+                    (self.pos[live], self.key[live]) = (next, key);
+                    live += 1;
+                }
+            }
+            self.pos.truncate(live);
+            self.key.truncate(live);
+            out.push(self.histogram(n));
+        }
+    }
+
+    /// The visit histogram of the frontier's positions, all below `bound`.
+    fn histogram(&mut self, bound: u32) -> Vec<(NodeId, u64)> {
+        self.sorted.clear();
+        self.sorted.extend_from_slice(&self.pos);
+        if self.sorted.len() < RADIX_MIN {
+            self.sorted.sort_unstable();
+        } else {
+            radix_sort(&mut self.sorted, &mut self.tmp, bound);
+        }
+        let runs = self.sorted.windows(2).filter(|w| w[0] != w[1]).count();
+        let distinct = runs + usize::from(!self.sorted.is_empty());
+        let mut hist: Vec<(NodeId, u64)> = Vec::with_capacity(distinct);
+        for &node in &self.sorted {
+            match hist.last_mut() {
+                Some((last, count)) if *last == node => *count += 1,
+                _ => hist.push((node, 1)),
+            }
+        }
+        hist
+    }
+}
+
 /// Simulates the full cohort from `source` and records every step's
 /// distribution. This is the building block of offline indexing (`R`
 /// walkers per node) and of MCSP/MCSS (`R'` walkers per query node).
@@ -109,57 +244,37 @@ pub fn reverse_walk_distributions(
     reverse_walk_distributions_on(graph, source, params, seed)
 }
 
-/// [`reverse_walk_distributions`] generic over the adjacency source —
-/// the one kernel behind the resident-graph engines *and* the sharded
-/// engine's routed [`pasco_graph::partitioned::PartitionedView`], so
-/// cross-engine bit-equality is structural, not merely test-enforced:
-/// [`reverse_walk_counts_on`] over the whole cohort, plus the step-0 entry.
+/// [`reverse_walk_distributions`] generic over the adjacency source — one
+/// kernel behind every storage, so cross-engine bit-equality is structural:
+/// [`WalkScratch::distributions_on`] on a scratch of its own.
 pub fn reverse_walk_distributions_on<G: WalkAdjacency>(
     graph: &G,
     source: NodeId,
     params: WalkParams,
     seed: u64,
 ) -> StepDistributions {
-    let mut counts = Vec::with_capacity(params.steps + 1);
-    counts.push(vec![(source, params.walkers as u64)]);
-    counts.extend(reverse_walk_counts_on(graph, source, 0..params.walkers, params.steps, seed));
-    StepDistributions { source, walkers: params.walkers, counts }
+    WalkScratch::default().distributions_on(graph, source, params, seed)
 }
 
-/// The per-walker loop, said once: walks the cohort members `walkers` of
-/// `source` for `steps` steps and yields the visit histogram of each step
-/// `1..=steps` (sorted by node id). Walker `w`'s trajectory depends only on
-/// `(seed, source, w, step)`, so histograms of disjoint walker ranges sum to
-/// the whole cohort's — how the Broadcasting model splits a cohort across
-/// tasks.
+/// [`WalkScratch::counts_on`] on a scratch of its own. Walker `w`'s
+/// trajectory depends only on `(seed, source, w, step)`, so histograms of
+/// disjoint walker ranges sum to the whole cohort's — how the Broadcasting
+/// model splits a cohort across tasks.
 pub fn reverse_walk_counts_on<G: WalkAdjacency>(
     graph: &G,
     source: NodeId,
-    walkers: std::ops::Range<u32>,
+    walkers: Range<u32>,
     steps: usize,
     seed: u64,
 ) -> impl Iterator<Item = Vec<(NodeId, u64)>> {
-    assert!(source < graph.node_count(), "source out of range");
-    let mut maps: Vec<CountMap> =
-        (0..steps).map(|_| CountMap::with_capacity(walkers.len())).collect();
-    for w in walkers {
-        let key = walker_key(seed, source, w);
-        let mut pos = source;
-        for t in 1..=steps {
-            let ins = graph.in_neighbors(pos);
-            if ins.is_empty() {
-                break;
-            }
-            pos = ins[pick(step_u64(key, t as u32), ins.len())];
-            maps[t - 1].add(pos, 1);
-        }
-    }
-    maps.into_iter().map(CountMap::into_sorted_vec)
+    let mut counts = Vec::with_capacity(steps);
+    WalkScratch::default().counts_on(graph, source, walkers, steps, seed, &mut counts);
+    counts.into_iter()
 }
 
 /// The full trajectory of a single walker (positions after steps `1..=steps`;
-/// shorter if the walker dies). Used by tests and by the FMT baseline's
-/// fingerprint construction.
+/// shorter if the walker dies) — the per-walker oracle the cohort kernel is
+/// tested against.
 pub fn reverse_walk_path(
     graph: &CsrGraph,
     source: NodeId,
@@ -168,18 +283,12 @@ pub fn reverse_walk_path(
     seed: u64,
 ) -> Vec<NodeId> {
     let key = walker_key(seed, source, walker);
-    let mut path = Vec::with_capacity(steps);
     let mut pos = source;
-    for t in 1..=steps {
-        match reverse_step(graph, pos, key, t as u32) {
-            Some(next) => {
-                pos = next;
-                path.push(pos);
-            }
-            None => break,
-        }
-    }
-    path
+    let step = |t| {
+        pos = reverse_step(graph, pos, key, t)?;
+        Some(pos)
+    };
+    (1..=steps as u32).map_while(step).collect()
 }
 
 #[cfg(test)]
@@ -222,6 +331,21 @@ mod tests {
         assert_eq!(a, b);
         let c = reverse_walk_distributions(&g, 17, WalkParams::new(6, 50), 6);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn radix_sort_sorts_at_every_pass_count() {
+        // One, two and three 11-bit passes (the contract graph needs two),
+        // a bound that is a power of two, and the degenerate single node.
+        for bound in [1u32, 512, 2048, 2049, 70_000, 1 << 22, 5_000_000] {
+            let mut keys: Vec<NodeId> = (0..3_000u64)
+                .map(|i| (step_u64(bound as u64, i as u32) % bound as u64) as u32)
+                .collect();
+            let mut want = keys.clone();
+            want.sort_unstable();
+            radix_sort(&mut keys, &mut vec![7; 5], bound);
+            assert_eq!(keys, want, "bound {bound}");
+        }
     }
 
     #[test]
