@@ -13,9 +13,87 @@
 //!   forward walk; see [`crate::sampling::ReverseChainIndex`]).
 
 use crate::csr::{CsrGraph, NodeId};
-use crate::partition::Partitioner;
+use crate::partition::{Partitioner, RangeRouter};
 use crate::sampling::pick_weighted;
+use std::ops::Range;
 use std::sync::Arc;
+
+/// The arrays of one range partition, borrowed: the one body of the four
+/// per-step lookups, shared by every storage that holds a partition —
+/// [`GraphPartition`] in memory, `pasco_store`'s mapped shard on disk — so
+/// the routed storages execute the same instructions by construction.
+///
+/// Layout contract (see [`GraphPartition::from_raw`]): for `count` owned
+/// nodes `start..start + count`, both offset arrays have `count + 1`
+/// monotone entries ending at their adjacency array's length, `out_cum`
+/// parallels `out_targets`, `out_total` has `count` entries. The owned
+/// range is read off those lengths, which makes every lookup total in
+/// `v`: a node outside it has no neighbours and no outflow.
+#[derive(Clone, Copy, Debug)]
+pub struct PartSlices<'a> {
+    /// First owned node id.
+    pub start: NodeId,
+    /// In-adjacency CSR offsets, local to the partition.
+    pub in_offsets: &'a [u64],
+    /// In-adjacency source ids (global).
+    pub in_sources: &'a [NodeId],
+    /// Out-adjacency CSR offsets, local to the partition.
+    pub out_offsets: &'a [u64],
+    /// Out-adjacency target ids (global).
+    pub out_targets: &'a [NodeId],
+    /// Per-out-edge cumulative reverse-chain weights.
+    pub out_cum: &'a [f64],
+    /// Per-owned-node total outflow `W_k`.
+    pub out_total: &'a [f64],
+}
+
+impl<'a> PartSlices<'a> {
+    // `inline(always)`: the 13-word struct must dissolve into the caller's
+    // registers — left to the inliner's discretion, `sample_out` stayed a
+    // call and every forward step spilled and reloaded all of it.
+
+    /// `v`'s index in the partition; wraps past every length for `v < start`.
+    #[inline(always)]
+    fn local(&self, v: NodeId) -> usize {
+        v.wrapping_sub(self.start) as usize
+    }
+
+    /// The local index and CSR span of `v` in `offsets`, when owned: an
+    /// offset array is one longer than the owned range, so the first `get`
+    /// is the ownership test and both bounds checks at once.
+    #[inline(always)]
+    fn span(&self, offsets: &[u64], v: NodeId) -> Option<(usize, Range<usize>)> {
+        let l = self.local(v);
+        let hi = *offsets.get(l + 1)?;
+        Some((l, offsets[l] as usize..hi as usize))
+    }
+
+    /// In-neighbours of `v` (global ids).
+    #[inline(always)]
+    pub fn in_neighbors(&self, v: NodeId) -> &'a [NodeId] {
+        self.span(self.in_offsets, v).map_or(&[], |(_, span)| &self.in_sources[span])
+    }
+
+    /// Out-neighbours of `v` (global ids).
+    #[inline(always)]
+    pub fn out_neighbors(&self, v: NodeId) -> &'a [NodeId] {
+        self.span(self.out_offsets, v).map_or(&[], |(_, span)| &self.out_targets[span])
+    }
+
+    /// Total reverse-chain outflow `W_v`.
+    #[inline(always)]
+    pub fn outflow(&self, v: NodeId) -> f64 {
+        self.out_total.get(self.local(v)).copied().unwrap_or(0.0)
+    }
+
+    /// Samples an out-neighbour of `v` with probability `∝ 1/|In(j)|`
+    /// given uniform `r ∈ [0,1)`; `None` when `v` has no out-edges.
+    #[inline(always)]
+    pub fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
+        let (l, span) = self.span(self.out_offsets, v)?;
+        pick_weighted(&self.out_targets[span.clone()], &self.out_cum[span], self.out_total[l], r)
+    }
+}
 
 /// One range partition of a graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -51,40 +129,46 @@ impl GraphPartition {
         (self.start..self.end).contains(&v)
     }
 
+    /// The partition's arrays, borrowed — every lookup below is
+    /// [`PartSlices`]'s.
     #[inline]
-    fn local(&self, v: NodeId) -> usize {
-        debug_assert!(self.owns(v), "node {v} not owned by [{}, {})", self.start, self.end);
-        (v - self.start) as usize
+    pub fn slices(&self) -> PartSlices<'_> {
+        PartSlices {
+            start: self.start,
+            in_offsets: &self.in_offsets,
+            in_sources: &self.in_sources,
+            out_offsets: &self.out_offsets,
+            out_targets: &self.out_targets,
+            out_cum: &self.out_cum,
+            out_total: &self.out_total,
+        }
     }
 
-    /// In-neighbours of owned node `v` (global ids).
+    /// In-neighbours of `v` (global ids); empty for nodes this partition
+    /// does not own.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let l = self.local(v);
-        &self.in_sources[self.in_offsets[l] as usize..self.in_offsets[l + 1] as usize]
+        self.slices().in_neighbors(v)
     }
 
-    /// Out-neighbours of owned node `v` (global ids).
+    /// Out-neighbours of `v` (global ids); empty when not owned.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let l = self.local(v);
-        &self.out_targets[self.out_offsets[l] as usize..self.out_offsets[l + 1] as usize]
+        self.slices().out_neighbors(v)
     }
 
-    /// Total reverse-chain outflow `W_v` of owned node `v`.
+    /// Total reverse-chain outflow `W_v` of `v`; 0 when not owned.
     #[inline]
     pub fn outflow(&self, v: NodeId) -> f64 {
-        self.out_total[self.local(v)]
+        self.slices().outflow(v)
     }
 
-    /// Samples an out-neighbour of owned `v` with probability `∝ 1/|In(j)|`
-    /// given uniform `r ∈ [0,1)`; `None` when `v` has no out-edges.
+    /// Samples an out-neighbour of `v` with probability `∝ 1/|In(j)|`
+    /// given uniform `r ∈ [0,1)`; `None` when `v` has no out-edges (or is
+    /// not owned).
     #[inline]
     pub fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
-        let l = self.local(v);
-        let lo = self.out_offsets[l] as usize;
-        let hi = self.out_offsets[l + 1] as usize;
-        pick_weighted(&self.out_targets[lo..hi], &self.out_cum[lo..hi], self.out_total[l], r)
+        self.slices().sample_out(v, r)
     }
 
     /// Resident bytes of this partition's arrays.
@@ -217,7 +301,7 @@ pub fn partition_graph(graph: &CsrGraph, partitioner: &Partitioner) -> Vec<Graph
 #[derive(Clone, Debug)]
 pub struct PartitionedView {
     parts: Arc<Vec<GraphPartition>>,
-    partitioner: Partitioner,
+    router: RangeRouter,
 }
 
 impl PartitionedView {
@@ -225,16 +309,22 @@ impl PartitionedView {
     /// `partitioner`.
     ///
     /// # Panics
-    /// Panics when `partitioner` is not a range partitioner or its
-    /// partition count disagrees with `parts`.
+    /// Panics when `partitioner` is not the range partitioner of `parts`:
+    /// one slot per partition, over the node count the partitions end at.
     pub fn new(parts: Arc<Vec<GraphPartition>>, partitioner: Partitioner) -> Self {
         assert_eq!(
             parts.len(),
             partitioner.parts() as usize,
             "view needs one partition per partitioner slot"
         );
-        assert!(partitioner.range_of(0).is_some(), "PartitionedView requires a range partitioner");
-        Self { parts, partitioner }
+        let n = parts.last().map_or(0, |gp| gp.end);
+        let router = RangeRouter::new(n, parts.len() as u32);
+        assert_eq!(
+            partitioner,
+            Partitioner::Range(router),
+            "PartitionedView requires the range partitioner of its partitions"
+        );
+        Self { parts, router }
     }
 
     /// Range-partitions `graph` by `partitioner` and routes over the
@@ -246,7 +336,7 @@ impl PartitionedView {
     /// The partition owning node `v`.
     #[inline]
     pub fn part_of(&self, v: NodeId) -> &GraphPartition {
-        &self.parts[self.partitioner.owner(v) as usize]
+        &self.parts[self.router.route(v) as usize]
     }
 
     /// All partitions backing this view, in partition order.
@@ -256,7 +346,7 @@ impl PartitionedView {
 
     /// The partitioner mapping nodes to partitions.
     pub fn partitioner(&self) -> Partitioner {
-        self.partitioner
+        Partitioner::Range(self.router)
     }
 
     /// Total node count across all partitions.
@@ -343,6 +433,32 @@ mod tests {
             for &r in &[0.0, 0.42, 0.999] {
                 assert_eq!(view.sample_out(v, r), rci.sample(&g, v, r), "sample {v} r {r}");
             }
+        }
+    }
+
+    fn assert_empty_at(gp: &GraphPartition, v: NodeId) {
+        assert_eq!(gp.in_neighbors(v), &[] as &[NodeId], "in {v}");
+        assert_eq!(gp.out_neighbors(v), &[] as &[NodeId], "out {v}");
+        assert_eq!((gp.outflow(v), gp.sample_out(v, 0.5)), (0.0, None), "fwd {v}");
+    }
+
+    #[test]
+    fn lookups_are_total_outside_the_owned_range() {
+        // Uneven tiling (chunks of 74 over 512 nodes) plus ids past `n`:
+        // every other partition, and the view itself, answers empty.
+        let view: PartitionedView = PartitionedView::of_graph(
+            &generators::rmat(9, 4_000, generators::RmatParams::default(), 8),
+            Partitioner::range(512, 7),
+        );
+        for gp in view.partitions().iter() {
+            [0, gp.start.wrapping_sub(1), gp.end, 511, 512, 529, u32::MAX]
+                .into_iter()
+                .filter(|v| !(gp.start..gp.end).contains(v))
+                .for_each(|v| assert_empty_at(gp, v));
+        }
+        for v in [512, 529, u32::MAX] {
+            assert_eq!(view.in_neighbors(v), &[] as &[NodeId], "view in {v}");
+            assert_eq!((view.outflow(v), view.sample_out(v, 0.5)), (0.0, None), "view fwd {v}");
         }
     }
 

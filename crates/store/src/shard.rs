@@ -1,34 +1,40 @@
 //! One mapped shard file, used in place.
 //!
 //! [`MappedShard::open`] maps the file, authenticates and validates the
-//! header, and checks the two CSR offset *spines* (monotone, starting
-//! at 0, ending at the edge counts) — `O(nodes-in-shard)` work that
-//! makes every subsequent adjacency lookup provably in-bounds without
-//! touching the `O(edges)` payload. The edge arrays themselves page in
-//! lazily on first access, which is what makes restart O(1) in the
-//! graph's edge volume. Full payload integrity (the FNV-1a checksum
-//! over every section byte) is an explicit [`MappedShard::verify`] —
-//! tests and the CI round-trip job run it; a serving restart does not
-//! have to.
+//! header, **resolves the seven sections once** — each `(offset, len)` of
+//! the table goes through the mapping's bounds and alignment check and is
+//! kept as a typed view next to the mapping it was cut from
+//! ([`crate::sys::Sections`]; a refusal is a typed [`StoreError`] from
+//! `open`, not a silently empty slice later) — and checks the two CSR
+//! offset *spines* (monotone, starting at 0, ending at the edge counts).
+//! That is `O(header + nodes-in-shard)` work which makes every subsequent
+//! adjacency lookup provably in-bounds without touching a page of the
+//! `O(edges)` payload: the edge arrays page in lazily on first access,
+//! which is what makes restart O(1) in the graph's edge volume. Full
+//! payload integrity (the FNV-1a checksum over every section byte) is an
+//! explicit [`MappedShard::verify`] — tests and the CI round-trip job run
+//! it; a serving restart does not have to.
 //!
-//! Accessors mirror [`pasco_graph::partitioned::GraphPartition`]
-//! operation for operation (same offsets, the same cumulative-weight
-//! `pick_weighted` sampling), which is what makes walks over a mapped
-//! store bit-identical to walks over the resident graph.
+//! A lookup then costs what it costs in memory: [`MappedShard::slices`]
+//! hands the resolved views to [`PartSlices`], the one accessor body
+//! [`pasco_graph::partitioned::GraphPartition`] also runs (same offsets,
+//! the same cumulative-weight `pick_weighted` sampling), which is what
+//! makes walks over a mapped store bit-identical to walks over the
+//! resident graph.
 
 use crate::format::{
-    ShardHeader, StoreError, HEADER_LEN, SEC_DIAG, SEC_IN_OFFSETS, SEC_IN_SOURCES, SEC_OUT_CUM,
-    SEC_OUT_OFFSETS, SEC_OUT_TARGETS, SEC_OUT_TOTAL,
+    ShardHeader, StoreError, HEADER_LEN, SECTION_COUNT, SECTION_NAMES, SEC_DIAG, SEC_IN_OFFSETS,
+    SEC_IN_SOURCES, SEC_OUT_CUM, SEC_OUT_OFFSETS, SEC_OUT_TARGETS, SEC_OUT_TOTAL,
 };
-use crate::sys::Mmap;
+use crate::sys::{Mmap, Sections};
 use pasco_graph::csr::NodeId;
-use pasco_graph::sampling::pick_weighted;
+use pasco_graph::partitioned::PartSlices;
 use std::fs::File;
 use std::path::Path;
 
 /// A read-only graph partition served directly from a mapped file.
 pub struct MappedShard {
-    map: Mmap,
+    sections: Sections<SECTION_COUNT>,
     header: ShardHeader,
 }
 
@@ -43,12 +49,19 @@ impl MappedShard {
         let map = Mmap::map_readonly(&file)?;
         let header = ShardHeader::from_bytes(map.as_bytes())?;
         header.validate(map.len() as u64)?;
-        let shard = MappedShard { map, header };
+        // `validate` proved the table against the file size in u64; the
+        // mapping re-checks it against its own length and base address.
+        let table = header.sections.map(|s| (s.offset as usize, s.len as usize));
+        let sections = Sections::resolve(map, table).map_err(|sec| {
+            let name = SECTION_NAMES[sec];
+            StoreError::Corrupt(format!("section {name} does not lie aligned inside the mapping"))
+        })?;
+        let shard = MappedShard { sections, header };
         shard.check_spine(SEC_IN_OFFSETS, shard.header.in_edges, "in")?;
         shard.check_spine(SEC_OUT_OFFSETS, shard.header.out_edges, "out")?;
         // Walk lookups jump around the partition; readahead would only
         // evict pages the walk still needs.
-        shard.map.advise_random();
+        shard.sections.map().advise_random();
         Ok(shard)
     }
 
@@ -56,7 +69,7 @@ impl MappedShard {
     /// adjacency section's element count — after this, slicing the
     /// adjacency arrays with spine values cannot go out of bounds.
     fn check_spine(&self, sec: usize, edges: u64, what: &str) -> Result<(), StoreError> {
-        let spine = self.u64_section(sec);
+        let spine = self.sections.u64s(sec);
         if spine.first() != Some(&0) {
             return Err(StoreError::Corrupt(format!("{what}-offsets spine does not start at 0")));
         }
@@ -106,98 +119,68 @@ impl MappedShard {
     /// Bytes of file mapped (not resident memory — pages materialise
     /// only as queries touch them).
     pub fn mapped_bytes(&self) -> u64 {
-        self.map.len() as u64
+        self.sections.map().len() as u64
     }
 
+    /// The adjacency sections as resolved at open, borrowed — every
+    /// lookup below is [`PartSlices`]'s, total for nodes this shard does
+    /// not own. The section lengths were tied to the node range and edge
+    /// counts by `validate` and the spines checked at open, which is
+    /// [`PartSlices`]'s layout contract.
     #[inline]
-    fn local(&self, v: NodeId) -> Option<usize> {
-        if self.owns(v) {
-            Some((v - self.header.start) as usize)
-        } else {
-            None
+    pub fn slices(&self) -> PartSlices<'_> {
+        PartSlices {
+            start: self.header.start,
+            in_offsets: self.sections.u64s(SEC_IN_OFFSETS),
+            in_sources: self.sections.u32s(SEC_IN_SOURCES),
+            out_offsets: self.sections.u64s(SEC_OUT_OFFSETS),
+            out_targets: self.sections.u32s(SEC_OUT_TARGETS),
+            out_cum: self.sections.f64s(SEC_OUT_CUM),
+            out_total: self.sections.f64s(SEC_OUT_TOTAL),
         }
-    }
-
-    // Section accessors. The `(offset, len)` pairs were bounds- and
-    // alignment-checked against the mapping in `ShardHeader::validate`,
-    // so the fallbacks are unreachable; they keep the accessors total
-    // (no panic path) instead of trusting that proof at a distance.
-    #[inline]
-    fn u64_section(&self, sec: usize) -> &[u64] {
-        let s = self.header.sections[sec];
-        self.map.u64_slice(s.offset as usize, (s.len / 8) as usize).unwrap_or(&[])
-    }
-
-    #[inline]
-    fn u32_section(&self, sec: usize) -> &[u32] {
-        let s = self.header.sections[sec];
-        self.map.u32_slice(s.offset as usize, (s.len / 4) as usize).unwrap_or(&[])
-    }
-
-    #[inline]
-    fn f64_section(&self, sec: usize) -> &[f64] {
-        let s = self.header.sections[sec];
-        self.map.f64_slice(s.offset as usize, (s.len / 8) as usize).unwrap_or(&[])
     }
 
     /// In-neighbours of owned node `v` (global ids); empty for nodes
     /// this shard does not own.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let Some(l) = self.local(v) else { return &[] };
-        let spine = self.u64_section(SEC_IN_OFFSETS);
-        // In-bounds by the open-time spine check.
-        &self.u32_section(SEC_IN_SOURCES)[spine[l] as usize..spine[l + 1] as usize]
+        self.slices().in_neighbors(v)
     }
 
     /// Out-neighbours of owned node `v` (global ids); empty for nodes
     /// this shard does not own.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let Some(l) = self.local(v) else { return &[] };
-        let spine = self.u64_section(SEC_OUT_OFFSETS);
-        &self.u32_section(SEC_OUT_TARGETS)[spine[l] as usize..spine[l + 1] as usize]
+        self.slices().out_neighbors(v)
     }
 
     /// Total reverse-chain outflow `W_v` of owned node `v`; 0 for nodes
     /// this shard does not own.
     #[inline]
     pub fn outflow(&self, v: NodeId) -> f64 {
-        match self.local(v) {
-            Some(l) => self.f64_section(SEC_OUT_TOTAL).get(l).copied().unwrap_or(0.0),
-            None => 0.0,
-        }
+        self.slices().outflow(v)
     }
 
     /// Samples an out-neighbour of owned `v` with probability
     /// `∝ 1/|In(j)|` given uniform `r ∈ [0,1)`; `None` when `v` has no
-    /// out-edges (or is not owned). Bit-identical to
-    /// [`pasco_graph::partitioned::GraphPartition::sample_out`]: same
-    /// cumulative weights through the same
-    /// [`pasco_graph::sampling::pick_weighted`].
+    /// out-edges (or is not owned).
     #[inline]
     pub fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
-        let l = self.local(v)?;
-        let spine = self.u64_section(SEC_OUT_OFFSETS);
-        let lo = spine[l] as usize;
-        let hi = spine[l + 1] as usize;
-        let total = self.f64_section(SEC_OUT_TOTAL).get(l).copied().unwrap_or(0.0);
-        let targets = self.u32_section(SEC_OUT_TARGETS).get(lo..hi)?;
-        pick_weighted(targets, &self.f64_section(SEC_OUT_CUM)[lo..hi], total, r)
+        self.slices().sample_out(v, r)
     }
 
     /// The partition's diagonal-index slice (one entry per owned node).
     pub fn diag(&self) -> &[f64] {
-        self.f64_section(SEC_DIAG)
+        self.sections.f64s(SEC_DIAG)
     }
 
     /// Verifies the payload checksum over every byte after the header —
     /// `O(file)`, the deep-integrity pass that open deliberately skips.
     pub fn verify(&self) -> Result<(), StoreError> {
-        self.map.advise_willneed();
-        let bytes = self.map.as_bytes();
+        let map = self.sections.map();
+        map.advise_willneed();
         // Validated: the file is at least HEADER_LEN long.
-        let payload = bytes.get(HEADER_LEN..).unwrap_or(&[]);
+        let payload = map.as_bytes().get(HEADER_LEN..).unwrap_or(&[]);
         let actual = crate::format::fnv1a(payload);
         if actual != self.header.payload_checksum {
             return Err(StoreError::Checksum {
@@ -251,7 +234,8 @@ mod tests {
         w.finish().unwrap();
 
         for (i, part) in parts.iter().enumerate() {
-            let shard = MappedShard::open(dir.join(shard_file_name(i as u32))).unwrap();
+            let shard: MappedShard =
+                MappedShard::open(dir.join(shard_file_name(i as u32))).unwrap();
             shard.verify().unwrap();
             assert_eq!((shard.start(), shard.end()), (part.start, part.end));
             assert_eq!(shard.diag(), &diag[part.start as usize..part.end as usize]);

@@ -10,19 +10,24 @@
 //! MCSS kernels are generic over those traits, an engine driven by a
 //! `MappedStore` takes bit-identical trajectories to one driven by the
 //! resident graph.
+//!
+//! Everything a lookup needs is fixed at open: the [`RangeRouter`] (its
+//! chunk size and reciprocal — a step routes with one multiply, no
+//! division) and each shard's resolved sections. Open itself stays
+//! `O(headers + spines)` per shard and touches no payload page.
 
 use crate::format::StoreError;
 use crate::shard::MappedShard;
 use crate::writer::shard_file_name;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
 use pasco_graph::csr::NodeId;
-use pasco_graph::partition::Partitioner;
+use pasco_graph::partition::{Partitioner, RangeRouter};
 use std::path::{Path, PathBuf};
 
 /// Every shard of a store directory, mapped and routed.
 pub struct MappedStore {
     shards: Vec<MappedShard>,
-    partitioner: Partitioner,
+    router: RangeRouter,
     n: u32,
     dir: PathBuf,
 }
@@ -64,7 +69,7 @@ impl MappedStore {
         }
         // Validated per-shard: n fits u32.
         let n = n64 as u32;
-        let partitioner = Partitioner::range(n, parts);
+        let router = RangeRouter::new(n, parts);
         for (i, (shard, path)) in shards.iter().zip(&paths).enumerate() {
             let h = shard.header();
             if h.parts != parts || h.n != n64 {
@@ -85,7 +90,7 @@ impl MappedStore {
                     h.part_index
                 )));
             }
-            let expected = partitioner.range_of(i as u32).unwrap_or((0, 0));
+            let expected = router.part_range(i as u32);
             if (h.start, h.end) != expected {
                 return Err(StoreError::BadLayout(format!(
                     "part {i} covers [{}, {}) but range partitioning of {n} nodes into \
@@ -94,7 +99,7 @@ impl MappedStore {
                 )));
             }
         }
-        Ok(MappedStore { shards, partitioner, n, dir })
+        Ok(MappedStore { shards, router, n, dir })
     }
 
     /// The directory this store was opened from.
@@ -109,7 +114,7 @@ impl MappedStore {
 
     /// Number of shards (= partitions = files).
     pub fn parts(&self) -> u32 {
-        self.partitioner.parts()
+        self.router.parts()
     }
 
     /// The shards, in partition order.
@@ -121,7 +126,7 @@ impl MappedStore {
     /// one the in-memory sharded engine builds for the same `(n,
     /// parts)`.
     pub fn partitioner(&self) -> Partitioner {
-        self.partitioner
+        Partitioner::Range(self.router)
     }
 
     /// The shard owning node `v`.
@@ -129,7 +134,7 @@ impl MappedStore {
     pub fn shard_of(&self, v: NodeId) -> &MappedShard {
         // Range owners are always < parts (the partitioner clamps), and
         // open checked one shard per slot.
-        &self.shards[self.partitioner.owner(v) as usize]
+        &self.shards[self.router.route(v) as usize]
     }
 
     /// Concatenates the per-shard diagonal slices back into the full
@@ -156,10 +161,7 @@ impl MappedStore {
 
     /// Verifies every shard's payload checksum — `O(total file bytes)`.
     pub fn verify(&self) -> Result<(), StoreError> {
-        for shard in &self.shards {
-            shard.verify()?;
-        }
-        Ok(())
+        self.shards.iter().try_for_each(MappedShard::verify)
     }
 }
 

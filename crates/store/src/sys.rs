@@ -7,11 +7,14 @@
 //! The unsafety is confined to the raw calls plus the typed
 //! reinterpretation of mapped bytes: everything is wrapped in an owned
 //! [`Mmap`] that unmaps on drop and exposes a safe, checked surface.
-//! The typed accessors ([`Mmap::u64_slice`] and friends) verify bounds
-//! and alignment before any slice is fabricated, and every bit pattern
-//! is a valid `u32`/`u64`/`f64`, so no accessor can mint an invalid
-//! value — corrupt files yield garbage *numbers*, never undefined
-//! behaviour.
+//! Typed access goes through [`Sections`], which owns the `Mmap` and
+//! resolves a table of `(offset, bytes)` sections **once**: bounds and
+//! 8-byte alignment are verified before any slice is fabricated, the
+//! resolved views live and die with the mapping they were cut from, and
+//! every bit pattern is a valid `u32`/`u64`/`f64`, so no accessor can
+//! mint an invalid value — corrupt files yield garbage *numbers*, never
+//! undefined behaviour. Resolving reads no mapped byte, so it faults no
+//! page in.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!(
@@ -34,6 +37,10 @@ const PROT_READ: c_int = 0x1;
 const MAP_PRIVATE: c_int = 0x02;
 const MADV_RANDOM: c_int = 1;
 const MADV_WILLNEED: c_int = 3;
+
+/// Alignment every resolved section must have: the format's
+/// `SECTION_ALIGN`, which is also the widest element type's.
+const ALIGN: usize = crate::format::SECTION_ALIGN as usize;
 
 extern "C" {
     fn mmap(
@@ -138,49 +145,92 @@ impl Mmap {
         let _ = unsafe { madvise(self.ptr, self.len, advice) };
     }
 
-    /// A `u64` slice of `count` elements starting `offset` bytes into
-    /// the mapping, or `None` when out of bounds or misaligned.
-    pub fn u64_slice(&self, offset: usize, count: usize) -> Option<&[u64]> {
-        self.typed::<u64>(offset, count)
-    }
-
-    /// A `u32` slice of `count` elements starting `offset` bytes into
-    /// the mapping, or `None` when out of bounds or misaligned.
-    pub fn u32_slice(&self, offset: usize, count: usize) -> Option<&[u32]> {
-        self.typed::<u32>(offset, count)
-    }
-
-    /// An `f64` slice of `count` elements starting `offset` bytes into
-    /// the mapping, or `None` when out of bounds or misaligned. Every
-    /// bit pattern is a valid `f64` (NaNs included), so this cannot mint
-    /// an invalid value from corrupt bytes.
-    pub fn f64_slice(&self, offset: usize, count: usize) -> Option<&[f64]> {
-        self.typed::<f64>(offset, count)
-    }
-
-    /// Bounds- and alignment-checked typed view. Private: the public
-    /// monomorphic wrappers restrict `T` to plain-old-data types for
-    /// which any bit pattern is valid.
-    fn typed<T: Copy>(&self, offset: usize, count: usize) -> Option<&[T]> {
-        let size = std::mem::size_of::<T>();
-        let bytes = count.checked_mul(size)?;
-        let end = offset.checked_add(bytes)?;
-        if end > self.len {
+    /// The one bounds and alignment check: the address of the `bytes`
+    /// bytes at `offset`, when they lie inside the mapping and start on
+    /// an [`ALIGN`] boundary. An empty range answers a dangling aligned
+    /// address (never null — an empty mapping has no base to offset).
+    fn checked(&self, offset: usize, bytes: usize) -> Option<*const u8> {
+        if offset.checked_add(bytes)? > self.len {
             return None;
         }
-        if count == 0 {
-            return Some(&[]);
+        if bytes == 0 {
+            return Some(std::ptr::without_provenance(ALIGN));
         }
-        let base = self.ptr as usize + offset;
-        if !base.is_multiple_of(std::mem::align_of::<T>()) {
-            return None;
+        let base = (self.ptr as *const u8).wrapping_add(offset);
+        (base as usize).is_multiple_of(ALIGN).then_some(base)
+    }
+}
+
+/// A mapping together with `N` sections of it resolved **once**: each
+/// `(offset, bytes)` pair is bounds- and alignment-checked when the value
+/// is built, and every later [`Sections::u64s`] / [`Sections::u32s`] /
+/// [`Sections::f64s`] is two loads and a shift — what a resident `Vec`
+/// costs per lookup.
+///
+/// The resolved addresses cannot dangle or be paired with another
+/// mapping: they are private, cut from the `Mmap` this value owns, which
+/// is never handed out mutably and unmaps only when the whole value
+/// drops. Every section must start on an 8-byte boundary, so any of them
+/// may be read at any of the three element types without undefined
+/// behaviour — the wrong one yields garbage *numbers*, like a corrupt file.
+pub struct Sections<const N: usize> {
+    map: Mmap,
+    /// `(base, bytes)`: [`ALIGN`]ed, `[base, base + bytes)` inside `map`.
+    views: [(*const u8, usize); N],
+}
+
+// SAFETY: the views point into `map`, which is immutable for its whole
+// lifetime and Send + Sync itself; they are only ever read through &self.
+unsafe impl<const N: usize> Send for Sections<N> {}
+// SAFETY: as above.
+unsafe impl<const N: usize> Sync for Sections<N> {}
+
+impl<const N: usize> Sections<N> {
+    /// Resolves the `(offset, bytes)` table against `map`, or names the
+    /// first entry that is out of bounds or not 8-byte aligned.
+    pub fn resolve(map: Mmap, table: [(usize, usize); N]) -> Result<Self, usize> {
+        let mut views = [(std::ptr::null(), 0); N];
+        for (i, &(offset, bytes)) in table.iter().enumerate() {
+            views[i] = (map.checked(offset, bytes).ok_or(i)?, bytes);
         }
-        // SAFETY: the range [offset, offset+count*size) was just checked
-        // to lie inside the live PROT_READ mapping, the base address is
-        // aligned for T, and T is restricted by the public wrappers to
-        // types for which every bit pattern is valid. The borrow is tied
-        // to &self, which keeps the mapping alive.
-        Some(unsafe { std::slice::from_raw_parts(base as *const T, count) })
+        Ok(Sections { map, views })
+    }
+
+    /// The mapping the sections were cut from.
+    pub fn map(&self) -> &Mmap {
+        &self.map
+    }
+
+    /// Section `sec` as `u64`s.
+    #[inline]
+    pub fn u64s(&self, sec: usize) -> &[u64] {
+        self.view(sec)
+    }
+
+    /// Section `sec` as `u32`s.
+    #[inline]
+    pub fn u32s(&self, sec: usize) -> &[u32] {
+        self.view(sec)
+    }
+
+    /// Section `sec` as `f64`s (every bit pattern is a valid `f64`).
+    #[inline]
+    pub fn f64s(&self, sec: usize) -> &[f64] {
+        self.view(sec)
+    }
+
+    /// Private: the public wrappers restrict `T` to plain-old-data types
+    /// of alignment ≤ 8 for which any bit pattern is valid.
+    #[inline]
+    fn view<T: Copy>(&self, sec: usize) -> &[T] {
+        let (base, bytes) = self.views[sec];
+        // SAFETY: `resolve` put [base, base + bytes) inside `self.map` (or
+        // at a dangling aligned address when empty) on an 8-byte boundary,
+        // which aligns it for T; the element count rounds down, so the
+        // slice ends inside the range. The mapping is live and immutable
+        // for as long as `self` — its only owner — is, and the borrow is
+        // tied to &self.
+        unsafe { std::slice::from_raw_parts(base as *const T, bytes / std::mem::size_of::<T>()) }
     }
 }
 
@@ -226,39 +276,55 @@ mod tests {
         let m = Mmap::map_readonly(&f).unwrap();
         assert!(m.is_empty());
         assert_eq!(m.as_bytes(), b"");
-        assert_eq!(m.u64_slice(0, 0), Some(&[][..]));
-        assert_eq!(m.u64_slice(0, 1), None);
+        let s = Sections::resolve(m, [(0, 0)]).expect("an empty section of an empty map");
+        assert_eq!(s.u64s(0), &[] as &[u64]);
+        let m = Mmap::map_readonly(&f).unwrap();
+        assert_eq!(Sections::resolve(m, [(0, 8)]).err(), Some(0));
     }
 
     #[test]
-    fn typed_views_decode_little_endian_values() {
+    fn sections_decode_little_endian_values() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&0xdead_beef_u32.to_le_bytes());
         bytes.extend_from_slice(&7u32.to_le_bytes());
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
         bytes.extend_from_slice(&1.5f64.to_le_bytes());
+        bytes.extend_from_slice(&9u32.to_le_bytes());
         let f = temp_file("typed", &bytes);
         let m = Mmap::map_readonly(&f).unwrap();
-        assert_eq!(m.u32_slice(0, 2), Some(&[0xdead_beef, 7][..]));
-        assert_eq!(m.u64_slice(8, 1), Some(&[u64::MAX][..]));
-        assert_eq!(m.f64_slice(16, 1), Some(&[1.5][..]));
+        let s = Sections::resolve(m, [(0, 8), (8, 8), (16, 8), (24, 4)]).unwrap();
+        assert_eq!(s.map().len(), 28);
+        assert_eq!(s.u32s(0), &[0xdead_beef, 7]);
+        assert_eq!(s.u64s(1), &[u64::MAX]);
+        assert_eq!(s.f64s(2), &[1.5]);
+        // A 4-byte section holds one u32 and no (partial) u64.
+        assert_eq!(s.u32s(3), &[9]);
+        assert_eq!(s.u64s(3), &[] as &[u64]);
     }
 
     #[test]
-    fn typed_views_reject_out_of_bounds_and_misalignment() {
+    fn sections_reject_out_of_bounds_and_misalignment() {
         let f = temp_file("bounds", &[0u8; 64]);
-        let m = Mmap::map_readonly(&f).unwrap();
+        let refused = |entry: (usize, usize)| {
+            let m = Mmap::map_readonly(&f).unwrap();
+            Sections::resolve(m, [(0, 64), entry]).err()
+        };
         // Out of bounds: length, offset, and overflowing combinations.
-        assert!(m.u64_slice(0, 9).is_none());
-        assert!(m.u64_slice(64, 1).is_none());
-        assert!(m.u64_slice(usize::MAX, 1).is_none());
-        assert!(m.u64_slice(8, usize::MAX).is_none());
-        // Misaligned: mappings are page-aligned, so offset 4 breaks u64.
-        assert!(m.u64_slice(4, 1).is_none());
-        assert!(m.f64_slice(3, 1).is_none());
-        assert!(m.u32_slice(2, 1).is_none());
-        // Aligned, in-bounds views still work.
-        assert!(m.u64_slice(8, 7).is_some());
-        assert_eq!(m.u32_slice(4, 3), Some(&[0u32; 3][..]));
+        assert_eq!(refused((0, 72)), Some(1));
+        assert_eq!(refused((64, 8)), Some(1));
+        assert_eq!(refused((usize::MAX, 8)), Some(1));
+        assert_eq!(refused((8, usize::MAX)), Some(1));
+        // Misaligned: mappings are page-aligned, so only multiples of 8
+        // start a section — whatever its element type.
+        assert_eq!(refused((4, 8)), Some(1));
+        assert_eq!(refused((3, 8)), Some(1));
+        assert_eq!(refused((2, 4)), Some(1));
+        // Aligned, in-bounds sections resolve, to the end of the file.
+        assert_eq!(refused((8, 56)), None);
+        assert_eq!(refused((64, 0)), None);
+        let m = Mmap::map_readonly(&f).unwrap();
+        let s = Sections::resolve(m, [(8, 56), (56, 4)]).unwrap();
+        assert_eq!(s.u64s(0), &[0u64; 7]);
+        assert_eq!(s.u32s(1), &[0u32]);
     }
 }

@@ -157,6 +157,37 @@ fn forged_section_table_cannot_escape_the_file() {
 }
 
 #[test]
+fn a_section_the_mapping_would_refuse_is_a_typed_error_from_open() {
+    // Sections are resolved into typed views once, at open — so a table
+    // entry the mapping must refuse (misaligned, or reaching past the end
+    // of the file) has to surface there, typed, for every one of the seven
+    // sections, and never as an empty or wild slice at query time. Each
+    // forgery is re-signed: the header checksum cannot be what refuses it.
+    for sec in 0..SECTION_COUNT {
+        for what in ["misaligned", "at the end of the file", "past the address space"] {
+            let dir = victim_store("refuse");
+            let file_len = std::fs::metadata(dir.join(shard_file_name(0))).unwrap().len();
+            forge_header(&dir, |h| {
+                h.sections[sec].offset = match what {
+                    "misaligned" => h.sections[sec].offset + 4,
+                    "at the end of the file" => file_len,
+                    _ => u64::MAX - 7,
+                }
+            });
+            match open_shard(&dir) {
+                Err(
+                    StoreError::Misaligned { .. }
+                    | StoreError::Corrupt(_)
+                    | StoreError::Truncated { .. },
+                ) => {}
+                other => panic!("section {sec} {what}: got {:?}", other.map(|_| ())),
+            }
+            assert!(MappedStore::open(&dir).is_err(), "section {sec} {what}: store open");
+        }
+    }
+}
+
+#[test]
 fn corrupt_offset_spine_is_rejected_at_open() {
     // The spine check is open-time work: break monotonicity in the
     // in-offsets section (payload bytes, so fix no checksums — open

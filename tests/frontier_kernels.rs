@@ -172,11 +172,14 @@ fn frontier_kernels_equal_the_per_walker_oracles_on_every_storage() {
             }
         }
 
-        // Every storage: resident, the routed view ×3, the mapped store ×2.
+        // Every storage: resident, the routed view and the mapped store at
+        // even and uneven tilings — rmat9's 512 nodes split 3 and 7 ways are
+        // chunks of 171 and 74, where only an exact router lands every walker
+        // on its owner — and, on the tiny graphs, more parts than nodes.
         let resident =
             CloudWalker::from_index(Arc::clone(&g), table[0].cfg, DiagonalIndex::new(diag.clone()))
                 .unwrap();
-        let mapped: Vec<(u32, CloudWalker)> = [1u32, 3]
+        let mapped: Vec<(u32, CloudWalker)> = [1u32, 3, 7]
             .into_iter()
             .map(|parts| {
                 let dir = std::env::temp_dir().join(format!("pasco_frontier_{name}_{parts}"));
@@ -188,9 +191,13 @@ fn frontier_kernels_equal_the_per_walker_oracles_on_every_storage() {
             .collect();
         for want in &table {
             check_storage(&format!("{name}/csr"), &GraphSampler::new(&g, &rci), &diag, want);
-            for shards in [1u32, 2, 5] {
+            for shards in [1u32, 2, 3, 5, 7] {
                 let view = PartitionedView::of_graph(&g, Partitioner::range_nonempty(n, shards));
                 check_storage(&format!("{name}/view x{shards}"), &view, &diag, want);
+            }
+            if n <= 10 {
+                let view = PartitionedView::of_graph(&g, Partitioner::range(n, n + 3));
+                check_storage(&format!("{name}/view x{} (empty parts)", n + 3), &view, &diag, want);
             }
             for (parts, walker) in &mapped {
                 let store = walker.store().expect("a store-backed walker");
