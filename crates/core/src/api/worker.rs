@@ -10,12 +10,16 @@
 //!
 //! | kind | request payload | reply payload |
 //! |---|---|---|
-//! | `LoadPartition` | [`LoadPartition`] | [`LoadAck`] |
+//! | `LoadPartition` | [`LoadPartition`]: `owned_part` + one `PASCOSH1` shard image | [`LoadAck`] |
 //! | `BuildShard` | [`BuildShard`] | [`BuildShardReply`] |
 //! | `ShardQuery` | [`ShardQuery`] | [`super::QueryResponse`] |
 //! | `ShardTopK` | [`ShardTopK`] | [`ShardTopKReply`] |
 //! | `WorkerStats` | *(empty)* | [`WorkerStats`] |
-//! | `LoadStore` | [`LoadStore`] | [`LoadAck`] |
+//! | `LoadStore` | [`LoadStore`]: a store directory's path + `owned_part` | [`LoadAck`] |
+//!
+//! The two load frames are two ways to hand a worker the same bytes: a
+//! partition has one serialisation, the `PASCOSH1` image of
+//! `pasco_store`, whether it sits in a shard file or rides in a frame.
 //!
 //! A failed request comes back as a [`FrameKind::Error`] frame carrying
 //! a [`super::QueryError`] — same contract as the query protocol.
@@ -31,12 +35,11 @@
 //! [`FrameKind::Error`]: super::envelope::FrameKind::Error
 
 use super::wire::{
-    self, decode_ranked, decode_scores, decode_str, encode_ranked, encode_scores, encode_str,
-    read_f64, read_len, read_u32, read_u64, read_u8, WireCodec, WireError,
+    decode_ranked, decode_scores, decode_str, encode_ranked, encode_scores, encode_str, read_f64,
+    read_len, read_u32, read_u64, read_u8, WireCodec, WireError,
 };
 use crate::config::{AiStrategy, SimRankConfig};
 use bytes::{Buf, BufMut};
-use pasco_graph::partitioned::GraphPartition;
 use pasco_graph::NodeId;
 
 /// A stable fingerprint of a diagonal index (FNV-1a over the IEEE bit
@@ -163,150 +166,69 @@ impl WireCodec for SimRankConfig {
 
 // ---- partitions ---------------------------------------------------------
 
-fn encode_offsets(offsets: &[u64], buf: &mut impl BufMut) {
-    buf.put_u32_le(offsets.len() as u32);
-    for &o in offsets {
-        buf.put_u64_le(o);
-    }
-}
-
-fn decode_offsets(buf: &mut impl Buf, decoding: &'static str) -> Result<Vec<u64>, WireError> {
-    let len = read_len(buf, 8, decoding)?;
-    (0..len).map(|_| read_u64(buf, decoding)).collect()
-}
-
-impl WireCodec for GraphPartition {
-    fn encode(&self, buf: &mut impl BufMut) {
-        let (in_offsets, in_sources, out_offsets, out_targets, out_cum, out_total) =
-            self.raw_arrays();
-        buf.put_u32_le(self.start);
-        buf.put_u32_le(self.end);
-        encode_offsets(in_offsets, buf);
-        wire::encode_nodes(in_sources, buf);
-        encode_offsets(out_offsets, buf);
-        wire::encode_nodes(out_targets, buf);
-        encode_scores(out_cum, buf);
-        encode_scores(out_total, buf);
-    }
-
-    /// Decoding validates the layout contract of
-    /// [`GraphPartition::from_raw`] *before* constructing, so hostile
-    /// bytes surface as [`WireError::Invalid`], never a panic.
-    fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
-        const WHAT: &str = "GraphPartition";
-        let invalid = |reason| WireError::Invalid { decoding: WHAT, reason };
-        let start = read_u32(buf, WHAT)?;
-        let end = read_u32(buf, WHAT)?;
-        let in_offsets = decode_offsets(buf, WHAT)?;
-        let in_sources = wire::decode_nodes(buf, WHAT)?;
-        let out_offsets = decode_offsets(buf, WHAT)?;
-        let out_targets = wire::decode_nodes(buf, WHAT)?;
-        let out_cum = decode_scores(buf, WHAT)?;
-        let out_total = decode_scores(buf, WHAT)?;
-        if end < start {
-            return Err(invalid("end before start"));
-        }
-        let count = (end - start) as usize;
-        if in_offsets.len() != count + 1 || out_offsets.len() != count + 1 {
-            return Err(invalid("offset arrays must have count + 1 entries"));
-        }
-        if out_total.len() != count {
-            return Err(invalid("out_total must have one entry per owned node"));
-        }
-        if out_cum.len() != out_targets.len() {
-            return Err(invalid("out_cum must parallel out_targets"));
-        }
-        for offsets in [&in_offsets, &out_offsets] {
-            if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(invalid("offsets must be monotone from 0"));
-            }
-        }
-        if *in_offsets.last().unwrap() != in_sources.len() as u64
-            || *out_offsets.last().unwrap() != out_targets.len() as u64
-        {
-            return Err(invalid("offsets must end at the adjacency length"));
-        }
-        Ok(GraphPartition::from_raw(
-            start,
-            end,
-            in_offsets,
-            in_sources,
-            out_offsets,
-            out_targets,
-            out_cum,
-            out_total,
-        ))
-    }
-
-    fn encoded_len(&self) -> usize {
-        let (in_offsets, in_sources, out_offsets, out_targets, out_cum, out_total) =
-            self.raw_arrays();
-        8 + (4 + 8 * in_offsets.len())
-            + (4 + 4 * in_sources.len())
-            + (4 + 8 * out_offsets.len())
-            + (4 + 4 * out_targets.len())
-            + (4 + 8 * out_cum.len())
-            + (4 + 8 * out_total.len())
-    }
-}
-
-/// One partition shipped to one worker. Every worker receives **all**
-/// `parts` partitions — the reverse and forward walk kernels follow
-/// edges across partition boundaries, so full adjacency must be
-/// resident (the paper's broadcast side of the hybrid) — while
-/// `owned_part` names the single partition whose sources this worker
-/// builds rows for and answers queries about (the partition-by-source
-/// side).
-#[derive(Clone, Debug, PartialEq)]
+/// One partition shipped to one worker, as its `PASCOSH1` shard image —
+/// byte for byte the file `pasco save-store` would write for it
+/// ([`pasco_store::write_partition`] into memory instead of into a file).
+/// `n`, `parts`, the partition index, its node range and the adjacency
+/// arrays are all read from the image's validated header, not repeated
+/// beside it; at connect time no index exists yet, so the image is
+/// *graph-only* (an empty `diag` section). The worker validates it as it
+/// would a shard file (`pasco_store::MappedShard::from_bytes`): a corrupt
+/// or foreign payload is a typed [`super::QueryError::WorkerUnavailable`]
+/// carrying the store's error, never a panic.
+///
+/// Every worker receives **all** `parts` partitions — the reverse and
+/// forward walk kernels follow edges across partition boundaries, so full
+/// adjacency must be resident (the paper's broadcast side of the hybrid)
+/// — while `owned_part` names the single partition whose sources this
+/// worker builds rows for and answers queries about (the
+/// partition-by-source side).
+///
+/// Tag 7 kept its number when the payload became an image: the frame
+/// still means "ship one partition, answer [`LoadAck`]", coordinator and
+/// workers ship from one build, and both cross-version directions fail
+/// typed — an older worker cannot decode the payload and drops the link
+/// (the coordinator reports the worker unavailable), a newer worker reads
+/// an older payload's bytes 4..12 where the magic belongs and answers
+/// "bad store magic".
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoadPartition {
-    /// Total node count of the partitioned graph.
-    pub n: u32,
-    /// How many partitions the graph was split into.
-    pub parts: u32,
     /// The partition index this *worker* owns (constant across the
     /// worker's `LoadPartition` frames).
     pub owned_part: u32,
-    /// Which partition this frame carries.
-    pub part_index: u32,
-    /// The partition's adjacency arrays.
-    pub partition: GraphPartition,
+    /// The partition's shard image; runs to the end of the frame.
+    pub image: Vec<u8>,
 }
 
 impl WireCodec for LoadPartition {
     fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32_le(self.n);
-        buf.put_u32_le(self.parts);
         buf.put_u32_le(self.owned_part);
-        buf.put_u32_le(self.part_index);
-        self.partition.encode(buf);
+        buf.put_slice(&self.image);
     }
 
     fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
-        const WHAT: &str = "LoadPartition";
-        Ok(LoadPartition {
-            n: read_u32(buf, WHAT)?,
-            parts: read_u32(buf, WHAT)?,
-            owned_part: read_u32(buf, WHAT)?,
-            part_index: read_u32(buf, WHAT)?,
-            partition: GraphPartition::decode(buf)?,
-        })
+        let owned_part = read_u32(buf, "LoadPartition")?;
+        // Sized by the bytes actually present, not by a length field.
+        let mut image = vec![0u8; buf.remaining()];
+        buf.copy_to_slice(&mut image);
+        Ok(LoadPartition { owned_part, image })
     }
 
     fn encoded_len(&self) -> usize {
-        16 + self.partition.encoded_len()
+        4 + self.image.len()
     }
 }
 
-/// Out-of-core provisioning: instead of receiving `parts` partitions
+/// Out-of-core provisioning: instead of receiving `parts` shard images
 /// over the wire, the worker maps the named store directory in place
-/// (one `PASCOSH1` shard file per partition) and serves straight from
+/// (the same images, one file per partition) and serves straight from
 /// the page cache. The directory must be reachable on the *worker's*
 /// filesystem — shared storage, or a store copied there beforehand —
 /// which is exactly the point: a few dozen bytes of path replace the
 /// `O(E)` adjacency shuffle, and the store's on-disk diagonal index
-/// rides along for free. Acknowledged with a [`LoadAck`] whose
-/// `resident_bytes` reports *mapped* (lazily paged) bytes and whose
-/// `loaded` jumps straight to `parts`.
+/// rides along for free (a graph-only store has none; queries then ship
+/// it through [`DiagPayload`] as on the wire path). Acknowledged with a
+/// [`LoadAck`] whose `loaded` jumps straight to `parts`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoadStore {
     /// Path of the store directory on the worker's filesystem.
@@ -331,11 +253,14 @@ impl WireCodec for LoadStore {
     }
 }
 
-/// The worker's acknowledgement of one [`LoadPartition`] frame.
+/// The worker's acknowledgement of one [`LoadPartition`] or
+/// [`LoadStore`] frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoadAck {
-    /// Partition bytes resident on the worker after this load (all
-    /// partitions received so far).
+    /// Shard-image bytes the worker holds after this load (all partitions
+    /// received so far), header and padding included — the same quantity
+    /// on both provisioning paths; for a mapped directory the pages
+    /// materialise lazily.
     pub resident_bytes: u64,
     /// How many of the announced partitions the worker now holds; the
     /// worker is query-ready when this reaches `parts`.
@@ -579,10 +504,11 @@ pub struct WorkerStats {
     pub owned_part: u32,
     /// How many nodes that partition owns.
     pub owned_nodes: u32,
-    /// Bytes of all resident partitions (full adjacency).
+    /// Image bytes of all partitions held (full adjacency), however the
+    /// worker was provisioned.
     pub resident_bytes: u64,
-    /// Bytes of the owned partition alone — the per-worker share that
-    /// shrinks as workers are added.
+    /// Image bytes of the owned partition alone — the per-worker share
+    /// that shrinks as workers are added.
     pub owned_bytes: u64,
     /// Offline builds served.
     pub builds: u64,
@@ -640,9 +566,6 @@ impl WireCodec for Empty {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pasco_graph::partition::Partitioner;
-    use pasco_graph::partitioned::partition_graph;
-    use pasco_graph::{generators, NodeId};
 
     fn roundtrip<T: WireCodec + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.to_bytes();
@@ -650,49 +573,13 @@ mod tests {
         assert_eq!(T::from_bytes(&bytes).unwrap(), value);
     }
 
-    fn sample_partition() -> GraphPartition {
-        let g = generators::barabasi_albert(60, 3, 5);
-        partition_graph(&g, &Partitioner::range(60, 3)).remove(1)
-    }
-
-    #[test]
-    fn partition_roundtrips_and_serves_identical_adjacency() {
-        let gp = sample_partition();
-        let bytes = gp.to_bytes();
-        assert_eq!(bytes.len(), gp.encoded_len());
-        let back = GraphPartition::from_bytes(&bytes).unwrap();
-        assert_eq!(back, gp);
-        for v in gp.start..gp.end {
-            assert_eq!(back.in_neighbors(v), gp.in_neighbors(v));
-            assert_eq!(back.out_neighbors(v), gp.out_neighbors(v));
-            assert_eq!(back.outflow(v).to_bits(), gp.outflow(v).to_bits());
-        }
-    }
-
-    #[test]
-    fn corrupt_partition_is_invalid_not_a_panic() {
-        let gp = sample_partition();
-        // Stamp the in_offsets length prefix (right after start/end) to a
-        // value inconsistent with the node count.
-        let mut bytes = gp.to_bytes();
-        let wrong = gp.end - gp.start + 5;
-        bytes[8..12].copy_from_slice(&wrong.to_le_bytes());
-        match GraphPartition::from_bytes(&bytes) {
-            Err(WireError::Invalid { .. } | WireError::Truncated { .. }) => {}
-            other => panic!("expected invalid/truncated, got {other:?}"),
-        }
-    }
-
     #[test]
     fn every_control_payload_roundtrips() {
         let cfg = SimRankConfig::fast().with_seed(77);
-        roundtrip(LoadPartition {
-            n: 60,
-            parts: 3,
-            owned_part: 1,
-            part_index: 2,
-            partition: sample_partition(),
-        });
+        // The image is opaque to the codec (the store validates it) and
+        // runs to the end of the frame, empty included.
+        roundtrip(LoadPartition { owned_part: 1, image: b"PASCOSH1 and so on".to_vec() });
+        roundtrip(LoadPartition { owned_part: u32::MAX, image: Vec::new() });
         roundtrip(LoadAck { resident_bytes: 1 << 40, loaded: 2 });
         roundtrip(LoadStore { dir: "/mnt/shared/stores/web-graph".into(), owned_part: 3 });
         roundtrip(LoadStore { dir: String::new(), owned_part: 0 });

@@ -458,7 +458,9 @@ impl CloudWalker {
 }
 
 /// Composes and sanity-checks the persisted diagonal of a mapped store:
-/// a store with no nodes cannot be queried, and a non-finite entry means
+/// a store with no nodes cannot be queried, a graph-only store (shards
+/// written before any index existed) has nothing to score with, and a
+/// non-finite entry means
 /// the file was not written by a finished CloudWalker build (the solver
 /// only ever produces finite diagonals), so the open is refused with a
 /// typed error rather than letting NaN poison every later estimate.
@@ -467,6 +469,9 @@ fn store_diag(store: &MappedStore) -> Result<DiagonalIndex, SimRankError> {
         return Err(SimRankError::BadIndex("store covers a graph with no nodes".into()));
     }
     let diag = store.compose_diag();
+    if diag.len() != store.node_count() as usize {
+        return Err(SimRankError::BadIndex("store holds no diagonal index".into()));
+    }
     if let Some(v) = diag.iter().find(|v| !v.is_finite()) {
         return Err(SimRankError::BadIndex(format!(
             "store diagonal holds a non-finite entry ({v})"
@@ -664,6 +669,27 @@ mod tests {
         let missing = std::env::temp_dir().join("pasco_cw_store_missing");
         let _ = std::fs::remove_dir_all(&missing);
         assert!(CloudWalker::open_store(&missing, SimRankConfig::fast()).is_err());
+    }
+
+    #[test]
+    fn open_refuses_a_graph_only_store_typed() {
+        // Shards written before any index existed are a valid store, but
+        // there is nothing to score with: a typed refusal, not a panic on
+        // the first `diag[k]`.
+        let g = generators::cycle(6);
+        let dir = std::env::temp_dir().join("pasco_cw_graph_only");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut writer: pasco_store::StoreWriter =
+            pasco_store::StoreWriter::create(&dir, 6, 1).unwrap();
+        let part =
+            pasco_graph::partitioned::partition_graph(&g, &Partitioner::range(6, 1)).swap_remove(0);
+        writer.write_partition(0, &part, &[]).unwrap();
+        writer.finish().unwrap();
+        assert_eq!(MappedStore::open(&dir).unwrap().compose_diag(), Vec::<f64>::new());
+        match CloudWalker::open_store(&dir, SimRankConfig::fast()) {
+            Err(SimRankError::BadIndex(msg)) => assert_eq!(msg, "store holds no diagonal index"),
+            other => panic!("expected BadIndex, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -5,20 +5,23 @@
 //! actual processes, actual sockets, actual serialised bytes:
 //!
 //! * [`DistributedEngine`] (the **coordinator**) range-partitions the
-//!   graph with the same [`Partitioner`] the sharded storage uses,
-//!   ships the partitions to `pasco worker` processes over TCP, routes
-//!   the offline walk phase and every query to the worker owning its
-//!   source, and finishes top-`k` with a k-way merge (`merge_ranked`)
-//!   of the per-partition rankings the worker emits (`topk_lists`) —
-//!   the one plan where only `k` candidates per partition cross the
-//!   wire.
+//!   graph with the same [`Partitioner`] the sharded storage uses, ships
+//!   each partition's `PASCOSH1` shard image to `pasco worker` processes
+//!   over TCP (or, given a store directory the workers can reach, just
+//!   its path), routes the offline walk phase and every query to the
+//!   worker owning its source, and finishes top-`k` with a k-way merge
+//!   (`merge_ranked`) of the per-partition rankings the worker emits
+//!   (`topk_lists`) — the one plan where only `k` candidates per
+//!   partition cross the wire.
 //! * [`ShardWorkerCore`] (the **worker half**, hosted by the
-//!   `pasco_worker` crate's TCP shell) assembles the shipped partitions
-//!   into the same [`PartitionedView`] the sharded storage is, and
-//!   answers build/query/top-k requests through the *same* generic
-//!   entry points as the in-process [`super::kernel::KernelEngine`]
-//!   ([`queries::single_pair_on`], [`queries::single_source_on`],
-//!   [`queries::query_cohort_on`]).
+//!   `pasco_worker` crate's TCP shell) keeps **one storage, two ways to
+//!   obtain its bytes**: shard images arriving in [`LoadPartition`]
+//!   frames and shard files named by a [`LoadStore`] frame go through the
+//!   store's one validator and end up as the same [`MappedStore`] the
+//!   out-of-core engine runs on. It answers build/query/top-k requests
+//!   through the *same* generic entry points as the in-process
+//!   [`super::kernel::KernelEngine`] ([`queries::single_pair_on`],
+//!   [`queries::single_source_on`], [`queries::query_cohort_on`]).
 //!
 //! ## Work partitions; adjacency replicates
 //!
@@ -77,14 +80,14 @@ use crate::error::SimRankError;
 use crate::queries::{self, rank_topk, ranking_cmp, sparse_masses_on};
 use pasco_cluster::metrics::{MetricsLog, ShuffleMetrics, StageMetrics};
 use pasco_cluster::ClusterReport;
-use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
+use pasco_graph::adjacency::WalkAdjacency;
 use pasco_graph::partition::Partitioner;
-use pasco_graph::partitioned::{partition_graph, GraphPartition, PartitionedView};
+use pasco_graph::partitioned::partition_graph;
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::walks::{StepDistributions, WalkParams, WalkScratch};
-use pasco_store::MappedStore;
+use pasco_store::{write_partition, MappedShard, MappedStore, ShardHeader};
 use rayon::prelude::*;
-use std::io::BufReader;
+use std::io::{BufReader, Cursor};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -96,82 +99,24 @@ type Row = Vec<(u32, f64)>;
 // Worker half
 // ====================================================================
 
-/// The adjacency substrate a worker serves from: partitions shipped
-/// over the wire and resident in anonymous memory, or a shard store
-/// mapped in place from the worker's filesystem. Both route lookups
-/// through the identical [`Partitioner::range`], and both feed the same
-/// generic kernels, so a worker answers bit-identically either way —
-/// the provisioning path is the only difference.
-#[derive(Debug)]
-enum WorkerView {
-    /// Partitions received as [`LoadPartition`] frames.
-    Resident(PartitionedView),
-    /// A store directory mapped by a [`LoadStore`] frame.
-    Mapped(Arc<MappedStore>),
-}
-
-impl WorkerView {
-    fn partitioner(&self) -> Partitioner {
-        match self {
-            WorkerView::Resident(view) => view.partitioner(),
-            WorkerView::Mapped(store) => store.partitioner(),
-        }
-    }
-}
-
-impl WalkAdjacency for WorkerView {
-    #[inline]
-    fn node_count(&self) -> u32 {
-        match self {
-            WorkerView::Resident(view) => view.node_count(),
-            WorkerView::Mapped(store) => store.node_count(),
-        }
-    }
-
-    #[inline]
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        match self {
-            WorkerView::Resident(view) => view.in_neighbors(v),
-            WorkerView::Mapped(store) => store.in_neighbors(v),
-        }
-    }
-}
-
-impl ForwardSampler for WorkerView {
-    #[inline]
-    fn outflow(&self, v: NodeId) -> f64 {
-        match self {
-            WorkerView::Resident(view) => view.outflow(v),
-            WorkerView::Mapped(store) => ForwardSampler::outflow(&**store, v),
-        }
-    }
-
-    #[inline]
-    fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
-        match self {
-            WorkerView::Resident(view) => view.sample_out(v, r),
-            WorkerView::Mapped(store) => ForwardSampler::sample_out(&**store, v, r),
-        }
-    }
-}
-
 /// The worker-side compute core: everything a SimRank worker does
 /// between frames, with the transport stripped away (the `pasco_worker`
 /// crate wraps this in a TCP loop; tests drive it directly).
 ///
-/// Lifecycle: constructed empty, then provisioned one of two ways —
-/// fed [`LoadPartition`] messages until the full partition set is
-/// resident (the view assembles on the last one), or handed a store
-/// directory in one [`LoadStore`] message — after which it serves
-/// builds and routed queries for its owned partition.
+/// Lifecycle: constructed empty, then provisioned one of two ways — fed
+/// [`LoadPartition`] images until the full shard set is held (the store
+/// assembles on the last one), or handed a store directory in one
+/// [`LoadStore`] message — after which it serves builds and routed
+/// queries for its owned partition from the one [`MappedStore`] either
+/// way.
 #[derive(Debug, Default)]
 pub struct ShardWorkerCore {
-    /// Partition frames received so far, indexed by partition.
-    pending: Vec<Option<GraphPartition>>,
-    /// Set by the first load frame: `(n, parts, owned)`.
+    /// Shard images received in this provisioning round, by partition.
+    pending: Vec<Option<MappedShard>>,
+    /// Set by the first load frame of a round: `(n, parts, owned)`.
     shape: Option<(u32, u32, u32)>,
-    /// The assembled routed view, once every partition arrived.
-    view: Option<WorkerView>,
+    /// The assembled routed store, once every shard is held.
+    view: Option<Arc<MappedStore>>,
     /// The diagonal last shipped to this worker, keyed by fingerprint.
     diag: Option<(u64, Vec<f64>)>,
     builds: u64,
@@ -190,8 +135,8 @@ impl ShardWorkerCore {
         self.shape.map_or(0, |(n, _, _)| n)
     }
 
-    /// True once every announced partition is resident and queries can
-    /// be served.
+    /// True once every announced partition is held and queries can be
+    /// served.
     pub fn ready(&self) -> bool {
         self.view.is_some()
     }
@@ -206,67 +151,55 @@ impl ShardWorkerCore {
         }
     }
 
-    /// Accepts one [`LoadPartition`] frame. The first frame fixes the
-    /// graph shape; every frame is validated against the range
-    /// partitioner so a coordinator/worker disagreement is a typed error
-    /// at load time, not a wrong answer at query time.
+    /// Accepts one [`LoadPartition`] frame. The image is validated exactly
+    /// as a shard file is at open ([`MappedShard::from_bytes`]: header,
+    /// section table, offset spines — not the `O(image)` payload
+    /// checksum, which stays the explicit `verify` it is for files), and
+    /// the complete set exactly as a store directory is
+    /// ([`MappedStore::from_shards`]: shapes, indices, range tiling), so a
+    /// coordinator/worker disagreement is a typed error at load time, not
+    /// a wrong answer at query time.
     ///
-    /// A load frame arriving on an already-ready core starts a *fresh*
-    /// provisioning round (a new coordinator — or the same one on its
-    /// next CLI invocation — re-ships partitions): the old view,
-    /// pending set, and diagonal cache are dropped, the serving
-    /// counters survive.
+    /// A frame on an already-ready core, or one whose `(n, parts,
+    /// owned_part)` differs from the round in progress (a coordinator
+    /// that died mid-provisioning left it behind), starts a *fresh*
+    /// round: the old store, pending images and diagonal cache are
+    /// dropped, the serving counters survive.
     pub fn load_partition(&mut self, msg: LoadPartition) -> Result<LoadAck, QueryError> {
-        if self.view.is_some() {
-            self.view = None;
-            self.shape = None;
-            self.pending.clear();
-            self.diag = None;
-        }
         let invalid = |detail: String| QueryError::WorkerUnavailable { detail };
-        if msg.parts == 0 || msg.n == 0 {
+        let shard = MappedShard::from_bytes(&msg.image)
+            .map_err(|e| invalid(format!("partition image: {e}")))?;
+        // Validated: `n` fits u32 and `part_index < parts`.
+        let ShardHeader { n, parts, part_index, .. } = *MappedShard::header(&shard);
+        let n = n as u32;
+        if n == 0 {
             return Err(invalid("empty partition set announced".into()));
         }
-        if msg.part_index >= msg.parts || msg.owned_part >= msg.parts {
+        if msg.owned_part >= parts {
             return Err(invalid(format!(
-                "partition index {} / owned {} out of range for {} parts",
-                msg.part_index, msg.owned_part, msg.parts
+                "owned partition {} out of range for {parts} parts",
+                msg.owned_part
             )));
         }
-        match self.shape {
-            None => {
-                self.shape = Some((msg.n, msg.parts, msg.owned_part));
-                self.pending = (0..msg.parts).map(|_| None).collect();
-            }
-            Some(shape) if shape != (msg.n, msg.parts, msg.owned_part) => {
-                return Err(invalid(format!(
-                    "load frame shape ({}, {}, {}) contradicts the announced {:?}",
-                    msg.n, msg.parts, msg.owned_part, shape
-                )));
-            }
-            Some(_) => {}
+        let shape = Some((n, parts, msg.owned_part));
+        if self.view.is_some() || self.shape != shape {
+            self.view = None;
+            self.diag = None;
+            self.shape = shape;
+            self.pending = (0..parts).map(|_| None).collect();
         }
-        let partitioner = Partitioner::range(msg.n, msg.parts);
-        // `part_index >= parts` was rejected above, and a range
-        // partitioner has a range for every index below `parts`.
-        // pasco-lint: allow(panic-reachable-in-serving)
-        let expect = partitioner.range_of(msg.part_index).expect("range partitioner");
-        if (msg.partition.start, msg.partition.end) != expect {
-            return Err(invalid(format!(
-                "partition {} covers [{}, {}) but the range partitioner assigns {:?}",
-                msg.part_index, msg.partition.start, msg.partition.end, expect
-            )));
-        }
-        self.pending[msg.part_index as usize] = Some(msg.partition);
+        self.pending[part_index as usize] = Some(shard);
         let loaded = self.pending.iter().flatten().count() as u32;
-        if loaded == msg.parts {
-            // `loaded == parts` counted exactly the occupied entries of
-            // `pending`, so `flatten` drains every slot.
-            let parts: Vec<GraphPartition> = self.pending.drain(..).flatten().collect();
-            self.view =
-                Some(WorkerView::Resident(PartitionedView::new(Arc::new(parts), partitioner)));
+        if loaded < parts {
+            return Ok(LoadAck { resident_bytes: self.resident_bytes(), loaded });
         }
-        Ok(LoadAck { resident_bytes: self.resident_bytes(), loaded })
+        // Every slot is occupied; end the round whatever the outcome, so a
+        // refused set does not linger as a half-announced shape.
+        self.shape = None;
+        let shards = self.pending.drain(..).flatten().collect();
+        let store =
+            MappedStore::from_shards(shards).map_err(|e| invalid(format!("partition set: {e}")))?;
+        Ok(self.install(store, msg.owned_part))
     }
 
     /// Accepts one [`LoadStore`] frame: maps the named store directory
@@ -277,40 +210,43 @@ impl ShardWorkerCore {
     /// fingerprint cache — so neither the `O(E)` adjacency nor the
     /// `O(n)` diagonal ever crosses the wire.
     ///
-    /// Like [`ShardWorkerCore::load_partition`], arriving on an
-    /// already-ready core starts a fresh provisioning round.
+    /// Whatever provisioning round was in progress or complete is
+    /// replaced.
     pub fn load_store(&mut self, msg: LoadStore) -> Result<LoadAck, QueryError> {
         let invalid = |detail: String| QueryError::WorkerUnavailable { detail };
         let store =
             MappedStore::open(&msg.dir).map_err(|e| invalid(format!("store {}: {e}", msg.dir)))?;
-        let (n, parts) = (store.node_count(), store.parts());
-        if n == 0 {
+        if store.node_count() == 0 {
             return Err(invalid(format!("store {} holds an empty graph", msg.dir)));
         }
+        let parts = MappedStore::parts(&store);
         if msg.owned_part >= parts {
             return Err(invalid(format!(
                 "owned partition {} out of range for a {parts}-shard store",
                 msg.owned_part
             )));
         }
-        let diag = store.compose_diag();
-        self.view = None;
-        self.pending.clear();
-        self.shape = Some((n, parts, msg.owned_part));
-        self.diag = Some((diag_fingerprint(&diag), diag));
-        let resident_bytes = store.mapped_bytes();
-        self.view = Some(WorkerView::Mapped(Arc::new(store)));
-        Ok(LoadAck { resident_bytes, loaded: parts })
+        Ok(self.install(store, msg.owned_part))
     }
 
+    /// The tail both provisioning paths share: `store` becomes the one
+    /// storage this worker serves from. A diagonal the shards carry is
+    /// installed under its fingerprint; a graph-only store installs none.
+    fn install(&mut self, store: MappedStore, owned_part: u32) -> LoadAck {
+        let diag = store.compose_diag();
+        self.diag = (!diag.is_empty()).then(|| (diag_fingerprint(&diag), diag));
+        self.pending.clear();
+        self.shape = Some((store.node_count(), store.parts(), owned_part));
+        let ack = LoadAck { resident_bytes: store.mapped_bytes(), loaded: store.parts() };
+        self.view = Some(Arc::new(store));
+        ack
+    }
+
+    /// Image bytes held: the assembled store's, or the pending round's.
     fn resident_bytes(&self) -> u64 {
         match &self.view {
-            Some(WorkerView::Resident(view)) => {
-                view.partitions().iter().map(GraphPartition::memory_bytes).sum()
-            }
-            // Mapped bytes, not resident ones — pages materialise lazily.
-            Some(WorkerView::Mapped(store)) => store.mapped_bytes(),
-            None => self.pending.iter().flatten().map(GraphPartition::memory_bytes).sum(),
+            Some(store) => store.mapped_bytes(),
+            None => self.pending.iter().flatten().map(MappedShard::mapped_bytes).sum(),
         }
     }
 
@@ -328,9 +264,7 @@ impl ShardWorkerCore {
     /// [`ai_row`] per owned source, walked through the routed view by
     /// the same kernel every engine uses — rayon-parallel over sources.
     pub fn build(&mut self, cfg: &SimRankConfig) -> Result<BuildShardReply, QueryError> {
-        let Some(view) = &self.view else {
-            return Err(self.not_ready("build requested"));
-        };
+        let view = self.routed_view()?;
         let (start, end) = self.owned_range()?;
         let params = WalkParams::new(cfg.t, cfg.r);
         let rows: Vec<Row> = (start..end)
@@ -380,13 +314,16 @@ impl ShardWorkerCore {
     }
 
     /// The routed view as a typed error when loading has not finished.
-    fn routed_view(&self) -> Result<&WorkerView, QueryError> {
-        self.view.as_ref().ok_or_else(|| self.not_ready("query routed"))
+    fn routed_view(&self) -> Result<&MappedStore, QueryError> {
+        match &self.view {
+            Some(store) => Ok(store),
+            None => Err(self.not_ready("request arrived")),
+        }
     }
 
     /// What a scored query runs on: the routed view plus the diagonal
     /// `payload` names (installed first when it ships one).
-    fn scored(&mut self, payload: DiagPayload) -> Result<(&WorkerView, &[f64]), QueryError> {
+    fn scored(&mut self, payload: DiagPayload) -> Result<(&MappedStore, &[f64]), QueryError> {
         self.resolve_diag(payload)?;
         Ok((self.routed_view()?, self.cached_diag()?))
     }
@@ -435,18 +372,10 @@ impl ShardWorkerCore {
 
     /// The worker's runtime report.
     pub fn stats(&self) -> WorkerStats {
-        let (owned_part, owned_nodes, owned_bytes) = match (self.shape, &self.view) {
-            (Some((_, _, owned)), Some(WorkerView::Resident(view))) => {
-                let gp = &view.partitions()[owned as usize];
-                (owned, gp.len(), gp.memory_bytes())
-            }
-            (Some((_, _, owned)), Some(WorkerView::Mapped(store))) => {
-                let shard = &store.shards()[owned as usize];
-                (owned, shard.len(), shard.mapped_bytes())
-            }
-            (Some((_, _, owned)), None) => (owned, 0, 0),
-            _ => (0, 0, 0),
-        };
+        let owned_part = self.shape.map_or(0, |(_, _, owned)| owned);
+        // `install` checked `owned < parts` against this very store.
+        let owned = self.view.as_ref().and_then(|store| store.shards().get(owned_part as usize));
+        let (owned_nodes, owned_bytes) = owned.map_or((0, 0), |s| (s.len(), s.mapped_bytes()));
         WorkerStats {
             owned_part,
             owned_nodes,
@@ -471,7 +400,7 @@ impl ShardWorkerCore {
 /// assert the equality); the split-rank-merge shape exists so that only
 /// `k` candidates per partition ever cross the wire.
 fn topk_lists(
-    view: &WorkerView,
+    view: &MappedStore,
     diag: &[f64],
     cfg: &SimRankConfig,
     i: NodeId,
@@ -647,9 +576,10 @@ impl WorkerLink {
 pub struct DistributedEngine {
     n: u32,
     partitioner: Partitioner,
-    /// Owned-partition bytes per worker, in partition order.
+    /// Owned-partition shard-image bytes per worker, in partition order
+    /// (header and padding included, on both provisioning paths).
     owned_bytes: Vec<u64>,
-    /// Largest full-partition-set footprint any worker reported.
+    /// Largest full-shard-set footprint any worker reported.
     resident_bytes: u64,
     links: Vec<Mutex<WorkerLink>>,
     metrics: Mutex<MetricsLog>,
@@ -659,9 +589,10 @@ impl DistributedEngine {
     /// Connects to `addrs`, partitions `graph` one range per worker
     /// (capped so every worker owns at least one node — extra addresses
     /// are left untouched), and ships the full partition set to every
-    /// worker. The shipping is accounted as a real shuffle: encoded
-    /// frame bytes, one record per shipped partition, measured wall
-    /// time.
+    /// worker as graph-only shard images (no index exists yet; queries
+    /// ship the diagonal once per link through [`DiagPayload`]). The
+    /// shipping is accounted as a real shuffle: encoded frame bytes, one
+    /// record per shipped partition, measured wall time.
     ///
     /// # Errors
     /// [`SimRankError::Query`] wrapping [`QueryError::WorkerUnavailable`]
@@ -672,15 +603,19 @@ impl DistributedEngine {
         let n = graph.node_count();
         let partitioner: Partitioner = Partitioner::range_nonempty(n, addrs.len() as u32);
         let nparts = partitioner.parts();
-        let parts = partition_graph(graph, &partitioner);
-        let owned_bytes: Vec<u64> = parts.iter().map(GraphPartition::memory_bytes).collect();
-
-        // Each partition's adjacency arrays encode once; the per-worker
-        // LoadPartition payloads differ only in the 16-byte header
-        // (n/parts/owned/index), so the W provisioning threads prepend
-        // their header to the shared bytes instead of re-cloning and
-        // re-encoding the whole graph W times.
-        let encoded_parts: Vec<Vec<u8>> = parts.iter().map(WireCodec::to_bytes).collect();
+        // Each partition serialises once, to the graph-only shard image
+        // `pasco save-store` would write for it (no index exists yet);
+        // the W provisioning threads frame the shared bytes.
+        let images = partition_graph(graph, &partitioner)
+            .iter()
+            .enumerate()
+            .map(|(q, part)| {
+                let mut image = Cursor::new(Vec::new());
+                write_partition(&mut image, (n, nparts), q as u32, part, &[])?;
+                Ok(image.into_inner())
+            })
+            .collect::<Result<Vec<Vec<u8>>, SimRankError>>()?;
+        let owned_bytes: Vec<u64> = images.iter().map(|image| image.len() as u64).collect();
         let frames = u64::from(nparts);
         Self::provision(
             n,
@@ -691,8 +626,9 @@ impl DistributedEngine {
             frames,
             |w, link| {
                 let (mut bytes, mut resident) = (0u64, 0u64);
-                for (q, enc) in encoded_parts.iter().enumerate() {
-                    let payload = load_partition_payload(n, nparts, w, q as u32, enc);
+                for image in &images {
+                    let msg = LoadPartition { owned_part: w, image: image.clone() };
+                    let payload = WireCodec::to_bytes(&msg);
                     let (ack, moved) = link.load(FrameKind::LoadPartition, &payload)?;
                     bytes += moved;
                     resident = ack.resident_bytes;
@@ -958,21 +894,6 @@ impl DistributedEngine {
     }
 }
 
-/// A [`LoadPartition`] frame payload assembled around pre-encoded
-/// partition bytes. Byte-identical to
-/// `LoadPartition { n, parts, owned_part, part_index, partition }.to_bytes()`
-/// — a unit test pins that equivalence — without re-encoding the
-/// partition for every worker it ships to.
-fn load_partition_payload(n: u32, parts: u32, owned: u32, index: u32, enc: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16 + enc.len());
-    payload.extend_from_slice(&n.to_le_bytes());
-    payload.extend_from_slice(&parts.to_le_bytes());
-    payload.extend_from_slice(&owned.to_le_bytes());
-    payload.extend_from_slice(&index.to_le_bytes());
-    payload.extend_from_slice(enc);
-    payload
-}
-
 impl SimRankEngine for DistributedEngine {
     fn name(&self) -> &'static str {
         "distributed"
@@ -1186,35 +1107,62 @@ mod tests {
     use super::*;
     use crate::engine::kernel::build_diagonal_on;
     use pasco_graph::{generators, ReverseChainIndex};
+    use pasco_store::{write_store, HEADER_LEN};
+
+    /// The graph-only shard images `connect` ships for `g` at (at most)
+    /// `workers` parts.
+    fn images(g: &CsrGraph, workers: u32) -> Vec<Vec<u8>> {
+        let n = g.node_count();
+        let partitioner: Partitioner = Partitioner::range_nonempty(n, workers);
+        let shape = (n, partitioner.parts());
+        let parts = partition_graph(g, &partitioner);
+        let image = |(q, part)| {
+            let mut image = Cursor::new(Vec::new());
+            write_partition(&mut image, shape, q as u32, part, &[]).unwrap();
+            image.into_inner()
+        };
+        parts.iter().enumerate().map(image).collect()
+    }
+
+    /// One wire provisioning round; every frame must be acknowledged.
+    fn ship(core: &mut ShardWorkerCore, owned_part: u32, images: &[Vec<u8>]) {
+        for (q, image) in images.iter().enumerate() {
+            let ack = core.load_partition(LoadPartition { owned_part, image: image.clone() });
+            assert_eq!(ack.unwrap().loaded, q as u32 + 1);
+            // Ready on the last frame, not before — whatever came earlier.
+            assert_eq!(core.ready(), q + 1 == images.len(), "after frame {q}");
+        }
+    }
 
     /// Drives `ShardWorkerCore`s directly (no sockets): the wire-free
     /// half of the bit-identity proof. `tests/distributed.rs` repeats it
     /// over real loopback TCP.
     fn load_workers(g: &CsrGraph, workers: u32) -> Vec<ShardWorkerCore> {
-        let n = g.node_count();
-        let partitioner: Partitioner = Partitioner::range_nonempty(n, workers);
-        let nparts = partitioner.parts();
-        let parts = partition_graph(g, &partitioner);
-        (0..nparts)
+        let images = images(g, workers);
+        (0..images.len() as u32)
             .map(|w| {
                 let mut core = ShardWorkerCore::new();
-                assert!(!core.ready());
-                for (q, part) in parts.iter().enumerate() {
-                    let ack = core
-                        .load_partition(LoadPartition {
-                            n,
-                            parts: nparts,
-                            owned_part: w,
-                            part_index: q as u32,
-                            partition: part.clone(),
-                        })
-                        .unwrap();
-                    assert_eq!(ack.loaded, q as u32 + 1);
-                }
-                assert!(core.ready());
+                ship(&mut core, w, &images);
                 core
             })
             .collect()
+    }
+
+    /// SinglePair, dense MCSS, top-k lists and a cohort from `core`, the
+    /// diagonal shipped as `payload` with the first of them.
+    fn answers(
+        core: &mut ShardWorkerCore,
+        cfg: SimRankConfig,
+        payload: DiagPayload,
+        (i, j, k): (NodeId, NodeId, usize),
+    ) -> (QueryResponse, QueryResponse, ShardTopKReply, QueryResponse) {
+        let cached = DiagPayload::cached(payload.fingerprint);
+        let mut ask = |diag, kind| core.query(ShardQuery { cfg, diag, kind }).unwrap();
+        let pair = ask(payload, ShardQueryKind::SinglePair { i, j });
+        let dense = ask(cached.clone(), ShardQueryKind::SingleSource { i });
+        let cohort = ask(DiagPayload::cached(0), ShardQueryKind::Cohort { v: j });
+        let lists = core.topk(ShardTopK { cfg, diag: cached, i, k: k as u64 }).unwrap();
+        (pair, dense, lists, cohort)
     }
 
     #[test]
@@ -1234,47 +1182,113 @@ mod tests {
             assert_eq!(DiagonalIndex::new(solved.x), out.diag, "{workers} workers");
             assert_eq!(solved.residuals, out.residuals, "{workers} workers");
 
-            // Routed queries equal the resident kernels'.
+            // Routed queries equal the resident kernels'; everything after
+            // the first rides the cached fingerprint.
             let owner = Partitioner::range(g.node_count(), cores.len() as u32).owner(7) as usize;
-            let resp = cores[owner]
-                .query(ShardQuery {
-                    cfg,
-                    diag: DiagPayload::full(diag),
-                    kind: ShardQueryKind::SinglePair { i: 7, j: 40 },
-                })
-                .unwrap();
-            assert_eq!(resp, QueryResponse::Score(queries::single_pair(&g, diag, &cfg, 7, 40)));
-            // Second query rides the cached fingerprint.
-            let resp = cores[owner]
-                .query(ShardQuery {
-                    cfg,
-                    diag: DiagPayload::cached(diag_fingerprint(diag)),
-                    kind: ShardQueryKind::SingleSource { i: 7 },
-                })
-                .unwrap();
+            let (pair, dense, ShardTopKReply { lists }, cohort) =
+                answers(&mut cores[owner], cfg, DiagPayload::full(diag), (7, 40, 8));
+            assert_eq!(pair, QueryResponse::Score(queries::single_pair(&g, diag, &cfg, 7, 40)));
             assert_eq!(
-                resp,
+                dense,
                 QueryResponse::Scores(queries::single_source(&g, &rci, diag, &cfg, 7))
             );
+            assert_eq!(cohort, QueryResponse::Cohort(queries::query_cohort(&g, &cfg, 40)));
             // Top-k lists merge to the global ranking.
-            let lists = cores[owner]
-                .topk(ShardTopK {
-                    cfg,
-                    diag: DiagPayload::cached(diag_fingerprint(diag)),
-                    i: 7,
-                    k: 8,
-                })
-                .unwrap();
-            assert_eq!(lists.lists.len(), cores.len(), "one ranking per partition");
+            assert_eq!(lists.len(), cores.len(), "one ranking per partition");
             assert_eq!(
-                merge_ranked(&lists.lists, 8),
+                merge_ranked(&lists, 8),
                 queries::single_source_topk(&g, &rci, diag, &cfg, 7, 8)
             );
             let stats = cores[owner].stats();
-            assert_eq!(stats.queries, 2);
+            assert_eq!(stats.queries, 3);
             assert_eq!(stats.topk_queries, 1);
             assert!(stats.owned_bytes <= stats.resident_bytes);
         }
+    }
+
+    #[test]
+    fn one_core_answers_identically_however_it_was_provisioned() {
+        // wire → store → wire on ONE core: three rounds over the same
+        // graph, the second from a saved store (which carries the
+        // diagonal), every round bit-identical to the resident kernels.
+        let g = generators::barabasi_albert(90, 3, 5);
+        let rci = ReverseChainIndex::build(&g);
+        let cfg = SimRankConfig::fast().with_seed(4);
+        let diag = build_diagonal_on(&g, &cfg).diag;
+        let diag = diag.as_slice();
+        let fp = diag_fingerprint(diag);
+        let ask = (11, 63, 6);
+        let resident = (
+            QueryResponse::Score(queries::single_pair(&g, diag, &cfg, 11, 63)),
+            QueryResponse::Scores(queries::single_source(&g, &rci, diag, &cfg, 11)),
+            queries::single_source_topk(&g, &rci, diag, &cfg, 11, 6),
+            QueryResponse::Cohort(queries::query_cohort(&g, &cfg, 63)),
+        );
+        for parts in [1u32, 3, 7] {
+            let images = images(&g, parts);
+            let dir = std::env::temp_dir().join(format!("pasco_dist_rounds_{parts}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            write_store(&dir, &g, diag, parts).unwrap();
+            let mut core = ShardWorkerCore::new();
+            for round in ["wire", "store", "wire again"] {
+                let payload = if round == "store" {
+                    let dir = dir.to_string_lossy().into_owned();
+                    let ack = core.load_store(LoadStore { dir, owned_part: 0 }).unwrap();
+                    assert_eq!(ack.loaded, parts);
+                    // The store's own diagonal is already installed.
+                    DiagPayload::cached(fp)
+                } else {
+                    ship(&mut core, 0, &images);
+                    // A fresh wire round dropped whatever diagonal was cached.
+                    let err = core
+                        .topk(ShardTopK { cfg, diag: DiagPayload::cached(fp), i: 11, k: 6 })
+                        .unwrap_err();
+                    assert!(err.to_string().contains("not cached"), "{round}: {err}");
+                    DiagPayload::full(diag)
+                };
+                let (pair, dense, ShardTopKReply { lists }, cohort) =
+                    answers(&mut core, cfg, payload, ask);
+                let got = (pair, dense, merge_ranked(&lists, 6), cohort);
+                assert_eq!(got, resident, "{parts} parts, {round}");
+                assert_eq!(lists.len(), parts as usize);
+                // Both paths report the same quantity: image bytes. The
+                // store's shards carry 8 more bytes per node, the diagonal.
+                let graph_only: u64 = images.iter().map(|i| i.len() as u64).sum();
+                let with_diag = if round == "store" { 8 * 90 } else { 0 };
+                assert_eq!(core.stats().resident_bytes, graph_only + with_diag, "{round}");
+            }
+            assert_eq!(core.stats().queries, 9, "counters survive re-provisioning");
+        }
+    }
+
+    #[test]
+    fn an_abandoned_round_does_not_wedge_the_worker() {
+        // A coordinator that died after 1 of 2 frames of graph A leaves a
+        // half-announced shape behind; the next coordinator's different
+        // shape must simply start over.
+        let a = generators::cycle(10);
+        let b = generators::barabasi_albert(60, 3, 9);
+        let mut core = ShardWorkerCore::new();
+        let first = images(&a, 2).swap_remove(0);
+        assert_eq!(
+            core.load_partition(LoadPartition { owned_part: 0, image: first }).unwrap().loaded,
+            1
+        );
+        assert_eq!(core.node_count(), 10);
+        ship(&mut core, 1, &images(&b, 3));
+        assert_eq!(core.node_count(), 60);
+        assert_eq!(core.stats().owned_part, 1);
+
+        let rci = ReverseChainIndex::build(&b);
+        let cfg = SimRankConfig::fast().with_seed(8);
+        let diag = vec![0.6; 60];
+        let (pair, _, ShardTopKReply { lists }, _) =
+            answers(&mut core, cfg, DiagPayload::full(&diag), (5, 41, 4));
+        assert_eq!(pair, QueryResponse::Score(queries::single_pair(&b, &diag, &cfg, 5, 41)));
+        assert_eq!(
+            merge_ranked(&lists, 4),
+            queries::single_source_topk(&b, &rci, &diag, &cfg, 5, 4)
+        );
     }
 
     #[test]
@@ -1326,59 +1340,84 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_load_payload_matches_the_codec() {
-        // `connect` hand-assembles LoadPartition payloads around shared
-        // pre-encoded partition bytes; this pins them byte-identical to
-        // the codec so the two can never drift apart silently.
-        let g = generators::barabasi_albert(40, 3, 1);
-        let partitioner = Partitioner::range(40, 3);
-        let parts = partition_graph(&g, &partitioner);
-        for (q, part) in parts.iter().enumerate() {
-            let enc = part.to_bytes();
-            for w in 0..3u32 {
-                let msg = LoadPartition {
-                    n: 40,
-                    parts: 3,
-                    owned_part: w,
-                    part_index: q as u32,
-                    partition: part.clone(),
-                };
-                assert_eq!(
-                    load_partition_payload(40, 3, w, q as u32, &enc),
-                    msg.to_bytes(),
-                    "worker {w} partition {q}"
-                );
-            }
+    fn a_graph_only_store_installs_no_fingerprint() {
+        // `LoadStore` of shards written before any index existed: the
+        // worker is ready, but the diagonal has to be shipped, exactly as
+        // after wire provisioning.
+        let g = generators::cycle(12);
+        let dir = std::env::temp_dir().join("pasco_dist_graph_only");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (q, image) in images(&g, 2).iter().enumerate() {
+            std::fs::write(dir.join(pasco_store::shard_file_name(q as u32)), image).unwrap();
         }
+        let mut core = ShardWorkerCore::new();
+        let dir = dir.to_string_lossy().into_owned();
+        assert_eq!(core.load_store(LoadStore { dir, owned_part: 1 }).unwrap().loaded, 2);
+        let cfg = SimRankConfig::fast();
+        let empty = DiagPayload::cached(diag_fingerprint(&[]));
+        let err = core.topk(ShardTopK { cfg, diag: empty, i: 3, k: 2 }).unwrap_err();
+        assert!(err.to_string().contains("not cached"), "{err}");
+        core.topk(ShardTopK { cfg, diag: DiagPayload::full(&[0.5; 12]), i: 3, k: 2 }).unwrap();
     }
+
+    /// `LoadPartition { n: 6, parts: 2, owned_part: 0, part_index: 0,
+    /// partition }.to_bytes()` for `cycle(6)` split two ways, recorded at
+    /// the last commit whose tag 7 carried the field-by-field encoding.
+    const OLD_TAG_7_PAYLOAD: [u8; 184] = [
+        6, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+        3, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+        0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0,
+        2, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240, 63, 0, 0, 0, 0, 0, 0, 240, 63,
+        0, 0, 0, 0, 0, 0, 240, 63, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 240, 63, 0, 0, 0, 0, 0, 0, 240,
+        63, 0, 0, 0, 0, 0, 0, 240, 63,
+    ];
 
     #[test]
     fn worker_core_validates_partition_shape() {
         let g = generators::cycle(10);
-        let partitioner = Partitioner::range(10, 2);
-        let parts = partition_graph(&g, &partitioner);
+        let good = images(&g, 2);
         let mut core = ShardWorkerCore::new();
-        // Wrong range for the claimed index.
-        let err = core
-            .load_partition(LoadPartition {
-                n: 10,
-                parts: 2,
-                owned_part: 0,
-                part_index: 1,
-                partition: parts[0].clone(),
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("range partitioner assigns"), "{err}");
-        // Index out of range.
-        let err = core
-            .load_partition(LoadPartition {
-                n: 10,
-                parts: 2,
-                owned_part: 0,
-                part_index: 5,
-                partition: parts[0].clone(),
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("out of range"), "{err}");
+        // Every refusal is typed, carries the store's own error text, and
+        // leaves the core unready.
+        let refused = |core: &mut ShardWorkerCore, owned_part, image: &[u8], text: &str| {
+            let err = core.load_partition(LoadPartition { owned_part, image: image.to_vec() });
+            match err.unwrap_err() {
+                QueryError::WorkerUnavailable { detail } => {
+                    assert!(detail.contains(text), "wanted `{text}` in `{detail}`")
+                }
+                other => panic!("expected WorkerUnavailable, got {other}"),
+            }
+            assert!(!core.ready());
+        };
+        refused(&mut core, 0, &good[0][..good[0].len() - 1], "truncated");
+        refused(&mut core, 0, &good[0][..HEADER_LEN - 1], "truncated");
+        refused(&mut core, 0, &[], "truncated");
+        let mut flipped = good[0].clone();
+        flipped[33] ^= 0x10; // node count, not re-signed
+        refused(&mut core, 0, &flipped, "header checksum mismatch");
+        refused(&mut core, 2, &good[0], "owned partition 2 out of range for 2 parts");
+        // The previous encoding of this very frame: its bytes 4..12 sit
+        // where the magic belongs.
+        let old: LoadPartition = WireCodec::from_bytes(&OLD_TAG_7_PAYLOAD).unwrap();
+        assert_eq!((old.owned_part, old.image.len()), (6, 180));
+        refused(&mut core, old.owned_part, &old.image, "bad store magic");
+
+        // Part 1's image re-signed as part 0 passes every per-shard check
+        // (its range lies inside the graph); the set as a whole does not
+        // tile, which the last frame of the round reports.
+        let mut header = ShardHeader::from_bytes(&good[1]).unwrap();
+        header.part_index = 0;
+        let mut forged = good[1].clone();
+        forged[..HEADER_LEN].copy_from_slice(&ShardHeader::encode(&header));
+        let ack = core.load_partition(LoadPartition { owned_part: 0, image: forged }).unwrap();
+        assert_eq!(ack.loaded, 1);
+        refused(&mut core, 0, &good[1], "part 0 covers [5, 10)");
+        assert_eq!(core.node_count(), 0, "the refused round is over");
+
+        // A correct set sent afterwards succeeds.
+        ship(&mut core, 0, &good);
+        assert_eq!(core.stats().owned_nodes, 5);
     }
 }

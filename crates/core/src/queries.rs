@@ -283,29 +283,12 @@ fn mcss_accumulate<S: ForwardSampler>(
     });
 }
 
-/// MCSS from precomputed cohort distributions (shared by the execution
-/// modes): `s_i = Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)`, the transpose powers estimated by
-/// mass-carrying forward walks keyed by [`forward_seed`].
-pub fn single_source_from_dists(
-    graph: &CsrGraph,
-    rci: &ReverseChainIndex,
-    dists: &StepDistributions,
-    diag: &[f64],
-    cfg: &SimRankConfig,
-) -> Vec<f64> {
-    single_source_from_dists_on(
-        graph.node_count() as usize,
-        &GraphSampler::new(graph, rci),
-        dists,
-        diag,
-        cfg,
-    )
-}
-
-/// [`single_source_from_dists`] generic over the forward-sampling source:
-/// the MCSS series accumulated into a dense length-`n` vector, the query
-/// node pinned to 1 — the one dense-MCSS kernel behind every storage, so
-/// their bit-equality is structural.
+/// MCSS from precomputed cohort distributions, generic over the
+/// forward-sampling source: `s_i = Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)`, the transpose
+/// powers estimated by mass-carrying forward walks keyed by
+/// [`forward_seed`], accumulated into a dense length-`n` vector with the
+/// query node pinned to 1 — the one dense-MCSS kernel behind every
+/// storage, so their bit-equality is structural.
 pub fn single_source_from_dists_on<S: ForwardSampler>(
     n: usize,
     sampler: &S,

@@ -23,10 +23,10 @@ use std::sync::Arc;
 /// [`GraphPartition`] in memory, `pasco_store`'s mapped shard on disk — so
 /// the routed storages execute the same instructions by construction.
 ///
-/// Layout contract (see [`GraphPartition::from_raw`]): for `count` owned
-/// nodes `start..start + count`, both offset arrays have `count + 1`
-/// monotone entries ending at their adjacency array's length, `out_cum`
-/// parallels `out_targets`, `out_total` has `count` entries. The owned
+/// Layout contract: for `count` owned nodes `start..start + count`, both
+/// offset arrays have `count + 1` monotone entries ending at their
+/// adjacency array's length, `out_cum` parallels `out_targets`,
+/// `out_total` has `count` entries. The owned
 /// range is read off those lengths, which makes every lookup total in
 /// `v`: a node outside it has no neighbours and no outflow.
 #[derive(Clone, Copy, Debug)]
@@ -178,53 +178,9 @@ impl GraphPartition {
             + (self.out_cum.len() as u64 + self.out_total.len() as u64) * 8
     }
 
-    /// Reassembles a partition from its raw arrays — the constructor a
-    /// wire decoder uses after shipping a partition between processes.
-    /// Layout contract (checked): with `count = end - start`, both offset
-    /// arrays have `count + 1` entries starting at 0, are monotone, and
-    /// end at their adjacency array's length; `out_cum` parallels
-    /// `out_targets`; `out_total` has one entry per owned node.
-    ///
-    /// # Panics
-    /// Panics when the arrays violate that contract — callers decoding
-    /// untrusted bytes must validate first (the wire codec in
-    /// `pasco_simrank::api::worker` does).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw(
-        start: NodeId,
-        end: NodeId,
-        in_offsets: Vec<u64>,
-        in_sources: Vec<NodeId>,
-        out_offsets: Vec<u64>,
-        out_targets: Vec<NodeId>,
-        out_cum: Vec<f64>,
-        out_total: Vec<f64>,
-    ) -> Self {
-        let count = (end - start) as usize;
-        assert_eq!(in_offsets.len(), count + 1, "in_offsets length");
-        assert_eq!(out_offsets.len(), count + 1, "out_offsets length");
-        assert_eq!(out_total.len(), count, "out_total length");
-        assert_eq!(out_cum.len(), out_targets.len(), "out_cum parallels out_targets");
-        for offsets in [&in_offsets, &out_offsets] {
-            assert_eq!(offsets[0], 0, "offsets start at 0");
-            assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets monotone");
-        }
-        assert_eq!(*in_offsets.last().unwrap(), in_sources.len() as u64, "in_offsets end");
-        assert_eq!(*out_offsets.last().unwrap(), out_targets.len() as u64, "out_offsets end");
-        GraphPartition {
-            start,
-            end,
-            in_offsets,
-            in_sources,
-            out_offsets,
-            out_targets,
-            out_cum,
-            out_total,
-        }
-    }
-
-    /// The raw arrays backing this partition, in [`GraphPartition::
-    /// from_raw`] order — what a wire encoder ships.
+    /// The raw arrays backing this partition — `in_offsets`, `in_sources`,
+    /// `out_offsets`, `out_targets`, `out_cum`, `out_total`: what the shard
+    /// writer serialises.
     #[allow(clippy::type_complexity)]
     pub fn raw_arrays(&self) -> (&[u64], &[NodeId], &[u64], &[NodeId], &[f64], &[f64]) {
         (

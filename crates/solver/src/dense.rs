@@ -59,12 +59,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Row `r` as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Parallel iterator over `(row_index, row_slice)` pairs for in-place
     /// row-wise computation.
     pub fn par_rows_mut(&mut self) -> impl IndexedParallelIterator<Item = (usize, &mut [f64])> {
@@ -89,19 +83,6 @@ impl Matrix {
             .zip(other.data.par_iter())
             .map(|(a, b)| (a - b).abs())
             .reduce(|| 0.0, f64::max)
-    }
-
-    /// Largest absolute asymmetry `max |A[i][j] − A[j][i]|`; exact SimRank
-    /// matrices must be symmetric, and the property tests check it here.
-    pub fn max_asymmetry(&self) -> f64 {
-        assert_eq!(self.rows, self.cols);
-        let mut worst = 0.0f64;
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                worst = worst.max((self.get(i, j) - self.get(j, i)).abs());
-            }
-        }
-        worst
     }
 }
 
@@ -133,9 +114,6 @@ mod tests {
         let b = Matrix::zeros(2, 2);
         a.set(0, 1, 0.25);
         assert_eq!(a.max_abs_diff(&b), 0.25);
-        assert_eq!(a.max_asymmetry(), 0.25);
-        a.set(1, 0, 0.25);
-        assert_eq!(a.max_asymmetry(), 0.0);
     }
 
     #[test]

@@ -15,11 +15,6 @@ pub fn mean_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / a.len() as f64
 }
 
-/// Euclidean norm.
-pub fn l2(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Root-mean-square error between two vectors.
 pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
@@ -39,7 +34,6 @@ mod tests {
         let b = [1.0, 0.0, 0.0];
         assert_eq!(max_abs_diff(&a, &b), 2.0);
         assert!((mean_abs_diff(&a, &b) - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(l2(&a), 3.0);
         assert!((rmse(&a, &b) - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
     }
 

@@ -1,10 +1,11 @@
 //! The `PASCOSH1` on-disk shard format: a validated fixed-size header
 //! followed by 8-byte-aligned little-endian sections.
 //!
-//! One file is one [`pasco_graph::partitioned::GraphPartition`] plus its
-//! diagonal-index slice, laid out so the arrays can be used *in place*
-//! through a read-only mapping — no decode, no copy, no allocation
-//! proportional to the graph:
+//! One image is one [`pasco_graph::partitioned::GraphPartition`] plus,
+//! once an index exists, its diagonal-index slice — the same bytes as a
+//! shard file on disk and as a `LoadPartition` frame on the wire — laid
+//! out so the arrays can be used *in place* through a read-only mapping:
+//! no decode, no copy, no allocation proportional to the graph:
 //!
 //! | offset | field | bytes |
 //! |-------:|-------|------:|
@@ -24,10 +25,13 @@
 //!
 //! The seven sections, in file order: `in_offsets` (u64), `in_sources`
 //! (u32), `out_offsets` (u64), `out_targets` (u32), `out_cum` (f64),
-//! `out_total` (f64), `diag` (f64). Every section offset is 8-byte
-//! aligned (mappings are page-aligned, so aligned offsets give aligned
-//! pointers), sections are in order and non-overlapping, and the file
-//! ends exactly where the last section does.
+//! `out_total` (f64), `diag` (f64). The first six have exactly the length
+//! the header's node and edge counts dictate; `diag` is `8·count` bytes or
+//! **empty** — a *graph-only* shard, what a coordinator ships before any
+//! index has been built. Every section offset is 8-byte aligned (mappings
+//! are page-aligned, so aligned offsets give aligned pointers), sections
+//! are in order and non-overlapping, and the file ends exactly where the
+//! last section does.
 //!
 //! Header fields are **untrusted input**: a corrupt or hostile file must
 //! produce a typed [`StoreError`], never a panic, an over-allocation, or
@@ -196,8 +200,8 @@ impl ShardHeader {
     }
 
     /// The byte length each section must have, given the node and edge
-    /// counts in this header, or an error when a count is so large the
-    /// size computation itself would overflow.
+    /// counts in this header (`diag` may also be empty), or an error when
+    /// a count is so large the size computation itself would overflow.
     pub fn expected_section_bytes(&self) -> Result<[u64; SECTION_COUNT], StoreError> {
         let count = self.count();
         let spine = count
@@ -245,19 +249,21 @@ impl ShardHeader {
     }
 
     /// Decodes and authenticates a header from the front of `buf`:
-    /// length, magic, version, flags, and the header checksum. Field
+    /// magic, length, version, flags, and the header checksum. Field
     /// *values* are still untrusted — run [`ShardHeader::validate`]
     /// against the file size before deriving anything from them.
     pub fn from_bytes(buf: &[u8]) -> Result<ShardHeader, StoreError> {
+        // Magic first, as soon as its bytes are there: bytes that are not
+        // a shard at all (another file, another wire encoding) say so even
+        // when they are also shorter than a header.
+        if let Some(magic) = buf.first_chunk::<8>().filter(|magic| **magic != MAGIC) {
+            return Err(StoreError::BadMagic(*magic));
+        }
         if buf.len() < HEADER_LEN {
             return Err(StoreError::Truncated {
                 expected: HEADER_LEN as u64,
                 actual: buf.len() as u64,
             });
-        }
-        let magic: [u8; 8] = buf[0..8].try_into().map_err(|_| StoreError::BadMagic([0; 8]))?;
-        if magic != MAGIC {
-            return Err(StoreError::BadMagic(magic));
         }
         let u32_at =
             |at: usize| u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
@@ -333,7 +339,8 @@ impl ShardHeader {
         for i in 0..SECTION_COUNT {
             let sec = self.sections[i];
             let name = SECTION_NAMES[i];
-            if sec.len != expected[i] {
+            // A graph-only shard carries no diagonal: exactly 0 bytes.
+            if sec.len != expected[i] && !(i == SEC_DIAG && sec.len == 0) {
                 return Err(StoreError::Corrupt(format!(
                     "section {name} length {} does not match the header counts (expected {})",
                     sec.len, expected[i]

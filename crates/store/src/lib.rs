@@ -1,7 +1,8 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 //! **Out-of-core shard storage for PASCO**: a versioned, zero-copy
-//! on-disk format (`PASCOSH1`) holding one graph partition per file —
+//! format (`PASCOSH1`) that is the one serialisation of a graph
+//! partition, as a file on disk and as a frame on the wire —
 //! 8-byte-aligned little-endian CSR arrays, reverse-chain sampling
 //! weights, and the partition's diagonal-index slice behind a validated,
 //! checksummed header.
@@ -15,8 +16,9 @@
 //!   lazily at page-cache speed as queries touch it;
 //! * **graphs larger than RAM serve** — the kernel pages shards in and
 //!   out under memory pressure instead of the process OOMing; and
-//! * **workers map only their partition** — a distributed worker opens
-//!   one file instead of receiving its partition over the wire.
+//! * **workers are provisioned by path** — a distributed worker that can
+//!   reach the directory maps it instead of receiving the images over the
+//!   wire (and one that cannot receives the very same bytes).
 //!
 //! [`MappedStore`] assembles a directory of shards into a routed view
 //! implementing the [`pasco_graph::adjacency`] traits, so the generic
@@ -50,4 +52,4 @@ pub use format::{
 };
 pub use shard::MappedShard;
 pub use store::MappedStore;
-pub use writer::{shard_file_name, write_store, StoreWriter};
+pub use writer::{shard_file_name, write_partition, write_store, StoreWriter};

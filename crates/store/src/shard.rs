@@ -1,19 +1,24 @@
-//! One mapped shard file, used in place.
+//! One mapped shard image, used in place.
 //!
-//! [`MappedShard::open`] maps the file, authenticates and validates the
-//! header, **resolves the seven sections once** — each `(offset, len)` of
-//! the table goes through the mapping's bounds and alignment check and is
-//! kept as a typed view next to the mapping it was cut from
-//! ([`crate::sys::Sections`]; a refusal is a typed [`StoreError`] from
-//! `open`, not a silently empty slice later) — and checks the two CSR
-//! offset *spines* (monotone, starting at 0, ending at the edge counts).
+//! A shard's bytes reach memory one of two ways — [`MappedShard::open`]
+//! maps a file, [`MappedShard::from_bytes`] copies an image that arrived
+//! over the wire into an anonymous mapping — and from there the two share
+//! one tail: authenticate and validate the header, **resolve the seven
+//! sections once** — each `(offset, len)` of the table goes through the
+//! mapping's bounds and alignment check and is kept as a typed view next
+//! to the mapping it was cut from ([`crate::sys::Sections`]; a refusal is
+//! a typed [`StoreError`] from `open`, not a silently empty slice later) —
+//! and check the two CSR offset *spines* (monotone, starting at 0, ending
+//! at the edge counts).
 //! That is `O(header + nodes-in-shard)` work which makes every subsequent
 //! adjacency lookup provably in-bounds without touching a page of the
 //! `O(edges)` payload: the edge arrays page in lazily on first access,
 //! which is what makes restart O(1) in the graph's edge volume. Full
 //! payload integrity (the FNV-1a checksum over every section byte) is an
 //! explicit [`MappedShard::verify`] — tests and the CI round-trip job run
-//! it; a serving restart does not have to.
+//! it; a serving restart does not have to, and neither does a worker
+//! receiving an image (same contract: the transport's integrity is the
+//! transport's business, the header checksum and the spines are checked).
 //!
 //! A lookup then costs what it costs in memory: [`MappedShard::slices`]
 //! hands the resolved views to [`PartSlices`], the one accessor body
@@ -32,7 +37,7 @@ use pasco_graph::partitioned::PartSlices;
 use std::fs::File;
 use std::path::Path;
 
-/// A read-only graph partition served directly from a mapped file.
+/// A read-only graph partition served directly from its mapped image.
 pub struct MappedShard {
     sections: Sections<SECTION_COUNT>,
     header: ShardHeader,
@@ -45,8 +50,20 @@ impl MappedShard {
     /// (`O(owned nodes)`); the edge payload is not touched. Every
     /// corruption this can detect is a typed [`StoreError`].
     pub fn open(path: impl AsRef<Path>) -> Result<MappedShard, StoreError> {
-        let file = File::open(path)?;
-        let map = Mmap::map_readonly(&file)?;
+        Self::from_map(Mmap::map_readonly(&File::open(path)?)?)
+    }
+
+    /// Validates a shard image already in memory — byte for byte what
+    /// [`crate::write_partition`] emits, i.e. the file `open` would map —
+    /// exactly as [`MappedShard::open`] validates that file, and serves
+    /// it from a private copy.
+    pub fn from_bytes(image: &[u8]) -> Result<MappedShard, StoreError> {
+        Self::from_map(Mmap::from_bytes(image)?)
+    }
+
+    /// The tail `open` and `from_bytes` share: everything after the bytes
+    /// are mapped.
+    fn from_map(map: Mmap) -> Result<MappedShard, StoreError> {
         let header = ShardHeader::from_bytes(map.as_bytes())?;
         header.validate(map.len() as u64)?;
         // `validate` proved the table against the file size in u64; the
@@ -116,8 +133,8 @@ impl MappedShard {
         (self.header.start..self.header.end).contains(&v)
     }
 
-    /// Bytes of file mapped (not resident memory — pages materialise
-    /// only as queries touch them).
+    /// Bytes of image mapped (for a file not resident memory — pages
+    /// materialise only as queries touch them).
     pub fn mapped_bytes(&self) -> u64 {
         self.sections.map().len() as u64
     }
@@ -169,7 +186,8 @@ impl MappedShard {
         self.slices().sample_out(v, r)
     }
 
-    /// The partition's diagonal-index slice (one entry per owned node).
+    /// The partition's diagonal-index slice: one entry per owned node, or
+    /// empty for a graph-only shard.
     pub fn diag(&self) -> &[f64] {
         self.sections.f64s(SEC_DIAG)
     }
@@ -233,9 +251,17 @@ mod tests {
         }
         w.finish().unwrap();
 
-        for (i, part) in parts.iter().enumerate() {
-            let shard: MappedShard =
-                MappedShard::open(dir.join(shard_file_name(i as u32))).unwrap();
+        // Each shard twice: the file mapped, and its bytes as an image.
+        let both = parts.iter().enumerate().flat_map(|(i, part)| {
+            let path = dir.join(shard_file_name(i as u32));
+            let image = std::fs::read(&path).unwrap();
+            let shards: [MappedShard; 2] =
+                [MappedShard::open(path).unwrap(), MappedShard::from_bytes(&image).unwrap()];
+            shards.map(|shard| (part, shard, image.len() as u64))
+        });
+        for (part, shard, image_len) in both {
+            let shard: MappedShard = shard;
+            assert_eq!(shard.mapped_bytes(), image_len);
             shard.verify().unwrap();
             assert_eq!((shard.start(), shard.end()), (part.start, part.end));
             assert_eq!(shard.diag(), &diag[part.start as usize..part.end as usize]);

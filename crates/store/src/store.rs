@@ -1,7 +1,9 @@
-//! A whole store directory as one routed adjacency view.
+//! A whole shard set as one routed adjacency view.
 //!
-//! [`MappedStore::open`] maps every `shard-*.pasco` file in a
-//! directory, checks that the shards agree on shape and tile `[0, n)`
+//! [`MappedStore::open`] maps every `shard-*.pasco` file in a directory
+//! ([`MappedStore::from_shards`] takes shards already mapped — a worker's
+//! wire images — and runs the same cross-check), checks that the shards
+//! agree on shape and tile `[0, n)`
 //! exactly the way [`Partitioner::range`] would (readers recompute the
 //! partitioner, so the tiling *is* the routing table), and then serves
 //! the [`pasco_graph::adjacency`] traits by routing each lookup to the
@@ -16,7 +18,7 @@
 //! division) and each shard's resolved sections. Open itself stays
 //! `O(headers + spines)` per shard and touches no payload page.
 
-use crate::format::StoreError;
+use crate::format::{ShardHeader, StoreError};
 use crate::shard::MappedShard;
 use crate::writer::shard_file_name;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
@@ -24,7 +26,7 @@ use pasco_graph::csr::NodeId;
 use pasco_graph::partition::{Partitioner, RangeRouter};
 use std::path::{Path, PathBuf};
 
-/// Every shard of a store directory, mapped and routed.
+/// Every shard of a store, mapped and routed.
 pub struct MappedStore {
     shards: Vec<MappedShard>,
     router: RangeRouter,
@@ -34,9 +36,9 @@ pub struct MappedStore {
 
 impl MappedStore {
     /// Maps every shard in `dir` and validates the directory as a
-    /// whole: at least one shard, file names matching part indices, all
-    /// headers agreeing on `(n, parts)`, and each shard covering
-    /// exactly the node range [`Partitioner::range`] assigns its index.
+    /// whole: at least one shard, file names the contiguous set
+    /// `0..parts`, and the set itself as [`MappedStore::from_shards`]
+    /// checks it.
     pub fn open(dir: impl AsRef<Path>) -> Result<MappedStore, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         let mut paths: Vec<PathBuf> = Vec::new();
@@ -56,37 +58,51 @@ impl MappedStore {
             )));
         }
         let mut shards = Vec::with_capacity(paths.len());
-        for path in &paths {
+        for (i, path) in paths.iter().enumerate() {
+            if !path.ends_with(shard_file_name(i as u32)) {
+                return Err(StoreError::BadLayout(format!(
+                    "{} where {} belongs — shard files must be the contiguous set 0..parts",
+                    path.display(),
+                    shard_file_name(i as u32)
+                )));
+            }
             shards.push(MappedShard::open(path)?);
         }
-        let parts = shards[0].header().parts;
-        let n64 = shards[0].header().n;
+        Ok(MappedStore { dir, ..Self::from_shards(shards)? })
+    }
+
+    /// Assembles shards that are already mapped — files or wire images —
+    /// into one routed store, validating the set as a whole: at least one
+    /// shard, all headers agreeing on `(n, parts)`, shard `i` holding part
+    /// `i` and covering exactly the node range [`Partitioner::range`]
+    /// assigns it, and all (non-empty) shards agreeing on whether they
+    /// carry a diagonal slice.
+    pub fn from_shards(shards: Vec<MappedShard>) -> Result<MappedStore, StoreError> {
+        let Some(first) = shards.first() else {
+            return Err(StoreError::BadLayout("a store needs at least one shard".into()));
+        };
+        let ShardHeader { n: n64, parts, .. } = *MappedShard::header(first);
         if shards.len() != parts as usize {
             return Err(StoreError::BadLayout(format!(
-                "directory holds {} shard files but headers declare {parts} parts",
+                "{} shards present but headers declare {parts} parts",
                 shards.len()
             )));
         }
         // Validated per-shard: n fits u32.
         let n = n64 as u32;
         let router = RangeRouter::new(n, parts);
-        for (i, (shard, path)) in shards.iter().zip(&paths).enumerate() {
-            let h = shard.header();
+        let mut graph_only = None;
+        for (i, shard) in shards.iter().enumerate() {
+            let h: &ShardHeader = MappedShard::header(shard);
             if h.parts != parts || h.n != n64 {
                 return Err(StoreError::BadLayout(format!(
-                    "{} declares shape ({}, {} parts), other shards ({n64}, {parts} parts)",
-                    path.display(),
-                    h.n,
-                    h.parts
+                    "shard {i} declares shape ({}, {} parts), other shards ({n64}, {parts} parts)",
+                    h.n, h.parts
                 )));
             }
-            if h.part_index != i as u32
-                || path.file_name().map(|f| f.to_string_lossy().into_owned())
-                    != Some(shard_file_name(i as u32))
-            {
+            if h.part_index != i as u32 {
                 return Err(StoreError::BadLayout(format!(
-                    "{} holds part {} — shard files must be the contiguous set 0..parts",
-                    path.display(),
+                    "shard {i} holds part {} — a store is the contiguous set 0..parts",
                     h.part_index
                 )));
             }
@@ -98,11 +114,20 @@ impl MappedStore {
                     h.start, h.end, expected.0, expected.1
                 )));
             }
+            // A shard that owns no node has an empty slice either way.
+            if !shard.is_empty()
+                && *graph_only.get_or_insert(shard.diag().is_empty()) != shard.diag().is_empty()
+            {
+                return Err(StoreError::BadLayout(format!(
+                    "shard {i} disagrees with the shards before it on carrying a diagonal slice"
+                )));
+            }
         }
-        Ok(MappedStore { shards, router, n, dir })
+        Ok(MappedStore { shards, router, n, dir: PathBuf::new() })
     }
 
-    /// The directory this store was opened from.
+    /// The directory this store was opened from; empty for a store
+    /// assembled by [`MappedStore::from_shards`].
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -138,8 +163,9 @@ impl MappedStore {
     }
 
     /// Concatenates the per-shard diagonal slices back into the full
-    /// diagonal index, in node order. Grows from the mapped slices
-    /// themselves, so a forged header cannot pick the allocation size.
+    /// diagonal index, in node order — empty for a graph-only store.
+    /// Grows from the mapped slices themselves, so a forged header cannot
+    /// pick the allocation size.
     pub fn compose_diag(&self) -> Vec<f64> {
         let mut diag = Vec::new();
         for shard in &self.shards {

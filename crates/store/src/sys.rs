@@ -4,7 +4,8 @@
 //! dependency. This mirrors the epoll shim in `pasco_server::sys`: the
 //! workspace's second (and only other) sanctioned `unsafe` module.
 //!
-//! The unsafety is confined to the raw calls plus the typed
+//! The unsafety is confined to the raw calls, the one fill of an
+//! anonymous mapping ([`Mmap::from_bytes`]) and the typed
 //! reinterpretation of mapped bytes: everything is wrapped in an owned
 //! [`Mmap`] that unmaps on drop and exposes a safe, checked surface.
 //! Typed access goes through [`Sections`], which owns the `Mmap` and
@@ -34,7 +35,9 @@ use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_void};
 
 const PROT_READ: c_int = 0x1;
+const PROT_WRITE: c_int = 0x2;
 const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
 const MADV_RANDOM: c_int = 1;
 const MADV_WILLNEED: c_int = 3;
 
@@ -55,22 +58,30 @@ extern "C" {
     fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
 }
 
-/// A read-only, private, file-backed memory mapping that unmaps on drop.
+/// A read-only private memory mapping that unmaps on drop: a file
+/// ([`Mmap::map_readonly`]) or a copy of bytes already in memory
+/// ([`Mmap::from_bytes`]).
 ///
-/// The mapping is `PROT_READ | MAP_PRIVATE`: nothing can write through
+/// A file mapping is `PROT_READ | MAP_PRIVATE`: nothing can write through
 /// it, and writes to the file by other processes are not required to be
 /// visible, so the byte slice it exposes is stable for the mapping's
 /// lifetime (the standard mmap caveat applies: truncating the file
 /// underneath a live mapping is an external-process fault the kernel
 /// reports as `SIGBUS`, the same contract every mmap consumer accepts).
+/// An anonymous mapping is filled once, before the `Mmap` value exists,
+/// and no method writes through `ptr` afterwards.
 pub struct Mmap {
     /// Base address; never null for a non-empty mapping.
     ptr: *mut c_void,
     len: usize,
 }
 
-// SAFETY: the mapping is immutable (PROT_READ, private) for its whole
-// lifetime, so shared references to it are valid from any thread.
+// SAFETY: the mapping is immutable for the whole lifetime of the value —
+// PROT_READ for a file; for an anonymous one the only write is the fill
+// in `from_bytes`, which completes before the value is constructed, so it
+// happens-before every access through it — and `ptr` is private to a
+// module with no writing method: shared references are valid from any
+// thread.
 unsafe impl Send for Mmap {}
 // SAFETY: as above — &Mmap only ever reads.
 unsafe impl Sync for Mmap {}
@@ -86,17 +97,43 @@ impl Mmap {
                 "file exceeds the address space",
             ));
         }
-        let len = len as usize;
+        Ok(Mmap { ptr: Self::map_private(len as usize, Some(file))?, len: len as usize })
+    }
+
+    /// The one `mmap` call: `len` fresh private bytes — `file`'s, read-only,
+    /// or anonymous zeroes, writable until the constructor is done with
+    /// them. Null (and no syscall) for `len == 0`.
+    fn map_private(len: usize, file: Option<&File>) -> io::Result<*mut c_void> {
         if len == 0 {
-            return Ok(Mmap { ptr: std::ptr::null_mut(), len: 0 });
+            return Ok(std::ptr::null_mut());
         }
-        // SAFETY: mmap with a null hint writes nothing through our
-        // pointers; it returns MAP_FAILED (-1) or a fresh page-aligned
+        let (prot, flags, fd) = match file {
+            Some(file) => (PROT_READ, MAP_PRIVATE, file.as_raw_fd()),
+            None => (PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1),
+        };
+        // SAFETY: mmap with a null hint (and no MAP_FIXED) touches none of
+        // our memory; it returns MAP_FAILED (-1) or a fresh page-aligned
         // mapping of `len` bytes we then own exclusively.
-        let ptr =
-            unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, file.as_raw_fd(), 0) };
+        let ptr = unsafe { mmap(std::ptr::null_mut(), len, prot, flags, fd, 0) };
         if ptr as isize == -1 {
             return Err(io::Error::last_os_error());
+        }
+        Ok(ptr)
+    }
+
+    /// A private anonymous mapping holding a copy of `bytes` — the same
+    /// page-aligned, unmapped-on-drop memory a file mapping is, so an
+    /// image that arrived over the wire is used exactly like one read
+    /// from disk. Empty input maps to an empty `Mmap`.
+    pub fn from_bytes(bytes: &[u8]) -> io::Result<Mmap> {
+        let len = bytes.len();
+        let ptr = Self::map_private(len, None)?;
+        if len > 0 {
+            // SAFETY: `ptr` is valid for `len` writable bytes (just mapped),
+            // `bytes` for `len` readable ones, and a fresh mapping cannot
+            // overlap a live borrow. This is the mapping's only write, and
+            // it ends before the `Mmap` is built.
+            unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), ptr as *mut u8, len) };
         }
         Ok(Mmap { ptr, len })
     }
@@ -111,14 +148,14 @@ impl Mmap {
         self.len == 0
     }
 
-    /// The mapped file as a byte slice.
+    /// The mapped bytes as a slice.
     pub fn as_bytes(&self) -> &[u8] {
         if self.is_empty() {
             return &[];
         }
-        // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len`
-        // bytes for as long as `self` lives; u8 has no alignment or
-        // validity requirements.
+        // SAFETY: `ptr` is a live readable mapping of exactly `len`
+        // bytes, never written while `self` lives; u8 has no alignment
+        // or validity requirements.
         unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
     }
 
@@ -239,9 +276,9 @@ impl Drop for Mmap {
         if self.len == 0 {
             return;
         }
-        // SAFETY: `ptr`/`len` describe the mapping created in
-        // map_readonly and not yet unmapped; after this the struct is
-        // gone, so no dangling access can follow.
+        // SAFETY: `ptr`/`len` describe the mapping created by one of the
+        // two constructors and not yet unmapped; after this the struct
+        // is gone, so no dangling access can follow.
         let _ = unsafe { munmap(self.ptr, self.len) };
     }
 }
@@ -263,11 +300,17 @@ mod tests {
     fn maps_a_real_file_and_reads_it_back() {
         let payload: Vec<u8> = (0..=255u8).cycle().take(4096 + 17).collect();
         let f = temp_file("roundtrip", &payload);
-        let m = Mmap::map_readonly(&f).unwrap();
-        assert_eq!(m.len(), payload.len());
-        assert_eq!(m.as_bytes(), &payload[..]);
-        m.advise_random();
-        m.advise_willneed();
+        // The file mapping and the anonymous copy are one kind of value.
+        for m in [Mmap::map_readonly(&f).unwrap(), Mmap::from_bytes(&payload).unwrap()] {
+            assert_eq!(m.len(), payload.len());
+            assert_eq!(m.as_bytes(), &payload[..]);
+            m.advise_random();
+            m.advise_willneed();
+            // Page-aligned, so aligned offsets resolve to aligned views.
+            let s = Sections::resolve(m, [(8, 16)]).unwrap();
+            assert_eq!(s.u64s(0), &[0x0f0e_0d0c_0b0a_0908, 0x1716_1514_1312_1110]);
+        }
+        assert!(Mmap::from_bytes(b"").unwrap().is_empty());
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Writing a store directory: one `PASCOSH1` file per partition.
+//! Writing `PASCOSH1` images: one per partition, into a store directory
+//! or any other seekable sink.
 //!
-//! [`StoreWriter`] streams each [`GraphPartition`]'s arrays through a
-//! fixed-size chunk buffer (no second in-memory copy of the partition),
-//! hashing the payload as it goes, then back-patches the finished
-//! header. Files are written to a dot-temp name and renamed into place,
-//! so a crashed save never leaves a half-written file that
-//! [`crate::MappedStore::open`] could mistake for a shard.
+//! [`write_partition`] is the one serialisation of a partition: it
+//! streams a [`GraphPartition`]'s arrays through a fixed-size chunk
+//! buffer (no second in-memory copy of the partition), hashing the
+//! payload as it goes, then back-patches the finished header.
+//! [`StoreWriter`] points it at files — written to a dot-temp name and
+//! renamed into place, so a crashed save never leaves a half-written file
+//! that [`crate::MappedStore::open`] could mistake for a shard; the
+//! distributed coordinator points it at a `Cursor<Vec<u8>>` and ships the
+//! bytes as a `LoadPartition` frame.
 
-use crate::format::{align_up, Fnv1a, Section, ShardHeader, StoreError, HEADER_LEN, SECTION_COUNT};
+use crate::format::{align_up, Fnv1a, Section, ShardHeader, StoreError, HEADER_LEN};
 use pasco_graph::csr::CsrGraph;
 use pasco_graph::partition::Partitioner;
 use pasco_graph::partitioned::{partition_graph, GraphPartition};
@@ -84,111 +88,19 @@ impl StoreWriter {
         Ok(StoreWriter { dir, n, parts, written: vec![false; parts as usize] })
     }
 
-    /// Writes partition `part_index`. The partition's node range must be
-    /// exactly what [`Partitioner::range`]`(n, parts)` assigns to that
-    /// index (readers route lookups by recomputing the partitioner), and
-    /// `diag` must hold one diagonal entry per owned node.
+    /// Writes partition `part_index` as its shard file — the image
+    /// [`write_partition`] streams, made durable and renamed into place.
     pub fn write_partition(
         &mut self,
         part_index: u32,
         part: &GraphPartition,
         diag: &[f64],
     ) -> Result<PathBuf, StoreError> {
-        if part_index >= self.parts {
-            return Err(StoreError::BadLayout(format!(
-                "part index {part_index} out of range (parts {})",
-                self.parts
-            )));
-        }
-        let partitioner = Partitioner::range(self.n, self.parts);
-        let expected = partitioner.range_of(part_index).unwrap_or((0, 0));
-        if (part.start, part.end) != expected {
-            return Err(StoreError::BadLayout(format!(
-                "partition {part_index} covers [{}, {}) but the range partitioner assigns [{}, {})",
-                part.start, part.end, expected.0, expected.1
-            )));
-        }
-        if diag.len() != part.len() as usize {
-            return Err(StoreError::BadLayout(format!(
-                "diagonal slice has {} entries for a {}-node partition",
-                diag.len(),
-                part.len()
-            )));
-        }
-        let (in_offsets, in_sources, out_offsets, out_targets, out_cum, out_total) =
-            part.raw_arrays();
-
-        // Lay out the section table: cursor walks the file, aligning
-        // each section start to 8 bytes.
-        let byte_lens: [u64; SECTION_COUNT] = [
-            in_offsets.len() as u64 * 8,
-            in_sources.len() as u64 * 4,
-            out_offsets.len() as u64 * 8,
-            out_targets.len() as u64 * 4,
-            out_cum.len() as u64 * 8,
-            out_total.len() as u64 * 8,
-            diag.len() as u64 * 8,
-        ];
-        let mut sections = [Section::default(); SECTION_COUNT];
-        let mut cursor = HEADER_LEN as u64;
-        for (i, len) in byte_lens.iter().enumerate() {
-            cursor = align_up(cursor);
-            sections[i] = Section { offset: cursor, len: *len };
-            cursor += len;
-        }
-
         let final_path = self.dir.join(shard_file_name(part_index));
         let tmp_path = self.dir.join(format!(".{}.tmp", shard_file_name(part_index)));
-        let file = File::create(&tmp_path)?;
-        let mut w = BufWriter::new(file);
-
-        // Header placeholder; the real header is back-patched once the
-        // payload checksum is known.
-        w.write_all(&[0u8; HEADER_LEN])?;
-        let mut hasher = Fnv1a::new();
-        let mut at = HEADER_LEN as u64;
-        let pad_to =
-            |w: &mut BufWriter<File>, hasher: &mut Fnv1a, at: &mut u64| -> Result<(), StoreError> {
-                let aligned = align_up(*at);
-                if aligned > *at {
-                    let pad = vec![0u8; (aligned - *at) as usize];
-                    hasher.update(&pad);
-                    w.write_all(&pad)?;
-                    *at = aligned;
-                }
-                Ok(())
-            };
-        pad_to(&mut w, &mut hasher, &mut at)?;
-        write_u64s(&mut w, &mut hasher, &mut at, in_offsets)?;
-        pad_to(&mut w, &mut hasher, &mut at)?;
-        write_u32s(&mut w, &mut hasher, &mut at, in_sources)?;
-        pad_to(&mut w, &mut hasher, &mut at)?;
-        write_u64s(&mut w, &mut hasher, &mut at, out_offsets)?;
-        pad_to(&mut w, &mut hasher, &mut at)?;
-        write_u32s(&mut w, &mut hasher, &mut at, out_targets)?;
-        pad_to(&mut w, &mut hasher, &mut at)?;
-        write_f64s(&mut w, &mut hasher, &mut at, out_cum)?;
-        pad_to(&mut w, &mut hasher, &mut at)?;
-        write_f64s(&mut w, &mut hasher, &mut at, out_total)?;
-        pad_to(&mut w, &mut hasher, &mut at)?;
-        write_f64s(&mut w, &mut hasher, &mut at, diag)?;
-        debug_assert_eq!(at, cursor, "layout cursor and write cursor agree");
-
-        let header = ShardHeader {
-            part_index,
-            parts: self.parts,
-            start: part.start,
-            end: part.end,
-            n: self.n as u64,
-            in_edges: in_sources.len() as u64,
-            out_edges: out_targets.len() as u64,
-            sections,
-            payload_checksum: hasher.finish(),
-        };
-        w.flush()?;
-        let mut file = w.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
-        file.seek(SeekFrom::Start(0))?;
-        file.write_all(&header.encode())?;
+        let mut w = BufWriter::new(File::create(&tmp_path)?);
+        write_partition(&mut w, (self.n, self.parts), part_index, part, diag)?;
+        let file = w.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
         file.sync_all()?;
         drop(file);
         std::fs::rename(&tmp_path, &final_path)?;
@@ -207,62 +119,149 @@ impl StoreWriter {
     }
 }
 
-/// Chunk size (in elements) for the streaming converters below.
+/// Streams the `PASCOSH1` image of partition `part_index` of an
+/// `(n, parts)`-shaped store into `sink`, which must stand at its start
+/// (the header is back-patched at offset 0 once the payload checksum is
+/// known): a temp file for a store directory, a `Cursor<Vec<u8>>` for a
+/// `LoadPartition` frame — the same bytes either way. The partition's
+/// node range must be exactly what [`Partitioner::range`]`(n, parts)`
+/// assigns to that index (readers route lookups by recomputing the
+/// partitioner); `diag` holds one diagonal entry per owned node, or none
+/// at all for a graph-only image.
+pub fn write_partition<W: Write + Seek>(
+    sink: &mut W,
+    (n, parts): (u32, u32),
+    part_index: u32,
+    part: &GraphPartition,
+    diag: &[f64],
+) -> Result<(), StoreError> {
+    if part_index >= parts {
+        return Err(StoreError::BadLayout(format!(
+            "part index {part_index} out of range (parts {parts})"
+        )));
+    }
+    let expected = Partitioner::range(n, parts).range_of(part_index).unwrap_or((0, 0));
+    if (part.start, part.end) != expected {
+        return Err(StoreError::BadLayout(format!(
+            "partition {part_index} covers [{}, {}) but the range partitioner assigns [{}, {})",
+            part.start, part.end, expected.0, expected.1
+        )));
+    }
+    if !diag.is_empty() && diag.len() != part.len() as usize {
+        return Err(StoreError::BadLayout(format!(
+            "diagonal slice has {} entries for a {}-node partition",
+            diag.len(),
+            part.len()
+        )));
+    }
+    let (in_offsets, in_sources, out_offsets, out_targets, out_cum, out_total) = part.raw_arrays();
+
+    // Header placeholder; the real header is back-patched once the
+    // payload checksum is known.
+    sink.write_all(&[0u8; HEADER_LEN])?;
+    let mut payload =
+        Payload { sink, hasher: Fnv1a::new(), at: HEADER_LEN as u64, buf: Vec::new() };
+    let sections = [
+        payload.section(in_offsets, u64::to_le_bytes)?,
+        payload.section(in_sources, u32::to_le_bytes)?,
+        payload.section(out_offsets, u64::to_le_bytes)?,
+        payload.section(out_targets, u32::to_le_bytes)?,
+        payload.section(out_cum, f64::to_le_bytes)?,
+        payload.section(out_total, f64::to_le_bytes)?,
+        payload.section(diag, f64::to_le_bytes)?,
+    ];
+    let header = ShardHeader {
+        part_index,
+        parts,
+        start: part.start,
+        end: part.end,
+        n: n as u64,
+        in_edges: in_sources.len() as u64,
+        out_edges: out_targets.len() as u64,
+        sections,
+        payload_checksum: payload.hasher.finish(),
+    };
+    sink.seek(SeekFrom::Start(0))?;
+    sink.write_all(&header.encode())?;
+    Ok(())
+}
+
+/// Chunk size (in elements) of the streaming converter below.
 const CHUNK: usize = 8192;
 
-fn write_u64s(
-    w: &mut impl Write,
-    hasher: &mut Fnv1a,
-    at: &mut u64,
-    xs: &[u64],
-) -> Result<(), StoreError> {
-    let mut buf = Vec::with_capacity(8 * CHUNK.min(xs.len().max(1)));
-    for chunk in xs.chunks(CHUNK) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        hasher.update(&buf);
-        w.write_all(&buf)?;
-        *at += buf.len() as u64;
-    }
-    Ok(())
+/// The payload of an image in the making: every byte after the header
+/// goes through here, so it is hashed and counted exactly once.
+struct Payload<'a, W> {
+    sink: &'a mut W,
+    hasher: Fnv1a,
+    /// Offset of the next byte from the start of the image.
+    at: u64,
+    /// The chunk buffer, reused across sections.
+    buf: Vec<u8>,
 }
 
-fn write_u32s(
-    w: &mut impl Write,
-    hasher: &mut Fnv1a,
-    at: &mut u64,
-    xs: &[u32],
-) -> Result<(), StoreError> {
-    let mut buf = Vec::with_capacity(4 * CHUNK.min(xs.len().max(1)));
-    for chunk in xs.chunks(CHUNK) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
+impl<W: Write> Payload<'_, W> {
+    /// Pads to the next 8-byte boundary, then streams `xs` little-endian
+    /// through the fixed-size chunk buffer (no second in-memory copy of
+    /// the partition); answers where the section landed.
+    fn section<T: Copy, const B: usize>(
+        &mut self,
+        xs: &[T],
+        to_le: impl Fn(T) -> [u8; B],
+    ) -> Result<Section, StoreError> {
+        let offset = align_up(self.at);
+        self.buf.clear();
+        self.buf.resize((offset - self.at) as usize, 0);
+        self.emit()?;
+        for chunk in xs.chunks(CHUNK) {
+            self.buf.clear();
+            chunk.iter().for_each(|&x| self.buf.extend_from_slice(&to_le(x)));
+            self.emit()?;
         }
-        hasher.update(&buf);
-        w.write_all(&buf)?;
-        *at += buf.len() as u64;
+        Ok(Section { offset, len: self.at - offset })
     }
-    Ok(())
+
+    /// Hashes, writes and counts the chunk buffer.
+    fn emit(&mut self) -> Result<(), StoreError> {
+        self.hasher.update(&self.buf);
+        self.sink.write_all(&self.buf)?;
+        self.at += self.buf.len() as u64;
+        Ok(())
+    }
 }
 
-fn write_f64s(
-    w: &mut impl Write,
-    hasher: &mut Fnv1a,
-    at: &mut u64,
-    xs: &[f64],
-) -> Result<(), StoreError> {
-    let mut buf = Vec::with_capacity(8 * CHUNK.min(xs.len().max(1)));
-    for chunk in xs.chunks(CHUNK) {
-        buf.clear();
-        for &x in chunk {
-            buf.extend_from_slice(&x.to_le_bytes());
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pasco_graph::generators;
+    use std::io::Cursor;
+
+    #[test]
+    fn the_image_in_memory_is_the_file_on_disk() {
+        let g = generators::barabasi_albert(60, 3, 5);
+        let diag: Vec<f64> = (0..60).map(|v| 0.5 + f64::from(v) / 128.0).collect();
+        let dir = std::env::temp_dir().join("pasco_store_writer_cursor");
+        let _ = std::fs::remove_dir_all(&dir);
+        let parts = partition_graph(&g, &Partitioner::range(60, 3));
+        // With the diagonal (what `save-store` writes) and graph-only (what
+        // the coordinator ships): one body, so the same bytes either way.
+        for with_diag in [true, false] {
+            let mut writer = StoreWriter::create(&dir, 60, 3).unwrap();
+            for (q, part) in parts.iter().enumerate() {
+                let range = part.start as usize..part.end as usize;
+                let slice = if with_diag { &diag[range] } else { &[] };
+                let path = writer.write_partition(q as u32, part, slice).unwrap();
+                let mut image = Cursor::new(Vec::new());
+                write_partition(&mut image, (60, 3), q as u32, part, slice).unwrap();
+                assert_eq!(image.into_inner(), std::fs::read(path).unwrap(), "part {q}");
+            }
+            writer.finish().unwrap();
         }
-        hasher.update(&buf);
-        w.write_all(&buf)?;
-        *at += buf.len() as u64;
+        // A slice that is neither whole nor absent is refused before a byte
+        // is written.
+        let mut image = Cursor::new(Vec::new());
+        let err = write_partition(&mut image, (60, 3), 0, &parts[0], &diag[..3]);
+        assert!(matches!(err, Err(StoreError::BadLayout(_))));
+        assert!(image.into_inner().is_empty());
     }
-    Ok(())
 }

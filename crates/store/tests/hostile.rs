@@ -4,16 +4,22 @@
 //! corrupt, truncated, or deliberately forged shard file must produce a
 //! typed [`StoreError`], and must never panic, read out of bounds, or
 //! allocate memory sized by a forged header field. Each test corrupts a
-//! *real* store on disk and re-opens it; the proptest block fuzzes the
-//! header bytes and fields wholesale.
+//! *real* store on disk and re-opens it **both ways** — the file through
+//! [`MappedShard::open`], the same bytes through
+//! [`MappedShard::from_bytes`] as a worker receives them in a
+//! `LoadPartition` frame — and the two must reach one verdict; the
+//! proptest block fuzzes the header bytes and fields wholesale.
 
 use pasco_store::{
-    shard_file_name, write_store, MappedShard, MappedStore, Section, ShardHeader, StoreError,
-    HEADER_LEN, SECTION_COUNT,
+    shard_file_name, write_partition, write_store, MappedShard, MappedStore, Section, ShardHeader,
+    StoreError, HEADER_LEN, SECTION_COUNT, SEC_DIAG,
 };
 use proptest::prelude::*;
 
 use pasco_graph::generators;
+use pasco_graph::partition::Partitioner;
+use pasco_graph::partitioned::partition_graph;
+use std::mem::discriminant;
 use std::path::{Path, PathBuf};
 
 fn scratch(name: &str) -> PathBuf {
@@ -47,8 +53,18 @@ fn forge_header(dir: &Path, mutate: impl FnOnce(&mut ShardHeader)) {
     std::fs::write(&path, &bytes).unwrap();
 }
 
+/// Opens the victim through both entry points and insists on one
+/// verdict: both accept, or both refuse with the same error variant.
 fn open_shard(dir: &Path) -> Result<MappedShard, StoreError> {
-    MappedShard::open(dir.join(shard_file_name(0)))
+    let path = dir.join(shard_file_name(0));
+    let file = MappedShard::open(&path);
+    let wire = MappedShard::from_bytes(&std::fs::read(&path).unwrap());
+    match (&file, &wire) {
+        (Ok(f), Ok(w)) => assert_eq!(MappedShard::header(f), MappedShard::header(w)),
+        (Err(f), Err(w)) => assert_eq!(discriminant(f), discriminant(w), "`{f}` vs `{w}`"),
+        (f, w) => panic!("open says {:?}, from_bytes {:?}", f.as_ref().err(), w.as_ref().err()),
+    }
+    file
 }
 
 #[test]
@@ -215,9 +231,44 @@ fn payload_corruption_survives_open_but_fails_verify() {
     std::fs::write(&path, &bytes).unwrap();
     let shard = open_shard(&dir).expect("lazy open must not read the diag payload");
     assert!(matches!(shard.verify(), Err(StoreError::Checksum { kind: "payload", .. })));
+    let wire: MappedShard = MappedShard::from_bytes(&bytes).unwrap();
+    assert!(matches!(wire.verify(), Err(StoreError::Checksum { kind: "payload", .. })));
     // And the store-level verify sweeps every shard.
     let store = MappedStore::open(&dir).unwrap();
     assert!(matches!(store.verify(), Err(StoreError::Checksum { kind: "payload", .. })));
+}
+
+#[test]
+fn a_diag_section_is_whole_or_absent() {
+    // Graph-only shards (what a coordinator ships before any index
+    // exists) carry a 0-byte diag section; nothing in between is a shard.
+    for (cut, accepted) in [(0u64, true), (8, false)] {
+        let dir = victim_store("diaglen");
+        let path = dir.join(shard_file_name(0));
+        let bytes = std::fs::read(&path).unwrap();
+        let diag = ShardHeader::from_bytes(&bytes).unwrap().sections[SEC_DIAG];
+        std::fs::write(&path, &bytes[..(diag.offset + cut) as usize]).unwrap();
+        forge_header(&dir, |h| h.sections[SEC_DIAG].len = cut);
+        match open_shard(&dir) {
+            Ok(shard) if accepted => assert_eq!(shard.diag(), &[] as &[f64]),
+            Err(StoreError::Corrupt(_)) if !accepted => {}
+            other => panic!("diag of {cut} bytes: got {:?}", other.map(|_| ())),
+        }
+    }
+
+    // A set that disagrees on carrying one is refused as a whole, from a
+    // directory and from images alike; and a short non-shard says what it
+    // is (bad magic), not merely that it is short.
+    let dir = victim_store("diagmix");
+    let g = generators::barabasi_albert(150, 3, 11);
+    let part = partition_graph(&g, &Partitioner::range(150, 2)).swap_remove(0);
+    let mut image = std::io::Cursor::new(Vec::new());
+    write_partition(&mut image, (150, 2), 0, &part, &[]).unwrap();
+    std::fs::write(dir.join(shard_file_name(0)), image.get_ref()).unwrap();
+    assert!(matches!(MappedStore::open(&dir), Err(StoreError::BadLayout(_))));
+    let shards = (0..2).map(|q| MappedShard::open(dir.join(shard_file_name(q))).unwrap());
+    assert!(matches!(MappedStore::from_shards(shards.collect()), Err(StoreError::BadLayout(_))));
+    assert!(matches!(MappedShard::from_bytes(b"not a shard"), Err(StoreError::BadMagic(_))));
 }
 
 proptest! {
@@ -305,6 +356,6 @@ proptest! {
         let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
         bytes.resize(HEADER_LEN + 64, 0xAB);
         std::fs::write(&path, &bytes).unwrap();
-        prop_assert!(MappedShard::open(&path).is_err());
+        prop_assert!(open_shard(&dir).is_err());
     }
 }

@@ -6,18 +6,22 @@
 //! A worker is a small TCP server speaking the versioned envelope
 //! protocol's worker-control frames. Its life is three phases:
 //!
-//! 1. **Load** — the coordinator ships the full partition set
-//!    (`LoadPartition` frames; adjacency replicates because walkers
-//!    cross partition boundaries) and names the one partition this
-//!    worker *owns*.
+//! 1. **Load** — the coordinator hands over the full shard set
+//!    (adjacency replicates because walkers cross partition boundaries)
+//!    and names the one partition this worker *owns*: one `PASCOSH1`
+//!    shard image per `LoadPartition` frame, or a single `LoadStore`
+//!    frame naming a directory of the same images on this machine.
+//!    Either way the bytes pass the store's one validator and become
+//!    the one storage the worker serves from; the payload checksum is
+//!    not run on an image, as it is not on a file at open.
 //! 2. **Build** — on `BuildShard`, the worker walks an `R`-walker
 //!    cohort for each owned source and returns the materialised rows of
 //!    its slice of the linear system.
 //! 3. **Serve** — `ShardQuery` / `ShardTopK` frames arrive for sources
 //!    this worker owns; answers are bit-identical to the local engine
 //!    because the compute core ([`ShardWorkerCore`]) runs the same
-//!    generic walk kernels over the same routed view as the in-process
-//!    sharded engine.
+//!    generic walk kernels over the same mapped store as the in-process
+//!    out-of-core engine.
 //!
 //! All protocol semantics live in
 //! [`pasco_simrank::api`]: frames in [`envelope`], payloads in
@@ -58,8 +62,8 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug)]
 pub struct WorkerConfig {
     /// Largest frame payload accepted (and advertised in the
-    /// handshake). `LoadPartition` frames carry whole partitions, so on
-    /// very large graphs this may need to exceed the protocol default.
+    /// handshake). `LoadPartition` frames carry whole shard images, so
+    /// on very large graphs this may need to exceed the protocol default.
     pub max_frame_bytes: u32,
     /// How often an idle connection checks for a worker stop.
     pub poll_interval: Duration,

@@ -19,6 +19,7 @@ use pasco::simrank::{
     CloudWalker, ExecMode, QueryError, QuerySession, SimRankConfig, SimRankError,
 };
 use pasco::worker::{PascoWorker, WorkerConfig, WorkerHandle};
+use pasco_store::{write_partition, ShardHeader};
 use proptest::prelude::*;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -276,7 +277,8 @@ fn spawn_rogue_drops_on_build() -> (String, JoinHandle<()>) {
             match env.kind {
                 FrameKind::LoadPartition => {
                     let msg = LoadPartition::from_bytes(&env.payload).unwrap();
-                    let ack = LoadAck { resident_bytes: 0, loaded: msg.part_index + 1 };
+                    let part_index = ShardHeader::from_bytes(&msg.image).unwrap().part_index;
+                    let ack = LoadAck { resident_bytes: 0, loaded: part_index + 1 };
                     write_envelope(
                         &mut writer,
                         &Envelope::worker(FrameKind::LoadPartition, env.request_id, &ack),
@@ -439,13 +441,9 @@ fn load_acks_echo_kind_and_id_over_a_raw_socket() {
     assert_eq!(read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap().kind, FrameKind::HelloAck);
 
     for (q, part) in parts.iter().enumerate() {
-        let msg = LoadPartition {
-            n: 10,
-            parts: 2,
-            owned_part: 0,
-            part_index: q as u32,
-            partition: part.clone(),
-        };
+        let mut image = std::io::Cursor::new(Vec::new());
+        write_partition(&mut image, (10, 2), q as u32, part, &[]).unwrap();
+        let msg = LoadPartition { owned_part: 0, image: image.into_inner() };
         let id = 100 + q as u64;
         write_envelope(&mut stream, &Envelope::worker(FrameKind::LoadPartition, id, &msg)).unwrap();
         let reply = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
@@ -454,6 +452,19 @@ fn load_acks_echo_kind_and_id_over_a_raw_socket() {
         let ack = LoadAck::from_bytes(&reply.payload).unwrap();
         assert_eq!(ack.loaded, q as u32 + 1);
         assert!(ack.resident_bytes > 0);
+    }
+
+    // A payload that is no shard image is answered typed, with the store's
+    // own refusal, on the same connection: no panic, no hang-up.
+    let msg = LoadPartition { owned_part: 0, image: b"PASCOSH9 is not a shard".to_vec() };
+    write_envelope(&mut stream, &Envelope::worker(FrameKind::LoadPartition, 7, &msg)).unwrap();
+    let reply = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!((reply.kind, reply.request_id), (FrameKind::Error, 7));
+    match reply.decode_error().unwrap() {
+        QueryError::WorkerUnavailable { detail } => {
+            assert!(detail.contains("bad store magic"), "{detail}")
+        }
+        other => panic!("expected WorkerUnavailable, got {other}"),
     }
     handle.shutdown();
     join.join().unwrap();
