@@ -43,7 +43,7 @@ fn bench_engines(c: &mut Criterion) {
     group.sample_size(20);
     for (label, cw) in &engines {
         group.bench_with_input(BenchmarkId::from_parameter(label), cw, |b, cw| {
-            b.iter(|| black_box(cw.single_pair(17, 9_001)));
+            b.iter(|| black_box(cw.try_single_pair(17, 9_001).unwrap()));
         });
     }
     group.finish();
@@ -51,7 +51,7 @@ fn bench_engines(c: &mut Criterion) {
     group.sample_size(20);
     for (label, cw) in &engines {
         group.bench_with_input(BenchmarkId::from_parameter(label), cw, |b, cw| {
-            b.iter(|| black_box(cw.single_source_topk(17, 10)));
+            b.iter(|| black_box(cw.try_single_source_topk(17, 10).unwrap()));
         });
     }
     group.finish();

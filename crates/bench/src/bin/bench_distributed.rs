@@ -70,13 +70,13 @@ fn measure(g: &Arc<pasco_graph::CsrGraph>, cfg: SimRankConfig, mode: ExecMode) -
     let n = g.node_count();
     let t0 = Instant::now();
     for q in 0..MCSP_QUERIES {
-        std::hint::black_box(cw.single_pair(q * 37 % n, (q * 101 + 7) % n));
+        std::hint::black_box(cw.try_single_pair(q * 37 % n, (q * 101 + 7) % n).unwrap());
     }
     let mcsp_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(MCSP_QUERIES);
 
     let t0 = Instant::now();
     for q in 0..TOPK_QUERIES {
-        std::hint::black_box(cw.single_source_topk(q * 53 % n, 10));
+        std::hint::black_box(cw.try_single_source_topk(q * 53 % n, 10).unwrap());
     }
     let topk_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(TOPK_QUERIES);
 
@@ -115,7 +115,10 @@ fn main() {
     )
     .unwrap();
     assert_eq!(reference.diagonal(), dist.diagonal(), "engines diverged; bench void");
-    assert_eq!(reference.single_source_topk(3, 10), dist.single_source_topk(3, 10));
+    assert_eq!(
+        reference.try_single_source_topk(3, 10).unwrap(),
+        dist.try_single_source_topk(3, 10).unwrap()
+    );
     fleet.stop();
 
     let mut json = String::from("{\n");

@@ -57,13 +57,13 @@ fn dir_bytes(dir: &Path) -> u64 {
 /// Times `queries` single-pair queries and returns (qps, first_us).
 fn pair_load(cw: &CloudWalker, n: u32, queries: u32) -> (f64, f64) {
     let t_first = Instant::now();
-    let _ = cw.single_pair(1 % n, 2 % n);
+    let _ = cw.try_single_pair(1 % n, 2 % n).unwrap();
     let first_us = t_first.elapsed().as_secs_f64() * 1e6;
     let t0 = Instant::now();
     for q in 0..queries {
         let i = (q * 13 + 1) % n;
         let j = (q * 29 + 7) % n;
-        let _ = cw.single_pair(i, j);
+        let _ = cw.try_single_pair(i, j).unwrap();
     }
     let qps = queries as f64 / t0.elapsed().as_secs_f64();
     (qps, first_us)

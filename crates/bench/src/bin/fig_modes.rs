@@ -39,8 +39,8 @@ fn main() {
         let ((cw, stats), _) =
             time(|| CloudWalker::build_with_stats(Arc::clone(&g), cfg, mode).unwrap());
         let before = cw.cluster_report().unwrap();
-        let (_, sp) = time(|| std::hint::black_box(cw.single_pair(11, 5000)));
-        let (_, ss) = time(|| std::hint::black_box(cw.single_source(11)));
+        let (_, sp) = time(|| std::hint::black_box(cw.try_single_pair(11, 5000).unwrap()));
+        let (_, ss) = time(|| std::hint::black_box(cw.try_single_source(11).unwrap()));
         let after = cw.cluster_report().unwrap();
         let mem = match mode_name {
             "rdd" => cw.max_partition_bytes().unwrap(),

@@ -82,8 +82,9 @@ fn main() {
             let (built, prep) = time(|| CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local));
             match built {
                 Ok(cw) => {
-                    let (_, sp) = time(|| std::hint::black_box(cw.single_pair(qi, qj)));
-                    let (_, ss) = time(|| std::hint::black_box(cw.single_source(qi)));
+                    let (_, sp) =
+                        time(|| std::hint::black_box(cw.try_single_pair(qi, qj).unwrap()));
+                    let (_, ss) = time(|| std::hint::black_box(cw.try_single_source(qi).unwrap()));
                     MethodCells {
                         prep: fmt_duration(prep),
                         sp: fmt_duration(sp),

@@ -72,12 +72,12 @@ fn main() {
             Ok((cw, stats)) => {
                 let (_, sp) = time(|| {
                     for _ in 0..3 {
-                        std::hint::black_box(cw.single_pair(qi, qj));
+                        std::hint::black_box(cw.try_single_pair(qi, qj).unwrap());
                     }
                 });
                 let (_, ss) = time(|| {
                     for _ in 0..3 {
-                        std::hint::black_box(cw.single_source(qi));
+                        std::hint::black_box(cw.try_single_source(qi).unwrap());
                     }
                 });
                 t.row(vec![

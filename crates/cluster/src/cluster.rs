@@ -53,15 +53,16 @@ impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         let host = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(2);
         let threads = cfg.total_cores().min(host).max(1);
+        #[allow(
+            clippy::expect_used,
+            reason = "`Cluster::new` runs once at startup, before any request is accepted: a \
+                      process whose thread pool cannot build cannot serve at all, so aborting \
+                      here is the contract; nothing in-flight exists yet for a panic to drop"
+        )]
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .thread_name(|i| format!("pasco-worker-{i}"))
             .build()
-            // `Cluster::new` runs once at startup, before any request is
-            // accepted: a process whose thread pool cannot build cannot
-            // serve at all, so aborting here is the contract. Nothing
-            // in-flight exists yet for a panic to drop.
-            // pasco-lint: allow(panic-reachable-in-serving)
             .expect("failed to build cluster thread pool");
         Self { cfg, pool, log: Mutex::new(MetricsLog::default()) }
     }

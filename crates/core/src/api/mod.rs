@@ -8,8 +8,8 @@
 //! * [`QueryRequest`] / [`QueryResponse`] — one enum variant per query
 //!   kind, plus a one-level [`QueryRequest::Batch`] wrapper;
 //! * [`QueryError`] — typed failures ([`QueryError::NodeOutOfRange`],
-//!   [`QueryError::InvalidK`], …) replacing the panics and hand-rolled
-//!   bounds checks that used to guard the infallible methods;
+//!   [`QueryError::InvalidK`], …) instead of panics and hand-rolled
+//!   bounds checks;
 //! * [`QueryService`] — `fn execute(&self, QueryRequest) ->
 //!   Result<QueryResponse, QueryError>`, implemented by the caching
 //!   [`QuerySession`] serving layer and (as a thin adapter) by
@@ -414,15 +414,15 @@ mod tests {
         let cw = walker();
         let svc: &dyn QueryService = cw.as_ref();
         match svc.execute(QueryRequest::SinglePair { i: 3, j: 40 }).unwrap() {
-            QueryResponse::Score(s) => assert_eq!(s, cw.single_pair(3, 40)),
+            QueryResponse::Score(s) => assert_eq!(s, cw.try_single_pair(3, 40).unwrap()),
             other => panic!("wrong variant {other:?}"),
         }
         match svc.execute(QueryRequest::SingleSourceTopK { i: 3, k: 5 }).unwrap() {
-            QueryResponse::Ranked(r) => assert_eq!(r, cw.single_source_topk(3, 5)),
+            QueryResponse::Ranked(r) => assert_eq!(r, cw.try_single_source_topk(3, 5).unwrap()),
             other => panic!("wrong variant {other:?}"),
         }
         match svc.execute(QueryRequest::Cohort { v: 3 }).unwrap() {
-            QueryResponse::Cohort(c) => assert_eq!(c, cw.query_cohort(3)),
+            QueryResponse::Cohort(c) => assert_eq!(c, cw.try_query_cohort(3).unwrap()),
             other => panic!("wrong variant {other:?}"),
         }
     }

@@ -192,25 +192,28 @@ impl FrameDecoder {
         // Header phase: accumulate HEADER_LEN bytes, validating the very
         // first one immediately so a non-protocol peer is rejected before
         // it can dribble 19 more bytes of garbage.
-        if self.header.is_none() {
-            if self.have == 0 && !bytes.is_empty() && bytes[0] != MAGIC[0] {
-                return Err(FrameError::NotAFrame { first: bytes[0] });
+        let header = match self.header {
+            Some(header) => header,
+            None => {
+                if self.have == 0 && !bytes.is_empty() && bytes[0] != MAGIC[0] {
+                    return Err(FrameError::NotAFrame { first: bytes[0] });
+                }
+                let want = HEADER_LEN - self.have;
+                let take = want.min(bytes.len());
+                self.head[self.have..self.have + take].copy_from_slice(&bytes[..take]);
+                self.have += take;
+                used += take;
+                if self.have < HEADER_LEN {
+                    return Ok((used, None));
+                }
+                let header = EnvelopeHeader::decode(&self.head, self.max_frame)?;
+                self.payload = Vec::with_capacity(header.payload_len as usize);
+                self.header = Some(header);
+                header
             }
-            let want = HEADER_LEN - self.have;
-            let take = want.min(bytes.len());
-            self.head[self.have..self.have + take].copy_from_slice(&bytes[..take]);
-            self.have += take;
-            used += take;
-            if self.have < HEADER_LEN {
-                return Ok((used, None));
-            }
-            let header = EnvelopeHeader::decode(&self.head, self.max_frame)?;
-            self.payload = Vec::with_capacity(header.payload_len as usize);
-            self.header = Some(header);
-        }
+        };
         // Payload phase: the header is validated, so payload_len is under
         // the frame limit and this extend is allocation-bounded.
-        let header = self.header.expect("header set above");
         let want = header.payload_len as usize - self.payload.len();
         let take = want.min(bytes.len() - used);
         self.payload.extend_from_slice(&bytes[used..used + take]);

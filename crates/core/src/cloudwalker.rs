@@ -47,8 +47,9 @@ pub struct IndexBuildStats {
 ///
 /// let g = generators::barabasi_albert(300, 4, 1);
 /// let cw = CloudWalker::build(g.into(), SimRankConfig::fast(), ExecMode::Local).unwrap();
-/// let s = cw.single_pair(3, 4);
+/// let s = cw.try_single_pair(3, 4).unwrap();
 /// assert!((0.0..=1.0).contains(&s));
+/// assert!(cw.try_single_pair(3, 300).is_err()); // typed, never a panic
 /// ```
 pub struct CloudWalker {
     backing: GraphBacking,
@@ -221,9 +222,9 @@ impl CloudWalker {
     /// MCSP — similarity of one node pair, `O(T·R′)`. Estimates are
     /// clamped into SimRank's `[0, 1]` range (Monte-Carlo noise can push a
     /// raw estimate slightly outside). Fails with
-    /// [`QueryError::NodeOutOfRange`] instead of panicking; the serving
-    /// stack ([`crate::api::QueryService`], [`crate::QuerySession`]) routes
-    /// every query through these checked variants.
+    /// [`QueryError::NodeOutOfRange`] on a bad node — every query method
+    /// is checked, and the serving stack ([`crate::api::QueryService`],
+    /// [`crate::QuerySession`]) routes through the same ones.
     pub fn try_single_pair(&self, i: NodeId, j: NodeId) -> Result<f64, QueryError> {
         self.check_node(i)?;
         self.check_node(j)?;
@@ -295,72 +296,16 @@ impl CloudWalker {
         Ok(out)
     }
 
-    /// Infallible [`CloudWalker::try_single_pair`].
-    ///
-    /// # Panics
-    /// Panics if `i` or `j` is not a node of the graph; call the checked
-    /// variant to get a typed [`QueryError`] instead.
-    pub fn single_pair(&self, i: NodeId, j: NodeId) -> f64 {
-        self.try_single_pair(i, j).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Infallible [`CloudWalker::try_single_source`].
-    ///
-    /// # Panics
-    /// Panics if `i` is not a node of the graph.
-    pub fn single_source(&self, i: NodeId) -> Vec<f64> {
-        self.try_single_source(i).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Infallible [`CloudWalker::try_single_source_topk`]. `k = 0` returns
-    /// an empty ranking (the checked variant treats it as
-    /// [`QueryError::InvalidK`]).
-    ///
-    /// # Panics
-    /// Panics if `i` is not a node of the graph.
-    pub fn single_source_topk(&self, i: NodeId, k: usize) -> Vec<(NodeId, f64)> {
-        if k == 0 {
-            self.check_node(i).unwrap_or_else(|e| panic!("{e}"));
-            return Vec::new();
-        }
-        self.try_single_source_topk(i, k).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Infallible [`CloudWalker::try_query_cohort`].
-    ///
-    /// # Panics
-    /// Panics if `v` is not a node of the graph.
-    pub fn query_cohort(&self, v: NodeId) -> pasco_mc::walks::StepDistributions {
-        self.try_query_cohort(v).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Infallible [`CloudWalker::try_single_source_push`].
-    ///
-    /// # Panics
-    /// Panics if `i` is not a node of the graph.
-    pub fn single_source_push(&self, i: NodeId) -> Vec<f64> {
-        self.try_single_source_push(i).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// MCAP — top-`k` similar nodes for every node (`O(n·T²·R′·log d)`;
     /// run it on graphs small enough to afford `n` single-source queries).
     /// Runs MCSS repeatedly (as in the paper) on the configured engine, in
     /// parallel over sources.
     ///
-    /// # Panics
-    /// Panics if the engine fails a query mid-sweep (only possible on the
-    /// distributed substrate when a worker disappears); the per-source
-    /// checked queries are the fault-tolerant surface.
-    pub fn all_pairs_topk(&self, k: usize) -> Vec<Vec<(NodeId, f64)>> {
-        let diag = self.diag.as_slice();
-        (0..self.node_count())
-            .into_par_iter()
-            .map(|i| {
-                self.engine
-                    .single_source_topk(diag, &self.cfg, i, k)
-                    .unwrap_or_else(|e| panic!("{e}"))
-            })
-            .collect()
+    /// Fails with the first typed error an engine query returns (only
+    /// possible on the distributed substrate when a worker disappears)
+    /// and with [`QueryError::InvalidK`] on `k = 0`.
+    pub fn all_pairs_topk(&self, k: usize) -> Result<Vec<Vec<(NodeId, f64)>>, QueryError> {
+        (0..self.node_count()).into_par_iter().map(|i| self.try_single_source_topk(i, k)).collect()
     }
 
     /// The offline index.
@@ -542,10 +487,10 @@ mod tests {
         let g = Arc::new(generators::barabasi_albert(150, 3, 3));
         let (cw, stats) =
             CloudWalker::build_with_stats(g, SimRankConfig::fast(), ExecMode::Local).unwrap();
-        assert_eq!(cw.single_pair(5, 5), 1.0);
-        let s = cw.single_pair(5, 60);
+        assert_eq!(cw.try_single_pair(5, 5).unwrap(), 1.0);
+        let s = cw.try_single_pair(5, 60).unwrap();
         assert!((0.0..=1.0).contains(&s));
-        let row = cw.single_source(5);
+        let row = cw.try_single_source(5).unwrap();
         assert_eq!(row.len(), 150);
         assert_eq!(row[5], 1.0);
         assert_eq!(stats.jacobi_residuals.len(), cw.config().l);
@@ -578,14 +523,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn query_out_of_range_panics() {
-        let g = Arc::new(generators::cycle(4));
-        let cw = CloudWalker::build(g, SimRankConfig::fast(), ExecMode::Local).unwrap();
-        cw.single_pair(0, 4);
-    }
-
-    #[test]
     fn checked_queries_surface_typed_errors() {
         let g = Arc::new(generators::cycle(4));
         let cw = CloudWalker::build(g, SimRankConfig::fast(), ExecMode::Local).unwrap();
@@ -596,10 +533,6 @@ mod tests {
         assert_eq!(cw.try_single_source_push(4).unwrap_err(), oob);
         assert_eq!(cw.try_query_cohort(4).unwrap_err(), oob);
         assert_eq!(cw.try_single_source_topk(1, 0).unwrap_err(), QueryError::InvalidK { k: 0 });
-        // Checked and infallible variants agree on valid input.
-        assert_eq!(cw.try_single_pair(0, 2).unwrap(), cw.single_pair(0, 2));
-        assert_eq!(cw.try_single_source_topk(0, 2).unwrap(), cw.single_source_topk(0, 2));
-        assert_eq!(cw.single_source_topk(0, 0), Vec::new());
     }
 
     #[test]
@@ -618,9 +551,15 @@ mod tests {
         assert!(mapped.reverse_chain_index().is_none());
         assert_eq!(mapped.store().unwrap().parts(), 3);
         assert_eq!(mapped.diagonal(), resident.diagonal());
-        assert_eq!(mapped.single_pair(3, 99), resident.single_pair(3, 99));
-        assert_eq!(mapped.single_source(5), resident.single_source(5));
-        assert_eq!(mapped.single_source_topk(5, 10), resident.single_source_topk(5, 10));
+        assert_eq!(
+            mapped.try_single_pair(3, 99).unwrap(),
+            resident.try_single_pair(3, 99).unwrap()
+        );
+        assert_eq!(mapped.try_single_source(5).unwrap(), resident.try_single_source(5).unwrap());
+        assert_eq!(
+            mapped.try_single_source_topk(5, 10).unwrap(),
+            resident.try_single_source_topk(5, 10).unwrap()
+        );
 
         // The push ablation needs the resident CSR: typed error, no panic.
         assert!(matches!(mapped.try_single_source_push(5), Err(QueryError::Unsupported { .. })));
@@ -651,9 +590,18 @@ mod tests {
         assert!(store.shards().iter().all(|s| !s.is_empty()), "every shard owns a node");
         assert_eq!(mapped.diagonal(), resident.diagonal());
         for i in 0..5 {
-            assert_eq!(mapped.single_pair(i, (i + 2) % 5), resident.single_pair(i, (i + 2) % 5));
-            assert_eq!(mapped.single_source(i), resident.single_source(i));
-            assert_eq!(mapped.single_source_topk(i, 3), resident.single_source_topk(i, 3));
+            assert_eq!(
+                mapped.try_single_pair(i, (i + 2) % 5).unwrap(),
+                resident.try_single_pair(i, (i + 2) % 5).unwrap()
+            );
+            assert_eq!(
+                mapped.try_single_source(i).unwrap(),
+                resident.try_single_source(i).unwrap()
+            );
+            assert_eq!(
+                mapped.try_single_source_topk(i, 3).unwrap(),
+                resident.try_single_source_topk(i, 3).unwrap()
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -710,8 +658,8 @@ mod tests {
             .unwrap();
         assert_eq!(local.diagonal(), bcast.diagonal());
         assert_eq!(local.diagonal(), rdd.diagonal());
-        assert_eq!(local.single_pair(3, 99), bcast.single_pair(3, 99));
-        assert_eq!(local.single_pair(3, 99), rdd.single_pair(3, 99));
+        assert_eq!(local.try_single_pair(3, 99).unwrap(), bcast.try_single_pair(3, 99).unwrap());
+        assert_eq!(local.try_single_pair(3, 99).unwrap(), rdd.try_single_pair(3, 99).unwrap());
         assert!(bcast.cluster_report().is_some());
         assert!(rdd.max_partition_bytes().unwrap() < g.memory_bytes());
         assert!(local.max_partition_bytes().is_none());

@@ -254,10 +254,13 @@ impl ShardWorkerCore {
         let Some((n, parts, owned)) = self.shape else {
             return Err(self.not_ready("owned range requested"));
         };
-        // `owned >= parts` is rejected at load time, and a range
-        // partitioner has a range for every index below `parts`.
-        // pasco-lint: allow(panic-reachable-in-serving)
-        Ok(Partitioner::range(n, parts).range_of(owned).expect("range partitioner"))
+        #[allow(
+            clippy::expect_used,
+            reason = "`owned >= parts` is rejected at load time, and a range partitioner has a \
+                      range for every index below `parts`"
+        )]
+        let range = Partitioner::range(n, parts).range_of(owned).expect("range partitioner");
+        Ok(range)
     }
 
     /// The shard-local offline build: one `R`-walker cohort and one
@@ -938,9 +941,11 @@ impl SimRankEngine for DistributedEngine {
         let mut task_times = Vec::with_capacity(self.workers());
         for (w, result) in results.into_iter().enumerate() {
             let (rows, took) = result.map_err(SimRankError::Query)?;
-            // The engine's partitioner is `Partitioner::range` by
-            // construction and `w < workers() == parts`.
-            // pasco-lint: allow(panic-reachable-in-serving)
+            #[allow(
+                clippy::expect_used,
+                reason = "the engine's partitioner is `Partitioner::range` by construction and \
+                          `w < workers() == parts`"
+            )]
             let (start, end) = self.partitioner.range_of(w as u32).expect("range partitioner");
             if rows.len() != (end - start) as usize {
                 return Err(SimRankError::Query(QueryError::WorkerUnavailable {

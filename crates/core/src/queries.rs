@@ -31,6 +31,7 @@ use pasco_mc::counts::MassMap;
 use pasco_mc::forward::{forward_walk_frontier, push_measure, ForwardWalker};
 use pasco_mc::rng::{mix, mix_extend};
 use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
+use std::borrow::Borrow;
 use std::convert::Infallible;
 
 /// Salt distinguishing query walks from index walks.
@@ -102,20 +103,21 @@ pub fn score_pair(di: &StepDistributions, dj: &StepDistributions, diag: &[f64], 
 
 /// MCSP over whatever produces cohorts: `s(i, i)` is 1 by definition,
 /// otherwise the two cohorts scored by [`score_pair`]. The one spelling
-/// behind [`single_pair_on`] (kernel cohorts, cannot fail) and the
-/// provided `SimRankEngine::single_pair` (an engine's cohort dataflow).
+/// behind [`single_pair_on`] (kernel cohorts, cannot fail), the provided
+/// `SimRankEngine::single_pair` (an engine's cohort dataflow, owned
+/// values) and the session (cached `Arc`s).
 #[inline]
-pub(crate) fn pair_from_cohorts<E>(
+pub(crate) fn pair_from_cohorts<D: Borrow<StepDistributions>, E>(
     diag: &[f64],
     c: f64,
     (i, j): (NodeId, NodeId),
-    mut cohort: impl FnMut(NodeId) -> Result<StepDistributions, E>,
+    mut cohort: impl FnMut(NodeId) -> Result<D, E>,
 ) -> Result<f64, E> {
     if i == j {
         return Ok(1.0);
     }
     let (di, dj) = (cohort(i)?, cohort(j)?);
-    Ok(score_pair(&di, &dj, diag, c))
+    Ok(score_pair(di.borrow(), dj.borrow(), diag, c))
 }
 
 /// MCSP: the single-pair query on any adjacency source.

@@ -7,7 +7,7 @@
 //! fan-out, A/B probes) re-simulates identical walks over and over.
 //! [`QuerySession`] memoises cohorts so repeated queries pay only the
 //! scoring merge, and exposes batch entry points that exploit sharing
-//! explicitly (`pairs_matrix` warms each distinct node through the cache
+//! explicitly (`try_pairs_matrix` warms each distinct node through the cache
 //! at most once per block).
 //!
 //! The session is `Send + Sync` and every query takes `&self`: one session
@@ -29,7 +29,7 @@
 use crate::api::wire::WireCodec;
 use crate::api::QueryError;
 use crate::cloudwalker::CloudWalker;
-use crate::queries::score_pair;
+use crate::queries::{pair_from_cohorts, score_pair};
 use pasco_graph::NodeId;
 use pasco_mc::walks::StepDistributions;
 use rayon::prelude::*;
@@ -98,6 +98,22 @@ struct LruShard {
     tail: usize,
 }
 
+/// The one place a list index is turned into its slot.
+#[allow(
+    clippy::expect_used,
+    reason = "a linked index always names an occupied slot: `remove` is the only writer of \
+              `None` and unlinks first"
+)]
+impl LruShard {
+    fn slot(&self, slot: usize) -> &Slot {
+        self.slots[slot].as_ref().expect("linked slot must be occupied")
+    }
+
+    fn slot_mut(&mut self, slot: usize) -> &mut Slot {
+        self.slots[slot].as_mut().expect("linked slot must be occupied")
+    }
+}
+
 impl LruShard {
     fn new(capacity: usize, ttl: Option<Duration>, max_bytes: Option<usize>) -> Self {
         Self {
@@ -114,32 +130,27 @@ impl LruShard {
         }
     }
 
-    fn slot(&self, slot: usize) -> &Slot {
-        self.slots[slot].as_ref().expect("linked slot must be occupied")
-    }
-
     fn detach(&mut self, slot: usize) {
         let (prev, next) = (self.slot(slot).prev, self.slot(slot).next);
         if prev == NONE {
             self.head = next;
         } else {
-            self.slots[prev].as_mut().expect("linked").next = next;
+            self.slot_mut(prev).next = next;
         }
         if next == NONE {
             self.tail = prev;
         } else {
-            self.slots[next].as_mut().expect("linked").prev = prev;
+            self.slot_mut(next).prev = prev;
         }
     }
 
     fn attach_front(&mut self, slot: usize) {
-        {
-            let s = self.slots[slot].as_mut().expect("linked");
-            s.prev = NONE;
-            s.next = self.head;
-        }
-        if self.head != NONE {
-            self.slots[self.head].as_mut().expect("linked").prev = slot;
+        let head = self.head;
+        let s = self.slot_mut(slot);
+        s.prev = NONE;
+        s.next = head;
+        if head != NONE {
+            self.slot_mut(head).prev = slot;
         }
         self.head = slot;
         if self.tail == NONE {
@@ -150,10 +161,11 @@ impl LruShard {
     /// Unlinks and frees a slot, releasing its value and byte account.
     fn remove(&mut self, slot: usize) {
         self.detach(slot);
-        let s = self.slots[slot].take().expect("linked slot must be occupied");
-        self.map.remove(&s.node);
-        self.bytes -= s.bytes;
-        self.free.push(slot);
+        if let Some(s) = self.slots[slot].take() {
+            self.map.remove(&s.node);
+            self.bytes -= s.bytes;
+            self.free.push(slot);
+        }
     }
 
     fn expired(&self, slot: usize) -> bool {
@@ -180,7 +192,7 @@ impl LruShard {
             // entry (identical by determinism), refresh recency and TTL.
             self.detach(slot);
             self.attach_front(slot);
-            self.slots[slot].as_mut().expect("linked").inserted = Instant::now();
+            self.slot_mut(slot).inserted = Instant::now();
             return;
         }
         let bytes = value.encoded_len();
@@ -570,46 +582,18 @@ impl QuerySession {
 
     /// Both nodes already checked; `s(i, i) = 1` by definition.
     fn single_pair_unchecked(&self, i: NodeId, j: NodeId) -> Result<f64, QueryError> {
-        if i == j {
-            return Ok(1.0);
-        }
-        let di = self.cohort(i)?;
-        let dj = self.cohort(j)?;
-        let cfg = self.walker.config();
-        Ok(score_pair(&di, &dj, self.walker.diagonal().as_slice(), cfg.c).clamp(0.0, 1.0))
+        let (diag, c) = (self.walker.diagonal().as_slice(), self.walker.config().c);
+        Ok(pair_from_cohorts(diag, c, (i, j), |v| self.cohort(v))?.clamp(0.0, 1.0))
     }
 
     /// MCSP through the cache; numerically identical to
-    /// [`CloudWalker::single_pair`].
-    ///
-    /// # Panics
-    /// Panics if `i` or `j` is not a node of the graph (including when
-    /// `i == j`); use [`QuerySession::try_single_pair`] for a typed error.
-    pub fn single_pair(&self, i: NodeId, j: NodeId) -> f64 {
-        self.try_single_pair(i, j).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checked [`QuerySession::single_pair`]: fails with
-    /// [`QueryError::NodeOutOfRange`] instead of panicking.
+    /// [`CloudWalker::try_single_pair`]. Fails with
+    /// [`QueryError::NodeOutOfRange`] on a bad node (including when
+    /// `i == j`).
     pub fn try_single_pair(&self, i: NodeId, j: NodeId) -> Result<f64, QueryError> {
         self.check_node(i)?;
         self.check_node(j)?;
         self.single_pair_unchecked(i, j)
-    }
-
-    /// Checked [`QuerySession::pairs_matrix`]: every node of `rows` and
-    /// `cols` is validated before any cohort is simulated, and both sets
-    /// must be non-empty ([`QueryError::EmptyNodeSet`]).
-    pub fn try_pairs_matrix(
-        &self,
-        rows: &[NodeId],
-        cols: &[NodeId],
-    ) -> Result<Vec<Vec<f64>>, QueryError> {
-        if rows.is_empty() || cols.is_empty() {
-            return Err(QueryError::EmptyNodeSet);
-        }
-        rows.iter().chain(cols).try_for_each(|&v| self.check_node(v))?;
-        self.pairs_matrix_impl(rows, cols)
     }
 
     /// The (cached) query cohort of `v` — checked access to the building
@@ -626,22 +610,20 @@ impl QuerySession {
     /// blocks so pinned cohorts never exceed the session's configured
     /// capacity. Entry `[r][c]` is `s(rows[r], cols[c])`.
     ///
-    /// # Panics
-    /// Panics on an out-of-range node or an engine failure (a
-    /// distributed worker dying mid-warm-up); use
-    /// [`QuerySession::try_pairs_matrix`] for typed errors.
-    pub fn pairs_matrix(&self, rows: &[NodeId], cols: &[NodeId]) -> Vec<Vec<f64>> {
-        self.pairs_matrix_impl(rows, cols).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible core of [`QuerySession::pairs_matrix`] — an engine
-    /// failure during any cohort warm-up aborts the matrix with its
-    /// typed error.
-    fn pairs_matrix_impl(
+    /// Every node of `rows` and `cols` is validated before any cohort is
+    /// simulated, both sets must be non-empty
+    /// ([`QueryError::EmptyNodeSet`]), and an engine failure during any
+    /// cohort warm-up (a distributed worker dying) aborts the matrix with
+    /// its typed error.
+    pub fn try_pairs_matrix(
         &self,
         rows: &[NodeId],
         cols: &[NodeId],
     ) -> Result<Vec<Vec<f64>>, QueryError> {
+        if rows.is_empty() || cols.is_empty() {
+            return Err(QueryError::EmptyNodeSet);
+        }
+        rows.iter().chain(cols).try_for_each(|&v| self.check_node(v))?;
         let capacity = self.capacity;
         let mut out = vec![vec![0.0f64; cols.len()]; rows.len()];
         // Block the matrix so at most ~capacity cohorts are pinned at once.
@@ -665,8 +647,6 @@ impl QuerySession {
                 let cohorts: HashMap<NodeId, Arc<StepDistributions>> = distinct
                     .par_iter()
                     .map(|&v| self.cohort(v).map(|c| (v, c)))
-                    .collect::<Vec<_>>()
-                    .into_iter()
                     .collect::<Result<Vec<_>, _>>()?
                     .into_iter()
                     .collect();
@@ -701,25 +681,21 @@ impl QuerySession {
         Ok(out)
     }
 
-    /// MCSS through the engine (cohort caching does not apply to the
-    /// forward stage; listed here for one-stop serving workloads).
-    pub fn single_source(&self, i: NodeId) -> Vec<f64> {
-        self.walker.single_source(i)
-    }
-
-    /// MCSS for every source in `sources`, in parallel on the engine.
-    pub fn single_source_batch(&self, sources: &[NodeId]) -> Vec<Vec<f64>> {
-        sources.par_iter().map(|&i| self.walker.single_source(i)).collect()
+    /// MCSS for every source in `sources`, in parallel on the engine
+    /// (cohort caching does not apply to the forward stage; listed here
+    /// for one-stop serving workloads). Fails with the first typed error.
+    pub fn single_source_batch(&self, sources: &[NodeId]) -> Result<Vec<Vec<f64>>, QueryError> {
+        sources.par_iter().map(|&i| self.walker.try_single_source(i)).collect()
     }
 
     /// Top-`k` MCSS for every source in `sources`, in parallel on the
-    /// engine.
+    /// engine. Fails with the first typed error.
     pub fn single_source_topk_batch(
         &self,
         sources: &[NodeId],
         k: usize,
-    ) -> Vec<Vec<(NodeId, f64)>> {
-        sources.par_iter().map(|&i| self.walker.single_source_topk(i, k)).collect()
+    ) -> Result<Vec<Vec<(NodeId, f64)>>, QueryError> {
+        sources.par_iter().map(|&i| self.walker.try_single_source_topk(i, k)).collect()
     }
 }
 
@@ -740,16 +716,20 @@ mod tests {
         let cw = engine();
         let session = QuerySession::new(Arc::clone(&cw), 16);
         for &(i, j) in &[(1u32, 2u32), (5, 80), (2, 1), (80, 5), (7, 7)] {
-            assert_eq!(session.single_pair(i, j), cw.single_pair(i, j), "({i},{j})");
+            assert_eq!(
+                session.try_single_pair(i, j).unwrap(),
+                cw.try_single_pair(i, j).unwrap(),
+                "({i},{j})"
+            );
         }
     }
 
     #[test]
     fn repeated_queries_hit_the_cache() {
         let session = QuerySession::new(engine(), 16);
-        session.single_pair(1, 2); // 2 misses
-        session.single_pair(1, 3); // 1 hit (1), 1 miss (3)
-        session.single_pair(2, 3); // 2 hits
+        session.try_single_pair(1, 2).unwrap(); // 2 misses
+        session.try_single_pair(1, 3).unwrap(); // 1 hit (1), 1 miss (3)
+        session.try_single_pair(2, 3).unwrap(); // 2 hits
         let stats = session.cache_stats();
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 3);
@@ -762,15 +742,15 @@ mod tests {
     fn eviction_respects_lru_order() {
         // One shard = exact global LRU, the easiest shape to reason about.
         let session = QuerySession::with_shards(engine(), 2, 1);
-        session.single_pair(1, 2); // cache {1, 2}
-        session.single_pair(1, 3); // touch 1, insert 3 -> evict 2
+        session.try_single_pair(1, 2).unwrap(); // cache {1, 2}
+        session.try_single_pair(1, 3).unwrap(); // touch 1, insert 3 -> evict 2
         let misses_before = session.cache_stats().misses;
-        session.single_pair(1, 3); // both cached
+        session.try_single_pair(1, 3).unwrap(); // both cached
         let misses_mid = session.cache_stats().misses;
         assert_eq!(misses_before, misses_mid, "no new misses for cached pair");
         // 2 was evicted: miss on 2, whose insertion evicts 1, so 1 misses
         // too — a capacity-2 cache thrashes on a 3-node working set.
-        session.single_pair(2, 1);
+        session.try_single_pair(2, 1).unwrap();
         let misses_after = session.cache_stats().misses;
         assert_eq!(misses_after, misses_mid + 2);
     }
@@ -782,8 +762,8 @@ mod tests {
         // on every query. A hot set within capacity must reach 100% hits.
         let session = QuerySession::new(engine(), 8);
         for _ in 0..3 {
-            session.single_pair(1, 2);
-            session.single_pair(3, 4);
+            session.try_single_pair(1, 2).unwrap();
+            session.try_single_pair(3, 4).unwrap();
         }
         let stats = session.cache_stats();
         assert_eq!(stats.misses, 4, "each hot node simulated once");
@@ -795,12 +775,12 @@ mod tests {
         let cw = engine();
         let session = QuerySession::new(Arc::clone(&cw), 8);
         let nodes: Vec<u32> = (0..30).collect();
-        let m = session.pairs_matrix(&nodes, &nodes);
+        let m = session.try_pairs_matrix(&nodes, &nodes).unwrap();
         // Pinned cohorts are blocked by cache size, never beyond capacity.
         assert!(session.cached_cohorts() <= 8);
         for (r, &i) in nodes.iter().enumerate() {
             for (c, &j) in nodes.iter().enumerate() {
-                assert_eq!(m[r][c], cw.single_pair(i, j), "({i},{j})");
+                assert_eq!(m[r][c], cw.try_single_pair(i, j).unwrap(), "({i},{j})");
             }
         }
     }
@@ -809,7 +789,7 @@ mod tests {
     fn sharded_cache_stays_within_capacity() {
         let session = QuerySession::new(engine(), 32);
         for i in 0..120u32 {
-            session.single_pair(i, (i + 1) % 120);
+            session.try_single_pair(i, (i + 1) % 120).unwrap();
         }
         assert!(session.cached_cohorts() <= 32 + QuerySession::DEFAULT_SHARDS);
         assert_eq!(session.cache_stats().lookups(), 240);
@@ -821,10 +801,10 @@ mod tests {
         let session = QuerySession::new(Arc::clone(&cw), 32);
         let rows = [1u32, 5, 9];
         let cols = [2u32, 5];
-        let m = session.pairs_matrix(&rows, &cols);
+        let m = session.try_pairs_matrix(&rows, &cols).unwrap();
         for (r, &i) in rows.iter().enumerate() {
             for (c, &j) in cols.iter().enumerate() {
-                assert_eq!(m[r][c], cw.single_pair(i, j));
+                assert_eq!(m[r][c], cw.try_single_pair(i, j).unwrap());
             }
         }
         // 4 distinct nodes simulated once each.
@@ -836,11 +816,11 @@ mod tests {
         let cw = engine();
         let session = QuerySession::new(Arc::clone(&cw), 8);
         let sources = [3u32, 50, 99];
-        let batch = session.single_source_batch(&sources);
-        let topk = session.single_source_topk_batch(&sources, 5);
+        let batch = session.single_source_batch(&sources).unwrap();
+        let topk = session.single_source_topk_batch(&sources, 5).unwrap();
         for (idx, &s) in sources.iter().enumerate() {
-            assert_eq!(batch[idx], cw.single_source(s), "source {s}");
-            assert_eq!(topk[idx], cw.single_source_topk(s, 5), "topk {s}");
+            assert_eq!(batch[idx], cw.try_single_source(s).unwrap(), "source {s}");
+            assert_eq!(topk[idx], cw.try_single_source_topk(s, 5).unwrap(), "topk {s}");
         }
     }
 
@@ -872,7 +852,7 @@ mod tests {
         assert_eq!(stats.misses, 1, "one simulation for {clients} concurrent misses");
         assert_eq!(stats.lookups(), clients as u64);
         for c in &cohorts {
-            assert_eq!(**c, cw.query_cohort(7), "coalesced answers match the engine");
+            assert_eq!(**c, cw.try_query_cohort(7).unwrap(), "coalesced answers match the engine");
         }
     }
 
@@ -904,25 +884,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn equal_out_of_range_pair_panics_not_one() {
-        // Regression: the i == j shortcut must not skip the bounds check.
-        let session = QuerySession::new(engine(), 8);
-        session.single_pair(500, 500);
-    }
-
-    #[test]
     fn checked_session_queries_surface_typed_errors() {
         let session = QuerySession::new(engine(), 8);
         let oob = QueryError::NodeOutOfRange { node: 500, node_count: 120 };
         assert_eq!(session.try_single_pair(1, 500).unwrap_err(), oob);
+        // Regression: the i == j shortcut must not skip the bounds check.
         assert_eq!(session.try_single_pair(500, 500).unwrap_err(), oob);
         assert_eq!(session.try_cohort(500).unwrap_err(), oob);
         assert_eq!(session.try_pairs_matrix(&[1, 500], &[2]).unwrap_err(), oob);
         assert_eq!(session.try_pairs_matrix(&[], &[2]).unwrap_err(), QueryError::EmptyNodeSet);
         // Validation happens before simulation: no cohort was cached.
         assert_eq!(session.cached_cohorts(), 0);
-        assert_eq!(session.try_single_pair(1, 2).unwrap(), session.single_pair(1, 2));
     }
 
     #[test]
@@ -939,10 +911,10 @@ mod tests {
         );
         let before = cw.cluster_report().unwrap().stages;
         let session = QuerySession::new(Arc::clone(&cw), 8);
-        let s = session.single_pair(1, 2);
+        let s = session.try_single_pair(1, 2).unwrap();
         let after = cw.cluster_report().unwrap().stages;
         assert!(after > before, "cohort simulation must be accounted: {before} -> {after}");
-        assert_eq!(s, cw.single_pair(1, 2), "cached answer still matches the engine");
+        assert_eq!(s, cw.try_single_pair(1, 2).unwrap(), "cached answer still matches the engine");
     }
 
     #[test]
@@ -962,7 +934,7 @@ mod tests {
             SessionConfig::new(16).with_ttl(Duration::ZERO),
         );
         for _ in 0..3 {
-            assert_eq!(session.single_pair(1, 2), cw.single_pair(1, 2));
+            assert_eq!(session.try_single_pair(1, 2).unwrap(), cw.try_single_pair(1, 2).unwrap());
         }
         let stats = session.cache_stats();
         assert_eq!(stats.hits, 0, "expired entries must not count as hits");
@@ -976,8 +948,8 @@ mod tests {
             engine(),
             SessionConfig::new(16).with_ttl(Duration::from_secs(3600)),
         );
-        session.single_pair(1, 2);
-        session.single_pair(1, 2);
+        session.try_single_pair(1, 2).unwrap();
+        session.try_single_pair(1, 2).unwrap();
         let stats = session.cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (2, 2, 0));
     }
@@ -1009,7 +981,11 @@ mod tests {
             SessionConfig::new(64).with_shards(1).with_max_bytes(budget),
         );
         for v in 0..20u32 {
-            assert_eq!(*session.try_cohort(v).unwrap(), cw.query_cohort(v), "node {v}");
+            assert_eq!(
+                *session.try_cohort(v).unwrap(),
+                cw.try_query_cohort(v).unwrap(),
+                "node {v}"
+            );
         }
         assert!(session.cached_bytes() <= budget, "{} > {budget}", session.cached_bytes());
         assert!(session.cached_cohorts() < 20, "budget must have evicted");
@@ -1049,7 +1025,7 @@ mod tests {
             Arc::clone(&cw),
             SessionConfig::new(16).with_shards(1).with_max_bytes(1),
         );
-        assert_eq!(session.single_pair(1, 2), cw.single_pair(1, 2));
+        assert_eq!(session.try_single_pair(1, 2).unwrap(), cw.try_single_pair(1, 2).unwrap());
         assert_eq!(session.cached_cohorts(), 0, "1-byte budget caches nothing");
         assert_eq!(session.cached_bytes(), 0);
         assert!(session.cache_stats().evictions >= 2, "self-evictions count");

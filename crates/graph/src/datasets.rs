@@ -80,6 +80,14 @@ impl DatasetSpec {
     /// Stand-in sizing (documented in DESIGN.md §5): `wiki-vote-sim` keeps
     /// the paper's exact node count; larger graphs shrink to a 2-core
     /// budget while keeping the *ordering* and rough ratios of sizes.
+    ///
+    /// # Panics
+    /// Panics if `name` is not one of the five [`SPECS`] keys.
+    #[allow(
+        clippy::panic,
+        reason = "documented contract: `name` is one of the five `SPECS` keys, which only a \
+                  hand-built spec can miss; `by_name` is the fallible lookup"
+    )]
     pub fn generate(&self) -> CsrGraph {
         match self.name {
             // 7.1K nodes / ~103K edges, hubby like a voting graph.

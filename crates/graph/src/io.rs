@@ -160,8 +160,8 @@ pub fn read_binary(path: impl AsRef<Path>) -> Result<CsrGraph, GraphError> {
     if out_offsets.len() != n as usize + 1 || in_offsets.len() != n as usize + 1 {
         return Err(GraphError::BadFormat("offset array length mismatch".into()));
     }
-    if *out_offsets.last().unwrap() != out_targets.len() as u64
-        || *in_offsets.last().unwrap() != in_sources.len() as u64
+    if out_offsets.last() != Some(&(out_targets.len() as u64))
+        || in_offsets.last() != Some(&(in_sources.len() as u64))
     {
         return Err(GraphError::BadFormat("edge array length mismatch".into()));
     }

@@ -1,5 +1,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The panic gate of the serving closure: a site is rewritten or carries a reasoned `#[allow]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 //! Graph substrate for the PASCO / CloudWalker reproduction.
 //!
 //! SimRank operates on a directed graph and walks **backwards along

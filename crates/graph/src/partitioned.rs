@@ -181,7 +181,7 @@ impl GraphPartition {
     /// The raw arrays backing this partition — `in_offsets`, `in_sources`,
     /// `out_offsets`, `out_targets`, `out_cum`, `out_total`: what the shard
     /// writer serialises.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, reason = "six borrowed arrays, named in the doc above")]
     pub fn raw_arrays(&self) -> (&[u64], &[NodeId], &[u64], &[NodeId], &[f64], &[f64]) {
         (
             &self.in_offsets,
@@ -203,11 +203,13 @@ pub fn partition_graph(graph: &CsrGraph, partitioner: &Partitioner) -> Vec<Graph
     let parts = partitioner.parts();
     (0..parts)
         .map(|p| {
-            // The documented contract above: panicking on a non-range
-            // partitioner is deliberate (hash partitioning would shred
-            // adjacency locality), and `p < parts` by the loop bound.
+            #[allow(
+                clippy::expect_used,
+                reason = "the documented contract above: panicking on a non-range partitioner is \
+                          deliberate (hash partitioning would shred adjacency locality), and \
+                          `p < parts` by the loop bound"
+            )]
             let (start, end) =
-                // pasco-lint: allow(panic-reachable-in-serving)
                 partitioner.range_of(p).expect("partition_graph requires a range partitioner");
             let count = (end - start) as usize;
             let mut in_offsets = Vec::with_capacity(count + 1);

@@ -44,7 +44,7 @@ pub fn degree_stats(graph: &CsrGraph, dir: Direction) -> DegreeStats {
     let pct = |p: f64| degs[(((n - 1) as f64) * p).round() as usize];
     DegreeStats {
         min: degs[0],
-        max: *degs.last().unwrap(),
+        max: degs[degs.len() - 1],
         mean: graph.edge_count() as f64 / n as f64,
         p50: pct(0.50),
         p90: pct(0.90),

@@ -86,7 +86,8 @@ pub fn largest_wcc(graph: &CsrGraph) -> (CsrGraph, Vec<NodeId>) {
         }
         sizes[l as usize] += 1;
     }
-    let biggest = sizes.iter().enumerate().max_by_key(|&(_, &s)| s).map(|(l, _)| l as u32).unwrap();
+    // Non-empty (asserted above), so label 0 exists and `max_by_key` is `Some`.
+    let biggest = sizes.iter().enumerate().max_by_key(|&(_, &s)| s).map_or(0, |(l, _)| l as u32);
     let keep: Vec<NodeId> =
         (0..graph.node_count()).filter(|&v| labels[v as usize] == biggest).collect();
     induced_subgraph(graph, &keep)

@@ -1,13 +1,18 @@
 //! The driver: walks the workspace, runs every rule, applies pragma
 //! suppressions, and renders the report (human or JSON).
 //!
+//! One pass, no cross-file analysis: each file is lexed once and handed
+//! to the per-file rules; the only workspace-level rule (`wire-tag-
+//! discipline`) reads two declaration files, the committed manifest, and
+//! every string literal in the tree.
+//!
 //! ## What gets walked
 //!
 //! Every `.rs` file under the workspace root except:
 //!
 //! * `crates/shims/` — vendored dependency stand-ins, not this
 //!   project's code (they hold the only sanctioned `unsafe` thread/Cell
-//!   plumbing outside the epoll shim);
+//!   plumbing outside the two syscall shims);
 //! * `target/`, `.git/`, and other dotted directories.
 //!
 //! Files under `tests/`, `benches/`, or `examples/` directories are
@@ -15,29 +20,13 @@
 //! them entirely, while workspace-wide rules (like `float-ordering`)
 //! still apply.
 
-use crate::callgraph::{Analysis, Graph};
-use crate::parser;
 use crate::rules::{self, Finding};
 use crate::source::SourceFile;
-use crate::taint::{self, DataflowReport};
 use crate::wire;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// The committed unresolved-edge budget, at the workspace root. Raised
-/// (or lowered) deliberately, like `WIRE_TAGS.manifest`.
-pub const BASELINE_PATH: &str = "CALLGRAPH.baseline";
-
-/// Engine knobs beyond the defaults.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Options {
-    /// Promote indexing/slicing panic sites to findings (off by default:
-    /// the signal-to-noise of `v[i]` is too low for a merge gate, but
-    /// `--strict-indexing` lets an audit see them).
-    pub strict_indexing: bool,
-}
 
 /// The outcome of one lint run.
 #[derive(Debug, Default)]
@@ -156,18 +145,9 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Lints the workspace rooted at `root` with default options.
+/// Lints the workspace rooted at `root`: every per-file rule, the
+/// workspace-level wire-tag rule, then pragma suppression.
 pub fn run_workspace(root: &Path) -> io::Result<Report> {
-    run_workspace_full(root, Options::default()).map(|(report, _, _, _)| report)
-}
-
-/// Lints the workspace and also returns the call graph + analysis + the
-/// dataflow report (for `--dump-callgraph`, `--dump-dataflow`, and the
-/// self-hosting tests).
-pub fn run_workspace_full(
-    root: &Path,
-    opts: Options,
-) -> io::Result<(Report, Graph, Analysis, DataflowReport)> {
     let slugs = rules::rule_slugs();
     let mut files = Vec::new();
     for (rel, abs) in collect_files(root)? {
@@ -178,54 +158,6 @@ pub fn run_workspace_full(
     let mut raw: Vec<Finding> = Vec::new();
     for file in &files {
         raw.extend(rules::check_file(file));
-    }
-
-    // Stage two: parse items, build the workspace call graph, run the
-    // interprocedural rules. Parsing runs twice: the first pass collects
-    // every struct in the workspace into a field-type table, the second
-    // uses it so `self.field.method()` receivers resolve across files.
-    let pre: Vec<parser::FileItems> = files.iter().map(parser::parse_file).collect();
-    let world: Vec<parser::StructItem> = pre.into_iter().flat_map(|i| i.structs).collect();
-    let items: Vec<parser::FileItems> =
-        files.iter().map(|f| parser::parse_file_with(f, &world)).collect();
-    let graph = Graph::build(&items);
-    let analysis = graph.analyze();
-    raw.extend(graph.check(&analysis, opts.strict_indexing));
-
-    // Stage three: the dataflow/taint pass over the same graph.
-    let (taint_findings, dataflow) = taint::check(&files, &graph, &world);
-    raw.extend(taint_findings);
-
-    // The unresolved-edge budget: resolution quality may only regress
-    // deliberately, by raising the committed baseline.
-    if let Ok(text) = fs::read_to_string(root.join(BASELINE_PATH)) {
-        let baseline: Option<usize> = text
-            .lines()
-            .map(str::trim)
-            .find(|l| !l.is_empty() && !l.starts_with('#'))
-            .and_then(|l| l.parse().ok());
-        match baseline {
-            Some(budget) if graph.unresolved_count() > budget => raw.push(Finding {
-                file: BASELINE_PATH.to_owned(),
-                line: 1,
-                rule: rules::CALLGRAPH_BASELINE,
-                message: format!(
-                    "{} unresolved call edges, baseline allows {budget}: new code defeated the \
-                     resolver (see `pasco-lint --dump-callgraph` → callgraph.json for the \
-                     list). Make the calls resolvable, or raise the baseline deliberately",
-                    graph.unresolved_count()
-                ),
-            }),
-            Some(_) => {}
-            None => raw.push(Finding {
-                file: BASELINE_PATH.to_owned(),
-                line: 1,
-                rule: rules::CALLGRAPH_BASELINE,
-                message: "CALLGRAPH.baseline exists but holds no count (first non-comment line \
-                          must be an integer)"
-                    .to_owned(),
-            }),
-        }
     }
 
     // The workspace-level wire-tag rule: parse the declarations, read the
@@ -269,7 +201,7 @@ pub fn run_workspace_full(
     }
     report.findings.sort();
     report.suppressed.sort();
-    Ok((report, graph, analysis, dataflow))
+    Ok(report)
 }
 
 /// Walks upward from `start` to the first directory whose `Cargo.toml`

@@ -4,49 +4,41 @@
 //! repository's past bugs into CI-enforced rules.
 //!
 //! rustc and clippy verify what the *language* promises; this crate
-//! verifies what the *project* promises: determinism in the seed, NaN-safe
-//! rankings, `unsafe` confined to one syscall shim, panic-free serving
-//! paths, append-only wire tags with golden-byte fixtures, and a
-//! nonblocking reactor. Each rule exists because its violation already
-//! shipped once (see the rule table in `README.md` §Static analysis).
+//! verifies what the *project* promises and no compiler lint can see:
+//! determinism in the seed (no hash-ordered collections, no parallel
+//! float reductions), NaN-safe rankings, `unsafe` confined to two syscall
+//! shims, and append-only wire tags with golden-byte fixtures. Each rule
+//! exists because its violation already shipped once (see the ledger in
+//! `README.md` §Static analysis).
 //!
-//! The architecture is three small layers:
+//! There is one stage — every rule is a scan over a token stream:
 //!
 //! * [`lexer`] — a comment- and string-literal-aware Rust lexer, so rules
 //!   match code, never prose;
 //! * [`source`] — per-file classification: `#[cfg(test)]`/`#[test]`
 //!   regions and `pasco-lint: allow(…)` suppression pragmas;
-//! * [`parser`] — a lightweight item parser on the token stream:
-//!   `fn`/`impl`/`trait`/`struct` items, call sites, lock acquisitions,
-//!   panic sites, blocking operations — the workspace symbol table;
-//! * [`callgraph`] — heuristic call resolution over that table:
-//!   reachability from the reactor and the serving entrypoints, the
-//!   lock-order graph, and the DOT/JSON dump behind `--dump-callgraph`;
-//! * [`cfg`](mod@cfg) + [`dataflow`] + [`taint`] — the dataflow stage: a
-//!   statement-level CFG per function body, a generic monotone forward
-//!   framework over it, and a taint analysis that tracks untrusted wire
-//!   bytes into allocation/index/cast sinks (with one level of
-//!   interprocedural summaries through the call graph) and flags
-//!   order-sensitive parallel float reductions;
 //! * [`rules`] + [`wire`] — the rules themselves, pure functions from
-//!   lexed source, the call graph, and the committed
-//!   `WIRE_TAGS.manifest` to [`rules::Finding`]s;
+//!   lexed source and the committed `WIRE_TAGS.manifest` to
+//!   [`rules::Finding`]s;
 //! * [`engine`] — walks the workspace, applies suppressions, renders
 //!   human or `--json` reports.
+//!
+//! What it deliberately does **not** do is resolve calls. The call-graph
+//! and taint stages that once did (panic reachability, lock order,
+//! reactor blocking, wire-length taint) were retired: panic-freedom of
+//! the serving closure is the compiler's job now — the eight serving
+//! crates deny `clippy::unwrap_used` / `expect_used` / `panic` & co. at
+//! their roots — and hostile wire lengths are held by the adversarial
+//! decode tests in `tests/api.rs` and `crates/store/tests/hostile.rs`.
 //!
 //! Run it as `cargo run -p pasco-lint -- --deny-all` (CI does, as a merge
 //! gate). The library surface exists so the crate's own tests — and the
 //! workspace self-run test — can drive the engine in-process.
 
-pub mod callgraph;
-pub mod cfg;
-pub mod dataflow;
 pub mod engine;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
 pub mod source;
-pub mod taint;
 pub mod wire;
 
 pub use engine::{find_workspace_root, run_workspace, Report};

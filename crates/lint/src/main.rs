@@ -3,8 +3,6 @@
 //!
 //! ```text
 //! pasco-lint [--deny-all] [--json] [--root <dir>] [--list-rules]
-//!            [--dump-callgraph <dir>] [--dump-dataflow <dir>]
-//!            [--strict-indexing]
 //! ```
 //!
 //! * `--deny-all` — exit 1 when any unsuppressed finding remains (the CI
@@ -14,15 +12,6 @@
 //! * `--root <dir>` — workspace root; defaults to walking upward from the
 //!   current directory to the first `[workspace]` Cargo.toml.
 //! * `--list-rules` — print the rule table and exit.
-//! * `--dump-callgraph <dir>` — write `callgraph.dot` + `callgraph.json`
-//!   (the resolved workspace call graph, unresolved edges, reachability
-//!   sets, lock-order edges) into `<dir>`; CI uploads both as artifacts.
-//! * `--dump-dataflow <dir>` — write `dataflow.json` (every checked
-//!   allocation/index/cast sink with its taint verdict, plus the
-//!   non-trivial interprocedural summaries) into `<dir>`; the proof
-//!   artifact behind the unvalidated-wire-length rule.
-//! * `--strict-indexing` — also treat `v[i]` indexing/slicing as panic
-//!   sites for the panic-reachability rule (audit mode, not the gate).
 
 use pasco_lint::{engine, rules};
 use std::path::PathBuf;
@@ -32,26 +21,14 @@ fn main() -> ExitCode {
     let mut deny_all = false;
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut dump: Option<PathBuf> = None;
-    let mut dump_dataflow: Option<PathBuf> = None;
-    let mut opts = engine::Options::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny-all" => deny_all = true,
             "--json" => json = true,
-            "--strict-indexing" => opts.strict_indexing = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root needs a directory"),
-            },
-            "--dump-callgraph" => match args.next() {
-                Some(dir) => dump = Some(PathBuf::from(dir)),
-                None => return usage("--dump-callgraph needs a directory"),
-            },
-            "--dump-dataflow" => match args.next() {
-                Some(dir) => dump_dataflow = Some(PathBuf::from(dir)),
-                None => return usage("--dump-dataflow needs a directory"),
             },
             "--list-rules" => {
                 for (slug, summary) in rules::RULES {
@@ -62,9 +39,7 @@ fn main() -> ExitCode {
             "-h" | "--help" => {
                 println!(
                     "pasco-lint: the PASCO workspace invariant checker\n\n\
-                     usage: pasco-lint [--deny-all] [--json] [--root <dir>] [--list-rules]\n\
-                            [--dump-callgraph <dir>] [--dump-dataflow <dir>]\n\
-                            [--strict-indexing]\n\n\
+                     usage: pasco-lint [--deny-all] [--json] [--root <dir>] [--list-rules]\n\n\
                      Suppress a finding in code with `// pasco-lint: allow(<rule>)` on (or\n\
                      directly above) the offending line, with a comment justifying why the\n\
                      invariant holds there."
@@ -85,32 +60,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let (report, graph, analysis, dataflow) = match engine::run_workspace_full(&root, opts) {
+    let report = match engine::run_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("pasco-lint: failed to scan {}: {e}", root.display());
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(dir) = dump {
-        let write = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(dir.join("callgraph.dot"), graph.to_dot(&analysis)))
-            .and_then(|()| std::fs::write(dir.join("callgraph.json"), graph.to_json(&analysis)));
-        if let Err(e) = write {
-            eprintln!("pasco-lint: failed to write callgraph dump to {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if let Some(dir) = dump_dataflow {
-        let write = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(dir.join("dataflow.json"), dataflow.to_json()));
-        if let Err(e) = write {
-            eprintln!("pasco-lint: failed to write dataflow dump to {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
 
     if json {
         print!("{}", report.to_json());
@@ -127,8 +83,7 @@ fn main() -> ExitCode {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!(
-        "pasco-lint: {err}\nusage: pasco-lint [--deny-all] [--json] [--root <dir>] \
-         [--list-rules] [--dump-callgraph <dir>] [--dump-dataflow <dir>] [--strict-indexing]"
+        "pasco-lint: {err}\nusage: pasco-lint [--deny-all] [--json] [--root <dir>] [--list-rules]"
     );
     ExitCode::FAILURE
 }

@@ -13,24 +13,21 @@
 //!   `crates/server/src/sys.rs` by convention; this makes it structural.
 //! * [`WIRE_TAG_DISCIPLINE`] (in [`crate::wire`]) — wire tags are
 //!   append-only and every frame kind needs a golden-bytes fixture.
+//! * [`FP_REDUCTION_ORDER`] — a parallel float `sum` / `product` /
+//!   `reduce` / `fold` adds in scheduler order, which breaks the
+//!   cross-substrate bit-identity every engine suite asserts; `min` /
+//!   `max` combiners are associative and exempt.
+//! * [`BAD_PRAGMA`] — a suppression naming no known rule (a typo, or a
+//!   rule that has since been retired) is itself a finding.
 //!
-//! Three rules are *interprocedural*: they run over the whole-workspace
-//! call graph ([`crate::callgraph`]) instead of file-by-file —
-//!
-//! * [`PANIC_REACHABLE_IN_SERVING`] — every panic site transitively
-//!   reachable from a serving entrypoint must carry a justified pragma.
-//!   (Supersedes the per-file unwrap ban: a panic reached *through*
-//!   `pasco_simrank::core` drops the connection just the same.)
-//! * [`BLOCKING_IN_REACTOR_TRANSITIVE`] — nothing reachable from the
-//!   epoll event loop may block, however many frames deep. (Supersedes
-//!   the single-file lexical rule.)
-//! * [`LOCK_ORDER_CYCLE`] — the lock-acquisition-order graph (which
-//!   lock classes are held while which are acquired, across calls) must
-//!   stay acyclic.
-//! * [`CALLGRAPH_BASELINE`] — heuristic call resolution records what it
-//!   cannot resolve; the committed `CALLGRAPH.baseline` count may only
-//!   be raised deliberately, like `WIRE_TAGS.manifest`.
+//! Every rule is a scan over one file's token stream. Whatever needs to
+//! know what a call *resolves to* — panic-freedom of the serving closure
+//! above all — is left to the compiler: the serving crates deny
+//! `clippy::unwrap_used` / `expect_used` / `panic` & co. at their roots
+//! (see `README.md` §Static analysis for the retired rules and what
+//! succeeded each).
 
+use crate::lexer::Token;
 use crate::source::SourceFile;
 
 /// One reported violation.
@@ -56,22 +53,6 @@ pub const UNSAFE_CONFINEMENT: &str = "unsafe-confinement";
 pub const WIRE_TAG_DISCIPLINE: &str = "wire-tag-discipline";
 /// Rule slug: malformed pragma or pragma naming an unknown rule.
 pub const BAD_PRAGMA: &str = "bad-pragma";
-/// Rule slug: a cycle in the whole-workspace lock-acquisition-order graph.
-pub const LOCK_ORDER_CYCLE: &str = "lock-order-cycle";
-/// Rule slug: a blocking operation transitively reachable from the epoll
-/// event loop.
-pub const BLOCKING_IN_REACTOR_TRANSITIVE: &str = "blocking-in-reactor-transitive";
-/// Rule slug: a panic site transitively reachable from a serving
-/// entrypoint.
-pub const PANIC_REACHABLE_IN_SERVING: &str = "panic-reachable-in-serving";
-/// Rule slug: unresolved-call-edge count regressed past `CALLGRAPH.baseline`.
-pub const CALLGRAPH_BASELINE: &str = "callgraph-baseline";
-/// Rule slug: a wire-derived length reaches an allocation or index
-/// without a dominating bounds check.
-pub const UNVALIDATED_WIRE_LENGTH: &str = "unvalidated-wire-length";
-/// Rule slug: a wire-derived integer narrowed with `as` without a range
-/// check.
-pub const TAINTED_CAST_TRUNCATION: &str = "tainted-cast-truncation";
 /// Rule slug: a parallel float reduction whose addition order is
 /// scheduler-dependent.
 pub const FP_REDUCTION_ORDER: &str = "fp-reduction-order";
@@ -102,40 +83,6 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (BAD_PRAGMA, "a pasco-lint pragma must be allow(...) and name only known rules"),
     (
-        LOCK_ORDER_CYCLE,
-        "the whole-workspace lock-order graph (lock classes held while other classes are \
-         acquired, tracked across calls) must be acyclic: a cycle is a deadlock waiting for the \
-         right interleaving",
-    ),
-    (
-        BLOCKING_IN_REACTOR_TRANSITIVE,
-        "no function transitively reachable from Reactor::run may block: no thread::sleep, \
-         blocking framed I/O, channel recv, condvar wait, or locking a class some other thread \
-         holds across a blocking call",
-    ),
-    (
-        PANIC_REACHABLE_IN_SERVING,
-        "every panic site (unwrap/expect/panic!-family) transitively reachable from a pub \
-         serving entrypoint in pasco_server/pasco_worker/pasco_cluster must be removed or carry \
-         a pragma stating the invariant that rules the panic out",
-    ),
-    (
-        CALLGRAPH_BASELINE,
-        "heuristic call resolution must not regress: the unresolved-edge count may not exceed \
-         the committed CALLGRAPH.baseline (raise it deliberately, like WIRE_TAGS.manifest)",
-    ),
-    (
-        UNVALIDATED_WIRE_LENGTH,
-        "a length decoded from untrusted bytes must be bounds-checked before it reaches \
-         Vec::with_capacity/reserve/vec![_; n]/slice indexing — taint-tracked through decode \
-         helpers via call-graph summaries",
-    ),
-    (
-        TAINTED_CAST_TRUNCATION,
-        "a wire-derived u64/u32 may not be narrowed with `as` unless a range check or \
-         try_into dominates the cast: silent truncation forges lengths and ids",
-    ),
-    (
         FP_REDUCTION_ORDER,
         "no parallel f64/f32 sum/product/reduce/fold in determinism crates: FP addition is \
          non-associative, so scheduler-dependent order breaks cross-substrate bit-equality \
@@ -152,15 +99,12 @@ pub fn rule_slugs() -> Vec<&'static str> {
 /// the seed: hash-ordered collections are banned in their production code.
 const DETERMINISM_DIRS: &[&str] = &["crates/graph/src/", "crates/mc/src/", "crates/core/src/"];
 
-/// Crates on the serving path, where a panic drops a connection or wedges
-/// a worker instead of surfacing a typed error. Pub fns defined here are
-/// the roots of the panic-reachability analysis.
-pub const SERVING_DIRS: &[&str] =
-    &["crates/server/src/", "crates/worker/src/", "crates/cluster/src/"];
+/// Crates whose float results must be bit-identical across substrates
+/// and thread counts: a parallel float reduction there (test code
+/// included — the oracles must be deterministic too) is a finding.
+const FP_DIRS: &[&str] =
+    &["crates/graph/src/", "crates/mc/src/", "crates/core/src/", "crates/solver/src/"];
 
-/// The reactor event-loop module — `Reactor::run` here is the root of
-/// the blocking-reachability analysis.
-pub const REACTOR_FILE: &str = "crates/server/src/server.rs";
 /// The sanctioned `unsafe` shim modules — raw syscall bindings wrapped
 /// behind safe interfaces. Exactly two exist: the epoll shim behind the
 /// reactor and the mmap shim behind the out-of-core store. Growing this
@@ -172,7 +116,7 @@ pub const UNSAFE_SHIMS: &[&str] = &["crates/server/src/sys.rs", "crates/store/sr
 pub const UNSAFE_GATES: &[&str] = &["crates/server/src/lib.rs", "crates/store/src/lib.rs"];
 
 /// True when `rel` sits under one of `dirs`.
-pub fn in_dirs(rel: &str, dirs: &[&str]) -> bool {
+fn in_dirs(rel: &str, dirs: &[&str]) -> bool {
     dirs.iter().any(|d| rel.starts_with(d))
 }
 
@@ -183,6 +127,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     nondeterministic_iteration(file, &mut out);
     float_ordering(file, &mut out);
     unsafe_confinement(file, &mut out);
+    fp_reduction_order(file, &mut out);
     bad_pragmas(file, &mut out);
     out
 }
@@ -255,12 +200,9 @@ fn unsafe_confinement(file: &SourceFile, out: &mut Vec<Finding>) {
     }
     // 2. `allow(unsafe_code)` only at a shim's gate in its crate root.
     if !UNSAFE_GATES.contains(&file.rel.as_str()) {
-        for win in toks.windows(4) {
-            if win[0].is_word("allow")
-                && win[1].is_punct('(')
-                && win[2].is_word("unsafe_code")
-                && win[3].is_punct(')')
-            {
+        // Three tokens, not four: `allow(unsafe_code, reason = "…")` counts.
+        for win in toks.windows(3) {
+            if win[0].is_word("allow") && win[1].is_punct('(') && win[2].is_word("unsafe_code") {
                 push(
                     out,
                     file,
@@ -296,6 +238,125 @@ fn unsafe_confinement(file: &SourceFile, out: &mut Vec<Finding>) {
                     .to_owned(),
             );
         }
+    }
+}
+
+fn is_par_adapter(w: &str) -> bool {
+    w == "into_par_iter" || w == "par_bridge" || w.starts_with("par_")
+}
+
+fn opens(t: &Token) -> bool {
+    t.is_punct('(') || t.is_punct('[') || t.is_punct('{')
+}
+
+fn closes(t: &Token) -> bool {
+    t.is_punct(')') || t.is_punct(']') || t.is_punct('}')
+}
+
+/// One past the last token of the `;`-delimited statement holding token
+/// `from`: the first `;` at `from`'s nesting depth, or the delimiter that
+/// closes the group `from` sits in (a tail expression).
+fn statement_end(toks: &[Token], from: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, t) in toks.iter().enumerate().skip(from) {
+        if opens(t) {
+            depth += 1;
+        } else if closes(t) {
+            match depth.checked_sub(1) {
+                Some(d) => depth = d,
+                None => return i,
+            }
+        } else if depth == 0 && t.is_punct(';') {
+            return i;
+        }
+    }
+    toks.len()
+}
+
+/// An `f64` / `f32` type word, a `…f64` literal suffix, or a `1.5`-shaped
+/// literal (which lexes as digits `.` digits).
+fn float_evidence(toks: &[Token]) -> bool {
+    let digits = |t: Option<&Token>| {
+        t.and_then(Token::word).is_some_and(|w| w.starts_with(|c: char| c.is_ascii_digit()))
+    };
+    toks.iter().enumerate().any(|(i, t)| {
+        t.word().is_some_and(|w| w.ends_with("f64") || w.ends_with("f32"))
+            || (digits(Some(t))
+                && toks.get(i + 1).is_some_and(|t| t.is_punct('.'))
+                && digits(toks.get(i + 2)))
+    })
+}
+
+/// The order-sensitive reduction (`sum` / `product`, or a `reduce` /
+/// `fold` whose arguments name neither `max` nor `min`) chained onto the
+/// parallel adapter at `toks[par]`, at the adapter's own nesting depth —
+/// a sequential `.sum()` inside a `map` closure is not the parallel one.
+fn par_reduction(toks: &[Token], par: usize, end: usize) -> Option<&Token> {
+    let mut depth = 0usize;
+    let mut k = par + 1;
+    while k < end {
+        if opens(&toks[k]) {
+            depth += 1;
+        } else if closes(&toks[k]) {
+            depth = depth.checked_sub(1)?;
+        } else if depth == 0 && toks[k].is_punct('.') {
+            let method = toks.get(k + 1)?;
+            if method.is_word("sum") || method.is_word("product") {
+                return Some(method);
+            }
+            if method.is_word("reduce") || method.is_word("fold") {
+                // The argument list follows, possibly after a turbofish.
+                let open = (k + 2..end).find(|&t| toks[t].is_punct('('))?;
+                let close = statement_end(toks, open + 1);
+                let associative =
+                    toks[open..close].iter().any(|t| t.is_word("max") || t.is_word("min"));
+                if !associative {
+                    return Some(method);
+                }
+                k = close;
+                continue;
+            }
+        }
+        k += 1;
+    }
+    None
+}
+
+fn fp_reduction_order(file: &SourceFile, out: &mut Vec<Finding>) {
+    if !in_dirs(&file.rel, FP_DIRS) {
+        return;
+    }
+    let toks = &file.lexed.tokens;
+    for par in 0..toks.len() {
+        if !toks[par].word().is_some_and(is_par_adapter) {
+            continue;
+        }
+        // The statement around the adapter: back to the previous `;` or
+        // brace, forward to the `;` (or closing delimiter) that ends it.
+        let start = toks[..par]
+            .iter()
+            .rposition(|t| t.is_punct(';') || t.is_punct('{') || t.is_punct('}'))
+            .map_or(0, |i| i + 1);
+        let end = statement_end(toks, par);
+        if !float_evidence(&toks[start..end]) {
+            continue;
+        }
+        let Some(method) = par_reduction(toks, par, end) else { continue };
+        if out.iter().any(|f| f.rule == FP_REDUCTION_ORDER && f.line == method.line) {
+            continue;
+        }
+        let m = method.word().unwrap_or_default();
+        push(
+            out,
+            file,
+            method.line,
+            FP_REDUCTION_ORDER,
+            format!(
+                "parallel float `.{m}(…)` — FP addition is non-associative, so the scheduler's \
+                 reduction order changes the result; reduce with min/max or collect and fold \
+                 sequentially"
+            ),
+        );
     }
 }
 
@@ -374,6 +435,10 @@ mod tests {
         let bad = "#![deny(unsafe_code)]\n#[allow(unsafe_code)]\nmod sys;\n";
         let hits = findings("crates/worker/src/lib.rs", bad);
         assert_eq!(hits.iter().filter(|f| f.rule == UNSAFE_CONFINEMENT).count(), 1);
+        // A `reason` does not launder it.
+        let reasoned = "#![deny(unsafe_code)]\n#[allow(unsafe_code, reason = \"x\")]\nmod sys;\n";
+        let hits = findings("crates/worker/src/lib.rs", reasoned);
+        assert_eq!(hits.iter().filter(|f| f.rule == UNSAFE_CONFINEMENT).count(), 1);
         assert!(findings("crates/server/src/lib.rs", bad).is_empty());
         assert!(findings("crates/store/src/lib.rs", bad).is_empty());
     }
@@ -385,6 +450,45 @@ mod tests {
         assert_eq!(findings("tests/x.rs", bad).len(), 1);
         let ok = "fn f(v: &mut [f64]) { v.sort_by(f64::total_cmp); }\n";
         assert!(findings("crates/core/src/x.rs", ok).is_empty());
+    }
+
+    fn fp(rel: &str, src: &str) -> Vec<u32> {
+        findings(rel, src).iter().filter(|f| f.rule == FP_REDUCTION_ORDER).map(|f| f.line).collect()
+    }
+
+    #[test]
+    fn parallel_float_reduction_fires_and_max_is_exempt() {
+        let src = "pub fn total(xs: &[f64]) -> f64 {\n\
+                 xs.par_iter().map(|x| x * 2.0).sum()\n\
+             }\n\
+             pub fn maxi(xs: &[f64]) -> f64 {\n\
+                 xs.par_iter().cloned().reduce(|| 0.0, f64::max)\n\
+             }\n\
+             pub fn seq(xs: &[f64]) -> f64 {\n\
+                 xs.iter().sum()\n\
+             }\n";
+        assert_eq!(fp("crates/core/src/lib.rs", src), vec![2], "exactly the par sum");
+        // Outside the determinism dirs the rule stays silent.
+        assert!(fp("crates/lint/src/lib.rs", src).is_empty());
+        // An integer reduction is order-insensitive: no float evidence.
+        let ints = "fn n(xs: &[u64]) -> u64 { let t: u64 = xs.par_iter().sum(); t }\n";
+        assert!(fp("crates/mc/src/x.rs", ints).is_empty());
+        // `let`-bound with the type on the binding, combiner not min/max.
+        let bound = "fn t(xs: &[f64]) -> f64 {\n\
+                 let s: f64 = xs.par_iter().copied().reduce(|| 0.0, |a, b| a + b);\n\
+                 s\n\
+             }\n";
+        assert_eq!(fp("crates/solver/src/x.rs", bound), vec![2]);
+    }
+
+    #[test]
+    fn inner_sequential_sum_inside_par_closure_is_exempt() {
+        // The solver's residual: sequential row sums folded by `max`.
+        let src = "pub fn residual(rows: &[Vec<f64>]) -> f64 {\n\
+                 rows.par_iter().map(|r| r.iter().map(|x| x * 1.0).sum::<f64>()).reduce(|| 0.0, \
+             f64::max)\n\
+             }\n";
+        assert!(fp("crates/solver/src/lib.rs", src).is_empty());
     }
 
     #[test]

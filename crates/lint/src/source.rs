@@ -4,8 +4,8 @@
 //!
 //! ## Test regions
 //!
-//! Rules like `no-unwrap-in-serving` apply to production code only: an
-//! `.unwrap()` inside `#[cfg(test)] mod tests { … }` or a `#[test]` fn is
+//! Rules like `nondeterministic-iteration` apply to production code only:
+//! a `HashMap` inside `#[cfg(test)] mod tests { … }` or a `#[test]` fn is
 //! fine. Test regions are found by scanning the token stream for a
 //! `#[…]` attribute containing the word `test` (`#[test]`,
 //! `#[cfg(test)]`, `#[cfg(all(test, …))]`), skipping any further

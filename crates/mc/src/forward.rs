@@ -67,11 +67,12 @@ pub fn forward_step<S: ForwardSampler>(
         return None;
     }
     let r = forward_step_r(key, step);
-    // `outflow(pos) > 0` (checked above) implies at least one
-    // out-edge, so the sample always lands; an error return here
-    // would put a branch in the per-step hot loop for a state the
-    // sampler contract rules out.
-    // pasco-lint: allow(panic-reachable-in-serving)
+    #[allow(
+        clippy::expect_used,
+        reason = "`outflow(pos) > 0` (checked above) implies at least one out-edge, so the sample \
+                  always lands; an error return here would put a branch in the per-step hot loop \
+                  for a state the sampler contract rules out"
+    )]
     let next = sampler.sample_out(pos, r).expect("outflow > 0 implies out-edges");
     Some((next, mass * w))
 }

@@ -1,5 +1,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// The panic gate of the serving closure: a site is rewritten or carries a reasoned `#[allow]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 //! **The PASCO network front door**: an event-driven TCP server and a
 //! blocking client speaking the versioned envelope protocol
 //! ([`pasco_simrank::api::envelope`]) over any
@@ -62,7 +66,7 @@
 
 pub mod client;
 pub mod server;
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "the epoll syscall shim: one of the two sanctioned unsafe modules")]
 mod sys;
 mod wheel;
 

@@ -308,6 +308,14 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
     }
 }
 
+/// Fail-fast-shaped `collect`: every item is still evaluated (in order),
+/// and the first `Err` in input order is the result.
+impl<T: Send, E: Send> FromParallelIterator<Result<T, E>> for Result<Vec<T>, E> {
+    fn from_par_iter<I: ParallelIterator<Item = Result<T, E>>>(iter: I) -> Self {
+        Vec::from_par_iter(iter).into_iter().collect()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Sources
 // ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// The panic gate of the serving closure: a site is rewritten or carries a reasoned `#[allow]`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
 //! **Out-of-core shard storage for PASCO**: a versioned, zero-copy
 //! format (`PASCOSH1`) that is the one serialisation of a graph
 //! partition, as a file on disk and as a frame on the wire —
@@ -41,7 +45,7 @@
 mod format;
 mod shard;
 mod store;
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "the mmap syscall shim: one of the two sanctioned unsafe modules")]
 mod sys;
 mod writer;
 

@@ -33,7 +33,7 @@ fn main() {
     // Risk(u) = max over churners of s(churner, u).
     let mut risk = vec![0.0f64; n as usize];
     for &ch in &churned {
-        let row = cw.single_source(ch);
+        let row = cw.try_single_source(ch).unwrap();
         for (u, &s) in row.iter().enumerate() {
             if u as u32 != ch {
                 risk[u] = risk[u].max(s);

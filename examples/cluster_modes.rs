@@ -34,7 +34,7 @@ fn main() {
         let (cw, stats) = CloudWalker::build_with_stats(Arc::clone(&graph), cfg, mode).unwrap();
         let d_time = t0.elapsed();
         let t0 = Instant::now();
-        let s = cw.single_pair(17, 912);
+        let s = cw.try_single_pair(17, 912).unwrap();
         let q_time = t0.elapsed();
         let report = cw.cluster_report().unwrap();
         println!("[{name}]");
@@ -100,10 +100,13 @@ fn main() {
     .unwrap();
     println!("  D built in {:?} across {}", t0.elapsed(), addrs.join(" + "));
     let t0 = Instant::now();
-    let s = dist.single_pair(17, 912);
+    let s = dist.try_single_pair(17, 912).unwrap();
     println!("  s(17, 912) = {s:.4} in {:?} (routed to the owner of node 17)", t0.elapsed());
     let local = CloudWalker::from_index(Arc::clone(&graph), cfg, dist.diagonal().clone()).unwrap();
-    assert_eq!(dist.single_source_topk(17, 5), local.single_source_topk(17, 5));
+    assert_eq!(
+        dist.try_single_source_topk(17, 5).unwrap(),
+        local.try_single_source_topk(17, 5).unwrap()
+    );
     println!("  top-5 of node 17 bit-identical to local serving of the same index");
     let report = dist.cluster_report().unwrap();
     println!(

@@ -27,11 +27,11 @@ fn main() {
     );
 
     // 3a. Single-pair query (MCSP): how similar are nodes 10 and 11?
-    let s = cw.single_pair(10, 11);
+    let s = cw.try_single_pair(10, 11).unwrap();
     println!("s(10, 11) = {s:.4}");
 
     // 3b. Single-source query (MCSS): the most similar nodes to node 10.
-    let scores = cw.single_source(10);
+    let scores = cw.try_single_source(10).unwrap();
     let mut top: Vec<(u32, f64)> = scores.iter().enumerate().map(|(i, &v)| (i as u32, v)).collect();
     top.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("top-5 similar to node 10:");
@@ -40,7 +40,7 @@ fn main() {
     }
 
     // 3c. All-pairs (MCAP): top-3 lists for every node (small graphs only).
-    let all = cw.all_pairs_topk(3);
+    let all = cw.all_pairs_topk(3).unwrap();
     println!("node 0's top-3: {:?}", all[0]);
 
     // 4. The same queries as typed requests through the QueryService

@@ -67,7 +67,7 @@ fn main() {
     }
 
     // Aggregate check: mean within- vs cross-community similarity.
-    let probe = cw.single_source(10);
+    let probe = cw.try_single_source(10).unwrap();
     let (mut within, mut cross, mut wn, mut cn) = (0.0, 0.0, 0, 0);
     for (i, &s) in probe.iter().enumerate() {
         if i as u32 == 10 {

@@ -41,7 +41,7 @@ fn main() {
     // "Related pages" for a few seeds.
     for seed in [42u32, 4_000, 30_000] {
         let t0 = Instant::now();
-        let scores = server.single_source(seed);
+        let scores = server.try_single_source(seed).unwrap();
         let latency = t0.elapsed();
         let mut ranked: Vec<(u32, f64)> = scores
             .iter()

@@ -34,9 +34,9 @@
 //! let cfg = SimRankConfig::default_paper().with_seed(7);
 //! let cw = CloudWalker::build(g.into(), cfg, ExecMode::Local).unwrap();
 //! // Online queries.
-//! let s = cw.single_pair(3, 4);
+//! let s = cw.try_single_pair(3, 4).unwrap();
 //! assert!((0.0..=1.0).contains(&s));
-//! let scores = cw.single_source(3);
+//! let scores = cw.try_single_source(3).unwrap();
 //! assert_eq!(scores.len(), 500);
 //! ```
 

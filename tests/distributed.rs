@@ -74,25 +74,25 @@ fn distributed_is_bit_identical_to_local_at_worker_counts_1_2_4() {
             assert_eq!(local.diagonal(), dist.diagonal(), "{gname}: index, {workers} workers");
             for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
                 assert_eq!(
-                    local.single_pair(i, j),
-                    dist.single_pair(i, j),
+                    local.try_single_pair(i, j).unwrap(),
+                    dist.try_single_pair(i, j).unwrap(),
                     "{gname}: MCSP ({i},{j}), {workers} workers"
                 );
             }
             for &s in &[0u32, 64, 149] {
                 assert_eq!(
-                    local.single_source(s),
-                    dist.single_source(s),
+                    local.try_single_source(s).unwrap(),
+                    dist.try_single_source(s).unwrap(),
                     "{gname}: dense MCSS source {s}, {workers} workers"
                 );
                 assert_eq!(
-                    local.single_source_topk(s, 10),
-                    dist.single_source_topk(s, 10),
+                    local.try_single_source_topk(s, 10).unwrap(),
+                    dist.try_single_source_topk(s, 10).unwrap(),
                     "{gname}: top-k source {s}, {workers} workers"
                 );
                 assert_eq!(
-                    local.query_cohort(s),
-                    dist.query_cohort(s),
+                    local.try_query_cohort(s).unwrap(),
+                    dist.try_query_cohort(s).unwrap(),
                     "{gname}: cohort {s}, {workers} workers"
                 );
             }
@@ -145,12 +145,19 @@ fn persisted_index_serves_distributed_bit_identically() {
         fleet.mode(),
     )
     .unwrap();
-    assert_eq!(local.single_source_topk(4, 8), dist.single_source_topk(4, 8));
-    assert_eq!(local.single_pair(4, 90), dist.single_pair(4, 90));
+    assert_eq!(
+        local.try_single_source_topk(4, 8).unwrap(),
+        dist.try_single_source_topk(4, 8).unwrap()
+    );
+    assert_eq!(local.try_single_pair(4, 90).unwrap(), dist.try_single_pair(4, 90).unwrap());
     // Several queries against one diagonal: after the first ships it,
     // the rest ride the fingerprint — and answers stay identical.
     for s in [1u32, 61, 119] {
-        assert_eq!(local.single_source_topk(s, 5), dist.single_source_topk(s, 5), "source {s}");
+        assert_eq!(
+            local.try_single_source_topk(s, 5).unwrap(),
+            dist.try_single_source_topk(s, 5).unwrap(),
+            "source {s}"
+        );
     }
     fleet.stop();
 }
@@ -188,16 +195,28 @@ fn store_backed_workers_serve_bit_identically_without_shipping_partitions() {
         );
         assert_eq!(local.diagonal(), dist.diagonal(), "index, {parts} shards");
         for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
-            assert_eq!(local.single_pair(i, j), dist.single_pair(i, j), "MCSP, {parts} shards");
+            assert_eq!(
+                local.try_single_pair(i, j).unwrap(),
+                dist.try_single_pair(i, j).unwrap(),
+                "MCSP, {parts} shards"
+            );
         }
         for &s in &[0u32, 64, 149] {
-            assert_eq!(local.single_source(s), dist.single_source(s), "MCSS, {parts} shards");
             assert_eq!(
-                local.single_source_topk(s, 10),
-                dist.single_source_topk(s, 10),
+                local.try_single_source(s).unwrap(),
+                dist.try_single_source(s).unwrap(),
+                "MCSS, {parts} shards"
+            );
+            assert_eq!(
+                local.try_single_source_topk(s, 10).unwrap(),
+                dist.try_single_source_topk(s, 10).unwrap(),
                 "top-k, {parts} shards"
             );
-            assert_eq!(local.query_cohort(s), dist.query_cohort(s), "cohort, {parts} shards");
+            assert_eq!(
+                local.try_query_cohort(s).unwrap(),
+                dist.try_query_cohort(s).unwrap(),
+                "cohort, {parts} shards"
+            );
         }
 
         // Workers report their mapped shard as resident state.
@@ -319,7 +338,10 @@ fn worker_dying_mid_serve_is_typed_and_survivors_keep_answering() {
     let dist = CloudWalker::build(Arc::clone(&g), cfg, fleet.mode()).unwrap();
     // Range partitioning over 100 nodes / 2 workers: worker 0 owns
     // [0, 50), worker 1 owns [50, 100).
-    assert_eq!(local.single_source_topk(99, 5), dist.single_source_topk(99, 5));
+    assert_eq!(
+        local.try_single_source_topk(99, 5).unwrap(),
+        dist.try_single_source_topk(99, 5).unwrap()
+    );
 
     // Kill worker 1 hard (sockets torn down, as a dead process would).
     fleet.handles[1].kill();
@@ -333,8 +355,11 @@ fn worker_dying_mid_serve_is_typed_and_survivors_keep_answering() {
     assert!(matches!(err, QueryError::WorkerUnavailable { .. }), "{err}");
 
     // Worker 0 is untouched: its sources still answer, bit-identically.
-    assert_eq!(local.single_source(7), dist.single_source(7));
-    assert_eq!(local.single_source_topk(7, 5), dist.single_source_topk(7, 5));
+    assert_eq!(local.try_single_source(7).unwrap(), dist.try_single_source(7).unwrap());
+    assert_eq!(
+        local.try_single_source_topk(7, 5).unwrap(),
+        dist.try_single_source_topk(7, 5).unwrap()
+    );
     fleet.stop();
 }
 
@@ -349,7 +374,10 @@ fn coordinator_reconnects_after_a_network_blip() {
     let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
     let fleet = spawn_fleet(2);
     let dist = CloudWalker::build(Arc::clone(&g), cfg, fleet.mode()).unwrap();
-    assert_eq!(local.single_source_topk(70, 5), dist.single_source_topk(70, 5));
+    assert_eq!(
+        local.try_single_source_topk(70, 5).unwrap(),
+        dist.try_single_source_topk(70, 5).unwrap()
+    );
 
     // Sever the sockets (worker processes stay up, state resident). The
     // coordinator heals transparently: each link retries its request
@@ -357,9 +385,12 @@ fn coordinator_reconnects_after_a_network_blip() {
     // — just bit-identical answers.
     fleet.handles[0].sever_connections();
     fleet.handles[1].sever_connections();
-    assert_eq!(local.single_source_topk(70, 5), dist.single_source_topk(70, 5));
-    assert_eq!(local.single_pair(3, 70), dist.single_pair(3, 70));
-    assert_eq!(local.single_source(12), dist.single_source(12));
+    assert_eq!(
+        local.try_single_source_topk(70, 5).unwrap(),
+        dist.try_single_source_topk(70, 5).unwrap()
+    );
+    assert_eq!(local.try_single_pair(3, 70).unwrap(), dist.try_single_pair(3, 70).unwrap());
+    assert_eq!(local.try_single_source(12).unwrap(), dist.try_single_source(12).unwrap());
     fleet.stop();
 }
 
@@ -414,9 +445,9 @@ proptest! {
         let fleet = spawn_fleet(workers);
         let d = CloudWalker::build(Arc::clone(&g), cfg, fleet.mode()).unwrap();
         prop_assert_eq!(l.diagonal(), d.diagonal());
-        prop_assert_eq!(l.single_pair(3, 17), d.single_pair(3, 17));
-        prop_assert_eq!(l.single_source(5), d.single_source(5));
-        prop_assert_eq!(l.single_source_topk(9, 6), d.single_source_topk(9, 6));
+        prop_assert_eq!(l.try_single_pair(3, 17).unwrap(), d.try_single_pair(3, 17).unwrap());
+        prop_assert_eq!(l.try_single_source(5).unwrap(), d.try_single_source(5).unwrap());
+        prop_assert_eq!(l.try_single_source_topk(9, 6).unwrap(), d.try_single_source_topk(9, 6).unwrap());
         fleet.stop();
     }
 }

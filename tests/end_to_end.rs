@@ -21,7 +21,7 @@ fn cloudwalker_tracks_exact_simrank() {
     let mut worst = 0.0f64;
     for i in (0..150).step_by(17) {
         for j in (1..150).step_by(29) {
-            let est = cw.single_pair(i, j);
+            let est = cw.try_single_pair(i, j).unwrap();
             worst = worst.max((est - exact.get(i, j)).abs());
         }
     }
@@ -29,7 +29,7 @@ fn cloudwalker_tracks_exact_simrank() {
 
     // Single-source rows: value error and ranking quality.
     for s in [0u32, 75, 149] {
-        let est = cw.single_source(s);
+        let est = cw.try_single_source(s).unwrap();
         let truth = exact.row(s);
         let mean = metrics::mean_abs_diff(&est, truth);
         assert!(mean < 0.03, "source {s}: mean error {mean}");
@@ -61,23 +61,25 @@ fn query_service_facade_matches_direct_methods_end_to_end() {
     for svc in [cw.as_ref() as &dyn QueryService, &session] {
         for req in &requests {
             match svc.execute(req.clone()).unwrap() {
-                QueryResponse::Score(s) => assert_eq!(s, cw.single_pair(5, 80)),
+                QueryResponse::Score(s) => assert_eq!(s, cw.try_single_pair(5, 80).unwrap()),
                 QueryResponse::Scores(row) => {
                     let direct = match req {
-                        QueryRequest::SingleSource { .. } => cw.single_source(5),
-                        _ => cw.single_source_push(5),
+                        QueryRequest::SingleSource { .. } => cw.try_single_source(5).unwrap(),
+                        _ => cw.try_single_source_push(5).unwrap(),
                     };
                     assert_eq!(row, direct, "{req:?}");
                 }
-                QueryResponse::Ranked(list) => assert_eq!(list, cw.single_source_topk(5, 7)),
+                QueryResponse::Ranked(list) => {
+                    assert_eq!(list, cw.try_single_source_topk(5, 7).unwrap())
+                }
                 QueryResponse::Matrix(m) => {
                     for (r, &i) in [1u32, 5].iter().enumerate() {
                         for (c, &j) in [5u32, 9].iter().enumerate() {
-                            assert_eq!(m[r][c], cw.single_pair(i, j), "({i},{j})");
+                            assert_eq!(m[r][c], cw.try_single_pair(i, j).unwrap(), "({i},{j})");
                         }
                     }
                 }
-                QueryResponse::Cohort(d) => assert_eq!(d, cw.query_cohort(5)),
+                QueryResponse::Cohort(d) => assert_eq!(d, cw.try_query_cohort(5).unwrap()),
                 QueryResponse::Batch(_) => unreachable!("no batch request sent"),
             }
         }
@@ -92,13 +94,13 @@ fn estimates_respect_simrank_axioms() {
     let cfg = SimRankConfig::fast();
     let cw = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
     for v in (0..g.node_count()).step_by(97) {
-        assert_eq!(cw.single_pair(v, v), 1.0);
+        assert_eq!(cw.try_single_pair(v, v).unwrap(), 1.0);
     }
-    let scores = cw.single_source(100);
+    let scores = cw.try_single_source(100).unwrap();
     assert!(scores.iter().all(|&s| (0.0..=1.0 + 1e-9).contains(&s)));
     assert_eq!(scores[100], 1.0);
     // The estimator reuses per-node cohorts: exact argument symmetry.
-    assert_eq!(cw.single_pair(5, 200), cw.single_pair(200, 5));
+    assert_eq!(cw.try_single_pair(5, 200).unwrap(), cw.try_single_pair(200, 5).unwrap());
 }
 
 /// Dangling nodes (no in-links) are only similar to themselves.
@@ -108,9 +110,9 @@ fn dangling_nodes_have_zero_similarity() {
     let cfg = SimRankConfig::fast();
     let cw = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
     // Leaves have no in-neighbours: s(leaf, anything else) = 0.
-    assert_eq!(cw.single_pair(1, 2), 0.0);
-    assert_eq!(cw.single_pair(1, 0), 0.0);
-    let row = cw.single_source(1);
+    assert_eq!(cw.try_single_pair(1, 2).unwrap(), 0.0);
+    assert_eq!(cw.try_single_pair(1, 0).unwrap(), 0.0);
+    let row = cw.try_single_source(1).unwrap();
     assert_eq!(row[1], 1.0);
     assert!(row.iter().enumerate().all(|(i, &s)| i == 1 || s == 0.0));
 }
@@ -122,7 +124,7 @@ fn community_structure_is_respected() {
     let g = Arc::new(generators::two_communities(200, 1_200, 16, 5));
     let cfg = SimRankConfig::fast();
     let cw = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
-    let row = cw.single_source(10);
+    let row = cw.try_single_source(10).unwrap();
     let within: f64 = (0..100).filter(|&i| i != 10).map(|i| row[i]).sum::<f64>() / 99.0;
     let cross: f64 = (100..200).map(|i| row[i]).sum::<f64>() / 100.0;
     assert!(within > 2.0 * cross, "within {within} should dominate cross {cross}");
@@ -137,9 +139,9 @@ fn all_pairs_is_consistent_with_single_source() {
     let g = Arc::new(generators::barabasi_albert(60, 3, 12));
     let cfg = SimRankConfig::fast();
     let cw = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
-    let all = cw.all_pairs_topk(5);
+    let all = cw.all_pairs_topk(5).unwrap();
     for &s in &[0u32, 30, 59] {
-        let row = cw.single_source(s);
+        let row = cw.try_single_source(s).unwrap();
         let expect: Vec<(u32, f64)> = metrics::top_k(&row, 5, Some(s))
             .into_iter()
             .filter(|&(_, score)| score > 0.0)
@@ -154,6 +156,10 @@ fn all_pairs_is_consistent_with_single_source() {
             assert_eq!(gn, en, "source {s}");
             assert!((gs - es).abs() < 1e-12, "source {s}: {gs} vs {es}");
         }
-        assert_eq!(got, &cw.single_source_topk(s, 5), "MCAP row ≡ sparse top-k, source {s}");
+        assert_eq!(
+            got,
+            &cw.try_single_source_topk(s, 5).unwrap(),
+            "MCAP row ≡ sparse top-k, source {s}"
+        );
     }
 }

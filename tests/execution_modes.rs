@@ -175,9 +175,9 @@ fn mcsp_is_bitwise_identical_across_modes() {
     let cfg = SimRankConfig::fast().with_seed(11);
     let [l, b, r] = build_all(&g, cfg);
     for &(i, j) in &[(0u32, 1u32), (5, 70), (120, 139), (33, 32)] {
-        let expect = l.single_pair(i, j);
-        assert_eq!(expect, b.single_pair(i, j), "broadcast ({i},{j})");
-        assert_eq!(expect, r.single_pair(i, j), "rdd ({i},{j})");
+        let expect = l.try_single_pair(i, j).unwrap();
+        assert_eq!(expect, b.try_single_pair(i, j).unwrap(), "broadcast ({i},{j})");
+        assert_eq!(expect, r.try_single_pair(i, j).unwrap(), "rdd ({i},{j})");
     }
 }
 
@@ -187,8 +187,11 @@ fn mcss_matches_across_modes_to_float_tolerance() {
     let cfg = SimRankConfig::fast().with_seed(23);
     let [l, b, r] = build_all(&g, cfg);
     for &s in &[0u32, 64, 139] {
-        let expect = l.single_source(s);
-        for (name, row) in [("broadcast", b.single_source(s)), ("rdd", r.single_source(s))] {
+        let expect = l.try_single_source(s).unwrap();
+        for (name, row) in [
+            ("broadcast", b.try_single_source(s).unwrap()),
+            ("rdd", r.try_single_source(s).unwrap()),
+        ] {
             for (v, (a, e)) in row.iter().zip(&expect).enumerate() {
                 assert!((a - e).abs() < 1e-12, "{name} source {s} node {v}: {a} vs {e}");
             }
@@ -206,11 +209,12 @@ fn topk_rankings_are_identical_across_modes() {
     let cfg = SimRankConfig::fast().with_seed(31);
     let [l, b, r] = build_all(&g, cfg);
     for &s in &[2u32, 40, 70] {
-        let expect = l.single_source_topk(s, 10);
+        let expect = l.try_single_source_topk(s, 10).unwrap();
         assert!(!expect.is_empty(), "source {s} must reach someone");
-        for (name, got) in
-            [("broadcast", b.single_source_topk(s, 10)), ("rdd", r.single_source_topk(s, 10))]
-        {
+        for (name, got) in [
+            ("broadcast", b.try_single_source_topk(s, 10).unwrap()),
+            ("rdd", r.try_single_source_topk(s, 10).unwrap()),
+        ] {
             assert_eq!(
                 got.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
                 expect.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
@@ -246,25 +250,25 @@ fn sharded_engine_is_bit_identical_to_local_for_every_query_kind() {
             assert_eq!(local.diagonal(), sh.diagonal(), "{gname}: index, {shards} shards");
             for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
                 assert_eq!(
-                    local.single_pair(i, j),
-                    sh.single_pair(i, j),
+                    local.try_single_pair(i, j).unwrap(),
+                    sh.try_single_pair(i, j).unwrap(),
                     "{gname}: MCSP ({i},{j}), {shards} shards"
                 );
             }
             for &s in &[0u32, 64, 149] {
                 assert_eq!(
-                    local.single_source(s),
-                    sh.single_source(s),
+                    local.try_single_source(s).unwrap(),
+                    sh.try_single_source(s).unwrap(),
                     "{gname}: MCSS source {s}, {shards} shards"
                 );
                 assert_eq!(
-                    local.single_source_topk(s, 10),
-                    sh.single_source_topk(s, 10),
+                    local.try_single_source_topk(s, 10).unwrap(),
+                    sh.try_single_source_topk(s, 10).unwrap(),
                     "{gname}: top-k source {s}, {shards} shards"
                 );
                 assert_eq!(
-                    local.query_cohort(s),
-                    sh.query_cohort(s),
+                    local.try_query_cohort(s).unwrap(),
+                    sh.try_query_cohort(s).unwrap(),
                     "{gname}: cohort {s}, {shards} shards"
                 );
             }
@@ -304,25 +308,25 @@ fn mapped_store_is_bit_identical_to_local_for_every_query_kind() {
             assert_eq!(local.diagonal(), mapped.diagonal(), "{gname}: index, {parts} shards");
             for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
                 assert_eq!(
-                    local.single_pair(i, j),
-                    mapped.single_pair(i, j),
+                    local.try_single_pair(i, j).unwrap(),
+                    mapped.try_single_pair(i, j).unwrap(),
                     "{gname}: MCSP ({i},{j}), {parts} shards"
                 );
             }
             for &s in &[0u32, 64, 149] {
                 assert_eq!(
-                    local.single_source(s),
-                    mapped.single_source(s),
+                    local.try_single_source(s).unwrap(),
+                    mapped.try_single_source(s).unwrap(),
                     "{gname}: dense MCSS source {s}, {parts} shards"
                 );
                 assert_eq!(
-                    local.single_source_topk(s, 10),
-                    mapped.single_source_topk(s, 10),
+                    local.try_single_source_topk(s, 10).unwrap(),
+                    mapped.try_single_source_topk(s, 10).unwrap(),
                     "{gname}: top-k source {s}, {parts} shards"
                 );
                 assert_eq!(
-                    local.query_cohort(s),
-                    mapped.query_cohort(s),
+                    local.try_query_cohort(s).unwrap(),
+                    mapped.try_query_cohort(s).unwrap(),
                     "{gname}: cohort {s}, {parts} shards"
                 );
             }

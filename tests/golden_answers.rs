@@ -59,7 +59,7 @@ fn digests(graph: CsrGraph) -> [u64; 5] {
 
     let mut cohorts = Fnv::new();
     for k in [0, 3, 7] {
-        let d = cw.query_cohort(src(k));
+        let d = cw.try_query_cohort(src(k)).unwrap();
         cohorts.u32(d.source);
         cohorts.u32(d.walkers);
         for step in &d.counts {
@@ -73,15 +73,15 @@ fn digests(graph: CsrGraph) -> [u64; 5] {
 
     let mut mcsp = Fnv::new();
     for (a, b) in [(0, 1), (2, 5), (3, 4), (6, 7), (7, 0)] {
-        mcsp.float(cw.single_pair(src(a), src(b)));
+        mcsp.float(cw.try_single_pair(src(a), src(b)).unwrap());
     }
 
     let mut mcss = Fnv::new();
-    cw.single_source(src(2)).iter().for_each(|&s| mcss.float(s));
+    cw.try_single_source(src(2)).unwrap().iter().for_each(|&s| mcss.float(s));
 
     let mut topk = Fnv::new();
     for k in [1, 6] {
-        let ranked = cw.single_source_topk(src(k), 20);
+        let ranked = cw.try_single_source_topk(src(k), 20).unwrap();
         topk.u64(ranked.len() as u64);
         for (node, score) in ranked {
             topk.u32(node);

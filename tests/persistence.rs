@@ -28,9 +28,9 @@ fn full_offline_online_roundtrip() {
     let idx = persist::load_index(&index_path).unwrap();
     let server = CloudWalker::from_index(g2, cfg, idx).unwrap();
     for &(i, j) in &[(1u32, 2u32), (100, 200), (3, 249)] {
-        assert_eq!(cw.single_pair(i, j), server.single_pair(i, j));
+        assert_eq!(cw.try_single_pair(i, j).unwrap(), server.try_single_pair(i, j).unwrap());
     }
-    assert_eq!(cw.single_source(42), server.single_source(42));
+    assert_eq!(cw.try_single_source(42).unwrap(), server.try_single_source(42).unwrap());
 }
 
 #[test]
@@ -56,14 +56,14 @@ fn roundtripped_index_serves_identically_for_every_build_mode() {
         let server = CloudWalker::from_index(Arc::clone(&g), cfg, loaded).unwrap();
         for &(i, j) in &[(0u32, 1u32), (17, 130), (90, 91), (179, 3)] {
             assert_eq!(
-                built.single_pair(i, j),
-                server.single_pair(i, j),
+                built.try_single_pair(i, j).unwrap(),
+                server.try_single_pair(i, j).unwrap(),
                 "{name}: single_pair({i},{j})"
             );
         }
         for &s in &[5u32, 120] {
-            let a = built.single_source(s);
-            let b = server.single_source(s);
+            let a = built.try_single_source(s).unwrap();
+            let b = server.try_single_source(s).unwrap();
             for (v, (x, y)) in a.iter().zip(&b).enumerate() {
                 assert!((x - y).abs() < 1e-12, "{name}: single_source({s}) node {v}: {x} vs {y}");
             }
@@ -95,5 +95,5 @@ fn edge_list_graphs_work_end_to_end() {
     let loaded = Arc::new(io::read_edge_list(&path).unwrap());
     assert_eq!(g, *loaded);
     let cw = CloudWalker::build(loaded, SimRankConfig::fast(), ExecMode::Local).unwrap();
-    assert!(cw.single_pair(0, 1) >= 0.0);
+    assert!(cw.try_single_pair(0, 1).unwrap() >= 0.0);
 }

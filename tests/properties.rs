@@ -157,7 +157,7 @@ proptest! {
             ExecMode::Rdd(ClusterConfig::local(3)),
         ).unwrap();
         prop_assert_eq!(l.diagonal(), r.diagonal());
-        prop_assert_eq!(l.single_pair(1, 2), r.single_pair(1, 2));
+        prop_assert_eq!(l.try_single_pair(1, 2).unwrap(), r.try_single_pair(1, 2).unwrap());
     }
 
     /// The shard count of the sharded engine never changes any answer:
@@ -181,9 +181,9 @@ proptest! {
         let l = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
         let s = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Sharded { shards }).unwrap();
         prop_assert_eq!(l.diagonal(), s.diagonal());
-        prop_assert_eq!(l.single_pair(3, 17), s.single_pair(3, 17));
-        prop_assert_eq!(l.single_source(5), s.single_source(5));
-        prop_assert_eq!(l.single_source_topk(9, 6), s.single_source_topk(9, 6));
+        prop_assert_eq!(l.try_single_pair(3, 17).unwrap(), s.try_single_pair(3, 17).unwrap());
+        prop_assert_eq!(l.try_single_source(5).unwrap(), s.try_single_source(5).unwrap());
+        prop_assert_eq!(l.try_single_source_topk(9, 6).unwrap(), s.try_single_source_topk(9, 6).unwrap());
     }
 
     /// The shard count of the *on-disk* store never changes any answer:
@@ -213,9 +213,9 @@ proptest! {
         l.save_store(&dir, parts).unwrap();
         let m = CloudWalker::open_store(&dir, cfg).unwrap();
         prop_assert_eq!(l.diagonal(), m.diagonal());
-        prop_assert_eq!(l.single_pair(3, 17), m.single_pair(3, 17));
-        prop_assert_eq!(l.single_source(5), m.single_source(5));
-        prop_assert_eq!(l.single_source_topk(9, 6), m.single_source_topk(9, 6));
+        prop_assert_eq!(l.try_single_pair(3, 17).unwrap(), m.try_single_pair(3, 17).unwrap());
+        prop_assert_eq!(l.try_single_source(5).unwrap(), m.try_single_source(5).unwrap());
+        prop_assert_eq!(l.try_single_source_topk(9, 6).unwrap(), m.try_single_source_topk(9, 6).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 

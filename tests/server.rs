@@ -137,14 +137,14 @@ fn query_error_travels_as_error_frame_and_connection_survives() {
             QueryRequest::Cohort { v: 5 },
         ])
         .unwrap();
-    assert_eq!(outcomes[0], Ok(QueryResponse::Score(cw.single_pair(1, 2))));
+    assert_eq!(outcomes[0], Ok(QueryResponse::Score(cw.try_single_pair(1, 2).unwrap())));
     assert_eq!(outcomes[1], Err(QueryError::InvalidK { k: 0 }));
-    assert_eq!(outcomes[2], Ok(QueryResponse::Cohort(cw.query_cohort(5))));
+    assert_eq!(outcomes[2], Ok(QueryResponse::Cohort(cw.try_query_cohort(5).unwrap())));
 
     // And the connection still answers a clean query afterwards.
     assert_eq!(
         client.query(QueryRequest::SinglePair { i: 2, j: 3 }).unwrap(),
-        QueryResponse::Score(cw.single_pair(2, 3))
+        QueryResponse::Score(cw.try_single_pair(2, 3).unwrap())
     );
     client.shutdown_server().unwrap();
     join.join().unwrap();
@@ -192,7 +192,7 @@ fn golden_bytes_over_a_raw_socket() {
     let mut resp = vec![0u8; HEADER_LEN + 9];
     stream.read_exact(&mut resp).unwrap();
     let mut expect = hex("50 53 43 4f 01 00 03 00 2a 00 00 00 00 00 00 00 09 00 00 00 00");
-    expect.extend_from_slice(&cw.single_pair(3, 41).to_le_bytes());
+    expect.extend_from_slice(&cw.try_single_pair(3, 41).unwrap().to_le_bytes());
     assert_eq!(resp, expect);
 
     // Shutdown (kind 5) → Goodbye (kind 6), then a clean close.
@@ -248,7 +248,7 @@ fn malformed_and_oversize_frames_drop_the_connection_not_the_server() {
     let mut client = PascoClient::connect(addr).unwrap();
     assert_eq!(
         client.query(QueryRequest::SinglePair { i: 0, j: 1 }).unwrap(),
-        QueryResponse::Score(cw.single_pair(0, 1))
+        QueryResponse::Score(cw.try_single_pair(0, 1).unwrap())
     );
     client.shutdown_server().unwrap();
     join.join().unwrap();
@@ -479,7 +479,7 @@ fn mid_frame_disconnects_never_wedge_the_loop() {
         let mut client = PascoClient::connect(addr).unwrap();
         assert_eq!(
             client.query(QueryRequest::SinglePair { i: 0, j: 1 }).unwrap(),
-            QueryResponse::Score(cw.single_pair(0, 1))
+            QueryResponse::Score(cw.try_single_pair(0, 1).unwrap())
         );
     }
     handle.shutdown();
@@ -630,7 +630,7 @@ fn pipelining_past_the_cap_in_one_write_loses_no_requests() {
         assert!(seen.insert(id), "request {id} answered twice");
         let (i, j) = pair(id);
         assert_eq!(payload[0], 0, "Score tag");
-        assert_eq!(payload[1..], cw.single_pair(i, j).to_le_bytes(), "request {id}");
+        assert_eq!(payload[1..], cw.try_single_pair(i, j).unwrap().to_le_bytes(), "request {id}");
     }
     assert_eq!(handle.stats().requests, BURST, "every pipelined request reached the pool");
     drop(s);
@@ -665,7 +665,7 @@ fn half_close_after_a_burst_still_delivers_every_answer() {
     for _ in 0..BURST {
         let (id, payload) = read_response(&mut s);
         assert!(seen.insert(id), "request {id} answered twice");
-        assert_eq!(payload[1..], cw.single_pair(1, 2).to_le_bytes(), "request {id}");
+        assert_eq!(payload[1..], cw.try_single_pair(1, 2).unwrap().to_le_bytes(), "request {id}");
     }
     // After the last owed byte the server closes the connection cleanly.
     assert!(read_to_close(&mut s).is_empty(), "nothing after the final answer");

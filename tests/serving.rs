@@ -39,7 +39,10 @@ fn shared_session_matches_sequential_replay() {
             .map(|t| {
                 let session = &shared;
                 scope.spawn(move || {
-                    client_stream(t, n).iter().map(|&(i, j)| session.single_pair(i, j)).collect()
+                    client_stream(t, n)
+                        .iter()
+                        .map(|&(i, j)| session.try_single_pair(i, j).unwrap())
+                        .collect()
                 })
             })
             .collect::<Vec<_>>()
@@ -53,7 +56,7 @@ fn shared_session_matches_sequential_replay() {
     let mut lookups = 0u64;
     for (t, answers) in concurrent.iter().enumerate() {
         for (q, (&(i, j), &got)) in client_stream(t as u32, n).iter().zip(answers).enumerate() {
-            let expect = replay.single_pair(i, j);
+            let expect = replay.try_single_pair(i, j).unwrap();
             assert_eq!(got, expect, "client {t} query {q} ({i},{j})");
             if i != j {
                 lookups += 2;
@@ -78,7 +81,7 @@ fn shared_session_matches_sequential_replay() {
     assert!(stats.hit_rate() <= replay_stats.hit_rate() + 1e-12);
     // Answers equal the uncached engine too.
     let (i, j) = client_stream(0, n)[17];
-    assert_eq!(shared.single_pair(i, j), cw.single_pair(i, j));
+    assert_eq!(shared.try_single_pair(i, j).unwrap(), cw.try_single_pair(i, j).unwrap());
 }
 
 #[test]
@@ -86,14 +89,14 @@ fn concurrent_batches_match_engine() {
     let cw = build(200, 23);
     let session = Arc::new(QuerySession::new(Arc::clone(&cw), 32));
     let sources: Vec<u32> = (0..16u32).map(|i| i * 11 % 200).collect();
-    let expect: Vec<Vec<f64>> = sources.iter().map(|&s| cw.single_source(s)).collect();
+    let expect: Vec<Vec<f64>> = sources.iter().map(|&s| cw.try_single_source(s).unwrap()).collect();
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let session = Arc::clone(&session);
             let sources = sources.clone();
             let expect = &expect;
             scope.spawn(move || {
-                let got = session.single_source_batch(&sources);
+                let got = session.single_source_batch(&sources).unwrap();
                 assert_eq!(&got, expect, "batch answers must be identical");
             });
         }
@@ -114,7 +117,7 @@ fn lru_hit_path_regression_at_capacity_1024() {
 
     // Fill to exactly capacity: 512 disjoint pairs = 1024 distinct cohorts.
     for p in 0..(CAP as u32 / 2) {
-        session.single_pair(2 * p, 2 * p + 1);
+        session.try_single_pair(2 * p, 2 * p + 1).unwrap();
     }
     let stats = session.cache_stats();
     assert_eq!((stats.hits, stats.misses), (0, CAP as u64));
@@ -122,24 +125,24 @@ fn lru_hit_path_regression_at_capacity_1024() {
 
     // Re-run the same stream: pure hits, nothing evicted, nothing re-simulated.
     for p in 0..(CAP as u32 / 2) {
-        session.single_pair(2 * p, 2 * p + 1);
+        session.try_single_pair(2 * p, 2 * p + 1).unwrap();
     }
     let stats = session.cache_stats();
     assert_eq!((stats.hits, stats.misses), (CAP as u64, CAP as u64));
     assert_eq!(session.cached_cohorts(), CAP);
 
     // Two fresh nodes evict exactly the two least recently used (0 and 1).
-    session.single_pair(2000, 2001);
+    session.try_single_pair(2000, 2001).unwrap();
     assert_eq!(session.cache_stats().misses, CAP as u64 + 2);
     assert_eq!(session.cached_cohorts(), CAP);
     // 2 and 3 are still resident...
     let hits_before = session.cache_stats().hits;
-    session.single_pair(2, 3);
+    session.try_single_pair(2, 3).unwrap();
     let stats = session.cache_stats();
     assert_eq!(stats.hits, hits_before + 2);
     assert_eq!(stats.misses, CAP as u64 + 2);
     // ...while 0 and 1 were evicted and must re-simulate.
-    session.single_pair(0, 1);
+    session.try_single_pair(0, 1).unwrap();
     assert_eq!(session.cache_stats().misses, CAP as u64 + 4);
 }
 
@@ -164,7 +167,7 @@ fn shared_query_service_is_safe_and_consistent() {
                         j = (j + 1) % 150;
                     }
                     match svc.execute(QueryRequest::SinglePair { i, j }).unwrap() {
-                        QueryResponse::Score(s) => assert_eq!(s, cw.single_pair(i, j)),
+                        QueryResponse::Score(s) => assert_eq!(s, cw.try_single_pair(i, j).unwrap()),
                         other => panic!("wrong variant {other:?}"),
                     }
                     let bad = svc.execute(QueryRequest::Cohort { v: 150 + q }).unwrap_err();
