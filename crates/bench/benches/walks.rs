@@ -9,7 +9,9 @@ use pasco_graph::{ReverseChainIndex, WalkAdjacency};
 use pasco_mc::counts::MassMap;
 use pasco_mc::walks::{
     reverse_walk_distributions, reverse_walk_distributions_on, StepDistributions, WalkParams,
+    WalkScratch,
 };
+use pasco_simrank::ai::{ai_row, RecomputedRows};
 use pasco_simrank::{queries, SimRankConfig};
 use pasco_store::{write_store, MappedStore};
 use std::hint::black_box;
@@ -123,6 +125,40 @@ fn bench_routed(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The offline build's rows both ways, on the spine's `mc.cohort_r_us`
+/// node set (`rmat16` ids `0..4096`, `R = 100`, `T = 10`, paper seed): the
+/// step histograms plus `ai_row` (what the spine times, and the oracle)
+/// against the fused row kernel every build path calls. One sample is the
+/// whole node set.
+fn bench_rows(c: &mut Criterion) {
+    let (g, _) = rmat16();
+    let cfg = SimRankConfig::default_paper();
+    let (params, kernel) = (WalkParams::new(cfg.t, cfg.r), RecomputedRows::of(&g, &cfg));
+    let mut walk = WalkScratch::default();
+    let mut group = c.benchmark_group("walks/rmat16-row");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(4096));
+    group.bench_function("histograms+ai_row", |b| {
+        b.iter(|| {
+            for i in 0..4096 {
+                black_box(ai_row(&walk.distributions_on(&g, i, params, cfg.seed), cfg.c));
+            }
+        });
+    });
+    let (mut cols, mut vals) = (Vec::new(), Vec::new());
+    group.bench_function("fused", |b| {
+        b.iter(|| {
+            for i in 0..4096 {
+                cols.clear();
+                vals.clear();
+                kernel.push_row(i, &mut walk, &mut cols, &mut vals);
+                black_box((&cols, &vals));
+            }
+        });
+    });
+    group.finish();
+}
+
 fn bench_all_nodes(c: &mut Criterion) {
     let g: CsrGraph = generators::rmat(12, 32_768, generators::RmatParams::default(), 7);
     let mut group = c.benchmark_group("walks/index-phase");
@@ -137,5 +173,5 @@ fn bench_all_nodes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cohorts, bench_routed, bench_all_nodes);
+criterion_group!(benches, bench_cohorts, bench_routed, bench_rows, bench_all_nodes);
 criterion_main!(benches);

@@ -7,13 +7,15 @@
 //! `aᵢᵢ ≥ 1` (all walkers sit on `i` at `t = 0`), making the system
 //! strongly diagonally dominant — the reason `L = 3` Jacobi sweeps suffice.
 
+use crate::config::SimRankConfig;
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
 use pasco_mc::counts::MassMap;
-use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
+use pasco_mc::walks::{StepDistributions, WalkParams, WalkScratch};
 use pasco_solver::jacobi::RowSource;
 
 /// Builds the sparse row `aᵢ` (sorted by column, exact length) from a
-/// cohort's step distributions: `aᵢ(k) = Σ_t cᵗ (countₜ(k)/R)²`.
+/// cohort's step distributions: `aᵢ(k) = Σ_t cᵗ (countₜ(k)/R)²`. The
+/// oracle of [`RecomputedRows`], the row kernel every build path calls.
 pub fn ai_row(dists: &StepDistributions, c: f64) -> Vec<(u32, f64)> {
     let r = dists.walkers as f64;
     let mut terms = Vec::with_capacity(dists.counts.iter().map(Vec::len).sum());
@@ -63,34 +65,71 @@ pub fn ai_row_exact(graph: &CsrGraph, i: NodeId, c: f64, t_max: usize) -> Vec<(u
 /// order; the solver crate's row store, under the path the engines use.
 pub use pasco_solver::jacobi::StoredRows;
 
-/// [`RowSource`] that regenerates each row from seeded walks on demand —
-/// the `Recompute` strategy, over any adjacency source. Because walk
-/// randomness is a pure function of `(seed, source, walker, step)`,
-/// regenerated rows are identical to stored ones.
+/// The product row kernel, and the `Recompute` strategy's [`RowSource`]:
+/// node `i`'s `R`-walker cohort over any adjacency source, folded straight
+/// into `aᵢ` from its sorted visits ([`WalkScratch::visits_on`]) — no step
+/// histograms, terms vector or copy. The terms are [`ai_row`]'s, folded
+/// left to right in its order with `cᵗ` from the same repeated product,
+/// so the rows are its rows bit for bit; and because walk randomness is a
+/// pure function of `(seed, source, walker, step)`, regenerated rows are
+/// identical to stored ones.
 pub struct RecomputedRows<'a, A> {
     adj: &'a A,
     params: WalkParams,
     seed: u64,
-    c: f64,
+    /// `cᵗ` for `t = 0..=T`.
+    ct: Vec<f64>,
 }
 
 impl<'a, A: WalkAdjacency> RecomputedRows<'a, A> {
-    /// A recomputing row source over `adj` with the index walk
-    /// parameters.
+    /// The rows over `adj` of the index cohort `params` under `seed`,
+    /// decay `c`.
     pub fn new(adj: &'a A, params: WalkParams, seed: u64, c: f64) -> Self {
-        Self { adj, params, seed, c }
+        let ct = std::iter::successors(Some(1.0), |ct| Some(ct * c)).take(params.steps + 1);
+        Self { adj, params, seed, ct: ct.collect() }
+    }
+
+    /// The rows of `cfg`'s offline phase (`T`, `R`, seed, `c`) over `adj`.
+    pub fn of(adj: &'a A, cfg: &SimRankConfig) -> Self {
+        Self::new(adj, WalkParams::new(cfg.t, cfg.r), cfg.seed, cfg.c)
+    }
+
+    /// Appends `aᵢ`, sorted by column, to `cols` / `vals`.
+    pub fn push_row(
+        &self,
+        i: NodeId,
+        walk: &mut WalkScratch,
+        cols: &mut Vec<u32>,
+        vals: &mut Vec<f64>,
+    ) {
+        let r = self.params.walkers as f64;
+        let term = |(t, count): (usize, u64)| {
+            let p = count as f64 / r;
+            self.ct[t] * p * p
+        };
+        for (node, runs) in walk.visits_on(self.adj, i, self.params, self.seed) {
+            cols.push(node);
+            // `sum` starts at −0.0, which adds exactly: the fold is
+            // `ai_row`'s, term by term from `t = 0`.
+            vals.push(runs.map(term).sum());
+        }
     }
 }
 
 impl<A: WalkAdjacency> RowSource for RecomputedRows<'_, A> {
+    /// The walk scratch and the row's column / value buffers.
+    type Scratch = (WalkScratch, Vec<u32>, Vec<f64>);
+
     fn dim(&self) -> usize {
         self.adj.node_count() as usize
     }
 
-    fn row(&self, i: u32, row: &mut Vec<(u32, f64)>) {
-        let dists = reverse_walk_distributions_on(self.adj, i, self.params, self.seed);
-        row.clear();
-        row.extend(ai_row(&dists, self.c));
+    fn row<'a>(&'a self, i: u32, scratch: &'a mut Self::Scratch) -> (&'a [u32], &'a [f64]) {
+        let (walk, cols, vals) = scratch;
+        cols.clear();
+        vals.clear();
+        self.push_row(i, walk, cols, vals);
+        (cols, vals)
     }
 }
 
@@ -168,12 +207,9 @@ mod tests {
         let stored = StoredRows::new(stored);
         let recomputed = RecomputedRows::new(&g, params, 11, 0.6);
         assert_eq!(stored.dim(), recomputed.dim());
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let mut scratch = Default::default();
         for i in (0..g.node_count()).step_by(37) {
-            stored.row(i, &mut a);
-            recomputed.row(i, &mut b);
-            assert_eq!(a, b, "row {i}");
+            assert_eq!(stored.row(i, &mut ()), recomputed.row(i, &mut scratch), "row {i}");
         }
     }
 }

@@ -128,7 +128,9 @@ impl SimRankConfig {
     }
 
     /// Resolves [`AiStrategy::Auto`] for a graph of `n` nodes: estimated
-    /// stored-row bytes are `n × min(T·R, n) × 12` (entry = u32 + f64).
+    /// stored-row bytes are `n × min(T·R, n) × 12` — the `u32` column and
+    /// `f64` value of every entry in `StoredRows`' CSR blocks (their 8 B
+    /// per row of offsets is not priced).
     pub fn resolve_ai_strategy(&self, n: u32) -> AiStrategy {
         match self.ai_strategy {
             AiStrategy::Auto { budget_bytes } => {

@@ -13,7 +13,7 @@
 //! structural. MCSP and top-`k` are the trait's provided methods over this
 //! engine's cohort and single-source stages.
 
-use crate::ai::{ai_row, RecomputedRows, StoredRows};
+use crate::ai::{RecomputedRows, StoredRows};
 use crate::api::QueryError;
 use crate::config::{AiStrategy, SimRankConfig};
 use crate::engine::{staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
@@ -23,7 +23,8 @@ use pasco_cluster::{Broadcast, Cluster, ClusterConfig, ClusterReport};
 use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, GraphSampler, NodeId, ReverseChainIndex};
 use pasco_mc::counts::{CountMap, MassMap};
-use pasco_mc::walks::{reverse_walk_counts_on, StepDistributions, WalkParams, WalkScratch};
+use pasco_mc::walks::{reverse_walk_counts_on, StepDistributions, WalkScratch};
+use pasco_solver::jacobi::RowBlock;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -71,34 +72,30 @@ impl SimRankEngine for BroadcastEngine {
     }
 
     /// Offline indexing in the Broadcasting model: with stored rows, one
-    /// `index/walks` task per node range generates them (flattened in
-    /// range order, which is node order); either way the sweeps are
-    /// `staged_solve` over the same ranges.
+    /// `index/walks` task per node range fills that range's CSR block
+    /// (joined in range order, which is node order); either way the sweeps
+    /// are `staged_solve` over the same ranges.
     fn build_diagonal(&self, cfg: &SimRankConfig) -> Result<BuildOutcome, SimRankError> {
         let graph: &CsrGraph = &self.graph;
-        let params = WalkParams::new(cfg.t, cfg.r);
         let strategy = cfg.resolve_ai_strategy(graph.node_count());
         let ranges = self.node_ranges(graph.node_count());
+        let kernel = RecomputedRows::of(graph, cfg);
         let ((diag, residuals), rows_bytes) = match strategy {
             AiStrategy::Store | AiStrategy::Auto { .. } => {
-                let parts = self.cluster.run_stage("index/walks", ranges.clone(), |_, (lo, hi)| {
-                    let mut scratch = WalkScratch::default();
-                    (lo..hi)
-                        .map(|i| {
-                            ai_row(&scratch.distributions_on(graph, i, params, cfg.seed), cfg.c)
+                let blocks =
+                    self.cluster.run_stage("index/walks", ranges.clone(), |_, (lo, hi)| {
+                        let mut walk = WalkScratch::default();
+                        RowBlock::fill(lo..hi, |i, cols, vals| {
+                            kernel.push_row(i, &mut walk, cols, vals)
                         })
-                        .collect::<Vec<_>>()
-                });
-                let rows = StoredRows::new(parts.into_iter().flatten().collect());
+                    });
+                let rows = StoredRows::from_blocks(blocks);
                 (
                     staged_solve(&self.cluster, &ranges, &rows, cfg),
                     Some(StoredRows::memory_bytes(&rows)),
                 )
             }
-            AiStrategy::Recompute => {
-                let rows = RecomputedRows::new(graph, params, cfg.seed, cfg.c);
-                (staged_solve(&self.cluster, &ranges, &rows, cfg), None)
-            }
+            AiStrategy::Recompute => (staged_solve(&self.cluster, &ranges, &kernel, cfg), None),
         };
         Ok(BuildOutcome {
             diag,

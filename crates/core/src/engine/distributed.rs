@@ -63,7 +63,7 @@
 //! empty keeps failing typed ("partition set not loaded") until the
 //! engine is rebuilt to re-provision it.
 
-use crate::ai::{ai_row, StoredRows};
+use crate::ai::{RecomputedRows, StoredRows};
 use crate::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
 use crate::api::transport::{read_envelope, write_envelope};
 use crate::api::wire::WireCodec;
@@ -84,7 +84,8 @@ use pasco_graph::adjacency::WalkAdjacency;
 use pasco_graph::partition::Partitioner;
 use pasco_graph::partitioned::partition_graph;
 use pasco_graph::{CsrGraph, NodeId};
-use pasco_mc::walks::{StepDistributions, WalkParams, WalkScratch};
+use pasco_mc::walks::StepDistributions;
+use pasco_solver::jacobi::RowSource;
 use pasco_store::{write_partition, MappedShard, MappedStore, ShardHeader};
 use rayon::prelude::*;
 use std::io::{BufReader, Cursor};
@@ -263,17 +264,19 @@ impl ShardWorkerCore {
         Ok(range)
     }
 
-    /// The shard-local offline build: one `R`-walker cohort and one
-    /// [`ai_row`] per owned source, walked through the routed view by
-    /// the same kernel every engine uses — rayon-parallel over sources.
+    /// The shard-local offline build: each owned source's row `aᵢ` from
+    /// the row kernel every engine uses ([`RecomputedRows`]), walked
+    /// through the routed view — rayon-parallel over sources, shipped as
+    /// `(column, value)` rows.
     pub fn build(&mut self, cfg: &SimRankConfig) -> Result<BuildShardReply, QueryError> {
         let view = self.routed_view()?;
         let (start, end) = self.owned_range()?;
-        let params = WalkParams::new(cfg.t, cfg.r);
+        let source = RecomputedRows::of(view, cfg);
         let rows: Vec<Row> = (start..end)
             .into_par_iter()
-            .map_init(WalkScratch::default, |scratch, i| {
-                ai_row(&scratch.distributions_on(view, i, params, cfg.seed), cfg.c)
+            .map_init(Default::default, |scratch, i| {
+                let (cols, vals) = source.row(i, scratch);
+                cols.iter().copied().zip(vals.iter().copied()).collect()
             })
             .collect();
         self.builds += 1;
@@ -964,9 +967,9 @@ impl SimRankEngine for DistributedEngine {
         // the assembled system — the identical solver call, so the
         // diagonal is bitwise the other engines'. Replies arrive in
         // partition order over a contiguous range partition, so
-        // flattening them *is* node order.
+        // joining them *is* node order.
         let strategy = cfg.resolve_ai_strategy(self.n);
-        let rows = StoredRows::new(shard_rows.into_iter().flatten().collect());
+        let rows = StoredRows::from_parts(shard_rows);
         let result = solve_rows(&rows, cfg);
         // The workers materialised rows either way (they must, to ship
         // them); the reported footprint honours the strategy the other

@@ -26,7 +26,7 @@
 //! there is no second implementation to drift. The RPC worker
 //! ([`super::distributed::ShardWorkerCore`]) calls the same functions.
 
-use crate::ai::{ai_row, RecomputedRows, StoredRows};
+use crate::ai::{RecomputedRows, StoredRows};
 use crate::api::QueryError;
 use crate::config::{AiStrategy, SimRankConfig};
 use crate::diag::DiagonalIndex;
@@ -37,10 +37,9 @@ use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
 use pasco_graph::partitioned::{GraphPartition, PartitionedView};
 use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
-use pasco_mc::walks::{StepDistributions, WalkParams, WalkScratch};
+use pasco_mc::walks::{StepDistributions, WalkScratch};
 use pasco_solver::jacobi::{self, JacobiConfig, JacobiResult, RowSource};
 use pasco_store::{MappedShard, MappedStore};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Where an in-process engine's adjacency lives: the walk and sampling
@@ -231,28 +230,23 @@ impl<A: Storage> std::fmt::Debug for KernelEngine<A> {
 
 /// Builds the diagonal index over any adjacency source.
 ///
-/// Walk phase: a cohort of `R` walkers per node, in parallel over nodes in
-/// node order (one walk scratch per thread). Solve phase: [`solve_rows`].
-/// With the `Recompute` strategy no row is ever resident — each sweep
-/// regenerates them from the walks.
+/// Walk phase: a cohort of `R` walkers per node through the row kernel,
+/// one parallel task per node-range CSR block of [`StoredRows`], each row
+/// written straight into its block. Solve phase: [`solve_rows`]. With the
+/// `Recompute` strategy no row is ever resident — each sweep regenerates
+/// them from the walks.
 pub fn build_diagonal_on<A: WalkAdjacency>(adj: &A, cfg: &SimRankConfig) -> BuildOutcome {
     let n = adj.node_count();
-    let params = WalkParams::new(cfg.t, cfg.r);
     let strategy = cfg.resolve_ai_strategy(n);
+    let kernel = RecomputedRows::of(adj, cfg);
     let (result, rows_bytes) = match strategy {
         AiStrategy::Store | AiStrategy::Auto { .. } => {
-            let rows: Vec<Vec<(u32, f64)>> = (0..n)
-                .into_par_iter()
-                .map_init(WalkScratch::default, |scratch, i| {
-                    ai_row(&scratch.distributions_on(adj, i, params, cfg.seed), cfg.c)
-                })
-                .collect();
-            let rows = StoredRows::new(rows);
+            let rows = StoredRows::build(n, WalkScratch::default, |walk, i, cols, vals| {
+                kernel.push_row(i, walk, cols, vals);
+            });
             (solve_rows(&rows, cfg), Some(StoredRows::memory_bytes(&rows)))
         }
-        AiStrategy::Recompute => {
-            (solve_rows(&RecomputedRows::new(adj, params, cfg.seed, cfg.c), cfg), None)
-        }
+        AiStrategy::Recompute => (solve_rows(&kernel, cfg), None),
     };
     BuildOutcome {
         diag: DiagonalIndex::new(result.x),
@@ -423,5 +417,20 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f64, f64::max);
         assert!(worst < 0.05, "worst |x_mc - x_exact| = {worst}");
+    }
+
+    #[test]
+    fn build_is_bitwise_the_same_at_every_thread_count() {
+        // The rayon shim hands out pieces dynamically: which worker built a
+        // block or swept a row must not show in a single bit.
+        let g = generators::rmat(10, 8_000, generators::RmatParams::default(), 4);
+        let cfg = SimRankConfig::fast();
+        let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        let runs = [1, 2, 3, 8].map(|threads| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            let out = pool.install(|| build_diagonal_on(&g, &cfg));
+            (bits(out.diag.as_slice()), bits(&out.residuals), out.rows_bytes)
+        });
+        assert!(runs.iter().all(|run| *run == runs[0]));
     }
 }

@@ -32,8 +32,8 @@
 //!
 //! Every arithmetic step has one home, whichever engine runs it: the
 //! per-walker loop ([`pasco_mc::walks::reverse_walk_counts_on`]), the row
-//! `aᵢ` ([`crate::ai::ai_row`]), the Jacobi row update and residual
-//! ([`pasco_solver::jacobi::update_row`], swept in process by
+//! `aᵢ` ([`crate::ai::RecomputedRows::push_row`]), the Jacobi row update
+//! and residual ([`pasco_solver::jacobi::row_pass`], swept in process by
 //! [`kernel::solve_rows`] and in stages by `staged_solve`), `score_pair`
 //! and the MCSS series (`queries::mcss_series`). Because each walk
 //! step's randomness is a pure function of `(seed, source, walker, step)`,
@@ -238,15 +238,16 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
 /// `index/jacobi` and `index/residual` stages, one task per node range,
 /// the iterate `x` held by the driver and conceptually re-broadcast each
 /// sweep (8n bytes — always far under the budget). The arithmetic is the
-/// solver's own [`jacobi::update_row`] / [`jacobi::residual_row`] on the
+/// solver's own [`jacobi::row_pass`] (its update in one stage, its residual
+/// in the other) on the
 /// same [`kernel::unit_system`] as [`kernel::solve_rows`], so the diagonal and
 /// the residuals are bitwise the in-process engine's; only the staging
 /// (and its accounting in `cluster`) belongs to the models. Returns the
 /// diagonal and `‖Ax − 1‖∞` after each sweep.
-pub(crate) fn staged_solve(
+pub(crate) fn staged_solve<R: RowSource>(
     cluster: &Cluster,
     ranges: &[(u32, u32)],
-    rows: &impl RowSource,
+    rows: &R,
     cfg: &SimRankConfig,
 ) -> (DiagonalIndex, Vec<f64>) {
     let (b, mut x) = kernel::unit_system(rows, cfg);
@@ -254,15 +255,15 @@ pub(crate) fn staged_solve(
     for _ in 0..cfg.l {
         let next: Vec<Vec<f64>> =
             cluster.run_stage("index/jacobi", ranges.to_vec(), |_, (lo, hi)| {
-                let mut buf = Vec::new();
-                (lo..hi).map(|i| jacobi::update_row(rows, &b, &x, i, &mut buf)).collect()
+                let mut scratch = R::Scratch::default();
+                (lo..hi).map(|i| jacobi::row_pass(rows, &b, &x, i, &mut scratch).0).collect()
             });
         x = next.into_iter().flatten().collect();
         let worst: Vec<f64> =
             cluster.run_stage("index/residual", ranges.to_vec(), |_, (lo, hi)| {
-                let mut buf = Vec::new();
+                let mut scratch = R::Scratch::default();
                 (lo..hi)
-                    .map(|i| jacobi::residual_row(rows, &b, &x, i, &mut buf))
+                    .map(|i| jacobi::row_pass(rows, &b, &x, i, &mut scratch).1)
                     .fold(0.0, f64::max)
             });
         residuals.push(worst.into_iter().fold(0.0, f64::max));

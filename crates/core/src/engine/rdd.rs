@@ -240,7 +240,7 @@ impl SimRankEngine for RddEngine {
             self.cluster.run_stage("index/finalize", rows, |_, maps: Vec<MassMap>| {
                 maps.into_iter().map(|m| m.into_sorted_vec()).collect()
             });
-        let rows = StoredRows::new(finalized.into_iter().flatten().collect());
+        let rows = StoredRows::from_parts(finalized);
         let ranges: Vec<(u32, u32)> = self.parts.iter().map(|gp| (gp.start, gp.end)).collect();
         let (diag, residuals) = staged_solve(&self.cluster, &ranges, &rows, cfg);
         // Every row is materialised whatever `cfg.ai_strategy` asks for:

@@ -20,7 +20,9 @@
 //! positions copied out, sorted and run-length encoded: sorted, exact-length
 //! output with no hashing. Counts are integers, so the histograms are, entry
 //! for entry, what a per-walker loop ([`reverse_walk_path`], the test
-//! oracle) adds up.
+//! oracle) adds up. The offline build runs the same loop through
+//! [`WalkScratch::visits_on`], which sorts the whole cohort's visits once
+//! instead of once per step.
 
 use crate::rng::{mix, mix_extend, SplitMix64};
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
@@ -112,21 +114,22 @@ impl StepDistributions {
     }
 }
 
-/// Frontiers of at least this many positions are radix-sorted; below it
-/// `sort_unstable` is faster (the build's `R = 100` cohorts never reach it).
+/// Frontiers of at least this many positions, and cohorts of at least this
+/// many visit keys, are radix-sorted; below it `sort_unstable` is faster
+/// (the build's `R = 100` frontiers never reach it, its cohorts' keys do).
 const RADIX_MIN: usize = 256;
 /// Bits per radix pass: 2048 buckets, two passes up to 4M nodes.
 const RADIX_BITS: u32 = 11;
 
 /// LSD radix sort of `keys`, all below `bound`, through the buffer `tmp`.
-fn radix_sort(keys: &mut Vec<NodeId>, tmp: &mut Vec<NodeId>, bound: u32) {
-    const MASK: u32 = (1 << RADIX_BITS) - 1;
-    tmp.resize(keys.len(), 0);
-    let bits = u32::BITS - bound.saturating_sub(1).leading_zeros();
+fn radix_sort<K: Copy + Default + Into<u64>>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bound: u64) {
+    const MASK: u64 = (1 << RADIX_BITS) - 1;
+    tmp.resize(keys.len(), K::default());
+    let bits = u64::BITS - bound.saturating_sub(1).leading_zeros();
     for shift in (0..bits).step_by(RADIX_BITS as usize) {
         let mut next = [0u32; 1 << RADIX_BITS];
         for &k in keys.iter() {
-            next[((k >> shift) & MASK) as usize] += 1;
+            next[((k.into() >> shift) & MASK) as usize] += 1;
         }
         let mut start = 0;
         for slot in &mut next {
@@ -135,7 +138,7 @@ fn radix_sort(keys: &mut Vec<NodeId>, tmp: &mut Vec<NodeId>, bound: u32) {
             start += count;
         }
         for &k in keys.iter() {
-            let slot = &mut next[((k >> shift) & MASK) as usize];
+            let slot = &mut next[((k.into() >> shift) & MASK) as usize];
             tmp[*slot as usize] = k;
             *slot += 1;
         }
@@ -156,6 +159,10 @@ pub struct WalkScratch {
     sorted: Vec<NodeId>,
     /// The radix sort's second buffer.
     tmp: Vec<NodeId>,
+    /// [`Self::visits_on`]'s visit keys.
+    visits: Vec<u64>,
+    /// Their radix sort's second buffer.
+    visits_tmp: Vec<u64>,
 }
 
 impl WalkScratch {
@@ -188,26 +195,72 @@ impl WalkScratch {
         out: &mut Vec<Vec<(NodeId, u64)>>,
     ) {
         let n = graph.node_count();
+        self.start(n, source, walkers, seed);
+        for t in 1..=steps as u32 {
+            self.step(graph, t);
+            out.push(self.histogram(n));
+        }
+    }
+
+    /// The offline build's cohort kernel: the loop of [`Self::counts_on`]
+    /// over the whole cohort, but each live walker's visit at step `t`
+    /// (step 0 included) is recorded as one key `node·2ˢ + t`, `2ˢ > T`,
+    /// and the `≤ R·(T+1)` keys are sorted once (radix-sorted like a large
+    /// frontier) — one sort per cohort instead of one histogram per step.
+    /// Yields each visited node in id order with its `(t, count)` runs in
+    /// `t` order: the node's entries of every step's histogram.
+    pub fn visits_on<G: WalkAdjacency>(
+        &mut self,
+        graph: &G,
+        source: NodeId,
+        params: WalkParams,
+        seed: u64,
+    ) -> impl Iterator<Item = (NodeId, impl Iterator<Item = (usize, u64)> + '_)> + '_ {
+        let shift = u64::BITS - (params.steps as u64).leading_zeros();
+        self.start(graph.node_count(), source, 0..params.walkers, seed);
+        self.visits.clear();
+        self.visits.resize(self.pos.len(), u64::from(source) << shift);
+        for t in 1..=params.steps as u32 {
+            self.step(graph, t);
+            self.visits.extend(self.pos.iter().map(|&v| u64::from(v) << shift | u64::from(t)));
+        }
+        if self.visits.len() < RADIX_MIN {
+            self.visits.sort_unstable();
+        } else {
+            let bound = u64::from(graph.node_count()) << shift;
+            radix_sort(&mut self.visits, &mut self.visits_tmp, bound);
+        }
+        let step_of = move |key: u64| (key & ((1 << shift) - 1)) as usize;
+        self.visits.chunk_by(move |a, b| a >> shift == b >> shift).map(move |node| {
+            let runs =
+                node.chunk_by(|a, b| a == b).map(move |run| (step_of(run[0]), run.len() as u64));
+            ((node[0] >> shift) as NodeId, runs)
+        })
+    }
+
+    /// Places the cohort members `walkers` of `source` on `source`.
+    fn start(&mut self, n: u32, source: NodeId, walkers: Range<u32>, seed: u64) {
         assert!(source < n, "source out of range");
         self.key.clear();
         self.key.extend(walker_keys(seed, source, walkers));
         self.pos.clear();
         self.pos.resize(self.key.len(), source);
-        for t in 1..=steps as u32 {
-            // One pass advances every live walker; the survivors are
-            // compacted to the front, still in walker order.
-            let mut live = 0;
-            for i in 0..self.pos.len() {
-                let key = self.key[i];
-                if let Some(next) = reverse_step(graph, self.pos[i], key, t) {
-                    (self.pos[live], self.key[live]) = (next, key);
-                    live += 1;
-                }
+    }
+
+    /// One pass advances every live walker to step `t`; the survivors are
+    /// compacted to the front, still in walker order.
+    #[inline]
+    fn step<G: WalkAdjacency>(&mut self, graph: &G, t: u32) {
+        let mut live = 0;
+        for i in 0..self.pos.len() {
+            let key = self.key[i];
+            if let Some(next) = reverse_step(graph, self.pos[i], key, t) {
+                (self.pos[live], self.key[live]) = (next, key);
+                live += 1;
             }
-            self.pos.truncate(live);
-            self.key.truncate(live);
-            out.push(self.histogram(n));
         }
+        self.pos.truncate(live);
+        self.key.truncate(live);
     }
 
     /// The visit histogram of the frontier's positions, all below `bound`.
@@ -217,7 +270,7 @@ impl WalkScratch {
         if self.sorted.len() < RADIX_MIN {
             self.sorted.sort_unstable();
         } else {
-            radix_sort(&mut self.sorted, &mut self.tmp, bound);
+            radix_sort(&mut self.sorted, &mut self.tmp, bound.into());
         }
         let runs = self.sorted.windows(2).filter(|w| w[0] != w[1]).count();
         let distinct = runs + usize::from(!self.sorted.is_empty());
@@ -343,7 +396,7 @@ mod tests {
                 .collect();
             let mut want = keys.clone();
             want.sort_unstable();
-            radix_sort(&mut keys, &mut vec![7; 5], bound);
+            radix_sort(&mut keys, &mut vec![7; 5], bound.into());
             assert_eq!(keys, want, "bound {bound}");
         }
     }

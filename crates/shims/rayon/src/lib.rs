@@ -3,10 +3,12 @@
 //! Implements the subset of rayon's data-parallel API this workspace uses,
 //! backed by `std::thread::scope`. Parallel pipelines are composed lazily
 //! (as in rayon) and materialised by the consuming call (`collect`,
-//! `for_each`, `reduce`, `sum`), which splits the index space into one
-//! contiguous chunk per worker thread and reassembles results **in chunk
-//! order** — so `collect` preserves input order and every pipeline is
-//! deterministic regardless of thread scheduling.
+//! `for_each`, `reduce`, `sum`), which splits the index space into a few
+//! contiguous pieces per worker thread, lets the workers pull pieces off a
+//! shared queue until none is left (so a skewed range keeps every worker
+//! busy to the end), and reassembles results **in piece order** — so
+//! `collect` preserves input order and every pipeline is deterministic
+//! regardless of thread scheduling.
 //!
 //! `ThreadPool::install` does not keep persistent workers; it installs the
 //! pool's thread count and naming function into a thread-local so that
@@ -15,7 +17,7 @@
 //! usage (including tests that assert tasks run on named pool threads).
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 pub mod prelude {
     pub use crate::{
@@ -230,9 +232,15 @@ pub trait ParallelIterator: Sized + Send {
 pub trait IndexedParallelIterator: ParallelIterator {}
 impl<T: ParallelIterator> IndexedParallelIterator for T {}
 
-/// Splits `iter` into at most `ctx.threads` contiguous chunks, runs `f` on
-/// each chunk on its own named thread, and returns the chunk results in
-/// order. Small inputs run inline unless a pool is installed.
+/// Pieces per worker thread: enough that an index range whose work is
+/// skewed (R-MAT packs its heavy nodes at low ids) still ends with every
+/// worker busy, few enough that per-piece `map_init` state is negligible.
+const PIECES_PER_THREAD: usize = 8;
+
+/// Splits `iter` into contiguous pieces ([`PIECES_PER_THREAD`] per thread
+/// when there is more than one), runs `f` on each on the pool's named
+/// threads, and returns the piece results in order. Small inputs run
+/// inline unless a pool is installed.
 fn run_chunks<I, R, F>(iter: I, f: &F) -> Vec<R>
 where
     I: ParallelIterator,
@@ -245,8 +253,9 @@ where
     if total == 0 {
         return if ctx.force_spawn { spawn_chunks(vec![iter], &ctx, f) } else { vec![f(iter)] };
     }
-    let chunk = total.div_ceil(threads);
-    let mut pieces = Vec::with_capacity(threads);
+    let wanted = if threads == 1 { 1 } else { threads * PIECES_PER_THREAD };
+    let chunk = total.div_ceil(wanted);
+    let mut pieces = Vec::with_capacity(wanted);
     let mut rest = iter;
     while rest.len() > chunk {
         let (head, tail) = rest.split_at(chunk);
@@ -261,29 +270,37 @@ where
     spawn_chunks(pieces, &ctx, f)
 }
 
+/// Runs `f` on every piece on `min(threads, pieces)` named workers, each
+/// pulling the next piece off a shared queue; results in piece order.
 fn spawn_chunks<I, R, F>(pieces: Vec<I>, ctx: &PoolCtx, f: &F) -> Vec<R>
 where
     I: ParallelIterator,
     R: Send,
     F: Fn(I) -> R + Sync,
 {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pieces
-            .into_iter()
-            .enumerate()
-            .map(|(k, piece)| {
+    let workers = ctx.threads.max(1).min(pieces.len());
+    let queue = Mutex::new(pieces.into_iter().enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let work = || {
+            let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            std::iter::from_fn(next).map(|(k, piece)| (k, f(piece))).collect::<Vec<_>>()
+        };
+        let handles: Vec<_> = (0..workers)
+            .map(|k| {
                 std::thread::Builder::new()
                     .name((ctx.namer)(k))
-                    .spawn_scoped(scope, move || f(piece))
+                    .spawn_scoped(scope, work)
                     .expect("failed to spawn worker thread")
             })
             .collect();
         // Like rayon, re-raise a worker's panic with its original payload.
         handles
             .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .flat_map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
-    })
+    });
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Order-preserving `collect` targets.
@@ -651,6 +668,7 @@ impl<A: ParallelIterator, B: ParallelIterator> ParallelIterator for Zip<A, B> {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use super::PIECES_PER_THREAD;
 
     #[test]
     fn collect_preserves_order() {
@@ -705,5 +723,50 @@ mod tests {
                 .collect()
         });
         assert!(names.iter().all(|n| n.starts_with("shim-worker-")), "{names:?}");
+    }
+
+    /// Item `i`'s result, after work that is heavy for the first items
+    /// only — a skewed range, like R-MAT's ids.
+    fn skewed(i: u64) -> u64 {
+        let spin = if i < 64 { 20_000 } else { 10 };
+        (0..spin).fold(i, |acc, k| acc.wrapping_mul(31).wrapping_add(k))
+    }
+
+    #[test]
+    fn pieces_preserve_order_and_results_at_every_width() {
+        let want: Vec<u64> = (0u64..1000).map(skewed).collect();
+        for threads in [1, 2, 3, 8] {
+            let pool = crate::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let got: Vec<u64> = (0u64..1000).into_par_iter().map(skewed).collect();
+                assert_eq!(got, want, "collect, {threads} threads");
+                // An order-sensitive combiner sees the pieces in order.
+                let joined = (0u64..1000).into_par_iter().map(|i| vec![skewed(i)]).reduce(
+                    Vec::new,
+                    |mut a, b| {
+                        a.extend(b);
+                        a
+                    },
+                );
+                assert_eq!(joined, want, "reduce, {threads} threads");
+                let mut slots = vec![0u64; 1000];
+                slots.par_iter_mut().enumerate().for_each(|(i, s)| *s = skewed(i as u64));
+                assert_eq!(slots, want, "for_each, {threads} threads");
+                // `map_init` state is made once per piece and sees the
+                // piece's items in order.
+                let seen: Vec<(u64, usize)> = (0u64..1000)
+                    .into_par_iter()
+                    .map_init(Vec::new, |mine: &mut Vec<u64>, i| {
+                        mine.push(skewed(i));
+                        (i, mine.len())
+                    })
+                    .collect();
+                assert!(seen.iter().map(|&(i, _)| i).eq(0..1000), "{threads} threads");
+                assert!(seen.windows(2).all(|w| w[1].1 == 1 || w[1].1 == w[0].1 + 1));
+                let pieces = seen.iter().filter(|&&(_, len)| len == 1).count();
+                let more_than_threads = pieces >= threads * PIECES_PER_THREAD - 1;
+                assert!(if threads == 1 { pieces == 1 } else { more_than_threads }, "{pieces}");
+            });
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! fewer sweeps than Jacobi but cannot be parallelised across rows — part of
 //! why the paper's CloudWalker (parallel Jacobi) scales past LIN.
 
-use crate::jacobi::{residual_inf, RowSource};
+use crate::jacobi::{residual_inf, row_pass, RowSource};
 
 /// Gauss–Seidel knobs; same semantics as [`crate::JacobiConfig`].
 #[derive(Clone, Copy, Debug)]
@@ -36,8 +36,8 @@ pub struct GaussSeidelResult {
 ///
 /// # Panics
 /// Panics on dimension mismatch or a zero diagonal entry.
-pub fn solve(
-    rows: &impl RowSource,
+pub fn solve<R: RowSource>(
+    rows: &R,
     b: &[f64],
     x0: &[f64],
     cfg: &GaussSeidelConfig,
@@ -46,22 +46,12 @@ pub fn solve(
     assert_eq!(b.len(), n, "rhs length");
     assert_eq!(x0.len(), n, "initial guess length");
     let mut x = x0.to_vec();
-    let mut row_buf: Vec<(u32, f64)> = Vec::new();
+    let mut scratch = R::Scratch::default();
     let mut done = 0;
     for _ in 0..cfg.iterations {
         for i in 0..n as u32 {
-            rows.row(i, &mut row_buf);
-            let mut off = 0.0;
-            let mut diag = 0.0;
-            for &(j, a) in &row_buf {
-                if j == i {
-                    diag = a;
-                } else {
-                    off += a * x[j as usize];
-                }
-            }
-            assert!(diag != 0.0, "zero diagonal at row {i}");
-            x[i as usize] = (b[i as usize] - off) / diag;
+            // Jacobi's row update, reading this sweep's earlier rows.
+            x[i as usize] = row_pass(rows, b, &x, i, &mut scratch).0;
         }
         done += 1;
         if let Some(tol) = cfg.tolerance {

@@ -7,7 +7,9 @@
 //! `reverse_walk_path` per walker gives, and every landed mass is summed in
 //! the `(t, support node, walker)` order a loop over `forward_walk_on`
 //! would use — so the floating-point results are equal **bitwise**. One
-//! table checks both over every storage the kernels run on.
+//! table checks both over every storage the kernels run on; a second
+//! holds the offline build's row kernel (`RecomputedRows::push_row`, one sort per
+//! cohort) to `ai_row` over the step histograms, row by row.
 
 use pasco::graph::partition::Partitioner;
 use pasco::graph::partitioned::PartitionedView;
@@ -16,8 +18,14 @@ use pasco::graph::{ReverseChainIndex, WalkAdjacency};
 use pasco::mc::counts::MassMap;
 use pasco::mc::forward::forward_walk_on;
 use pasco::mc::rng;
-use pasco::mc::walks::{reverse_walk_counts_on, reverse_walk_path, StepDistributions};
+use pasco::mc::walks::{
+    reverse_walk_counts_on, reverse_walk_distributions, reverse_walk_path, StepDistributions,
+    WalkParams, WalkScratch,
+};
+use pasco::simrank::ai::{ai_row, RecomputedRows, StoredRows};
 use pasco::simrank::{queries, CloudWalker, DiagonalIndex, SimRankConfig};
+use pasco::solver::RowSource;
+use pasco_store::{write_store, MappedStore};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -204,5 +212,74 @@ fn frontier_kernels_equal_the_per_walker_oracles_on_every_storage() {
                 check_storage(&format!("{name}/mapped x{parts}"), &**store, &diag, want);
             }
         }
+    }
+}
+
+/// Every row the fused kernel walks over `adj`, against `want`'s.
+fn check_rows<A: WalkAdjacency>(label: &str, adj: &A, params: WalkParams, want: &StoredRows) {
+    let kernel = RecomputedRows::new(adj, params, SEED, 0.6);
+    let (mut walk, mut cols, mut vals) = (WalkScratch::default(), Vec::new(), Vec::new());
+    for i in 0..WalkAdjacency::node_count(adj) {
+        cols.clear();
+        vals.clear();
+        kernel.push_row(i, &mut walk, &mut cols, &mut vals);
+        let (want_cols, want_vals) = want.get(i);
+        assert_eq!(cols, want_cols, "{label}: row {i} columns");
+        assert_eq!(bits(vals.iter().copied()), bits(want_vals.iter().copied()), "{label}: row {i}");
+    }
+}
+
+#[test]
+fn row_kernel_equals_ai_row_over_the_step_histograms_on_every_storage() {
+    // `path` kills walkers mid-cohort (and every walker of its source 0 at
+    // step 1); the star's leaves are dangling sources. `T = 17` needs five
+    // step bits, past any fixed-width packing; `R = 3000` long runs.
+    let graphs = [
+        ("ba300", generators::barabasi_albert(300, 3, 9)),
+        ("rmat9", generators::rmat(9, 4000, generators::RmatParams::default(), 5)),
+        ("cycle", generators::cycle(7)),
+        ("path", generators::path(5)),
+        ("complete", generators::complete(10)),
+        ("star", generators::star(12)),
+    ];
+    let cells = [(1, 3000), (5, 1), (10, 100), (17, 64)];
+    for (name, g) in graphs {
+        let n = g.node_count();
+        let dir = std::env::temp_dir().join(format!("pasco_row_kernel_{name}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_store(&dir, &g, &vec![1.0; n as usize], 2).unwrap();
+        let mapped = MappedStore::open(&dir).unwrap();
+        let view = PartitionedView::of_graph(&g, Partitioner::range_nonempty(n, 3));
+        for (t, r) in cells {
+            let params = WalkParams::new(t, r);
+            let oracle: Vec<Vec<(u32, f64)>> = (0..n)
+                .map(|i| ai_row(&reverse_walk_distributions(&g, i, params, SEED), 0.6))
+                .collect();
+            let want = StoredRows::new(oracle);
+            let label = format!("{name} T={t} R={r}");
+            check_rows(&format!("{label} csr"), &g, params, &want);
+            check_rows(&format!("{label} view x3"), &view, params, &want);
+            check_rows(&format!("{label} mapped x2"), &mapped, params, &want);
+            // The build's block store and the recomputing source lend the
+            // same rows.
+            let recomputed = RecomputedRows::new(&g, params, SEED, 0.6);
+            let built = StoredRows::build(n, WalkScratch::default, |walk, i, cols, vals| {
+                recomputed.push_row(i, walk, cols, vals);
+            });
+            assert_eq!(built.memory_bytes(), want.memory_bytes(), "{label}: rows_bytes");
+            let mut scratch = Default::default();
+            for i in 0..n {
+                let (cols, vals) = want.get(i);
+                for (src, (got_cols, got_vals)) in
+                    [("stored", built.get(i)), ("recomputed", recomputed.row(i, &mut scratch))]
+                {
+                    assert_eq!(got_cols, cols, "{label}: {src} row {i} columns");
+                    let got = bits(got_vals.iter().copied());
+                    assert_eq!(got, bits(vals.iter().copied()), "{label}: {src} row {i}");
+                }
+            }
+        }
+        drop(mapped);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
