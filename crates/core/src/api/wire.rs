@@ -241,16 +241,40 @@ pub(super) fn decode_ranked(
     (0..len).map(|_| Ok((read_u32(buf, decoding)?, read_f64(buf, decoding)?))).collect()
 }
 
+/// Histogram entries [`StepDistributions::encode`] packs per `put_slice`.
+const ENTRY_BLOCK: usize = 256;
+
+/// One histogram: a `u32` length, then 12-byte `(id, count)` records,
+/// parsed in one pass once `read_len` has proven them present. Every
+/// decoder input is a slice, whose `chunk` is all that remains; a buffer
+/// held in pieces is refused rather than read a second way.
+fn decode_step(buf: &mut impl Buf, what: &'static str) -> Result<Vec<(u32, u64)>, WireError> {
+    let len = read_len(buf, 12, what)?;
+    let Some(body) = buf.chunk().get(..12 * len) else {
+        return Err(WireError::Invalid { decoding: what, reason: "histogram split across chunks" });
+    };
+    let record = |&[i0, i1, i2, i3, count @ ..]: &[u8; 12]| {
+        (u32::from_le_bytes([i0, i1, i2, i3]), u64::from_le_bytes(count))
+    };
+    let step = body.as_chunks::<12>().0.iter().map(record).collect();
+    buf.advance(12 * len);
+    Ok(step)
+}
+
 impl WireCodec for StepDistributions {
     fn encode(&self, buf: &mut impl BufMut) {
         buf.put_u32_le(self.source);
         buf.put_u32_le(self.walkers);
         buf.put_u32_le(self.counts.len() as u32);
+        let mut block = [[0u8; 12]; ENTRY_BLOCK];
         for step in &self.counts {
             buf.put_u32_le(step.len() as u32);
-            for &(v, c) in step {
-                buf.put_u32_le(v);
-                buf.put_u64_le(c);
+            for entries in step.chunks(ENTRY_BLOCK) {
+                for (record, &(v, c)) in block.iter_mut().zip(entries) {
+                    record[..4].copy_from_slice(&v.to_le_bytes());
+                    record[4..].copy_from_slice(&c.to_le_bytes());
+                }
+                buf.put_slice(block[..entries.len()].as_flattened());
             }
         }
     }
@@ -264,12 +288,7 @@ impl WireCodec for StepDistributions {
             // `counts[0]` is the step-0 entry; `steps()` subtracts one.
             return Err(WireError::Invalid { decoding: WHAT, reason: "no step histograms" });
         }
-        let counts = (0..steps)
-            .map(|_| {
-                let len = read_len(buf, 12, WHAT)?;
-                (0..len).map(|_| Ok((read_u32(buf, WHAT)?, read_u64(buf, WHAT)?))).collect()
-            })
-            .collect::<Result<_, _>>()?;
+        let counts = (0..steps).map(|_| decode_step(buf, WHAT)).collect::<Result<_, _>>()?;
         Ok(StepDistributions { source, walkers, counts })
     }
 

@@ -462,6 +462,39 @@ fn merge_ranked(lists: &[Vec<(NodeId, f64)>], k: usize) -> Vec<(NodeId, f64)> {
 // Coordinator half
 // ====================================================================
 
+/// Checks that a worker's cohort has the shape [`queries::query_cohort_on`]
+/// gives `source` under `cfg` on `n` nodes before it is cached or scored:
+/// [`queries::score_pair`] indexes the diagonal by node id and merges
+/// histograms that must be strictly increasing.
+fn check_cohort(
+    d: &StepDistributions,
+    source: NodeId,
+    cfg: &SimRankConfig,
+    n: u32,
+) -> Result<(), String> {
+    let walkers = u64::from(cfg.r_query);
+    let (shape, want) = ((d.source, d.walkers, d.counts.len()), (source, cfg.r_query, cfg.t + 1));
+    if shape != want || d.counts[0] != [(source, walkers)] {
+        return Err(format!(
+            "cohort (source, walkers, steps) {shape:?} for {want:?}, or a bad step 0"
+        ));
+    }
+    for (t, step) in d.counts.iter().enumerate() {
+        if !step.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(format!("cohort step {t}: node ids not strictly increasing"));
+        }
+        if let Some(&(v, _)) = step.last().filter(|&&(v, _)| v >= n) {
+            return Err(format!("cohort step {t}: node {v} out of range for {n} nodes"));
+        }
+        let sum =
+            step.iter().try_fold(0, |sum, &(_, c)| (1..=walkers).contains(&c).then_some(sum + c));
+        if sum.is_none_or(|sum| sum > walkers) {
+            return Err(format!("cohort step {t}: counts not in 1..={walkers} or summing past it"));
+        }
+    }
+    Ok(())
+}
+
 /// Why a worker exchange failed: a typed answer (the connection stays
 /// usable) or a dead/broken link (poisoned until reconnect).
 enum CallError {
@@ -1011,7 +1044,10 @@ impl SimRankEngine for DistributedEngine {
     ) -> Result<StepDistributions, QueryError> {
         check_node(source, self.n)?;
         match self.routed_query(None, cfg, source, ShardQueryKind::Cohort { v: source })? {
-            QueryResponse::Cohort(dists) => Ok(dists),
+            QueryResponse::Cohort(dists) => match check_cohort(&dists, source, cfg, self.n) {
+                Ok(()) => Ok(dists),
+                Err(why) => self.protocol_violation(self.owner(source), &why),
+            },
             _ => self.protocol_violation(self.owner(source), "cohort answered with a non-cohort"),
         }
     }

@@ -70,35 +70,96 @@ pub fn query_cohort(graph: &CsrGraph, cfg: &SimRankConfig, source: NodeId) -> St
 }
 
 /// Scores a pair from two cohorts' distributions:
-/// `Σ_t cᵗ Σ_k x_k ûₜ(k) v̂ₜ(k)` (merge over the sorted histograms).
+/// `Σ_t cᵗ Σ_k x_k ûₜ(k) v̂ₜ(k)`. A branch-free lane merge finds each
+/// step's shared keys; their products are added in ascending key order, as a two-pointer
+/// merge adds them. Histograms must be sorted by node id, without
+/// duplicates, as the walk kernel writes them.
 pub fn score_pair(di: &StepDistributions, dj: &StepDistributions, diag: &[f64], c: f64) -> f64 {
     debug_assert_eq!(di.steps(), dj.steps());
     let ri = di.walkers as f64;
     let rj = dj.walkers as f64;
+    let mut hits = vec![(0, 0); di.counts.iter().map(Vec::len).max().unwrap_or(0)];
     let mut score = 0.0;
     let mut ct = 1.0;
     for (u, v) in di.counts.iter().zip(&dj.counts) {
         let mut term = 0.0;
-        let (mut a, mut b) = (u.iter().peekable(), v.iter().peekable());
-        while let (Some(&&(ka, ca)), Some(&&(kb, cb))) = (a.peek(), b.peek()) {
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => {
-                    a.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    b.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    term += diag[ka as usize] * (ca as f64 / ri) * (cb as f64 / rj);
-                    a.next();
-                    b.next();
-                }
+        for lane in merge_lanes(u, v, &mut hits) {
+            for &(a, b) in &hits[lane.first..lane.hit] {
+                let ((ka, ca), (_, cb)) = (u[a as usize], v[b as usize]);
+                term += diag[ka as usize] * (ca as f64 / ri) * (cb as f64 / rj);
             }
         }
         score += ct * term;
         ct *= c;
     }
     score
+}
+
+/// Key ranges [`merge_lanes`] merges interleaved, so that their serial
+/// load → compare → advance chains overlap (eight run out of registers).
+const LANES: usize = 4;
+/// Below this many entries in either list a step is merged as one lane.
+const LANE_MIN: usize = 64;
+
+/// A merge lane: cursors into the two lists, their ends, and its hits
+/// `hits[first..hit]`.
+#[derive(Clone, Copy, Default)]
+struct Lane {
+    a: usize,
+    a_end: usize,
+    b: usize,
+    b_end: usize,
+    first: usize,
+    hit: usize,
+}
+
+impl Lane {
+    #[inline(always)]
+    fn live(&self) -> bool {
+        self.a < self.a_end && self.b < self.b_end
+    }
+
+    /// A branch-free merge step: `(a, b)` is written, and kept if the keys
+    /// match; the smaller side advances, both on a match.
+    #[inline(always)]
+    fn step(&mut self, u: &[(NodeId, u64)], v: &[(NodeId, u64)], hits: &mut [(u32, u32)]) {
+        let (ka, kb) = (u[self.a].0, v[self.b].0);
+        hits[self.hit] = (self.a as u32, self.b as u32);
+        self.hit += usize::from(ka == kb);
+        self.a += usize::from(ka <= kb);
+        self.b += usize::from(kb <= ka);
+    }
+}
+
+/// Writes the index pairs of the keys the sorted lists `u` and `v` share
+/// into `hits` (`≥ u.len()` long). Lane `l` takes the `l`-th quarter of `u`
+/// and the part of `v` below the next quarter's first key, and writes from
+/// its first `u` index on: read lane by lane, the hits ascend by key.
+fn merge_lanes(u: &[(NodeId, u64)], v: &[(NodeId, u64)], hits: &mut [(u32, u32)]) -> [Lane; LANES] {
+    let mut lanes = [Lane::default(); LANES];
+    if u.len() < LANE_MIN || v.len() < LANE_MIN {
+        lanes[0] = Lane { a_end: u.len(), b_end: v.len(), ..Lane::default() };
+    } else {
+        let mut b = 0;
+        for (l, lane) in lanes.iter_mut().enumerate() {
+            let (a, a_end) = (l * u.len() / LANES, (l + 1) * u.len() / LANES);
+            let b_end = match u.get(a_end) {
+                Some(&(key, _)) => v.partition_point(|&(k, _)| k < key),
+                None => v.len(),
+            };
+            *lane = Lane { a, a_end, b, b_end, first: a, hit: a };
+            b = b_end;
+        }
+        while lanes.iter().all(Lane::live) {
+            lanes.iter_mut().for_each(|lane| lane.step(u, v, hits));
+        }
+    }
+    for lane in &mut lanes {
+        while lane.live() {
+            lane.step(u, v, hits);
+        }
+    }
+    lanes
 }
 
 /// MCSP over whatever produces cohorts: `s(i, i)` is 1 by definition,

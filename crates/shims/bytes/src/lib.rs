@@ -1,10 +1,21 @@
 //! Offline shim for the `bytes` crate: the `Buf`/`BufMut` subset used by
-//! the shuffle codec (little-endian fixed-width puts and gets).
+//! the shuffle codec and the wire codec (little-endian fixed-width puts
+//! and gets, plus `chunk` / `advance` for bulk reads).
 
 /// A readable byte cursor.
 pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
+
+    /// The readable bytes at the cursor that sit in one slice: all of them
+    /// for a slice, possibly fewer for a buffer held in pieces.
+    fn chunk(&self) -> &[u8];
+
+    /// Moves the cursor `cnt` bytes forward.
+    ///
+    /// # Panics
+    /// Panics when fewer than `cnt` bytes remain.
+    fn advance(&mut self, cnt: usize);
 
     /// Copies `dst.len()` bytes out, advancing the cursor.
     ///
@@ -54,6 +65,15 @@ pub trait Buf {
 impl Buf for &[u8] {
     fn remaining(&self) -> usize {
         self.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(self.len() >= cnt, "buffer underflow");
+        *self = &self[cnt..];
     }
 
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
@@ -121,6 +141,27 @@ mod tests {
         assert_eq!(r.get_i64_le(), -7);
         assert_eq!(r.get_f64_le(), 1.5);
         assert!(!r.has_remaining());
+    }
+
+    #[test]
+    fn chunk_and_advance_walk_a_slice() {
+        let bytes = [1u8, 2, 3, 4, 5, 6];
+        let mut r: &[u8] = &bytes;
+        assert_eq!(r.chunk(), &bytes[..]);
+        r.advance(2);
+        assert_eq!((r.chunk(), r.remaining()), (&bytes[2..], 4));
+        assert_eq!(r.get_u8(), 3);
+        r.advance(0);
+        assert_eq!(r.chunk(), &[4, 5, 6]);
+        r.advance(3);
+        assert!(r.chunk().is_empty() && !r.has_remaining());
+    }
+
+    #[test]
+    #[should_panic(expected = "underflow")]
+    fn advance_past_the_end_panics() {
+        let mut r: &[u8] = &[1, 2];
+        r.advance(3);
     }
 
     #[test]

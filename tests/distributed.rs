@@ -14,9 +14,10 @@ use pasco::graph::generators;
 use pasco::simrank::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
 use pasco::simrank::api::transport::{read_envelope, write_envelope};
 use pasco::simrank::api::wire::WireCodec;
-use pasco::simrank::api::worker::{LoadAck, LoadPartition};
+use pasco::simrank::api::worker::{LoadAck, LoadPartition, ShardQuery, ShardQueryKind};
 use pasco::simrank::{
-    CloudWalker, ExecMode, QueryError, QuerySession, SimRankConfig, SimRankError,
+    queries, CloudWalker, ExecMode, QueryError, QueryResponse, QuerySession, SimRankConfig,
+    SimRankError,
 };
 use pasco::worker::{PascoWorker, WorkerConfig, WorkerHandle};
 use pasco_store::{write_partition, ShardHeader};
@@ -277,10 +278,13 @@ fn distributed_mode_rejects_empty_worker_list_and_dead_addresses() {
     }
 }
 
-/// A scripted rogue worker: speaks the protocol through the load phase,
-/// then drops the connection the moment the build starts — the
-/// deterministic stand-in for "worker process died mid-build".
-fn spawn_rogue_drops_on_build() -> (String, JoinHandle<()>) {
+/// A scripted rogue worker on one connection: speaks the protocol through
+/// the load phase, then hands every other frame to `answer`, which replies
+/// or (`None`) hangs up. It also stops when the coordinator hangs up; the
+/// thread returns whether it was `answer` that hung up.
+fn spawn_rogue(
+    mut answer: impl FnMut(Envelope) -> Option<Envelope> + Send + 'static,
+) -> (String, JoinHandle<bool>) {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let join = std::thread::spawn(move || {
@@ -291,26 +295,32 @@ fn spawn_rogue_drops_on_build() -> (String, JoinHandle<()>) {
         assert_eq!(hello.kind, FrameKind::Hello);
         let info = ServerInfo { node_count: 0, max_frame_bytes: DEFAULT_MAX_FRAME };
         write_envelope(&mut writer, &Envelope::hello_ack(&info)).unwrap();
-        loop {
-            let env = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
-            match env.kind {
-                FrameKind::LoadPartition => {
-                    let msg = LoadPartition::from_bytes(&env.payload).unwrap();
-                    let part_index = ShardHeader::from_bytes(&msg.image).unwrap().part_index;
-                    let ack = LoadAck { resident_bytes: 0, loaded: part_index + 1 };
-                    write_envelope(
-                        &mut writer,
-                        &Envelope::worker(FrameKind::LoadPartition, env.request_id, &ack),
-                    )
-                    .unwrap();
+        while let Ok(env) = read_envelope(&mut reader, DEFAULT_MAX_FRAME) {
+            let reply = if env.kind == FrameKind::LoadPartition {
+                let msg = LoadPartition::from_bytes(&env.payload).unwrap();
+                let part_index = ShardHeader::from_bytes(&msg.image).unwrap().part_index;
+                let ack = LoadAck { resident_bytes: 0, loaded: part_index + 1 };
+                Envelope::worker(FrameKind::LoadPartition, env.request_id, &ack)
+            } else {
+                match answer(env) {
+                    Some(reply) => reply,
+                    None => return true,
                 }
-                // Mid-build death: hang up without answering.
-                FrameKind::BuildShard => return,
-                other => panic!("rogue worker got {other:?}"),
-            }
+            };
+            write_envelope(&mut writer, &reply).unwrap();
         }
+        false
     });
     (addr, join)
+}
+
+/// A rogue worker that drops the connection the moment the build starts —
+/// the deterministic stand-in for "worker process died mid-build".
+fn spawn_rogue_drops_on_build() -> (String, JoinHandle<bool>) {
+    spawn_rogue(|env| match env.kind {
+        FrameKind::BuildShard => None,
+        other => panic!("rogue worker got {other:?}"),
+    })
 }
 
 #[test]
@@ -326,7 +336,66 @@ fn worker_dropping_mid_build_is_a_typed_error_not_a_hang() {
         }
         other => panic!("expected WorkerUnavailable, got {other}"),
     }
+    assert!(join.join().unwrap(), "the coordinator hung up before the build reached the rogue");
+}
+
+#[test]
+fn a_rogue_workers_malformed_cohorts_are_typed_errors_not_scored() {
+    // Regression: the coordinator cached and scored whatever cohort a
+    // worker decoded, so a node id ≥ n panicked `score_pair`'s diagonal
+    // lookup on a serving thread, and an unsorted histogram silently broke
+    // its merge.
+    let g = Arc::new(generators::complete(100));
+    let cfg = SimRankConfig::fast().with_seed(2);
+    let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+    let fleet = spawn_fleet(1);
+    // Worker 1, owner of nodes [50, 100), corrupts a genuine cohort's
+    // first step (every walker on one of the 99 other nodes): first a node
+    // id past the graph, then two ids out of order, then a cohort of the
+    // wrong size.
+    let graph = Arc::clone(&g);
+    let mut served = 0;
+    let (rogue, join) = spawn_rogue(move |env| {
+        assert_eq!(env.kind, FrameKind::ShardQuery);
+        let msg = ShardQuery::from_bytes(&env.payload).unwrap();
+        let ShardQueryKind::Cohort { v } = msg.kind else { panic!("rogue got {:?}", msg.kind) };
+        let mut cohort = queries::query_cohort(&graph, &msg.cfg, v);
+        let step = &mut cohort.counts[1];
+        match served {
+            0 => step.last_mut().unwrap().0 = graph.node_count(),
+            1 => step.swap(0, 1),
+            _ => cohort.walkers += 1,
+        }
+        served += 1;
+        Some(Envelope::worker(env.kind, env.request_id, &QueryResponse::Cohort(cohort)))
+    });
+    let workers = vec![fleet.addrs[0].clone(), rogue];
+    let dist = CloudWalker::from_index_with_mode(
+        Arc::clone(&g),
+        cfg,
+        local.diagonal().clone(),
+        ExecMode::Distributed { workers },
+    )
+    .unwrap();
+    let session = QuerySession::new(Arc::new(dist), 16);
+
+    for (pair, says) in [((3, 60), "out of range"), ((3, 61), "strictly increasing")] {
+        match session.try_single_pair(pair.0, pair.1).unwrap_err() {
+            QueryError::WorkerUnavailable { detail } => {
+                assert!(detail.contains("worker 1") && detail.contains(says), "{detail}");
+            }
+            other => panic!("expected WorkerUnavailable, got {other}"),
+        }
+    }
+    let err = session.try_cohort(62).unwrap_err();
+    assert!(matches!(err, QueryError::WorkerUnavailable { .. }), "{err}");
+    // Nothing malformed was cached, and worker 0 keeps answering.
+    assert_eq!(session.cached_cohorts(), 1, "only node 3's cohort is cached");
+    assert_eq!(session.try_single_pair(1, 2).unwrap(), local.try_single_pair(1, 2).unwrap());
+    assert_eq!(session.try_single_pair(3, 40).unwrap(), local.try_single_pair(3, 40).unwrap());
+    drop(session);
     join.join().unwrap();
+    fleet.stop();
 }
 
 #[test]
