@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Experiment harness: shared plumbing for the binaries that regenerate
 //! every table and figure of the paper (see `DESIGN.md` §4 for the

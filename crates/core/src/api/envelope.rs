@@ -474,6 +474,7 @@ impl WireCodec for ServerInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// Decodes `"50 53 43 4f …"`-style hex fixtures.
     fn hex(s: &str) -> Vec<u8> {
@@ -482,111 +483,116 @@ mod tests {
 
     // ---- golden bytes: the format cannot silently drift ---------------
 
+    // magic "PSCO", version 1, kind 0, flags 0, id 0, len 0.
+    const HELLO: &str = "50 53 43 4f 01 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00";
+    const HELLO_ACK: &str = "50 53 43 4f 01 00 01 00 00 00 00 00 00 00 00 00 08 00 00 00 \
+                             34 12 00 00 00 00 00 01";
+    // Request id 7: SinglePair { i: 3, j: 4 } (tag 0, two u32 LE).
+    const REQUEST: &str = "50 53 43 4f 01 00 02 00 07 00 00 00 00 00 00 00 09 00 00 00 \
+                           00 03 00 00 00 04 00 00 00";
+    // Response id 7: Score(0.5) (tag 0, f64 LE bit pattern 0x3FE0…).
+    const RESPONSE: &str = "50 53 43 4f 01 00 03 00 07 00 00 00 00 00 00 00 09 00 00 00 \
+                            00 00 00 00 00 00 00 e0 3f";
+    // Error id 9: NodeOutOfRange { node: 0x10, node_count: 5 }.
+    const ERROR: &str = "50 53 43 4f 01 00 04 00 09 00 00 00 00 00 00 00 09 00 00 00 \
+                         00 10 00 00 00 05 00 00 00";
+    const SHUTDOWN: &str = "50 53 43 4f 01 00 05 00 00 00 00 00 00 00 00 00 00 00 00 00";
+    const GOODBYE: &str = "50 53 43 4f 01 00 06 00 00 00 00 00 00 00 00 00 00 00 00 00";
+    // The worker-control kinds 7–12. Payloads are opaque at the envelope
+    // layer (their codecs are pinned by `api::worker` round-trip tests),
+    // so these fixtures pin what matters here: the kind-byte assignment
+    // of each variant.
+    const WORKER_FRAMES: [(FrameKind, u64, &str); 6] = [
+        (
+            FrameKind::LoadPartition,
+            1,
+            "50 53 43 4f 01 00 07 00 01 00 00 00 00 00 00 00 00 00 00 00",
+        ),
+        (FrameKind::BuildShard, 2, "50 53 43 4f 01 00 08 00 02 00 00 00 00 00 00 00 00 00 00 00"),
+        (FrameKind::ShardQuery, 3, "50 53 43 4f 01 00 09 00 03 00 00 00 00 00 00 00 00 00 00 00"),
+        (FrameKind::ShardTopK, 4, "50 53 43 4f 01 00 0a 00 04 00 00 00 00 00 00 00 00 00 00 00"),
+        (FrameKind::WorkerStats, 5, "50 53 43 4f 01 00 0b 00 05 00 00 00 00 00 00 00 00 00 00 00"),
+        (FrameKind::LoadStore, 6, "50 53 43 4f 01 00 0c 00 06 00 00 00 00 00 00 00 00 00 00 00"),
+    ];
+
     #[test]
     fn golden_hello_frame() {
-        // magic "PSCO", version 1, kind 0, flags 0, id 0, len 0.
-        let expect = hex("50 53 43 4f 01 00 00 00 00 00 00 00 00 00 00 00 00 00 00 00");
-        assert_eq!(Envelope::hello().to_bytes(), expect);
-        assert_eq!(Envelope::from_bytes(&expect, DEFAULT_MAX_FRAME).unwrap(), Envelope::hello());
+        assert_eq!(Envelope::hello().to_bytes(), hex(HELLO));
+        assert_eq!(
+            Envelope::from_bytes(&hex(HELLO), DEFAULT_MAX_FRAME).unwrap(),
+            Envelope::hello()
+        );
     }
 
     #[test]
     fn golden_hello_ack_frame() {
         let info = ServerInfo { node_count: 0x1234, max_frame_bytes: 0x0100_0000 };
-        let expect = hex("50 53 43 4f 01 00 01 00 00 00 00 00 00 00 00 00 08 00 00 00 \
-             34 12 00 00 00 00 00 01");
-        assert_eq!(Envelope::hello_ack(&info).to_bytes(), expect);
-        let back = Envelope::from_bytes(&expect, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(Envelope::hello_ack(&info).to_bytes(), hex(HELLO_ACK));
+        let back = Envelope::from_bytes(&hex(HELLO_ACK), DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(back.decode_server_info().unwrap(), info);
     }
 
     #[test]
     fn golden_request_frame() {
-        // Request id 7: SinglePair { i: 3, j: 4 } (tag 0, two u32 LE).
         let env = Envelope::request(7, &QueryRequest::SinglePair { i: 3, j: 4 });
-        let expect = hex("50 53 43 4f 01 00 02 00 07 00 00 00 00 00 00 00 09 00 00 00 \
-             00 03 00 00 00 04 00 00 00");
-        assert_eq!(env.to_bytes(), expect);
-        let back = Envelope::from_bytes(&expect, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(env.to_bytes(), hex(REQUEST));
+        let back = Envelope::from_bytes(&hex(REQUEST), DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(back.request_id, 7);
         assert_eq!(back.decode_request().unwrap(), QueryRequest::SinglePair { i: 3, j: 4 });
     }
 
     #[test]
     fn golden_response_frame() {
-        // Response id 7: Score(0.5) (tag 0, f64 LE bit pattern 0x3FE0…).
         let env = Envelope::response(7, &QueryResponse::Score(0.5));
-        let expect = hex("50 53 43 4f 01 00 03 00 07 00 00 00 00 00 00 00 09 00 00 00 \
-             00 00 00 00 00 00 00 e0 3f");
-        assert_eq!(env.to_bytes(), expect);
+        assert_eq!(env.to_bytes(), hex(RESPONSE));
     }
 
     #[test]
     fn golden_error_frame() {
-        // Error id 9: NodeOutOfRange { node: 0x10, node_count: 5 }.
         let err = QueryError::NodeOutOfRange { node: 0x10, node_count: 5 };
-        let env = Envelope::error(9, &err);
-        let expect = hex("50 53 43 4f 01 00 04 00 09 00 00 00 00 00 00 00 09 00 00 00 \
-             00 10 00 00 00 05 00 00 00");
-        assert_eq!(env.to_bytes(), expect);
+        assert_eq!(Envelope::error(9, &err).to_bytes(), hex(ERROR));
         assert_eq!(
-            Envelope::from_bytes(&expect, DEFAULT_MAX_FRAME).unwrap().decode_error().unwrap(),
+            Envelope::from_bytes(&hex(ERROR), DEFAULT_MAX_FRAME).unwrap().decode_error().unwrap(),
             err
         );
     }
 
     #[test]
     fn golden_shutdown_and_goodbye_frames() {
-        let shutdown = hex("50 53 43 4f 01 00 05 00 00 00 00 00 00 00 00 00 00 00 00 00");
-        let goodbye = hex("50 53 43 4f 01 00 06 00 00 00 00 00 00 00 00 00 00 00 00 00");
-        assert_eq!(Envelope::shutdown().to_bytes(), shutdown);
-        assert_eq!(Envelope::goodbye().to_bytes(), goodbye);
+        assert_eq!(Envelope::shutdown().to_bytes(), hex(SHUTDOWN));
+        assert_eq!(Envelope::goodbye().to_bytes(), hex(GOODBYE));
     }
 
     #[test]
     fn golden_worker_frames() {
-        // The worker-control kinds 7–12. Payloads are opaque at the
-        // envelope layer (their codecs are pinned by `api::worker`
-        // round-trip tests), so these fixtures pin what matters here:
-        // the kind-byte assignment of each variant, which is wire
-        // surface that may never be renumbered (see WIRE_TAGS.manifest).
-        let cases: [(FrameKind, u64, &str); 6] = [
-            (
-                FrameKind::LoadPartition,
-                1,
-                "50 53 43 4f 01 00 07 00 01 00 00 00 00 00 00 00 00 00 00 00",
-            ),
-            (
-                FrameKind::BuildShard,
-                2,
-                "50 53 43 4f 01 00 08 00 02 00 00 00 00 00 00 00 00 00 00 00",
-            ),
-            (
-                FrameKind::ShardQuery,
-                3,
-                "50 53 43 4f 01 00 09 00 03 00 00 00 00 00 00 00 00 00 00 00",
-            ),
-            (
-                FrameKind::ShardTopK,
-                4,
-                "50 53 43 4f 01 00 0a 00 04 00 00 00 00 00 00 00 00 00 00 00",
-            ),
-            (
-                FrameKind::WorkerStats,
-                5,
-                "50 53 43 4f 01 00 0b 00 05 00 00 00 00 00 00 00 00 00 00 00",
-            ),
-            (
-                FrameKind::LoadStore,
-                6,
-                "50 53 43 4f 01 00 0c 00 06 00 00 00 00 00 00 00 00 00 00 00",
-            ),
-        ];
-        for (kind, id, fixture) in cases {
+        for (kind, id, fixture) in WORKER_FRAMES {
             let env = Envelope { kind, request_id: id, payload: Vec::new() };
             assert_eq!(env.to_bytes(), hex(fixture), "{kind:?}");
             assert_eq!(Envelope::from_bytes(&hex(fixture), DEFAULT_MAX_FRAME).unwrap(), env);
         }
+    }
+
+    /// Kind bytes are append-only protocol surface, so the committed
+    /// `WIRE_TAGS.manifest` holds every one: the decoder knows exactly the
+    /// listed bytes under the listed names, and each has a golden frame.
+    #[test]
+    fn frame_kinds_match_the_wire_tags_manifest_and_the_golden_frames() {
+        let manifest = crate::api::manifest_tags("framekind");
+        for &(name, tag) in &manifest {
+            let kind = FrameKind::from_u8(tag);
+            assert_eq!(kind.map(|k| format!("{k:?}")).as_deref(), Some(name), "kind byte {tag}");
+            assert_eq!(kind.map(|k| k as u8), Some(tag), "{name} encodes to another byte");
+        }
+        let listed: BTreeSet<u8> = manifest.iter().map(|&(_, tag)| tag).collect();
+        assert_eq!(listed.len(), manifest.len(), "a kind byte is listed twice");
+        for byte in 0..=u8::MAX {
+            let decodes = FrameKind::from_u8(byte).is_some();
+            assert_eq!(decodes, listed.contains(&byte), "kind byte {byte} is not in the manifest");
+        }
+        let golden = [HELLO, HELLO_ACK, REQUEST, RESPONSE, ERROR, SHUTDOWN, GOODBYE];
+        let fixtures = golden.into_iter().chain(WORKER_FRAMES.map(|(_, _, fixture)| fixture));
+        let covered: BTreeSet<u8> = fixtures.map(|fixture| hex(fixture)[6]).collect();
+        assert_eq!(covered, listed, "every frame kind needs a golden frame");
     }
 
     // ---- rejection paths ----------------------------------------------

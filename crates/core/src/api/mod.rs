@@ -358,6 +358,19 @@ impl QueryService for QuerySession {
     }
 }
 
+/// The `(Name, tag)` entries of one space (`framekind`, `queryerror`) of
+/// the committed `WIRE_TAGS.manifest`, in file order.
+#[cfg(test)]
+pub(crate) fn manifest_tags(space: &str) -> Vec<(&'static str, u8)> {
+    let lines = include_str!("../../../../WIRE_TAGS.manifest").lines();
+    let entries = lines.filter(|l| !l.trim().is_empty() && !l.starts_with('#')).map(|l| {
+        let words: Vec<&str> = l.split_whitespace().collect();
+        assert_eq!(words.len(), 3, "manifest line {l:?}");
+        (words[0], words[1], words[2].parse::<u8>().unwrap())
+    });
+    entries.filter(|&(s, ..)| s == space).map(|(_, name, tag)| (name, tag)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -626,6 +626,30 @@ mod tests {
         assert!(matches!(QueryResponse::from_bytes(&framed), Err(WireError::Invalid { .. })));
     }
 
+    /// `QueryError` tags are append-only protocol surface: each committed
+    /// `WIRE_TAGS.manifest` entry is its constant's value, and no other
+    /// byte decodes as an error tag.
+    #[test]
+    fn error_tags_match_the_wire_tags_manifest() {
+        let constants = [
+            ("ERR_NODE_OUT_OF_RANGE", ERR_NODE_OUT_OF_RANGE),
+            ("ERR_INVALID_K", ERR_INVALID_K),
+            ("ERR_EMPTY_BATCH", ERR_EMPTY_BATCH),
+            ("ERR_EMPTY_NODE_SET", ERR_EMPTY_NODE_SET),
+            ("ERR_NESTED_BATCH", ERR_NESTED_BATCH),
+            ("ERR_RESPONSE_TOO_LARGE", ERR_RESPONSE_TOO_LARGE),
+            ("ERR_WORKER_UNAVAILABLE", ERR_WORKER_UNAVAILABLE),
+            ("ERR_UNSUPPORTED", ERR_UNSUPPORTED),
+        ];
+        let manifest = crate::api::manifest_tags("queryerror");
+        assert_eq!(manifest, constants);
+        for tag in 0..=u8::MAX {
+            let unknown = QueryError::from_bytes(&[tag])
+                == Err(WireError::UnknownTag { decoding: "QueryError", tag });
+            assert_eq!(unknown, !manifest.iter().any(|&(_, t)| t == tag), "error tag {tag}");
+        }
+    }
+
     #[test]
     fn truncation_is_detected_not_panicked() {
         let bytes = QueryRequest::PairsMatrix { rows: vec![1, 2, 3], cols: vec![4] }.to_bytes();

@@ -34,10 +34,7 @@ use pasco_graph::NodeId;
 use pasco_mc::walks::StepDistributions;
 use rayon::prelude::*;
 use std::collections::hash_map::Entry;
-// HashMap here is keyed-lookup-only (see the index aliases below); the
-// session never iterates a hash map, so hasher order cannot reach results.
-// pasco-lint: allow(nondeterministic-iteration)
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -46,13 +43,13 @@ use std::time::{Duration, Instant};
 /// lives in the slots' linked list, and nothing ever iterates this map,
 /// so hasher nondeterminism cannot leak into eviction or results — which
 /// is why a hash map is safe in a determinism-critical crate.
-// pasco-lint: allow(nondeterministic-iteration)
-type SlotIndex = HashMap<NodeId, usize>;
+#[expect(clippy::disallowed_types, reason = "keyed lookup only, never iterated")]
+type SlotIndex = std::collections::HashMap<NodeId, usize>;
 
 /// Node → in-flight simulation registry for single-flight misses. Keyed
 /// insert/remove only, never iterated, so hasher order is unobservable.
-// pasco-lint: allow(nondeterministic-iteration)
-type InFlightIndex = HashMap<NodeId, Arc<InFlight>>;
+#[expect(clippy::disallowed_types, reason = "keyed insert/remove only, never iterated")]
+type InFlightIndex = std::collections::HashMap<NodeId, Arc<InFlight>>;
 
 const NONE: usize = usize::MAX;
 
@@ -640,16 +637,11 @@ impl QuerySession {
                     .collect::<BTreeSet<_>>()
                     .into_iter()
                     .collect();
-                // Keyed lookup only during the scoring pass below; the
-                // map is never iterated, so hasher order cannot reach
-                // the scores.
-                // pasco-lint: allow(nondeterministic-iteration)
-                let cohorts: HashMap<NodeId, Arc<StepDistributions>> = distinct
-                    .par_iter()
-                    .map(|&v| self.cohort(v).map(|c| (v, c)))
-                    .collect::<Result<Vec<_>, _>>()?
-                    .into_iter()
-                    .collect();
+                // `cohorts[x]` is the cohort of `distinct[x]`, found by
+                // binary search: `distinct` is sorted.
+                let cohorts: Vec<Arc<StepDistributions>> =
+                    distinct.par_iter().map(|&v| self.cohort(v)).collect::<Result<_, _>>()?;
+                let cohort = |v: NodeId| &*cohorts[distinct.partition_point(|&d| d < v)];
                 let diag = self.walker.diagonal().as_slice();
                 let c = self.walker.config().c;
                 let scored: Vec<Vec<f64>> = row_block
@@ -665,7 +657,7 @@ impl QuerySession {
                                 if i == j {
                                     1.0
                                 } else {
-                                    score_pair(&cohorts[&i], &cohorts[&j], diag, c).clamp(0.0, 1.0)
+                                    score_pair(cohort(i), cohort(j), diag, c).clamp(0.0, 1.0)
                                 }
                             })
                             .collect()
@@ -709,6 +701,37 @@ mod tests {
     fn engine() -> Arc<CloudWalker> {
         let g = Arc::new(generators::barabasi_albert(120, 3, 5));
         Arc::new(CloudWalker::build(g, SimRankConfig::fast(), ExecMode::Local).unwrap())
+    }
+
+    #[test]
+    fn answers_are_bitwise_the_same_at_every_thread_count() {
+        // The rayon shim cuts work into 8 pieces per thread: a float
+        // reduction that adds in piece or scheduler order would show here.
+        // A parallel call nested inside a pool worker runs at the
+        // machine's width, not the pool's; the single pair runs
+        // `score_pair` at top level, where the pool's width applies.
+        let g = generators::rmat(10, 8_000, generators::RmatParams::default(), 4);
+        let cw =
+            Arc::new(CloudWalker::build(g.into(), SimRankConfig::fast(), ExecMode::Local).unwrap());
+        let nodes = [0u32, 1, 3, 7, 12];
+        let bits = |rows: &[Vec<f64>]| -> Vec<u64> {
+            rows.iter().flatten().map(|s| s.to_bits()).collect()
+        };
+        let runs = [1, 2, 3].map(|threads| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            pool.install(|| {
+                let session = QuerySession::new(Arc::clone(&cw), 16);
+                let topk = cw.try_single_source_topk(nodes[1], 10).unwrap();
+                (
+                    session.try_single_pair(nodes[0], nodes[3]).unwrap().to_bits(),
+                    bits(&[cw.try_single_source(nodes[0]).unwrap()]),
+                    topk.iter().map(|&(v, s)| (v, s.to_bits())).collect::<Vec<_>>(),
+                    bits(&session.try_pairs_matrix(&nodes, &nodes[1..]).unwrap()),
+                    bits(&session.single_source_batch(&nodes).unwrap()),
+                )
+            })
+        });
+        assert!(runs.iter().all(|run| *run == runs[0]));
     }
 
     #[test]

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! # PASCO — *Walking in the Cloud: Parallel SimRank at Scale*
 //!
