@@ -6,12 +6,17 @@
 //! support is at most `T·R + 1` and the diagonal entry satisfies
 //! `aᵢᵢ ≥ 1` (all walkers sit on `i` at `t = 0`), making the system
 //! strongly diagonally dominant — the reason `L = 3` Jacobi sweeps suffice.
+//!
+//! Stored rows ([`StoredRows`]) code each entry as a `u32` column and a
+//! `u16` index into a per-256-row value dictionary, 6 B, as an entry is
+//! mostly one `cᵗ·(count/R)²` term and values repeat; regenerated rows
+//! ([`RecomputedRows`]) are lent plain.
 
 use crate::config::SimRankConfig;
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
 use pasco_mc::counts::MassMap;
 use pasco_mc::walks::{StepDistributions, WalkParams, WalkScratch};
-use pasco_solver::jacobi::RowSource;
+use pasco_solver::jacobi::{RowSource, RowValues};
 
 /// Builds the sparse row `aᵢ` (sorted by column, exact length) from a
 /// cohort's step distributions: `aᵢ(k) = Σ_t cᵗ (countₜ(k)/R)²`. The
@@ -61,8 +66,9 @@ pub fn ai_row_exact(graph: &CsrGraph, i: NodeId, c: f64, t_max: usize) -> Vec<(u
     acc.into_sorted_vec()
 }
 
-/// The `Store` strategy's [`RowSource`] — fully materialised rows in node
-/// order; the solver crate's row store, under the path the engines use.
+/// The `Store` strategy's [`RowSource`] — fully materialised, dictionary-
+/// coded rows in node order; the solver crate's row store, under the path
+/// the engines use.
 pub use pasco_solver::jacobi::StoredRows;
 
 /// The product row kernel, and the `Recompute` strategy's [`RowSource`]:
@@ -124,12 +130,12 @@ impl<A: WalkAdjacency> RowSource for RecomputedRows<'_, A> {
         self.adj.node_count() as usize
     }
 
-    fn row<'a>(&'a self, i: u32, scratch: &'a mut Self::Scratch) -> (&'a [u32], &'a [f64]) {
+    fn row<'a>(&'a self, i: u32, scratch: &'a mut Self::Scratch) -> (&'a [u32], RowValues<'a>) {
         let (walk, cols, vals) = scratch;
         cols.clear();
         vals.clear();
         self.push_row(i, walk, cols, vals);
-        (cols, vals)
+        (cols, RowValues::plain(vals))
     }
 }
 
@@ -209,7 +215,11 @@ mod tests {
         assert_eq!(stored.dim(), recomputed.dim());
         let mut scratch = Default::default();
         for i in (0..g.node_count()).step_by(37) {
-            assert_eq!(stored.row(i, &mut ()), recomputed.row(i, &mut scratch), "row {i}");
+            let (cols, vals) = stored.get(i);
+            let (want_cols, want_vals) = recomputed.row(i, &mut scratch);
+            assert_eq!(cols, want_cols, "row {i} columns");
+            let bits = |v: RowValues| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(vals), bits(want_vals), "row {i}");
         }
     }
 }

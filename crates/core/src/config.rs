@@ -1,6 +1,7 @@
 //! CloudWalker configuration.
 
 use crate::error::SimRankError;
+use pasco_solver::jacobi::ENTRY_BYTES;
 
 /// How Jacobi obtains the rows `aᵢ` on each sweep (ablation A2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,14 +129,14 @@ impl SimRankConfig {
     }
 
     /// Resolves [`AiStrategy::Auto`] for a graph of `n` nodes: estimated
-    /// stored-row bytes are `n × min(T·R, n) × 12` — the `u32` column and
-    /// `f64` value of every entry in `StoredRows`' CSR blocks (their 8 B
-    /// per row of offsets is not priced).
+    /// stored-row bytes are `n × min(T·R, n) × ENTRY_BYTES` — the `u32`
+    /// column and `u16` dictionary code of every entry in `StoredRows` (its
+    /// row offsets and per-group dictionaries are not priced).
     pub fn resolve_ai_strategy(&self, n: u32) -> AiStrategy {
         match self.ai_strategy {
             AiStrategy::Auto { budget_bytes } => {
                 let per_row = (self.t as u64 * self.r as u64).min(n as u64);
-                let estimate = n as u64 * per_row * 12;
+                let estimate = n as u64 * per_row * ENTRY_BYTES;
                 if estimate <= budget_bytes {
                     AiStrategy::Store
                 } else {
@@ -183,10 +184,14 @@ mod tests {
     fn auto_strategy_resolves_by_budget() {
         let cfg = SimRankConfig::default_paper()
             .with_ai_strategy(AiStrategy::Auto { budget_bytes: 1_000_000 });
-        // Tiny graph: min(T·R, n) = n = 100 → 100 × 100 × 12 = 120 KB < 1 MB.
+        // Tiny graph: min(T·R, n) = n = 100 → 100 × 100 × 6 = 60 KB < 1 MB.
         assert_eq!(cfg.resolve_ai_strategy(100), AiStrategy::Store);
-        // Large graph: 1M × 1000 × 12 ≫ 1 MB.
+        // Large graph: 1M × 1000 × 6 ≫ 1 MB.
         assert_eq!(cfg.resolve_ai_strategy(1_000_000), AiStrategy::Recompute);
+        // 6 B per entry exactly: 400 × 400 × 6 = 960 KB fits, 409 nodes
+        // (≈ 1.004 MB) do not; at 12 B neither would.
+        assert_eq!(cfg.resolve_ai_strategy(400), AiStrategy::Store);
+        assert_eq!(cfg.resolve_ai_strategy(409), AiStrategy::Recompute);
         // Fixed strategies pass through.
         let cfg = cfg.with_ai_strategy(AiStrategy::Store);
         assert_eq!(cfg.resolve_ai_strategy(1_000_000), AiStrategy::Store);

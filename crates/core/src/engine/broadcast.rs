@@ -24,7 +24,7 @@ use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, GraphSampler, NodeId, ReverseChainIndex};
 use pasco_mc::counts::{CountMap, MassMap};
 use pasco_mc::walks::{reverse_walk_counts_on, StepDistributions, WalkScratch};
-use pasco_solver::jacobi::RowBlock;
+use pasco_solver::jacobi::{RowBlock, BLOCK_ROWS};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -72,24 +72,27 @@ impl SimRankEngine for BroadcastEngine {
     }
 
     /// Offline indexing in the Broadcasting model: with stored rows, one
-    /// `index/walks` task per node range fills that range's CSR block
-    /// (joined in range order, which is node order); either way the sweeps
-    /// are `staged_solve` over the same ranges.
+    /// `index/walks` task per node range, its ends rounded up to a group
+    /// boundary (a group cut between two tasks would be coded twice), fills
+    /// its row blocks, joined in node order; either way the sweeps are
+    /// `staged_solve` over the unrounded ranges.
     fn build_diagonal(&self, cfg: &SimRankConfig) -> Result<BuildOutcome, SimRankError> {
         let graph: &CsrGraph = &self.graph;
-        let strategy = cfg.resolve_ai_strategy(graph.node_count());
-        let ranges = self.node_ranges(graph.node_count());
+        let n = graph.node_count();
+        let strategy = cfg.resolve_ai_strategy(n);
+        let ranges = self.node_ranges(n);
         let kernel = RecomputedRows::of(graph, cfg);
         let ((diag, residuals), rows_bytes) = match strategy {
             AiStrategy::Store | AiStrategy::Auto { .. } => {
-                let blocks =
-                    self.cluster.run_stage("index/walks", ranges.clone(), |_, (lo, hi)| {
-                        let mut walk = WalkScratch::default();
-                        RowBlock::fill(lo..hi, |i, cols, vals| {
-                            kernel.push_row(i, &mut walk, cols, vals)
-                        })
-                    });
-                let rows = StoredRows::from_blocks(blocks);
+                let group = |v: u32| v.checked_next_multiple_of(BLOCK_ROWS).map_or(n, |g| g.min(n));
+                let groups = ranges.iter().map(|&(lo, hi)| (group(lo), group(hi))).collect();
+                let blocks = self.cluster.run_stage("index/walks", groups, |_, (lo, hi)| {
+                    let mut walk = WalkScratch::default();
+                    RowBlock::fill(lo..hi, |i, cols, vals| {
+                        kernel.push_row(i, &mut walk, cols, vals)
+                    })
+                });
+                let rows = StoredRows::from_blocks(blocks.into_iter().flatten());
                 (
                     staged_solve(&self.cluster, &ranges, &rows, cfg),
                     Some(StoredRows::memory_bytes(&rows)),

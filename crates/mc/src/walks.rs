@@ -118,27 +118,37 @@ impl StepDistributions {
 /// many visit keys, are radix-sorted; below it `sort_unstable` is faster
 /// (the build's `R = 100` frontiers never reach it, its cohorts' keys do).
 const RADIX_MIN: usize = 256;
-/// Bits per radix pass: 2048 buckets, two passes up to 4M nodes.
+/// Most bits per radix pass: 2048 buckets, two passes up to 4M nodes.
 const RADIX_BITS: u32 = 11;
 
-/// LSD radix sort of `keys`, all below `bound`, through the buffer `tmp`.
-fn radix_sort<K: Copy + Default + Into<u64>>(keys: &mut Vec<K>, tmp: &mut Vec<K>, bound: u64) {
-    const MASK: u64 = (1 << RADIX_BITS) - 1;
+/// Stable LSD radix sort of `keys`, all below `bound`, by their bits from
+/// `low` up, through the buffer `tmp`: as few passes as digits of at most
+/// `RADIX_BITS` allow, the bits split evenly between them.
+fn radix_sort<K>(keys: &mut Vec<K>, tmp: &mut Vec<K>, low: u32, bound: u64)
+where
+    K: Copy + Default + Into<u64>,
+{
     tmp.resize(keys.len(), K::default());
-    let bits = u64::BITS - bound.saturating_sub(1).leading_zeros();
-    for shift in (0..bits).step_by(RADIX_BITS as usize) {
-        let mut next = [0u32; 1 << RADIX_BITS];
+    let bits = (u64::BITS - bound.saturating_sub(1).leading_zeros()).saturating_sub(low);
+    let passes = bits.div_ceil(RADIX_BITS);
+    let digit = bits.div_ceil(passes.max(1));
+    let mask = (1 << digit) - 1;
+    let mut buckets = [0u32; 1 << RADIX_BITS];
+    for pass in 0..passes {
+        let shift = low + pass * digit;
+        let next = &mut buckets[..1 << digit];
+        next.fill(0);
         for &k in keys.iter() {
-            next[((k.into() >> shift) & MASK) as usize] += 1;
+            next[((k.into() >> shift) & mask) as usize] += 1;
         }
         let mut start = 0;
-        for slot in &mut next {
+        for slot in next.iter_mut() {
             let count = *slot;
             *slot = start;
             start += count;
         }
         for &k in keys.iter() {
-            let slot = &mut next[((k.into() >> shift) & MASK) as usize];
+            let slot = &mut next[((k.into() >> shift) & mask) as usize];
             tmp[*slot as usize] = k;
             *slot += 1;
         }
@@ -205,8 +215,9 @@ impl WalkScratch {
     /// The offline build's cohort kernel: the loop of [`Self::counts_on`]
     /// over the whole cohort, but each live walker's visit at step `t`
     /// (step 0 included) is recorded as one key `node·2ˢ + t`, `2ˢ > T`,
-    /// and the `≤ R·(T+1)` keys are sorted once (radix-sorted like a large
-    /// frontier) — one sort per cohort instead of one histogram per step.
+    /// and the `≤ R·(T+1)` keys are sorted once (radix-sorted on their node
+    /// bits like a large frontier) — one sort per cohort instead of one
+    /// histogram per step.
     /// Yields each visited node in id order with its `(t, count)` runs in
     /// `t` order: the node's entries of every step's histogram.
     pub fn visits_on<G: WalkAdjacency>(
@@ -227,8 +238,10 @@ impl WalkScratch {
         if self.visits.len() < RADIX_MIN {
             self.visits.sort_unstable();
         } else {
+            // Keys were appended in step order and the sort is stable: the
+            // node bits alone order them as the whole keys would.
             let bound = u64::from(graph.node_count()) << shift;
-            radix_sort(&mut self.visits, &mut self.visits_tmp, bound);
+            radix_sort(&mut self.visits, &mut self.visits_tmp, shift, bound);
         }
         let step_of = move |key: u64| (key & ((1 << shift) - 1)) as usize;
         self.visits.chunk_by(move |a, b| a >> shift == b >> shift).map(move |node| {
@@ -270,7 +283,7 @@ impl WalkScratch {
         if self.sorted.len() < RADIX_MIN {
             self.sorted.sort_unstable();
         } else {
-            radix_sort(&mut self.sorted, &mut self.tmp, bound.into());
+            radix_sort(&mut self.sorted, &mut self.tmp, 0, bound.into());
         }
         let runs = self.sorted.windows(2).filter(|w| w[0] != w[1]).count();
         let distinct = runs + usize::from(!self.sorted.is_empty());
@@ -394,9 +407,20 @@ mod tests {
             let mut keys: Vec<NodeId> = (0..3_000u64)
                 .map(|i| (step_u64(bound as u64, i as u32) % bound as u64) as u32)
                 .collect();
+            // Visit keys `node·2⁴ + t` appended in step order, sorted on
+            // the node bits alone: the whole keys' order.
+            let mut visits: Vec<u64> = (0..11u64)
+                .flat_map(|t| {
+                    keys.chunks(11).map(move |c| u64::from(c[t as usize % c.len()]) << 4 | t)
+                })
+                .collect();
+            let mut full = visits.clone();
+            full.sort_unstable();
+            radix_sort(&mut visits, &mut Vec::new(), 4, u64::from(bound) << 4);
+            assert_eq!(visits, full, "visit keys, bound {bound}");
             let mut want = keys.clone();
             want.sort_unstable();
-            radix_sort(&mut keys, &mut vec![7; 5], bound.into());
+            radix_sort(&mut keys, &mut vec![7; 5], 0, bound.into());
             assert_eq!(keys, want, "bound {bound}");
         }
     }

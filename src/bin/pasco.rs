@@ -45,6 +45,7 @@ use pasco::simrank::{
 };
 use pasco::worker::{PascoWorker, WorkerConfig};
 use std::collections::HashMap;
+use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -158,7 +159,9 @@ fn get_num<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result
 }
 
 fn load_graph(path: &str) -> Result<CsrGraph, String> {
-    let head = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut head = Vec::with_capacity(8);
+    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    file.take(8).read_to_end(&mut head).map_err(|e| format!("{path}: {e}"))?;
     if head.starts_with(b"PASCOGR1") {
         io::read_binary(path).map_err(|e| e.to_string())
     } else {
@@ -354,18 +357,22 @@ fn cmd_save_store(flags: &Flags) -> Result<(), String> {
     }
     let cfg = sim_config(flags)?;
     let t0 = Instant::now();
-    let cw = match flags.get("index") {
-        Some(path) => {
-            let index = persist::load_index(path).map_err(|e| e.to_string())?;
-            CloudWalker::from_index_with_mode(graph, cfg, index, ExecMode::Local)
-                .map_err(|e| e.to_string())?
-        }
-        None => CloudWalker::build(graph, cfg, ExecMode::Local).map_err(|e| e.to_string())?,
+    let n = graph.node_count();
+    let diag = match flags.get("index") {
+        Some(path) => persist::load_index(path).map_err(|e| e.to_string())?,
+        None => CloudWalker::build(Arc::clone(&graph), cfg, ExecMode::Local)
+            .map_err(|e| e.to_string())?
+            .diagonal()
+            .clone(),
     };
-    cw.save_store(out, parts).map_err(|e| e.to_string())?;
+    if diag.len() != n as usize {
+        let detail = format!("index covers {} nodes but the graph has {n}", diag.len());
+        return Err(pasco::simrank::SimRankError::BadIndex(detail).to_string());
+    }
+    pasco_store::write_store(out, &graph, diag.as_slice(), parts)
+        .map_err(|e| pasco::simrank::SimRankError::from(e).to_string())?;
     // The writer caps the count so no shard file is empty.
-    let parts =
-        Partitioner::parts(&Partitioner::range_nonempty(CloudWalker::node_count(&cw), parts));
+    let parts = Partitioner::parts(&Partitioner::range_nonempty(n, parts));
     let bytes: u64 = std::fs::read_dir(out)
         .map_err(|e| format!("{out}: {e}"))?
         .filter_map(|e| e.ok())
@@ -373,8 +380,7 @@ fn cmd_save_store(flags: &Flags) -> Result<(), String> {
         .map(|m| m.len())
         .sum();
     println!(
-        "saved {} nodes as {parts} shard(s) in {:.2?} ({}); serve with --store {out}",
-        cw.node_count(),
+        "saved {n} nodes as {parts} shard(s) in {:.2?} ({}); serve with --store {out}",
         t0.elapsed(),
         human_bytes(bytes)
     );
