@@ -10,8 +10,8 @@
 //! ```
 
 use pasco_graph::generators;
+use pasco_server::{PascoServer, ServerConfig, ServerHandle};
 use pasco_simrank::{CloudWalker, ExecMode, SimRankConfig};
-use pasco_worker::{PascoWorker, WorkerConfig, WorkerHandle};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -21,14 +21,14 @@ const TOPK_QUERIES: u32 = 20;
 
 struct Fleet {
     addrs: Vec<String>,
-    handles: Vec<WorkerHandle>,
+    handles: Vec<ServerHandle>,
     joins: Vec<JoinHandle<()>>,
 }
 
 fn spawn_fleet(count: usize) -> Fleet {
     let mut fleet = Fleet { addrs: Vec::new(), handles: Vec::new(), joins: Vec::new() };
     for _ in 0..count {
-        let worker = PascoWorker::bind("127.0.0.1:0", WorkerConfig::default()).unwrap();
+        let worker = PascoServer::bind_worker("127.0.0.1:0", ServerConfig::default()).unwrap();
         fleet.addrs.push(worker.local_addr().to_string());
         fleet.handles.push(worker.handle());
         fleet.joins.push(std::thread::spawn(move || worker.run().unwrap()));

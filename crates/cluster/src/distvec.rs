@@ -1,10 +1,12 @@
 //! `DistVec` — the RDD analogue: a dataset partitioned across workers.
 //!
-//! All transformations execute as cluster stages (one task per partition)
-//! and are recorded in the metrics log. [`DistVec::shuffle`] performs a real
-//! map-side serialisation into per-destination byte buffers followed by a
-//! reduce-side decode, so RDD-mode algorithms pay a genuine
-//! serialise/transfer/deserialise cost exactly where Spark would.
+//! Its two operators — [`DistVec::map_partitions`] and
+//! [`DistVec::shuffle`], all the RDD engine needs — execute as cluster
+//! stages (one task per partition) and are recorded in the metrics log.
+//! [`DistVec::shuffle`] performs a real map-side serialisation into
+//! per-destination byte buffers followed by a reduce-side decode, so
+//! RDD-mode algorithms pay a genuine serialise/transfer/deserialise cost
+//! exactly where Spark would.
 
 use crate::cluster::Cluster;
 use crate::codec::Codec;
@@ -64,17 +66,6 @@ impl<T: Send> DistVec<T> {
         self.parts
     }
 
-    /// Element-wise transformation.
-    pub fn map<U, F>(self, cluster: &Cluster, label: &str, f: F) -> DistVec<U>
-    where
-        U: Send,
-        F: Fn(T) -> U + Sync,
-    {
-        let parts = cluster
-            .run_stage(label, self.parts, |_, part| part.into_iter().map(&f).collect::<Vec<U>>());
-        DistVec { parts }
-    }
-
     /// Whole-partition transformation; `f` receives the partition index and
     /// the owned partition.
     pub fn map_partitions<U, F>(self, cluster: &Cluster, label: &str, f: F) -> DistVec<U>
@@ -86,45 +77,9 @@ impl<T: Send> DistVec<T> {
         DistVec { parts }
     }
 
-    /// Keeps records satisfying `pred`.
-    pub fn filter<F>(self, cluster: &Cluster, label: &str, pred: F) -> DistVec<T>
-    where
-        F: Fn(&T) -> bool + Sync,
-    {
-        self.map_partitions(cluster, label, |_, part| {
-            part.into_iter().filter(|t| pred(t)).collect()
-        })
-    }
-
-    /// Per-partition fold followed by a driver-side merge.
-    pub fn fold<U, F, M>(&self, cluster: &Cluster, label: &str, init: U, fold: F, merge: M) -> U
-    where
-        T: Sync,
-        U: Send + Sync + Clone,
-        F: Fn(U, &T) -> U + Sync,
-        M: Fn(U, U) -> U,
-    {
-        let partials =
-            cluster.run_stage(label, self.parts.iter().collect::<Vec<_>>(), |_, part| {
-                part.iter().fold(init.clone(), &fold)
-            });
-        partials.into_iter().fold(init, merge)
-    }
-
     /// Concatenates all partitions on the driver.
     pub fn collect(self) -> Vec<T> {
         self.parts.into_iter().flatten().collect()
-    }
-
-    /// Concatenates two datasets partition-wise (Spark's `union`): the
-    /// result has the same partition count as `self`, with `other`'s
-    /// partitions folded in round-robin.
-    pub fn union(mut self, other: DistVec<T>) -> DistVec<T> {
-        let n = self.parts.len();
-        for (i, part) in other.parts.into_iter().enumerate() {
-            self.parts[i % n].extend(part);
-        }
-        self
     }
 
     /// Repartitions by destination: `dest(&record)` names the partition
@@ -202,61 +157,6 @@ impl<T: Send> DistVec<T> {
     }
 }
 
-impl<K: Send + Ord + Copy, V: Send> DistVec<(K, V)> {
-    /// Groups co-partitioned key-value records by key (Spark's
-    /// `groupByKey` *after* a shuffle has already routed keys): each
-    /// partition's records are grouped locally, keys sorted ascending.
-    /// Call [`DistVec::shuffle`] first if the same key may appear in
-    /// several partitions.
-    pub fn group_by_key_local(self, cluster: &Cluster, label: &str) -> DistVec<(K, Vec<V>)> {
-        self.map_partitions(cluster, label, |_, mut part| {
-            part.sort_by_key(|&(k, _)| k);
-            let mut out: Vec<(K, Vec<V>)> = Vec::new();
-            for (k, v) in part {
-                match out.last_mut() {
-                    Some((lk, vs)) if *lk == k => vs.push(v),
-                    _ => out.push((k, vec![v])),
-                }
-            }
-            out
-        })
-    }
-
-    /// Transforms values, keeping keys (Spark's `mapValues`).
-    pub fn map_values<U, F>(self, cluster: &Cluster, label: &str, f: F) -> DistVec<(K, U)>
-    where
-        U: Send,
-        F: Fn(V) -> U + Sync,
-    {
-        self.map(cluster, label, |(k, v)| (k, f(v)))
-    }
-
-    /// Per-key reduction after local grouping (Spark's `reduceByKey`
-    /// without the implicit shuffle — shuffle first for global keys).
-    pub fn reduce_by_key_local<F>(self, cluster: &Cluster, label: &str, f: F) -> DistVec<(K, V)>
-    where
-        F: Fn(V, V) -> V + Sync,
-    {
-        self.map_partitions(cluster, label, |_, mut part| {
-            part.sort_by_key(|&(k, _)| k);
-            let mut out: Vec<(K, Option<V>)> = Vec::new();
-            for (k, v) in part {
-                match out.last_mut() {
-                    // Every push below stores `Some`, so the fold always
-                    // finds a resident accumulator to take.
-                    Some((lk, acc)) if *lk == k => {
-                        if let Some(prev) = acc.take() {
-                            *acc = Some(f(prev, v));
-                        }
-                    }
-                    _ => out.push((k, Some(v))),
-                }
-            }
-            out.into_iter().filter_map(|(k, v)| v.map(|v| (k, v))).collect()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,30 +180,6 @@ mod tests {
         let dv = DistVec::parallelize(vec![1u32, 2], 5);
         assert_eq!(dv.num_partitions(), 5);
         assert_eq!(dv.len(), 2);
-    }
-
-    #[test]
-    fn map_and_collect_preserve_order() {
-        let c = cluster();
-        let dv = DistVec::parallelize((0..8u32).collect(), 3);
-        let out = dv.map(&c, "x2", |x| x * 2).collect();
-        assert_eq!(out, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-    }
-
-    #[test]
-    fn filter_drops_records() {
-        let c = cluster();
-        let dv = DistVec::parallelize((0..10u32).collect(), 2);
-        let out = dv.filter(&c, "even", |x| x % 2 == 0).collect();
-        assert_eq!(out, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn fold_sums_across_partitions() {
-        let c = cluster();
-        let dv = DistVec::parallelize((1..=100u64).collect(), 7);
-        let sum = dv.fold(&c, "sum", 0u64, |acc, &x| acc + x, |a, b| a + b);
-        assert_eq!(sum, 5050);
     }
 
     #[test]
@@ -345,46 +221,6 @@ mod tests {
         let mut back = dv.shuffle(&c, "t", 4, |&(k, _)| (k % 4) as usize).collect();
         back.sort_by_key(|&(k, _)| k);
         assert_eq!(back, items);
-    }
-
-    #[test]
-    fn union_concatenates_without_loss() {
-        let a = DistVec::parallelize((0..10u32).collect(), 3);
-        let b = DistVec::parallelize((10..15u32).collect(), 2);
-        let u = a.union(b);
-        assert_eq!(u.num_partitions(), 3);
-        let mut all = u.collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..15).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn group_by_key_local_groups_sorted() {
-        let c = cluster();
-        let items = vec![(2u32, 10u64), (1, 20), (2, 30), (1, 40), (3, 50)];
-        let dv = DistVec::parallelize(items, 1);
-        let grouped = dv.group_by_key_local(&c, "group").collect();
-        assert_eq!(grouped, vec![(1, vec![20, 40]), (2, vec![10, 30]), (3, vec![50])]);
-    }
-
-    #[test]
-    fn reduce_by_key_after_shuffle_is_global() {
-        let c = cluster();
-        let items: Vec<(u32, u64)> = (0..100).map(|i| (i % 5, 1u64)).collect();
-        let dv = DistVec::parallelize(items, 4)
-            .shuffle(&c, "route", 3, |&(k, _)| (k % 3) as usize)
-            .reduce_by_key_local(&c, "count", |a, b| a + b);
-        let mut counts = dv.collect();
-        counts.sort_unstable();
-        assert_eq!(counts, vec![(0, 20), (1, 20), (2, 20), (3, 20), (4, 20)]);
-    }
-
-    #[test]
-    fn map_values_keeps_keys() {
-        let c = cluster();
-        let dv = DistVec::parallelize(vec![(1u32, 2u64), (3, 4)], 2);
-        let out = dv.map_values(&c, "mv", |v| v * 10).collect();
-        assert_eq!(out, vec![(1, 20), (3, 40)]);
     }
 
     #[test]

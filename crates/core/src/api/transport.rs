@@ -1,12 +1,12 @@
 //! Frame I/O over blocking *and* nonblocking streams — the one
-//! read/write-frame path every PASCO network peer (query server, typed
-//! client, SimRank worker, the distributed coordinator) shares.
+//! read/write-frame path every PASCO network peer (the `pasco_server`
+//! reactor hosting a query service or a SimRank worker, the typed client,
+//! the distributed coordinator) shares.
 //!
 //! Two styles of consumer:
 //!
-//! * **Blocking peers** (client, worker, coordinator) use
-//!   [`read_envelope`] / [`poll_envelope`] / [`write_envelope`]: one call,
-//!   one complete frame.
+//! * **Blocking peers** (client, coordinator) use [`read_envelope`] /
+//!   [`write_envelope`]: one call, one complete frame.
 //! * **Readiness-driven peers** (the `pasco_server` epoll reactor) use the
 //!   resumable state machines: [`FrameDecoder`] accumulates whatever bytes
 //!   a nonblocking read produced and yields envelopes as they complete
@@ -15,18 +15,15 @@
 //!   writability event.
 //!
 //! Both styles validate the envelope header — magic, version, kind,
-//! frame-size limit — *before* allocating for or reading the payload, and
-//! both fast-reject a first byte that cannot start a frame. This used to
-//! live in `pasco_server::transport`; it moved next to the envelope so the
-//! worker runtime and the coordinator engine speak frames through the
-//! identical code instead of a copy.
+//! frame-size limit — *before* allocating for or reading the payload.
+//! The code lives next to the envelope so the server crate and the
+//! coordinator engine speak frames through the identical code instead of
+//! a copy.
 
 use super::envelope::{Envelope, EnvelopeHeader, FrameError, HEADER_LEN, MAGIC};
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::io::{self, Read, Write};
 
 /// Why a frame could not be moved across a stream.
 #[derive(Debug)]
@@ -65,78 +62,30 @@ impl From<FrameError> for TransportError {
 }
 
 /// Reads the first byte of a frame, distinguishing a clean close from an
-/// I/O fault; `Ok(None)` means the read timed out before any byte
-/// arrived (only possible when a read timeout is set on the stream).
-fn read_first_byte(r: &mut impl Read) -> Result<Option<u8>, TransportError> {
+/// I/O fault (a read timeout set on the stream is one).
+fn read_first_byte(r: &mut impl Read) -> Result<u8, TransportError> {
     let mut first = [0u8; 1];
     loop {
         match r.read(&mut first) {
             Ok(0) => return Err(TransportError::Closed),
-            Ok(_) => return Ok(Some(first[0])),
+            Ok(_) => return Ok(first[0]),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(None)
-            }
             Err(e) => return Err(TransportError::Io(e)),
         }
     }
 }
 
-/// Reads the rest of a frame once its first byte is in hand. The header
-/// is fully validated (including the `max_frame` payload limit) before a
+/// Blocking frame read: waits for one complete envelope. The header is
+/// fully validated (including the `max_frame` payload limit) before a
 /// single payload byte is read or allocated.
-fn read_after_first(
-    first: u8,
-    r: &mut impl Read,
-    max_frame: u32,
-) -> Result<Envelope, TransportError> {
+pub fn read_envelope(r: &mut impl Read, max_frame: u32) -> Result<Envelope, TransportError> {
     let mut head = [0u8; HEADER_LEN];
-    head[0] = first;
+    head[0] = read_first_byte(r)?;
     r.read_exact(&mut head[1..])?;
     let header = EnvelopeHeader::decode(&head, max_frame)?;
     let mut payload = vec![0u8; header.payload_len as usize];
     r.read_exact(&mut payload)?;
     Ok(Envelope { kind: header.kind, request_id: header.request_id, payload })
-}
-
-/// Blocking frame read: waits for one complete envelope.
-pub fn read_envelope(r: &mut impl Read, max_frame: u32) -> Result<Envelope, TransportError> {
-    match read_first_byte(r)? {
-        // No timeout is set on this stream, so a None cannot happen; if a
-        // caller set one anyway, surface it as a timeout error.
-        None => Err(TransportError::Io(io::ErrorKind::TimedOut.into())),
-        Some(first) => read_after_first(first, r, max_frame),
-    }
-}
-
-/// Polling frame read for server connections: waits up to `poll` for a
-/// frame to *start*, returning `Ok(None)` on a quiet interval so the
-/// caller can check its stop flag.
-///
-/// Two defences against peers that are not real clients: a first byte
-/// that is not the first magic byte is rejected immediately (no waiting
-/// for a full header that will never come), and once a frame has
-/// started, each subsequent read must make progress within
-/// `frame_timeout` — a peer that stalls mid-frame is dropped instead of
-/// pinning a connection thread forever.
-pub fn poll_envelope(
-    reader: &mut BufReader<TcpStream>,
-    max_frame: u32,
-    poll: Duration,
-    frame_timeout: Duration,
-) -> Result<Option<Envelope>, TransportError> {
-    reader.get_ref().set_read_timeout(Some(poll))?;
-    let first = match read_first_byte(reader)? {
-        None => return Ok(None),
-        Some(b) => b,
-    };
-    if first != MAGIC[0] {
-        return Err(TransportError::Frame(FrameError::NotAFrame { first }));
-    }
-    reader.get_ref().set_read_timeout(Some(frame_timeout))?;
-    read_after_first(first, reader, max_frame).map(Some)
 }
 
 /// Writes one frame and flushes it onto the wire.

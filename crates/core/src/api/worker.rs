@@ -5,7 +5,7 @@
 //! The distributed substrate splits CloudWalker across processes: a
 //! coordinator ([`crate::engine::distributed::DistributedEngine`]) that
 //! partitions the graph and routes queries by source, and workers
-//! (`pasco_worker`) that each own one partition's sources. Everything
+//! (`pasco worker`) that each own one partition's sources. Everything
 //! they exchange is a [`WireCodec`] value inside an envelope frame:
 //!
 //! | kind | request payload | reply payload |

@@ -13,10 +13,10 @@
 //!   (`merge_ranked`) of the per-partition rankings the worker emits
 //!   (`topk_lists`) — the one plan where only `k` candidates per
 //!   partition cross the wire.
-//! * [`ShardWorkerCore`] (the **worker half**, hosted by the
-//!   `pasco_worker` crate's TCP shell) keeps **one storage, two ways to
-//!   obtain its bytes**: shard images arriving in [`LoadPartition`]
-//!   frames and shard files named by a [`LoadStore`] frame go through the
+//! * [`ShardWorkerCore`] (the **worker half**, hosted on the
+//!   `pasco_server` reactor by `PascoServer::bind_worker`) keeps **one
+//!   storage, two ways to obtain its bytes**: shard images arriving in
+//!   [`LoadPartition`] frames and shard files named by a [`LoadStore`] frame go through the
 //!   store's one validator and end up as the same [`MappedStore`] the
 //!   out-of-core engine runs on. It answers build/query/top-k requests
 //!   through the *same* generic entry points as the in-process
@@ -101,8 +101,8 @@ type Row = Vec<(u32, f64)>;
 // ====================================================================
 
 /// The worker-side compute core: everything a SimRank worker does
-/// between frames, with the transport stripped away (the `pasco_worker`
-/// crate wraps this in a TCP loop; tests drive it directly).
+/// between frames, with the transport stripped away (`pasco_server`
+/// hosts it behind its reactor; tests drive it directly).
 ///
 /// Lifecycle: constructed empty, then provisioned one of two ways — fed
 /// [`LoadPartition`] images until the full shard set is held (the store

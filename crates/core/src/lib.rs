@@ -32,7 +32,7 @@
 //! [`ExecMode::Broadcast`] (graph replicated per worker; fails when it does
 //! not fit the per-worker budget) and [`ExecMode::Rdd`] (graph partitioned;
 //! walker state shuffled every step) — or [`ExecMode::Distributed`], real
-//! `pasco_worker` processes over TCP with the build and every query routed
+//! `pasco worker` processes over TCP with the build and every query routed
 //! to the worker owning its source. Each implements the object-safe
 //! [`SimRankEngine`] trait and [`CloudWalker`] dispatches every query
 //! through `Box<dyn SimRankEngine>`. All produce **bitwise identical

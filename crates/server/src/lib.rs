@@ -3,27 +3,27 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 #![cfg_attr(not(test), deny(clippy::allow_attributes_without_reason))]
-//! **The PASCO network front door**: an event-driven TCP server and a
+//! **The PASCO network runtime**: an event-driven TCP server and a
 //! blocking client speaking the versioned envelope protocol
-//! ([`pasco_simrank::api::envelope`]) over any
-//! [`QueryService`](pasco_simrank::QueryService).
+//! ([`pasco_simrank::api::envelope`]), the server hosting either any
+//! [`QueryService`](pasco_simrank::QueryService) or a SimRank worker.
 //!
 //! The paper's end state is SimRank *served* at scale: single-source and
-//! top-`k` similarity as an online query service. This crate is that
-//! service boundary:
+//! top-`k` similarity as an online query service, computed by a fleet of
+//! workers. This crate is both ends' service boundary:
 //!
 //! * [`PascoServer`] — an epoll reactor (built on a thin syscall shim,
 //!   no external dependencies) that owns every connection socket in
 //!   nonblocking mode. One event loop runs accepts, handshakes,
 //!   resumable frame reassembly, response flushing, per-frame I/O
-//!   deadlines on a timer wheel, and drain orchestration; query
-//!   execution runs on a bounded worker pool shared by all connections,
-//!   and responses are written as they finish — possibly out of request
-//!   order, matched by request id. The wire protocol is byte-identical
-//!   to the original thread-per-connection server, but 256 idle
-//!   connections cost zero threads and zero wakeups, and a slowloris
-//!   peer costs one timer slot. `BENCH_serving.json` at the repo root
-//!   holds the measured before/after.
+//!   deadlines on a timer wheel, and drain orchestration; frames are
+//!   answered on a bounded worker pool shared by all connections, and
+//!   responses are written as they finish — possibly out of request
+//!   order, matched by request id. 256 idle connections cost zero
+//!   threads and zero wakeups, and a slowloris peer costs one timer
+//!   slot. [`PascoServer::bind`] serves queries (`pasco serve`);
+//!   [`PascoServer::bind_worker`] serves one partition owner of the
+//!   distributed substrate (`pasco worker`) on the same reactor.
 //! * [`PascoClient`] — a blocking client with typed
 //!   [`query`](PascoClient::query) / [`query_batch`](PascoClient::query_batch)
 //!   entry points, explicit [`send`](PascoClient::send) /
@@ -70,13 +70,11 @@ mod sys;
 mod wheel;
 
 /// Frame I/O — re-exported from [`pasco_simrank::api::transport`], where
-/// it lives so the query server, the typed client, the SimRank worker
-/// runtime and the distributed coordinator all read and write frames
-/// through one implementation. Existing `pasco_server::transport::*`
-/// paths keep working.
+/// it lives so the reactor, the typed client and the distributed
+/// coordinator all read and write frames through one implementation.
 pub mod transport {
     pub use pasco_simrank::api::transport::{
-        poll_envelope, read_envelope, write_envelope, FrameDecoder, TransportError, WriteQueue,
+        read_envelope, write_envelope, FrameDecoder, TransportError, WriteQueue,
     };
 }
 

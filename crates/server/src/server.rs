@@ -1,5 +1,6 @@
-//! [`PascoServer`]: the TCP front door over any [`QueryService`], built
-//! on a readiness-driven epoll reactor.
+//! [`PascoServer`]: the TCP front door over any [`QueryService`] — or
+//! over one SimRank worker's [`ShardWorkerCore`] — built on a
+//! readiness-driven epoll reactor.
 //!
 //! One event loop owns every connection socket in nonblocking mode:
 //! accepts, handshakes, frame reassembly (via the shared resumable
@@ -7,12 +8,13 @@
 //! I/O deadlines (a timer wheel — armed only while a connection is
 //! mid-handshake, mid-frame, or has unflushed output, so an idle server
 //! sleeps in `epoll_wait` indefinitely: zero wakeups, zero reads), and
-//! drain orchestration. Query execution stays on a bounded worker pool:
-//! the reactor hands decoded requests to the pool and the pool hands
-//! completed envelopes back through a completion queue plus an eventfd
-//! wake, so responses are written in *completion* order — a cheap query
-//! overtakes an expensive one on the same connection, and the client
-//! matches answers by request id, exactly as before.
+//! drain orchestration. The reactor never looks inside a payload: every
+//! post-handshake frame but `Shutdown` goes to a bounded worker pool,
+//! which asks the hosted service for the answer and hands completed
+//! envelopes back through a completion queue plus an eventfd wake, so
+//! responses are written in *completion* order — a cheap query overtakes
+//! an expensive one on the same connection, and the peer matches answers
+//! by request id.
 //!
 //! Backpressure is per connection: a client may keep at most
 //! `workers * 4` requests in flight; past that the reactor parks the
@@ -26,20 +28,24 @@
 //! [`ServerHandle::shutdown`] — stops accepting, finishes every in-flight
 //! request, writes each connection its answers and a goodbye, and returns
 //! from [`PascoServer::run`]. The handle wakes the loop through the
-//! eventfd, which works identically on wildcard binds (the old
-//! implementation had to fake a client over loopback).
+//! eventfd, which works identically on wildcard binds.
 
 use crate::sys::{Epoll, Event, WakeFd, EVENT_ERR, EVENT_HUP, EVENT_IN, EVENT_OUT, EVENT_RDHUP};
 use crate::wheel::{Deadline, TimerWheel};
 use pasco_simrank::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
 use pasco_simrank::api::transport::{FrameDecoder, WriteQueue};
-use pasco_simrank::{QueryError, QueryRequest, QueryService};
+use pasco_simrank::api::wire::WireCodec;
+use pasco_simrank::api::worker::{
+    BuildShard, Empty, LoadPartition, LoadStore, ShardQuery, ShardTopK,
+};
+use pasco_simrank::engine::distributed::ShardWorkerCore;
+use pasco_simrank::{QueryError, QueryService};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -88,7 +94,7 @@ pub struct ServerStats {
     /// `read(2)` calls issued on connection sockets (including ones that
     /// returned would-block). An idle server adds zero.
     pub reads: u64,
-    /// Request frames decoded and handed to the pool.
+    /// Post-handshake frames handed to the pool.
     pub requests: u64,
     /// Response/error envelopes queued back to clients.
     pub responses: u64,
@@ -123,13 +129,22 @@ impl StatCells {
     }
 }
 
+/// What a [`ServerHandle`] asks of the reactor, one bit per request in
+/// [`ServerHandle::signals`].
+const DRAIN: u8 = 1;
+const KILL: u8 = 2;
+const SEVER: u8 = 4;
+
 /// A clonable remote control for a running server: its bound address, its
-/// live counters, and a way to stop it programmatically (the wire
-/// equivalent is a client [`FrameKind::Shutdown`] frame).
+/// live counters, a way to stop it programmatically (the wire equivalent
+/// is a client [`FrameKind::Shutdown`] frame), and fault injection.
 #[derive(Clone)]
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    /// [`DRAIN`] / [`KILL`] / [`SEVER`] requests. Each is set before its
+    /// eventfd wake is written, and the reactor reads them after draining
+    /// that wake, so none is missed.
+    signals: Arc<AtomicU8>,
     waker: WakeFd,
     stats: Arc<StatCells>,
 }
@@ -146,8 +161,25 @@ impl ServerHandle {
     /// eventfd — no connection is made, so this works identically on
     /// wildcard (`0.0.0.0` / `::`) binds.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.waker.wake();
+        self.signal(DRAIN);
+    }
+
+    /// Hard kill, for fault-injection tests: every connection is dropped
+    /// without a goodbye — the wire-visible signature of a process dying —
+    /// and [`PascoServer::run`] returns. No frame that arrives after this
+    /// call is answered, and the listener closes before the pool finishes
+    /// its queued work, so a peer's reconnect is refused rather than left
+    /// waiting in the backlog.
+    pub fn kill(&self) {
+        self.signal(KILL);
+    }
+
+    /// Drops every connection while the server keeps running and the
+    /// service's state stays resident — the wire-visible signature of a
+    /// network blip, for testing reconnects. No frame that arrives after
+    /// this call is answered on a connection opened before it.
+    pub fn sever_connections(&self) {
+        self.signal(SEVER);
     }
 
     /// A snapshot of the server's monotonic counters.
@@ -155,15 +187,103 @@ impl ServerHandle {
         self.stats.snapshot()
     }
 
-    fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
+    fn signal(&self, bit: u8) {
+        self.signals.fetch_or(bit, Ordering::Release);
+        self.waker.wake();
     }
 }
 
-/// A bound, not-yet-running TCP server over one [`QueryService`].
+/// What the pool answers frames with.
+enum Service {
+    Query(Arc<dyn QueryService>),
+    Worker(SimRankWorker),
+}
+
+impl Service {
+    /// The node count a handshake advertises, read at each `Hello`.
+    fn node_count(&self) -> u32 {
+        match self {
+            Service::Query(svc) => svc.node_count(),
+            Service::Worker(worker) => worker.node_count.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The reply to one post-handshake frame, or `None` — an undecodable
+    /// payload or a frame kind this service does not speak — to drop the
+    /// connection: a protocol violation, not a query failure.
+    fn answer(&self, env: Envelope) -> Option<Envelope> {
+        match self {
+            Service::Query(svc) => {
+                if env.kind != FrameKind::Request {
+                    return None;
+                }
+                let req = env.decode_request().ok()?;
+                Some(match svc.execute(req) {
+                    Ok(resp) => Envelope::response(env.request_id, &resp),
+                    // A typed failure is an answer, not a fault: it travels
+                    // back as an error frame on the same connection.
+                    Err(err) => Envelope::error(env.request_id, &err),
+                })
+            }
+            Service::Worker(worker) => worker.answer(env),
+        }
+    }
+}
+
+/// One SimRank worker: a partition owner of the distributed substrate.
+struct SimRankWorker {
+    core: Mutex<ShardWorkerCore>,
+    /// `core.node_count()` after the last frame served, so a handshake
+    /// never waits on the lock a long build holds. `Relaxed`: it publishes
+    /// nothing else, and the completion queue's mutex orders each store
+    /// before the reply that follows it.
+    node_count: AtomicU32,
+}
+
+impl SimRankWorker {
+    fn answer(&self, env: Envelope) -> Option<Envelope> {
+        match env.kind {
+            FrameKind::LoadPartition => {
+                self.serve(env, |core, msg: LoadPartition| core.load_partition(msg))
+            }
+            FrameKind::LoadStore => self.serve(env, |core, msg: LoadStore| core.load_store(msg)),
+            FrameKind::BuildShard => self.serve(env, |core, msg: BuildShard| core.build(&msg.cfg)),
+            FrameKind::ShardQuery => self.serve(env, |core, msg: ShardQuery| core.query(msg)),
+            FrameKind::ShardTopK => self.serve(env, |core, msg: ShardTopK| core.topk(msg)),
+            FrameKind::WorkerStats => {
+                self.serve(env, |core, _: Empty| Ok::<_, QueryError>(core.stats()))
+            }
+            // Coordinators send only worker-control frames (and Shutdown,
+            // which the reactor handles) after the handshake.
+            _ => None,
+        }
+    }
+
+    /// Decodes the request payload, runs `f` on the locked compute core,
+    /// and shapes the outcome: a reply frame of the same kind, an error
+    /// frame for a typed [`QueryError`], or `None` when the payload itself
+    /// is garbage.
+    fn serve<M: WireCodec, R: WireCodec>(
+        &self,
+        env: Envelope,
+        f: impl FnOnce(&mut ShardWorkerCore, M) -> Result<R, QueryError>,
+    ) -> Option<Envelope> {
+        let Ok(msg) = M::from_bytes(&env.payload) else { return None };
+        let mut core = self.core.lock().unwrap_or_else(PoisonError::into_inner);
+        let reply = match f(&mut core, msg) {
+            Ok(reply) => Envelope::worker(env.kind, env.request_id, &reply),
+            Err(err) => Envelope::error(env.request_id, &err),
+        };
+        self.node_count.store(core.node_count(), Ordering::Relaxed);
+        Some(reply)
+    }
+}
+
+/// A bound, not-yet-running TCP server over one [`QueryService`] or one
+/// SimRank worker.
 pub struct PascoServer {
     listener: TcpListener,
-    svc: Arc<dyn QueryService>,
+    svc: Arc<Service>,
     cfg: ServerConfig,
     handle: ServerHandle,
 }
@@ -177,17 +297,37 @@ impl PascoServer {
         svc: Arc<dyn QueryService>,
         cfg: ServerConfig,
     ) -> io::Result<Self> {
+        Self::host(addr, Service::Query(svc), cfg)
+    }
+
+    /// Binds a SimRank worker: one partition owner of the distributed
+    /// substrate (`ExecMode::Distributed`), speaking the worker-control
+    /// frames. It starts empty; a coordinator provisions it (shard images
+    /// in `LoadPartition` frames, or a store directory in one `LoadStore`),
+    /// then routes builds and queries to it. Loaded state survives
+    /// reconnects but not the process. A worker answers no `Request`
+    /// frame, and a query server no worker-control frame: either drops
+    /// the connection that sends one.
+    pub fn bind_worker(addr: impl ToSocketAddrs, cfg: ServerConfig) -> io::Result<Self> {
+        let worker = SimRankWorker {
+            core: Mutex::new(ShardWorkerCore::new()),
+            node_count: AtomicU32::new(0),
+        };
+        Self::host(addr, Service::Worker(worker), cfg)
+    }
+
+    fn host(addr: impl ToSocketAddrs, svc: Service, cfg: ServerConfig) -> io::Result<Self> {
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(cfg.max_conns > 0, "need room for at least one connection");
         assert!(!cfg.io_timeout.is_zero(), "io_timeout must be positive");
         let listener = TcpListener::bind(addr)?;
         let handle = ServerHandle {
             addr: listener.local_addr()?,
-            stop: Arc::new(AtomicBool::new(false)),
+            signals: Arc::new(AtomicU8::new(0)),
             waker: WakeFd::new()?,
             stats: Arc::new(StatCells::default()),
         };
-        Ok(PascoServer { listener, svc, cfg, handle })
+        Ok(PascoServer { listener, svc: Arc::new(svc), cfg, handle })
     }
 
     /// The address the server accepts on.
@@ -201,14 +341,11 @@ impl PascoServer {
         self.handle.clone()
     }
 
-    /// Serves until drained: runs the reactor, executing queries on the
+    /// Serves until drained: runs the reactor, answering frames on the
     /// shared pool, and returns once a shutdown frame (or
-    /// [`ServerHandle::shutdown`]) has drained every connection.
+    /// [`ServerHandle::shutdown`]) has drained every connection, or
+    /// [`ServerHandle::kill`] has dropped them.
     pub fn run(self) -> io::Result<()> {
-        let info = ServerInfo {
-            node_count: self.svc.node_count(),
-            max_frame_bytes: self.cfg.max_frame_bytes,
-        };
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::default();
@@ -223,12 +360,19 @@ impl PascoServer {
             })
             .collect();
 
-        let result =
-            Reactor::new(self.listener, info, self.cfg, self.handle.clone(), job_tx, completions)
-                .and_then(Reactor::run);
+        let result = Reactor::new(
+            self.listener,
+            self.svc,
+            self.cfg,
+            self.handle.clone(),
+            job_tx,
+            completions,
+        )
+        .and_then(Reactor::run);
 
-        // With the reactor gone its job sender is dropped: workers finish
-        // what is queued, see the disconnect, and exit.
+        // With the reactor gone its listener is closed (a killed server
+        // refuses reconnects from here on) and its job sender dropped:
+        // workers finish what is queued, see the disconnect, and exit.
         for worker in workers {
             let _ = worker.join();
         }
@@ -236,26 +380,26 @@ impl PascoServer {
     }
 }
 
-/// One unit of pool work: a decoded request plus the connection slot
-/// (and its epoch, so an answer for a closed-and-reused slot is
+/// One unit of pool work: a post-handshake frame plus the connection
+/// slot (and its epoch, so an answer for a closed-and-reused slot is
 /// discarded rather than misdelivered).
 struct Job {
-    token: usize,
-    epoch: u32,
-    id: u64,
-    req: QueryRequest,
-}
-
-/// A finished query on its way back to the reactor.
-struct Completion {
     token: usize,
     epoch: u32,
     env: Envelope,
 }
 
+/// A finished frame on its way back to the reactor: the reply, or `None`
+/// to drop the connection.
+struct Completion {
+    token: usize,
+    epoch: u32,
+    env: Option<Envelope>,
+}
+
 fn worker_loop(
     rx: &Mutex<Receiver<Job>>,
-    svc: &dyn QueryService,
+    svc: &Service,
     done: &Mutex<Vec<Completion>>,
     waker: &WakeFd,
     max_frame: u32,
@@ -267,22 +411,20 @@ fn worker_loop(
             Ok(rx) => rx.recv(),
             Err(_) => return,
         };
-        let Ok(Job { token, epoch, id, req }) = job else { return };
-        let mut env = match svc.execute(req) {
-            Ok(resp) => Envelope::response(id, &resp),
-            // A typed failure is an answer, not a fault: it travels back
-            // as an error frame on the same connection.
-            Err(err) => Envelope::error(id, &err),
-        };
-        // The limit the server advertises binds its own frames too: an
-        // answer that would not fit (the client reads with this limit
-        // and would poison itself) degrades into a typed error the
-        // caller can act on. Error frames are a few bytes, always under
-        // any sane limit.
-        if env.payload.len() as u64 > u64::from(max_frame) {
-            let err = QueryError::ResponseTooLarge { bytes: env.payload.len() as u64, max_frame };
-            env = Envelope::error(id, &err);
-        }
+        let Ok(Job { token, epoch, env }) = job else { return };
+        let env = svc.answer(env).map(|env| {
+            // The limit the server advertises binds its own frames too:
+            // an answer that would not fit (the peer reads with this
+            // limit and would poison itself) degrades into a typed error
+            // the caller can act on. Error frames are a few bytes, always
+            // under any sane limit.
+            if env.payload.len() as u64 > u64::from(max_frame) {
+                let bytes = env.payload.len() as u64;
+                Envelope::error(env.request_id, &QueryError::ResponseTooLarge { bytes, max_frame })
+            } else {
+                env
+            }
+        });
         let first = match done.lock() {
             Ok(mut done) => {
                 let first = done.is_empty();
@@ -355,8 +497,10 @@ fn conn_token(idx: usize, epoch: u32) -> u64 {
 /// connection state machines.
 struct Reactor {
     epoll: Epoll,
+    /// Declared before `conns`, so a killed reactor closes its listener
+    /// first: a reconnect racing the kill is refused, not queued.
     listener: TcpListener,
-    info: ServerInfo,
+    svc: Arc<Service>,
     cfg: ServerConfig,
     handle: ServerHandle,
     job_tx: Sender<Job>,
@@ -377,7 +521,7 @@ struct Reactor {
 impl Reactor {
     fn new(
         listener: TcpListener,
-        info: ServerInfo,
+        svc: Arc<Service>,
         cfg: ServerConfig,
         handle: ServerHandle,
         job_tx: Sender<Job>,
@@ -393,7 +537,7 @@ impl Reactor {
         Ok(Reactor {
             epoll,
             listener,
-            info,
+            svc,
             cfg,
             handle,
             job_tx,
@@ -418,17 +562,33 @@ impl Reactor {
             self.epoll.wait(timeout, &mut events)?;
             self.handle.stats.wakeups.fetch_add(1, Ordering::Relaxed);
 
+            // Handle requests before any connection event: a frame sent
+            // after `kill` / `sever_connections` returned arrives in a
+            // batch that also carries (or follows) their wake, so it is
+            // never answered.
+            if events.iter().any(|ev| ev.token == TOK_WAKER) {
+                self.handle.waker.drain();
+            }
+            let signals = self.handle.signals.fetch_and(!SEVER, Ordering::Acquire);
+            if signals & KILL != 0 {
+                return Ok(()); // dropping the reactor closes every socket
+            }
+            if signals & SEVER != 0 {
+                for idx in 0..self.conns.len() {
+                    self.drop_conn(idx);
+                }
+            }
             for ev in &events {
                 match ev.token {
                     TOK_LISTENER => self.accept_ready(),
-                    TOK_WAKER => self.handle.waker.drain(),
+                    TOK_WAKER => {}
                     token => {
                         let (idx, epoch) = ((token & 0xffff_ffff) as usize, (token >> 32) as u32);
                         self.conn_event(idx, epoch, ev.events, &mut scratch);
                     }
                 }
             }
-            if !self.stopping && self.handle.is_stopping() {
+            if signals & DRAIN != 0 {
                 self.begin_drain();
             }
             self.drain_completions();
@@ -659,38 +819,33 @@ impl Reactor {
         match (conn.state, env.kind) {
             (ConnState::Handshake, FrameKind::Hello) => {
                 conn.state = ConnState::Serving;
-                let ack = Envelope::hello_ack(&self.info);
-                conn.out.push(&ack);
+                let info = ServerInfo {
+                    node_count: self.svc.node_count(),
+                    max_frame_bytes: self.cfg.max_frame_bytes,
+                };
+                conn.out.push(&Envelope::hello_ack(&info));
                 self.flush(idx)
             }
-            (ConnState::Serving, FrameKind::Request) => match env.decode_request() {
-                Ok(req) => {
-                    conn.in_flight += 1;
-                    if conn.in_flight >= self.pipeline_cap {
-                        conn.paused = true;
-                    }
-                    self.handle.stats.requests.fetch_add(1, Ordering::Relaxed);
-                    let job = Job { token: idx, epoch: conn.epoch, id: env.request_id, req };
-                    if self.job_tx.send(job).is_err() {
-                        self.drop_conn(idx);
-                        return false;
-                    }
-                    true
-                }
-                // A valid envelope around an undecodable request is a
-                // protocol violation, not a query error: close.
-                Err(_) => {
-                    self.drop_conn(idx);
-                    false
-                }
-            },
             (ConnState::Serving, FrameKind::Shutdown) => {
                 // Drain the whole server; this connection gets its
                 // in-flight answers, then the goodbye.
                 self.begin_drain();
                 true
             }
-            // Clients may only send Hello (first), requests, shutdown.
+            // Any other frame is the service's to answer or refuse.
+            (ConnState::Serving, _) => {
+                conn.in_flight += 1;
+                if conn.in_flight >= self.pipeline_cap {
+                    conn.paused = true;
+                }
+                self.handle.stats.requests.fetch_add(1, Ordering::Relaxed);
+                if self.job_tx.send(Job { token: idx, epoch: conn.epoch, env }).is_err() {
+                    self.drop_conn(idx);
+                    return false;
+                }
+                true
+            }
+            // A peer must open with Hello.
             _ => {
                 self.drop_conn(idx);
                 false
@@ -711,6 +866,10 @@ impl Reactor {
             if !live {
                 continue; // the connection went away while we computed
             }
+            let Some(env) = env else {
+                self.drop_conn(token); // the service refused the frame
+                continue;
+            };
             self.handle.stats.responses.fetch_add(1, Ordering::Relaxed);
             // The liveness check above proved the slot occupied; a bare
             // re-check keeps this panic-free without a second epoch load.

@@ -2,7 +2,7 @@
 //! cluster: Broadcasting (fast, memory-bound) vs RDD (shuffling, scalable)
 //! — including the broadcast failure when the graph outgrows a worker's
 //! memory budget. Then the same workload once more on the **real**
-//! cluster substrate: `pasco_worker` processes on loopback TCP, actual
+//! cluster substrate: `pasco worker` servers on loopback TCP, actual
 //! bytes on an actual wire, bit-identical answers.
 //!
 //! ```text
@@ -11,8 +11,8 @@
 
 use pasco::cluster::ClusterConfig;
 use pasco::graph::generators::{self, RmatParams};
+use pasco::server::{PascoServer, ServerConfig};
 use pasco::simrank::{CloudWalker, ExecMode, SimRankConfig, SimRankError};
-use pasco::worker::{PascoWorker, WorkerConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -86,7 +86,7 @@ fn main() {
     let mut handles = Vec::new();
     let mut joins = Vec::new();
     for _ in 0..2 {
-        let worker = PascoWorker::bind("127.0.0.1:0", WorkerConfig::default()).unwrap();
+        let worker = PascoServer::bind_worker("127.0.0.1:0", ServerConfig::default()).unwrap();
         addrs.push(worker.local_addr().to_string());
         handles.push(worker.handle());
         joins.push(std::thread::spawn(move || worker.run().unwrap()));

@@ -43,7 +43,6 @@ use pasco::simrank::api::{QueryRequest, QueryResponse, QueryService};
 use pasco::simrank::{
     metrics, persist, CloudWalker, ExecMode, QuerySession, SessionConfig, SimRankConfig,
 };
-use pasco::worker::{PascoWorker, WorkerConfig};
 use std::collections::HashMap;
 use std::io::Read;
 use std::process::ExitCode;
@@ -638,12 +637,12 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
 fn cmd_worker(flags: &Flags) -> Result<(), String> {
     use std::io::Write as _;
     let addr = get(flags, "addr")?;
-    let defaults = WorkerConfig::default();
-    let cfg = WorkerConfig {
+    let defaults = ServerConfig::default();
+    let cfg = ServerConfig {
         max_frame_bytes: get_num(flags, "max-frame", defaults.max_frame_bytes)?,
         ..defaults
     };
-    let worker = PascoWorker::bind(addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
+    let worker = PascoServer::bind_worker(addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
     println!("worker listening on {}", worker.local_addr());
     // Scripts discover an ephemeral port from the line above: flush it
     // even when stdout is a pipe.

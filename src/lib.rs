@@ -17,8 +17,7 @@
 //! | [`solver`] | `pasco-solver` | sparse vectors, parallel Jacobi / Gauss-Seidel |
 //! | [`cluster`] | `pasco-cluster` | Spark-like runtime: broadcast, DistVec, shuffles |
 //! | [`simrank`] | `pasco-simrank` | CloudWalker indexing + MCSP/MCSS/MCAP queries, exact SimRank |
-//! | [`server`] | `pasco-server` | TCP front door: envelope protocol server + blocking client |
-//! | [`worker`] | `pasco-worker` | SimRank worker process: the distributed substrate's RPC half |
+//! | [`server`] | `pasco-server` | TCP runtime: envelope protocol server (query service and SimRank worker) + blocking client |
 //! | [`baselines`] | `pasco-baselines` | FMT (Fogaras-Racz) and LIN (Maehara) competitors |
 //!
 //! ## Quickstart
@@ -46,4 +45,3 @@ pub use pasco_mc as mc;
 pub use pasco_server as server;
 pub use pasco_simrank as simrank;
 pub use pasco_solver as solver;
-pub use pasco_worker as worker;

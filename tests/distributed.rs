@@ -1,8 +1,9 @@
 //! Integration: the distributed substrate over **real loopback TCP**.
 //!
-//! The acceptance bar for the 5th engine: with `pasco_worker` processes
-//! spawned in-process on ephemeral loopback ports (same pattern as
-//! `tests/server.rs`), `ExecMode::Distributed` must produce results
+//! The acceptance bar for the 5th engine: with workers
+//! (`PascoServer::bind_worker`) spawned in-process on ephemeral loopback
+//! ports (same pattern as `tests/server.rs`), `ExecMode::Distributed`
+//! must produce results
 //! bit-identical to `ExecMode::Local` for every query kind — index,
 //! MCSP, dense MCSS, top-`k`, raw cohorts — at worker counts 1, 2 and
 //! 4, with the cluster accounting reporting real wire bytes. Worker
@@ -11,15 +12,17 @@
 //! workers keep answering.
 
 use pasco::graph::generators;
+use pasco::server::{PascoServer, ServerConfig, ServerHandle};
 use pasco::simrank::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
 use pasco::simrank::api::transport::{read_envelope, write_envelope};
 use pasco::simrank::api::wire::WireCodec;
-use pasco::simrank::api::worker::{LoadAck, LoadPartition, ShardQuery, ShardQueryKind};
+use pasco::simrank::api::worker::{
+    BuildShard, Empty, LoadAck, LoadPartition, ShardQuery, ShardQueryKind, WorkerStats,
+};
 use pasco::simrank::{
     queries, CloudWalker, ExecMode, QueryError, QueryResponse, QuerySession, SimRankConfig,
     SimRankError,
 };
-use pasco::worker::{PascoWorker, WorkerConfig, WorkerHandle};
 use pasco_store::{write_partition, ShardHeader};
 use proptest::prelude::*;
 use std::io::BufReader;
@@ -30,14 +33,14 @@ use std::thread::JoinHandle;
 /// A set of in-process loopback workers.
 struct Fleet {
     addrs: Vec<String>,
-    handles: Vec<WorkerHandle>,
+    handles: Vec<ServerHandle>,
     joins: Vec<JoinHandle<()>>,
 }
 
 fn spawn_fleet(count: usize) -> Fleet {
     let mut fleet = Fleet { addrs: Vec::new(), handles: Vec::new(), joins: Vec::new() };
     for _ in 0..count {
-        let worker = PascoWorker::bind("127.0.0.1:0", WorkerConfig::default()).unwrap();
+        let worker = PascoServer::bind_worker("127.0.0.1:0", ServerConfig::default()).unwrap();
         fleet.addrs.push(worker.local_addr().to_string());
         fleet.handles.push(worker.handle());
         fleet.joins.push(std::thread::spawn(move || worker.run().unwrap()));
@@ -521,6 +524,51 @@ proptest! {
     }
 }
 
+/// Raw-socket handshake + stats round trip: the worker speaks the
+/// envelope protocol byte-for-byte.
+#[test]
+fn handshake_and_stats_over_raw_socket() {
+    let fleet = spawn_fleet(1);
+    let mut stream = TcpStream::connect(&fleet.addrs[0]).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    write_envelope(&mut stream, &Envelope::hello()).unwrap();
+    let ack = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(ack.kind, FrameKind::HelloAck);
+    let info = ack.decode_server_info().unwrap();
+    assert_eq!(info.node_count, 0, "nothing loaded yet");
+
+    write_envelope(&mut stream, &Envelope::worker(FrameKind::WorkerStats, 7, &Empty)).unwrap();
+    let reply = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(reply.kind, FrameKind::WorkerStats);
+    assert_eq!(reply.request_id, 7);
+    let stats = WorkerStats::from_bytes(&reply.payload).unwrap();
+    assert_eq!(stats, WorkerStats::default());
+
+    // A build before any load is a typed error frame, not a hang.
+    let msg = BuildShard { cfg: SimRankConfig::fast() };
+    write_envelope(&mut stream, &Envelope::worker(FrameKind::BuildShard, 8, &msg)).unwrap();
+    let reply = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(reply.kind, FrameKind::Error);
+    assert_eq!(reply.request_id, 8);
+    assert!(matches!(reply.decode_error().unwrap(), QueryError::WorkerUnavailable { .. }));
+    fleet.stop();
+}
+
+#[test]
+fn shutdown_frame_drains_the_worker() {
+    let fleet = spawn_fleet(1);
+    let mut stream = TcpStream::connect(&fleet.addrs[0]).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    write_envelope(&mut stream, &Envelope::hello()).unwrap();
+    let _ = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
+    write_envelope(&mut stream, &Envelope::shutdown()).unwrap();
+    let goodbye = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(goodbye.kind, FrameKind::Goodbye);
+    for join in fleet.joins {
+        join.join().unwrap();
+    }
+}
+
 /// A raw-socket conformance check: the worker's load/ack exchange emits
 /// exactly the frames the protocol promises (kind echoed, id echoed,
 /// loaded counter monotone).
@@ -530,7 +578,7 @@ fn load_acks_echo_kind_and_id_over_a_raw_socket() {
     let partitioner = pasco::graph::partition::Partitioner::range(10, 2);
     let parts = pasco::graph::partitioned::partition_graph(&g, &partitioner);
 
-    let worker = PascoWorker::bind("127.0.0.1:0", WorkerConfig::default()).unwrap();
+    let worker = PascoServer::bind_worker("127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = worker.local_addr();
     let handle = worker.handle();
     let join = std::thread::spawn(move || worker.run().unwrap());

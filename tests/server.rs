@@ -4,17 +4,25 @@
 //! answered over TCP is bit-identical to a direct `QueryService::execute`
 //! on the same engine — Local and Sharded alike — including pipelined
 //! out-of-order exchanges, typed errors as error frames, and a graceful
-//! drain on the shutdown frame.
+//! drain on the shutdown frame. The transport guarantees — idle costs
+//! nothing, slow and hostile peers are dropped — hold for a hosted
+//! SimRank worker too.
 
 use pasco::graph::generators;
+use pasco::graph::partition::Partitioner;
+use pasco::graph::partitioned::partition_graph;
 use pasco::server::{ClientError, PascoClient, PascoServer, ServerConfig, ServerHandle};
-use pasco::simrank::api::envelope::{Envelope, FrameKind, HEADER_LEN, MAGIC};
+use pasco::simrank::api::envelope::{
+    Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC,
+};
+use pasco::simrank::api::transport::{read_envelope, write_envelope};
 use pasco::simrank::api::wire::WireCodec;
+use pasco::simrank::api::worker::{Empty, LoadPartition, WorkerStats};
 use pasco::simrank::{
     CloudWalker, ExecMode, QueryError, QueryRequest, QueryResponse, QueryService, QuerySession,
     SimRankConfig,
 };
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -36,10 +44,81 @@ fn spawn_server(
     svc: Arc<dyn QueryService>,
     cfg: ServerConfig,
 ) -> (SocketAddr, ServerHandle, JoinHandle<()>) {
-    let server = PascoServer::bind("127.0.0.1:0", svc, cfg).unwrap();
+    start(PascoServer::bind("127.0.0.1:0", svc, cfg).unwrap())
+}
+
+/// Runs a bound server on its own thread.
+fn start(server: PascoServer) -> (SocketAddr, ServerHandle, JoinHandle<()>) {
     let (addr, handle) = (server.local_addr(), server.handle());
     let join = std::thread::spawn(move || server.run().unwrap());
     (addr, handle, join)
+}
+
+/// The two services the reactor hosts. A transport guarantee belongs to
+/// the reactor, so its test takes each service as an input.
+#[derive(Clone, Copy, Debug)]
+enum Hosted {
+    /// The shared local walker behind `PascoServer::bind`.
+    Query,
+    /// A fresh SimRank worker behind `PascoServer::bind_worker`.
+    Worker,
+}
+
+impl Hosted {
+    const BOTH: [Hosted; 2] = [Hosted::Query, Hosted::Worker];
+
+    fn spawn(self, cfg: ServerConfig) -> (SocketAddr, ServerHandle, JoinHandle<()>) {
+        match self {
+            Hosted::Query => spawn_server(Arc::clone(local_walker()) as _, cfg),
+            Hosted::Worker => start(PascoServer::bind_worker("127.0.0.1:0", cfg).unwrap()),
+        }
+    }
+
+    /// A frame this service answers, and the exact answer it must get.
+    fn probe(self) -> (Envelope, Envelope) {
+        match self {
+            Hosted::Query => {
+                let score = local_walker().try_single_pair(0, 1).unwrap();
+                (
+                    Envelope::request(7, &QueryRequest::SinglePair { i: 0, j: 1 }),
+                    Envelope::response(7, &QueryResponse::Score(score)),
+                )
+            }
+            Hosted::Worker => (
+                Envelope::worker(FrameKind::WorkerStats, 7, &Empty),
+                Envelope::worker(FrameKind::WorkerStats, 7, &WorkerStats::default()),
+            ),
+        }
+    }
+}
+
+/// A raw-socket peer past its handshake, one frame out and one back.
+struct Peer {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    info: ServerInfo,
+}
+
+impl Peer {
+    fn connect(addr: SocketAddr) -> Peer {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        write_envelope(&mut stream, &Envelope::hello()).unwrap();
+        let ack = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
+        assert_eq!(ack.kind, FrameKind::HelloAck);
+        Peer { stream, reader, info: ack.decode_server_info().unwrap() }
+    }
+
+    fn exchange(&mut self, env: &Envelope) -> Envelope {
+        write_envelope(&mut self.stream, env).unwrap();
+        read_envelope(&mut self.reader, DEFAULT_MAX_FRAME).unwrap()
+    }
+
+    /// Checks `hosted` answers its probe on this connection.
+    fn probe(&mut self, hosted: Hosted) {
+        let (ask, answer) = hosted.probe();
+        assert_eq!(self.exchange(&ask), answer, "{hosted:?}");
+    }
 }
 
 /// Every request variant the protocol knows, all in range.
@@ -208,49 +287,80 @@ fn golden_bytes_over_a_raw_socket() {
 /// payload — and the server keeps serving everyone else.
 #[test]
 fn malformed_and_oversize_frames_drop_the_connection_not_the_server() {
-    let cw = local_walker();
-    let cfg = ServerConfig { max_frame_bytes: 4096, ..ServerConfig::default() };
-    let (addr, _, join) = spawn_server(Arc::clone(cw) as _, cfg);
+    for hosted in Hosted::BOTH {
+        let cfg = ServerConfig { max_frame_bytes: 4096, ..ServerConfig::default() };
+        let (addr, handle, join) = hosted.spawn(cfg);
 
-    // Bad magic: closed before any handshake answer.
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-    assert!(read_to_close(&mut s).is_empty(), "no bytes for a non-protocol peer");
+        // Bad magic: closed before any handshake answer.
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
+        assert!(read_to_close(&mut s).is_empty(), "no bytes for a non-protocol peer");
 
-    // Wrong version in the hello.
-    let mut s = TcpStream::connect(addr).unwrap();
-    let mut bad = Envelope::hello().to_bytes();
-    bad[4] = 9;
-    s.write_all(&bad).unwrap();
-    assert!(read_to_close(&mut s).is_empty());
+        // Wrong version in the hello.
+        let mut s = TcpStream::connect(addr).unwrap();
+        let mut bad = Envelope::hello().to_bytes();
+        bad[4] = 9;
+        s.write_all(&bad).unwrap();
+        assert!(read_to_close(&mut s).is_empty());
 
-    // Valid handshake, then a header announcing a payload over the limit:
-    // the ack arrives, then the connection closes with nothing more.
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(&Envelope::hello().to_bytes()).unwrap();
-    let mut ack = vec![0u8; HEADER_LEN + 8];
-    s.read_exact(&mut ack).unwrap();
-    assert_eq!(ack[..4], MAGIC);
-    let mut oversize = Envelope::request(1, &QueryRequest::Cohort { v: 1 }).to_bytes();
-    oversize[16..20].copy_from_slice(&(1u32 << 30).to_le_bytes());
-    s.write_all(&oversize).unwrap();
-    assert!(read_to_close(&mut s).is_empty(), "oversize frame must drop the connection");
+        // Valid handshake, then a header announcing a payload over the
+        // limit: the ack arrives, then the connection closes with nothing
+        // more.
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&Envelope::hello().to_bytes()).unwrap();
+        let mut ack = vec![0u8; HEADER_LEN + 8];
+        s.read_exact(&mut ack).unwrap();
+        assert_eq!(ack[..4], MAGIC);
+        let mut oversize = hosted.probe().0.to_bytes();
+        oversize[16..20].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        s.write_all(&oversize).unwrap();
+        assert!(read_to_close(&mut s).is_empty(), "oversize frame must drop the connection");
 
-    // Valid envelope, garbage payload: also dropped.
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(&Envelope::hello().to_bytes()).unwrap();
-    s.read_exact(&mut [0u8; HEADER_LEN + 8]).unwrap();
-    let garbage = Envelope { kind: FrameKind::Request, request_id: 1, payload: vec![0xee, 0xee] };
-    s.write_all(&garbage.to_bytes()).unwrap();
-    assert!(read_to_close(&mut s).is_empty());
+        // Valid envelope, garbage payload: also dropped.
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&Envelope::hello().to_bytes()).unwrap();
+        s.read_exact(&mut [0u8; HEADER_LEN + 8]).unwrap();
+        let kind = hosted.probe().0.kind;
+        let garbage = Envelope { kind, request_id: 1, payload: vec![0xee, 0xee] };
+        s.write_all(&garbage.to_bytes()).unwrap();
+        assert!(read_to_close(&mut s).is_empty(), "{hosted:?}");
 
-    // After all of that, a well-behaved client is served normally.
-    let mut client = PascoClient::connect(addr).unwrap();
-    assert_eq!(
-        client.query(QueryRequest::SinglePair { i: 0, j: 1 }).unwrap(),
-        QueryResponse::Score(cw.try_single_pair(0, 1).unwrap())
-    );
-    client.shutdown_server().unwrap();
+        // After all of that, a well-behaved peer is served normally.
+        Peer::connect(addr).probe(hosted);
+        handle.shutdown();
+        join.join().unwrap();
+    }
+}
+
+/// Each service speaks only its own frames: a query server drops a peer
+/// that sends a worker-control frame, a worker drops one that sends a
+/// query, and each keeps serving the next peer. A worker's handshake
+/// advertises what it holds at that moment: 0 nodes before a load round,
+/// `n` after it.
+#[test]
+fn each_service_drops_the_other_services_frames_and_keeps_serving() {
+    for (hosted, foreign) in [(Hosted::Query, Hosted::Worker), (Hosted::Worker, Hosted::Query)] {
+        let (addr, handle, join) = hosted.spawn(ServerConfig::default());
+        let mut peer = Peer::connect(addr);
+        write_envelope(&mut peer.stream, &foreign.probe().0).unwrap();
+        assert!(read_to_close(&mut peer.stream).is_empty(), "{hosted:?} answered {foreign:?}");
+        Peer::connect(addr).probe(hosted);
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    let (addr, handle, join) = Hosted::Worker.spawn(ServerConfig::default());
+    let mut peer = Peer::connect(addr);
+    assert_eq!(peer.info.node_count, 0, "nothing loaded yet");
+    let g = generators::cycle(10);
+    let parts = partition_graph(&g, &Partitioner::range(10, 1));
+    let mut image = std::io::Cursor::new(Vec::new());
+    pasco_store::write_partition(&mut image, (10, 1), 0, &parts[0], &[]).unwrap();
+    let load = LoadPartition { owned_part: 0, image: image.into_inner() };
+    let ack = peer.exchange(&Envelope::worker(FrameKind::LoadPartition, 1, &load));
+    assert_eq!(ack.kind, FrameKind::LoadPartition);
+    assert_eq!(Peer::connect(addr).info.node_count, 10, "the load round is over");
+    handle.shutdown();
     join.join().unwrap();
 }
 
@@ -377,35 +487,42 @@ fn handle_shutdown_drains_promptly_on_a_wildcard_bind() {
 
 /// The zero-idle-wakeup guarantee, asserted with the server's own
 /// counters: 64 established connections sitting between requests cause
-/// not a single `read` call. (The retired `poll_interval` design woke
-/// every connection every 25ms just to check for drain.)
+/// not a single `read` call — on a worker as on a query server (a worker
+/// used to poll every idle link every 25ms).
 #[test]
 fn idle_connections_cause_zero_reads() {
-    let cw = local_walker();
-    let (addr, handle, join) = spawn_server(Arc::clone(cw) as _, ServerConfig::default());
-    let mut clients: Vec<PascoClient> = (0..64)
-        .map(|_| {
-            let mut c = PascoClient::connect(addr).unwrap();
-            assert!(c.query(QueryRequest::SinglePair { i: 1, j: 2 }).is_ok());
-            c
-        })
-        .collect();
-    assert_eq!(handle.stats().accepted, 64);
+    for hosted in Hosted::BOTH {
+        let (addr, handle, join) = hosted.spawn(ServerConfig::default());
+        let mut peers: Vec<Peer> = (0..64)
+            .map(|_| {
+                let mut peer = Peer::connect(addr);
+                peer.probe(hosted);
+                peer
+            })
+            .collect();
+        assert_eq!(handle.stats().accepted, 64);
 
-    // Let in-flight readiness settle, then sample over an idle window.
-    std::thread::sleep(std::time::Duration::from_millis(100));
-    let before = handle.stats();
-    std::thread::sleep(std::time::Duration::from_millis(400));
-    let after = handle.stats();
-    assert_eq!(after.reads, before.reads, "an idle server must not touch its sockets");
-    assert_eq!(after.wakeups, before.wakeups, "an idle server must not leave epoll_wait");
+        // Let in-flight readiness settle, then sample over an idle window.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let before = handle.stats();
+        std::thread::sleep(std::time::Duration::from_millis(400));
+        let after = handle.stats();
+        assert_eq!(
+            after.reads, before.reads,
+            "{hosted:?}: an idle server must not touch its sockets"
+        );
+        assert_eq!(
+            after.wakeups, before.wakeups,
+            "{hosted:?}: an idle server must not leave epoll_wait"
+        );
 
-    // The connections are all still live, not silently dropped.
-    for c in &mut clients {
-        assert!(c.query(QueryRequest::SinglePair { i: 2, j: 3 }).is_ok());
+        // The connections are all still live, not silently dropped.
+        for peer in &mut peers {
+            peer.probe(hosted);
+        }
+        handle.shutdown();
+        join.join().unwrap();
     }
-    handle.shutdown();
-    join.join().unwrap();
 }
 
 /// A slowloris peer — trickling one byte per 100ms so every read makes
@@ -413,42 +530,46 @@ fn idle_connections_cause_zero_reads() {
 /// the frame starts and not reset by trickled bytes.
 #[test]
 fn slowloris_trickle_is_dropped_at_io_timeout() {
-    let cw = local_walker();
-    let cfg = ServerConfig {
-        io_timeout: std::time::Duration::from_millis(300),
-        ..ServerConfig::default()
-    };
-    let (addr, handle, join) = spawn_server(Arc::clone(cw) as _, cfg);
+    for hosted in Hosted::BOTH {
+        let cfg = ServerConfig {
+            io_timeout: std::time::Duration::from_millis(300),
+            ..ServerConfig::default()
+        };
+        let (addr, handle, join) = hosted.spawn(cfg);
 
-    // Handshake at full speed: the attack starts inside the session.
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(&Envelope::hello().to_bytes()).unwrap();
-    s.read_exact(&mut [0u8; HEADER_LEN + 8]).unwrap();
+        // Handshake at full speed: the attack starts inside the session.
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&Envelope::hello().to_bytes()).unwrap();
+        s.read_exact(&mut [0u8; HEADER_LEN + 8]).unwrap();
 
-    let frame = Envelope::request(1, &QueryRequest::SinglePair { i: 1, j: 2 }).to_bytes();
-    let started = std::time::Instant::now();
-    let mut sent = 0usize;
-    for byte in &frame {
-        if s.write_all(std::slice::from_ref(byte)).is_err() {
-            break; // the server already cut us off
+        let frame = hosted.probe().0.to_bytes();
+        let started = std::time::Instant::now();
+        let mut sent = 0usize;
+        for byte in &frame {
+            if s.write_all(std::slice::from_ref(byte)).is_err() {
+                break; // the server already cut us off
+            }
+            sent += 1;
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            if started.elapsed() > std::time::Duration::from_secs(2) {
+                break;
+            }
         }
-        sent += 1;
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        if started.elapsed() > std::time::Duration::from_secs(2) {
-            break;
-        }
+        assert!(sent < frame.len(), "the full frame must never get through at this rate");
+        assert!(read_to_close(&mut s).is_empty(), "no answer for a slowloris frame");
+        let waited = started.elapsed();
+        assert!(
+            waited < std::time::Duration::from_secs(2),
+            "dropped near io_timeout, not eventually"
+        );
+        assert!(handle.stats().timeouts >= 1, "the drop must be the deadline's doing");
+
+        // The event loop is unharmed.
+        let mut peer = Peer::connect(addr);
+        peer.probe(hosted);
+        assert_eq!(peer.exchange(&Envelope::shutdown()).kind, FrameKind::Goodbye);
+        join.join().unwrap();
     }
-    assert!(sent < frame.len(), "the full frame must never get through at this rate");
-    assert!(read_to_close(&mut s).is_empty(), "no answer for a slowloris frame");
-    let waited = started.elapsed();
-    assert!(waited < std::time::Duration::from_secs(2), "dropped near io_timeout, not eventually");
-    assert!(handle.stats().timeouts >= 1, "the drop must be the deadline's doing");
-
-    // The event loop is unharmed.
-    let mut client = PascoClient::connect(addr).unwrap();
-    assert!(client.query(QueryRequest::SinglePair { i: 0, j: 1 }).is_ok());
-    client.shutdown_server().unwrap();
-    join.join().unwrap();
 }
 
 /// Disconnecting mid-frame — header half-sent, payload truncated, or a
