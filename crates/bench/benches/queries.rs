@@ -14,7 +14,7 @@ use std::hint::black_box;
 fn bench_queries(c: &mut Criterion) {
     let g = generators::barabasi_albert(7_115, 15, 0xB0A710AD);
     let cfg = SimRankConfig::default_paper().with_r_query(2_000);
-    let out = build_diagonal_on(&g, &cfg);
+    let out = build_diagonal_on(&g, &cfg).expect("diagonal build");
     let diag = out.diag.as_slice();
     let rci = ReverseChainIndex::build(&g);
 
@@ -36,7 +36,7 @@ fn bench_queries(c: &mut Criterion) {
     group.sample_size(20);
     for scale in [12u32, 14, 16] {
         let g = generators::rmat(scale, (1u64 << scale) * 8, generators::RmatParams::default(), 5);
-        let out = build_diagonal_on(&g, &cfg.with_r(20));
+        let out = build_diagonal_on(&g, &cfg.with_r(20)).expect("diagonal build");
         let diag = out.diag.as_slice().to_vec();
         group.bench_with_input(BenchmarkId::from_parameter(1u64 << scale), &g, |b, g| {
             b.iter(|| black_box(queries::single_pair(g, &diag, &cfg, 3, 999)));

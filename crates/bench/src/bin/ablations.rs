@@ -28,7 +28,7 @@ fn mcss_ablation() {
     let g = &ds.graph;
     let cfg = SimRankConfig::default_paper();
     println!("A1: MCSS estimator on {}\n", ds.spec.name);
-    let out = build_diagonal_on(g.as_ref(), &cfg);
+    let out = build_diagonal_on(g.as_ref(), &cfg).expect("diagonal build");
     let diag = out.diag.as_slice();
     let rci = ReverseChainIndex::build(g);
     let exact = ExactSimRank::compute(g, cfg.c, 15);
@@ -74,10 +74,14 @@ fn ai_ablation() {
     let cfg = SimRankConfig::default_paper();
     println!("A2: aᵢ row strategy on {}\n", ds.spec.name);
     let mut t = Table::new(&["strategy", "D wall", "row memory", "identical x?"]);
-    let (store, d_store) =
-        time(|| build_diagonal_on(g.as_ref(), &cfg.with_ai_strategy(AiStrategy::Store)));
-    let (recompute, d_rec) =
-        time(|| build_diagonal_on(g.as_ref(), &cfg.with_ai_strategy(AiStrategy::Recompute)));
+    let (store, d_store) = time(|| {
+        build_diagonal_on(g.as_ref(), &cfg.with_ai_strategy(AiStrategy::Store))
+            .expect("diagonal build")
+    });
+    let (recompute, d_rec) = time(|| {
+        build_diagonal_on(g.as_ref(), &cfg.with_ai_strategy(AiStrategy::Recompute))
+            .expect("diagonal build")
+    });
     let same = store.diag == recompute.diag;
     t.row(vec![
         "Store".into(),
@@ -96,7 +100,7 @@ fn walker_ablation() {
     let g = &ds.graph;
     let base = SimRankConfig::default_paper();
     println!("A3: query walker budget R' on {}\n", ds.spec.name);
-    let out = build_diagonal_on(g.as_ref(), &base);
+    let out = build_diagonal_on(g.as_ref(), &base).expect("diagonal build");
     let diag = out.diag.as_slice();
     let exact = ExactSimRank::compute(g, base.c, 15);
     let pairs = [(1u32, 2u32), (10, 400), (55, 56), (800, 4001)];

@@ -46,13 +46,13 @@ fn main() {
     }
 
     // Fully converged reference solution for ‖x_L − x*‖∞.
-    let x_star = build_diagonal_on(g.as_ref(), &cfg.with_l(50)).diag;
+    let x_star = build_diagonal_on(g.as_ref(), &cfg.with_l(50)).expect("diagonal build").diag;
 
     // Sweep L at the paper's R.
     let mut t =
         Table::new(&["L", "residual", "|x_L - x*|inf", "pair max-err", "SS mean-err", "NDCG@20"]);
     for l in 0..=6usize {
-        let out = build_diagonal_on(g.as_ref(), &cfg.with_l(l));
+        let out = build_diagonal_on(g.as_ref(), &cfg.with_l(l)).expect("diagonal build");
         let (diag, residuals) = (out.diag, out.residuals);
         let dist = metrics::max_abs_diff(diag.as_slice(), x_star.as_slice());
         let row = evaluate(g, &rci, &exact, diag.as_slice(), &cfg, &sources, &pairs);
@@ -73,7 +73,7 @@ fn main() {
     let mut t = Table::new(&["R", "|x - x_exact|inf", "pair max-err", "SS mean-err", "NDCG@20"]);
     for r in [10u32, 25, 50, 100, 200, 400] {
         let cfg_r = cfg.with_r(r);
-        let out = build_diagonal_on(g.as_ref(), &cfg_r);
+        let out = build_diagonal_on(g.as_ref(), &cfg_r).expect("diagonal build");
         let dist = metrics::max_abs_diff(out.diag.as_slice(), exact_diag.as_slice());
         let row = evaluate(g, &rci, &exact, out.diag.as_slice(), &cfg_r, &sources, &pairs);
         t.row(vec![

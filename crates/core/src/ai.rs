@@ -7,16 +7,29 @@
 //! `aᵢᵢ ≥ 1` (all walkers sit on `i` at `t = 0`), making the system
 //! strongly diagonally dominant — the reason `L = 3` Jacobi sweeps suffice.
 //!
-//! Stored rows ([`StoredRows`]) code each entry as a `u32` column and a
-//! `u16` index into a per-256-row value dictionary, 6 B, as an entry is
-//! mostly one `cᵗ·(count/R)²` term and values repeat; regenerated rows
-//! ([`RecomputedRows`]) are lent plain.
+//! Materialised rows code each entry as a `u32` column and a `u16` index
+//! into a per-256-row value dictionary, 6 B, as an entry is mostly one
+//! `cᵗ·(count/R)²` term and values repeat; regenerated rows
+//! ([`RecomputedRows`]) are lent plain. The local build's rows live off
+//! the heap ([`RowSpill`]): each coded group is written once to an
+//! unlinked temp file under [`std::env::temp_dir`], and Jacobi sweeps
+//! the groups out of the file's read-only mapping, dropping each
+//! group's pages when a pass moves on to the next. [`StoredRows`] keeps
+//! them on the heap where rows arrive as data (broadcast, RDD, the
+//! distributed coordinator).
 
 use crate::config::SimRankConfig;
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
 use pasco_mc::counts::MassMap;
 use pasco_mc::walks::{StepDistributions, WalkParams, WalkScratch};
-use pasco_solver::jacobi::{RowSource, RowValues};
+use pasco_solver::jacobi::{BlockView, GroupImage, RowBlock, RowSource, RowValues, BLOCK_ROWS};
+use pasco_store::Mmap;
+use std::fs::File;
+use std::io;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Builds the sparse row `aᵢ` (sorted by column, exact length) from a
 /// cohort's step distributions: `aᵢ(k) = Σ_t cᵗ (countₜ(k)/R)²`. The
@@ -66,10 +79,120 @@ pub fn ai_row_exact(graph: &CsrGraph, i: NodeId, c: f64, t_max: usize) -> Vec<(u
     acc.into_sorted_vec()
 }
 
-/// The `Store` strategy's [`RowSource`] — fully materialised, dictionary-
-/// coded rows in node order; the solver crate's row store, under the path
-/// the engines use.
+/// Fully materialised, dictionary-coded rows in node order, on the heap;
+/// the solver crate's row store, under the path the engines use.
 pub use pasco_solver::jacobi::StoredRows;
+
+/// The `Store` strategy's rows off the heap: coded per aligned group
+/// exactly as [`StoredRows::build`] codes them, each group written once at
+/// a page-aligned offset of a temp file, the file then mapped read-only.
+/// Unlinked as soon as it is created, the file is private to the process
+/// and gone with it, however it ends.
+pub struct RowSpill {
+    map: Mmap,
+    /// Each group's bytes in the file and its layout, in group order.
+    groups: Vec<(Range<usize>, GroupImage)>,
+    n: u32,
+}
+
+impl RowSpill {
+    /// Rows `0..n` generated in parallel, as [`StoredRows::build`] takes
+    /// them, spilled under [`std::env::temp_dir`]. A failure to create,
+    /// write or map the file names that directory.
+    pub fn build<S, I, F>(n: u32, init: I, push: F) -> io::Result<Self>
+    where
+        I: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, u32, &mut Vec<u32>, &mut Vec<f64>) + Sync + Send,
+    {
+        let dir = std::env::temp_dir();
+        let named = |e: io::Error| {
+            io::Error::new(e.kind(), format!("row spill file in {}: {e}", dir.display()))
+        };
+        let file = unlinked_file(&dir).map_err(named)?;
+        let end = AtomicUsize::new(0);
+        // A piece writes its images through one buffer, as it codes its
+        // groups into one block: fresh ≈ 0.7 MB ones per group had malloc
+        // hand pages back and fault them in again, group after group.
+        let init = || (init(), Vec::new());
+        let push = |(state, _): &mut (S, Vec<u8>), i, cols: &mut _, vals: &mut _| {
+            push(state, i, cols, vals);
+        };
+        let groups = RowBlock::build_groups(n, init, push, |(_, image), block| {
+            let layout = block.write_image(image);
+            // Relaxed: the counter publishes no data; the join at the end
+            // of the parallel call orders every write before the mapping.
+            let at = end.fetch_add(image.len().next_multiple_of(Mmap::PAGE), Ordering::Relaxed);
+            file.write_all_at(image, at as u64).map(|()| (at..at + image.len(), layout))
+        });
+        let groups = groups.into_iter().collect::<io::Result<_>>().map_err(named)?;
+        Ok(Self { map: Mmap::map_readonly(&file).map_err(named)?, groups, n })
+    }
+
+    /// The rows, each group's arrays viewed in place in the mapping.
+    pub fn rows(&self) -> io::Result<SpilledRows<'_>> {
+        let map = &self.map;
+        let view = |(bytes, image): &(Range<usize>, GroupImage)| {
+            let [ends, starts, values, cols, codes] =
+                image.arrays().map(|(at, len)| (bytes.start + at, len));
+            let view = image.view(
+                map.slice_at(ends.0, ends.1)?,
+                map.slice_at(starts.0, starts.1)?,
+                map.slice_at(values.0, values.1)?,
+                map.slice_at(cols.0, cols.1)?,
+                map.slice_at(codes.0, codes.1)?,
+            );
+            Some((bytes.clone(), view))
+        };
+        let groups = self.groups.iter().map(view).collect::<Option<_>>().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "a spilled row group overruns its mapping")
+        })?;
+        Ok(SpilledRows { map, groups, n: self.n })
+    }
+
+    /// The coded bytes, padding excluded — [`StoredRows::memory_bytes`] of
+    /// the same rows.
+    pub fn memory_bytes(&self) -> u64 {
+        self.groups.iter().map(|(_, image)| image.coded_bytes()).sum()
+    }
+}
+
+/// A fresh file in `dir`, unlinked before it is written.
+fn unlinked_file(dir: &Path) -> io::Result<File> {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let name =
+        format!(".pasco-rows-{}-{}", std::process::id(), NEXT.fetch_add(1, Ordering::Relaxed));
+    let path = dir.join(name);
+    let file = File::options().read(true).write(true).create_new(true).open(&path)?;
+    std::fs::remove_file(&path)?;
+    Ok(file)
+}
+
+/// [`RowSpill`]'s rows, lent straight out of the mapping.
+pub struct SpilledRows<'m> {
+    map: &'m Mmap,
+    /// Each group's byte range in the mapping and its view.
+    groups: Vec<(Range<usize>, BlockView<'m>)>,
+    n: u32,
+}
+
+impl RowSource for SpilledRows<'_> {
+    /// The group this piece of the pass is in.
+    type Scratch = Option<usize>;
+
+    fn dim(&self) -> usize {
+        self.n as usize
+    }
+
+    fn row<'a>(&'a self, i: u32, current: &'a mut Option<usize>) -> (&'a [u32], RowValues<'a>) {
+        let k = (i / BLOCK_ROWS) as usize;
+        // Drop-behind: a piece sweeps its rows in order, so once it moves
+        // on it has no further use for the group it left this pass.
+        if let Some(done) = current.replace(k).filter(|&done| done != k) {
+            self.map.drop_pages(self.groups[done].0.clone());
+        }
+        self.groups[k].1.row(i)
+    }
+}
 
 /// The product row kernel, and the `Recompute` strategy's [`RowSource`]:
 /// node `i`'s `R`-walker cohort over any adjacency source, folded straight
@@ -203,6 +326,68 @@ mod tests {
         assert!((sum_e - sum_m).abs() / sum_e < 0.1, "{sum_e} vs {sum_m}");
     }
 
+    fn bits(values: RowValues) -> Vec<u64> {
+        values.iter().map(|a| a.to_bits()).collect()
+    }
+
+    /// [`RowSpill`] against [`StoredRows::build`] on the same rows: every
+    /// row's column slice and value bits, and the coded bytes. Under two
+    /// threads group 0 is held back until the last row has been pushed, so
+    /// the groups land in the file out of index order.
+    fn spill_matches_stored<F>(label: &str, n: u32, push: F)
+    where
+        F: Fn(u32, &mut Vec<u32>, &mut Vec<f64>) + Sync + Send,
+    {
+        let want = StoredRows::build(n, || (), |_, i, cols, vals| push(i, cols, vals));
+        let (last_pushed, wake) = (std::sync::Mutex::new(false), std::sync::Condvar::new());
+        let gated = |_: &mut (), i: u32, cols: &mut Vec<u32>, vals: &mut Vec<f64>| {
+            if i + 1 == n {
+                *last_pushed.lock().unwrap() = true;
+                wake.notify_all();
+            }
+            if i == 0 && n > BLOCK_ROWS {
+                let held = last_pushed.lock().unwrap();
+                let ten_s = std::time::Duration::from_secs(10);
+                drop(wake.wait_timeout_while(held, ten_s, |pushed| !*pushed).unwrap());
+            }
+            push(i, cols, vals);
+        };
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        let spill = pool.install(|| RowSpill::build(n, || (), gated)).unwrap();
+        let got = spill.rows().unwrap();
+        assert_eq!(got.dim(), want.dim(), "{label}: dim");
+        assert_eq!(spill.memory_bytes(), want.memory_bytes(), "{label}: rows_bytes");
+        let mut current = None;
+        for i in 0..n {
+            let ((cols, vals), (want_cols, want_vals)) = (got.row(i, &mut current), want.get(i));
+            assert_eq!(cols, want_cols, "{label}: row {i} columns");
+            assert_eq!(bits(vals), bits(want_vals), "{label}: row {i}");
+        }
+    }
+
+    #[test]
+    fn spilled_rows_are_the_stored_rows_row_for_row() {
+        let g = generators::rmat(10, 8_000, generators::RmatParams::default(), 4);
+        let kernel = RecomputedRows::of(&g, &SimRankConfig::fast());
+        spill_matches_stored("rmat10", g.node_count(), |i, cols, vals| {
+            kernel.push_row(i, &mut WalkScratch::default(), cols, vals);
+        });
+        // 600 distinct values a row, as in jacobi.rs' literal-overflow
+        // system: ≈ 154k a group, so past 65,535 entries are escaped.
+        spill_matches_stored("600 x 600, literals", 600, |i, cols, vals| {
+            cols.extend(0..600);
+            vals.extend((0..600).map(|j| f64::from(i * 600 + j) + 0.5));
+        });
+        // No rows, one, a short group, one row past a group, a ragged tail;
+        // every seventh row empty.
+        for n in [0, 1, 255, 257, 1_000] {
+            spill_matches_stored(&format!("n = {n}"), n, |i, cols, vals| {
+                cols.extend(0..i % 7);
+                vals.extend((0..i % 7).map(|j| f64::from(i ^ j) / 8.0));
+            });
+        }
+    }
+
     #[test]
     fn stored_and_recomputed_rows_agree() {
         let g = generators::rmat(8, 1500, generators::RmatParams::default(), 3);
@@ -218,7 +403,6 @@ mod tests {
             let (cols, vals) = stored.get(i);
             let (want_cols, want_vals) = recomputed.row(i, &mut scratch);
             assert_eq!(cols, want_cols, "row {i} columns");
-            let bits = |v: RowValues| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(vals), bits(want_vals), "row {i}");
         }
     }

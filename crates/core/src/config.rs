@@ -6,8 +6,9 @@ use pasco_solver::jacobi::ENTRY_BYTES;
 /// How Jacobi obtains the rows `aᵢ` on each sweep (ablation A2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AiStrategy {
-    /// Materialise every row once (`O(n · T · R)` entries of memory, walks
-    /// simulated once).
+    /// Materialise every row once (`O(n · T · R)` coded entries, walks
+    /// simulated once). The in-process kernel keeps them in a spill file
+    /// swept through the page cache, not on the heap.
     Store,
     /// Regenerate rows from seeded walks on every sweep (`O(n)` extra
     /// memory, `L + 1` times the walk work). Identical results — the walks
@@ -16,7 +17,8 @@ pub enum AiStrategy {
     /// Choose [`AiStrategy::Store`] when the estimated row storage fits the
     /// byte budget, else [`AiStrategy::Recompute`].
     Auto {
-        /// Row-storage budget in bytes.
+        /// Row-storage budget in bytes: spill-file bytes in the in-process
+        /// kernel, heap where rows arrive as data.
         budget_bytes: u64,
     },
 }
@@ -129,13 +131,14 @@ impl SimRankConfig {
     }
 
     /// Resolves [`AiStrategy::Auto`] for a graph of `n` nodes: estimated
-    /// stored-row bytes are `n × min(T·R, n) × ENTRY_BYTES` — the `u32`
-    /// column and `u16` dictionary code of every entry in `StoredRows` (its
-    /// row offsets and per-group dictionaries are not priced).
+    /// stored-row bytes are `n × min(T·R + 1, n) × ENTRY_BYTES` — a row's
+    /// support is the diagonal plus at most `T·R` later visits, each entry
+    /// a `u32` column and a `u16` dictionary code (row offsets and per-group
+    /// dictionaries are not priced).
     pub fn resolve_ai_strategy(&self, n: u32) -> AiStrategy {
         match self.ai_strategy {
             AiStrategy::Auto { budget_bytes } => {
-                let per_row = (self.t as u64 * self.r as u64).min(n as u64);
+                let per_row = (self.t as u64 * self.r as u64 + 1).min(n as u64);
                 let estimate = n as u64 * per_row * ENTRY_BYTES;
                 if estimate <= budget_bytes {
                     AiStrategy::Store
@@ -192,6 +195,10 @@ mod tests {
         // (≈ 1.004 MB) do not; at 12 B neither would.
         assert_eq!(cfg.resolve_ai_strategy(400), AiStrategy::Store);
         assert_eq!(cfg.resolve_ai_strategy(409), AiStrategy::Recompute);
+        // Past T·R = 1000 nodes a row holds up to 1001 entries: 2000 nodes
+        // cost 12.012 MB, not 12 MB, so a budget between the two refuses.
+        let between = cfg.with_ai_strategy(AiStrategy::Auto { budget_bytes: 12_006_000 });
+        assert_eq!(between.resolve_ai_strategy(2_000), AiStrategy::Recompute);
         // Fixed strategies pass through.
         let cfg = cfg.with_ai_strategy(AiStrategy::Store);
         assert_eq!(cfg.resolve_ai_strategy(1_000_000), AiStrategy::Store);

@@ -1214,7 +1214,7 @@ mod tests {
         let g = generators::barabasi_albert(90, 3, 5);
         let rci = ReverseChainIndex::build(&g);
         let cfg = SimRankConfig::fast().with_seed(21);
-        let out = build_diagonal_on(&g, &cfg);
+        let out = build_diagonal_on(&g, &cfg).unwrap();
         let diag = out.diag.as_slice();
         for workers in [1u32, 3] {
             let mut cores = load_workers(&g, workers);
@@ -1258,7 +1258,7 @@ mod tests {
         let g = generators::barabasi_albert(90, 3, 5);
         let rci = ReverseChainIndex::build(&g);
         let cfg = SimRankConfig::fast().with_seed(4);
-        let diag = build_diagonal_on(&g, &cfg).diag;
+        let diag = build_diagonal_on(&g, &cfg).unwrap().diag;
         let diag = diag.as_slice();
         let fp = diag_fingerprint(diag);
         let ask = (11, 63, 6);

@@ -19,6 +19,12 @@
 //!   than RAM. Forward-push MCSS needs the resident CSR, so
 //!   [`crate::CloudWalker`] reports it [`QueryError::Unsupported`] there.
 //!
+//! The offline rows live off the heap: coded once per 256-row group and
+//! spilled to an unlinked file under [`std::env::temp_dir`] (`TMPDIR`)
+//! ([`RowSpill`]), then swept through the file's mapping, each pass
+//! dropping a group's pages behind it. Build memory is the graph plus the
+//! groups in flight, not the `O(nnz)` rows.
+//!
 //! Because walk randomness is a pure function of
 //! `(seed, source, walker, step)` and every storage serves the same
 //! neighbour slices and sampling weights, all three answer **bitwise
@@ -26,7 +32,7 @@
 //! there is no second implementation to drift. The RPC worker
 //! ([`super::distributed::ShardWorkerCore`]) calls the same functions.
 
-use crate::ai::{RecomputedRows, StoredRows};
+use crate::ai::{RecomputedRows, RowSpill};
 use crate::api::QueryError;
 use crate::config::{AiStrategy, SimRankConfig};
 use crate::diag::DiagonalIndex;
@@ -172,7 +178,7 @@ impl<A: Storage> SimRankEngine for KernelEngine<A> {
     }
 
     fn build_diagonal(&self, cfg: &SimRankConfig) -> Result<BuildOutcome, SimRankError> {
-        Ok(build_diagonal_on(&*self.adj, cfg))
+        build_diagonal_on(&*self.adj, cfg)
     }
 
     fn query_cohort(
@@ -231,30 +237,38 @@ impl<A: Storage> std::fmt::Debug for KernelEngine<A> {
 /// Builds the diagonal index over any adjacency source.
 ///
 /// Walk phase: a cohort of `R` walkers per node through the row kernel,
-/// one parallel task per aligned 256-row group of [`StoredRows`], each row
-/// coded straight into its group's block. Solve phase: [`solve_rows`]. With the
-/// `Recompute` strategy no row is ever resident — each sweep regenerates
+/// one parallel task per aligned 256-row group, each row coded straight
+/// into its group's block and each block spilled ([`RowSpill`]). Solve
+/// phase: [`solve_rows`] over the spill file's mapping. With the
+/// `Recompute` strategy no row is ever stored — each sweep regenerates
 /// them from the walks.
-pub fn build_diagonal_on<A: WalkAdjacency>(adj: &A, cfg: &SimRankConfig) -> BuildOutcome {
+///
+/// # Errors
+/// [`SimRankError::Io`], naming the directory, when the spill file cannot
+/// be created, written or mapped.
+pub fn build_diagonal_on<A: WalkAdjacency>(
+    adj: &A,
+    cfg: &SimRankConfig,
+) -> Result<BuildOutcome, SimRankError> {
     let n = adj.node_count();
     let strategy = cfg.resolve_ai_strategy(n);
     let kernel = RecomputedRows::of(adj, cfg);
     let (result, rows_bytes) = match strategy {
         AiStrategy::Store | AiStrategy::Auto { .. } => {
-            let rows = StoredRows::build(n, WalkScratch::default, |walk, i, cols, vals| {
+            let spill = RowSpill::build(n, WalkScratch::default, |walk, i, cols, vals| {
                 kernel.push_row(i, walk, cols, vals);
-            });
-            (solve_rows(&rows, cfg), Some(StoredRows::memory_bytes(&rows)))
+            })?;
+            (solve_rows(&spill.rows()?, cfg), Some(spill.memory_bytes()))
         }
         AiStrategy::Recompute => (solve_rows(&kernel, cfg), None),
     };
-    BuildOutcome {
+    Ok(BuildOutcome {
         diag: DiagonalIndex::new(result.x),
         strategy,
         residuals: result.residuals,
         rows_bytes,
         cluster: None,
-    }
+    })
 }
 
 /// The right-hand side and starting iterate of the diagonal system, the
@@ -310,7 +324,7 @@ mod tests {
         let rci = ReverseChainIndex::build(&g);
         let cfg = SimRankConfig::fast().with_seed(33);
         // The resident column: the free functions over the CSR graph.
-        let want = build_diagonal_on(&*g, &cfg);
+        let want = build_diagonal_on(&*g, &cfg).unwrap();
         assert!(want.rows_bytes.is_some() && want.cluster.is_none());
         let diag = want.diag.as_slice();
         let cohort = queries::query_cohort(&g, &cfg, 9);
@@ -379,7 +393,7 @@ mod tests {
         // this 1k-node graph, ≈ 0.06 B at rmat16).
         let g = generators::rmat(10, 8_000, generators::RmatParams::default(), 4);
         let cfg = SimRankConfig::fast().with_ai_strategy(AiStrategy::Store);
-        let bytes = build_diagonal_on(&g, &cfg).rows_bytes.unwrap();
+        let bytes = build_diagonal_on(&g, &cfg).unwrap().rows_bytes.unwrap();
         let (kernel, mut scratch) = (RecomputedRows::of(&g, &cfg), Default::default());
         let entries: usize = g.nodes().map(|i| kernel.row(i, &mut scratch).0.len()).sum();
         assert!(bytes <= 7 * entries as u64, "{bytes} B for {entries} entries");
@@ -392,7 +406,7 @@ mod tests {
         // in-neighbours carry later-step mass and need x < 1.
         let g = generators::barabasi_albert(300, 4, 8);
         let cfg = SimRankConfig::fast();
-        let out = build_diagonal_on(&g, &cfg);
+        let out = build_diagonal_on(&g, &cfg).unwrap();
         let (min, mean, max) = out.diag.stats();
         assert!(min > 0.0, "min {min}");
         assert!(max <= 1.0 + 1e-9, "max {max}");
@@ -409,7 +423,7 @@ mod tests {
     #[test]
     fn residuals_shrink_with_sweeps() {
         let g = generators::rmat(9, 3000, generators::RmatParams::default(), 9);
-        let residuals = build_diagonal_on(&g, &SimRankConfig::fast().with_l(6)).residuals;
+        let residuals = build_diagonal_on(&g, &SimRankConfig::fast().with_l(6)).unwrap().residuals;
         assert!(residuals.last().unwrap() < &residuals[0]);
         // By L = 3 the residual should be tiny relative to sweep 1 — the
         // paper's justification for L = 3.
@@ -420,7 +434,7 @@ mod tests {
     fn mc_diagonal_close_to_exact_diagonal() {
         let g = generators::barabasi_albert(120, 3, 5);
         let cfg = SimRankConfig::default_paper().with_r(4_000).with_t(8).with_l(10);
-        let out = build_diagonal_on(&g, &cfg);
+        let out = build_diagonal_on(&g, &cfg).unwrap();
         let exact = crate::exact::exact_diagonal(&g, cfg.c, cfg.t, 100);
         let worst = out
             .diag
@@ -441,7 +455,7 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
         let runs = [1, 2, 3, 8].map(|threads| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let out = pool.install(|| build_diagonal_on(&g, &cfg));
+            let out = pool.install(|| build_diagonal_on(&g, &cfg)).unwrap();
             (bits(out.diag.as_slice()), bits(&out.residuals), out.rows_bytes)
         });
         assert!(runs.iter().all(|run| *run == runs[0]));

@@ -7,22 +7,34 @@
 
 use crate::diag::DiagonalIndex;
 use crate::error::SimRankError;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"PASCODX1";
 
-/// Writes the index to `path`.
+/// Writes the index to `path`, atomically: it is written to the sibling
+/// `<path>.tmp.<pid>`, made durable and renamed over `path`, so a failed
+/// or killed save leaves the old index (or none) whole, never a torn one.
 pub fn save_index(index: &DiagonalIndex, path: impl AsRef<Path>) -> Result<(), SimRankError> {
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::new(file);
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let saved = write_index(index, &tmp).and_then(|()| std::fs::rename(&tmp, path));
+    if saved.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    Ok(saved?)
+}
+
+fn write_index(index: &DiagonalIndex, path: &Path) -> io::Result<()> {
+    let mut w = BufWriter::new(std::fs::File::create(path)?);
     w.write_all(MAGIC)?;
     w.write_all(&(index.len() as u64).to_le_bytes())?;
     for &v in index.as_slice() {
         w.write_all(&v.to_le_bytes())?;
     }
-    w.flush()?;
-    Ok(())
+    w.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()
 }
 
 /// Reads an index written by [`save_index`].
@@ -75,6 +87,32 @@ mod tests {
         save_index(&index, &path).unwrap();
         let back = load_index(&path).unwrap();
         assert_eq!(index, back);
+    }
+
+    #[test]
+    fn save_replaces_whole_and_leaves_no_temp_sibling() {
+        let dir = std::env::temp_dir().join("pasco_persist_test5");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let siblings = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let path = dir.join("d.idx");
+        save_index(&DiagonalIndex::new(vec![0.5; 1_000]), &path).unwrap();
+        // Over an existing, longer index: the new one reads back whole.
+        let index = DiagonalIndex::new(vec![0.25; 10]);
+        save_index(&index, &path).unwrap();
+        assert_eq!(load_index(&path).unwrap(), index);
+        assert_eq!(siblings(), ["d.idx"]);
+        // A target that is a directory fails, and takes its temp file along.
+        std::fs::create_dir(dir.join("taken")).unwrap();
+        assert!(matches!(save_index(&index, dir.join("taken")), Err(SimRankError::Io(_))));
+        assert_eq!(siblings(), ["d.idx", "taken"]);
     }
 
     #[test]

@@ -16,6 +16,11 @@
 //! holds a few thousand distinct values among its ~10⁵ entries. Each entry
 //! is a `u32` column and a `u16` code into its group's dictionary: 6 bytes
 //! instead of 12, decoded inline by the row pass.
+//!
+//! A coded group ([`RowBlock`]) can also be written out as one image of
+//! 8-aligned arrays ([`GroupImage`]) and read back in place: the local
+//! build sweeps its rows from a mapped temp file that way, not from the
+//! heap. Either way a row is lent through one [`BlockView`].
 
 use rayon::prelude::*;
 use std::ops::Range;
@@ -87,6 +92,31 @@ pub struct RowBlock {
 }
 
 impl RowBlock {
+    /// Rows `0..n` generated in parallel, one task per aligned group, as
+    /// [`StoredRows::build`] takes them; `keep(state, block)` gets each
+    /// coded group, and what it answers comes back in group order. A piece
+    /// codes its groups into one reused block, so `keep` copies what it keeps.
+    pub fn build_groups<S, T, I, F, K>(n: u32, init: I, push: F, keep: K) -> Vec<T>
+    where
+        T: Send,
+        I: Fn() -> S + Sync + Send,
+        F: Fn(&mut S, u32, &mut Vec<u32>, &mut Vec<f64>) + Sync + Send,
+        K: Fn(&mut S, &RowBlock) -> T + Sync + Send,
+    {
+        (0..n.div_ceil(BLOCK_ROWS))
+            .into_par_iter()
+            .map_init(
+                || (init(), Self::default()),
+                |(state, block), k| {
+                    let start = k * BLOCK_ROWS;
+                    let rows = start..n.min(start.saturating_add(BLOCK_ROWS));
+                    block.recode(rows, |i, cols, vals| push(state, i, cols, vals));
+                    keep(state, block)
+                },
+            )
+            .collect()
+    }
+
     /// The rows `rows`, each appended in order by `push(i, cols, vals)` and
     /// coded, as one block per aligned group they touch.
     pub fn fill(
@@ -103,56 +133,168 @@ impl RowBlock {
         .collect()
     }
 
-    /// [`Self::fill`] for rows inside one aligned group: the encoder.
-    fn encode(rows: Range<u32>, mut push: impl FnMut(u32, &mut Vec<u32>, &mut Vec<f64>)) -> Self {
-        let ends = Vec::with_capacity(rows.len());
-        let mut block =
-            Self { start: rows.start, ends, literal_starts: vec![DICT_MAX], ..Self::default() };
-        // Open addressing over codes, `u16::MAX` marking a free slot: the
-        // marker is no code, so every bit pattern of a value can be a key.
-        let mut slots = vec![u16::MAX; 1024];
-        let mut row = Vec::new();
-        for i in rows {
-            row.clear();
-            push(i, &mut block.cols, &mut row);
-            for &value in &row {
-                let dict = block.values.len().min(DICT_MAX);
-                if 2 * dict >= slots.len() {
-                    slots = vec![u16::MAX; 2 * slots.len()];
-                    for (code, &old) in block.values.iter().enumerate() {
-                        let at = free_slot(&slots, &block.values, old);
-                        slots[at] = code as u16;
-                    }
-                }
-                // A new value takes the next code while there is one, and
-                // is a literal (code `u16::MAX`) after.
-                let at = free_slot(&slots, &block.values, value);
-                if slots[at] == u16::MAX {
-                    if dict < DICT_MAX {
-                        slots[at] = dict as u16;
-                    }
-                    block.values.push(value);
-                }
-                block.codes.push(slots[at]);
-            }
-            block.ends.push(block.cols.len());
-            block.literal_starts.push(block.values.len().max(DICT_MAX));
-        }
-        if block.values.len() <= DICT_MAX {
-            block.literal_starts = Vec::new();
-        }
+    /// [`Self::fill`] for rows inside one aligned group.
+    fn encode(rows: Range<u32>, push: impl FnMut(u32, &mut Vec<u32>, &mut Vec<f64>)) -> Self {
+        let mut block = Self::default();
+        block.recode(rows, push);
         block.cols.shrink_to_fit();
         block.codes.shrink_to_fit();
         block.values.shrink_to_fit();
         block
     }
 
+    /// The encoder: codes the rows `rows`, all inside one aligned group,
+    /// into this block, in place of what it held.
+    fn recode(
+        &mut self,
+        rows: Range<u32>,
+        mut push: impl FnMut(u32, &mut Vec<u32>, &mut Vec<f64>),
+    ) {
+        self.start = rows.start;
+        self.ends.clear();
+        self.ends.reserve(rows.len());
+        self.cols.clear();
+        self.codes.clear();
+        self.values.clear();
+        self.literal_starts.clear();
+        self.literal_starts.push(DICT_MAX);
+        // Open addressing over codes, `u16::MAX` marking a free slot: the
+        // marker is no code, so every bit pattern of a value can be a key.
+        let mut slots = vec![u16::MAX; 1024];
+        let mut row = Vec::new();
+        for i in rows {
+            row.clear();
+            push(i, &mut self.cols, &mut row);
+            for &value in &row {
+                let dict = self.values.len().min(DICT_MAX);
+                if 2 * dict >= slots.len() {
+                    slots = vec![u16::MAX; 2 * slots.len()];
+                    for (code, &old) in self.values.iter().enumerate() {
+                        let at = free_slot(&slots, &self.values, old);
+                        slots[at] = code as u16;
+                    }
+                }
+                // A new value takes the next code while there is one, and
+                // is a literal (code `u16::MAX`) after.
+                let at = free_slot(&slots, &self.values, value);
+                if slots[at] == u16::MAX {
+                    if dict < DICT_MAX {
+                        slots[at] = dict as u16;
+                    }
+                    self.values.push(value);
+                }
+                self.codes.push(slots[at]);
+            }
+            self.ends.push(self.cols.len());
+            self.literal_starts.push(self.values.len().max(DICT_MAX));
+        }
+        if self.values.len() <= DICT_MAX {
+            self.literal_starts = Vec::new();
+        }
+    }
+
     fn end(&self) -> u32 {
         self.start + self.ends.len() as u32
     }
 
-    /// Row `i`, which this block holds.
-    fn row(&self, i: u32) -> (&[u32], RowValues<'_>) {
+    /// The group, borrowed.
+    fn view(&self) -> BlockView<'_> {
+        let Self { start, ends, cols, codes, values, literal_starts } = self;
+        BlockView { start: *start, ends, literal_starts, values, cols, codes }
+    }
+
+    /// Where [`Self::write_image`] puts each array.
+    fn layout(&self) -> GroupImage {
+        let Self { start, ends, cols, codes, values, literal_starts } = self;
+        let lens = [ends.len(), literal_starts.len(), values.len(), cols.len(), codes.len()];
+        GroupImage { start: *start, lens }
+    }
+
+    /// Replaces `out` with the group's image, its arrays as native-endian
+    /// bytes, and answers where each one is.
+    pub fn write_image(&self, out: &mut Vec<u8>) -> GroupImage {
+        out.clear();
+        put(out, &self.ends, usize::to_ne_bytes);
+        put(out, &self.literal_starts, usize::to_ne_bytes);
+        put(out, &self.values, f64::to_ne_bytes);
+        put(out, &self.cols, u32::to_ne_bytes);
+        put(out, &self.codes, u16::to_ne_bytes);
+        self.layout()
+    }
+}
+
+/// Appends `items`' bytes, zero-padded to a multiple of 8.
+fn put<T: Copy, const B: usize>(out: &mut Vec<u8>, items: &[T], bytes: impl Fn(T) -> [u8; B]) {
+    let at = out.len();
+    out.resize(at + (items.len() * B).next_multiple_of(8), 0);
+    for (to, &item) in out[at..].chunks_exact_mut(B).zip(items) {
+        to.copy_from_slice(&bytes(item));
+    }
+}
+
+/// Bytes per element of a group image's arrays, in image order.
+const IMAGE_ELEM_BYTES: [usize; 5] = [size_of::<usize>(), size_of::<usize>(), 8, 4, 2];
+
+/// The layout of a coded group's image ([`RowBlock::write_image`]): its first
+/// row and the length of each array — `ends`, `literal_starts`, `values`,
+/// `cols`, `codes` — each starting 8-aligned, so each can be read in place.
+/// An image never leaves the process that wrote it, so it is not a
+/// format: native widths and byte order.
+#[derive(Clone, Copy, Debug)]
+pub struct GroupImage {
+    start: u32,
+    lens: [usize; 5],
+}
+
+impl GroupImage {
+    /// Each array's byte offset in the image and its element count.
+    pub fn arrays(&self) -> [(usize, usize); 5] {
+        let mut at = 0;
+        std::array::from_fn(|k| {
+            let array = (at, self.lens[k]);
+            at += (self.lens[k] * IMAGE_ELEM_BYTES[k]).next_multiple_of(8);
+            array
+        })
+    }
+
+    /// The arrays' bytes, padding excluded: the group's share of
+    /// [`StoredRows::memory_bytes`].
+    pub fn coded_bytes(&self) -> u64 {
+        self.lens.iter().zip(IMAGE_ELEM_BYTES).map(|(n, b)| (n * b) as u64).sum()
+    }
+
+    /// The group lent from its arrays, read back where [`Self::arrays`]
+    /// says.
+    pub fn view<'a>(
+        &self,
+        ends: &'a [usize],
+        literal_starts: &'a [usize],
+        values: &'a [f64],
+        cols: &'a [u32],
+        codes: &'a [u16],
+    ) -> BlockView<'a> {
+        let lens = [ends.len(), literal_starts.len(), values.len(), cols.len(), codes.len()];
+        debug_assert_eq!(lens, self.lens);
+        BlockView { start: self.start, ends, literal_starts, values, cols, codes }
+    }
+}
+
+/// One coded group, borrowed wherever it lives — a [`RowBlock`]'s arrays
+/// or its image read in place — and the one place a row is lent from.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockView<'a> {
+    start: u32,
+    ends: &'a [usize],
+    literal_starts: &'a [usize],
+    values: &'a [f64],
+    cols: &'a [u32],
+    codes: &'a [u16],
+}
+
+impl<'a> BlockView<'a> {
+    /// Row `i`, which this group holds: its columns and its values.
+    #[inline]
+    pub fn row(self, i: u32) -> (&'a [u32], RowValues<'a>) {
         let k = (i - self.start) as usize;
         let (lo, hi) = (k.checked_sub(1).map_or(0, |p| self.ends[p]), self.ends[k]);
         let literals =
@@ -175,10 +317,10 @@ fn free_slot(slots: &[u16], values: &[f64], value: f64) -> usize {
     at
 }
 
-/// A [`RowSource`] over fully materialised rows in row order — the `Store`
-/// strategy, the shape worker-shipped and shuffled rows flatten into, and
-/// the workhorse for tests. Rows sit in one dictionary-coded [`RowBlock`]
-/// per aligned group of 256, lent in place.
+/// A [`RowSource`] over fully materialised rows in row order, on the heap
+/// — the shape broadcast's walk stage, worker-shipped and shuffled rows
+/// flatten into, and the workhorse for tests. Rows sit in one
+/// dictionary-coded [`RowBlock`] per aligned group of 256, lent in place.
 #[derive(Clone, Debug)]
 pub struct StoredRows {
     blocks: Vec<RowBlock>,
@@ -214,15 +356,7 @@ impl StoredRows {
         I: Fn() -> S + Sync + Send,
         F: Fn(&mut S, u32, &mut Vec<u32>, &mut Vec<f64>) + Sync + Send,
     {
-        let blocks: Vec<RowBlock> = (0..n.div_ceil(BLOCK_ROWS))
-            .into_par_iter()
-            .map_init(init, |state, k| {
-                let start = k * BLOCK_ROWS;
-                let rows = start..n.min(start.saturating_add(BLOCK_ROWS));
-                RowBlock::encode(rows, |i, cols, vals| push(state, i, cols, vals))
-            })
-            .collect();
-        Self::from_blocks(blocks)
+        Self::from_blocks(RowBlock::build_groups(n, init, push, |_, block| block.clone()))
     }
 
     /// Joins blocks that tile `0..n` in node order. A group split across
@@ -236,7 +370,8 @@ impl StoredRows {
                 Some(last) if last.start / BLOCK_ROWS == block.start / BLOCK_ROWS => {
                     let rows = last.start..block.end();
                     *last = RowBlock::encode(rows, |i, cols, vals| {
-                        let (c, v) = if i < block.start { last.row(i) } else { block.row(i) };
+                        let (c, v) =
+                            if i < block.start { last.view() } else { block.view() }.row(i);
                         cols.extend_from_slice(c);
                         vals.extend(v.iter());
                     });
@@ -252,19 +387,12 @@ impl StoredRows {
     /// with literals, 8 per row plus 8 (the literal starts) — a function of
     /// the rows alone, however they were blocked.
     pub fn memory_bytes(&self) -> u64 {
-        let bytes = |b: &RowBlock| {
-            size_of_val(&b.ends[..])
-                + size_of_val(&b.cols[..])
-                + size_of_val(&b.codes[..])
-                + size_of_val(&b.values[..])
-                + size_of_val(&b.literal_starts[..])
-        };
-        self.blocks.iter().map(|b| bytes(b) as u64).sum()
+        self.blocks.iter().map(|b| b.layout().coded_bytes()).sum()
     }
 
     /// Borrow row `i`: its columns and its values.
     pub fn get(&self, i: u32) -> (&[u32], RowValues<'_>) {
-        self.blocks[(i / BLOCK_ROWS) as usize].row(i)
+        self.blocks[(i / BLOCK_ROWS) as usize].view().row(i)
     }
 }
 

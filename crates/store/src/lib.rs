@@ -39,7 +39,8 @@
 //! `unsafe` lives only in the `sys` mmap shim below — the workspace's
 //! second sanctioned unsafe module after `pasco_server`'s epoll shim;
 //! the workspace denies `unsafe_code` everywhere else, and CI counts the
-//! two gates.
+//! two gates. Its [`Mmap`] is public for the offline build, which sweeps
+//! its coded Jacobi rows out of a mapped temp file.
 
 mod format;
 mod shard;
@@ -55,4 +56,5 @@ pub use format::{
 };
 pub use shard::MappedShard;
 pub use store::MappedStore;
+pub use sys::{Mmap, Pod};
 pub use writer::{shard_file_name, write_partition, write_store, StoreWriter};

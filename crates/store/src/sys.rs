@@ -9,13 +9,13 @@
 //! reinterpretation of mapped bytes: everything is wrapped in an owned
 //! [`Mmap`] that unmaps on drop and exposes a safe, checked surface.
 //! Typed access goes through [`Sections`], which owns the `Mmap` and
-//! resolves a table of `(offset, bytes)` sections **once**: bounds and
+//! resolves a table of `(offset, bytes)` sections **once**, or through
+//! [`Mmap::slice_at`], one view borrowed from the mapping: bounds and
 //! 8-byte alignment are verified before any slice is fabricated, the
-//! resolved views live and die with the mapping they were cut from, and
-//! every bit pattern is a valid `u32`/`u64`/`f64`, so no accessor can
-//! mint an invalid value — corrupt files yield garbage *numbers*, never
-//! undefined behaviour. Resolving reads no mapped byte, so it faults no
-//! page in.
+//! views live and die with the mapping they were cut from, and every bit
+//! pattern is a valid [`Pod`] value, so no accessor can mint an invalid
+//! value — corrupt files yield garbage *numbers*, never undefined
+//! behaviour. Resolving reads no mapped byte, so it faults no page in.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!(
@@ -31,6 +31,7 @@ compile_error!(
 
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_void};
 
@@ -40,6 +41,7 @@ const MAP_PRIVATE: c_int = 0x02;
 const MAP_ANONYMOUS: c_int = 0x20;
 const MADV_RANDOM: c_int = 1;
 const MADV_WILLNEED: c_int = 3;
+const MADV_DONTNEED: c_int = 4;
 
 /// Alignment every resolved section must have: the format's
 /// `SECTION_ALIGN`, which is also the widest element type's.
@@ -74,7 +76,23 @@ pub struct Mmap {
     /// Base address; never null for a non-empty mapping.
     ptr: *mut c_void,
     len: usize,
+    /// True for a file mapping: only its pages may be dropped, because
+    /// only they fault back in with the same bytes.
+    file: bool,
 }
+
+/// Element types a mapped view may be read as: plain old data of
+/// alignment at most 8 for which every bit pattern is a valid value.
+pub trait Pod: Copy + sealed::Sealed {}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! pod {
+    ($($t:ty),*) => {$(impl sealed::Sealed for $t {} impl Pod for $t {})*};
+}
+pod!(u16, u32, u64, usize, f64);
 
 // SAFETY: the mapping is immutable for the whole lifetime of the value —
 // PROT_READ for a file; for an anonymous one the only write is the fill
@@ -97,7 +115,8 @@ impl Mmap {
                 "file exceeds the address space",
             ));
         }
-        Ok(Mmap { ptr: Self::map_private(len as usize, Some(file))?, len: len as usize })
+        let ptr = Self::map_private(len as usize, Some(file))?;
+        Ok(Mmap { ptr, len: len as usize, file: true })
     }
 
     /// The one `mmap` call: `len` fresh private bytes — `file`'s, read-only,
@@ -135,7 +154,42 @@ impl Mmap {
             // it ends before the `Mmap` is built.
             unsafe { std::ptr::copy_nonoverlapping(bytes.as_ptr(), ptr as *mut u8, len) };
         }
-        Ok(Mmap { ptr, len })
+        Ok(Mmap { ptr, len, file: false })
+    }
+
+    /// The page size a range given to [`Mmap::drop_pages`] starts on a
+    /// multiple of: Linux's on x86-64 and most aarch64 kernels.
+    pub const PAGE: usize = 4096;
+
+    /// The `count` `T`s at byte `offset`, when they lie inside the mapping
+    /// and start on an 8-byte boundary.
+    pub fn slice_at<T: Pod>(&self, offset: usize, count: usize) -> Option<&[T]> {
+        let base = self.checked(offset, count.checked_mul(size_of::<T>())?)?;
+        // SAFETY: `checked` put the `count · size_of::<T>()` bytes at `base`
+        // inside the mapping (or answered a dangling aligned address for an
+        // empty range) on an 8-byte boundary, which aligns every `Pod`
+        // type; every bit pattern is a valid `T`; the mapping is immutable
+        // and lives as long as the borrow of `self`.
+        Some(unsafe { std::slice::from_raw_parts(base as *const T, count) })
+    }
+
+    /// Drops the pages holding bytes `range` of a file mapping from the
+    /// process's resident set (`MADV_DONTNEED`); a no-op on an anonymous
+    /// one, or when `range` does not start on a page (the kernel refuses).
+    /// A private file mapping is never written, so a dropped page faults
+    /// back in from the page cache or the file with the same bytes and
+    /// every live view stays valid — the drop costs only a refault.
+    pub fn drop_pages(&self, range: Range<usize>) {
+        let (start, end) = (range.start, range.end.min(self.len));
+        if self.file && start < end {
+            // SAFETY: `[start, end)` lies inside a live mapping we own;
+            // DONTNEED on a private, never-written file mapping only unmaps
+            // pages that refault with identical contents, so no borrowed
+            // view observes a change. A failure is ignorable: the advice
+            // only lowers residency.
+            let _ =
+                unsafe { madvise(self.ptr.wrapping_byte_add(start), end - start, MADV_DONTNEED) };
+        }
     }
 
     /// Mapped length in bytes.
@@ -306,6 +360,13 @@ mod tests {
             assert_eq!(m.as_bytes(), &payload[..]);
             m.advise_random();
             m.advise_willneed();
+            assert_eq!(m.slice_at::<u16>(8, 2), Some(&[0x0908, 0x0b0a][..]));
+            assert_eq!(m.slice_at::<u16>(2, 1), None, "misaligned");
+            assert_eq!(m.slice_at::<u64>(4096, 3), None, "past the end");
+            // A dropped file page faults back in with the same bytes; an
+            // anonymous mapping keeps its pages.
+            m.drop_pages(0..m.len());
+            assert_eq!(m.as_bytes(), &payload[..]);
             // Page-aligned, so aligned offsets resolve to aligned views.
             let s = Sections::resolve(m, [(8, 16)]).unwrap();
             assert_eq!(s.u64s(0), &[0x0f0e_0d0c_0b0a_0908, 0x1716_1514_1312_1110]);

@@ -160,6 +160,50 @@ fn sharded_pipeline_matches_local_output() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--shards must be positive"));
 }
 
+/// `pasco index` spills its rows under `TMPDIR`: the directory is honoured
+/// and left empty, and one that does not exist is a typed I/O error that
+/// names it — no panic, no index written.
+#[test]
+fn index_spills_under_tmpdir_and_fails_typed_without_it() {
+    let graph = tmp("spill.bin");
+    assert!(bin()
+        .args(["generate", "--model", "ba", "--nodes", "600", "--edges-per-node", "4"])
+        .args(["--out", graph.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    let index = |out: &std::path::Path, tmpdir: Option<&std::path::Path>| {
+        let mut cmd = bin();
+        cmd.args(["index", "--graph", graph.to_str().unwrap(), "--out", out.to_str().unwrap()]);
+        cmd.args(["--r", "16", "--t", "4"]);
+        if let Some(dir) = tmpdir {
+            cmd.env("TMPDIR", dir);
+        }
+        cmd.output().unwrap()
+    };
+    let spill = tmp("spill_dir");
+    let _ = std::fs::remove_dir_all(&spill);
+    std::fs::create_dir(&spill).unwrap();
+    let (here, default) = (tmp("spill_here.idx"), tmp("spill_default.idx"));
+    for (out, tmpdir) in [(&here, Some(spill.as_path())), (&default, None)] {
+        let run = index(out, tmpdir);
+        assert!(run.status.success(), "{}", String::from_utf8_lossy(&run.stderr));
+    }
+    assert_eq!(std::fs::read(&here).unwrap(), std::fs::read(&default).unwrap());
+    assert_eq!(std::fs::read_dir(&spill).unwrap().count(), 0, "the spill file is gone");
+
+    let missing = tmp("spill_missing");
+    let _ = std::fs::remove_dir_all(&missing);
+    let failed = tmp("spill_failed.idx");
+    let _ = std::fs::remove_file(&failed);
+    let run = index(&failed, Some(&missing));
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(!run.status.success(), "{stderr}");
+    assert!(stderr.contains("I/O error") && stderr.contains(missing.to_str().unwrap()), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!failed.exists(), "no index for a failed build");
+}
+
 /// Out-of-range nodes surface as the typed `QueryError` rendered on
 /// stderr — a clean nonzero exit, never the old panic/abort.
 #[test]

@@ -79,7 +79,7 @@ fn simulated_engines_answer_like_the_kernels(gname: &str, g: Arc<CsrGraph>) {
     // shuffles and its always-materialised rows.
     let rci = ReverseChainIndex::build(&g);
     let cfg = SimRankConfig::fast().with_seed(77);
-    let want = build_diagonal_on(&*g, &cfg.with_ai_strategy(AiStrategy::Store));
+    let want = build_diagonal_on(&*g, &cfg.with_ai_strategy(AiStrategy::Store)).unwrap();
     assert!(want.rows_bytes.is_some());
     let diag = want.diag.as_slice();
     let cohort = queries::query_cohort(&g, &cfg, 9);
