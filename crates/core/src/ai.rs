@@ -13,8 +13,9 @@
 //! repeat. The local build's rows live off
 //! the heap ([`RowSpill`]): each coded group is written once to an
 //! unlinked temp file under [`std::env::temp_dir`], and Jacobi sweeps
-//! the groups out of the file's read-only mapping, dropping each
-//! group's pages when a pass moves on to the next. [`StoredRows`] keeps
+//! the groups out of the file's read-only mapping, a piece of a pass
+//! dropping its group's pages when it leaves it ([`DropBehind`]): a sweep
+//! holds about one group per thread. [`StoredRows`] keeps
 //! them on the heap where rows arrive as data (broadcast, RDD, the
 //! distributed coordinator).
 
@@ -175,22 +176,40 @@ pub struct SpilledRows<'m> {
     n: u32,
 }
 
-impl RowSource for SpilledRows<'_> {
-    /// The group this piece of the pass is in.
-    type Scratch = Option<usize>;
+impl<'m> RowSource for SpilledRows<'m> {
+    type Scratch = DropBehind<'m>;
 
     fn dim(&self) -> usize {
         self.n as usize
     }
 
-    fn row<'a>(&'a self, i: u32, current: &'a mut Option<usize>) -> (&'a [u32], RowValues<'a>) {
+    fn row<'a>(&'a self, i: u32, piece: &'a mut DropBehind<'m>) -> (&'a [u32], RowValues<'a>) {
         let k = (i / BLOCK_ROWS) as usize;
-        // Drop-behind: a piece sweeps its rows in order, so once it moves
-        // on it has no further use for the group it left this pass.
-        if let Some(done) = current.replace(k).filter(|&done| done != k) {
-            self.map.drop_pages(self.groups[done].0.clone());
+        if piece.0.as_ref().is_none_or(|&(_, at, _)| at != k) {
+            piece.leave();
+            piece.0 = Some((self.map, k, self.groups[k].0.clone()));
         }
         self.groups[k].1.row(i)
+    }
+}
+
+/// A pass piece's place in [`SpilledRows`]: the mapping and the index and
+/// bytes of its group. A piece sweeps its rows in order, so it drops a
+/// group's pages when it moves on to the next and when it ends.
+#[derive(Default)]
+pub struct DropBehind<'m>(Option<(&'m Mmap, usize, Range<usize>)>);
+
+impl DropBehind<'_> {
+    fn leave(&mut self) {
+        if let Some((map, _, bytes)) = self.0.take() {
+            map.drop_pages(bytes);
+        }
+    }
+}
+
+impl Drop for DropBehind<'_> {
+    fn drop(&mut self) {
+        self.leave();
     }
 }
 
@@ -339,11 +358,20 @@ mod tests {
         let got = spill.rows().unwrap();
         assert_eq!(got.dim(), want.dim(), "{label}: dim");
         assert_eq!(spill.memory_bytes(), want.memory_bytes(), "{label}: rows_bytes");
-        let mut current = None;
+        let mut piece = DropBehind::default();
         for i in 0..n {
-            let ((cols, vals), (want_cols, want_vals)) = (got.row(i, &mut current), want.get(i));
+            let ((cols, vals), (want_cols, want_vals)) = (got.row(i, &mut piece), want.get(i));
             assert_eq!(cols, want_cols, "{label}: row {i} columns");
             assert_eq!(bits(vals), bits(want_vals), "{label}: row {i}");
+        }
+        drop(piece);
+        // Each row again through a scratch dropped right after it, so every
+        // read refaults pages its group dropped mid-sweep: same bits.
+        for i in 0..n {
+            let mut piece = DropBehind::default();
+            let ((cols, vals), (want_cols, want_vals)) = (got.row(i, &mut piece), want.get(i));
+            assert_eq!(cols, want_cols, "{label}: row {i} columns, refaulted");
+            assert_eq!(bits(vals), bits(want_vals), "{label}: row {i}, refaulted");
         }
     }
 

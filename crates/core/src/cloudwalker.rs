@@ -5,7 +5,7 @@ use crate::config::SimRankConfig;
 use crate::diag::DiagonalIndex;
 use crate::engine::broadcast::BroadcastEngine;
 use crate::engine::distributed::DistributedEngine;
-use crate::engine::kernel::{KernelEngine, Resident};
+use crate::engine::kernel::{check_build, KernelEngine, Resident};
 use crate::engine::rdd::RddEngine;
 use crate::engine::{ExecMode, SimRankEngine};
 use crate::error::SimRankError;
@@ -96,10 +96,7 @@ impl CloudWalker {
         cfg: SimRankConfig,
         mode: ExecMode,
     ) -> Result<(Self, IndexBuildStats), SimRankError> {
-        cfg.validate()?;
-        if graph.node_count() == 0 {
-            return Err(SimRankError::InvalidConfig("graph has no nodes".into()));
-        }
+        check_build(&cfg, graph.node_count())?;
         let start = Instant::now();
         let resident = Arc::new(Resident::new(graph));
         let engine = make_engine(mode, &resident)?;

@@ -22,8 +22,10 @@
 //! The offline rows live off the heap: coded once per 256-row group and
 //! spilled to an unlinked file under [`std::env::temp_dir`] (`TMPDIR`)
 //! ([`RowSpill`]), then swept through the file's mapping, each pass
-//! dropping a group's pages behind it. Build memory is the graph plus the
-//! groups in flight, not the `O(nnz)` rows.
+//! dropping a group's pages behind it. [`build_diagonal_on`] frees its
+//! adjacency once the rows are spilled, and `pasco index` hands it the
+//! in-links alone ([`pasco_graph::InLinks`]): build memory is those and a
+//! coding buffer per thread, then a mapped group per thread.
 //!
 //! Because walk randomness is a pure function of
 //! `(seed, source, walker, step)` and every storage serves the same
@@ -238,20 +240,22 @@ impl<A: Storage> std::fmt::Debug for KernelEngine<A> {
 ///
 /// Walk phase: a cohort of `R` walkers per node through the row kernel,
 /// one parallel task per aligned 256-row group, each row coded straight
-/// into its group's block and each block spilled ([`RowSpill`]). Solve
-/// phase: [`solve_rows`] over the spill file's mapping.
+/// into its group's block and each block spilled ([`RowSpill`]); `adj` is
+/// dropped then (pass `&g` to keep a graph). Solve phase: [`solve_rows`]
+/// over the spill file's mapping.
 ///
 /// # Errors
 /// [`SimRankError::Io`], naming the directory, when the spill file cannot
 /// be created, written or mapped.
 pub fn build_diagonal_on<A: WalkAdjacency>(
-    adj: &A,
+    adj: A,
     cfg: &SimRankConfig,
 ) -> Result<BuildOutcome, SimRankError> {
-    let kernel = RowKernel::of(adj, cfg);
+    let kernel = RowKernel::of(&adj, cfg);
     let spill = RowSpill::build(adj.node_count(), WalkScratch::default, |walk, i, cols, vals| {
         kernel.push_row(i, walk, cols, vals);
     })?;
+    drop(adj);
     let result = solve_rows(&spill.rows()?, cfg);
     Ok(BuildOutcome {
         diag: DiagonalIndex::new(result.x),
@@ -259,6 +263,16 @@ pub fn build_diagonal_on<A: WalkAdjacency>(
         rows_bytes: spill.memory_bytes(),
         cluster: None,
     })
+}
+
+/// What every build checks before it walks: a valid `cfg`
+/// ([`SimRankError::InvalidConfig`] otherwise) and a graph with nodes.
+pub fn check_build(cfg: &SimRankConfig, nodes: u32) -> Result<(), SimRankError> {
+    cfg.validate()?;
+    if nodes == 0 {
+        return Err(SimRankError::InvalidConfig("graph has no nodes".into()));
+    }
+    Ok(())
 }
 
 /// The right-hand side and starting iterate of the diagonal system, the

@@ -9,7 +9,7 @@
 //! the local one when they execute the same kernel, only the adjacency
 //! source differs.
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::{CsrGraph, InLinks, NodeId};
 use crate::partitioned::{GraphPartition, PartitionedView};
 use crate::sampling::ReverseChainIndex;
 
@@ -31,6 +31,32 @@ impl WalkAdjacency for CsrGraph {
     #[inline]
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         CsrGraph::in_neighbors(self, v)
+    }
+}
+
+/// A borrowed adjacency walks like the owned one, so a kernel that takes
+/// its adjacency by value runs on `&g` as well.
+impl<T: WalkAdjacency + ?Sized> WalkAdjacency for &T {
+    fn node_count(&self) -> u32 {
+        T::node_count(self)
+    }
+
+    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
+        T::in_neighbors(self, v)
+    }
+}
+
+impl WalkAdjacency for InLinks {
+    #[inline]
+    fn node_count(&self) -> u32 {
+        self.n
+    }
+
+    /// [`CsrGraph::in_neighbors`]' slice of the same arrays.
+    #[inline]
+    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
+        let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
+        &self.sources[lo as usize..hi as usize]
     }
 }
 

@@ -25,12 +25,13 @@ pub struct CsrGraph {
 
 impl CsrGraph {
     /// Assembles a graph from raw CSR arrays. Intended for use by the
-    /// builder and the binary loader; validates structural invariants.
+    /// builder and the binary loader, which hand it arrays already known
+    /// to be well formed ([`crate::io::read_binary`] checks a file's).
     ///
     /// # Panics
-    /// Panics if offsets are not monotone, lengths disagree, or a neighbour
-    /// id is out of range — these indicate a corrupted input, not a
-    /// recoverable condition.
+    /// Panics if the array lengths disagree. Monotone offsets and
+    /// neighbour ids below `n` are only `debug_assert!`ed: in a release
+    /// build a violation is not caught here but by a later lookup.
     pub fn from_parts(
         n: u32,
         out_offsets: Vec<u64>,
@@ -145,6 +146,11 @@ impl CsrGraph {
         &self.in_sources
     }
 
+    /// Keeps the in-link half and frees the out side.
+    pub fn into_in_links(self) -> InLinks {
+        InLinks { n: self.n, offsets: self.in_offsets, sources: self.in_sources }
+    }
+
     /// The transition probability `P[u][v] = 1/|In(v)|` if `u ∈ In(v)`,
     /// else 0. Exposed mainly for tests and the exact baselines; hot paths
     /// never materialise `P`.
@@ -156,6 +162,15 @@ impl CsrGraph {
             0.0
         }
     }
+}
+
+/// The in-link half of a [`CsrGraph`], all the offline build's reverse
+/// walks read ([`crate::WalkAdjacency`]; [`crate::io::read_in_links`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InLinks {
+    pub(crate) n: u32,
+    pub(crate) offsets: Vec<u64>,
+    pub(crate) sources: Vec<NodeId>,
 }
 
 #[cfg(test)]

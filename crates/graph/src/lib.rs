@@ -40,6 +40,6 @@ pub mod transform;
 
 pub use adjacency::{ForwardSampler, GraphSampler, WalkAdjacency};
 pub use builder::GraphBuilder;
-pub use csr::{CsrGraph, NodeId};
+pub use csr::{CsrGraph, InLinks, NodeId};
 pub use error::GraphError;
 pub use sampling::ReverseChainIndex;

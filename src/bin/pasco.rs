@@ -37,9 +37,10 @@
 use pasco::cluster::ClusterConfig;
 use pasco::graph::partition::Partitioner;
 use pasco::graph::stats::{degree_stats, human_bytes, Direction};
-use pasco::graph::{io, CsrGraph};
+use pasco::graph::{io, CsrGraph, WalkAdjacency};
 use pasco::server::{PascoClient, PascoServer, ServerConfig};
 use pasco::simrank::api::{QueryRequest, QueryResponse, QueryService};
+use pasco::simrank::engine::kernel::{build_diagonal_on, check_build};
 use pasco::simrank::{
     metrics, persist, CloudWalker, ExecMode, QuerySession, SessionConfig, SimRankConfig,
 };
@@ -157,11 +158,15 @@ fn get_num<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result
     }
 }
 
-fn load_graph(path: &str) -> Result<CsrGraph, String> {
+fn is_binary(path: &str) -> Result<bool, String> {
     let mut head = Vec::with_capacity(8);
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     file.take(8).read_to_end(&mut head).map_err(|e| format!("{path}: {e}"))?;
-    if head.starts_with(b"PASCOGR1") {
+    Ok(head.starts_with(b"PASCOGR1"))
+}
+
+fn load_graph(path: &str) -> Result<CsrGraph, String> {
+    if is_binary(path)? {
         io::read_binary(path).map_err(|e| e.to_string())
     } else {
         io::read_edge_list(path).map_err(|e| e.to_string())
@@ -263,20 +268,19 @@ fn exec_mode(flags: &Flags) -> Result<ExecMode, String> {
 }
 
 fn cmd_index(flags: &Flags) -> Result<(), String> {
-    let graph = Arc::new(load_graph(get(flags, "graph")?)?);
+    let path = get(flags, "graph")?;
     let out = get(flags, "out")?;
     let cfg = sim_config(flags)?;
     let mode = exec_mode(flags)?;
+    if let ExecMode::Local = mode {
+        return index_local(path, out, &cfg);
+    }
+    let graph = Arc::new(load_graph(path)?);
     let t0 = Instant::now();
     let (cw, stats) = CloudWalker::build_with_stats(graph, cfg, mode).map_err(|e| e.to_string())?;
     persist::save_index(cw.diagonal(), out).map_err(|e| e.to_string())?;
-    println!(
-        "indexed {} nodes in {:.2?} on the {} engine (residual {:.2e}); index -> {out}",
-        cw.diagonal().len(),
-        t0.elapsed(),
-        cw.mode_name(),
-        stats.jacobi_residuals.last().copied().unwrap_or(0.0)
-    );
+    let residuals = &stats.jacobi_residuals;
+    print_indexed(cw.diagonal().len(), t0, cw.mode_name(), residuals, out);
     if let Some(per_shard) = cw.shard_footprints() {
         let max = per_shard.iter().copied().max().unwrap_or(0);
         println!(
@@ -309,6 +313,30 @@ fn cmd_index(flags: &Flags) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Local `pasco index` holds only the in-links (an edge list is parsed whole,
+/// then reduced) and the build kernel frees them before its sweeps.
+fn index_local(path: &str, out: &str, cfg: &SimRankConfig) -> Result<(), String> {
+    let in_links = match is_binary(path)? {
+        true => io::read_in_links(path),
+        false => io::read_edge_list(path).map(CsrGraph::into_in_links),
+    }
+    .map_err(|e| e.to_string())?;
+    check_build(cfg, in_links.node_count()).map_err(|e| e.to_string())?;
+    let t0 = Instant::now();
+    let built = build_diagonal_on(in_links, cfg).map_err(|e| e.to_string())?;
+    persist::save_index(&built.diag, out).map_err(|e| e.to_string())?;
+    print_indexed(built.diag.len(), t0, "local", &built.residuals, out);
+    Ok(())
+}
+
+fn print_indexed(nodes: usize, t0: Instant, engine: &str, residuals: &[f64], out: &str) {
+    println!(
+        "indexed {nodes} nodes in {:.2?} on the {engine} engine (residual {:.2e}); index -> {out}",
+        t0.elapsed(),
+        residuals.last().copied().unwrap_or(0.0)
+    );
 }
 
 fn load_engine(flags: &Flags) -> Result<CloudWalker, String> {

@@ -1,7 +1,9 @@
 //! Integration: the `pasco` command-line binary, invoked as a subprocess.
 
-use std::path::PathBuf;
-use std::process::Command;
+use pasco::graph::io;
+use pasco::simrank::{persist, CloudWalker, ExecMode, SimRankConfig};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pasco"))
@@ -202,6 +204,99 @@ fn index_spills_under_tmpdir_and_fails_typed_without_it() {
     assert!(stderr.contains("I/O error") && stderr.contains(missing.to_str().unwrap()), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(!failed.exists(), "no index for a failed build");
+}
+
+/// Local `pasco index` reads only the in-links and calls the build kernel
+/// itself; its index is byte for byte the sharded CLI build's and the
+/// in-process `CloudWalker` build's, from a binary graph and from the
+/// same graph as an edge list.
+#[test]
+fn local_index_on_in_links_matches_every_build() {
+    let graph = tmp("in_links.bin");
+    let text = tmp("in_links.txt");
+    let run = |args: &[&str]| {
+        let out = bin().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    };
+    let (g, t) = (graph.to_str().unwrap(), text.to_str().unwrap());
+    // Every BA node has an edge, so the edge list keeps every node id.
+    run(&["generate", "--model", "ba", "--nodes", "700", "--edges-per-node", "4", "--out", g]);
+    run(&["convert", "--in", g, "--out", t]);
+    let cheap = ["--r", "16", "--t", "4", "--seed", "5"];
+    let cfg = SimRankConfig::default_paper().with_r(16).with_t(4).with_seed(5);
+    let want = tmp("in_links_cloudwalker.idx");
+    let cw = CloudWalker::build(io::read_binary(&graph).unwrap().into(), cfg, ExecMode::Local);
+    persist::save_index(cw.unwrap().diagonal(), &want).unwrap();
+    let want = std::fs::read(&want).unwrap();
+    for input in [g, t] {
+        for (name, mode) in
+            [("local", &[][..]), ("sharded", &["--mode", "sharded", "--shards", "3"])]
+        {
+            let idx = tmp(&format!("in_links_{name}.idx"));
+            let _ = std::fs::remove_file(&idx);
+            run(&[&["index", "--graph", input, "--out", idx.to_str().unwrap()], mode, &cheap[..]]
+                .concat());
+            assert!(std::fs::read(&idx).unwrap() == want, "{name} index from {input}");
+        }
+    }
+}
+
+/// `PASCOGR1` bytes of raw arrays, laid out as `pasco generate` writes them.
+fn pascogr1(n: u64, out: (&[u64], &[u32]), ins: (&[u64], &[u32])) -> Vec<u8> {
+    let mut bytes = b"PASCOGR1".to_vec();
+    bytes.extend(n.to_le_bytes());
+    for (offsets, ids) in [out, ins] {
+        bytes.extend((offsets.len() as u64).to_le_bytes());
+        bytes.extend(offsets.iter().flat_map(|x| x.to_le_bytes()));
+        bytes.extend((ids.len() as u64).to_le_bytes());
+        bytes.extend(ids.iter().flat_map(|x| x.to_le_bytes()));
+    }
+    bytes
+}
+
+fn fails_without_panic(args: &[&str], graph: &Path, says: &str) -> Output {
+    let out = bin().args(args).args(["--graph", graph.to_str().unwrap()]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{args:?} on {graph:?} must fail");
+    assert!(stderr.contains(says), "{args:?} on {graph:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?} on {graph:?} panicked: {stderr}");
+    out
+}
+
+/// A malformed graph file is a typed format error for every command that
+/// loads it — never a panic, and never a build over out-of-range ids.
+#[test]
+fn malformed_graph_files_fail_typed_without_panicking() {
+    let idx = tmp("malformed.idx");
+    let idx = idx.to_str().unwrap();
+    let shapes = [
+        ("counts", pascogr1(3, (&[0, 1, 2, 2], &[1, 2]), (&[0, 0, 1, 1], &[0]))),
+        ("id", pascogr1(3, (&[0, 1, 2, 2], &[1, 2]), (&[0, 0, 1, 2], &[0, 7]))),
+        ("offsets", pascogr1(3, (&[0, 2, 1, 2], &[1, 2]), (&[0, 0, 1, 2], &[0, 1]))),
+    ];
+    for (name, bytes) in shapes {
+        let graph = tmp(&format!("malformed_{name}.bin"));
+        std::fs::write(&graph, bytes).unwrap();
+        fails_without_panic(&["stats"], &graph, "bad graph file");
+        fails_without_panic(&["index", "--out", idx], &graph, "bad graph file");
+        let serve = ["serve", "--index", idx, "--addr", "127.0.0.1:0"];
+        fails_without_panic(&serve, &graph, "bad graph file");
+    }
+}
+
+#[test]
+fn zero_node_graphs_are_refused() {
+    let (empty_bin, empty_txt) = (tmp("zero.bin"), tmp("zero.txt"));
+    std::fs::write(&empty_bin, pascogr1(0, (&[0], &[]), (&[0], &[]))).unwrap();
+    std::fs::write(&empty_txt, "# no edges\n").unwrap();
+    let idx = tmp("zero.idx");
+    for graph in [empty_bin, empty_txt] {
+        fails_without_panic(
+            &["index", "--out", idx.to_str().unwrap()],
+            &graph,
+            "graph has no nodes",
+        );
+    }
 }
 
 /// Out-of-range nodes surface as the typed `QueryError` rendered on
