@@ -1,13 +1,14 @@
-//! [`PascoClient`]: a blocking, pipelining-capable client for the PASCO
-//! envelope protocol.
+//! [`PascoClient`]: the one blocking, pipelining-capable peer of the
+//! PASCO envelope protocol — the typed query client, and the link the
+//! distributed coordinator drives each worker through.
 //!
 //! The client separates the two failure planes the protocol separates:
 //!
-//! * a **typed query failure** ([`pasco_simrank::QueryError`], e.g. an
-//!   out-of-range node) arrives as an error frame, surfaces as
-//!   [`ClientError::Query`], and leaves the connection fully usable;
-//! * a **transport fault** (socket error, protocol violation, server
-//!   goodbye) poisons the client — every later call returns
+//! * a **typed query failure** ([`QueryError`], e.g. an out-of-range
+//!   node) arrives as an error frame, surfaces as [`ClientError::Query`],
+//!   and leaves the connection fully usable;
+//! * a **transport fault** (socket error or timeout, protocol violation,
+//!   server goodbye) poisons the client — every later call returns
 //!   [`ClientError::Poisoned`] instead of writing onto a stream whose
 //!   framing can no longer be trusted. Recovery is explicit:
 //!   [`PascoClient::connect`] a fresh client.
@@ -19,22 +20,22 @@
 //! [`PascoClient::query_batch`] pipelines a whole slice this way in one
 //! round trip.
 
-use crate::transport::{read_envelope, write_envelope, TransportError};
-use pasco_simrank::api::envelope::{
-    Envelope, FrameError, FrameKind, ServerInfo, DEFAULT_MAX_FRAME,
-};
-use pasco_simrank::{QueryError, QueryRequest, QueryResponse};
-use std::collections::{HashMap, HashSet};
+use super::envelope::{Envelope, FrameError, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
+use super::transport::{read_envelope, write_envelope, TransportError, DEFAULT_IO_TIMEOUT};
+use super::wire::WireCodec;
+use super::{QueryError, QueryRequest, QueryResponse};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// A client-side failure. Only [`ClientError::Query`] leaves the
 /// connection usable; everything else poisons the client until it is
 /// reconnected.
 #[derive(Debug)]
 pub enum ClientError {
-    /// The socket failed.
+    /// The socket failed (a timeout is kind `WouldBlock`/`TimedOut`).
     Io(io::Error),
     /// The server broke protocol (bad frame, unexpected kind, payload
     /// that would not decode).
@@ -53,6 +54,14 @@ pub enum ClientError {
         /// The id that matches no in-flight request.
         id: u64,
     },
+}
+
+impl ClientError {
+    /// Whether the peer stayed silent past the socket timeout in force.
+    pub(crate) fn is_timeout(&self) -> bool {
+        let ClientError::Io(e) = self else { return false };
+        matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    }
 }
 
 impl fmt::Display for ClientError {
@@ -84,25 +93,26 @@ impl From<TransportError> for ClientError {
     }
 }
 
-/// A blocking connection to a [`PascoServer`](crate::PascoServer).
+/// A blocking connection to a PASCO server or worker.
 pub struct PascoClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     info: ServerInfo,
     next_id: u64,
-    /// Responses that arrived while waiting for a different id — the
+    /// Replies that arrived while waiting for a different id — the
     /// out-of-order buffer pipelining requires.
-    pending: HashMap<u64, Result<QueryResponse, QueryError>>,
-    /// Ids sent but not yet delivered to the caller: the set a
-    /// [`PascoClient::wait`] id must belong to, so waiting on a bogus
-    /// (or already-collected) id fails fast instead of blocking forever.
-    in_flight: HashSet<u64>,
+    pending: BTreeMap<u64, Envelope>,
+    /// Ids sent but not yet answered: the set a reply's id must belong
+    /// to, so a bogus or duplicate id is a protocol fault and waiting on
+    /// one fails fast instead of blocking forever.
+    in_flight: BTreeSet<u64>,
     open: bool,
 }
 
 impl PascoClient {
     /// Connects and completes the handshake: sends the protocol-version
-    /// hello, receives the server's [`ServerInfo`].
+    /// hello, receives the server's [`ServerInfo`] — within
+    /// [`DEFAULT_IO_TIMEOUT`], or [`ClientError::Io`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let writer = TcpStream::connect(addr).map_err(ClientError::Io)?;
         let _ = writer.set_nodelay(true);
@@ -112,10 +122,11 @@ impl PascoClient {
             reader: BufReader::new(reader_half),
             info: ServerInfo { node_count: 0, max_frame_bytes: 0 },
             next_id: 1,
-            pending: HashMap::new(),
-            in_flight: HashSet::new(),
+            pending: BTreeMap::new(),
+            in_flight: BTreeSet::new(),
             open: true,
         };
+        client.set_io_timeout(Some(DEFAULT_IO_TIMEOUT))?;
         write_envelope(&mut client.writer, &Envelope::hello()).map_err(ClientError::Io)?;
         // The server's limit is not known yet, so the handshake read is
         // bounded by the protocol default — a rogue endpoint announcing
@@ -128,6 +139,7 @@ impl PascoClient {
             }));
         }
         client.info = ack.decode_server_info().map_err(ClientError::Protocol)?;
+        client.set_io_timeout(None)?;
         Ok(client)
     }
 
@@ -137,10 +149,7 @@ impl PascoClient {
     /// hanging the caller forever. `None` — the default — blocks
     /// indefinitely. The timeout is a property of the underlying socket,
     /// so it covers reads and writes alike.
-    pub fn set_io_timeout(
-        &mut self,
-        timeout: Option<std::time::Duration>,
-    ) -> Result<(), ClientError> {
+    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
         self.writer.set_read_timeout(timeout).map_err(ClientError::Io)?;
         self.writer.set_write_timeout(timeout).map_err(ClientError::Io)
     }
@@ -171,29 +180,81 @@ impl PascoClient {
         Err(err)
     }
 
-    /// Puts one request on the wire without waiting, returning the id to
-    /// [`wait`](PascoClient::wait) on. The send respects the server's
-    /// advertised frame limit — an over-large request fails here, client
-    /// side, instead of getting the connection closed on it.
-    pub fn send(&mut self, req: &QueryRequest) -> Result<u64, ClientError> {
+    /// Puts one frame on the wire under a fresh id, returning the id and
+    /// its encoded length. A payload over the server's advertised limit
+    /// fails here instead of getting the connection closed on it.
+    fn send_frame(&mut self, kind: FrameKind, payload: Vec<u8>) -> Result<(u64, u64), ClientError> {
         self.guard_open()?;
-        let id = self.next_id;
-        let env = Envelope::request(id, req);
-        if env.payload.len() as u64 > u64::from(self.info.max_frame_bytes) {
+        if payload.len() as u64 > u64::from(self.info.max_frame_bytes) {
             // The connection carried nothing: no need to poison it.
             return Err(ClientError::Protocol(FrameError::Oversize {
-                len: env.payload.len().min(u32::MAX as usize) as u32,
+                len: payload.len().min(u32::MAX as usize) as u32,
                 max: self.info.max_frame_bytes,
             }));
         }
+        let id = self.next_id;
         self.next_id += 1;
+        let env = Envelope { kind, request_id: id, payload };
         match write_envelope(&mut self.writer, &env) {
             Ok(()) => {
                 self.in_flight.insert(id);
-                Ok(id)
+                Ok((id, env.encoded_len() as u64))
             }
             Err(e) => self.poison(ClientError::Io(e)),
         }
+    }
+
+    /// Collects the frame of kind `want` answering `id`, buffering replies
+    /// to other in-flight ids. An error frame is [`ClientError::Query`].
+    fn recv_frame(&mut self, id: u64, want: FrameKind) -> Result<Envelope, ClientError> {
+        self.guard_open()?;
+        if !self.in_flight.contains(&id) && !self.pending.contains_key(&id) {
+            // Never issued, or already delivered: blocking on it would
+            // wait for a frame the server will never send.
+            return Err(ClientError::UnknownId { id });
+        }
+        let env = loop {
+            if let Some(env) = self.pending.remove(&id) {
+                break env;
+            }
+            let env = match read_envelope(&mut self.reader, self.info.max_frame_bytes) {
+                Ok(env) if env.kind == FrameKind::Goodbye => {
+                    return self.poison(ClientError::Closed)
+                }
+                Ok(env) => env,
+                Err(e) => return self.poison(e.into()),
+            };
+            // A reply must consume exactly one in-flight id (it moves to
+            // the pending buffer until the caller collects it). An
+            // unsolicited or duplicate id is a protocol fault, not
+            // something to buffer: a hostile server could otherwise grow
+            // `pending` without bound or overwrite a buffered answer.
+            if !self.in_flight.remove(&env.request_id) {
+                return self.poison(ClientError::Protocol(FrameError::UnexpectedKind {
+                    got: env.kind,
+                    expected: "a frame for an in-flight request id",
+                }));
+            }
+            self.pending.insert(env.request_id, env);
+        };
+        match env.kind {
+            got if got == want => Ok(env),
+            FrameKind::Error => match env.decode_error() {
+                Ok(err) => Err(ClientError::Query(err)),
+                Err(e) => self.poison(ClientError::Protocol(e)),
+            },
+            got => self.poison(ClientError::Protocol(FrameError::UnexpectedKind {
+                got,
+                expected: "the request's reply kind or Error",
+            })),
+        }
+    }
+
+    /// Puts one request on the wire without waiting, returning the id to
+    /// [`wait`](PascoClient::wait) on. An over-large request fails here
+    /// ([`ClientError::Protocol`]) and leaves the connection usable.
+    pub fn send(&mut self, req: &QueryRequest) -> Result<u64, ClientError> {
+        self.send_frame(FrameKind::Request, req.to_bytes()).map(|(id, _)| id)
     }
 
     /// Collects the answer to request `id`, buffering responses to other
@@ -201,56 +262,29 @@ impl PascoClient {
     /// own outcome: a typed [`QueryError`] is a *delivered answer* and
     /// leaves the connection open.
     pub fn wait(&mut self, id: u64) -> Result<Result<QueryResponse, QueryError>, ClientError> {
-        self.guard_open()?;
-        if !self.in_flight.contains(&id) && !self.pending.contains_key(&id) {
-            // Never issued, or already delivered: blocking on it would
-            // wait for a frame the server will never send.
-            return Err(ClientError::UnknownId { id });
+        match self.recv_frame(id, FrameKind::Response) {
+            Ok(env) => {
+                env.decode_response().map(Ok).or_else(|e| self.poison(ClientError::Protocol(e)))
+            }
+            Err(ClientError::Query(err)) => Ok(Err(err)),
+            Err(e) => Err(e),
         }
-        loop {
-            if let Some(result) = self.pending.remove(&id) {
-                return Ok(result);
-            }
-            let env = match read_envelope(&mut self.reader, self.info.max_frame_bytes) {
-                Ok(env) => env,
-                Err(TransportError::Closed) => return self.poison(ClientError::Closed),
-                Err(e) => return self.poison(e.into()),
-            };
-            // An answer must consume exactly one in-flight id (it moves
-            // to the pending buffer until the caller collects it). An
-            // unsolicited or duplicate id is a protocol fault, not
-            // something to buffer: a hostile server could otherwise grow
-            // `pending` without bound or overwrite a buffered answer.
-            if matches!(env.kind, FrameKind::Response | FrameKind::Error)
-                && !self.in_flight.remove(&env.request_id)
-            {
-                return self.poison(ClientError::Protocol(FrameError::UnexpectedKind {
-                    got: env.kind,
-                    expected: "a frame for an in-flight request id",
-                }));
-            }
-            match env.kind {
-                FrameKind::Response => match env.decode_response() {
-                    Ok(resp) => {
-                        self.pending.insert(env.request_id, Ok(resp));
-                    }
-                    Err(e) => return self.poison(ClientError::Protocol(e)),
-                },
-                FrameKind::Error => match env.decode_error() {
-                    Ok(err) => {
-                        self.pending.insert(env.request_id, Err(err));
-                    }
-                    Err(e) => return self.poison(ClientError::Protocol(e)),
-                },
-                FrameKind::Goodbye => return self.poison(ClientError::Closed),
-                other => {
-                    return self.poison(ClientError::Protocol(FrameError::UnexpectedKind {
-                        got: other,
-                        expected: "Response, Error or Goodbye",
-                    }))
-                }
-            }
-        }
+    }
+
+    /// The coordinator's worker-frame path: one request of any `kind`, its
+    /// reply (echoing `kind`) and the wire bytes both moved, under a socket
+    /// timeout of `timeout` (left set).
+    pub(crate) fn exchange(
+        &mut self,
+        kind: FrameKind,
+        payload: &[u8],
+        timeout: Duration,
+    ) -> Result<(Envelope, u64), ClientError> {
+        self.set_io_timeout(Some(timeout))?;
+        let (id, sent) = self.send_frame(kind, payload.to_vec())?;
+        let reply = self.recv_frame(id, kind)?;
+        let bytes = sent + reply.encoded_len() as u64;
+        Ok((reply, bytes))
     }
 
     /// One request, one answer: [`send`](PascoClient::send) then

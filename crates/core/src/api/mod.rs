@@ -20,7 +20,7 @@
 //! * [`envelope`] — the versioned frame wrapper around [`wire`] messages
 //!   (magic + protocol version, request ids for pipelining, first-class
 //!   error frames, frame-size limits) that the `pasco_server` TCP front
-//!   end speaks.
+//!   end speaks, and [`client`] its one blocking peer.
 //!
 //! ```
 //! use pasco_simrank::api::{QueryRequest, QueryResponse, QueryService};
@@ -38,6 +38,7 @@
 //! assert!(svc.execute(QueryRequest::SinglePair { i: 0, j: 999 }).is_err());
 //! ```
 
+pub mod client;
 pub mod envelope;
 pub mod transport;
 pub mod wire;

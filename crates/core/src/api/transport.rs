@@ -1,12 +1,12 @@
 //! Frame I/O over blocking *and* nonblocking streams — the one
-//! read/write-frame path every PASCO network peer (the `pasco_server`
-//! reactor hosting a query service or a SimRank worker, the typed client,
-//! the distributed coordinator) shares.
+//! read/write-frame path both PASCO network peers (the `pasco_server`
+//! reactor hosting a query service or a SimRank worker, and the client
+//! the distributed coordinator drives its workers through too) share.
 //!
 //! Two styles of consumer:
 //!
-//! * **Blocking peers** (client, coordinator) use [`read_envelope`] /
-//!   [`write_envelope`]: one call, one complete frame.
+//! * **The blocking peer** ([`super::client::PascoClient`]) uses
+//!   [`read_envelope`] / [`write_envelope`]: one call, one complete frame.
 //! * **Readiness-driven peers** (the `pasco_server` epoll reactor) use the
 //!   resumable state machines: [`FrameDecoder`] accumulates whatever bytes
 //!   a nonblocking read produced and yields envelopes as they complete
@@ -24,6 +24,11 @@ use super::envelope::{Envelope, EnvelopeHeader, FrameError, HEADER_LEN, MAGIC};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::time::Duration;
+
+/// How long a peer may stall: the reactor's default `io_timeout`, the
+/// client's handshake bound and the coordinator's wait for a worker reply.
+pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Why a frame could not be moved across a stream.
 #[derive(Debug)]

@@ -54,18 +54,22 @@
 //! measured transfer times, not the simulated estimates of the
 //! broadcast/RDD engines ([`SimRankEngine::cluster_report`] parity), and
 //! [`SimRankEngine::worker_stats`] polls live [`WorkerStats`] off each
-//! worker. A faulted link retries its request once over a fresh
+//! worker. Each link is a [`PascoClient`] with a deadline on every
+//! exchange. A faulted link retries its request once over a fresh
 //! connection — worker state survives *connection* loss, so a network
 //! blip heals transparently — and a worker that is truly gone surfaces
 //! as [`QueryError::WorkerUnavailable`] (build faults wrap it in
 //! [`SimRankError::Query`]): no hang, no panic, queries routed to
 //! surviving workers keep answering, and a worker that *restarted*
 //! empty keeps failing typed ("partition set not loaded") until the
-//! engine is rebuilt to re-provision it.
+//! engine is rebuilt to re-provision it. A stalled worker fails typed
+//! at the deadline, unretried; each later query to it costs at most one
+//! handshake deadline until it answers or refuses connections.
 
 use crate::ai::{RowKernel, StoredRows};
-use crate::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
-use crate::api::transport::{read_envelope, write_envelope};
+use crate::api::client::{ClientError, PascoClient};
+use crate::api::envelope::{Envelope, FrameKind};
+use crate::api::transport::DEFAULT_IO_TIMEOUT;
 use crate::api::wire::WireCodec;
 use crate::api::worker::{
     diag_fingerprint, BuildShard, BuildShardReply, DiagPayload, Empty, LoadAck, LoadPartition,
@@ -87,8 +91,7 @@ use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::walks::{StepDistributions, WalkScratch};
 use pasco_store::{write_partition, MappedShard, MappedStore, ShardHeader};
 use rayon::prelude::*;
-use std::io::{BufReader, Cursor};
-use std::net::TcpStream;
+use std::io::Cursor;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -515,117 +518,45 @@ fn check_row(row: &[(NodeId, f64)], i: NodeId, n: u32) -> Result<(), String> {
     }
 }
 
-/// Why a worker exchange failed: a typed answer (the connection stays
-/// usable) or a dead/broken link (poisoned until reconnect).
-enum CallError {
-    Typed(QueryError),
-    Link(String),
-}
-
-/// One coordinator → worker connection plus the per-link protocol state.
+/// One coordinator → worker link: the shared blocking client plus the
+/// diagonal this worker has acknowledged, so queries ship 8 bytes
+/// instead of `8n` once the worker is warm.
 struct WorkerLink {
     addr: String,
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    info: ServerInfo,
-    next_id: u64,
-    /// Fingerprint of the diagonal this worker has acknowledged, so
-    /// queries ship 8 bytes instead of `8n` once the worker is warm.
+    client: PascoClient,
     diag_fp: Option<u64>,
-    alive: bool,
 }
 
 impl WorkerLink {
-    fn connect(addr: &str) -> Result<Self, String> {
-        let stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-        let _ = stream.set_nodelay(true);
-        let reader_half = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-        let mut link = WorkerLink {
-            addr: addr.to_string(),
-            stream,
-            reader: BufReader::new(reader_half),
-            info: ServerInfo { node_count: 0, max_frame_bytes: DEFAULT_MAX_FRAME },
-            next_id: 1,
-            diag_fp: None,
-            alive: true,
-        };
-        write_envelope(&mut link.stream, &Envelope::hello()).map_err(|e| format!("hello: {e}"))?;
-        let ack = read_envelope(&mut link.reader, DEFAULT_MAX_FRAME)
-            .map_err(|e| format!("hello: {e}"))?;
-        if ack.kind != FrameKind::HelloAck {
-            return Err(format!("handshake answered with {:?}", ack.kind));
-        }
-        link.info = ack.decode_server_info().map_err(|e| format!("handshake: {e}"))?;
-        Ok(link)
-    }
-
-    /// One request/reply exchange. Replies echo the request id and kind;
-    /// an error frame decodes to the typed failure. Any transport or
-    /// protocol fault kills the link. Returns the reply envelope plus
-    /// the total wire bytes moved (request + reply, headers included).
-    fn exchange(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(Envelope, u64), CallError> {
-        if !self.alive {
-            return Err(CallError::Link("link is down after an earlier fault".into()));
-        }
-        if payload.len() as u64 > u64::from(self.info.max_frame_bytes) {
-            // Nothing was written: the link stays usable.
-            return Err(CallError::Link(format!(
-                "request of {} bytes exceeds the worker's {}-byte frame limit",
-                payload.len(),
-                self.info.max_frame_bytes
-            )));
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        let env = Envelope { kind, request_id: id, payload: payload.to_vec() };
-        let mut bytes = env.encoded_len() as u64;
-        if let Err(e) = write_envelope(&mut self.stream, &env) {
-            self.alive = false;
-            return Err(CallError::Link(format!("send: {e}")));
-        }
-        // The worker answers requests in order, so the next frame is ours;
-        // anything else is a protocol fault.
-        let reply = match read_envelope(&mut self.reader, self.info.max_frame_bytes) {
-            Ok(reply) => reply,
-            Err(e) => {
-                self.alive = false;
-                return Err(CallError::Link(format!("recv: {e}")));
-            }
-        };
-        bytes += reply.encoded_len() as u64;
-        if reply.request_id != id {
-            self.alive = false;
-            return Err(CallError::Link(format!(
-                "reply for id {} while waiting on {id}",
-                reply.request_id
-            )));
-        }
-        if reply.kind == FrameKind::Error {
-            return match reply.decode_error() {
-                Ok(err) => Err(CallError::Typed(err)),
-                Err(e) => {
-                    self.alive = false;
-                    Err(CallError::Link(format!("undecodable error frame: {e}")))
-                }
-            };
-        }
-        if reply.kind != kind {
-            self.alive = false;
-            return Err(CallError::Link(format!("{kind:?} answered with {:?}", reply.kind)));
-        }
-        Ok((reply, bytes))
-    }
-
     /// One provisioning exchange: a load frame out, its [`LoadAck`] (plus
     /// the wire bytes moved) back, every failure flattened to text for the
     /// per-worker load report.
     fn load(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(LoadAck, u64), String> {
-        let (reply, bytes) = self.exchange(kind, payload).map_err(|e| match e {
-            CallError::Typed(err) => err.to_string(),
-            CallError::Link(detail) => detail,
-        })?;
+        let (reply, bytes) = self
+            .client
+            .exchange(kind, payload, DEFAULT_IO_TIMEOUT)
+            .map_err(|e| link_fault(&e, DEFAULT_IO_TIMEOUT))?;
         let ack = LoadAck::from_bytes(&reply.payload).map_err(|e| format!("load ack: {e}"))?;
         Ok((ack, bytes))
+    }
+}
+
+/// A [`BuildShard`]'s deadline: the reply follows the whole walk phase, so
+/// [`DEFAULT_IO_TIMEOUT`] plus 1 µs per owned walk step (`owned nodes × R
+/// × T`; ≈ 60× the kernel's measured 17 ns a step).
+fn build_timeout(range: Option<(NodeId, NodeId)>, cfg: &SimRankConfig) -> Duration {
+    let owned = range.map_or(0, |(start, end)| u64::from(end - start));
+    let steps = owned.saturating_mul(u64::from(cfg.r)).saturating_mul(cfg.t as u64);
+    DEFAULT_IO_TIMEOUT + Duration::from_micros(steps)
+}
+
+/// A failed exchange as text: a timeout says the worker gave no reply
+/// within `timeout`, anything else is the client's own message.
+fn link_fault(e: &ClientError, timeout: Duration) -> String {
+    if e.is_timeout() {
+        format!("no reply within {timeout:?}")
+    } else {
+        e.to_string()
     }
 }
 
@@ -763,7 +694,9 @@ impl DistributedEngine {
                 .map(|(w, addr)| {
                     let ship = &ship;
                     scope.spawn(move || {
-                        let mut link = WorkerLink::connect(addr)?;
+                        let client = PascoClient::connect(addr)
+                            .map_err(|e| link_fault(&e, DEFAULT_IO_TIMEOUT))?;
+                        let mut link = WorkerLink { addr: addr.clone(), client, diag_fp: None };
                         let (bytes, resident) = ship(w as u32, &mut link)?;
                         Ok((link, bytes, resident))
                     })
@@ -829,15 +762,15 @@ impl DistributedEngine {
         }
     }
 
-    /// One exchange with worker `w`, wire accounting included. `label`
-    /// names the shuffle row; `make` builds the payload once the link's
-    /// diagonal state is known (inside the lock).
+    /// One exchange with worker `w` under `timeout`, wire accounting
+    /// included. `label` names the shuffle row; `make` builds the payload
+    /// once the link's diagonal state is known (inside the lock).
     fn call(
         &self,
         w: usize,
         kind: FrameKind,
         label: &str,
-        records: u64,
+        timeout: Duration,
         make: impl FnOnce(&mut WorkerLink) -> Vec<u8>,
     ) -> Result<Envelope, QueryError> {
         let t0 = Instant::now();
@@ -847,38 +780,37 @@ impl DistributedEngine {
         let mut link = self.links[w].lock().map_err(|_| QueryError::WorkerUnavailable {
             detail: format!("worker {w}: link poisoned by a panicked caller"),
         })?;
-        if !link.alive {
+        let addr = link.addr.clone();
+        let fault = |e: ClientError, timeout: Duration, what: &str| match e {
+            ClientError::Query(err) => err,
+            e => QueryError::WorkerUnavailable {
+                detail: format!("worker {w} ({addr}): {what}{}", link_fault(&e, timeout)),
+            },
+        };
+        if !link.client.is_open() {
             // The worker *process* may have outlived the broken
             // connection — its loaded partitions and diagonal cache
             // survive reconnects — so try one fresh connection before
-            // declaring the partition unreachable. A worker that truly
-            // died refuses the connect fast and the error stays typed.
+            // declaring the partition unreachable. A dead worker refuses
+            // the connect fast, a stalled one costs a handshake deadline.
             // (A worker that *restarted* accepts but answers queries
             // with a typed "partition set not loaded" error: rebuild
             // the engine to re-provision it.)
-            let addr = link.addr.clone();
-            match WorkerLink::connect(&addr) {
-                Ok(fresh) => *link = fresh,
-                Err(detail) => {
-                    drop(link);
-                    return Err(QueryError::WorkerUnavailable {
-                        detail: format!("worker {w} ({addr}): reconnect failed: {detail}"),
-                    });
-                }
-            }
+            link.client = PascoClient::connect(&addr)
+                .map_err(|e| fault(e, DEFAULT_IO_TIMEOUT, "reconnect failed: "))?;
         }
         let payload = make(&mut link);
-        let mut result = link.exchange(kind, &payload);
-        if matches!(result, Err(CallError::Link(_))) {
+        let mut result = link.client.exchange(kind, &payload, timeout);
+        if matches!(&result, Err(e) if !matches!(e, ClientError::Query(_)) && !e.is_timeout()) {
             // A fault on a previously-healthy link is most often a
             // network blip, not a dead worker: retry the same request
             // once over a fresh connection (queries and loads are pure,
             // so a replay is safe; the worker's loaded state survives
-            // reconnects). A worker that truly died refuses the connect
-            // fast and the original fault stands.
-            if let Ok(fresh) = WorkerLink::connect(&link.addr) {
-                *link = fresh;
-                result = link.exchange(kind, &payload);
+            // reconnects). A dead worker refuses the connect fast and the
+            // original fault stands. A timeout (a stalled worker) is not.
+            if let Ok(fresh) = PascoClient::connect(&addr) {
+                link.client = fresh;
+                result = link.client.exchange(kind, &payload, timeout);
             }
         }
         if result.is_err() {
@@ -890,18 +822,10 @@ impl DistributedEngine {
             // reconnect path.
             link.diag_fp = None;
         }
-        let addr = link.addr.clone();
         drop(link);
-        match result {
-            Ok((reply, bytes)) => {
-                self.record_shuffle(label, bytes, records, 2, t0.elapsed());
-                Ok(reply)
-            }
-            Err(CallError::Typed(err)) => Err(err),
-            Err(CallError::Link(detail)) => Err(QueryError::WorkerUnavailable {
-                detail: format!("worker {w} ({addr}): {detail}"),
-            }),
-        }
+        let (reply, bytes) = result.map_err(|e| fault(e, timeout, ""))?;
+        self.record_shuffle(label, bytes, 1, 2, t0.elapsed());
+        Ok(reply)
     }
 
     /// Builds the [`DiagPayload`] for a link: full on first contact with
@@ -936,13 +860,14 @@ impl DistributedEngine {
         kind: ShardQueryKind,
     ) -> Result<QueryResponse, QueryError> {
         let w = self.owner(route);
-        let reply = self.call(w, FrameKind::ShardQuery, "query/route", 1, |link| {
-            let diag = match diag {
-                Some(diag) => Self::diag_payload(link, diag),
-                None => DiagPayload::cached(0),
-            };
-            ShardQuery { cfg: *cfg, diag, kind }.to_bytes()
-        })?;
+        let reply =
+            self.call(w, FrameKind::ShardQuery, "query/route", DEFAULT_IO_TIMEOUT, |link| {
+                let diag = match diag {
+                    Some(diag) => Self::diag_payload(link, diag),
+                    None => DiagPayload::cached(0),
+                };
+                ShardQuery { cfg: *cfg, diag, kind }.to_bytes()
+            })?;
         QueryResponse::from_bytes(&reply.payload).map_err(|e| QueryError::WorkerUnavailable {
             detail: format!("worker {w}: bad response: {e}"),
         })
@@ -967,9 +892,11 @@ impl SimRankEngine for DistributedEngine {
                 .map(|w| {
                     scope.spawn(move || {
                         let tw = Instant::now();
-                        let reply = self.call(w, FrameKind::BuildShard, "build/rows", 1, |_| {
-                            BuildShard { cfg: *cfg }.to_bytes()
-                        })?;
+                        let timeout = build_timeout(self.partitioner.range_of(w as u32), cfg);
+                        let reply =
+                            self.call(w, FrameKind::BuildShard, "build/rows", timeout, |_| {
+                                BuildShard { cfg: *cfg }.to_bytes()
+                            })?;
                         let rows = BuildShardReply::from_bytes(&reply.payload).map_err(|e| {
                             QueryError::WorkerUnavailable {
                                 detail: format!("worker {w}: bad build reply: {e}"),
@@ -1114,9 +1041,11 @@ impl SimRankEngine for DistributedEngine {
     ) -> Result<Vec<(NodeId, f64)>, QueryError> {
         check_node(i, self.n)?;
         let w = self.owner(i);
-        let reply = self.call(w, FrameKind::ShardTopK, "query/topk", 1, |link| {
-            ShardTopK { cfg: *cfg, diag: Self::diag_payload(link, diag), i, k: k as u64 }.to_bytes()
-        })?;
+        let reply =
+            self.call(w, FrameKind::ShardTopK, "query/topk", DEFAULT_IO_TIMEOUT, |link| {
+                ShardTopK { cfg: *cfg, diag: Self::diag_payload(link, diag), i, k: k as u64 }
+                    .to_bytes()
+            })?;
         let lists = ShardTopKReply::from_bytes(&reply.payload).map_err(|e| {
             QueryError::WorkerUnavailable { detail: format!("worker {w}: bad top-k reply: {e}") }
         })?;
@@ -1144,8 +1073,13 @@ impl SimRankEngine for DistributedEngine {
     fn worker_stats(&self) -> Option<Vec<Result<WorkerStats, QueryError>>> {
         let stats = (0..self.workers())
             .map(|w| {
-                let reply =
-                    self.call(w, FrameKind::WorkerStats, "control/stats", 1, |_| Empty.to_bytes())?;
+                let reply = self.call(
+                    w,
+                    FrameKind::WorkerStats,
+                    "control/stats",
+                    DEFAULT_IO_TIMEOUT,
+                    |_| Empty.to_bytes(),
+                )?;
                 WorkerStats::from_bytes(&reply.payload).map_err(|e| QueryError::WorkerUnavailable {
                     detail: format!("worker {w}: bad stats: {e}"),
                 })

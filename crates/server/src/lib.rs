@@ -24,14 +24,14 @@
 //!   slot. [`PascoServer::bind`] serves queries (`pasco serve`);
 //!   [`PascoServer::bind_worker`] serves one partition owner of the
 //!   distributed substrate (`pasco worker`) on the same reactor.
-//! * [`PascoClient`] — a blocking client with typed
-//!   [`query`](PascoClient::query) / [`query_batch`](PascoClient::query_batch)
-//!   entry points, explicit [`send`](PascoClient::send) /
-//!   [`wait`](PascoClient::wait) pipelining primitives, and a
-//!   reconnect-safe error surface: a typed
-//!   [`QueryError`](pasco_simrank::QueryError) leaves the connection
-//!   usable, while transport faults poison the client until it is
-//!   reconnected.
+//! * [`PascoClient`] ([`pasco_simrank::api::client`]) — the one blocking
+//!   client, for queries and the coordinator's worker links alike: typed
+//!   [`query`](PascoClient::query) / [`query_batch`](PascoClient::query_batch),
+//!   [`send`](PascoClient::send) / [`wait`](PascoClient::wait) pipelining,
+//!   a handshake bounded by a 10 s deadline, and a reconnect-safe error
+//!   surface: a typed [`QueryError`](pasco_simrank::QueryError) leaves the
+//!   connection usable, while transport faults poison the client until it
+//!   is reconnected.
 //! * [`transport`] — the shared frame I/O (header-validated reads that
 //!   never allocate for an oversize or malformed frame), including the
 //!   resumable [`FrameDecoder`](transport::FrameDecoder) /
@@ -63,21 +63,21 @@
 //! client.shutdown_server().unwrap();
 //! ```
 
-pub mod client;
 pub mod server;
 #[allow(unsafe_code, reason = "the epoll syscall shim: one of the two sanctioned unsafe modules")]
 mod sys;
 mod wheel;
 
 /// Frame I/O — re-exported from [`pasco_simrank::api::transport`], where
-/// it lives so the reactor, the typed client and the distributed
-/// coordinator all read and write frames through one implementation.
+/// it lives so the reactor and the one client (which the distributed
+/// coordinator drives its workers through) read and write frames through
+/// one implementation.
 pub mod transport {
     pub use pasco_simrank::api::transport::{
         read_envelope, write_envelope, FrameDecoder, TransportError, WriteQueue,
     };
 }
 
-pub use client::{ClientError, PascoClient};
+pub use pasco_simrank::api::client::{ClientError, PascoClient};
 pub use server::{PascoServer, ServerConfig, ServerHandle, ServerStats};
 pub use transport::TransportError;

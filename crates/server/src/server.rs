@@ -33,7 +33,7 @@
 use crate::sys::{Epoll, Event, WakeFd, EVENT_ERR, EVENT_HUP, EVENT_IN, EVENT_OUT, EVENT_RDHUP};
 use crate::wheel::{Deadline, TimerWheel};
 use pasco_simrank::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
-use pasco_simrank::api::transport::{FrameDecoder, WriteQueue};
+use pasco_simrank::api::transport::{FrameDecoder, WriteQueue, DEFAULT_IO_TIMEOUT};
 use pasco_simrank::api::wire::WireCodec;
 use pasco_simrank::api::worker::{
     BuildShard, Empty, LoadPartition, LoadStore, ShardQuery, ShardTopK,
@@ -75,7 +75,7 @@ impl Default for ServerConfig {
         Self {
             workers: 4,
             max_frame_bytes: DEFAULT_MAX_FRAME,
-            io_timeout: Duration::from_secs(10),
+            io_timeout: DEFAULT_IO_TIMEOUT,
             max_conns: 1024,
         }
     }

@@ -14,7 +14,9 @@
 use pasco::graph::generators;
 use pasco::server::{PascoServer, ServerConfig, ServerHandle};
 use pasco::simrank::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
-use pasco::simrank::api::transport::{read_envelope, write_envelope, TransportError};
+use pasco::simrank::api::transport::{
+    read_envelope, write_envelope, TransportError, DEFAULT_IO_TIMEOUT,
+};
 use pasco::simrank::api::wire::WireCodec;
 use pasco::simrank::api::worker::{
     BuildShard, BuildShardReply, Empty, LoadAck, LoadPartition, ShardQuery, ShardQueryKind,
@@ -28,8 +30,9 @@ use pasco_store::{write_partition, ShardHeader};
 use proptest::prelude::*;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// A set of in-process loopback workers.
 struct Fleet {
@@ -325,6 +328,105 @@ fn spawn_rogue_drops_on_build() -> (String, JoinHandle<bool>) {
         FrameKind::BuildShard => None,
         other => panic!("rogue worker got {other:?}"),
     })
+}
+
+/// A rogue worker that completes the load phase, then holds every later
+/// frame unanswered — a stalled process — until the returned sender fires
+/// (or drops), and hangs up.
+fn spawn_stalled_rogue() -> (String, JoinHandle<bool>, mpsc::Sender<()>) {
+    let (release, held) = mpsc::channel::<()>();
+    let (addr, join) = spawn_rogue(move |_| {
+        let _ = held.recv();
+        None
+    });
+    (addr, join, release)
+}
+
+/// Runs `work` on its own thread; the receiver yields its outcome and
+/// wall time, so a hang fails the test at `recv_timeout` instead of
+/// wedging the suite.
+fn spawn_timed<T: Send + 'static>(
+    work: impl FnOnce() -> T + Send + 'static,
+) -> mpsc::Receiver<(T, Duration)> {
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let started = Instant::now();
+        let _ = done.send((work(), started.elapsed()));
+    });
+    outcome
+}
+
+#[test]
+fn a_stalled_worker_is_a_typed_error_at_the_deadline_and_survivors_keep_answering() {
+    // Regression: the coordinator's worker link had no deadline, so a
+    // worker that accepted a query and never replied held the caller (and
+    // every later query routed to it) forever.
+    let g = Arc::new(generators::barabasi_albert(100, 3, 13));
+    let cfg = SimRankConfig::fast().with_seed(9);
+    let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+    let fleet = spawn_fleet(1);
+    let (rogue, join, release) = spawn_stalled_rogue();
+    let workers = vec![fleet.addrs[0].clone(), rogue];
+    let dist = Arc::new(
+        CloudWalker::from_index_with_mode(
+            Arc::clone(&g),
+            cfg,
+            local.diagonal().clone(),
+            ExecMode::Distributed { workers },
+        )
+        .unwrap(),
+    );
+    // Worker 1 owns [50, 100): the rogue holds this query's frame.
+    let stalled = Arc::clone(&dist);
+    let outcome = spawn_timed(move || stalled.try_single_pair(70, 3));
+    // Meanwhile worker 0 answers bit-identically.
+    for (i, j) in [(3u32, 70u32), (7, 40), (12, 99)] {
+        assert_eq!(local.try_single_pair(i, j).unwrap(), dist.try_single_pair(i, j).unwrap());
+    }
+    assert_eq!(
+        local.try_single_source_topk(7, 5).unwrap(),
+        dist.try_single_source_topk(7, 5).unwrap()
+    );
+    let (result, waited) =
+        outcome.recv_timeout(2 * DEFAULT_IO_TIMEOUT).expect("the stalled query hung");
+    match result {
+        Err(QueryError::WorkerUnavailable { detail }) => {
+            assert!(detail.contains("worker 1") && detail.contains("no reply within"), "{detail}");
+        }
+        other => panic!("expected WorkerUnavailable, got {other:?}"),
+    }
+    // At the deadline, and not retried (a retry waits out a second one).
+    let slack = Duration::from_secs(5);
+    assert!(waited >= DEFAULT_IO_TIMEOUT && waited <= DEFAULT_IO_TIMEOUT + slack, "{waited:?}");
+    release.send(()).unwrap();
+    assert!(join.join().unwrap(), "the rogue was released holding its frame");
+    fleet.stop();
+}
+
+#[test]
+fn a_build_against_a_stalled_worker_fails_typed_within_its_scaled_deadline() {
+    let g = Arc::new(generators::barabasi_albert(60, 3, 9));
+    let cfg = SimRankConfig::fast();
+    let fleet = spawn_fleet(1);
+    let (rogue, join, release) = spawn_stalled_rogue();
+    let workers = vec![fleet.addrs[0].clone(), rogue];
+    // Worker 1 owns 30 nodes; its walk phase is granted 1 µs a step.
+    let steps = 30 * u64::from(cfg.r) * cfg.t as u64;
+    let deadline = DEFAULT_IO_TIMEOUT + Duration::from_micros(steps);
+    let mode = ExecMode::Distributed { workers };
+    let outcome = spawn_timed(move || CloudWalker::build(g, cfg, mode).map(|_| ()));
+    let (result, waited) = outcome.recv_timeout(2 * deadline).expect("the build hung");
+    match result {
+        Err(SimRankError::Query(QueryError::WorkerUnavailable { detail })) => {
+            assert!(detail.contains("worker 1") && detail.contains("no reply within"), "{detail}");
+        }
+        other => panic!("expected WorkerUnavailable, got {other:?}"),
+    }
+    let slack = Duration::from_secs(5);
+    assert!(waited >= deadline && waited <= deadline + slack, "{waited:?} for {deadline:?}");
+    release.send(()).unwrap();
+    assert!(join.join().unwrap(), "the rogue was released holding its frame");
+    fleet.stop();
 }
 
 #[test]

@@ -15,7 +15,7 @@ use pasco::server::{ClientError, PascoClient, PascoServer, ServerConfig, ServerH
 use pasco::simrank::api::envelope::{
     Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC,
 };
-use pasco::simrank::api::transport::{read_envelope, write_envelope};
+use pasco::simrank::api::transport::{read_envelope, write_envelope, DEFAULT_IO_TIMEOUT};
 use pasco::simrank::api::wire::WireCodec;
 use pasco::simrank::api::worker::{Empty, LoadPartition, WorkerStats};
 use pasco::simrank::{
@@ -23,8 +23,8 @@ use pasco::simrank::{
     SimRankConfig,
 };
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, OnceLock};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 
 const NODES: u32 = 80;
@@ -385,6 +385,26 @@ fn silent_peers_are_dropped_at_the_handshake_deadline() {
     assert!(client.query(QueryRequest::SinglePair { i: 0, j: 1 }).is_ok());
     client.shutdown_server().unwrap();
     join.join().unwrap();
+}
+
+/// The client's side of the same deadline: an endpoint that accepts and
+/// never sends `HelloAck` fails the connect typed instead of hanging it.
+#[test]
+fn connect_to_a_silent_endpoint_fails_at_the_handshake_deadline() {
+    // Never accepted: the kernel completes the TCP handshake from the
+    // backlog, and nothing ever answers the hello.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (done, outcome) = mpsc::channel();
+    std::thread::spawn(move || {
+        let started = std::time::Instant::now();
+        let _ = done.send((PascoClient::connect(addr).map(|_| ()), started.elapsed()));
+    });
+    let (result, waited) = outcome.recv_timeout(2 * DEFAULT_IO_TIMEOUT).expect("connect hung");
+    assert!(matches!(result, Err(ClientError::Io(_))), "{result:?}");
+    let slack = std::time::Duration::from_secs(5);
+    assert!(waited >= DEFAULT_IO_TIMEOUT && waited <= DEFAULT_IO_TIMEOUT + slack, "{waited:?}");
+    drop(listener);
 }
 
 /// An oversize *request* is refused client-side against the advertised
