@@ -3,7 +3,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pasco_graph::partition::Partitioner;
-use pasco_graph::partitioned::PartitionedView;
 use pasco_graph::{generators, CsrGraph, ForwardSampler, GraphSampler};
 use pasco_graph::{ReverseChainIndex, WalkAdjacency};
 use pasco_mc::counts::MassMap;
@@ -66,11 +65,12 @@ fn bench_cohorts(c: &mut Criterion) {
 }
 
 /// What routed storage costs per walk step, against the resident rows: the
-/// `R′ = 10 000` cohort of `walks/rmat16-cohort` over the in-memory
-/// partitioned view and the mmap store, and the MCSS forward stage
-/// (`sparse_masses_on`, paper parameters, cohorts simulated up front) over
-/// the resident sampler, the view and the store. Same rotating live
-/// sources in every row; the store is written to a temp dir once.
+/// `R′ = 10 000` cohort of `walks/rmat16-cohort` over shard images held in
+/// memory (the `sharded` storage) and the mmap store, and the MCSS forward
+/// stage (`sparse_masses_on`, paper parameters, cohorts simulated up front)
+/// over the resident sampler, the in-memory shards and the store. Same
+/// rotating live sources in every row; the store is written to a temp dir
+/// once.
 fn bench_routed(c: &mut Criterion) {
     let (g, live) = rmat16();
     let n = CsrGraph::node_count(&g);
@@ -80,8 +80,8 @@ fn bench_routed(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).unwrap();
     write_store(&dir, &g, &diag, 2).unwrap();
     let resident = GraphSampler::new(&g, &rci);
-    let sharded2 = PartitionedView::of_graph(&g, Partitioner::range(n, 2));
-    let sharded4 = PartitionedView::of_graph(&g, Partitioner::range(n, 4));
+    let sharded2 = MappedStore::of_graph(&g, &Partitioner::range(n, 2)).unwrap();
+    let sharded4 = MappedStore::of_graph(&g, &Partitioner::range(n, 4)).unwrap();
     let mapped2 = MappedStore::open(&dir).unwrap();
 
     fn cohort<'a, A: WalkAdjacency>(

@@ -12,7 +12,6 @@ use crate::error::SimRankError;
 use crate::queries;
 use pasco_cluster::ClusterReport;
 use pasco_graph::partition::Partitioner;
-use pasco_graph::partitioned::PartitionedView;
 use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
 use pasco_store::MappedStore;
 use rayon::prelude::*;
@@ -434,7 +433,7 @@ fn make_engine(
             Arc::clone(graph),
             Arc::clone(&resident.rci),
         )?),
-        ExecMode::Rdd(cluster_cfg) => Box::new(RddEngine::new(cluster_cfg, graph)),
+        ExecMode::Rdd(cluster_cfg) => Box::new(RddEngine::new(cluster_cfg, graph)?),
         ExecMode::Sharded { shards } => {
             if shards == 0 {
                 return Err(SimRankError::InvalidConfig(
@@ -442,7 +441,7 @@ fn make_engine(
                 ));
             }
             let partitioner = Partitioner::range_nonempty(graph.node_count(), shards);
-            Box::new(KernelEngine::new(Arc::new(PartitionedView::of_graph(graph, partitioner))))
+            Box::new(KernelEngine::new(Arc::new(MappedStore::of_graph(graph, &partitioner)?)))
         }
         ExecMode::Distributed { workers } => {
             if workers.is_empty() {
@@ -623,9 +622,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut writer: pasco_store::StoreWriter =
             pasco_store::StoreWriter::create(&dir, 6, 1).unwrap();
-        let part =
-            pasco_graph::partitioned::partition_graph(&g, &Partitioner::range(6, 1)).swap_remove(0);
-        writer.write_partition(0, &part, &[]).unwrap();
+        writer.write_partition(0, &g, &[]).unwrap();
         writer.finish().unwrap();
         assert_eq!(MappedStore::open(&dir).unwrap().compose_diag(), Vec::<f64>::new());
         match CloudWalker::open_store(&dir, SimRankConfig::fast()) {

@@ -86,12 +86,10 @@ use pasco_cluster::metrics::{MetricsLog, ShuffleMetrics, StageMetrics};
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::WalkAdjacency;
 use pasco_graph::partition::Partitioner;
-use pasco_graph::partitioned::partition_graph;
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::walks::{StepDistributions, WalkScratch};
-use pasco_store::{write_partition, MappedShard, MappedStore, ShardHeader};
+use pasco_store::{partition_image, MappedShard, MappedStore, ShardHeader, StoreError};
 use rayon::prelude::*;
-use std::io::Cursor;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -596,15 +594,9 @@ impl DistributedEngine {
         // Each partition serialises once, to the graph-only shard image
         // `pasco save-store` would write for it (no index exists yet);
         // the W provisioning threads frame the shared bytes.
-        let images = partition_graph(graph, &partitioner)
-            .iter()
-            .enumerate()
-            .map(|(q, part)| {
-                let mut image = Cursor::new(Vec::new());
-                write_partition(&mut image, (n, nparts), q as u32, part, &[])?;
-                Ok(image.into_inner())
-            })
-            .collect::<Result<Vec<Vec<u8>>, SimRankError>>()?;
+        let images = (0..nparts)
+            .map(|q| partition_image(graph, &partitioner, q))
+            .collect::<Result<Vec<Vec<u8>>, StoreError>>()?;
         let owned_bytes: Vec<u64> = images.iter().map(|image| image.len() as u64).collect();
         let frames = u64::from(nparts);
         Self::provision(
@@ -1110,14 +1102,7 @@ mod tests {
     fn images(g: &CsrGraph, workers: u32) -> Vec<Vec<u8>> {
         let n = g.node_count();
         let partitioner: Partitioner = Partitioner::range_nonempty(n, workers);
-        let shape = (n, partitioner.parts());
-        let parts = partition_graph(g, &partitioner);
-        let image = |(q, part)| {
-            let mut image = Cursor::new(Vec::new());
-            write_partition(&mut image, shape, q as u32, part, &[]).unwrap();
-            image.into_inner()
-        };
-        parts.iter().enumerate().map(image).collect()
+        (0..partitioner.parts()).map(|q| partition_image(g, &partitioner, q).unwrap()).collect()
     }
 
     /// One wire provisioning round; every frame must be acknowledged.

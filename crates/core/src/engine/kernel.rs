@@ -11,13 +11,18 @@
 //!
 //! * [`Resident`] (`"local"`) — the whole CSR graph plus its reverse-chain
 //!   sampling index in memory, accessed by direct slice index;
-//! * [`PartitionedView`] (`"sharded"`) — the graph range-partitioned into
-//!   in-memory shards, every lookup routed to the shard owning the node
-//!   (the single-box form of *partition by source*);
-//! * [`MappedStore`] (`"mapped"`) — a `PASCOSH1` shard directory mapped
+//! * [`MappedStore`], as `"sharded"` — the graph range-partitioned into
+//!   graph-only `PASCOSH1` images held in memory
+//!   ([`MappedStore::of_graph`], the images a worker receives), every
+//!   lookup routed to the shard owning the node (the single-box form of
+//!   *partition by source*);
+//! * [`MappedStore`], as `"mapped"` — a `PASCOSH1` shard directory mapped
 //!   read-only: no resident adjacency at all, O(1) restart, graphs larger
 //!   than RAM. Forward-push MCSS needs the resident CSR, so
 //!   [`crate::CloudWalker`] reports it [`QueryError::Unsupported`] there.
+//!
+//! The two are one storage; the name says only whether the store was
+//! opened from a directory.
 //!
 //! The offline rows live off the heap: coded once per 256-row group and
 //! spilled to an unlinked file under [`std::env::temp_dir`] (`TMPDIR`)
@@ -43,7 +48,6 @@ use crate::error::SimRankError;
 use crate::queries;
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
-use pasco_graph::partitioned::{GraphPartition, PartitionedView};
 use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
 use pasco_mc::walks::{StepDistributions, WalkScratch};
 use pasco_solver::jacobi::{self, JacobiConfig, JacobiResult, RowSource};
@@ -121,28 +125,19 @@ impl Storage for Resident {
     }
 }
 
-impl Storage for PartitionedView {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn shard_bytes(&self) -> Vec<u64> {
-        self.partitions().iter().map(GraphPartition::memory_bytes).collect()
-    }
-
-    fn partitioned(&self) -> bool {
-        true
-    }
-}
-
 impl Storage for MappedStore {
     fn name(&self) -> &'static str {
-        "mapped"
+        if self.dir().as_os_str().is_empty() {
+            "sharded"
+        } else {
+            "mapped"
+        }
     }
 
-    /// Mapped bytes, not resident ones: the kernel pages shards in and
-    /// out on demand, so this is the demand *ceiling*, reached only if a
-    /// query walks every edge.
+    /// Image bytes per shard, header and padding included. In memory they
+    /// are resident; mapped from a directory they are the demand
+    /// *ceiling*, reached only if a query walks every edge, because the
+    /// kernel pages shards in and out on demand.
     fn shard_bytes(&self) -> Vec<u64> {
         self.shards().iter().map(MappedShard::mapped_bytes).collect()
     }
@@ -162,9 +157,8 @@ pub struct KernelEngine<A> {
 
 /// The single-machine reference: [`KernelEngine`] over [`Resident`].
 pub type LocalEngine = KernelEngine<Resident>;
-/// In-process shards: [`KernelEngine`] over a [`PartitionedView`].
-pub type ShardedEngine = KernelEngine<PartitionedView>;
-/// Out-of-core execution: [`KernelEngine`] over a [`MappedStore`].
+/// Sharded and out-of-core execution: [`KernelEngine`] over a
+/// [`MappedStore`], its images in memory or mapped from a directory.
 pub type MappedEngine = KernelEngine<MappedStore>;
 
 impl<A: Storage> KernelEngine<A> {
@@ -297,7 +291,7 @@ mod tests {
     use pasco_graph::partition::Partitioner;
     use pasco_store::write_store;
 
-    /// Every in-process storage over `g`: resident, the routed view at
+    /// Every in-process storage over `g`: resident, in-memory images at
     /// 1/3/8 shards, and a mapped store (holding `diag`) at 1/2/4 parts.
     /// Each entry is `(mode name, shard count, engine)`.
     fn engines(
@@ -309,8 +303,8 @@ mod tests {
             vec![("local", 1, Box::new(resident))];
         for shards in [1u32, 3, 8] {
             let p = Partitioner::range_nonempty(g.node_count(), shards);
-            let view = KernelEngine::new(Arc::new(PartitionedView::of_graph(g, p)));
-            all.push(("sharded", shards, Box::new(view)));
+            let sharded = KernelEngine::new(Arc::new(MappedStore::of_graph(g, &p).unwrap()));
+            all.push(("sharded", shards, Box::new(sharded)));
         }
         for parts in [1u32, 2, 4] {
             let dir = std::env::temp_dir().join(format!("pasco_kernel_engine_{parts}"));
@@ -374,14 +368,14 @@ mod tests {
     #[test]
     fn footprint_shrinks_with_shards() {
         let g = generators::rmat(10, 10_000, generators::RmatParams::default(), 3);
-        let view = |shards| -> ShardedEngine {
+        let sharded = |shards| -> MappedEngine {
             let p = Partitioner::range_nonempty(CsrGraph::node_count(&g), shards);
-            KernelEngine::new(Arc::new(PartitionedView::of_graph(&g, p)))
+            KernelEngine::new(Arc::new(MappedStore::of_graph(&g, &p).unwrap()))
         };
-        let one = SimRankEngine::memory_footprint(&view(1)).per_worker_bytes;
-        let eight = SimRankEngine::memory_footprint(&view(8)).per_worker_bytes;
+        let one = SimRankEngine::memory_footprint(&sharded(1)).per_worker_bytes;
+        let eight = SimRankEngine::memory_footprint(&sharded(8)).per_worker_bytes;
         assert!(eight < one, "8 shards {eight} vs 1 shard {one}");
-        let per: u64 = SimRankEngine::shard_footprints(&view(8)).unwrap().iter().sum();
+        let per: u64 = SimRankEngine::shard_footprints(&sharded(8)).unwrap().iter().sum();
         assert!(per >= eight);
     }
 

@@ -4,18 +4,18 @@
 //!
 //! * **Storage** — where the adjacency lives. [`kernel::KernelEngine`] is
 //!   the single in-process engine, generic over a [`kernel::Storage`]:
-//!   the **resident** CSR graph ([`ExecMode::Local`]), a **partitioned
-//!   view** over in-memory range shards ([`ExecMode::Sharded`], the
-//!   single-box analogue of partition-by-source parallel SimRank), or a
-//!   **mapped** `PASCOSH1` shard store ([`crate::CloudWalker::open_store`]:
-//!   no resident adjacency at all, O(1) restart, graphs larger than RAM).
+//!   the **resident** CSR graph ([`ExecMode::Local`]), or a `PASCOSH1`
+//!   shard set — range shards held as in-memory images
+//!   ([`ExecMode::Sharded`], the single-box analogue of
+//!   partition-by-source parallel SimRank) or a **mapped** store directory
+//!   ([`crate::CloudWalker::open_store`]: no resident adjacency at all,
+//!   O(1) restart, graphs larger than RAM).
 //! * **Placement** — where the kernels execute. In-process on the caller's
 //!   rayon pool (the three storages above), or on real `pasco worker`
 //!   processes over TCP ([`distributed`]): the build and every query
 //!   routed to the worker owning its source through the envelope
-//!   protocol, each worker running the same kernel functions over a
-//!   partitioned view or a mapped store, with real wire bytes in the
-//!   cluster accounting.
+//!   protocol, each worker running the same kernel functions over the
+//!   same shard set, with real wire bytes in the cluster accounting.
 //! * **Simulated cost models** — [`broadcast`] (graph **replicated** to
 //!   every simulated worker: the paper's faster model, bounded by
 //!   per-worker RAM) and [`rdd`] (graph **partitioned**, walker state
@@ -49,7 +49,7 @@ pub mod kernel;
 pub mod rdd;
 
 pub use distributed::{DistributedEngine, ShardWorkerCore};
-pub use kernel::{KernelEngine, LocalEngine, MappedEngine, Resident, ShardedEngine, Storage};
+pub use kernel::{KernelEngine, LocalEngine, MappedEngine, Resident, Storage};
 
 use crate::api::QueryError;
 use crate::config::SimRankConfig;
@@ -78,9 +78,10 @@ pub enum ExecMode {
     /// walker state is shuffled to the owner of its next node every step.
     Rdd(ClusterConfig),
     /// In-process sharded execution: the graph range-partitioned into
-    /// `shards` shards, builds shard-parallel, queries routed to the shard
-    /// owning their source. Bit-identical to [`ExecMode::Local`] at every
-    /// shard count; per-shard memory shrinks as shards are added.
+    /// `shards` graph-only shard images held in memory, builds
+    /// shard-parallel, queries routed to the shard owning their source.
+    /// Bit-identical to [`ExecMode::Local`] at every shard count;
+    /// per-shard memory shrinks as shards are added.
     Sharded {
         /// Number of shards (capped at the node count; must be positive).
         shards: u32,

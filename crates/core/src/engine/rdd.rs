@@ -1,10 +1,12 @@
 //! RDD-model execution: partitioned graph, walker state shuffled per step.
 //!
 //! The scalable model of the paper's evaluation. The graph is
-//! range-partitioned ([`pasco_graph::partitioned`]); a walker standing on
-//! node `v` can only step on the partition owning `v`, so after every step
-//! walker records are **shuffled** (really serialised and re-decoded — see
-//! [`pasco_cluster::DistVec::shuffle`]) to their next owner. That per-step
+//! range-partitioned into graph-only `PASCOSH1` images held in memory
+//! ([`MappedStore::of_graph`]: the shard a worker holds, empty partitions
+//! included); a walker standing on node `v` can only step on the partition
+//! owning `v`, so after every step walker records are **shuffled** (really
+//! serialised and re-decoded — see [`pasco_cluster::DistVec::shuffle`]) to
+//! their next owner. That per-step
 //! communication is what makes RDD mode slower than Broadcasting in the
 //! paper's tables, while per-worker memory stays `O(|G|/partitions)`.
 //!
@@ -31,11 +33,11 @@ use crate::error::SimRankError;
 use crate::queries::{mcss_series, query_seed, SeriesTerm};
 use pasco_cluster::{Cluster, ClusterConfig, ClusterReport, DistVec};
 use pasco_graph::partition::Partitioner;
-use pasco_graph::partitioned::{partition_graph, GraphPartition};
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::counts::{CountMap, MassMap};
 use pasco_mc::forward::forward_step;
 use pasco_mc::walks::{pick, step_u64, walker_keys, StepDistributions};
+use pasco_store::{MappedShard, MappedStore};
 use std::sync::Arc;
 
 /// Reverse-walk walker record: `(rng key, source, position)`.
@@ -57,20 +59,21 @@ const SOURCE_BATCH: u32 = 1 << 16;
 /// RDD-model engine: cluster plus the partitioned graph.
 pub struct RddEngine {
     cluster: Cluster,
-    parts: Arc<Vec<GraphPartition>>,
-    partitioner: Partitioner,
-    n: u32,
+    parts: Arc<MappedStore>,
 }
 
 impl RddEngine {
     /// Partitions `graph` across the cluster's default partition count.
-    pub fn new(cluster_cfg: ClusterConfig, graph: &CsrGraph) -> Self {
+    ///
+    /// # Errors
+    /// [`SimRankError::Io`] when a partition's image cannot be mapped.
+    pub fn new(cluster_cfg: ClusterConfig, graph: &CsrGraph) -> Result<Self, SimRankError> {
         let cluster = Cluster::new(cluster_cfg);
         let n = graph.node_count();
         let nparts = (cluster.config().default_partitions() as u32).min(n.max(1));
         let partitioner = Partitioner::range(n, nparts);
-        let parts = Arc::new(partition_graph(graph, &partitioner));
-        Self { cluster, parts, partitioner, n }
+        let parts = Arc::new(MappedStore::of_graph(graph, &partitioner)?);
+        Ok(Self { cluster, parts })
     }
 
     /// The underlying cluster (metrics access).
@@ -82,11 +85,11 @@ impl RddEngine {
     /// memory requirement (compare against the broadcast model's full
     /// `|G|`).
     pub fn max_partition_bytes(&self) -> u64 {
-        self.parts.iter().map(|p| p.memory_bytes()).max().unwrap_or(0)
+        self.parts.shards().iter().map(MappedShard::mapped_bytes).max().unwrap_or(0)
     }
 
     fn nparts(&self) -> usize {
-        self.partitioner.parts() as usize
+        self.parts.parts() as usize
     }
 
     fn empty_parts<T>(&self) -> Vec<Vec<T>> {
@@ -107,20 +110,22 @@ impl SimRankEngine for RddEngine {
     /// contiguous range partition is node order — and handed to
     /// `staged_solve`, one task per partition.
     fn build_diagonal(&self, cfg: &SimRankConfig) -> Result<BuildOutcome, SimRankError> {
-        let n = self.n;
+        let n = self.parts.node_count();
         let nparts = self.nparts();
         let parts = Arc::clone(&self.parts);
-        let partitioner = self.partitioner;
+        let partitioner = self.parts.partitioner();
         let r = cfg.r;
-        let starts: Arc<Vec<u32>> = Arc::new(parts.iter().map(|gp| gp.start).collect());
+        let starts: Arc<Vec<u32>> =
+            Arc::new(parts.shards().iter().map(MappedShard::start).collect());
 
         // rows[p][local_source] accumulates a_i; seeded with the t = 0 term
         // (all R walkers on the source: c⁰·(R/R)² = 1).
         let mut rows: Vec<Vec<MassMap>> = self
             .parts
+            .shards()
             .iter()
             .map(|gp| {
-                (gp.start..gp.end)
+                (gp.start()..gp.end())
                     .map(|src| {
                         let mut m = MassMap::with_capacity(cfg.t * cfg.r as usize / 4 + 4);
                         m.add(src, 1.0);
@@ -149,7 +154,7 @@ impl SimRankEngine for RddEngine {
                     &self.cluster,
                     "index/step",
                     move |pidx, batch: Vec<IndexWalker>| {
-                        let gp = &parts_ref[pidx];
+                        let gp = &parts_ref.shards()[pidx];
                         batch
                             .into_iter()
                             .filter_map(|(key, src, pos)| {
@@ -241,7 +246,8 @@ impl SimRankEngine for RddEngine {
                 maps.into_iter().map(|m| m.into_sorted_vec()).collect()
             });
         let rows = StoredRows::from_parts(finalized);
-        let ranges: Vec<(u32, u32)> = self.parts.iter().map(|gp| (gp.start, gp.end)).collect();
+        let ranges: Vec<(u32, u32)> =
+            self.parts.shards().iter().map(|gp| (gp.start(), gp.end())).collect();
         let (diag, residuals) = staged_solve(&self.cluster, &ranges, &rows, cfg);
         Ok(BuildOutcome {
             diag,
@@ -260,7 +266,7 @@ impl SimRankEngine for RddEngine {
     ) -> Result<StepDistributions, QueryError> {
         let seed = query_seed(cfg);
         let nparts = self.nparts();
-        let partitioner = self.partitioner;
+        let partitioner = self.parts.partitioner();
         let parts = Arc::clone(&self.parts);
 
         let mut initial: Vec<Vec<QueryWalker>> = self.empty_parts();
@@ -275,7 +281,7 @@ impl SimRankEngine for RddEngine {
                 &self.cluster,
                 "query/step",
                 move |pidx, batch: Vec<QueryWalker>| {
-                    let gp = &parts_ref[pidx];
+                    let gp = &parts_ref.shards()[pidx];
                     batch
                         .into_iter()
                         .filter_map(|(key, pos)| {
@@ -330,9 +336,9 @@ impl SimRankEngine for RddEngine {
         i: NodeId,
     ) -> Result<Vec<f64>, QueryError> {
         let dists = Self::query_cohort(self, cfg, i)?;
-        let n = self.n as usize;
+        let n = self.parts.node_count() as usize;
         let nparts = self.nparts();
-        let partitioner = self.partitioner;
+        let partitioner = self.parts.partitioner();
         let parts = Arc::clone(&self.parts);
         let mut out = vec![0.0f64; n];
 
@@ -361,7 +367,7 @@ impl SimRankEngine for RddEngine {
                 "query/forward-step",
                 walkers.into_partitions(),
                 move |pidx, batch| {
-                    let gp = &parts_ref[pidx];
+                    let gp = &parts_ref.shards()[pidx];
                     let mut active = Vec::with_capacity(batch.len());
                     let mut retired: Vec<(u32, f64)> = Vec::new();
                     for (key, pos, remaining, mass) in batch {
@@ -407,7 +413,7 @@ impl SimRankEngine for RddEngine {
 impl std::fmt::Debug for RddEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RddEngine")
-            .field("nodes", &self.n)
+            .field("nodes", &self.parts.node_count())
             .field("partitions", &self.nparts())
             .field("cluster", &self.cluster.config())
             .finish_non_exhaustive()
@@ -425,7 +431,7 @@ mod tests {
     #[test]
     fn max_partition_is_smaller_than_graph() {
         let g = generators::rmat(10, 10_000, generators::RmatParams::default(), 3);
-        let eng = RddEngine::new(ClusterConfig::local(4), &g);
+        let eng = RddEngine::new(ClusterConfig::local(4), &g).unwrap();
         assert!(eng.max_partition_bytes() < g.memory_bytes());
     }
 }

@@ -75,7 +75,7 @@ pub use config::SimRankConfig;
 pub use diag::DiagonalIndex;
 pub use engine::{
     BuildOutcome, DistributedEngine, EngineFootprint, ExecMode, KernelEngine, LocalEngine,
-    ShardedEngine, SimRankEngine,
+    MappedEngine, SimRankEngine,
 };
 pub use error::SimRankError;
 pub use session::{CacheStats, QuerySession, SessionConfig};

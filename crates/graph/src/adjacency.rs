@@ -3,14 +3,13 @@
 //! The reverse walk needs in-neighbours; the forward (mass-carrying) walk
 //! needs reverse-chain outflows and weighted out-edge sampling. Both are
 //! served either by the resident [`CsrGraph`] (plus its
-//! [`ReverseChainIndex`]) or by a routed [`PartitionedView`] over graph
-//! shards. These traits let one walk kernel drive both — the **structural**
-//! form of the cross-engine guarantee: a sharded engine cannot drift from
-//! the local one when they execute the same kernel, only the adjacency
-//! source differs.
+//! [`ReverseChainIndex`]) or by `pasco_store`'s routed shard set, in memory
+//! or mapped from disk. These traits let one walk kernel drive both — the
+//! **structural** form of the cross-engine guarantee: a sharded engine
+//! cannot drift from the local one when they execute the same kernel, only
+//! the adjacency source differs.
 
 use crate::csr::{CsrGraph, InLinks, NodeId};
-use crate::partitioned::{GraphPartition, PartitionedView};
 use crate::sampling::ReverseChainIndex;
 
 /// In-link adjacency for the SimRank reverse walk.
@@ -57,18 +56,6 @@ impl WalkAdjacency for InLinks {
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
         &self.sources[lo as usize..hi as usize]
-    }
-}
-
-impl WalkAdjacency for PartitionedView {
-    #[inline]
-    fn node_count(&self) -> u32 {
-        PartitionedView::node_count(self)
-    }
-
-    #[inline]
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        PartitionedView::in_neighbors(self, v)
     }
 }
 
@@ -119,60 +106,5 @@ impl ForwardSampler for GraphSampler<'_> {
     #[inline]
     fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
         self.rci.sample(self.graph, v, r)
-    }
-}
-
-/// One partition samples for the nodes it owns — the RDD model steps a
-/// walker on the partition its position was shuffled to.
-impl ForwardSampler for GraphPartition {
-    #[inline]
-    fn outflow(&self, v: NodeId) -> f64 {
-        GraphPartition::outflow(self, v)
-    }
-
-    #[inline]
-    fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
-        GraphPartition::sample_out(self, v, r)
-    }
-}
-
-impl ForwardSampler for PartitionedView {
-    #[inline]
-    fn outflow(&self, v: NodeId) -> f64 {
-        PartitionedView::outflow(self, v)
-    }
-
-    #[inline]
-    fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
-        PartitionedView::sample_out(self, v, r)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::generators;
-    use crate::partition::Partitioner;
-    use crate::partitioned::partition_graph;
-    use std::sync::Arc;
-
-    #[test]
-    fn graph_and_view_agree_through_the_traits() {
-        let g = generators::barabasi_albert(200, 3, 4);
-        let rci = ReverseChainIndex::build(&g);
-        let p = Partitioner::range(g.node_count(), 3);
-        let view = PartitionedView::new(Arc::new(partition_graph(&g, &p)), p);
-        let sampler = GraphSampler::new(&g, &rci);
-        fn adj<G: WalkAdjacency>(g: &G, v: NodeId) -> Vec<NodeId> {
-            g.in_neighbors(v).to_vec()
-        }
-        fn probe<S: ForwardSampler>(s: &S, v: NodeId) -> (f64, Option<NodeId>) {
-            (s.outflow(v), s.sample_out(v, 0.37))
-        }
-        for v in (0..200).step_by(11) {
-            assert_eq!(adj(&g, v), adj(&view, v), "in {v}");
-            assert_eq!(probe(&sampler, v), probe(&view, v), "fwd {v}");
-        }
-        assert_eq!(WalkAdjacency::node_count(&g), WalkAdjacency::node_count(&view));
     }
 }

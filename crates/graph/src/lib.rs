@@ -33,7 +33,6 @@ pub mod error;
 pub mod generators;
 pub mod io;
 pub mod partition;
-pub mod partitioned;
 pub mod sampling;
 pub mod stats;
 pub mod transform;

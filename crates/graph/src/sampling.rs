@@ -17,7 +17,7 @@ use rayon::prelude::*;
 /// length; `total` is the last sum), and a uniform `r ∈ [0, 1)`. Returns
 /// the first target whose cumulative weight exceeds `r · total`, clamped
 /// to the last one against rounding at the top; `None` for a node without
-/// out-edges. Resident, partitioned and mapped storage all sample through
+/// out-edges. Resident storage and every shard (`pasco_store`) sample through
 /// here, so their forward walks cannot drift apart.
 #[inline]
 pub fn pick_weighted(targets: &[NodeId], cum: &[f64], total: f64, r: f64) -> Option<NodeId> {

@@ -1,11 +1,13 @@
 //! The `PASCOSH1` on-disk shard format: a validated fixed-size header
 //! followed by 8-byte-aligned little-endian sections.
 //!
-//! One image is one [`pasco_graph::partitioned::GraphPartition`] plus,
-//! once an index exists, its diagonal-index slice — the same bytes as a
-//! shard file on disk and as a `LoadPartition` frame on the wire — laid
-//! out so the arrays can be used *in place* through a read-only mapping:
-//! no decode, no copy, no allocation proportional to the graph:
+//! One image is one range partition of a graph — the in- and
+//! out-adjacency of its nodes and their reverse-chain sampling weights —
+//! plus, once an index exists, its diagonal-index slice. It is the only
+//! partitioned form of a graph: the same bytes as a shard file on disk, a
+//! `LoadPartition` frame on the wire and an in-process shard in memory,
+//! laid out so the arrays can be used *in place* through a read-only
+//! mapping: no decode, no copy, no allocation proportional to the graph:
 //!
 //! | offset | field | bytes |
 //! |-------:|-------|------:|

@@ -23,12 +23,12 @@
 //!   reach the directory maps it instead of receiving the images over the
 //!   wire (and one that cannot receives the very same bytes).
 //!
-//! [`MappedStore`] assembles a directory of shards into a routed view
-//! implementing the [`pasco_graph::adjacency`] traits, so the generic
-//! walk/MCSS kernels (and therefore every engine built on them) answer
-//! **bit-identically** over a mapped store and the resident graph — the
-//! same structural guarantee the sharded and distributed engines rely
-//! on.
+//! [`MappedStore`] assembles a directory of shards — or images held in
+//! memory, the in-process `sharded` engine's and a worker's storage — into
+//! a routed view implementing the [`pasco_graph::adjacency`] traits, so the
+//! generic walk/MCSS kernels (and therefore every engine built on them)
+//! answer **bit-identically** over a store and the resident graph. A shard
+//! is the only partitioned form of a graph in the workspace.
 //!
 //! Headers are untrusted input: every field is validated against the
 //! real file size before use, corruption is a typed [`StoreError`]
@@ -57,4 +57,4 @@ pub use format::{
 pub use shard::MappedShard;
 pub use store::MappedStore;
 pub use sys::{Mmap, Pod};
-pub use writer::{shard_file_name, write_partition, write_store, StoreWriter};
+pub use writer::{partition_image, shard_file_name, write_partition, write_store, StoreWriter};

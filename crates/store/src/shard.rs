@@ -21,21 +21,102 @@
 //! transport's business, the header checksum and the spines are checked).
 //!
 //! A lookup then costs what it costs in memory: [`MappedShard::slices`]
-//! hands the resolved views to [`PartSlices`], the one accessor body
-//! [`pasco_graph::partitioned::GraphPartition`] also runs (same offsets,
-//! the same cumulative-weight `pick_weighted` sampling), which is what
-//! makes walks over a mapped store bit-identical to walks over the
-//! resident graph.
+//! hands the resolved views to [`PartSlices`], the one accessor body of
+//! every partitioned storage — a store directory, a worker's wire images,
+//! the in-process `sharded` engine and the RDD model's partitions all hold
+//! their partitions as shards. Its offsets and cumulative weights are the
+//! resident graph's, sampled through the same
+//! [`pasco_graph::sampling::pick_weighted`], which is what makes walks over
+//! any of them bit-identical to walks over the resident graph.
 
 use crate::format::{
     ShardHeader, StoreError, HEADER_LEN, SECTION_COUNT, SECTION_NAMES, SEC_DIAG, SEC_IN_OFFSETS,
     SEC_IN_SOURCES, SEC_OUT_CUM, SEC_OUT_OFFSETS, SEC_OUT_TARGETS, SEC_OUT_TOTAL,
 };
 use crate::sys::{Mmap, Sections};
+use pasco_graph::adjacency::ForwardSampler;
 use pasco_graph::csr::NodeId;
-use pasco_graph::partitioned::PartSlices;
+use pasco_graph::sampling::pick_weighted;
 use std::fs::File;
+use std::ops::Range;
 use std::path::Path;
+
+/// The arrays of one range partition, borrowed from a shard's resolved
+/// sections: the one body of the four per-step lookups. Every partitioned
+/// storage holds [`MappedShard`]s, so they all execute the same
+/// instructions by construction.
+///
+/// Layout contract: for `count` owned nodes `start..start + count`, both
+/// offset arrays have `count + 1` monotone entries ending at their
+/// adjacency array's length, `out_cum` parallels `out_targets`,
+/// `out_total` has `count` entries. The owned
+/// range is read off those lengths, which makes every lookup total in
+/// `v`: a node outside it has no neighbours and no outflow.
+#[derive(Clone, Copy, Debug)]
+struct PartSlices<'a> {
+    /// First owned node id.
+    start: NodeId,
+    /// In-adjacency CSR offsets, local to the partition.
+    in_offsets: &'a [u64],
+    /// In-adjacency source ids (global).
+    in_sources: &'a [NodeId],
+    /// Out-adjacency CSR offsets, local to the partition.
+    out_offsets: &'a [u64],
+    /// Out-adjacency target ids (global).
+    out_targets: &'a [NodeId],
+    /// Per-out-edge cumulative reverse-chain weights.
+    out_cum: &'a [f64],
+    /// Per-owned-node total outflow `W_k`.
+    out_total: &'a [f64],
+}
+
+impl<'a> PartSlices<'a> {
+    // `inline(always)`: the 13-word struct must dissolve into the caller's
+    // registers — left to the inliner's discretion, `sample_out` stayed a
+    // call and every forward step spilled and reloaded all of it.
+
+    /// `v`'s index in the partition; wraps past every length for `v < start`.
+    #[inline(always)]
+    fn local(&self, v: NodeId) -> usize {
+        v.wrapping_sub(self.start) as usize
+    }
+
+    /// The local index and CSR span of `v` in `offsets`, when owned: an
+    /// offset array is one longer than the owned range, so the first `get`
+    /// is the ownership test and both bounds checks at once.
+    #[inline(always)]
+    fn span(&self, offsets: &[u64], v: NodeId) -> Option<(usize, Range<usize>)> {
+        let l = self.local(v);
+        let hi = *offsets.get(l + 1)?;
+        Some((l, offsets[l] as usize..hi as usize))
+    }
+
+    /// In-neighbours of `v` (global ids).
+    #[inline(always)]
+    fn in_neighbors(&self, v: NodeId) -> &'a [NodeId] {
+        self.span(self.in_offsets, v).map_or(&[], |(_, span)| &self.in_sources[span])
+    }
+
+    /// Out-neighbours of `v` (global ids).
+    #[inline(always)]
+    fn out_neighbors(&self, v: NodeId) -> &'a [NodeId] {
+        self.span(self.out_offsets, v).map_or(&[], |(_, span)| &self.out_targets[span])
+    }
+
+    /// Total reverse-chain outflow `W_v`.
+    #[inline(always)]
+    fn outflow(&self, v: NodeId) -> f64 {
+        self.out_total.get(self.local(v)).copied().unwrap_or(0.0)
+    }
+
+    /// Samples an out-neighbour of `v` with probability `∝ 1/|In(j)|`
+    /// given uniform `r ∈ [0,1)`; `None` when `v` has no out-edges.
+    #[inline(always)]
+    fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
+        let (l, span) = self.span(self.out_offsets, v)?;
+        pick_weighted(&self.out_targets[span.clone()], &self.out_cum[span], self.out_total[l], r)
+    }
+}
 
 /// A read-only graph partition served directly from its mapped image.
 pub struct MappedShard {
@@ -145,7 +226,7 @@ impl MappedShard {
     /// counts by `validate` and the spines checked at open, which is
     /// [`PartSlices`]'s layout contract.
     #[inline]
-    pub fn slices(&self) -> PartSlices<'_> {
+    fn slices(&self) -> PartSlices<'_> {
         PartSlices {
             start: self.header.start,
             in_offsets: self.sections.u64s(SEC_IN_OFFSETS),
@@ -211,6 +292,20 @@ impl MappedShard {
     }
 }
 
+/// One shard samples for the nodes it owns — the RDD model steps a walker
+/// on the partition its position was shuffled to.
+impl ForwardSampler for MappedShard {
+    #[inline]
+    fn outflow(&self, v: NodeId) -> f64 {
+        MappedShard::outflow(self, v)
+    }
+
+    #[inline]
+    fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId> {
+        MappedShard::sample_out(self, v, r)
+    }
+}
+
 impl std::fmt::Debug for MappedShard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MappedShard")
@@ -225,9 +320,7 @@ impl std::fmt::Debug for MappedShard {
 mod tests {
     use super::*;
     use crate::writer::{shard_file_name, StoreWriter};
-    use pasco_graph::generators;
-    use pasco_graph::partition::Partitioner;
-    use pasco_graph::partitioned::partition_graph;
+    use pasco_graph::{generators, ReverseChainIndex};
 
     fn scratch(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("pasco_store_shard_{name}"));
@@ -239,46 +332,38 @@ mod tests {
     #[test]
     fn mapped_shard_matches_the_partition_it_was_written_from() {
         let g = generators::barabasi_albert(300, 4, 7);
+        let rci = ReverseChainIndex::build(&g);
         let n = g.node_count();
-        let p = Partitioner::range(n, 3);
-        let parts = partition_graph(&g, &p);
         let diag: Vec<f64> = (0..n).map(|v| 0.5 + v as f64 / n as f64).collect();
         let dir = scratch("match");
         let mut w = StoreWriter::create(&dir, n, 3).unwrap();
-        for (i, part) in parts.iter().enumerate() {
-            w.write_partition(i as u32, part, &diag[part.start as usize..part.end as usize])
-                .unwrap();
+        let ranges = [(0, 100), (100, 200), (200, 300)];
+        for (i, &(start, end)) in ranges.iter().enumerate() {
+            w.write_partition(i as u32, &g, &diag[start as usize..end as usize]).unwrap();
         }
         w.finish().unwrap();
 
         // Each shard twice: the file mapped, and its bytes as an image.
-        let both = parts.iter().enumerate().flat_map(|(i, part)| {
+        let both = ranges.iter().enumerate().flat_map(|(i, &range)| {
             let path = dir.join(shard_file_name(i as u32));
             let image = std::fs::read(&path).unwrap();
             let shards: [MappedShard; 2] =
                 [MappedShard::open(path).unwrap(), MappedShard::from_bytes(&image).unwrap()];
-            shards.map(|shard| (part, shard, image.len() as u64))
+            shards.map(|shard| (range, shard, image.len() as u64))
         });
-        for (part, shard, image_len) in both {
+        for ((start, end), shard, image_len) in both {
             let shard: MappedShard = shard;
             assert_eq!(shard.mapped_bytes(), image_len);
             shard.verify().unwrap();
-            assert_eq!((shard.start(), shard.end()), (part.start, part.end));
-            assert_eq!(shard.diag(), &diag[part.start as usize..part.end as usize]);
-            for v in part.start..part.end {
-                assert_eq!(shard.in_neighbors(v), part.in_neighbors(v), "in {v}");
-                assert_eq!(shard.out_neighbors(v), part.out_neighbors(v), "out {v}");
-                assert_eq!(shard.outflow(v).to_bits(), part.outflow(v).to_bits(), "W {v}");
+            assert_eq!((shard.start(), shard.end()), (start, end));
+            assert_eq!(shard.diag(), &diag[start as usize..end as usize]);
+            for v in start..end {
+                assert_eq!(shard.in_neighbors(v), g.in_neighbors(v), "in {v}");
+                assert_eq!(shard.out_neighbors(v), g.out_neighbors(v), "out {v}");
+                assert_eq!(shard.outflow(v).to_bits(), rci.outflow(v).to_bits(), "W {v}");
                 for r in [0.0, 0.25, 0.63, 0.999] {
-                    assert_eq!(shard.sample_out(v, r), part.sample_out(v, r), "sample {v} {r}");
+                    assert_eq!(shard.sample_out(v, r), rci.sample(&g, v, r), "sample {v} {r}");
                 }
-            }
-            // Unowned nodes answer deterministically, never panic.
-            let outside = if part.start > 0 { 0 } else { part.end };
-            if outside < n {
-                assert_eq!(shard.in_neighbors(outside), &[] as &[u32]);
-                assert_eq!(shard.sample_out(outside, 0.5), None);
-                assert_eq!(shard.outflow(outside), 0.0);
             }
         }
     }

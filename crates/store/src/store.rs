@@ -2,16 +2,15 @@
 //!
 //! [`MappedStore::open`] maps every `shard-*.pasco` file in a directory
 //! ([`MappedStore::from_shards`] takes shards already mapped — a worker's
-//! wire images — and runs the same cross-check), checks that the shards
-//! agree on shape and tile `[0, n)`
+//! wire images — and runs the same cross-check; [`MappedStore::of_graph`]
+//! feeds it a resident graph's images, the in-process sharded storage),
+//! checks that the shards agree on shape and tile `[0, n)`
 //! exactly the way [`Partitioner::range`] would (readers recompute the
 //! partitioner, so the tiling *is* the routing table), and then serves
 //! the [`pasco_graph::adjacency`] traits by routing each lookup to the
-//! owning shard — the mmap'd twin of
-//! [`pasco_graph::partitioned::PartitionedView`]. Because the walk and
-//! MCSS kernels are generic over those traits, an engine driven by a
-//! `MappedStore` takes bit-identical trajectories to one driven by the
-//! resident graph.
+//! owning shard. Because the walk and MCSS kernels are generic over those
+//! traits, an engine driven by a `MappedStore` takes bit-identical
+//! trajectories to one driven by the resident graph.
 //!
 //! Everything a lookup needs is fixed at open: the [`RangeRouter`] (its
 //! chunk size and reciprocal — a step routes with one multiply, no
@@ -20,9 +19,9 @@
 
 use crate::format::{ShardHeader, StoreError};
 use crate::shard::MappedShard;
-use crate::writer::shard_file_name;
+use crate::writer::{partition_image, shard_file_name};
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
-use pasco_graph::csr::NodeId;
+use pasco_graph::csr::{CsrGraph, NodeId};
 use pasco_graph::partition::{Partitioner, RangeRouter};
 use std::path::{Path, PathBuf};
 
@@ -126,8 +125,26 @@ impl MappedStore {
         Ok(MappedStore { shards, router, n, dir: PathBuf::new() })
     }
 
+    /// `graph` range-partitioned by `partitioner` into graph-only images
+    /// held in memory, assembled the way a worker assembles the images it
+    /// receives ([`MappedShard::from_bytes`], then
+    /// [`MappedStore::from_shards`]). Each image is copied into its
+    /// mapping and dropped, so assembly holds at most one image twice. A
+    /// partitioner that is not [`Partitioner::range`] over the graph's node
+    /// count is [`StoreError::BadLayout`].
+    pub fn of_graph(
+        graph: &CsrGraph,
+        partitioner: &Partitioner,
+    ) -> Result<MappedStore, StoreError> {
+        let shards = (0..partitioner.parts())
+            .map(|q| MappedShard::from_bytes(&partition_image(graph, partitioner, q)?))
+            .collect::<Result<Vec<_>, StoreError>>()?;
+        Self::from_shards(shards)
+    }
+
     /// The directory this store was opened from; empty for a store
-    /// assembled by [`MappedStore::from_shards`].
+    /// assembled by [`MappedStore::from_shards`] or
+    /// [`MappedStore::of_graph`].
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -147,9 +164,8 @@ impl MappedStore {
         &self.shards
     }
 
-    /// The partitioner that routes nodes to shards — identical to the
-    /// one the in-memory sharded engine builds for the same `(n,
-    /// parts)`.
+    /// The partitioner that routes nodes to shards: [`Partitioner::range`]
+    /// over `(n, parts)`.
     pub fn partitioner(&self) -> Partitioner {
         Partitioner::Range(self.router)
     }
@@ -229,10 +245,8 @@ impl ForwardSampler for MappedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::write_store;
-    use pasco_graph::generators;
-    use pasco_graph::partitioned::{partition_graph, PartitionedView};
-    use std::sync::Arc;
+    use crate::writer::{write_store, StoreWriter};
+    use pasco_graph::{generators, ReverseChainIndex};
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pasco_store_dir_{name}"));
@@ -241,47 +255,81 @@ mod tests {
         dir
     }
 
+    /// `g` cut by `p` twice: images in memory, and a directory holding
+    /// `diag` written part by part and opened.
+    fn both_stores(name: &str, g: &CsrGraph, diag: &[f64], p: Partitioner) -> [MappedStore; 2] {
+        let dir = scratch(name);
+        let mut writer = StoreWriter::create(&dir, g.node_count(), p.parts()).unwrap();
+        for q in 0..p.parts() {
+            let (start, end) = p.range_of(q).unwrap();
+            writer.write_partition(q, g, &diag[start as usize..end as usize]).unwrap();
+        }
+        writer.finish().unwrap();
+        [MappedStore::of_graph(g, &p).unwrap(), MappedStore::open(&dir).unwrap()]
+    }
+
     #[test]
-    fn store_routes_identically_to_a_partitioned_view() {
-        let g = generators::rmat(9, 4_000, generators::RmatParams::default(), 8);
-        let n = g.node_count();
-        let diag: Vec<f64> = (0..n).map(|v| 1.0 / (1.0 + v as f64)).collect();
-        for parts in [1u32, 2, 4] {
-            let dir = scratch(&format!("route_{parts}"));
-            write_store(&dir, &g, &diag, parts).unwrap();
-            let store = MappedStore::open(&dir).unwrap();
-            store.verify().unwrap();
-            assert_eq!(store.node_count(), n);
-            assert_eq!(store.parts(), parts);
+    fn stores_answer_like_the_resident_graph_in_memory_and_on_disk() {
+        // rmat9's 512 nodes split 3 and 7 ways are chunks of 171 and 74;
+        // 15 parts of a 12-node graph leave the last three shards empty.
+        let rmat9 = generators::rmat(9, 4_000, generators::RmatParams::default(), 8);
+        let ba12 = generators::barabasi_albert(12, 2, 3);
+        let cases = [(&rmat9, 1), (&rmat9, 3), (&rmat9, 7), (&ba12, 15)];
+        for (g, parts) in cases {
+            let (n, rci) = (g.node_count(), ReverseChainIndex::build(g));
+            let diag: Vec<f64> = (0..n).map(|v| 1.0 / (1.0 + v as f64)).collect();
             let p = Partitioner::range(n, parts);
-            let view = PartitionedView::new(Arc::new(partition_graph(&g, &p)), p);
-            for v in (0..n).step_by(13) {
-                assert_eq!(WalkAdjacency::in_neighbors(&store, v), view.in_neighbors(v), "in {v}");
-                assert_eq!(
-                    ForwardSampler::outflow(&store, v).to_bits(),
-                    view.outflow(v).to_bits(),
-                    "W {v}"
-                );
-                for r in [0.0, 0.42, 0.999] {
-                    assert_eq!(
-                        ForwardSampler::sample_out(&store, v, r),
-                        view.sample_out(v, r),
-                        "sample {v} {r}"
-                    );
+            let [memory, disk] = both_stores(&format!("route_{n}_{parts}"), g, &diag, p);
+            assert_eq!((memory.compose_diag(), disk.compose_diag()), (vec![], diag));
+            for (store, label) in [(memory, "memory"), (disk, "disk")] {
+                let label = format!("{label} {n} nodes x{parts}");
+                store.verify().unwrap();
+                assert_eq!((store.node_count(), store.parts()), (n, parts), "{label}");
+                assert_eq!(store.partitioner(), p, "{label}");
+                for v in 0..n {
+                    let shard = store.shard_of(v);
+                    assert_eq!(WalkAdjacency::in_neighbors(&store, v), g.in_neighbors(v), "{v}");
+                    assert_eq!(shard.out_neighbors(v), g.out_neighbors(v), "{label}: out {v}");
+                    let w = ForwardSampler::outflow(&store, v);
+                    assert_eq!(w.to_bits(), rci.outflow(v).to_bits(), "{label}: W {v}");
+                    for r in [0.0, 0.25, 0.42, 0.63, 0.999] {
+                        let got = ForwardSampler::sample_out(&store, v, r);
+                        assert_eq!(got, rci.sample(g, v, r), "{label}: sample {v} {r}");
+                    }
+                }
+                // Out-of-range lookups stay total (routing clamps, a shard
+                // answers empty for every node it does not own): walkers
+                // only reach valid ids on an intact store, but a corrupt
+                // payload must degrade to garbage answers, never a panic.
+                for shard in store.shards() {
+                    let (start, end) = (shard.start(), shard.end());
+                    [0, start.wrapping_sub(1), end, n, n + 17, u32::MAX]
+                        .into_iter()
+                        .filter(|v| !(start..end).contains(v))
+                        .for_each(|v| assert_empty(shard, v, &label));
+                }
+                for v in [n, n + 17, u32::MAX] {
+                    assert_eq!(WalkAdjacency::in_neighbors(&store, v), &[] as &[NodeId]);
+                    assert_eq!(ForwardSampler::outflow(&store, v), 0.0, "{label}: W {v}");
+                    assert_eq!(ForwardSampler::sample_out(&store, v, 0.5), None, "{label}");
                 }
             }
-            assert_eq!(store.compose_diag(), diag);
-            assert_eq!(ForwardSampler::sample_out(&store, v_out_of_range(n), 0.5), None);
-            assert_eq!(ForwardSampler::outflow(&store, v_out_of_range(n)), 0.0);
         }
     }
 
-    // Out-of-range lookups must stay total (routing clamps, shard
-    // answers empty) — walkers can only reach valid ids on an intact
-    // store, but a corrupt payload must degrade to garbage answers,
-    // never a panic.
-    fn v_out_of_range(n: u32) -> u32 {
-        n.saturating_add(17)
+    fn assert_empty(shard: &MappedShard, v: NodeId, label: &str) {
+        assert_eq!(shard.in_neighbors(v), &[] as &[NodeId], "{label}: in {v}");
+        assert_eq!(shard.out_neighbors(v), &[] as &[NodeId], "{label}: out {v}");
+        assert_eq!((shard.outflow(v), shard.sample_out(v, 0.5)), (0.0, None), "{label}: {v}");
+    }
+
+    #[test]
+    fn a_hash_partitioner_is_a_typed_layout_error() {
+        let g = generators::cycle(9);
+        let err = MappedStore::of_graph(&g, &Partitioner::hash(3));
+        assert!(matches!(err, Err(StoreError::BadLayout(_))), "{:?}", err.map(|_| ()));
+        let err = partition_image(&g, &Partitioner::hash(3), 0);
+        assert!(matches!(err, Err(StoreError::BadLayout(_))), "{:?}", err.map(|_| ()));
     }
 
     #[test]

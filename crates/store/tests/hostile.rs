@@ -11,14 +11,13 @@
 //! proptest block fuzzes the header bytes and fields wholesale.
 
 use pasco_store::{
-    shard_file_name, write_partition, write_store, MappedShard, MappedStore, Section, ShardHeader,
+    partition_image, shard_file_name, write_store, MappedShard, MappedStore, Section, ShardHeader,
     StoreError, HEADER_LEN, SECTION_COUNT, SEC_DIAG,
 };
 use proptest::prelude::*;
 
 use pasco_graph::generators;
 use pasco_graph::partition::Partitioner;
-use pasco_graph::partitioned::partition_graph;
 use std::mem::discriminant;
 use std::path::{Path, PathBuf};
 
@@ -261,10 +260,8 @@ fn a_diag_section_is_whole_or_absent() {
     // is (bad magic), not merely that it is short.
     let dir = victim_store("diagmix");
     let g = generators::barabasi_albert(150, 3, 11);
-    let part = partition_graph(&g, &Partitioner::range(150, 2)).swap_remove(0);
-    let mut image = std::io::Cursor::new(Vec::new());
-    write_partition(&mut image, (150, 2), 0, &part, &[]).unwrap();
-    std::fs::write(dir.join(shard_file_name(0)), image.get_ref()).unwrap();
+    let image = partition_image(&g, &Partitioner::range(150, 2), 0).unwrap();
+    std::fs::write(dir.join(shard_file_name(0)), image).unwrap();
     assert!(matches!(MappedStore::open(&dir), Err(StoreError::BadLayout(_))));
     let shards = (0..2).map(|q| MappedShard::open(dir.join(shard_file_name(q))).unwrap());
     assert!(matches!(MappedStore::from_shards(shards.collect()), Err(StoreError::BadLayout(_))));

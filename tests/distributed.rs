@@ -26,7 +26,7 @@ use pasco::simrank::{
     queries, CloudWalker, ExecMode, QueryError, QueryResponse, QuerySession, SimRankConfig,
     SimRankError,
 };
-use pasco_store::{write_partition, ShardHeader};
+use pasco_store::{partition_image, ShardHeader};
 use proptest::prelude::*;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -740,7 +740,6 @@ fn shutdown_frame_drains_the_worker() {
 fn load_acks_echo_kind_and_id_over_a_raw_socket() {
     let g = generators::cycle(10);
     let partitioner = pasco::graph::partition::Partitioner::range(10, 2);
-    let parts = pasco::graph::partitioned::partition_graph(&g, &partitioner);
 
     let worker = PascoServer::bind_worker("127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = worker.local_addr();
@@ -752,17 +751,16 @@ fn load_acks_echo_kind_and_id_over_a_raw_socket() {
     write_envelope(&mut stream, &Envelope::hello()).unwrap();
     assert_eq!(read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap().kind, FrameKind::HelloAck);
 
-    for (q, part) in parts.iter().enumerate() {
-        let mut image = std::io::Cursor::new(Vec::new());
-        write_partition(&mut image, (10, 2), q as u32, part, &[]).unwrap();
-        let msg = LoadPartition { owned_part: 0, image: image.into_inner() };
+    for q in 0..2 {
+        let msg =
+            LoadPartition { owned_part: 0, image: partition_image(&g, &partitioner, q).unwrap() };
         let id = 100 + q as u64;
         write_envelope(&mut stream, &Envelope::worker(FrameKind::LoadPartition, id, &msg)).unwrap();
         let reply = read_envelope(&mut reader, DEFAULT_MAX_FRAME).unwrap();
         assert_eq!(reply.kind, FrameKind::LoadPartition);
         assert_eq!(reply.request_id, id);
         let ack = LoadAck::from_bytes(&reply.payload).unwrap();
-        assert_eq!(ack.loaded, q as u32 + 1);
+        assert_eq!(ack.loaded, q + 1);
         assert!(ack.resident_bytes > 0);
     }
 

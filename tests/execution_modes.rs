@@ -39,7 +39,7 @@ impl Simulated {
                 let rci = Arc::new(ReverseChainIndex::build(g));
                 Self::Broadcast(BroadcastEngine::new(cluster, Arc::clone(g), rci).unwrap())
             }
-            _ => Self::Rdd(RddEngine::new(cluster, g)),
+            _ => Self::Rdd(RddEngine::new(cluster, g).unwrap()),
         }
     }
 

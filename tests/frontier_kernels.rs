@@ -12,7 +12,6 @@
 //! cohort) to `ai_row` over the step histograms, row by row.
 
 use pasco::graph::partition::Partitioner;
-use pasco::graph::partitioned::PartitionedView;
 use pasco::graph::{generators, CsrGraph, ForwardSampler, GraphSampler, NodeId};
 use pasco::graph::{ReverseChainIndex, WalkAdjacency};
 use pasco::mc::counts::MassMap;
@@ -179,7 +178,7 @@ fn frontier_kernels_equal_the_per_walker_oracles_on_every_storage() {
             }
         }
 
-        // Every storage: resident, the routed view and the mapped store at
+        // Every storage: resident, in-memory images and the mapped store at
         // even and uneven tilings — rmat9's 512 nodes split 3 and 7 ways are
         // chunks of 171 and 74, where only an exact router lands every walker
         // on its owner — and, on the tiny graphs, more parts than nodes.
@@ -199,12 +198,14 @@ fn frontier_kernels_equal_the_per_walker_oracles_on_every_storage() {
         for want in &table {
             check_storage(&format!("{name}/csr"), &GraphSampler::new(&g, &rci), &diag, want);
             for shards in [1u32, 2, 3, 5, 7] {
-                let view = PartitionedView::of_graph(&g, Partitioner::range_nonempty(n, shards));
-                check_storage(&format!("{name}/view x{shards}"), &view, &diag, want);
+                let p = Partitioner::range_nonempty(n, shards);
+                let sharded = MappedStore::of_graph(&g, &p).unwrap();
+                check_storage(&format!("{name}/sharded x{shards}"), &sharded, &diag, want);
             }
             if n <= 10 {
-                let view = PartitionedView::of_graph(&g, Partitioner::range(n, n + 3));
-                check_storage(&format!("{name}/view x{} (empty parts)", n + 3), &view, &diag, want);
+                let sharded = MappedStore::of_graph(&g, &Partitioner::range(n, n + 3)).unwrap();
+                let label = format!("{name}/sharded x{} (empty parts)", n + 3);
+                check_storage(&label, &sharded, &diag, want);
             }
             for (parts, walker) in &mapped {
                 let store = walker.store().expect("a store-backed walker");
@@ -248,7 +249,7 @@ fn row_kernel_equals_ai_row_over_the_step_histograms_on_every_storage() {
         let _ = std::fs::remove_dir_all(&dir);
         write_store(&dir, &g, &vec![1.0; n as usize], 2).unwrap();
         let mapped = MappedStore::open(&dir).unwrap();
-        let view = PartitionedView::of_graph(&g, Partitioner::range_nonempty(n, 3));
+        let sharded = MappedStore::of_graph(&g, &Partitioner::range_nonempty(n, 3)).unwrap();
         for (t, r) in cells {
             let params = WalkParams::new(t, r);
             let oracle: Vec<Vec<(u32, f64)>> = (0..n)
@@ -257,7 +258,7 @@ fn row_kernel_equals_ai_row_over_the_step_histograms_on_every_storage() {
             let want = StoredRows::new(oracle);
             let label = format!("{name} T={t} R={r}");
             check_rows(&format!("{label} csr"), &g, params, &want);
-            check_rows(&format!("{label} view x3"), &view, params, &want);
+            check_rows(&format!("{label} sharded x3"), &sharded, params, &want);
             check_rows(&format!("{label} mapped x2"), &mapped, params, &want);
             // The build's block store lends the same rows.
             let kernel = RowKernel::new(&g, params, SEED, 0.6);

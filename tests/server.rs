@@ -10,7 +10,6 @@
 
 use pasco::graph::generators;
 use pasco::graph::partition::Partitioner;
-use pasco::graph::partitioned::partition_graph;
 use pasco::server::{ClientError, PascoClient, PascoServer, ServerConfig, ServerHandle};
 use pasco::simrank::api::envelope::{
     Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC,
@@ -353,10 +352,8 @@ fn each_service_drops_the_other_services_frames_and_keeps_serving() {
     let mut peer = Peer::connect(addr);
     assert_eq!(peer.info.node_count, 0, "nothing loaded yet");
     let g = generators::cycle(10);
-    let parts = partition_graph(&g, &Partitioner::range(10, 1));
-    let mut image = std::io::Cursor::new(Vec::new());
-    pasco_store::write_partition(&mut image, (10, 1), 0, &parts[0], &[]).unwrap();
-    let load = LoadPartition { owned_part: 0, image: image.into_inner() };
+    let image = pasco_store::partition_image(&g, &Partitioner::range(10, 1), 0).unwrap();
+    let load = LoadPartition { owned_part: 0, image };
     let ack = peer.exchange(&Envelope::worker(FrameKind::LoadPartition, 1, &load));
     assert_eq!(ack.kind, FrameKind::LoadPartition);
     assert_eq!(Peer::connect(addr).info.node_count, 10, "the load round is over");
