@@ -348,7 +348,7 @@ impl QueryService for QuerySession {
                 QueryResponse::Matrix(self.try_pairs_matrix(&rows, &cols)?)
             }
             QueryRequest::Cohort { v } => {
-                QueryResponse::Cohort(self.try_cohort(v)?.as_ref().clone())
+                QueryResponse::Cohort(std::sync::Arc::unwrap_or_clone(self.try_cohort(v)?))
             }
             QueryRequest::Batch(reqs) => return execute_batch(self, reqs),
         })

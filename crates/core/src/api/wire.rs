@@ -26,6 +26,7 @@
 //! ```
 
 use super::{QueryError, QueryRequest, QueryResponse};
+use crate::queries::{CohortLayout, StepHistogram};
 use bytes::{Buf, BufMut};
 use pasco_mc::walks::StepDistributions;
 use std::fmt;
@@ -293,8 +294,13 @@ impl WireCodec for StepDistributions {
     }
 
     fn encoded_len(&self) -> usize {
-        12 + self.counts.iter().map(|step| 4 + 12 * step.len()).sum::<usize>()
+        cohort_wire_len(self)
     }
+}
+
+/// The bytes a cohort in either layout encodes to as a [`StepDistributions`].
+pub(crate) fn cohort_wire_len<C: CohortLayout + ?Sized>(cohort: &C) -> usize {
+    12 + cohort.histograms().map(|step| 4 + 12 * step.entries()).sum::<usize>()
 }
 
 // ---- requests ----------------------------------------------------------

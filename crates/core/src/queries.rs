@@ -30,8 +30,7 @@ use pasco_graph::{
 use pasco_mc::counts::MassMap;
 use pasco_mc::forward::{forward_walk_frontier, push_measure, ForwardWalker};
 use pasco_mc::rng::{mix, mix_extend};
-use pasco_mc::walks::{reverse_walk_distributions_on, StepDistributions, WalkParams};
-use std::borrow::Borrow;
+use pasco_mc::walks::{reverse_walk_distributions_on, CohortBlock, StepDistributions, WalkParams};
 use std::convert::Infallible;
 
 /// Salt distinguishing query walks from index walks.
@@ -69,23 +68,100 @@ pub fn query_cohort(graph: &CsrGraph, cfg: &SimRankConfig, source: NodeId) -> St
     query_cohort_on(graph, cfg, source)
 }
 
-/// Scores a pair from two cohorts' distributions:
+/// One step's histogram, ascending by node id, in either cohort layout.
+pub trait StepHistogram: Copy {
+    /// Number of distinct nodes visited.
+    fn entries(self) -> usize;
+    /// The `i`-th node visited.
+    fn node(self, i: usize) -> NodeId;
+    /// How many walkers stood on the `i`-th node.
+    fn count(self, i: usize) -> u64;
+    /// How many entries lie below `node`.
+    fn rank(self, node: NodeId) -> usize;
+}
+
+impl StepHistogram for &[(NodeId, u64)] {
+    fn entries(self) -> usize {
+        self.len()
+    }
+    fn node(self, i: usize) -> NodeId {
+        self[i].0
+    }
+    fn count(self, i: usize) -> u64 {
+        self[i].1
+    }
+    fn rank(self, node: NodeId) -> usize {
+        self.partition_point(|&(k, _)| k < node)
+    }
+}
+
+impl StepHistogram for (&[NodeId], &[u32]) {
+    fn entries(self) -> usize {
+        self.0.len()
+    }
+    fn node(self, i: usize) -> NodeId {
+        self.0[i]
+    }
+    fn count(self, i: usize) -> u64 {
+        u64::from(self.1[i])
+    }
+    fn rank(self, node: NodeId) -> usize {
+        self.0.partition_point(|&k| k < node)
+    }
+}
+
+/// A cohort's step histograms, nested ([`StepDistributions`]) or flat
+/// ([`CohortBlock`]), or an `Arc` of either: what [`score_pair`] merges.
+pub trait CohortLayout {
+    /// Cohort size used for normalisation.
+    fn walkers(&self) -> u32;
+    /// Every step's histogram, `t = 0..=T`.
+    fn histograms(&self) -> impl Iterator<Item = impl StepHistogram>;
+}
+
+impl CohortLayout for StepDistributions {
+    fn walkers(&self) -> u32 {
+        self.walkers
+    }
+    fn histograms(&self) -> impl Iterator<Item = impl StepHistogram> {
+        self.counts.iter().map(Vec::as_slice)
+    }
+}
+
+impl CohortLayout for CohortBlock {
+    fn walkers(&self) -> u32 {
+        self.walkers
+    }
+    fn histograms(&self) -> impl Iterator<Item = impl StepHistogram> {
+        CohortBlock::histograms(self)
+    }
+}
+
+impl<C: CohortLayout + ?Sized> CohortLayout for std::sync::Arc<C> {
+    fn walkers(&self) -> u32 {
+        (**self).walkers()
+    }
+    fn histograms(&self) -> impl Iterator<Item = impl StepHistogram> {
+        (**self).histograms()
+    }
+}
+
+/// Scores a pair from two cohorts' distributions, in either layout:
 /// `Σ_t cᵗ Σ_k x_k ûₜ(k) v̂ₜ(k)`. A branch-free lane merge finds each
 /// step's shared keys; their products are added in ascending key order, as a two-pointer
-/// merge adds them. Histograms must be sorted by node id, without
-/// duplicates, as the walk kernel writes them.
-pub fn score_pair(di: &StepDistributions, dj: &StepDistributions, diag: &[f64], c: f64) -> f64 {
-    debug_assert_eq!(di.steps(), dj.steps());
-    let ri = di.walkers as f64;
-    let rj = dj.walkers as f64;
-    let mut hits = vec![(0, 0); di.counts.iter().map(Vec::len).max().unwrap_or(0)];
+/// merge adds them, so both layouts give the same bits. Histograms must be
+/// sorted by node id, without duplicates, as the walk kernel writes them.
+pub fn score_pair<C: CohortLayout + ?Sized>(di: &C, dj: &C, diag: &[f64], c: f64) -> f64 {
+    let ri = f64::from(di.walkers());
+    let rj = f64::from(dj.walkers());
+    let mut hits = vec![(0, 0); di.histograms().map(StepHistogram::entries).max().unwrap_or(0)];
     let mut score = 0.0;
     let mut ct = 1.0;
-    for (u, v) in di.counts.iter().zip(&dj.counts) {
+    for (u, v) in di.histograms().zip(dj.histograms()) {
         let mut term = 0.0;
         for lane in merge_lanes(u, v, &mut hits) {
             for &(a, b) in &hits[lane.first..lane.hit] {
-                let ((ka, ca), (_, cb)) = (u[a as usize], v[b as usize]);
+                let (ka, ca, cb) = (u.node(a as usize), u.count(a as usize), v.count(b as usize));
                 term += diag[ka as usize] * (ca as f64 / ri) * (cb as f64 / rj);
             }
         }
@@ -122,8 +198,8 @@ impl Lane {
     /// A branch-free merge step: `(a, b)` is written, and kept if the keys
     /// match; the smaller side advances, both on a match.
     #[inline(always)]
-    fn step(&mut self, u: &[(NodeId, u64)], v: &[(NodeId, u64)], hits: &mut [(u32, u32)]) {
-        let (ka, kb) = (u[self.a].0, v[self.b].0);
+    fn step<S: StepHistogram>(&mut self, u: S, v: S, hits: &mut [(u32, u32)]) {
+        let (ka, kb) = (u.node(self.a), v.node(self.b));
         hits[self.hit] = (self.a as u32, self.b as u32);
         self.hit += usize::from(ka == kb);
         self.a += usize::from(ka <= kb);
@@ -135,18 +211,16 @@ impl Lane {
 /// into `hits` (`≥ u.len()` long). Lane `l` takes the `l`-th quarter of `u`
 /// and the part of `v` below the next quarter's first key, and writes from
 /// its first `u` index on: read lane by lane, the hits ascend by key.
-fn merge_lanes(u: &[(NodeId, u64)], v: &[(NodeId, u64)], hits: &mut [(u32, u32)]) -> [Lane; LANES] {
+fn merge_lanes<S: StepHistogram>(u: S, v: S, hits: &mut [(u32, u32)]) -> [Lane; LANES] {
     let mut lanes = [Lane::default(); LANES];
-    if u.len() < LANE_MIN || v.len() < LANE_MIN {
-        lanes[0] = Lane { a_end: u.len(), b_end: v.len(), ..Lane::default() };
+    let (u_len, v_len) = (u.entries(), v.entries());
+    if u_len < LANE_MIN || v_len < LANE_MIN {
+        lanes[0] = Lane { a_end: u_len, b_end: v_len, ..Lane::default() };
     } else {
         let mut b = 0;
         for (l, lane) in lanes.iter_mut().enumerate() {
-            let (a, a_end) = (l * u.len() / LANES, (l + 1) * u.len() / LANES);
-            let b_end = match u.get(a_end) {
-                Some(&(key, _)) => v.partition_point(|&(k, _)| k < key),
-                None => v.len(),
-            };
+            let (a, a_end) = (l * u_len / LANES, (l + 1) * u_len / LANES);
+            let b_end = if a_end < u_len { v.rank(u.node(a_end)) } else { v_len };
             *lane = Lane { a, a_end, b, b_end, first: a, hit: a };
             b = b_end;
         }
@@ -166,9 +240,9 @@ fn merge_lanes(u: &[(NodeId, u64)], v: &[(NodeId, u64)], hits: &mut [(u32, u32)]
 /// otherwise the two cohorts scored by [`score_pair`]. The one spelling
 /// behind [`single_pair_on`] (kernel cohorts, cannot fail), the provided
 /// `SimRankEngine::single_pair` (an engine's cohort dataflow, owned
-/// values) and the session (cached `Arc`s).
+/// values) and the session (cached blocks).
 #[inline]
-pub(crate) fn pair_from_cohorts<D: Borrow<StepDistributions>, E>(
+pub(crate) fn pair_from_cohorts<D: CohortLayout, E>(
     diag: &[f64],
     c: f64,
     (i, j): (NodeId, NodeId),
@@ -178,7 +252,7 @@ pub(crate) fn pair_from_cohorts<D: Borrow<StepDistributions>, E>(
         return Ok(1.0);
     }
     let (di, dj) = (cohort(i)?, cohort(j)?);
-    Ok(score_pair(di.borrow(), dj.borrow(), diag, c))
+    Ok(score_pair(&di, &dj, diag, c))
 }
 
 /// MCSP: the single-pair query on any adjacency source.

@@ -20,18 +20,27 @@
 //! underlying engine's; caching and concurrency only remove
 //! re-simulation.
 //!
+//! The cache is flat: a miss flattens its cohort once into a
+//! [`CohortBlock`] (one `u32` allocation, 8 B an entry, half the nested
+//! [`StepDistributions`]) and keeps only that. Single-pair and matrix
+//! queries score straight from the blocks through the one generic
+//! [`score_pair`] — the same merge and the same bits as over nested
+//! cohorts — and [`QuerySession::try_cohort`] expands a block back into a
+//! fresh `StepDistributions`.
+//!
 //! Long-running servers configure eviction through [`SessionConfig`]: an
 //! optional TTL (expired entries are evicted on lookup, never served as
 //! hits) and an optional byte budget over resident cohorts (wire-encoded
-//! size, enforced from each shard's cold tail). [`CacheStats`] accounts
-//! every eviction alongside hits and misses.
+//! size, enforced from each shard's cold tail; the flat layout leaves this
+//! unit, and so `--cache-bytes`, as it was). [`CacheStats`] accounts every
+//! eviction alongside hits and misses.
 
-use crate::api::wire::WireCodec;
+use crate::api::wire::cohort_wire_len;
 use crate::api::QueryError;
 use crate::cloudwalker::CloudWalker;
-use crate::queries::{pair_from_cohorts, score_pair};
+use crate::queries::{pair_from_cohorts, score_pair, CohortLayout};
 use pasco_graph::NodeId;
-use pasco_mc::walks::StepDistributions;
+use pasco_mc::walks::{CohortBlock, StepDistributions};
 use rayon::prelude::*;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
@@ -61,9 +70,9 @@ fn chunked_indices(
     (0..len.div_ceil(block)).map(move |b| (b * block)..((b + 1) * block).min(len))
 }
 
-struct Slot {
+struct Slot<V> {
     node: NodeId,
-    value: Arc<StepDistributions>,
+    value: V,
     /// Wire-encoded size of the cohort — the byte-budget unit.
     bytes: usize,
     /// When the cohort was cached; entries older than the configured TTL
@@ -73,13 +82,14 @@ struct Slot {
     next: usize,
 }
 
-/// One independently locked O(1) LRU over cohorts: a slot slab threaded
+/// One independently locked O(1) LRU over cohorts in either layout (a
+/// session's shards hold [`CohortBlock`]s): a slot slab threaded
 /// into a doubly linked recency list, indexed by a `HashMap`. Hits relink
 /// in O(1); eviction pops the list tail in O(1). Beyond the entry-count
 /// capacity, a shard optionally enforces a TTL (expired entries are
 /// evicted on lookup, not served) and a byte budget (inserting past it
 /// evicts from the cold tail until the shard fits).
-struct LruShard {
+struct LruShard<V> {
     capacity: usize,
     ttl: Option<Duration>,
     max_bytes: Option<usize>,
@@ -89,7 +99,7 @@ struct LruShard {
     /// byte-budget evictions, and TTL expiries.
     evictions: u64,
     map: SlotIndex,
-    slots: Vec<Option<Slot>>,
+    slots: Vec<Option<Slot<V>>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
@@ -101,17 +111,17 @@ struct LruShard {
     reason = "a linked index always names an occupied slot: `remove` is the only writer of \
               `None` and unlinks first"
 )]
-impl LruShard {
-    fn slot(&self, slot: usize) -> &Slot {
+impl<V> LruShard<V> {
+    fn slot(&self, slot: usize) -> &Slot<V> {
         self.slots[slot].as_ref().expect("linked slot must be occupied")
     }
 
-    fn slot_mut(&mut self, slot: usize) -> &mut Slot {
+    fn slot_mut(&mut self, slot: usize) -> &mut Slot<V> {
         self.slots[slot].as_mut().expect("linked slot must be occupied")
     }
 }
 
-impl LruShard {
+impl<V: CohortLayout + Clone> LruShard<V> {
     fn new(capacity: usize, ttl: Option<Duration>, max_bytes: Option<usize>) -> Self {
         Self {
             capacity,
@@ -169,7 +179,7 @@ impl LruShard {
         self.ttl.is_some_and(|ttl| self.slot(slot).inserted.elapsed() >= ttl)
     }
 
-    fn get(&mut self, node: NodeId) -> Option<Arc<StepDistributions>> {
+    fn get(&mut self, node: NodeId) -> Option<V> {
         let slot = *self.map.get(&node)?;
         if self.expired(slot) {
             // An expired entry is not a hit: evict it and let the caller
@@ -180,10 +190,10 @@ impl LruShard {
         }
         self.detach(slot);
         self.attach_front(slot);
-        Some(Arc::clone(&self.slot(slot).value))
+        Some(self.slot(slot).value.clone())
     }
 
-    fn insert(&mut self, node: NodeId, value: Arc<StepDistributions>) {
+    fn insert(&mut self, node: NodeId, value: V) {
         if let Some(&slot) = self.map.get(&node) {
             // Raced with another miss on the same node; keep the resident
             // entry (identical by determinism), refresh recency and TTL.
@@ -192,7 +202,7 @@ impl LruShard {
             self.slot_mut(slot).inserted = Instant::now();
             return;
         }
-        let bytes = value.encoded_len();
+        let bytes = cohort_wire_len(&value);
         // A cohort that alone exceeds the byte budget can never stay
         // resident: refuse it up front (counted as an eviction-on-arrival)
         // instead of letting the budget loop below flush every warm entry
@@ -241,7 +251,7 @@ enum FlightState {
     #[default]
     Pending,
     /// The leader published its cohort.
-    Done(Arc<StepDistributions>),
+    Done(Arc<CohortBlock>),
     /// The leader unwound without publishing; waiters must retry.
     Abandoned,
 }
@@ -391,7 +401,7 @@ impl SessionConfig {
 /// graph size) and safe to share: queries take `&self`.
 pub struct QuerySession {
     walker: Arc<CloudWalker>,
-    shards: Vec<Mutex<LruShard>>,
+    shards: Vec<Mutex<LruShard<Arc<CohortBlock>>>>,
     /// Effective total capacity (`shards × per-shard`, ≥ the requested
     /// capacity after round-up).
     capacity: usize,
@@ -482,7 +492,7 @@ impl QuerySession {
     }
 
     #[inline]
-    fn shard_of(&self, v: NodeId) -> &Mutex<LruShard> {
+    fn shard_of(&self, v: NodeId) -> &Mutex<LruShard<Arc<CohortBlock>>> {
         // Fibonacci hashing spreads consecutive node ids across shards.
         let h = (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         &self.shards[(h >> 32) as usize % self.shards.len()]
@@ -491,7 +501,7 @@ impl QuerySession {
     /// The cached cohort of `v`, fallible end to end: an engine failure
     /// (a distributed worker dying mid-query) propagates as its typed
     /// [`QueryError`] instead of panicking a serving thread.
-    fn cohort(&self, v: NodeId) -> Result<Arc<StepDistributions>, QueryError> {
+    fn cohort(&self, v: NodeId) -> Result<Arc<CohortBlock>, QueryError> {
         loop {
             if let Some(c) = self.cohort_once(v)? {
                 return Ok(c);
@@ -506,7 +516,7 @@ impl QuerySession {
     /// One attempt at a cached cohort lookup; `Ok(None)` when the joined
     /// in-flight simulation was abandoned by a panicking or failing
     /// leader.
-    fn cohort_once(&self, v: NodeId) -> Result<Option<Arc<StepDistributions>>, QueryError> {
+    fn cohort_once(&self, v: NodeId) -> Result<Option<Arc<CohortBlock>>, QueryError> {
         let shard = self.shard_of(v);
         if let Some(c) = shard.lock().unwrap_or_else(PoisonError::into_inner).get(v) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -556,10 +566,14 @@ impl QuerySession {
         // runs on the configured engine, so cluster modes account cohort
         // work in their ClusterReport. The guard abandons the flight if
         // anything below unwinds — or if the engine fails typed (`?`):
-        // followers wake into a retry either way.
+        // followers wake into a retry either way. The cohort is flattened
+        // once, here, and dropped: only its block is cached and scored.
         let mut guard = FlightGuard { session: self, node: v, flight: &flight, published: false };
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let c = Arc::new(self.walker.try_query_cohort(v)?);
+        let block = CohortBlock::try_from(&self.walker.try_query_cohort(v)?);
+        let c = Arc::new(block.map_err(|e| QueryError::Unsupported {
+            detail: format!("cohort of node {v} does not fit a u32 block: {e}"),
+        })?);
         // Publish to the cache first (insert keeps a raced resident entry
         // and just refreshes recency), then release the followers and
         // clear the registry entry.
@@ -594,10 +608,10 @@ impl QuerySession {
     }
 
     /// The (cached) query cohort of `v` — checked access to the building
-    /// block both MCSP and MCSS start from.
+    /// block both MCSP and MCSS start from, expanded from its cached block.
     pub fn try_cohort(&self, v: NodeId) -> Result<Arc<StepDistributions>, QueryError> {
         self.check_node(v)?;
-        self.cohort(v)
+        Ok(Arc::new(StepDistributions::from(&*self.cohort(v)?)))
     }
 
     /// Scores every pair from `rows × cols` in parallel. Each distinct
@@ -639,7 +653,7 @@ impl QuerySession {
                     .collect();
                 // `cohorts[x]` is the cohort of `distinct[x]`, found by
                 // binary search: `distinct` is sorted.
-                let cohorts: Vec<Arc<StepDistributions>> =
+                let cohorts: Vec<Arc<CohortBlock>> =
                     distinct.par_iter().map(|&v| self.cohort(v)).collect::<Result<_, _>>()?;
                 let cohort = |v: NodeId| &*cohorts[distinct.partition_point(|&d| d < v)];
                 let diag = self.walker.diagonal().as_slice();
@@ -694,6 +708,7 @@ impl QuerySession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::wire::WireCodec;
     use crate::engine::ExecMode;
     use crate::SimRankConfig;
     use pasco_graph::generators;
@@ -1039,6 +1054,24 @@ mod tests {
         for v in 0..3u32 {
             assert!(shard.get(v).is_some(), "node {v} still resident");
         }
+    }
+
+    #[test]
+    fn cached_blocks_are_flat_and_budgeted_in_wire_bytes() {
+        let cw = engine();
+        let session = QuerySession::new(Arc::clone(&cw), 16);
+        let steps = cw.config().t;
+        let mut wire = 0;
+        for v in [0u32, 1, 7, 50, 119] {
+            let nested = cw.try_query_cohort(v).unwrap();
+            assert_eq!(*session.try_cohort(v).unwrap(), nested, "node {v} expands exactly");
+            wire += WireCodec::encoded_len(&nested);
+            let block = session.shard_of(v).lock().unwrap().get(v).unwrap();
+            let entries: usize = nested.counts.iter().map(Vec::len).sum();
+            assert!(block.heap_bytes() <= 8 * entries + (steps + 2) * 4, "node {v}");
+        }
+        assert!(std::mem::size_of::<CohortBlock>() <= 32, "a fixed header");
+        assert_eq!(session.cached_bytes(), wire, "the budget unit is still wire bytes");
     }
 
     #[test]

@@ -114,6 +114,80 @@ impl StepDistributions {
     }
 }
 
+/// A cohort flattened into one `u32` block, 8 B an entry where
+/// [`StepDistributions`] spends 16: `[offsets | ids | counts]`, step `t`'s
+/// entries at `offsets[t]..offsets[t + 1]` of `ids` and `counts`.
+/// Converts to and from the nested form exactly.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CohortBlock {
+    /// The source node all walkers started from.
+    pub source: NodeId,
+    /// Cohort size used for normalisation.
+    pub walkers: u32,
+    /// Number of step histograms (`T + 1`).
+    histograms: usize,
+    words: Box<[u32]>,
+}
+
+impl CohortBlock {
+    /// Distinct `(step, node)` entries over every step.
+    pub fn entries(&self) -> usize {
+        self.words[self.histograms] as usize
+    }
+
+    /// Every step's histogram, `t = 0..=T`: node ids ascending, and their
+    /// counts.
+    #[inline]
+    pub fn histograms(&self) -> impl ExactSizeIterator<Item = (&[NodeId], &[u32])> {
+        let (offsets, rest) = self.words.split_at(self.histograms + 1);
+        let (ids, counts) = rest.split_at(self.entries());
+        offsets.windows(2).map(|w| {
+            let span = w[0] as usize..w[1] as usize;
+            (&ids[span.clone()], &counts[span])
+        })
+    }
+
+    /// Bytes of the block's one heap allocation.
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.words)
+    }
+}
+
+impl TryFrom<&StepDistributions> for CohortBlock {
+    type Error = std::num::TryFromIntError;
+
+    /// Fails only on a count or an entry total beyond `u32`.
+    fn try_from(d: &StepDistributions) -> Result<Self, Self::Error> {
+        let entries = d.counts.iter().map(Vec::len).sum::<usize>();
+        let mut words = Vec::with_capacity(d.counts.len() + 1 + 2 * entries);
+        words.push(0);
+        let mut end = 0;
+        for step in &d.counts {
+            end += step.len();
+            words.push(u32::try_from(end)?);
+        }
+        words.extend(d.counts.iter().flatten().map(|&(v, _)| v));
+        for &(_, c) in d.counts.iter().flatten() {
+            words.push(u32::try_from(c)?);
+        }
+        let (source, walkers, histograms) = (d.source, d.walkers, d.counts.len());
+        Ok(Self { source, walkers, histograms, words: words.into_boxed_slice() })
+    }
+}
+
+impl From<&CohortBlock> for StepDistributions {
+    fn from(b: &CohortBlock) -> Self {
+        let step = |(ids, counts): (&[NodeId], &[u32])| {
+            ids.iter().zip(counts).map(|(&v, &c)| (v, u64::from(c))).collect()
+        };
+        StepDistributions {
+            source: b.source,
+            walkers: b.walkers,
+            counts: b.histograms().map(step).collect(),
+        }
+    }
+}
+
 /// Frontiers of at least this many positions, and cohorts of at least this
 /// many visit keys, are radix-sorted; below it `sort_unstable` is faster
 /// (the build's `R = 100` frontiers never reach it, its cohorts' keys do).

@@ -158,6 +158,18 @@ fn get_num<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result
     }
 }
 
+/// [`get_num`] for a flag that must not be zero.
+fn get_positive<T>(flags: &Flags, key: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialEq + From<u8>,
+{
+    let value = get_num(flags, key, default)?;
+    if value == T::from(0) {
+        return Err(format!("--{key} must be positive"));
+    }
+    Ok(value)
+}
+
 fn is_binary(path: &str) -> Result<bool, String> {
     let mut head = Vec::with_capacity(8);
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -244,13 +256,7 @@ fn exec_mode(flags: &Flags) -> Result<ExecMode, String> {
         "local" => Ok(ExecMode::Local),
         "broadcast" => Ok(ExecMode::Broadcast(ClusterConfig::paper_like())),
         "rdd" => Ok(ExecMode::Rdd(ClusterConfig::paper_like())),
-        "sharded" => {
-            let shards: u32 = get_num(flags, "shards", 4)?;
-            if shards == 0 {
-                return Err("--shards must be positive".into());
-            }
-            Ok(ExecMode::Sharded { shards })
-        }
+        "sharded" => Ok(ExecMode::Sharded { shards: get_positive(flags, "shards", 4)? }),
         "distributed" => {
             let workers: Vec<String> = get(flags, "workers")
                 .map_err(|_| "--mode distributed needs --workers host:port,host:port,...")?
@@ -377,10 +383,7 @@ fn load_engine(flags: &Flags) -> Result<CloudWalker, String> {
 fn cmd_save_store(flags: &Flags) -> Result<(), String> {
     let graph = Arc::new(load_graph(get(flags, "graph")?)?);
     let out = get(flags, "out")?;
-    let parts: u32 = get_num(flags, "parts", 1)?;
-    if parts == 0 {
-        return Err("--parts must be positive".into());
-    }
+    let parts: u32 = get_positive(flags, "parts", 1)?;
     let cfg = sim_config(flags)?;
     let t0 = Instant::now();
     let n = graph.node_count();
@@ -399,12 +402,12 @@ fn cmd_save_store(flags: &Flags) -> Result<(), String> {
         .map_err(|e| pasco::simrank::SimRankError::from(e).to_string())?;
     // The writer caps the count so no shard file is empty.
     let parts = Partitioner::parts(&Partitioner::range_nonempty(n, parts));
-    let bytes: u64 = std::fs::read_dir(out)
-        .map_err(|e| format!("{out}: {e}"))?
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.metadata().ok())
-        .map(|m| m.len())
-        .sum();
+    // Only the shard files written: `--out` may hold other files.
+    let mut bytes = 0;
+    for p in 0..parts {
+        let shard = std::path::Path::new(out).join(pasco_store::shard_file_name(p));
+        bytes += std::fs::metadata(&shard).map_err(|e| format!("{}: {e}", shard.display()))?.len();
+    }
     println!(
         "saved {n} nodes as {parts} shard(s) in {:.2?} ({}); serve with --store {out}",
         t0.elapsed(),
@@ -496,10 +499,7 @@ fn cmd_pairs(flags: &Flags) -> Result<(), String> {
         .split(',')
         .map(|s| s.trim().parse().map_err(|_| format!("--nodes: cannot parse `{s}`")))
         .collect::<Result<_, _>>()?;
-    let cache: usize = get_num(flags, "cache", 1024)?;
-    if cache == 0 {
-        return Err("--cache must be positive".into());
-    }
+    let cache: usize = get_positive(flags, "cache", 1024)?;
     let session = QuerySession::new(Arc::clone(&cw), cache);
     let t0 = Instant::now();
     let req = QueryRequest::PairsMatrix { rows: nodes.clone(), cols: nodes.clone() };
@@ -537,10 +537,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use std::io::Write as _;
     let cw = Arc::new(load_engine(flags)?);
     let addr = get(flags, "addr")?;
-    let cache: usize = get_num(flags, "cache", 1024)?;
-    if cache == 0 {
-        return Err("--cache must be positive".into());
-    }
+    let cache: usize = get_positive(flags, "cache", 1024)?;
     let mut session_cfg = SessionConfig::new(cache);
     // `--workers` means the execution pool size — except under
     // `--mode distributed`, where it is the worker address list and the
@@ -549,32 +546,23 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         ExecMode::Distributed { .. } => "pool",
         _ => "workers",
     };
-    let workers: usize = get_num(flags, pool_flag, ServerConfig::default().workers)?;
-    if workers == 0 {
-        return Err(format!("--{pool_flag} must be positive"));
-    }
+    let workers: usize = get_positive(flags, pool_flag, ServerConfig::default().workers)?;
+    // Zero would turn the cache off without a word: refused, like `--cache 0`.
     if flags.contains_key("cache-ttl-secs") {
-        let secs: u64 = get_num(flags, "cache-ttl-secs", 0)?;
+        let secs: u64 = get_positive(flags, "cache-ttl-secs", 1)?;
         session_cfg = session_cfg.with_ttl(std::time::Duration::from_secs(secs));
     }
     if flags.contains_key("cache-bytes") {
-        session_cfg = session_cfg.with_max_bytes(get_num(flags, "cache-bytes", 0)?);
+        session_cfg = session_cfg.with_max_bytes(get_positive(flags, "cache-bytes", 1)?);
     }
     let session = Arc::new(QuerySession::with_config(Arc::clone(&cw), session_cfg));
 
     let defaults = ServerConfig::default();
-    let max_conns: usize = get_num(flags, "max-conns", defaults.max_conns)?;
-    if max_conns == 0 {
-        return Err("--max-conns must be positive".into());
-    }
-    let io_timeout_secs: u64 = get_num(flags, "io-timeout", defaults.io_timeout.as_secs())?;
-    if io_timeout_secs == 0 {
-        return Err("--io-timeout must be positive".into());
-    }
+    let io_timeout_secs: u64 = get_positive(flags, "io-timeout", defaults.io_timeout.as_secs())?;
     let server_cfg = ServerConfig {
         workers,
-        max_frame_bytes: get_num(flags, "max-frame", defaults.max_frame_bytes)?,
-        max_conns,
+        max_frame_bytes: get_positive(flags, "max-frame", defaults.max_frame_bytes)?,
+        max_conns: get_positive(flags, "max-conns", defaults.max_conns)?,
         io_timeout: std::time::Duration::from_secs(io_timeout_secs),
     };
     let server = PascoServer::bind(addr, session as Arc<dyn QueryService>, server_cfg)
@@ -666,7 +654,7 @@ fn cmd_worker(flags: &Flags) -> Result<(), String> {
     let addr = get(flags, "addr")?;
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
-        max_frame_bytes: get_num(flags, "max-frame", defaults.max_frame_bytes)?,
+        max_frame_bytes: get_positive(flags, "max-frame", defaults.max_frame_bytes)?,
         ..defaults
     };
     let worker = PascoServer::bind_worker(addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;

@@ -441,6 +441,81 @@ fn serve_and_query_over_loopback_with_clean_drain() {
     assert!(rest.iter().any(|l| l.contains("drained")), "{rest:?}");
 }
 
+/// Generates a 300-node BA graph and indexes it with cheap parameters;
+/// returns the two paths.
+fn small_indexed_graph(name: &str) -> (PathBuf, PathBuf) {
+    let (graph, index) = (tmp(&format!("{name}.bin")), tmp(&format!("{name}.idx")));
+    assert!(bin()
+        .args(["generate", "--model", "ba", "--nodes", "300", "--edges-per-node", "4"])
+        .args(["--out", graph.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    assert!(bin()
+        .args(["index", "--graph", graph.to_str().unwrap()])
+        .args(["--out", index.to_str().unwrap(), "--r", "16", "--t", "4"])
+        .status()
+        .unwrap()
+        .success());
+    (graph, index)
+}
+
+/// `--cache-bytes 0` and `--cache-ttl-secs 0` would turn the cache off
+/// without a word, and `--max-frame 0` would answer every request with an
+/// error: `pasco serve` refuses each, as it refuses `--cache 0`. A server
+/// that starts anyway is killed and fails the test instead of hanging it.
+#[test]
+fn serve_refuses_zero_valued_flags() {
+    let (graph, index) = small_indexed_graph("zero_flags");
+    for flag in ["--cache-bytes", "--cache-ttl-secs", "--max-frame"] {
+        let mut server = bin()
+            .args(["serve", "--graph", graph.to_str().unwrap()])
+            .args(["--index", index.to_str().unwrap(), "--addr", "127.0.0.1:0"])
+            .args(["--r", "16", "--t", "4", flag, "0"])
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        let started = std::time::Instant::now();
+        while server.try_wait().unwrap().is_none() {
+            if started.elapsed() > std::time::Duration::from_secs(60) {
+                server.kill().unwrap();
+                panic!("`serve {flag} 0` started a server");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let out = server.wait_with_output().unwrap();
+        assert!(!out.status.success(), "`serve {flag} 0` must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("{flag} must be positive")), "{flag}: {stderr}");
+    }
+}
+
+/// `pasco save-store` reports the bytes of the shard files it wrote, not
+/// of everything else kept in `--out`.
+#[test]
+fn save_store_reports_only_its_shard_bytes() {
+    let (graph, index) = small_indexed_graph("save_store_size");
+    let out_dir = tmp("save_store_size_dir");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    std::fs::create_dir_all(&out_dir).unwrap();
+    std::fs::write(out_dir.join("kept.idx"), vec![7u8; 3 << 20]).unwrap();
+    let out = bin()
+        .args(["save-store", "--graph", graph.to_str().unwrap()])
+        .args(["--index", index.to_str().unwrap(), "--out", out_dir.to_str().unwrap()])
+        .args(["--parts", "3", "--r", "16", "--t", "4"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let shard_bytes: u64 = (0..3)
+        .map(|p| std::fs::metadata(out_dir.join(pasco_store::shard_file_name(p))).unwrap().len())
+        .sum();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let want = format!("({})", pasco::graph::stats::human_bytes(shard_bytes));
+    assert!(stdout.contains(&want), "want {want}: {stdout}");
+    assert!(out_dir.join("kept.idx").exists(), "the other file is left alone");
+}
+
 #[test]
 fn bad_invocations_fail_cleanly() {
     // Unknown command.

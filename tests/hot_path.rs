@@ -1,11 +1,13 @@
 //! The cache-hit path against the spellings it replaced: `score_pair`'s
 //! lane merge against the old double-`peekable` merge (every score equal
-//! `to_bits`), and the `StepDistributions` bulk codec against the
-//! per-entry encoder (every byte equal) plus a digest of three `Cohort`
-//! response frames recorded with the per-entry codec.
+//! `to_bits`, over nested cohorts and over the session's flat
+//! `CohortBlock`s alike), the block's exact round trip, and the
+//! `StepDistributions` bulk codec against the per-entry encoder (every
+//! byte equal) plus a digest of three `Cohort` response frames recorded
+//! with the per-entry codec.
 
 use pasco::graph::{generators, CsrGraph, NodeId};
-use pasco::mc::walks::StepDistributions;
+use pasco::mc::walks::{CohortBlock, StepDistributions};
 use pasco::mc::SplitMix64;
 use pasco::simrank::api::wire::WireCodec;
 use pasco::simrank::{queries, QueryResponse, SimRankConfig};
@@ -51,11 +53,20 @@ fn ragged_diag(n: usize) -> Vec<f64> {
     (0..n).map(|_| 0.3 + (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64).collect()
 }
 
+fn block(d: &StepDistributions) -> CohortBlock {
+    CohortBlock::try_from(d).unwrap()
+}
+
+/// The lane merge over nested cohorts and over their blocks, each against
+/// the oracle.
 fn assert_same_score(di: &StepDistributions, dj: &StepDistributions, diag: &[f64], what: &str) {
+    let (bi, bj) = (block(di), block(dj));
     for c in [0.6, 0.8] {
         let want = peekable_merge(di, dj, diag, c);
         let got = queries::score_pair(di, dj, diag, c);
         assert_eq!(got.to_bits(), want.to_bits(), "{what}, c = {c}: {got} vs {want}");
+        let flat = queries::score_pair(&bi, &bj, diag, c);
+        assert_eq!(flat.to_bits(), want.to_bits(), "{what}, blocks, c = {c}: {flat} vs {want}");
     }
 }
 
@@ -150,6 +161,36 @@ fn a_nan_diagonal_entry_poisons_both_merges_alike() {
     let [di, dj] = hand_pair(keys.clone(), keys);
     assert!(peekable_merge(&di, &dj, &diag, 0.6).is_nan());
     assert!(queries::score_pair(&di, &dj, &diag, 0.6).is_nan());
+    assert!(queries::score_pair(&block(&di), &block(&dj), &diag, 0.6).is_nan());
+}
+
+fn assert_round_trip(d: &StepDistributions, what: &str) {
+    let b = block(d);
+    let entries: usize = d.counts.iter().map(Vec::len).sum();
+    assert_eq!(b.entries(), entries, "{what}");
+    assert_eq!(b.heap_bytes(), 8 * entries + 4 * (d.counts.len() + 1), "{what}");
+    assert_eq!(StepDistributions::from(&b), *d, "{what}");
+}
+
+#[test]
+fn cohort_blocks_round_trip_exactly() {
+    let g = generators::barabasi_albert(2_000, 4, 9);
+    let cfg = SimRankConfig::default_paper();
+    let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
+    let dead = g.nodes().find(|&v| g.in_degree(v) == 0).unwrap();
+    let hub_cohort = queries::query_cohort(&g, &cfg, hub);
+    assert!(hub_cohort.counts[1].len() > 100, "a hub spreads its walkers");
+    assert_round_trip(&hub_cohort, "hub source");
+    let dead_cohort = queries::query_cohort(&g, &cfg, dead);
+    assert!(dead_cohort.counts[1..].iter().all(Vec::is_empty), "no walker leaves a dead source");
+    assert_round_trip(&dead_cohort, "dead source");
+    let [full, _] = hand_pair(vec![(3, 1), (40, 10_000), (41, 2)], vec![]);
+    assert_round_trip(&full, "a count equal to R'");
+
+    // A count past `u32` has no block; it is refused, never truncated.
+    let [mut wide, _] = hand_pair(vec![(3, 1)], vec![]);
+    wide.counts[1][0].1 = u64::from(u32::MAX) + 1;
+    assert!(CohortBlock::try_from(&wide).is_err());
 }
 
 // ---- the codec -----------------------------------------------------------
