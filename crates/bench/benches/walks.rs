@@ -141,7 +141,7 @@ fn bench_rows(c: &mut Criterion) {
     group.bench_function("histograms+ai_row", |b| {
         b.iter(|| {
             for i in 0..4096 {
-                black_box(ai_row(&walk.distributions_on(&g, i, params, cfg.seed), cfg.c));
+                black_box(ai_row(&reverse_walk_distributions(&g, i, params, cfg.seed), cfg.c));
             }
         });
     });

@@ -13,6 +13,7 @@ use crate::queries;
 use pasco_cluster::ClusterReport;
 use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
+use pasco_mc::walks::{CohortBlock, StepDistributions};
 use pasco_store::MappedStore;
 use rayon::prelude::*;
 use std::path::Path;
@@ -258,10 +259,12 @@ impl CloudWalker {
     /// engine (the building block [`crate::QuerySession`] caches; cluster
     /// modes account the work in their [`ClusterReport`]). Fails with
     /// [`QueryError::NodeOutOfRange`] on a bad node.
-    pub fn try_query_cohort(
-        &self,
-        v: NodeId,
-    ) -> Result<pasco_mc::walks::StepDistributions, QueryError> {
+    pub fn try_query_cohort(&self, v: NodeId) -> Result<StepDistributions, QueryError> {
+        Ok(StepDistributions::from(&self.try_query_block(v)?))
+    }
+
+    /// [`Self::try_query_cohort`] as the engine answers it, a flat block.
+    pub(crate) fn try_query_block(&self, v: NodeId) -> Result<CohortBlock, QueryError> {
         self.check_node(v)?;
         self.engine.query_cohort(&self.cfg, v)
     }

@@ -89,6 +89,11 @@ impl SimRankConfig {
                 "walk length t must be positive (t = 0 makes every similarity trivial)".into(),
             ));
         }
+        // A query cohort is one block with u32 offsets over its visits.
+        let visits = (self.t as u64).saturating_add(1).saturating_mul(u64::from(self.r_query));
+        if visits > u64::from(u32::MAX) {
+            return Err(SimRankError::InvalidConfig("(t + 1)·r_query must fit a u32".into()));
+        }
         Ok(())
     }
 }
@@ -123,6 +128,14 @@ mod tests {
         let mut c = SimRankConfig::default_paper();
         c.r_forward = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_a_query_cohort_by_u32() {
+        let fits = SimRankConfig::default_paper().with_t(9).with_r_query(u32::MAX / 10);
+        assert!(fits.validate().is_ok());
+        assert!(fits.with_t(10).validate().is_err());
+        assert!(fits.with_t(usize::MAX).validate().is_err());
     }
 
     #[test]

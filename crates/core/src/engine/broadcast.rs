@@ -16,14 +16,14 @@
 use crate::ai::{RowKernel, StoredRows};
 use crate::api::QueryError;
 use crate::config::SimRankConfig;
-use crate::engine::{staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
+use crate::engine::{cohort_block, staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
 use crate::queries::{forward_term, mcss_series, query_seed, ForwardItem, SeriesTerm};
 use pasco_cluster::{Broadcast, Cluster, ClusterConfig, ClusterReport};
 use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, GraphSampler, NodeId, ReverseChainIndex};
 use pasco_mc::counts::{CountMap, MassMap};
-use pasco_mc::walks::{reverse_walk_counts_on, StepDistributions, WalkScratch};
+use pasco_mc::walks::{reverse_walk_counts_on, CohortBlock, StepDistributions, WalkScratch};
 use pasco_solver::jacobi::{RowBlock, BLOCK_ROWS};
 use std::ops::Range;
 use std::sync::Arc;
@@ -100,11 +100,7 @@ impl SimRankEngine for BroadcastEngine {
     /// Splits the `R'` walkers across `query/cohort` tasks and sums the
     /// per-range histograms: walker `w`'s trajectory depends only on
     /// `(seed, source, w, step)`, so the counts are the local cohort's.
-    fn query_cohort(
-        &self,
-        cfg: &SimRankConfig,
-        source: NodeId,
-    ) -> Result<StepDistributions, QueryError> {
+    fn query_cohort(&self, cfg: &SimRankConfig, source: NodeId) -> Result<CohortBlock, QueryError> {
         let seed = query_seed(cfg);
         let tasks = self.cluster.config().default_partitions() as u32;
         let chunk = cfg.r_query.div_ceil(tasks).max(1);
@@ -126,7 +122,7 @@ impl SimRankEngine for BroadcastEngine {
             }
             counts.push(merged.into_sorted_vec());
         }
-        Ok(StepDistributions { source, walkers: cfg.r_query, counts })
+        cohort_block(&StepDistributions { source, walkers: cfg.r_query, counts })
     }
 
     /// MCSS in the Broadcasting model: the cohort stage, the `t = 0` term

@@ -79,7 +79,7 @@ use crate::api::{check_node, QueryError, QueryResponse};
 use crate::config::SimRankConfig;
 use crate::diag::DiagonalIndex;
 use crate::engine::kernel::solve_rows;
-use crate::engine::{BuildOutcome, EngineFootprint, SimRankEngine};
+use crate::engine::{cohort_block, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
 use crate::queries::{self, rank_topk, ranking_cmp, sparse_masses_on};
 use pasco_cluster::metrics::{MetricsLog, ShuffleMetrics, StageMetrics};
@@ -87,7 +87,7 @@ use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::WalkAdjacency;
 use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, NodeId};
-use pasco_mc::walks::{StepDistributions, WalkScratch};
+use pasco_mc::walks::{CohortBlock, StepDistributions, WalkScratch};
 use pasco_store::{partition_image, MappedShard, MappedStore, ShardHeader, StoreError};
 use rayon::prelude::*;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -418,8 +418,8 @@ fn topk_lists(
     k: usize,
 ) -> Vec<Vec<(NodeId, f64)>> {
     let partitioner: Partitioner = view.partitioner();
-    let dists = queries::query_cohort_on(view, cfg, i);
-    let acc = sparse_masses_on(view, &dists, diag, cfg);
+    let block = queries::query_block_on(view, cfg, i);
+    let acc = sparse_masses_on(view, &block, diag, cfg);
     let mut by_shard: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); partitioner.parts() as usize];
     for (node, mass) in acc.iter() {
         by_shard[partitioner.owner(node) as usize].push((node, mass));
@@ -974,15 +974,11 @@ impl SimRankEngine for DistributedEngine {
         })
     }
 
-    fn query_cohort(
-        &self,
-        cfg: &SimRankConfig,
-        source: NodeId,
-    ) -> Result<StepDistributions, QueryError> {
+    fn query_cohort(&self, cfg: &SimRankConfig, source: NodeId) -> Result<CohortBlock, QueryError> {
         check_node(source, self.n)?;
         match self.routed_query(None, cfg, source, ShardQueryKind::Cohort { v: source })? {
             QueryResponse::Cohort(dists) => match check_cohort(&dists, source, cfg, self.n) {
-                Ok(()) => Ok(dists),
+                Ok(()) => cohort_block(&dists),
                 Err(why) => self.protocol_violation(self.owner(source), &why),
             },
             _ => self.protocol_violation(self.owner(source), "cohort answered with a non-cohort"),

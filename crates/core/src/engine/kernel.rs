@@ -49,7 +49,7 @@ use crate::queries;
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
 use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
-use pasco_mc::walks::{StepDistributions, WalkScratch};
+use pasco_mc::walks::{CohortBlock, WalkScratch};
 use pasco_solver::jacobi::{self, JacobiConfig, JacobiResult, RowSource};
 use pasco_store::{MappedShard, MappedStore};
 use std::sync::Arc;
@@ -177,12 +177,8 @@ impl<A: Storage> SimRankEngine for KernelEngine<A> {
         build_diagonal_on(&*self.adj, cfg)
     }
 
-    fn query_cohort(
-        &self,
-        cfg: &SimRankConfig,
-        source: NodeId,
-    ) -> Result<StepDistributions, QueryError> {
-        Ok(queries::query_cohort_on(&*self.adj, cfg, source))
+    fn query_cohort(&self, cfg: &SimRankConfig, source: NodeId) -> Result<CohortBlock, QueryError> {
+        Ok(queries::query_block_on(&*self.adj, cfg, source))
     }
 
     fn single_source(
@@ -343,7 +339,8 @@ mod tests {
             assert_eq!(built.rows_bytes, want.rows_bytes, "{label}: rows_bytes");
             assert!(built.cluster.is_none(), "{label}");
 
-            assert_eq!(eng.query_cohort(&cfg, 9).unwrap(), cohort, "{label}: cohort");
+            let block = eng.query_cohort(&cfg, 9).unwrap();
+            assert_eq!(pasco_mc::walks::StepDistributions::from(&block), cohort, "{label}: cohort");
             assert_eq!(eng.single_pair(diag, &cfg, 4, 70).unwrap(), pair, "{label}: MCSP");
             assert_eq!(eng.single_pair(diag, &cfg, 4, 4).unwrap(), 1.0, "{label}: s(i,i)");
             assert_eq!(eng.single_source(diag, &cfg, 4).unwrap(), dense, "{label}: MCSS");

@@ -31,7 +31,7 @@
 //! engines that override them, and why).
 //!
 //! Every arithmetic step has one home, whichever engine runs it: the
-//! per-walker loop ([`pasco_mc::walks::reverse_walk_counts_on`]), the row
+//! cohort kernel ([`pasco_mc::walks::reverse_walk_block_on`]), the row
 //! `aᵢ` ([`crate::ai::RowKernel::push_row`]), the Jacobi row update
 //! and residual ([`pasco_solver::jacobi::row_pass`], swept in process by
 //! [`kernel::solve_rows`] and in stages by `staged_solve`), `score_pair`
@@ -58,7 +58,7 @@ use crate::error::SimRankError;
 use crate::queries::{pair_from_cohorts, rank_topk};
 use pasco_cluster::{Cluster, ClusterConfig, ClusterReport};
 use pasco_graph::NodeId;
-use pasco_mc::walks::StepDistributions;
+use pasco_mc::walks::{CohortBlock, StepDistributions};
 use pasco_solver::jacobi::{self, RowSource};
 
 /// Selects the execution engine for index construction and queries.
@@ -143,20 +143,17 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     fn build_diagonal(&self, cfg: &SimRankConfig) -> Result<BuildOutcome, SimRankError>;
 
     /// Simulates the `R'`-walker query cohort of `source` on this
-    /// substrate (bitwise identical across engines; cluster engines
-    /// account the work in their [`ClusterReport`]). The serving layer's
-    /// cohort cache sits on top of this.
+    /// substrate as the flat [`CohortBlock`] the serving layer's cache keeps
+    /// (bitwise identical across engines; cluster engines account the work
+    /// in their [`ClusterReport`]). [`KernelEngine`] returns the walk
+    /// kernel's block; the others flatten what they merge or receive.
     ///
     /// Queries are fallible at the trait so substrates with a failure
     /// plane of their own — the distributed engine loses a worker —
     /// surface a typed [`QueryError`] instead of panicking the serving
     /// path. The in-process engine (bounds already checked by the caller)
     /// never returns `Err`.
-    fn query_cohort(
-        &self,
-        cfg: &SimRankConfig,
-        source: NodeId,
-    ) -> Result<StepDistributions, QueryError>;
+    fn query_cohort(&self, cfg: &SimRankConfig, source: NodeId) -> Result<CohortBlock, QueryError>;
 
     /// MCSP: the similarity of one node pair (raw estimate, not clamped).
     ///
@@ -231,6 +228,14 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     fn worker_stats(&self) -> Option<Vec<Result<crate::api::worker::WorkerStats, QueryError>>> {
         None
     }
+}
+
+/// `dists` as the block [`SimRankEngine::query_cohort`] answers with: a
+/// cohort whose entries or counts pass `u32` is [`QueryError::Unsupported`].
+pub(crate) fn cohort_block(dists: &StepDistributions) -> Result<CohortBlock, QueryError> {
+    CohortBlock::try_from(dists).map_err(|e| QueryError::Unsupported {
+        detail: format!("cohort of node {} does not fit a u32 block: {e}", dists.source),
+    })
 }
 
 /// The solve phase as the simulated cluster models run it: `L` pairs of

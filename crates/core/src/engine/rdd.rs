@@ -28,7 +28,7 @@
 use crate::ai::StoredRows;
 use crate::api::QueryError;
 use crate::config::SimRankConfig;
-use crate::engine::{staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
+use crate::engine::{cohort_block, staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
 use crate::queries::{mcss_series, query_seed, SeriesTerm};
 use pasco_cluster::{Cluster, ClusterConfig, ClusterReport, DistVec};
@@ -36,7 +36,7 @@ use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::counts::{CountMap, MassMap};
 use pasco_mc::forward::forward_step;
-use pasco_mc::walks::{pick, step_u64, walker_keys, StepDistributions};
+use pasco_mc::walks::{pick, step_u64, walker_keys, CohortBlock, StepDistributions};
 use pasco_store::{MappedShard, MappedStore};
 use std::sync::Arc;
 
@@ -259,11 +259,7 @@ impl SimRankEngine for RddEngine {
 
     /// Simulates the query cohort for `source` with per-step shuffles.
     /// Counts are bitwise identical to the other engines.
-    fn query_cohort(
-        &self,
-        cfg: &SimRankConfig,
-        source: NodeId,
-    ) -> Result<StepDistributions, QueryError> {
+    fn query_cohort(&self, cfg: &SimRankConfig, source: NodeId) -> Result<CohortBlock, QueryError> {
         let seed = query_seed(cfg);
         let nparts = self.nparts();
         let partitioner = self.parts.partitioner();
@@ -323,7 +319,7 @@ impl SimRankEngine for RddEngine {
             merged.sort_unstable_by_key(|&(k, _)| k);
             counts.push(merged);
         }
-        Ok(StepDistributions { source, walkers: cfg.r_query, counts })
+        cohort_block(&StepDistributions { source, walkers: cfg.r_query, counts })
     }
 
     /// MCSS in the RDD model: the cohort stage, then all `T` forward-walk

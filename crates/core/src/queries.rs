@@ -30,7 +30,7 @@ use pasco_graph::{
 use pasco_mc::counts::MassMap;
 use pasco_mc::forward::{forward_walk_frontier, push_measure, ForwardWalker};
 use pasco_mc::rng::{mix, mix_extend};
-use pasco_mc::walks::{reverse_walk_distributions_on, CohortBlock, StepDistributions, WalkParams};
+use pasco_mc::walks::{reverse_walk_block_on, CohortBlock, StepDistributions};
 use std::convert::Infallible;
 
 /// Salt distinguishing query walks from index walks.
@@ -52,15 +52,24 @@ pub fn forward_seed(cfg: &SimRankConfig, source: NodeId, t: usize) -> u64 {
 }
 
 /// Simulates the query cohort (`R'` walkers, `T` steps) for `source` on
-/// any adjacency source — the one cohort entry point behind every
-/// in-process storage and the RPC worker, so their bit-equality is
-/// structural.
+/// any adjacency source, as the kernel writes it: one block, on this
+/// thread's scratch — the one cohort entry point behind every in-process
+/// storage and the RPC worker, so their bit-equality is structural.
+pub fn query_block_on<A: WalkAdjacency>(
+    adj: &A,
+    cfg: &SimRankConfig,
+    source: NodeId,
+) -> CohortBlock {
+    reverse_walk_block_on(adj, source, 0..cfg.r_query, cfg.t, query_seed(cfg))
+}
+
+/// [`query_block_on`], expanded into nested step histograms.
 pub fn query_cohort_on<A: WalkAdjacency>(
     adj: &A,
     cfg: &SimRankConfig,
     source: NodeId,
 ) -> StepDistributions {
-    reverse_walk_distributions_on(adj, source, WalkParams::new(cfg.t, cfg.r_query), query_seed(cfg))
+    StepDistributions::from(&query_block_on(adj, cfg, source))
 }
 
 /// [`query_cohort_on`] over the resident graph.
@@ -113,6 +122,8 @@ impl StepHistogram for (&[NodeId], &[u32]) {
 /// A cohort's step histograms, nested ([`StepDistributions`]) or flat
 /// ([`CohortBlock`]), or an `Arc` of either: what [`score_pair`] merges.
 pub trait CohortLayout {
+    /// The source node all walkers started from.
+    fn source(&self) -> NodeId;
     /// Cohort size used for normalisation.
     fn walkers(&self) -> u32;
     /// Every step's histogram, `t = 0..=T`.
@@ -120,6 +131,9 @@ pub trait CohortLayout {
 }
 
 impl CohortLayout for StepDistributions {
+    fn source(&self) -> NodeId {
+        self.source
+    }
     fn walkers(&self) -> u32 {
         self.walkers
     }
@@ -129,6 +143,9 @@ impl CohortLayout for StepDistributions {
 }
 
 impl CohortLayout for CohortBlock {
+    fn source(&self) -> NodeId {
+        self.source
+    }
     fn walkers(&self) -> u32 {
         self.walkers
     }
@@ -138,6 +155,9 @@ impl CohortLayout for CohortBlock {
 }
 
 impl<C: CohortLayout + ?Sized> CohortLayout for std::sync::Arc<C> {
+    fn source(&self) -> NodeId {
+        (**self).source()
+    }
     fn walkers(&self) -> u32 {
         (**self).walkers()
     }
@@ -263,7 +283,7 @@ pub fn single_pair_on<A: WalkAdjacency>(
     i: NodeId,
     j: NodeId,
 ) -> f64 {
-    let kernel = |v| Ok::<_, Infallible>(query_cohort_on(adj, cfg, v));
+    let kernel = |v| Ok::<_, Infallible>(query_block_on(adj, cfg, v));
     let Ok(score) = pair_from_cohorts(diag, cfg.c, (i, j), kernel);
     score
 }
@@ -279,10 +299,13 @@ pub fn single_pair(
     single_pair_on(graph, diag, cfg, i, j)
 }
 
-/// The weighted support `yₜ = D ûₜ` of a cohort's step-`t` histogram.
-pub fn weighted_support(dists: &StepDistributions, t: usize, diag: &[f64]) -> Vec<(NodeId, f64)> {
-    let r = dists.walkers as f64;
-    dists.counts[t].iter().map(|&(k, cnt)| (k, diag[k as usize] * cnt as f64 / r)).collect()
+/// The weighted support `yₜ = D ûₜ` of a cohort's step-`t` histogram, in
+/// either layout (empty past the last step).
+pub fn weighted_support(dists: &impl CohortLayout, t: usize, diag: &[f64]) -> Vec<(NodeId, f64)> {
+    let Some(step) = dists.histograms().nth(t) else { return Vec::new() };
+    let r = f64::from(dists.walkers());
+    let entry = |e| (step.node(e), diag[step.node(e) as usize] * step.count(e) as f64 / r);
+    (0..step.entries()).map(entry).collect()
 }
 
 /// Mass-proportional walker allocation for the forward stage: entry `k`
@@ -378,7 +401,7 @@ pub(crate) enum SeriesTerm<'a> {
 /// the RDD model by turning each item into shuffled walker records.
 #[inline]
 pub(crate) fn mcss_series(
-    dists: &StepDistributions,
+    dists: &impl CohortLayout,
     diag: &[f64],
     cfg: &SimRankConfig,
     mut each: impl FnMut(SeriesTerm<'_>),
@@ -391,7 +414,7 @@ pub(crate) fn mcss_series(
                 each(SeriesTerm::Landed(k, ct * m));
             }
         } else {
-            let seed = forward_seed(cfg, dists.source, t);
+            let seed = forward_seed(cfg, dists.source(), t);
             let items: Vec<ForwardItem> = forward_allocation(&support, cfg.r_forward)
                 .into_iter()
                 .map(|(k, y, n)| ForwardItem { t, ct, seed, k, y, n })
@@ -408,7 +431,7 @@ pub(crate) fn mcss_series(
 #[inline]
 fn mcss_accumulate<S: ForwardSampler>(
     sampler: &S,
-    dists: &StepDistributions,
+    dists: &impl CohortLayout,
     diag: &[f64],
     cfg: &SimRankConfig,
     mut emit: impl FnMut(NodeId, f64),
@@ -429,13 +452,13 @@ fn mcss_accumulate<S: ForwardSampler>(
 pub fn single_source_from_dists_on<S: ForwardSampler>(
     n: usize,
     sampler: &S,
-    dists: &StepDistributions,
+    dists: &impl CohortLayout,
     diag: &[f64],
     cfg: &SimRankConfig,
 ) -> Vec<f64> {
     let mut out = vec![0.0f64; n];
     mcss_accumulate(sampler, dists, diag, cfg, |node, mass| out[node as usize] += mass);
-    out[dists.source as usize] = 1.0;
+    out[dists.source() as usize] = 1.0;
     out
 }
 
@@ -447,8 +470,8 @@ pub fn single_source_on<A: WalkAdjacency + ForwardSampler>(
     cfg: &SimRankConfig,
     i: NodeId,
 ) -> Vec<f64> {
-    let dists = query_cohort_on(adj, cfg, i);
-    single_source_from_dists_on(adj.node_count() as usize, adj, &dists, diag, cfg)
+    let block = query_block_on(adj, cfg, i);
+    single_source_from_dists_on(adj.node_count() as usize, adj, &block, diag, cfg)
 }
 
 /// [`single_source_on`] over the resident graph and its sampling index.
@@ -501,8 +524,8 @@ pub fn single_source_topk_on<A: WalkAdjacency + ForwardSampler>(
     i: NodeId,
     k: usize,
 ) -> Vec<(NodeId, f64)> {
-    let dists = query_cohort_on(adj, cfg, i);
-    rank_topk(sparse_masses_on(adj, &dists, diag, cfg).iter(), i, k)
+    let block = query_block_on(adj, cfg, i);
+    rank_topk(sparse_masses_on(adj, &block, diag, cfg).iter(), i, k)
 }
 
 /// [`single_source_topk_on`] over the resident graph and its sampling
@@ -525,7 +548,7 @@ pub fn single_source_topk(
 /// through the identical kernel.
 pub fn sparse_masses_on<S: ForwardSampler>(
     sampler: &S,
-    dists: &StepDistributions,
+    dists: &impl CohortLayout,
     diag: &[f64],
     cfg: &SimRankConfig,
 ) -> MassMap {
@@ -547,8 +570,9 @@ pub(crate) fn ranking_cmp(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ord
 }
 
 /// The shared ranking tail of every top-`k` path: clamp into `[0, 1]`,
-/// drop the query node, unreached (zero-score) and NaN entries, sort by
-/// [`ranking_cmp`], truncate to `k`. In-process sparse, worker
+/// drop the query node, unreached (zero-score) and NaN entries, select the
+/// first `k` by [`ranking_cmp`] and sort only those — a strict total order
+/// over distinct nodes, so the list a full sort would truncate. In-process sparse, worker
 /// per-partition and cluster dense top-`k` all rank through here, so the
 /// cross-mode ranking-equality guarantee depends on exactly one tie-break
 /// implementation.
@@ -562,8 +586,11 @@ pub(crate) fn rank_topk(
         .map(|(v, s)| (v, s.clamp(0.0, 1.0)))
         .filter(|&(v, s)| v != exclude && s > 0.0)
         .collect();
-    out.sort_unstable_by(ranking_cmp);
+    if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < out.len()) {
+        out.select_nth_unstable_by(kth, ranking_cmp);
+    }
     out.truncate(k);
+    out.sort_unstable_by(ranking_cmp);
     out
 }
 
@@ -680,6 +707,24 @@ mod tests {
         let items = vec![(1u32, f64::NAN), (2, 0.5), (3, 0.5), (4, 0.9), (5, f64::NAN)];
         let ranked = rank_topk(items, 0, 10);
         assert_eq!(ranked, vec![(4, 0.9), (2, 0.5), (3, 0.5)]);
+    }
+
+    #[test]
+    fn rank_topk_selects_the_list_a_full_sort_truncates() {
+        // Ties on the score (broken by node id), NaNs (dropped after the
+        // clamp), and k at 1, inside the list, at its length and past it.
+        let items: Vec<(NodeId, f64)> = (0..200u32)
+            .map(|v| (v, if v % 17 == 0 { f64::NAN } else { f64::from((v * 37) % 23) / 20.0 }))
+            .collect();
+        let mut full: Vec<(NodeId, f64)> =
+            items.iter().map(|&(v, s)| (v, s.clamp(0.0, 1.0))).collect();
+        full.retain(|&(v, s)| v != 5 && s > 0.0);
+        full.sort_unstable_by(ranking_cmp);
+        for k in [1, 2, 10, 57, full.len() - 1, full.len(), full.len() + 1, 1000] {
+            let want = &full[..k.min(full.len())];
+            assert_eq!(rank_topk(items.iter().copied(), 5, k), want, "k = {k}");
+        }
+        assert!(rank_topk(items, 5, 0).is_empty());
     }
 
     #[test]

@@ -20,13 +20,16 @@
 //! underlying engine's; caching and concurrency only remove
 //! re-simulation.
 //!
-//! The cache is flat: a miss flattens its cohort once into a
-//! [`CohortBlock`] (one `u32` allocation, 8 B an entry, half the nested
-//! [`StepDistributions`]) and keeps only that. Single-pair and matrix
-//! queries score straight from the blocks through the one generic
-//! [`score_pair`] — the same merge and the same bits as over nested
-//! cohorts — and [`QuerySession::try_cohort`] expands a block back into a
-//! fresh `StepDistributions`.
+//! The cache is flat, and so is every cohort from birth: a miss caches the
+//! [`CohortBlock`] the engine answers with (one `u32` allocation, 8 B an
+//! entry, half the nested [`StepDistributions`]) as is. On the in-process
+//! engines that is the block the walk kernel writes on the serving thread's
+//! scratch (≈ 1 MB a thread at `R′ = 10 000`, sized by the configured `R′`,
+//! never shrunk), so a miss builds no nested histograms and flattens
+//! nothing. Single-pair and matrix queries score straight from the blocks
+//! through the one generic [`score_pair`] — the same merge and the same
+//! bits as over nested cohorts — and [`QuerySession::try_cohort`] expands a
+//! block into a fresh `StepDistributions`.
 //!
 //! Long-running servers configure eviction through [`SessionConfig`]: an
 //! optional TTL (expired entries are evicted on lookup, never served as
@@ -566,14 +569,11 @@ impl QuerySession {
         // runs on the configured engine, so cluster modes account cohort
         // work in their ClusterReport. The guard abandons the flight if
         // anything below unwinds — or if the engine fails typed (`?`):
-        // followers wake into a retry either way. The cohort is flattened
-        // once, here, and dropped: only its block is cached and scored.
+        // followers wake into a retry either way. The engine's block is
+        // cached and scored as is.
         let mut guard = FlightGuard { session: self, node: v, flight: &flight, published: false };
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let block = CohortBlock::try_from(&self.walker.try_query_cohort(v)?);
-        let c = Arc::new(block.map_err(|e| QueryError::Unsupported {
-            detail: format!("cohort of node {v} does not fit a u32 block: {e}"),
-        })?);
+        let c = Arc::new(self.walker.try_query_block(v)?);
         // Publish to the cache first (insert keeps a raced resident entry
         // and just refreshes recency), then release the followers and
         // clear the registry entry.

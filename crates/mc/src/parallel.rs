@@ -4,10 +4,11 @@
 //! `aᵢ` by Monte Carlo simulation, in parallel" step of the paper. Work is
 //! data-parallel over source nodes; determinism is preserved because each
 //! cohort's randomness is keyed by `(seed, source, walker, step)` and never
-//! by the executing thread. Each worker thread keeps one [`WalkScratch`], so
-//! a batch of tiny cohorts pays the kernel's set-up once, not per cohort.
+//! by the executing thread. Each cohort runs on its thread's scratch
+//! ([`reverse_walk_distributions`]), so a batch of tiny cohorts pays the
+//! kernel's set-up once per thread, not per cohort.
 
-use crate::walks::{StepDistributions, WalkParams, WalkScratch};
+use crate::walks::{reverse_walk_distributions, StepDistributions, WalkParams};
 use pasco_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
@@ -18,12 +19,7 @@ pub fn batch_distributions(
     params: WalkParams,
     seed: u64,
 ) -> Vec<StepDistributions> {
-    sources
-        .par_iter()
-        .map_init(WalkScratch::default, |scratch, &s| {
-            scratch.distributions_on(graph, s, params, seed)
-        })
-        .collect()
+    sources.par_iter().map(|&s| reverse_walk_distributions(graph, s, params, seed)).collect()
 }
 
 /// Applies `f` to the cohort of every node `0..n` in parallel, collecting
@@ -37,9 +33,7 @@ where
 {
     (0..graph.node_count())
         .into_par_iter()
-        .map_init(WalkScratch::default, |scratch, v| {
-            f(v, scratch.distributions_on(graph, v, params, seed))
-        })
+        .map(|v| f(v, reverse_walk_distributions(graph, v, params, seed)))
         .collect()
 }
 

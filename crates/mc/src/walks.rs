@@ -12,20 +12,28 @@
 //! tests rely on.
 //!
 //! It also makes loop order free, and the cohort kernel
-//! ([`WalkScratch::counts_on`]) is **step-synchronous**: the live walkers'
+//! ([`WalkScratch::block_on`]) is **step-synchronous**: the live walkers'
 //! positions and keys sit in two flat arrays, in walker order, and a pass
 //! advances all of them by one step — independent iterations, so their cache
 //! misses overlap, where a walker-major loop is a chain of `T` dependent
-//! loads — compacting out the ones that die. A step's histogram is the
-//! positions copied out, sorted and run-length encoded: sorted, exact-length
-//! output with no hashing. Counts are integers, so the histograms are, entry
-//! for entry, what a per-walker loop ([`reverse_walk_path`], the test
-//! oracle) adds up. The offline build runs the same loop through
-//! [`WalkScratch::visits_on`], which sorts the whole cohort's visits once
-//! instead of once per step.
+//! loads — compacting out the ones that die. It has one histogram writer: a
+//! step's positions are copied out, sorted and run-length encoded straight
+//! into `u32` ids, counts and a step offset the scratch keeps, and the
+//! cohort leaves as a [`CohortBlock`] in one exact-size allocation, never
+//! built nested and flattened. Counts are integers, so the histograms are,
+//! entry for entry, what a per-walker loop ([`reverse_walk_path`], the test
+//! oracle) adds up; the nested [`StepDistributions`] are the block expanded.
+//!
+//! Serving cohorts run on a per-thread scratch: ≈ 20 B a walker (position,
+//! key, sort buffers) plus 8 B an entry, ≈ 1 MB a thread at `R′ = 10 000`,
+//! `T = 10`. It is sized by the largest cohort the thread ran — the
+//! configured `R′` — and never shrunk. The offline build runs the same walk
+//! through [`WalkScratch::visits_on`] on a scratch per piece, which sorts
+//! the whole cohort's visits once instead of once per step.
 
 use crate::rng::{mix, mix_extend, SplitMix64};
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
+use std::cell::RefCell;
 use std::ops::Range;
 
 /// Walk-cohort parameters: `steps` is the paper's `T`, `walkers` its `R`
@@ -243,6 +251,10 @@ pub struct WalkScratch {
     sorted: Vec<NodeId>,
     /// The radix sort's second buffer.
     tmp: Vec<NodeId>,
+    /// [`Self::block_on`]'s step offsets, node ids and counts.
+    offsets: Vec<u32>,
+    ids: Vec<NodeId>,
+    counts: Vec<u32>,
     /// [`Self::visits_on`]'s visit keys.
     visits: Vec<u64>,
     /// Their radix sort's second buffer.
@@ -250,43 +262,44 @@ pub struct WalkScratch {
 }
 
 impl WalkScratch {
-    /// The full cohort from `source`, every step's distribution recorded:
-    /// [`Self::counts_on`] over all walkers, plus the step-0 entry.
-    pub fn distributions_on<G: WalkAdjacency>(
-        &mut self,
-        graph: &G,
-        source: NodeId,
-        params: WalkParams,
-        seed: u64,
-    ) -> StepDistributions {
-        let mut counts = Vec::with_capacity(params.steps + 1);
-        counts.push(vec![(source, params.walkers as u64)]);
-        self.counts_on(graph, source, 0..params.walkers, params.steps, seed, &mut counts);
-        StepDistributions { source, walkers: params.walkers, counts }
-    }
-
     /// The cohort kernel, said once: walks the cohort members `walkers` of
     /// `source` for `steps` steps, the whole frontier one step at a time,
-    /// and appends the visit histogram of each step `1..=steps` (sorted by
-    /// node id, exact length) to `out`.
-    pub fn counts_on<G: WalkAdjacency>(
+    /// and writes the visit histogram of each step `0..=steps` (sorted by
+    /// node id) into one block normalised by the members' number.
+    ///
+    /// # Panics
+    /// If `source` is out of range, or the cohort's `(steps + 1)·walkers`
+    /// visits overflow a `u32` offset (`SimRankConfig::validate` refuses
+    /// such a query cohort).
+    pub fn block_on<G: WalkAdjacency>(
         &mut self,
         graph: &G,
         source: NodeId,
         walkers: Range<u32>,
         steps: usize,
         seed: u64,
-        out: &mut Vec<Vec<(NodeId, u64)>>,
-    ) {
+    ) -> CohortBlock {
         let n = graph.node_count();
+        let size = walkers.end.saturating_sub(walkers.start);
         self.start(n, source, walkers, seed);
+        // Step 0: every member on the source.
+        self.ids.clear();
+        self.ids.extend((size > 0).then_some(source));
+        self.counts.clear();
+        self.counts.extend((size > 0).then_some(size));
+        self.offsets.clear();
+        self.offsets.push(0);
+        self.close_step();
         for t in 1..=steps as u32 {
             self.step(graph, t);
-            out.push(self.histogram(n));
+            self.write_frontier(n);
         }
+        // One exact-size allocation: `concat` sums the lengths first.
+        let words = [&self.offsets[..], &self.ids, &self.counts].concat().into_boxed_slice();
+        CohortBlock { source, walkers: size, histograms: steps + 1, words }
     }
 
-    /// The offline build's cohort kernel: the loop of [`Self::counts_on`]
+    /// The offline build's cohort kernel: the loop of [`Self::block_on`]
     /// over the whole cohort, but each live walker's visit at step `t`
     /// (step 0 included) is recorded as one key `node·2ˢ + t`, `2ˢ > T`,
     /// and the `≤ R·(T+1)` keys are sorted once (radix-sorted on their node
@@ -350,8 +363,9 @@ impl WalkScratch {
         self.key.truncate(live);
     }
 
-    /// The visit histogram of the frontier's positions, all below `bound`.
-    fn histogram(&mut self, bound: u32) -> Vec<(NodeId, u64)> {
+    /// Appends the frontier's histogram, its positions all below `bound`,
+    /// as the next step: sorted, then run-length encoded into ids and counts.
+    fn write_frontier(&mut self, bound: u32) {
         self.sorted.clear();
         self.sorted.extend_from_slice(&self.pos);
         if self.sorted.len() < RADIX_MIN {
@@ -359,17 +373,55 @@ impl WalkScratch {
         } else {
             radix_sort(&mut self.sorted, &mut self.tmp, 0, bound.into());
         }
-        let runs = self.sorted.windows(2).filter(|w| w[0] != w[1]).count();
-        let distinct = runs + usize::from(!self.sorted.is_empty());
-        let mut hist: Vec<(NodeId, u64)> = Vec::with_capacity(distinct);
-        for &node in &self.sorted {
-            match hist.last_mut() {
-                Some((last, count)) if *last == node => *count += 1,
-                _ => hist.push((node, 1)),
-            }
+        let (start, len) = (self.ids.len(), self.sorted.len());
+        self.ids.resize(start + len, 0);
+        self.counts.resize(start + len, 0);
+        let (ids, ends) = (&mut self.ids[start..], &mut self.counts[start..]);
+        // Branch-free: each position rewrites its run's id and end, so a run's
+        // slot keeps its last; the ends then become counts.
+        let (mut run, mut end, mut last) = (0, 0u32, self.sorted.first().copied().unwrap_or(0));
+        for &v in &self.sorted {
+            run += usize::from(v != last);
+            end += 1;
+            (ids[run], ends[run], last) = (v, end, v);
         }
-        hist
+        for k in (1..=run).rev() {
+            ends[k] -= ends[k - 1];
+        }
+        let entries = start + run + usize::from(len > 0);
+        self.ids.truncate(entries);
+        self.counts.truncate(entries);
+        self.close_step();
     }
+
+    /// Ends the step being written at the entries written so far: at most
+    /// the cohort's `(T + 1)·R′` visits.
+    #[allow(clippy::expect_used, reason = "`block_on` documents the u32 visit bound as a panic")]
+    fn close_step(&mut self) {
+        self.offsets.push(u32::try_from(self.ids.len()).expect("cohort visits overflow u32"));
+    }
+}
+
+thread_local! {
+    /// The serving cohorts' scratch: sized by the largest cohort, never shrunk.
+    static SCRATCH: RefCell<WalkScratch> = RefCell::default();
+}
+
+/// [`WalkScratch::block_on`] on this thread's scratch, reused from cohort to
+/// cohort. Walker `w`'s trajectory depends only on `(seed, source, w, step)`,
+/// so histograms of disjoint walker ranges sum to the whole cohort's.
+pub fn reverse_walk_block_on<G: WalkAdjacency>(
+    graph: &G,
+    source: NodeId,
+    walkers: Range<u32>,
+    steps: usize,
+    seed: u64,
+) -> CohortBlock {
+    SCRATCH.with(|scratch| match scratch.try_borrow_mut() {
+        Ok(mut scratch) => scratch.block_on(graph, source, walkers, steps, seed),
+        // Re-entered from an adjacency that itself walks: a scratch of its own.
+        Err(_) => WalkScratch::default().block_on(graph, source, walkers, steps, seed),
+    })
 }
 
 /// Simulates the full cohort from `source` and records every step's
@@ -386,20 +438,19 @@ pub fn reverse_walk_distributions(
 
 /// [`reverse_walk_distributions`] generic over the adjacency source — one
 /// kernel behind every storage, so cross-engine bit-equality is structural:
-/// [`WalkScratch::distributions_on`] on a scratch of its own.
+/// [`reverse_walk_block_on`], expanded.
 pub fn reverse_walk_distributions_on<G: WalkAdjacency>(
     graph: &G,
     source: NodeId,
     params: WalkParams,
     seed: u64,
 ) -> StepDistributions {
-    WalkScratch::default().distributions_on(graph, source, params, seed)
+    let block = reverse_walk_block_on(graph, source, 0..params.walkers, params.steps, seed);
+    StepDistributions::from(&block)
 }
 
-/// [`WalkScratch::counts_on`] on a scratch of its own. Walker `w`'s
-/// trajectory depends only on `(seed, source, w, step)`, so histograms of
-/// disjoint walker ranges sum to the whole cohort's — how the Broadcasting
-/// model splits a cohort across tasks.
+/// The histograms of steps `1..=steps` of [`reverse_walk_block_on`] over
+/// the cohort members `walkers`, expanded.
 pub fn reverse_walk_counts_on<G: WalkAdjacency>(
     graph: &G,
     source: NodeId,
@@ -407,9 +458,8 @@ pub fn reverse_walk_counts_on<G: WalkAdjacency>(
     steps: usize,
     seed: u64,
 ) -> impl Iterator<Item = Vec<(NodeId, u64)>> {
-    let mut counts = Vec::with_capacity(steps);
-    WalkScratch::default().counts_on(graph, source, walkers, steps, seed, &mut counts);
-    counts.into_iter()
+    let block = reverse_walk_block_on(graph, source, walkers, steps, seed);
+    StepDistributions::from(&block).counts.into_iter().skip(1)
 }
 
 /// The full trajectory of a single walker (positions after steps `1..=steps`;

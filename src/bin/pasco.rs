@@ -469,10 +469,15 @@ fn cmd_ss(flags: &Flags) -> Result<(), String> {
     };
     let latency = t0.elapsed();
     println!("top-{top} similar to {i}   [{latency:?}]");
+    print_similar(&ranked);
+    Ok(())
+}
+
+/// `pasco ss`'s rows: one `node  score` line per similar node.
+fn print_similar(ranked: &[(u32, f64)]) {
     for (node, s) in ranked {
         println!("  {node:>10}  {s:.6}");
     }
-    Ok(())
 }
 
 fn cmd_topk(flags: &Flags) -> Result<(), String> {
@@ -584,9 +589,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
 /// A network client for a running `pasco serve`: one typed query (or the
 /// shutdown frame) over the envelope protocol.
 fn cmd_query(flags: &Flags) -> Result<(), String> {
-    let addr = get(flags, "connect")?;
+    let (addr, kind) = (get(flags, "connect")?, get(flags, "kind")?);
+    let top: u64 = get_num(flags, "top", 10)?;
+    if kind == "ss" && top == 0 {
+        // Refused before connecting, as `pasco ss` refuses it.
+        return Err(pasco::simrank::QueryError::InvalidK { k: 0 }.to_string());
+    }
     let mut client = PascoClient::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
-    match get(flags, "kind")? {
+    match kind {
         "sp" => {
             let i: u32 = get_num(flags, "i", u32::MAX)?;
             let j: u32 = get_num(flags, "j", u32::MAX)?;
@@ -606,15 +616,14 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
             if i == u32::MAX {
                 return Err("--kind ss needs --i".into());
             }
-            let top: usize = get_num(flags, "top", 10)?;
-            match client.query(QueryRequest::SingleSource { i }).map_err(|e| e.to_string())? {
-                QueryResponse::Scores(scores) => {
+            // `pasco ss`'s ranking: clamped scores, reached nodes only.
+            let request = QueryRequest::SingleSourceTopK { i, k: top };
+            match client.query(request).map_err(|e| e.to_string())? {
+                QueryResponse::Ranked(ranked) => {
                     println!("top-{top} similar to {i}");
-                    for (node, s) in metrics::top_k(&scores, top, Some(i)) {
-                        println!("  {node:>10}  {s:.6}");
-                    }
+                    print_similar(&ranked);
                 }
-                other => return Err(format!("server answered SingleSource with {other:?}")),
+                other => return Err(format!("server answered SingleSourceTopK with {other:?}")),
             }
         }
         "topk" => {

@@ -441,6 +441,57 @@ fn serve_and_query_over_loopback_with_clean_drain() {
     assert!(rest.iter().any(|l| l.contains("drained")), "{rest:?}");
 }
 
+/// `pasco query --kind ss` ranks as `pasco ss` does — clamped scores,
+/// reached nodes only — and refuses `--top 0` before it connects.
+#[test]
+fn query_ss_over_the_wire_prints_the_rows_of_local_ss() {
+    use std::io::BufRead;
+
+    let (graph, index) = (tmp("wire_ss.bin"), tmp("wire_ss.idx"));
+    let (g, idx) = (graph.to_str().unwrap(), index.to_str().unwrap());
+    let fast = ["--r", "16", "--t", "4"];
+    let generate = ["generate", "--model", "ba", "--nodes", "300", "--edges-per-node", "4"];
+    assert!(bin().args(generate).args(["--seed", "3", "--out", g]).status().unwrap().success());
+    assert!(bin()
+        .args(["index", "--graph", g, "--out", idx])
+        .args(fast)
+        .status()
+        .unwrap()
+        .success());
+    let mut server = bin()
+        .args(["serve", "--graph", g, "--index", idx, "--addr", "127.0.0.1:0"])
+        .args(fast)
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = std::io::BufReader::new(server.stdout.take().unwrap()).lines();
+    let banner = lines.next().unwrap().unwrap();
+    let addr = banner.strip_prefix("listening on ").unwrap().split_whitespace().next().unwrap();
+
+    let rows = |out: Output| -> Vec<String> {
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).unwrap().lines().skip(1).map(String::from).collect()
+    };
+    let ss = ["--i", "3", "--top", "300"];
+    let net =
+        rows(bin().args(["query", "--connect", addr, "--kind", "ss"]).args(ss).output().unwrap());
+    let local = bin().args(["ss", "--graph", g, "--index", idx]).args(ss).args(fast).output();
+    let local = rows(local.unwrap());
+    assert!(!local.is_empty() && local.len() < 299, "only reached nodes: {}", local.len());
+    assert_eq!(net, local, "wire ss rows must equal local ss rows");
+
+    // `--top 0` is refused typed, even where no server listens.
+    for at in [addr, "127.0.0.1:1"] {
+        let zero = ["query", "--connect", at, "--kind", "ss", "--i", "3", "--top", "0"];
+        let out = bin().args(zero).output().unwrap();
+        assert!(!out.status.success(), "--top 0 at {at} must fail");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("invalid k = 0"), "at {at}");
+    }
+    let out = bin().args(["query", "--connect", addr, "--kind", "shutdown"]).output().unwrap();
+    assert!(out.status.success());
+    assert!(server.wait().unwrap().success());
+}
+
 /// Generates a 300-node BA graph and indexes it with cheap parameters;
 /// returns the two paths.
 fn small_indexed_graph(name: &str) -> (PathBuf, PathBuf) {

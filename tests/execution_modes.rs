@@ -115,7 +115,7 @@ fn simulated_engines_answer_like_the_kernels(gname: &str, g: Arc<CsrGraph>) {
             assert_eq!(SimRankEngine::name(eng), model);
             assert_eq!(
                 SimRankEngine::query_cohort(eng, &cfg, 9).unwrap(),
-                cohort,
+                pasco::mc::walks::CohortBlock::try_from(&cohort).unwrap(),
                 "{label}: cohort"
             );
             assert_eq!(

@@ -9,7 +9,10 @@
 //! would use — so the floating-point results are equal **bitwise**. One
 //! table checks both over every storage the kernels run on; a second
 //! holds the offline build's row kernel (`RowKernel::push_row`, one sort per
-//! cohort) to `ai_row` over the step histograms, row by row.
+//! cohort) to `ai_row` over the step histograms, row by row. The block
+//! writer itself (`reverse_walk_block_on`, on its per-thread scratch) is
+//! held to the oracle at the edges — a hub, a dead source, a cohort below
+//! the radix threshold, `T = 0` — and across reuse of its scratch.
 
 use pasco::graph::partition::Partitioner;
 use pasco::graph::{generators, CsrGraph, ForwardSampler, GraphSampler, NodeId};
@@ -18,8 +21,8 @@ use pasco::mc::counts::MassMap;
 use pasco::mc::forward::forward_walk_on;
 use pasco::mc::rng;
 use pasco::mc::walks::{
-    reverse_walk_counts_on, reverse_walk_distributions, reverse_walk_path, StepDistributions,
-    WalkParams, WalkScratch,
+    reverse_walk_block_on, reverse_walk_counts_on, reverse_walk_distributions, reverse_walk_path,
+    CohortBlock, StepDistributions, WalkParams, WalkScratch,
 };
 use pasco::simrank::ai::{ai_row, RowKernel, StoredRows};
 use pasco::simrank::{queries, CloudWalker, DiagonalIndex, SimRankConfig};
@@ -275,5 +278,68 @@ fn row_kernel_equals_ai_row_over_the_step_histograms_on_every_storage() {
         }
         drop(mapped);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The cohort oracle with its step 0, any `T`: one `reverse_walk_path` per
+/// walker, counted per step.
+fn path_cohort(g: &CsrGraph, source: NodeId, r: u32, steps: usize) -> StepDistributions {
+    let mut counts = vec![BTreeMap::<NodeId, u64>::new(); steps + 1];
+    counts[0].insert(source, u64::from(r));
+    for w in 0..r {
+        for (t, &node) in reverse_walk_path(g, source, w, steps, SEED).iter().enumerate() {
+            *counts[t + 1].entry(node).or_default() += 1;
+        }
+    }
+    let counts = counts.into_iter().map(|step| step.into_iter().collect()).collect();
+    StepDistributions { source, walkers: r, counts }
+}
+
+#[test]
+fn block_writer_equals_the_per_walker_oracle_at_its_edges() {
+    let g = generators::rmat(9, 4000, generators::RmatParams::default(), 5);
+    let n = g.node_count();
+    let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
+    let dead = g.nodes().find(|&v| g.in_degree(v) == 0).unwrap();
+    let dir = std::env::temp_dir().join("pasco_block_writer");
+    let _ = std::fs::remove_dir_all(&dir);
+    write_store(&dir, &g, &vec![1.0; n as usize], 2).unwrap();
+    let mapped = MappedStore::open(&dir).unwrap();
+    let sharded = MappedStore::of_graph(&g, &Partitioner::range_nonempty(n, 3)).unwrap();
+    // A hub at R' = 10 000 (radix-sorted frontiers) and below `RADIX_MIN`,
+    // a dead source (steps 1..T empty), and `T = 0`.
+    let cells = [(hub, 10_000, T), (hub, 100, T), (dead, 300, T), (hub, 50, 0), (dead, 7, 0)];
+    for (source, r, steps) in cells {
+        let want = path_cohort(&g, source, r, steps);
+        if source == dead {
+            assert!(want.counts[1..].iter().all(Vec::is_empty), "a dead source's walkers die");
+        }
+        let flat = CohortBlock::try_from(&want).unwrap();
+        let words = steps + 2 + 2 * flat.entries();
+        let label = format!("source {source}, R' {r}, T {steps}");
+        let blocks = [
+            ("csr", reverse_walk_block_on(&g, source, 0..r, steps, SEED)),
+            ("sharded x3", reverse_walk_block_on(&sharded, source, 0..r, steps, SEED)),
+            ("mapped x2", reverse_walk_block_on(&mapped, source, 0..r, steps, SEED)),
+        ];
+        for (storage, block) in blocks {
+            assert_eq!(StepDistributions::from(&block), want, "{storage}: {label}");
+            assert_eq!(block, flat, "{storage}: {label}");
+            assert_eq!(block.heap_bytes(), 4 * words, "{storage}: {label}: one exact allocation");
+        }
+    }
+    drop(mapped);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_reused_scratch_leaks_nothing_between_cohorts() {
+    // One thread, one scratch: large, tiny, large again — each the block a
+    // fresh scratch writes, so no buffer carries a stale entry over.
+    let g = generators::barabasi_albert(2_000, 4, 7);
+    let (big, small) = (g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap(), 1_999);
+    for (source, r) in [(big, 10_000), (small, 7), (big, 10_000), (small, 7)] {
+        let fresh = WalkScratch::default().block_on(&g, source, 0..r, 10, SEED);
+        assert_eq!(reverse_walk_block_on(&g, source, 0..r, 10, SEED), fresh, "source {source}");
     }
 }
