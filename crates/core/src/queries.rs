@@ -30,7 +30,7 @@ use pasco_graph::{
 use pasco_mc::counts::MassMap;
 use pasco_mc::forward::{forward_walk_frontier, push_measure, ForwardWalker};
 use pasco_mc::rng::{mix, mix_extend};
-use pasco_mc::walks::{reverse_walk_block_on, CohortBlock, StepDistributions};
+use pasco_mc::walks::{reverse_walk_block_on, BlockStep, CohortBlock, StepDistributions};
 use std::convert::Infallible;
 
 /// Salt distinguishing query walks from index walks.
@@ -104,18 +104,19 @@ impl StepHistogram for &[(NodeId, u64)] {
     }
 }
 
-impl StepHistogram for (&[NodeId], &[u32]) {
+impl StepHistogram for BlockStep<'_> {
     fn entries(self) -> usize {
-        self.0.len()
+        self.ids.len()
     }
     fn node(self, i: usize) -> NodeId {
-        self.0[i]
+        self.ids[i]
     }
+    #[inline(always)]
     fn count(self, i: usize) -> u64 {
-        u64::from(self.1[i])
+        u64::from(BlockStep::count(&self, i))
     }
     fn rank(self, node: NodeId) -> usize {
-        self.0.partition_point(|&k| k < node)
+        self.ids.partition_point(|&k| k < node)
     }
 }
 

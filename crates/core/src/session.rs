@@ -21,15 +21,16 @@
 //! re-simulation.
 //!
 //! The cache is flat, and so is every cohort from birth: a miss caches the
-//! [`CohortBlock`] the engine answers with (one `u32` allocation, 8 B an
-//! entry, half the nested [`StepDistributions`]) as is. On the in-process
-//! engines that is the block the walk kernel writes on the serving thread's
-//! scratch (≈ 1 MB a thread at `R′ = 10 000`, sized by the configured `R′`,
-//! never shrunk), so a miss builds no nested histograms and flattens
-//! nothing. Single-pair and matrix queries score straight from the blocks
-//! through the one generic [`score_pair`] — the same merge and the same
-//! bits as over nested cohorts — and [`QuerySession::try_cohort`] expands a
-//! block into a fresh `StepDistributions`.
+//! [`CohortBlock`] the engine answers with (one `u32` allocation, 5 B an
+//! entry where the nested [`StepDistributions`] spend 16: a `u32` id and a
+//! one-byte count, counts of 255 or more kept exact in an escape list) as
+//! is. On the in-process engines that is the block the walk kernel writes on
+//! the serving thread's scratch (≈ 1 MB a thread at `R′ = 10 000`, sized by
+//! the configured `R′`, never shrunk), so a miss builds no nested histograms
+//! and flattens nothing. Single-pair and matrix queries score straight from
+//! the blocks through the one generic [`score_pair`] — the same merge and
+//! the same bits as over nested cohorts — and [`QuerySession::try_cohort`]
+//! expands a block into a fresh `StepDistributions`.
 //!
 //! Long-running servers configure eviction through [`SessionConfig`]: an
 //! optional TTL (expired entries are evicted on lookup, never served as
@@ -1068,7 +1069,9 @@ mod tests {
             wire += WireCodec::encoded_len(&nested);
             let block = session.shard_of(v).lock().unwrap().get(v).unwrap();
             let entries: usize = nested.counts.iter().map(Vec::len).sum();
-            assert!(block.heap_bytes() <= 8 * entries + (steps + 2) * 4, "node {v}");
+            let escapes = nested.counts.iter().flatten().filter(|&&(_, c)| c >= 255).count();
+            let bound = 5 * entries + 8 * escapes + (steps + 2) * 4 + 3;
+            assert!(block.heap_bytes() <= bound, "node {v}");
         }
         assert!(std::mem::size_of::<CohortBlock>() <= 32, "a fixed header");
         assert_eq!(session.cached_bytes(), wire, "the budget unit is still wire bytes");

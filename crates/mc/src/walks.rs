@@ -20,9 +20,11 @@
 //! step's positions are copied out, sorted and run-length encoded straight
 //! into `u32` ids, counts and a step offset the scratch keeps, and the
 //! cohort leaves as a [`CohortBlock`] in one exact-size allocation, never
-//! built nested and flattened. Counts are integers, so the histograms are,
-//! entry for entry, what a per-walker loop ([`reverse_walk_path`], the test
-//! oracle) adds up; the nested [`StepDistributions`] are the block expanded.
+//! built nested and flattened: 5 B an entry, each count narrowed to one
+//! byte, the rare count of 255 or more escaped to an exact list. Counts are
+//! integers, so the histograms are, entry for entry, what a per-walker loop
+//! ([`reverse_walk_path`], the test oracle) adds up; the nested
+//! [`StepDistributions`] are the block expanded.
 //!
 //! Serving cohorts run on a per-thread scratch: ≈ 20 B a walker (position,
 //! key, sort buffers) plus 8 B an entry, ≈ 1 MB a thread at `R′ = 10 000`,
@@ -122,10 +124,18 @@ impl StepDistributions {
     }
 }
 
-/// A cohort flattened into one `u32` block, 8 B an entry where
-/// [`StepDistributions`] spends 16: `[offsets | ids | counts]`, step `t`'s
-/// entries at `offsets[t]..offsets[t + 1]` of `ids` and `counts`.
-/// Converts to and from the nested form exactly.
+/// A count byte at or past this is the escape: the exact count is in the
+/// block's escape list.
+const ESCAPE: u32 = 255;
+
+/// A cohort flattened into one `u32` block, 5 B an entry where
+/// [`StepDistributions`] spends 16: `[offsets | ids | escapes | counts]`.
+/// Step `t`'s entries are `offsets[t]..offsets[t + 1]` of `ids` and of
+/// `counts`, one byte an entry, four to a word. Nearly every count fits its
+/// byte; one of 255 or more (step 0's `R′`, a hub's) is written as the
+/// escape byte 255 and its exact value goes in `escapes`, `(entry, count)`
+/// pairs sorted by entry — a handful a cohort. Converts to and from the
+/// nested form exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CohortBlock {
     /// The source node all walkers started from.
@@ -137,21 +147,53 @@ pub struct CohortBlock {
     words: Box<[u32]>,
 }
 
+type Parts<'a> = (&'a [u32], &'a [NodeId], &'a [[u32; 2]], &'a [u32]);
+
 impl CohortBlock {
+    /// Packs step offsets (from 0), node ids and their counts into one
+    /// exact-size allocation, each count narrowed to its byte or escaped.
+    fn pack(source: NodeId, walkers: u32, offsets: &[u32], ids: &[NodeId], counts: &[u32]) -> Self {
+        // Escapes are rare: one branch-free test per 64 counts finds them.
+        let mut escapes = Vec::new();
+        for (first, chunk) in (0u32..).step_by(64).zip(counts.chunks(64)) {
+            if chunk.iter().fold(false, |any, &c| any | (c >= ESCAPE)) {
+                let escaped = (first..).zip(chunk).filter(|&(_, &c)| c >= ESCAPE);
+                escapes.extend(escaped.flat_map(|(e, &c)| [e, c]));
+            }
+        }
+        let len = offsets.len() + ids.len() + escapes.len() + counts.len().div_ceil(4);
+        let mut words = Vec::with_capacity(len);
+        words.extend_from_slice(offsets);
+        words.extend_from_slice(ids);
+        words.extend_from_slice(&escapes);
+        let (quads, rest) = counts.as_chunks();
+        let b = |c: u32| c.min(ESCAPE);
+        words.extend(quads.iter().map(|&[w, x, y, z]| b(w) | b(x) << 8 | b(y) << 16 | b(z) << 24));
+        words.extend((!rest.is_empty()).then(|| rest.iter().rev().fold(0, |w, &c| w << 8 | b(c))));
+        Self { source, walkers, histograms: offsets.len() - 1, words: words.into_boxed_slice() }
+    }
+
     /// Distinct `(step, node)` entries over every step.
     pub fn entries(&self) -> usize {
         self.words[self.histograms] as usize
     }
 
-    /// Every step's histogram, `t = 0..=T`: node ids ascending, and their
-    /// counts.
+    /// The block's four parts: offsets, ids, escape pairs, count words.
     #[inline]
-    pub fn histograms(&self) -> impl ExactSizeIterator<Item = (&[NodeId], &[u32])> {
+    fn parts(&self) -> Parts<'_> {
         let (offsets, rest) = self.words.split_at(self.histograms + 1);
-        let (ids, counts) = rest.split_at(self.entries());
-        offsets.windows(2).map(|w| {
-            let span = w[0] as usize..w[1] as usize;
-            (&ids[span.clone()], &counts[span])
+        let (ids, rest) = rest.split_at(self.entries());
+        let (escapes, counts) = rest.split_at(rest.len() - self.entries().div_ceil(4));
+        (offsets, ids, escapes.as_chunks().0, counts)
+    }
+
+    /// Every step's histogram, `t = 0..=T`.
+    #[inline]
+    pub fn histograms(&self) -> impl ExactSizeIterator<Item = BlockStep<'_>> {
+        let (offsets, ids, escapes, counts) = self.parts();
+        offsets.windows(2).map(move |w| {
+            let first = w[0] as usize;
+            BlockStep { ids: &ids[first..w[1] as usize], first, counts, escapes }
         })
     }
 
@@ -161,38 +203,66 @@ impl CohortBlock {
     }
 }
 
+/// One step's histogram in a [`CohortBlock`]: node ids ascending, each
+/// count read through [`Self::count`].
+#[derive(Clone, Copy, Debug)]
+pub struct BlockStep<'a> {
+    /// The nodes visited, ascending.
+    pub ids: &'a [NodeId],
+    /// The block entry of `ids[0]`.
+    first: usize,
+    /// The block's count bytes, four to a word, and its escape list.
+    counts: &'a [u32],
+    escapes: &'a [[u32; 2]],
+}
+
+impl BlockStep<'_> {
+    /// How many walkers stood on `ids[i]`.
+    #[inline(always)]
+    pub fn count(&self, i: usize) -> u32 {
+        let e = self.first + i;
+        let byte = self.counts[e / 4] >> (e % 4 * 8) & 0xff;
+        if byte < ESCAPE {
+            byte
+        } else {
+            // Inlined with its callers: a call spills `score_pair`'s sum.
+            self.escapes[self.escapes.partition_point(|&[at, _]| (at as usize) < e)][1]
+        }
+    }
+}
+
 impl TryFrom<&StepDistributions> for CohortBlock {
     type Error = std::num::TryFromIntError;
 
     /// Fails only on a count or an entry total beyond `u32`.
     fn try_from(d: &StepDistributions) -> Result<Self, Self::Error> {
-        let entries = d.counts.iter().map(Vec::len).sum::<usize>();
-        let mut words = Vec::with_capacity(d.counts.len() + 1 + 2 * entries);
-        words.push(0);
+        let mut offsets = vec![0];
         let mut end = 0;
         for step in &d.counts {
             end += step.len();
-            words.push(u32::try_from(end)?);
+            offsets.push(u32::try_from(end)?);
         }
-        words.extend(d.counts.iter().flatten().map(|&(v, _)| v));
-        for &(_, c) in d.counts.iter().flatten() {
-            words.push(u32::try_from(c)?);
-        }
-        let (source, walkers, histograms) = (d.source, d.walkers, d.counts.len());
-        Ok(Self { source, walkers, histograms, words: words.into_boxed_slice() })
+        let ids: Vec<NodeId> = d.counts.iter().flatten().map(|&(v, _)| v).collect();
+        let counts = d.counts.iter().flatten().map(|&(_, c)| u32::try_from(c));
+        let counts = counts.collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::pack(d.source, d.walkers, &offsets, &ids, &counts))
     }
 }
 
 impl From<&CohortBlock> for StepDistributions {
     fn from(b: &CohortBlock) -> Self {
-        let step = |(ids, counts): (&[NodeId], &[u32])| {
-            ids.iter().zip(counts).map(|(&v, &c)| (v, u64::from(c))).collect()
+        let (offsets, ids, escapes, words) = b.parts();
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let step = |w: &[u32]| {
+            let span = w[0] as usize..w[1] as usize;
+            ids[span.clone()].iter().zip(&bytes[span]).map(|(&v, &c)| (v, c.into())).collect()
         };
-        StepDistributions {
-            source: b.source,
-            walkers: b.walkers,
-            counts: b.histograms().map(step).collect(),
+        let mut counts: Vec<Vec<(NodeId, u64)>> = offsets.windows(2).map(step).collect();
+        for &[at, c] in escapes {
+            let t = offsets.partition_point(|&end| end <= at) - 1;
+            counts[t][(at - offsets[t]) as usize].1 = c.into();
         }
+        StepDistributions { source: b.source, walkers: b.walkers, counts }
     }
 }
 
@@ -294,9 +364,7 @@ impl WalkScratch {
             self.step(graph, t);
             self.write_frontier(n);
         }
-        // One exact-size allocation: `concat` sums the lengths first.
-        let words = [&self.offsets[..], &self.ids, &self.counts].concat().into_boxed_slice();
-        CohortBlock { source, walkers: size, histograms: steps + 1, words }
+        CohortBlock::pack(source, size, &self.offsets, &self.ids, &self.counts)
     }
 
     /// The offline build's cohort kernel: the loop of [`Self::block_on`]

@@ -307,15 +307,27 @@ fn block_writer_equals_the_per_walker_oracle_at_its_edges() {
     let mapped = MappedStore::open(&dir).unwrap();
     let sharded = MappedStore::of_graph(&g, &Partitioner::range_nonempty(n, 3)).unwrap();
     // A hub at R' = 10 000 (radix-sorted frontiers) and below `RADIX_MIN`,
-    // a dead source (steps 1..T empty), and `T = 0`.
-    let cells = [(hub, 10_000, T), (hub, 100, T), (dead, 300, T), (hub, 50, 0), (dead, 7, 0)];
+    // a dead source (steps 1..T empty), and `T = 0`; step 0's count escapes
+    // its byte from R' = 255 on.
+    let cells = [
+        (hub, 10_000, T),
+        (hub, 255, T),
+        (hub, 100, T),
+        (dead, 300, T),
+        (hub, 300, 0),
+        (hub, 50, 0),
+        (dead, 7, 0),
+    ];
     for (source, r, steps) in cells {
         let want = path_cohort(&g, source, r, steps);
         if source == dead {
             assert!(want.counts[1..].iter().all(Vec::is_empty), "a dead source's walkers die");
         }
         let flat = CohortBlock::try_from(&want).unwrap();
-        let words = steps + 2 + 2 * flat.entries();
+        let entries = flat.entries();
+        let escapes = want.counts.iter().flatten().filter(|&&(_, c)| c >= 255).count();
+        assert_eq!(escapes > 0, r >= 255, "step 0 escapes exactly when R' does");
+        let words = steps + 2 + entries + 2 * escapes + entries.div_ceil(4);
         let label = format!("source {source}, R' {r}, T {steps}");
         let blocks = [
             ("csr", reverse_walk_block_on(&g, source, 0..r, steps, SEED)),

@@ -164,11 +164,18 @@ fn a_nan_diagonal_entry_poisons_both_merges_alike() {
     assert!(queries::score_pair(&block(&di), &block(&dj), &diag, 0.6).is_nan());
 }
 
+/// Counts a block escapes: those its one count byte cannot hold.
+fn escapes(d: &StepDistributions) -> usize {
+    d.counts.iter().flatten().filter(|&&(_, c)| c >= 255).count()
+}
+
 fn assert_round_trip(d: &StepDistributions, what: &str) {
     let b = block(d);
     let entries: usize = d.counts.iter().map(Vec::len).sum();
     assert_eq!(b.entries(), entries, "{what}");
-    assert_eq!(b.heap_bytes(), 8 * entries + 4 * (d.counts.len() + 1), "{what}");
+    // Offsets, ids, escape pairs, then one count byte an entry in words.
+    let words = d.counts.len() + 1 + entries + 2 * escapes(d) + entries.div_ceil(4);
+    assert_eq!(b.heap_bytes(), 4 * words, "{what}");
     assert_eq!(StepDistributions::from(&b), *d, "{what}");
 }
 
@@ -186,11 +193,37 @@ fn cohort_blocks_round_trip_exactly() {
     assert_round_trip(&dead_cohort, "dead source");
     let [full, _] = hand_pair(vec![(3, 1), (40, 10_000), (41, 2)], vec![]);
     assert_round_trip(&full, "a count equal to R'");
+    // Either side of the escape byte, and the largest count a block holds.
+    let edges = [254, 255, 256, 65_535, 10_000, u64::from(u32::MAX)];
+    let [wide, _] = hand_pair((0..).zip(edges).collect(), vec![]);
+    assert_eq!(escapes(&wide), 1 + 5, "step 0 and five step-1 counts escape");
+    assert_round_trip(&wide, "counts around the escape");
 
     // A count past `u32` has no block; it is refused, never truncated.
     let [mut wide, _] = hand_pair(vec![(3, 1)], vec![]);
     wide.counts[1][0].1 = u64::from(u32::MAX) + 1;
     assert!(CohortBlock::try_from(&wide).is_err());
+}
+
+#[test]
+fn escaped_counts_on_shared_keys_score_to_the_oracle() {
+    // Escaped counts on both sides of a match, on one side only, and among
+    // plain ones, in one lane and across four.
+    let diag = ragged_diag(1_000);
+    let u = vec![(2, 255), (5, 1), (9, 300), (11, 10_000), (12, 254), (700, 300)];
+    let v = vec![(2, 300), (9, 3), (11, 255), (12, 10_000), (13, 256), (700, 255)];
+    let [di, dj] = hand_pair(u.clone(), v.clone());
+    assert_same_score(&di, &dj, &diag, "escaped shared keys");
+    assert_same_score(&dj, &di, &diag, "escaped shared keys");
+    let dense = |skip: u32| (0..1_000).filter(move |k| k % skip != 0).map(|k| (k, 1));
+    let (mut u, mut v): (Vec<_>, Vec<_>) = (dense(3).collect(), dense(5).collect());
+    for (k, c) in [(1, 255), (301, 300), (302, 10_000), (998, 256)] {
+        let (a, b) = (u.binary_search_by_key(&k, |e| e.0), v.binary_search_by_key(&k, |e| e.0));
+        (u[a.unwrap()].1, v[b.unwrap()].1) = (c, c + 1);
+    }
+    let [di, dj] = hand_pair(u, v);
+    assert_same_score(&di, &dj, &diag, "escaped shared keys, four lanes");
+    assert_same_score(&dj, &di, &diag, "escaped shared keys, four lanes");
 }
 
 // ---- the codec -----------------------------------------------------------
