@@ -159,19 +159,5 @@ fn bench_rows(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_all_nodes(c: &mut Criterion) {
-    let g: CsrGraph = generators::rmat(12, 32_768, generators::RmatParams::default(), 7);
-    let mut group = c.benchmark_group("walks/index-phase");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(g.node_count() as u64 * 10 * 10));
-    group.bench_function("4096-nodes-R10-T10", |b| {
-        let params = WalkParams::new(10, 10);
-        b.iter(|| {
-            black_box(pasco_mc::parallel::map_all_nodes(&g, params, 3, |_, d| d.counts.len()))
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_cohorts, bench_routed, bench_rows, bench_all_nodes);
+criterion_group!(benches, bench_cohorts, bench_routed, bench_rows);
 criterion_main!(benches);

@@ -1,20 +1,11 @@
 #![warn(missing_docs)]
-//! Experiment harness: shared plumbing for the binaries that regenerate
-//! every table and figure of the paper (see `DESIGN.md` §4 for the
-//! experiment ↔ binary map).
-//!
-//! Conventions:
-//! * datasets come from [`pasco_graph::datasets`] and are cached as binary
-//!   files under `target/pasco-datasets/` so repeated harness runs skip
-//!   generation;
-//! * `PASCO_SCALE=quick|paper` trades fidelity for wall time (`paper` is
-//!   the default and uses the paper's parameters end to end; `quick` trims
-//!   walker counts and dataset sizes for smoke runs);
-//! * each binary prints a self-contained table with the paper's values
-//!   alongside, so `EXPERIMENTS.md` can be regenerated by rerunning them.
+//! Experiment harness: the [`paper`] scorecard that reproduces the paper's
+//! tables and figures (README's "Paper vs this repo") on the stand-ins of
+//! [`pasco_graph::datasets`]. `PASCO_SCALE=quick|paper` trades fidelity for
+//! wall time (`paper` is the default and uses the paper's parameters end to
+//! end; `quick` trims walker counts and dataset sizes).
 
-pub mod datasets;
-pub mod table;
+pub mod paper;
 
 use std::time::{Duration, Instant};
 
@@ -35,11 +26,13 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `PASCO_SCALE` (default [`Scale::Paper`]).
-    pub fn from_env() -> Self {
-        match std::env::var("PASCO_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Paper,
+    /// Parses a `PASCO_SCALE` value (`None`: unset, [`Scale::Paper`]); any
+    /// other value than `quick` or `paper` is an error naming both.
+    pub fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            Some("quick") => Ok(Scale::Quick),
+            None | Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(format!("PASCO_SCALE must be quick|paper, not {other:?}")),
         }
     }
 
@@ -93,5 +86,14 @@ mod tests {
     fn scale_accessors() {
         assert_eq!(Scale::Quick.dataset_count(), 3);
         assert_eq!(Scale::Paper.r_query(), 10_000);
+    }
+
+    #[test]
+    fn scale_parse_refuses_unknown_values() {
+        assert_eq!(Scale::parse(None), Ok(Scale::Paper));
+        assert_eq!(Scale::parse(Some("paper")), Ok(Scale::Paper));
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        let err = Scale::parse(Some("quik")).unwrap_err();
+        assert!(err.contains("quick|paper") && err.contains("quik"), "{err}");
     }
 }

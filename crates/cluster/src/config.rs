@@ -23,9 +23,9 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// The paper's cluster, scaled: 10 workers × 16 cores. The per-worker
-    /// memory budget is scaled with the dataset stand-ins (DESIGN.md §5) so
-    /// that the largest stand-in exceeds it exactly as clue-web's 401 GB
-    /// exceeded the paper's 377 GB/machine.
+    /// memory budget is scaled with the dataset stand-ins (README's "Paper vs
+    /// this repo") so that the largest stand-in exceeds it exactly as
+    /// clue-web's 401 GB exceeded the paper's 377 GB/machine.
     pub fn paper_like() -> Self {
         Self {
             workers: 10,

@@ -3,10 +3,11 @@
 //! The paper (Table "datasets") evaluates on five real graphs up to clue-web
 //! (|V| = 1 B, |E| = 42.6 B, 401.1 GB). Real crawls of that size are neither
 //! available nor tractable here, so each dataset is replaced by a seeded
-//! synthetic graph whose *relative* size and skew are preserved (DESIGN.md
-//! §2/§5): sizes shrink together, degree skew comes from R-MAT, and the
-//! broadcast-memory wall (clue-web > per-machine RAM) re-emerges because the
-//! largest stand-in exceeds the scaled per-worker budget in
+//! synthetic graph whose *relative* size and skew are preserved (README's
+//! "Paper vs this repo" sets them beside the paper's): sizes shrink
+//! together, degree skew comes from R-MAT, and the broadcast-memory wall
+//! (clue-web > per-machine RAM) re-emerges because the largest stand-in
+//! exceeds the scaled per-worker budget in
 //! `pasco_cluster::ClusterConfig::paper_like`.
 
 use crate::csr::CsrGraph;
@@ -77,9 +78,9 @@ impl DatasetSpec {
     /// Generates the stand-in graph. Deterministic: two calls return equal
     /// graphs.
     ///
-    /// Stand-in sizing (documented in DESIGN.md §5): `wiki-vote-sim` keeps
-    /// the paper's exact node count; larger graphs shrink to a 2-core
-    /// budget while keeping the *ordering* and rough ratios of sizes.
+    /// Stand-in sizing: `wiki-vote-sim` keeps the paper's exact node count;
+    /// larger graphs shrink to a 2-core budget while keeping the *ordering*
+    /// and rough ratios of sizes.
     ///
     /// # Panics
     /// Panics if `name` is not one of the five [`SPECS`] keys.

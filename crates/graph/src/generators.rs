@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on five real web/social graphs; this reproduction
 //! substitutes seeded synthetic models with matched size and skew (see
-//! `DESIGN.md` §2 and [`crate::datasets`]). All generators are deterministic
-//! in their `seed`.
+//! [`crate::datasets`] and README's "Paper vs this repo"). All generators
+//! are deterministic in their `seed`.
 
 use crate::csr::{CsrGraph, NodeId};
 use crate::GraphBuilder;

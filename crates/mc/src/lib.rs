@@ -21,9 +21,7 @@
 
 pub mod counts;
 pub mod forward;
-pub mod parallel;
 pub mod rng;
-pub mod stats;
 pub mod walks;
 
 pub use counts::CountMap;

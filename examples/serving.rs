@@ -1,5 +1,5 @@
-//! A serving-shaped workload, end to end over the network: capacity
-//! planning with walk profiles, then a `PascoServer` on a loopback TCP
+//! A serving-shaped workload, end to end over the network: a look at walk
+//! survival, then a `PascoServer` on a loopback TCP
 //! port serving one shared caching session, queried by real
 //! `PascoClient`s — sequentially, pipelined, and from four concurrent
 //! connections — with every answer checked against in-process serving.
@@ -9,8 +9,7 @@
 //! ```
 
 use pasco::graph::generators;
-use pasco::mc::stats::{profile_walks, sample_sources};
-use pasco::mc::walks::WalkParams;
+use pasco::mc::walks::{reverse_walk_distributions, WalkParams};
 use pasco::server::{PascoClient, PascoServer, ServerConfig};
 use pasco::simrank::api::{QueryRequest, QueryResponse, QueryService};
 use pasco::simrank::{CloudWalker, ExecMode, QuerySession, SessionConfig, SimRankConfig};
@@ -31,18 +30,19 @@ fn main() {
     let graph = Arc::new(generators::rmat(14, 120_000, generators::RmatParams::default(), 9));
     let cfg = SimRankConfig::default_paper().with_r_query(4_000);
 
-    // Capacity planning BEFORE the expensive build: how do walks behave?
-    let probe = sample_sources(&graph, 32);
-    let profile = profile_walks(&graph, &probe, WalkParams::new(cfg.t, cfg.r), cfg.seed);
-    println!("walk profile over {} sampled sources:", profile.sampled_sources);
-    println!(
-        "  survival by step: {:?}",
-        profile.survival.iter().map(|s| format!("{s:.2}")).collect::<Vec<_>>()
-    );
-    println!("  est. stored-row size: {} bytes/node", profile.estimated_row_bytes());
-    if let Some(h) = profile.effective_horizon(0.05) {
-        println!("  95% of walk mass is gone by step {h} — T beyond that buys little");
+    // Before the expensive build: how fast does walk mass die on this graph?
+    // Mean surviving mass by step over 32 evenly spaced sources.
+    let params = WalkParams::new(cfg.t, cfg.r);
+    let n = graph.node_count();
+    let mut survival = vec![0.0; cfg.t + 1];
+    for s in (0..32).map(|k| k * n / 32) {
+        let d = reverse_walk_distributions(&graph, s, params, cfg.seed);
+        survival.iter_mut().enumerate().for_each(|(t, m)| *m += d.mass(t) / 32.0);
     }
+    println!(
+        "survival by step: {:?}",
+        survival.iter().map(|s| format!("{s:.2}")).collect::<Vec<_>>()
+    );
 
     // Serve from the sharded substrate: the graph is range-partitioned
     // across 4 in-process shards, queries route to the shard owning their
