@@ -67,7 +67,8 @@ fn bench_cohorts(c: &mut Criterion) {
 /// What routed storage costs per walk step, against the resident rows: the
 /// `R′ = 10 000` cohort of `walks/rmat16-cohort` over shard images held in
 /// memory (the `sharded` storage) and the mmap store, and the MCSS forward
-/// stage (`sparse_masses_on`, paper parameters, cohorts simulated up front)
+/// stage (`sparse_masses_on`, paper parameters, cohorts simulated up front;
+/// on rmat16 that is the exact sweeps' arm)
 /// over the resident sampler, the in-memory shards and the store. Same
 /// rotating live sources in every row; the store is written to a temp dir
 /// once.
@@ -103,7 +104,7 @@ fn bench_routed(c: &mut Criterion) {
     let mut source = rotating(&live);
     let cohorts: Vec<StepDistributions> =
         (0..16).map(|_| queries::query_cohort(&g, &cfg, source())).collect();
-    fn forward<'a, S: ForwardSampler>(
+    fn forward<'a, S: WalkAdjacency + ForwardSampler>(
         sampler: &'a S,
         cohorts: &'a [StepDistributions],
         diag: &'a [f64],

@@ -45,6 +45,7 @@ pub mod wire;
 pub mod worker;
 
 use crate::cloudwalker::CloudWalker;
+use crate::config::SimRankConfig;
 use crate::session::QuerySession;
 use pasco_graph::NodeId;
 use pasco_mc::walks::StepDistributions;
@@ -69,8 +70,8 @@ pub enum QueryRequest {
         /// The query node.
         i: NodeId,
     },
-    /// The deterministic-push MCSS variant (ablation A1): exact sparse
-    /// pushes instead of forward walks, dense row out.
+    /// MCSS with the exact forward stage whatever the graph's size (the
+    /// forward walks never run), dense row out.
     SingleSourcePush {
         /// The query node.
         i: NodeId,
@@ -258,6 +259,37 @@ impl QueryRequest {
     }
 }
 
+impl QueryRequest {
+    /// The most bytes the encoded answer to this request can take on a
+    /// graph of `node_count` nodes under `cfg` — known before any work, so
+    /// a server refuses what could not fit its frame limit before it
+    /// computes anything. Exact for the fixed-size answers and a true upper
+    /// bound for the rest: a score is 9 bytes, a dense row `8n`, a top-`k`
+    /// list `12·min(k, n)`, a matrix `8·rows·cols`, a cohort `T + 1` steps
+    /// of at most `min(R′, n)` 12-byte entries, a batch the sum of its
+    /// members, each plus its tag and length prefixes.
+    pub fn response_bound(&self, node_count: u32, cfg: &SimRankConfig) -> u64 {
+        let n = u64::from(node_count);
+        match self {
+            QueryRequest::SinglePair { .. } => 9,
+            QueryRequest::SingleSource { .. } | QueryRequest::SingleSourcePush { .. } => 5 + 8 * n,
+            QueryRequest::SingleSourceTopK { k, .. } => 5 + 12 * (*k).min(n),
+            QueryRequest::PairsMatrix { rows, cols } => {
+                let row = 4u64.saturating_add(8u64.saturating_mul(cols.len() as u64));
+                5u64.saturating_add((rows.len() as u64).saturating_mul(row))
+            }
+            QueryRequest::Cohort { .. } => {
+                let step = 4 + 12 * u64::from(cfg.r_query).min(n);
+                13u64.saturating_add((cfg.t as u64).saturating_add(1).saturating_mul(step))
+            }
+            QueryRequest::Batch(reqs) => reqs
+                .iter()
+                .map(|r| r.response_bound(node_count, cfg))
+                .fold(5u64, u64::saturating_add),
+        }
+    }
+}
+
 /// The object-safe front door every query flows through.
 ///
 /// Implemented by [`QuerySession`] (caching, batch-parallel serving) and
@@ -278,6 +310,14 @@ pub trait QueryService: Send + Sync {
     /// its handshake ([`envelope::ServerInfo`]) so clients can
     /// pre-validate requests without a round trip.
     fn node_count(&self) -> u32;
+
+    /// The most bytes the encoded answer to `req` can take
+    /// ([`QueryRequest::response_bound`]), so a front door can refuse a
+    /// request past its frame limit before any work; `None` (the default)
+    /// when the service cannot say, and only the encoded answer is checked.
+    fn response_bound(&self, _req: &QueryRequest) -> Option<u64> {
+        None
+    }
 }
 
 /// Shared batch tail of both service implementations: `req` is already
@@ -324,6 +364,10 @@ impl QueryService for CloudWalker {
     fn node_count(&self) -> u32 {
         CloudWalker::node_count(self)
     }
+
+    fn response_bound(&self, req: &QueryRequest) -> Option<u64> {
+        Some(req.response_bound(CloudWalker::node_count(self), self.config()))
+    }
 }
 
 impl QueryService for QuerySession {
@@ -356,6 +400,10 @@ impl QueryService for QuerySession {
 
     fn node_count(&self) -> u32 {
         self.walker().node_count()
+    }
+
+    fn response_bound(&self, req: &QueryRequest) -> Option<u64> {
+        self.walker().response_bound(req)
     }
 }
 
@@ -421,6 +469,41 @@ mod tests {
             .validate(10),
             Ok(())
         );
+    }
+
+    #[test]
+    fn response_bounds_cover_every_answer_and_are_exact_where_fixed() {
+        use crate::api::wire::WireCodec;
+        let cw = walker();
+        let (n, cfg) = (cw.node_count(), *cw.config());
+        let svc: &dyn QueryService = cw.as_ref();
+        let members = vec![
+            QueryRequest::SinglePair { i: 3, j: 40 },
+            QueryRequest::SingleSource { i: 3 },
+            QueryRequest::SingleSourcePush { i: 3 },
+            QueryRequest::SingleSourceTopK { i: 3, k: 1_000 },
+            QueryRequest::PairsMatrix { rows: vec![1, 2, 3], cols: vec![4, 5] },
+            QueryRequest::Cohort { v: 3 },
+        ];
+        for req in members.iter().cloned().chain([QueryRequest::Batch(members.clone())]) {
+            let bound = svc.response_bound(&req).unwrap();
+            assert_eq!(bound, req.response_bound(n, &cfg));
+            let bytes = svc.execute(req.clone()).unwrap().encoded_len() as u64;
+            assert!(bytes <= bound, "{req:?}: {bytes} bytes over its bound {bound}");
+            let fixed = !matches!(
+                req,
+                QueryRequest::SingleSourceTopK { .. }
+                    | QueryRequest::Cohort { .. }
+                    | QueryRequest::Batch(_)
+            );
+            assert!(!fixed || bytes == bound, "{req:?}: {bytes} bytes, bound {bound}");
+        }
+        // Sizes far past any frame, without overflow.
+        let side: Vec<NodeId> = vec![0; 1 << 20];
+        let huge = QueryRequest::PairsMatrix { rows: side.clone(), cols: side };
+        assert_eq!(huge.response_bound(n, &cfg), 5 + (1 << 20) * (4 + 8 * (1 << 20)));
+        let k = QueryRequest::SingleSourceTopK { i: 0, k: u64::MAX };
+        assert_eq!(k.response_bound(n, &cfg), 5 + 12 * u64::from(n));
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub struct CloudWalker {
 /// reverse-chain sampling index (the very [`Resident`] value a local
 /// engine runs on) or a zero-copy mapped `PASCOSH1` shard store with no
 /// resident adjacency at all. Query paths never match on this — they go
-/// through the engine — only the resident-specific surfaces (`graph()`,
-/// the deterministic-push ablation, `save_store`) do.
+/// through the engine — only the backing-specific surfaces (`graph()`,
+/// the exact-push query, `save_store`) do.
 enum GraphBacking {
     /// The graph lives in memory; every [`ExecMode`] engine is available.
     Resident(Arc<Resident>),
@@ -119,10 +119,7 @@ impl CloudWalker {
     ///
     /// Queries run on the [`KernelEngine`] over the mapped store and are
     /// bit-identical to a resident walker built from the same graph,
-    /// diagonal and config,
-    /// except the deterministic-push ablation
-    /// ([`CloudWalker::try_single_source_push`]), which needs the resident
-    /// CSR and reports [`QueryError::Unsupported`].
+    /// diagonal and config.
     pub fn open_store(dir: impl AsRef<Path>, cfg: SimRankConfig) -> Result<Self, SimRankError> {
         cfg.validate()?;
         let store = Arc::new(MappedStore::open(dir)?);
@@ -225,7 +222,9 @@ impl CloudWalker {
         Ok(self.engine.single_pair(self.diag.as_slice(), &self.cfg, i, j)?.clamp(0.0, 1.0))
     }
 
-    /// MCSS — similarity of every node to `i`, `O(T²·R′·log d)`. Estimates
+    /// MCSS — similarity of every node to `i`: `O(T·(n + m))` by exact
+    /// sweeps, or `O(T²·R_f·log d)` by walks past the arm rule's point
+    /// ([`queries::sweeps_pay`]). Estimates
     /// are clamped into SimRank's `[0, 1]` range; fails with
     /// [`QueryError::NodeOutOfRange`] on a bad node.
     pub fn try_single_source(&self, i: NodeId) -> Result<Vec<f64>, QueryError> {
@@ -269,30 +268,26 @@ impl CloudWalker {
         self.engine.query_cohort(&self.cfg, v)
     }
 
-    /// The deterministic-push variant of MCSS (ablation A1); local
-    /// execution regardless of mode. Fails with
-    /// [`QueryError::NodeOutOfRange`] on a bad node and with
-    /// [`QueryError::Unsupported`] on a store-backed walker — forward
-    /// push traverses the whole residual frontier through the resident
-    /// CSR graph, which a mapped store deliberately does not build.
+    /// MCSS with the exact forward stage whatever the graph's size
+    /// ([`queries::single_source_push`]), run on this walker's own
+    /// adjacency — resident or mapped — regardless of mode. Fails with
+    /// [`QueryError::NodeOutOfRange`] on a bad node.
     pub fn try_single_source_push(&self, i: NodeId) -> Result<Vec<f64>, QueryError> {
         self.check_node(i)?;
-        let GraphBacking::Resident(resident) = &self.backing else {
-            return Err(QueryError::Unsupported {
-                detail: "single-source push needs the resident CSR graph; a mapped store \
-                         serves only the Monte-Carlo query paths"
-                    .into(),
-            });
+        let (diag, cfg) = (self.diag.as_slice(), &self.cfg);
+        let mut out = match &self.backing {
+            GraphBacking::Resident(resident) => {
+                queries::single_source_push(&**resident, diag, cfg, i)
+            }
+            GraphBacking::Mapped(store) => queries::single_source_push(&**store, diag, cfg, i),
         };
-        let mut out =
-            queries::single_source_push(&resident.graph, self.diag.as_slice(), &self.cfg, i);
         for v in &mut out {
             *v = v.clamp(0.0, 1.0);
         }
         Ok(out)
     }
 
-    /// MCAP — top-`k` similar nodes for every node (`O(n·T²·R′·log d)`;
+    /// MCAP — top-`k` similar nodes for every node (`n` MCSS queries;
     /// run it on graphs small enough to afford `n` single-source queries).
     /// Runs MCSS repeatedly (as in the paper) on the configured engine, in
     /// parallel over sources.
@@ -557,8 +552,11 @@ mod tests {
             resident.try_single_source_topk(5, 10).unwrap()
         );
 
-        // The push ablation needs the resident CSR: typed error, no panic.
-        assert!(matches!(mapped.try_single_source_push(5), Err(QueryError::Unsupported { .. })));
+        // The exact push sweeps the mapped in-links: the resident answer.
+        assert_eq!(
+            mapped.try_single_source_push(5).unwrap(),
+            resident.try_single_source_push(5).unwrap()
+        );
         // A mapped walker cannot re-save: it IS the store directory.
         assert!(matches!(
             mapped.save_store(dir.join("copy"), 2),

@@ -10,15 +10,19 @@
 //! range's step histograms, a row `aᵢ`, a Jacobi row update, a forward
 //! item's walks — is the kernel the in-process engine runs, called inside
 //! a `pasco_cluster` stage, so bit-identity to [`super::kernel`] is
-//! structural. MCSP and top-`k` are the trait's provided methods over this
-//! engine's cohort and single-source stages.
+//! structural. The exact forward stage runs one stage per sweep, the
+//! iterate `z` broadcast to every task. MCSP and top-`k` are the trait's
+//! provided methods over this engine's cohort and single-source stages.
 
 use crate::ai::{RowKernel, StoredRows};
 use crate::api::QueryError;
 use crate::config::SimRankConfig;
 use crate::engine::{cohort_block, staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries::{forward_term, mcss_series, query_seed, ForwardItem, SeriesTerm};
+use crate::queries::{
+    add_support, forward_term, mcss_series, pull_sweep, query_seed, sweeps_on, ForwardItem,
+    SeriesTerm,
+};
 use pasco_cluster::{Broadcast, Cluster, ClusterConfig, ClusterReport};
 use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, GraphSampler, NodeId, ReverseChainIndex};
@@ -63,6 +67,59 @@ impl BroadcastEngine {
         let parts = (self.cluster.config().default_partitions() as u32).min(n.max(1));
         let p = Partitioner::range(n, parts);
         (0..parts).filter_map(|i| p.range_of(i)).collect()
+    }
+}
+
+impl BroadcastEngine {
+    /// The exact arm: the driver holds `z` and broadcasts it to one
+    /// `query/sweep` stage per sweep, one [`pull_sweep`] task per node
+    /// range, then adds the next term's support — the kernel's Horner
+    /// steps, staged, so the scores are bitwise the kernel's.
+    fn swept(&self, dists: &CohortBlock, diag: &[f64], cfg: &SimRankConfig) -> Vec<f64> {
+        let graph: &CsrGraph = &self.graph;
+        let ranges = self.node_ranges(graph.node_count());
+        let mut z = vec![0.0f64; graph.node_count() as usize];
+        add_support(dists, cfg.t, diag, &mut z);
+        for t in (0..cfg.t).rev() {
+            let parts = self.cluster.run_stage("query/sweep", ranges.clone(), |_, (lo, hi)| {
+                let mut out = vec![0.0f64; (hi - lo) as usize];
+                pull_sweep(graph, &z, cfg.c, lo, &mut out);
+                out
+            });
+            z = parts.concat();
+            add_support(dists, t, diag, &mut z);
+        }
+        z
+    }
+
+    /// The walks arm: the `t = 0` term on the driver, then one
+    /// `query/forward` stage over the series' launch items, batched one
+    /// chunk per task; a task runs the forward kernel once per term its
+    /// chunk touches.
+    fn walked(&self, dists: &CohortBlock, diag: &[f64], cfg: &SimRankConfig) -> Vec<f64> {
+        let mut out = vec![0.0f64; self.graph.node_count() as usize];
+        let mut items: Vec<ForwardItem> = Vec::new();
+        mcss_series(dists, diag, cfg, |term| match term {
+            SeriesTerm::Landed(node, mass) => out[node as usize] += mass,
+            SeriesTerm::Launch(term) => items.extend_from_slice(term),
+        });
+        if !items.is_empty() {
+            let chunk = items.len().div_ceil(self.cluster.config().default_partitions());
+            let batches: Vec<&[ForwardItem]> = items.chunks(chunk).collect();
+            let sampler = GraphSampler::new(&self.graph, &self.rci);
+            let partials = self.cluster.run_stage("query/forward", batches, |_, batch| {
+                let mut acc = MassMap::with_capacity(batch.len() * 4);
+                let mut frontier = Vec::new();
+                for term in batch.chunk_by(|a, b| a.t == b.t) {
+                    forward_term(&sampler, term, &mut frontier, |node, mass| acc.add(node, mass));
+                }
+                acc.into_sorted_vec()
+            });
+            for (node, mass) in partials.into_iter().flatten() {
+                out[node as usize] += mass;
+            }
+        }
+        out
     }
 }
 
@@ -125,10 +182,8 @@ impl SimRankEngine for BroadcastEngine {
         cohort_block(&StepDistributions { source, walkers: cfg.r_query, counts })
     }
 
-    /// MCSS in the Broadcasting model: the cohort stage, the `t = 0` term
-    /// on the driver, then one `query/forward` stage over the series'
-    /// launch items, batched one chunk per task; a task runs the forward
-    /// kernel once per term its chunk touches.
+    /// MCSS in the Broadcasting model: the cohort stage, then the forward
+    /// stage on the arm [`crate::queries::sweeps_pay`] picks for the replicated graph.
     fn single_source(
         &self,
         diag: &[f64],
@@ -136,28 +191,12 @@ impl SimRankEngine for BroadcastEngine {
         i: NodeId,
     ) -> Result<Vec<f64>, QueryError> {
         let dists = Self::query_cohort(self, cfg, i)?;
-        let mut out = vec![0.0f64; self.graph.node_count() as usize];
-        let mut items: Vec<ForwardItem> = Vec::new();
-        mcss_series(&dists, diag, cfg, |term| match term {
-            SeriesTerm::Landed(node, mass) => out[node as usize] += mass,
-            SeriesTerm::Launch(term) => items.extend_from_slice(term),
-        });
-        if !items.is_empty() {
-            let chunk = items.len().div_ceil(self.cluster.config().default_partitions());
-            let batches: Vec<&[ForwardItem]> = items.chunks(chunk).collect();
-            let sampler = GraphSampler::new(&self.graph, &self.rci);
-            let partials = self.cluster.run_stage("query/forward", batches, |_, batch| {
-                let mut acc = MassMap::with_capacity(batch.len() * 4);
-                let mut frontier = Vec::new();
-                for term in batch.chunk_by(|a, b| a.t == b.t) {
-                    forward_term(&sampler, term, &mut frontier, |node, mass| acc.add(node, mass));
-                }
-                acc.into_sorted_vec()
-            });
-            for (node, mass) in partials.into_iter().flatten() {
-                out[node as usize] += mass;
-            }
-        }
+        let graph: &CsrGraph = &self.graph;
+        let mut out = if sweeps_on(graph, cfg) {
+            self.swept(&dists, diag, cfg)
+        } else {
+            self.walked(&dists, diag, cfg)
+        };
         out[i as usize] = 1.0;
         Ok(out)
     }

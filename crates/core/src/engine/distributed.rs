@@ -75,13 +75,13 @@ use crate::api::worker::{
     diag_fingerprint, BuildShard, BuildShardReply, DiagPayload, Empty, LoadAck, LoadPartition,
     LoadStore, ShardQuery, ShardQueryKind, ShardTopK, ShardTopKReply, WorkerStats,
 };
-use crate::api::{check_node, QueryError, QueryResponse};
+use crate::api::{check_node, QueryError, QueryRequest, QueryResponse};
 use crate::config::SimRankConfig;
 use crate::diag::DiagonalIndex;
 use crate::engine::kernel::solve_rows;
 use crate::engine::{cohort_block, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries::{self, rank_topk, ranking_cmp, sparse_masses_on};
+use crate::queries::{self, rank_topk, ranking_cmp};
 use pasco_cluster::metrics::{MetricsLog, ShuffleMetrics, StageMetrics};
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::WalkAdjacency;
@@ -403,13 +403,13 @@ impl ShardWorkerCore {
 // The distributed top-k plan (worker ranks, coordinator merges)
 // ====================================================================
 
-/// The worker's stage: simulate `i`'s cohort on `view`, accumulate the
-/// sparse masses, split the candidates by owning partition, and rank
-/// each split with [`rank_topk`] — one already-sorted list per
-/// partition, ready for [`merge_ranked`]. A single global `rank_topk`
-/// gives the same answer (what the in-process engine does; the tests
-/// assert the equality); the split-rank-merge shape exists so that only
-/// `k` candidates per partition ever cross the wire.
+/// The worker's stage: simulate `i`'s cohort on `view`, run the forward
+/// stage on the arm the in-process engine takes, split the candidates by
+/// owning partition, and rank each split with [`rank_topk`] — one
+/// already-sorted list per partition, ready for [`merge_ranked`]. A single
+/// global `rank_topk` gives the same answer (what the in-process engine
+/// does; the tests assert the equality); the split-rank-merge shape exists
+/// so that only `k` candidates per partition ever cross the wire.
 fn topk_lists(
     view: &MappedStore,
     diag: &[f64],
@@ -419,11 +419,13 @@ fn topk_lists(
 ) -> Vec<Vec<(NodeId, f64)>> {
     let partitioner: Partitioner = view.partitioner();
     let block = queries::query_block_on(view, cfg, i);
-    let acc = sparse_masses_on(view, &block, diag, cfg);
-    let mut by_shard: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); partitioner.parts() as usize];
-    for (node, mass) in acc.iter() {
-        by_shard[partitioner.owner(node) as usize].push((node, mass));
-    }
+    let by_shard = queries::forward_masses_on(view, &block, diag, cfg, |masses| {
+        let mut by_shard: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); partitioner.parts() as usize];
+        for (node, mass) in masses {
+            by_shard[partitioner.owner(node) as usize].push((node, mass));
+        }
+        by_shard
+    });
     by_shard.into_par_iter().map(|entries| rank_topk(entries, i, k)).collect()
 }
 
@@ -766,12 +768,7 @@ impl DistributedEngine {
         make: impl FnOnce(&mut WorkerLink) -> Vec<u8>,
     ) -> Result<Envelope, QueryError> {
         let t0 = Instant::now();
-        // A poisoned link lock means a caller panicked mid-protocol and
-        // the stream may be desynced: fail this worker typed rather
-        // than resume a half-written conversation.
-        let mut link = self.links[w].lock().map_err(|_| QueryError::WorkerUnavailable {
-            detail: format!("worker {w}: link poisoned by a panicked caller"),
-        })?;
+        let mut link = self.link(w)?;
         let addr = link.addr.clone();
         let fault = |e: ClientError, timeout: Duration, what: &str| match e {
             ClientError::Query(err) => err,
@@ -820,6 +817,26 @@ impl DistributedEngine {
         Ok(reply)
     }
 
+    /// Worker `w`'s link, locked. A poisoned lock means a caller panicked
+    /// mid-protocol and the stream may be desynced: fail this worker typed
+    /// rather than resume a half-written conversation.
+    fn link(&self, w: usize) -> Result<std::sync::MutexGuard<'_, WorkerLink>, QueryError> {
+        self.links[w].lock().map_err(|_| QueryError::WorkerUnavailable {
+            detail: format!("worker {w}: link poisoned by a panicked caller"),
+        })
+    }
+
+    /// Refuses, before anything is sent, a query whose reply — at most
+    /// `bound` bytes — could not fit the frame limit worker `w` advertised
+    /// ([`QueryError::ResponseTooLarge`], as a server refuses it).
+    fn admit(&self, w: usize, bound: u64) -> Result<(), QueryError> {
+        let max_frame = self.link(w)?.client.server_info().max_frame_bytes;
+        if bound > u64::from(max_frame) {
+            return Err(QueryError::ResponseTooLarge { bytes: bound, max_frame });
+        }
+        Ok(())
+    }
+
     /// Builds the [`DiagPayload`] for a link: full on first contact with
     /// this diagonal, fingerprint-only once acknowledged. Optimistically
     /// marks the fingerprint shipped; [`DistributedEngine::call`] clears
@@ -852,6 +869,12 @@ impl DistributedEngine {
         kind: ShardQueryKind,
     ) -> Result<QueryResponse, QueryError> {
         let w = self.owner(route);
+        let asked = match kind {
+            ShardQueryKind::SinglePair { i, j } => QueryRequest::SinglePair { i, j },
+            ShardQueryKind::SingleSource { i } => QueryRequest::SingleSource { i },
+            ShardQueryKind::Cohort { v } => QueryRequest::Cohort { v },
+        };
+        self.admit(w, asked.response_bound(self.n, cfg))?;
         let reply =
             self.call(w, FrameKind::ShardQuery, "query/route", DEFAULT_IO_TIMEOUT, |link| {
                 let diag = match diag {
@@ -1029,6 +1052,9 @@ impl SimRankEngine for DistributedEngine {
     ) -> Result<Vec<(NodeId, f64)>, QueryError> {
         check_node(i, self.n)?;
         let w = self.owner(i);
+        // One list of at most `min(k, n)` entries per partition.
+        let list = 4 + 12 * (k as u64).min(u64::from(self.n));
+        self.admit(w, 4 + self.workers() as u64 * list)?;
         let reply =
             self.call(w, FrameKind::ShardTopK, "query/topk", DEFAULT_IO_TIMEOUT, |link| {
                 ShardTopK { cfg: *cfg, diag: Self::diag_payload(link, diag), i, k: k as u64 }

@@ -18,8 +18,7 @@
 //!   *partition by source*);
 //! * [`MappedStore`], as `"mapped"` — a `PASCOSH1` shard directory mapped
 //!   read-only: no resident adjacency at all, O(1) restart, graphs larger
-//!   than RAM. Forward-push MCSS needs the resident CSR, so
-//!   [`crate::CloudWalker`] reports it [`QueryError::Unsupported`] there.
+//!   than RAM.
 //!
 //! The two are one storage; the name says only whether the store was
 //! opened from a directory.
@@ -91,6 +90,10 @@ impl WalkAdjacency for Resident {
     #[inline]
     fn node_count(&self) -> u32 {
         CsrGraph::node_count(&self.graph)
+    }
+
+    fn edge_count(&self) -> u64 {
+        CsrGraph::edge_count(&self.graph)
     }
 
     #[inline]

@@ -35,7 +35,8 @@
 //! `aᵢ` ([`crate::ai::RowKernel::push_row`]), the Jacobi row update
 //! and residual ([`pasco_solver::jacobi::row_pass`], swept in process by
 //! [`kernel::solve_rows`] and in stages by `staged_solve`), `score_pair`
-//! and the MCSS series (`queries::mcss_series`). Because each walk
+//! and the MCSS series (`queries::mcss_series` for the walks,
+//! `queries::pull_sweep` for the exact sweeps). Because each walk
 //! step's randomness is a pure function of `(seed, source, walker, step)`,
 //! every engine therefore produces identical walker trajectories and the
 //! same index bit for bit — structurally, with `tests/execution_modes.rs`
@@ -191,9 +192,9 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     /// through `rank_topk`, the same tail as
     /// every sparse path, so shapes and tie-breaks match across engines;
     /// the simulated engines use it, running (and accounting) their own
-    /// single-source dataflow. [`KernelEngine`] overrides it with the
-    /// sparse estimator (`O(T²·R′)` reached nodes instead of a length-`n`
-    /// vector), [`DistributedEngine`] with its worker-ranks /
+    /// single-source dataflow. [`KernelEngine`] overrides it to rank
+    /// straight from the forward stage (no length-`n` answer built),
+    /// [`DistributedEngine`] with its worker-ranks /
     /// coordinator-merges plan (`k` candidates per partition on the wire).
     fn single_source_topk(
         &self,

@@ -21,7 +21,9 @@
 //! The shuffled stepping *is* this model, so it is written here; the
 //! arithmetic around it is not. The accumulated rows are handed to
 //! `staged_solve` as [`StoredRows`], the forward waves are launched from
-//! the shared `mcss_series` enumeration with its walker keys, and MCSP and
+//! the shared `mcss_series` enumeration with its walker keys, an exact
+//! sweep (one out-edge shuffle) finishes each node as the pull sweep does
+//! (`queries::pulled`), and MCSP and
 //! top-`k` are the trait's provided methods over this engine's cohort and
 //! single-source dataflow.
 
@@ -30,7 +32,7 @@ use crate::api::QueryError;
 use crate::config::SimRankConfig;
 use crate::engine::{cohort_block, staged_solve, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries::{mcss_series, query_seed, SeriesTerm};
+use crate::queries::{mcss_series, pulled, query_seed, sweeps_on, weighted_support, SeriesTerm};
 use pasco_cluster::{Cluster, ClusterConfig, ClusterReport, DistVec};
 use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, NodeId};
@@ -94,6 +96,125 @@ impl RddEngine {
 
     fn empty_parts<T>(&self) -> Vec<Vec<T>> {
         (0..self.nparts()).map(|_| Vec::new()).collect()
+    }
+
+    /// The exact arm: each partition holds `z` over its own nodes, and a
+    /// sweep is one shuffle along the out-edges — every non-zero `z[k]`
+    /// travels to the owner of each out-neighbour `j`, which sums what
+    /// arrives and finishes `j` as [`pulled`]; the driver then adds the
+    /// next term's support. The shuffle keeps source order, so each node
+    /// sums its in-links in ascending order, as the pull sweep does.
+    fn swept(&self, dists: &CohortBlock, diag: &[f64], cfg: &SimRankConfig) -> Vec<f64> {
+        let partitioner = self.parts.partitioner();
+        let shards = self.parts.shards();
+        let add_support = |z: &mut [Vec<f64>], t| {
+            for (k, y) in weighted_support(dists, t, diag) {
+                let p = partitioner.owner(k) as usize;
+                z[p][(k - shards[p].start()) as usize] += y;
+            }
+        };
+        let mut z: Vec<Vec<f64>> = shards.iter().map(|gp| vec![0.0; gp.len() as usize]).collect();
+        add_support(&mut z, cfg.t);
+        for t in (0..cfg.t).rev() {
+            let pushed = DistVec::from_partitions(z).map_partitions(
+                &self.cluster,
+                "query/sweep-out",
+                |pidx, zp: Vec<f64>| {
+                    let gp = &shards[pidx];
+                    let live = (gp.start()..).zip(zp).filter(|&(_, m)| m != 0.0);
+                    live.flat_map(|(k, m)| gp.out_neighbors(k).iter().map(move |&j| (j, m)))
+                        .collect()
+                },
+            );
+            let arrived = pushed.shuffle(&self.cluster, "query/sweep", self.nparts(), |&(j, _)| {
+                partitioner.owner(j) as usize
+            });
+            z = self.cluster.run_stage(
+                "query/sweep-in",
+                arrived.into_partitions(),
+                |pidx, recs| {
+                    let gp = &shards[pidx];
+                    let mut zp = vec![0.0f64; gp.len() as usize];
+                    for (j, m) in recs {
+                        zp[(j - gp.start()) as usize] += m;
+                    }
+                    for (j, slot) in (gp.start()..).zip(zp.iter_mut()) {
+                        *slot = pulled(*slot, cfg.c, gp.in_neighbors(j).len());
+                    }
+                    zp
+                },
+            );
+            add_support(&mut z, t);
+        }
+        z.concat()
+    }
+
+    /// The walks arm: all `T` forward-walk waves launched together, each
+    /// carrying its remaining step budget so one shuffled pass per global
+    /// step retires wave `t` at step `t`.
+    fn walked(&self, dists: &CohortBlock, diag: &[f64], cfg: &SimRankConfig) -> Vec<f64> {
+        let n = self.parts.node_count() as usize;
+        let nparts = self.nparts();
+        let partitioner = self.parts.partitioner();
+        let parts = Arc::clone(&self.parts);
+        let mut out = vec![0.0f64; n];
+
+        // Launch every wave from the shared series enumeration: wave t's
+        // walkers start with mass cᵗ·y_k/n_k and must take exactly t steps.
+        let mut initial: Vec<Vec<ForwardWalker>> = self.empty_parts();
+        mcss_series(dists, diag, cfg, |term| match term {
+            SeriesTerm::Landed(node, mass) => out[node as usize] += mass,
+            SeriesTerm::Launch(items) => {
+                for item in items {
+                    let per = item.ct * item.y / item.n as f64;
+                    let home = &mut initial[partitioner.owner(item.k) as usize];
+                    home.extend(item.keys().map(|key| (key, item.k, item.t as u32, per)));
+                }
+            }
+        });
+
+        let mut walkers = DistVec::from_partitions(initial);
+        for s in 1..=cfg.t as u32 {
+            if walkers.is_empty() {
+                break;
+            }
+            // Step every active walker; retire those that finish this step.
+            let parts_ref = Arc::clone(&parts);
+            let stepped: Vec<CountedPartition<ForwardWalker, (u32, f64)>> = self.cluster.run_stage(
+                "query/forward-step",
+                walkers.into_partitions(),
+                move |pidx, batch| {
+                    let gp = &parts_ref.shards()[pidx];
+                    let mut active = Vec::with_capacity(batch.len());
+                    let mut retired: Vec<(u32, f64)> = Vec::new();
+                    for (key, pos, remaining, mass) in batch {
+                        let Some((next, mass)) = forward_step(gp, pos, mass, key, s) else {
+                            continue; // mass drops off the graph
+                        };
+                        if remaining == 1 {
+                            retired.push((next, mass));
+                        } else {
+                            active.push((key, next, remaining - 1, mass));
+                        }
+                    }
+                    (active, retired)
+                },
+            );
+            let mut active_parts = Vec::with_capacity(nparts);
+            for (active, retired) in stepped {
+                active_parts.push(active);
+                for (node, mass) in retired {
+                    out[node as usize] += mass;
+                }
+            }
+            walkers = DistVec::from_partitions(active_parts).shuffle(
+                &self.cluster,
+                "query/forward",
+                nparts,
+                move |&(_, pos, _, _)| partitioner.owner(pos) as usize,
+            );
+        }
+        out
     }
 }
 
@@ -322,9 +443,8 @@ impl SimRankEngine for RddEngine {
         cohort_block(&StepDistributions { source, walkers: cfg.r_query, counts })
     }
 
-    /// MCSS in the RDD model: the cohort stage, then all `T` forward-walk
-    /// waves launched together, each carrying its remaining step budget so
-    /// one shuffled pass per global step retires wave `t` at step `t`.
+    /// MCSS in the RDD model: the cohort stage, then the forward stage on
+    /// the arm [`crate::queries::sweeps_pay`] picks for the partitioned graph.
     fn single_source(
         &self,
         diag: &[f64],
@@ -332,67 +452,11 @@ impl SimRankEngine for RddEngine {
         i: NodeId,
     ) -> Result<Vec<f64>, QueryError> {
         let dists = Self::query_cohort(self, cfg, i)?;
-        let n = self.parts.node_count() as usize;
-        let nparts = self.nparts();
-        let partitioner = self.parts.partitioner();
-        let parts = Arc::clone(&self.parts);
-        let mut out = vec![0.0f64; n];
-
-        // Launch every wave from the shared series enumeration: wave t's
-        // walkers start with mass cᵗ·y_k/n_k and must take exactly t steps.
-        let mut initial: Vec<Vec<ForwardWalker>> = self.empty_parts();
-        mcss_series(&dists, diag, cfg, |term| match term {
-            SeriesTerm::Landed(node, mass) => out[node as usize] += mass,
-            SeriesTerm::Launch(items) => {
-                for item in items {
-                    let per = item.ct * item.y / item.n as f64;
-                    let home = &mut initial[partitioner.owner(item.k) as usize];
-                    home.extend(item.keys().map(|key| (key, item.k, item.t as u32, per)));
-                }
-            }
-        });
-
-        let mut walkers = DistVec::from_partitions(initial);
-        for s in 1..=cfg.t as u32 {
-            if walkers.is_empty() {
-                break;
-            }
-            // Step every active walker; retire those that finish this step.
-            let parts_ref = Arc::clone(&parts);
-            let stepped: Vec<CountedPartition<ForwardWalker, (u32, f64)>> = self.cluster.run_stage(
-                "query/forward-step",
-                walkers.into_partitions(),
-                move |pidx, batch| {
-                    let gp = &parts_ref.shards()[pidx];
-                    let mut active = Vec::with_capacity(batch.len());
-                    let mut retired: Vec<(u32, f64)> = Vec::new();
-                    for (key, pos, remaining, mass) in batch {
-                        let Some((next, mass)) = forward_step(gp, pos, mass, key, s) else {
-                            continue; // mass drops off the graph
-                        };
-                        if remaining == 1 {
-                            retired.push((next, mass));
-                        } else {
-                            active.push((key, next, remaining - 1, mass));
-                        }
-                    }
-                    (active, retired)
-                },
-            );
-            let mut active_parts = Vec::with_capacity(nparts);
-            for (active, retired) in stepped {
-                active_parts.push(active);
-                for (node, mass) in retired {
-                    out[node as usize] += mass;
-                }
-            }
-            walkers = DistVec::from_partitions(active_parts).shuffle(
-                &self.cluster,
-                "query/forward",
-                nparts,
-                move |&(_, pos, _, _)| partitioner.owner(pos) as usize,
-            );
-        }
+        let mut out = if sweeps_on(&*self.parts, cfg) {
+            self.swept(&dists, diag, cfg)
+        } else {
+            self.walked(&dists, diag, cfg)
+        };
         out[i as usize] = 1.0;
         Ok(out)
     }

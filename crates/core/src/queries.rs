@@ -6,16 +6,19 @@
 //!
 //! * **MCSP** intersects the two cohorts' per-step histograms —
 //!   `O(T·R')` after simulation.
-//! * **MCSS** propagates `D ûₜ` forward `t` steps with mass-carrying walks
-//!   (`O(T²·R'·log d)`, the paper's bound) or, as the deterministic
-//!   ablation variant, with exact sparse pushes.
-//! * **MCAP** runs MCSS from every node — `O(n·T²·R'·log d)`.
+//! * **MCSS** propagates `D ûₜ` forward `t` steps. Its forward stage has
+//!   two arms, picked by one rule ([`sweeps_pay`]) from `(n, m, T, R_f)`:
+//!   the series evaluated *exactly* by Horner's rule, `T` pull sweeps over
+//!   the in-links (`O(T·(n + m))`, [`swept_series_on`]), or mass-carrying
+//!   forward walks (`O(T²·R_f·log d)`, the paper's bound), which win only
+//!   on graphs past the rule's point.
+//! * **MCAP** runs MCSS from every node.
 //!
 //! Query randomness derives from a *different* stream than indexing (salted
 //! master seed) so query estimates do not correlate with the index's own
 //! sampling error.
 //!
-//! The MCSS forward stage is step-synchronous: `mcss_series` hands out each
+//! The walks arm is step-synchronous: `mcss_series` hands out each
 //! term's launches as one slice, and `forward_term` puts all their walkers
 //! on one frontier that [`forward_walk_frontier`] advances a step per pass.
 //! Landed mass comes back in launch order — `(t, support node, walker)`,
@@ -28,9 +31,10 @@ use pasco_graph::{
     CsrGraph, ForwardSampler, GraphSampler, NodeId, ReverseChainIndex, WalkAdjacency,
 };
 use pasco_mc::counts::MassMap;
-use pasco_mc::forward::{forward_walk_frontier, push_measure, ForwardWalker};
+use pasco_mc::forward::{forward_walk_frontier, ForwardWalker};
 use pasco_mc::rng::{mix, mix_extend};
 use pasco_mc::walks::{reverse_walk_block_on, BlockStep, CohortBlock, StepDistributions};
+use std::cell::RefCell;
 use std::convert::Infallible;
 
 /// Salt distinguishing query walks from index walks.
@@ -300,13 +304,29 @@ pub fn single_pair(
     single_pair_on(graph, diag, cfg, i, j)
 }
 
+/// The entries `(k, D_kk·ûₜ(k))` of the weighted support `yₜ = D ûₜ` of a
+/// cohort's step-`t` histogram, in either layout (none past the last step).
+fn support<'a>(
+    dists: &'a impl CohortLayout,
+    t: usize,
+    diag: &'a [f64],
+) -> impl Iterator<Item = (NodeId, f64)> + 'a {
+    let r = f64::from(dists.walkers());
+    dists.histograms().nth(t).into_iter().flat_map(move |step| {
+        (0..step.entries())
+            .map(move |e| (step.node(e), diag[step.node(e) as usize] * step.count(e) as f64 / r))
+    })
+}
+
 /// The weighted support `yₜ = D ûₜ` of a cohort's step-`t` histogram, in
 /// either layout (empty past the last step).
 pub fn weighted_support(dists: &impl CohortLayout, t: usize, diag: &[f64]) -> Vec<(NodeId, f64)> {
-    let Some(step) = dists.histograms().nth(t) else { return Vec::new() };
-    let r = f64::from(dists.walkers());
-    let entry = |e| (step.node(e), diag[step.node(e) as usize] * step.count(e) as f64 / r);
-    (0..step.entries()).map(entry).collect()
+    support(dists, t, diag).collect()
+}
+
+/// Adds the weighted support `yₜ` into the dense `z`, in place.
+pub(crate) fn add_support(dists: &impl CohortLayout, t: usize, diag: &[f64], z: &mut [f64]) {
+    support(dists, t, diag).for_each(|(k, y)| z[k as usize] += y);
 }
 
 /// Mass-proportional walker allocation for the forward stage: entry `k`
@@ -444,13 +464,106 @@ fn mcss_accumulate<S: ForwardSampler>(
     });
 }
 
-/// MCSS from precomputed cohort distributions, generic over the
-/// forward-sampling source: `s_i = Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)`, the transpose
+/// What one weighted walker step costs, in swept in-links: a forward step
+/// is a binary search over a node's `cum` weights (≈ 100 ns on rmat16), a
+/// swept in-link one gather and one add (≈ 2 ns). Measured on a 2-core
+/// x86 box; see [`sweeps_pay`].
+pub const WALK_STEP_EDGES: u64 = 50;
+
+/// The one rule that picks the forward stage's arm. The exact sweeps take
+/// `T` passes over `n` nodes and `m` in-links; the walks take
+/// `R_f·T(T+1)/2` weighted steps (`R_f` walkers per term `t`, each walking
+/// `t` steps). Sweeps when they cost less, counting a walker step as
+/// [`WALK_STEP_EDGES`] swept in-links; walks past that point (and at
+/// `T = 0`, where there is no forward stage).
+pub fn sweeps_pay(n: u64, m: u64, t: usize, r_forward: u32) -> bool {
+    let t = t as u128;
+    let sweeps = t * (u128::from(n) + u128::from(m));
+    let steps = u128::from(r_forward) * t * (t + 1) / 2;
+    sweeps < steps * u128::from(WALK_STEP_EDGES)
+}
+
+/// [`sweeps_pay`] for `cfg` on `adj`.
+#[inline]
+pub(crate) fn sweeps_on<A: WalkAdjacency>(adj: &A, cfg: &SimRankConfig) -> bool {
+    sweeps_pay(u64::from(adj.node_count()), adj.edge_count(), cfg.t, cfg.r_forward)
+}
+
+/// `c` times the mean of a node's pulled in-link masses, whose running sum
+/// (from `0.0`, in in-link order) is `sum`; 0 without in-links. The
+/// pull sweep and the RDD model's out-edge shuffle both finish a node here.
+#[inline]
+pub(crate) fn pulled(sum: f64, c: f64, in_degree: usize) -> f64 {
+    if in_degree == 0 {
+        0.0
+    } else {
+        c * sum / in_degree as f64
+    }
+}
+
+/// One application of `c·Pᵀ` by pulling over the in-links:
+/// `out[j − first] = c·Σ_{k∈In(j)} z[k] / |In(j)|` for the nodes
+/// `first..first + out.len()`. The one sweep behind every engine's exact
+/// arm; the Broadcasting model runs it one node range per task.
+pub(crate) fn pull_sweep<A: WalkAdjacency>(
+    adj: &A,
+    z: &[f64],
+    c: f64,
+    first: NodeId,
+    out: &mut [f64],
+) {
+    for (j, slot) in (first..).zip(out) {
+        let ins = adj.in_neighbors(j);
+        let sum = ins.iter().fold(0.0, |sum, &k| sum + z[k as usize]);
+        *slot = pulled(sum, c, ins.len());
+    }
+}
+
+thread_local! {
+    /// The sweeps' two `n`-length buffers: sized by the largest graph swept
+    /// on this thread, never shrunk.
+    static SWEEP: RefCell<[Vec<f64>; 2]> = RefCell::default();
+}
+
+/// The MCSS series evaluated exactly, by Horner's rule: `z_T = D û_T`,
+/// then `z_t = D ûₜ + c·Pᵀ z_{t+1}` by `pull_sweep`, so `s = z_0` after
+/// `T` sweeps. `read` gets `z_0` (the query node not yet pinned to 1). Runs
+/// on this thread's two reused buffers. Generic over [`WalkAdjacency`], so
+/// every storage and every worker sums the same in-links in the same order.
+pub fn swept_series_on<A: WalkAdjacency, R>(
+    adj: &A,
+    dists: &impl CohortLayout,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    read: impl FnOnce(&[f64]) -> R,
+) -> R {
+    let n = adj.node_count() as usize;
+    SWEEP.with(|cell| {
+        let mut own = None;
+        let mut shared = cell.try_borrow_mut().ok();
+        // Re-entered from inside `read`: buffers of its own.
+        let [z, next] = match shared.as_deref_mut() {
+            Some(bufs) => bufs,
+            None => own.insert(<[Vec<f64>; 2]>::default()),
+        };
+        z.clear();
+        z.resize(n, 0.0);
+        next.resize(n, 0.0);
+        add_support(dists, cfg.t, diag, z);
+        for t in (0..cfg.t).rev() {
+            pull_sweep(adj, z, cfg.c, 0, &mut next[..n]);
+            add_support(dists, t, diag, next);
+            std::mem::swap(z, next);
+        }
+        read(&z[..n])
+    })
+}
+
+/// The walks arm, dense: `s_i = Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)`, the transpose
 /// powers estimated by mass-carrying forward walks keyed by
-/// [`forward_seed`], accumulated into a dense length-`n` vector with the
-/// query node pinned to 1 — the one dense-MCSS kernel behind every
-/// storage, so their bit-equality is structural.
-pub fn single_source_from_dists_on<S: ForwardSampler>(
+/// [`forward_seed`], accumulated into a length-`n` vector with the query
+/// node pinned to 1 — the dense walks kernel behind every storage.
+pub fn walked_scores_on<S: ForwardSampler>(
     n: usize,
     sampler: &S,
     dists: &impl CohortLayout,
@@ -463,16 +576,53 @@ pub fn single_source_from_dists_on<S: ForwardSampler>(
     out
 }
 
-/// MCSS: the single-source query (Monte-Carlo forward propagation) on
-/// any storage.
+/// The walks arm, sparse: the reached-node masses of the series as a
+/// [`MassMap`] over the (at most `O(T²·R_f)`) nodes any walker lands on.
+pub fn walked_masses_on<S: ForwardSampler>(
+    sampler: &S,
+    dists: &impl CohortLayout,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+) -> MassMap {
+    let mut acc = MassMap::with_capacity(cfg.r_forward as usize);
+    mcss_accumulate(sampler, dists, diag, cfg, |node, mass| acc.add(node, mass));
+    acc
+}
+
+/// The forward stage of one cohort on the arm [`sweeps_pay`] picks, its
+/// masses handed to `read` as `(node, mass)` pairs: the non-zero entries of
+/// the exact series in node order, or the walks' landed masses in no order.
+/// Every ranking path reads it, so they all take the same arm.
+pub(crate) fn forward_masses_on<A: WalkAdjacency + ForwardSampler, R>(
+    adj: &A,
+    dists: &impl CohortLayout,
+    diag: &[f64],
+    cfg: &SimRankConfig,
+    read: impl FnOnce(&mut dyn Iterator<Item = (NodeId, f64)>) -> R,
+) -> R {
+    if sweeps_on(adj, cfg) {
+        swept_series_on(adj, dists, diag, cfg, |z| {
+            let entries = z.iter().enumerate().filter(|&(_, &m)| m != 0.0);
+            read(&mut entries.map(|(v, &m)| (v as NodeId, m)))
+        })
+    } else {
+        read(&mut walked_masses_on(adj, dists, diag, cfg).iter())
+    }
+}
+
+/// MCSS: the single-source query on any storage, its forward stage on the
+/// arm [`sweeps_pay`] picks. Query node pinned to 1.
 pub fn single_source_on<A: WalkAdjacency + ForwardSampler>(
     adj: &A,
     diag: &[f64],
     cfg: &SimRankConfig,
     i: NodeId,
 ) -> Vec<f64> {
+    if sweeps_on(adj, cfg) {
+        return single_source_push(adj, diag, cfg, i);
+    }
     let block = query_block_on(adj, cfg, i);
-    single_source_from_dists_on(adj.node_count() as usize, adj, &block, diag, cfg)
+    walked_scores_on(adj.node_count() as usize, adj, &block, diag, cfg)
 }
 
 /// [`single_source_on`] over the resident graph and its sampling index.
@@ -486,38 +636,24 @@ pub fn single_source(
     single_source_on(&GraphSampler::new(graph, rci), diag, cfg, i)
 }
 
-/// Ablation variant of MCSS: the `(Pᵀ)ᵗ` powers are applied by exact sparse
-/// pushes instead of walks. Exact *given the cohort*; cost grows with the
-/// push frontier (sum of out-degrees), which experiment A1 measures.
-pub fn single_source_push(
-    graph: &CsrGraph,
+/// MCSS with the exact forward stage whatever the graph's size: the
+/// series swept by [`swept_series_on`] on any storage. Exact *given the
+/// cohort*; costs `T` sweeps over every in-link.
+pub fn single_source_push<A: WalkAdjacency>(
+    adj: &A,
     diag: &[f64],
     cfg: &SimRankConfig,
     i: NodeId,
 ) -> Vec<f64> {
-    let dists = query_cohort(graph, cfg, i);
-    let n = graph.node_count() as usize;
-    let mut out = vec![0.0f64; n];
-    let mut ct = 1.0;
-    for t in 0..=cfg.t {
-        let mut z = weighted_support(&dists, t, diag);
-        for _ in 0..t {
-            z = push_measure(graph, &z);
-        }
-        for &(k, m) in &z {
-            out[k as usize] += ct * m;
-        }
-        ct *= cfg.c;
-    }
+    let block = query_block_on(adj, cfg, i);
+    let mut out = swept_series_on(adj, &block, diag, cfg, <[f64]>::to_vec);
     out[i as usize] = 1.0;
     out
 }
 
-/// Sparse MCSS: like [`single_source_on`] but accumulating only the nodes
-/// any walker actually reaches (`O(T²·R′)` entries) instead of a dense
-/// length-n vector — the right shape for top-`k` retrieval on very large
-/// graphs. Returns the top `k` scoring nodes (query node excluded), sorted
-/// by descending score with node-id tie-breaks.
+/// Top-`k` MCSS: the top `k` scoring nodes (query node excluded), sorted
+/// by descending score with node-id tie-breaks, ranked straight from the
+/// forward stage's masses.
 pub fn single_source_topk_on<A: WalkAdjacency + ForwardSampler>(
     adj: &A,
     diag: &[f64],
@@ -526,7 +662,7 @@ pub fn single_source_topk_on<A: WalkAdjacency + ForwardSampler>(
     k: usize,
 ) -> Vec<(NodeId, f64)> {
     let block = query_block_on(adj, cfg, i);
-    rank_topk(sparse_masses_on(adj, &block, diag, cfg).iter(), i, k)
+    forward_masses_on(adj, &block, diag, cfg, |masses| rank_topk(masses, i, k))
 }
 
 /// [`single_source_topk_on`] over the resident graph and its sampling
@@ -542,20 +678,19 @@ pub fn single_source_topk(
     single_source_topk_on(&GraphSampler::new(graph, rci), diag, cfg, i, k)
 }
 
-/// The sparse accumulation stage shared by every top-`k` path: the
-/// reached-node masses of the MCSS series for one cohort, as a
-/// [`MassMap`] over the (at most `O(T²·R')`) nodes any walker lands on.
-/// Generic over the forward-sampling source so every storage accumulates
-/// through the identical kernel.
-pub fn sparse_masses_on<S: ForwardSampler>(
-    sampler: &S,
+/// The forward stage of one cohort as a [`MassMap`] of its non-zero
+/// masses, on the arm [`sweeps_pay`] picks.
+pub fn sparse_masses_on<A: WalkAdjacency + ForwardSampler>(
+    adj: &A,
     dists: &impl CohortLayout,
     diag: &[f64],
     cfg: &SimRankConfig,
 ) -> MassMap {
-    let mut acc = MassMap::with_capacity(cfg.r_forward as usize);
-    mcss_accumulate(sampler, dists, diag, cfg, |node, mass| acc.add(node, mass));
-    acc
+    forward_masses_on(adj, dists, diag, cfg, |masses| {
+        let mut acc = MassMap::with_capacity(cfg.r_forward as usize);
+        masses.for_each(|(v, m)| acc.add(v, m));
+        acc
+    })
 }
 
 /// The total order every ranking path sorts by: descending score, node-id
@@ -573,7 +708,9 @@ pub(crate) fn ranking_cmp(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ord
 /// The shared ranking tail of every top-`k` path: clamp into `[0, 1]`,
 /// drop the query node, unreached (zero-score) and NaN entries, select the
 /// first `k` by [`ranking_cmp`] and sort only those — a strict total order
-/// over distinct nodes, so the list a full sort would truncate. In-process sparse, worker
+/// over distinct nodes, so the list a full sort would truncate. Candidates
+/// are cut back to the best `k` whenever `2k` (at least 64) pile up, so a
+/// dense input of `n` scores never holds more than that. In-process, worker
 /// per-partition and cluster dense top-`k` all rank through here, so the
 /// cross-mode ranking-equality guarantee depends on exactly one tie-break
 /// implementation.
@@ -582,15 +719,25 @@ pub(crate) fn rank_topk(
     exclude: NodeId,
     k: usize,
 ) -> Vec<(NodeId, f64)> {
-    let mut out: Vec<(NodeId, f64)> = items
+    let keep_best = |out: &mut Vec<(NodeId, f64)>| {
+        if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < out.len()) {
+            out.select_nth_unstable_by(kth, ranking_cmp);
+        }
+        out.truncate(k);
+    };
+    let cut = k.saturating_mul(2).max(64);
+    let mut out = Vec::new();
+    let candidates = items
         .into_iter()
         .map(|(v, s)| (v, s.clamp(0.0, 1.0)))
-        .filter(|&(v, s)| v != exclude && s > 0.0)
-        .collect();
-    if let Some(kth) = k.checked_sub(1).filter(|&kth| kth < out.len()) {
-        out.select_nth_unstable_by(kth, ranking_cmp);
+        .filter(|&(v, s)| v != exclude && s > 0.0);
+    for item in candidates {
+        out.push(item);
+        if out.len() >= cut {
+            keep_best(&mut out);
+        }
     }
-    out.truncate(k);
+    keep_best(&mut out);
     out.sort_unstable_by(ranking_cmp);
     out
 }
@@ -605,6 +752,22 @@ mod tests {
         let rci = ReverseChainIndex::build(g);
         let diag = exact_diagonal(g, cfg.c, cfg.t, 50);
         (rci, diag.as_slice().to_vec())
+    }
+
+    #[test]
+    fn the_arm_rule_sweeps_below_its_point_and_walks_past_it() {
+        let (t, r_f) = (10, 10_000);
+        // rmat16 (the spine) and twitter-sim sweep; uk-union-sim walks.
+        assert!(sweeps_pay(65_536, 913_573, t, r_f));
+        assert!(sweeps_pay(131_072, 1_500_802, t, r_f));
+        assert!(!sweeps_pay(262_144, 3_219_991, t, r_f));
+        // The point: T·(n + m) against 50·R_f·T(T+1)/2, strictly below.
+        let point = WALK_STEP_EDGES * u64::from(r_f) * 11 / 2;
+        assert!(sweeps_pay(point - 1, 0, t, r_f));
+        assert!(!sweeps_pay(point, 0, t, r_f));
+        // No forward stage at T = 0; a handful of walkers beats any sweep.
+        assert!(!sweeps_pay(10, 10, 0, r_f));
+        assert!(!sweeps_pay(2_000, 12_000, 5, 50));
     }
 
     #[test]

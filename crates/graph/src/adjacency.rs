@@ -17,6 +17,9 @@ pub trait WalkAdjacency: Sync {
     /// Number of nodes.
     fn node_count(&self) -> u32;
 
+    /// Number of edges (the in-link lists' total length).
+    fn edge_count(&self) -> u64;
+
     /// In-neighbours of `v`, sorted by node id.
     fn in_neighbors(&self, v: NodeId) -> &[NodeId];
 }
@@ -25,6 +28,10 @@ impl WalkAdjacency for CsrGraph {
     #[inline]
     fn node_count(&self) -> u32 {
         CsrGraph::node_count(self)
+    }
+
+    fn edge_count(&self) -> u64 {
+        CsrGraph::edge_count(self)
     }
 
     #[inline]
@@ -40,6 +47,10 @@ impl<T: WalkAdjacency + ?Sized> WalkAdjacency for &T {
         T::node_count(self)
     }
 
+    fn edge_count(&self) -> u64 {
+        T::edge_count(self)
+    }
+
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         T::in_neighbors(self, v)
     }
@@ -49,6 +60,10 @@ impl WalkAdjacency for InLinks {
     #[inline]
     fn node_count(&self) -> u32 {
         self.n
+    }
+
+    fn edge_count(&self) -> u64 {
+        self.sources.len() as u64
     }
 
     /// [`CsrGraph::in_neighbors`]' slice of the same arrays.
@@ -89,6 +104,10 @@ impl WalkAdjacency for GraphSampler<'_> {
     #[inline]
     fn node_count(&self) -> u32 {
         self.graph.node_count()
+    }
+
+    fn edge_count(&self) -> u64 {
+        self.graph.edge_count()
     }
 
     #[inline]

@@ -210,14 +210,20 @@ impl Service {
 
     /// The reply to one post-handshake frame, or `None` — an undecodable
     /// payload or a frame kind this service does not speak — to drop the
-    /// connection: a protocol violation, not a query failure.
-    fn answer(&self, env: Envelope) -> Option<Envelope> {
+    /// connection: a protocol violation, not a query failure. A query
+    /// whose answer could not fit `max_frame` is refused before any work.
+    fn answer(&self, env: Envelope, max_frame: u32) -> Option<Envelope> {
         match self {
             Service::Query(svc) => {
                 if env.kind != FrameKind::Request {
                     return None;
                 }
                 let req = env.decode_request().ok()?;
+                if let Some(bytes) = svc.response_bound(&req).filter(|&b| b > u64::from(max_frame))
+                {
+                    let err = QueryError::ResponseTooLarge { bytes, max_frame };
+                    return Some(Envelope::error(env.request_id, &err));
+                }
                 Some(match svc.execute(req) {
                     Ok(resp) => Envelope::response(env.request_id, &resp),
                     // A typed failure is an answer, not a fault: it travels
@@ -412,12 +418,13 @@ fn worker_loop(
             Err(_) => return,
         };
         let Ok(Job { token, epoch, env }) = job else { return };
-        let env = svc.answer(env).map(|env| {
+        let env = svc.answer(env, max_frame).map(|env| {
             // The limit the server advertises binds its own frames too:
             // an answer that would not fit (the peer reads with this
             // limit and would poison itself) degrades into a typed error
-            // the caller can act on. Error frames are a few bytes, always
-            // under any sane limit.
+            // the caller can act on — the backstop behind the up-front
+            // bound, for services that cannot bound an answer. Error
+            // frames are a few bytes, always under any sane limit.
             if env.payload.len() as u64 > u64::from(max_frame) {
                 let bytes = env.payload.len() as u64;
                 Envelope::error(env.request_id, &QueryError::ResponseTooLarge { bytes, max_frame })

@@ -224,6 +224,10 @@ impl WalkAdjacency for MappedStore {
         self.n
     }
 
+    fn edge_count(&self) -> u64 {
+        MappedStore::edge_count(self)
+    }
+
     #[inline]
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         self.shard_of(v).in_neighbors(v)

@@ -259,6 +259,42 @@ fn store_backed_workers_serve_bit_identically_without_shipping_partitions() {
     fleet.stop();
 }
 
+/// The coordinator bounds a reply before it routes the query: a worker
+/// that advertises a 4 KB frame limit is never asked for a 4.8 KB dense
+/// row or a cohort, and its query count shows it; what fits still answers
+/// bit-identically to local.
+#[test]
+fn the_coordinator_refuses_a_reply_past_the_workers_frame_limit_before_sending() {
+    let g = Arc::new(generators::barabasi_albert(600, 3, 7));
+    let cfg = SimRankConfig::fast().with_seed(17);
+    let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+    let dir = std::env::temp_dir().join("pasco_dist_reply_bound");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    local.save_store(&dir, 1).unwrap();
+    let small = ServerConfig { max_frame_bytes: 4096, ..ServerConfig::default() };
+    let worker = PascoServer::bind_worker("127.0.0.1:0", small).unwrap();
+    let (addr, handle) = (worker.local_addr().to_string(), worker.handle());
+    let join = std::thread::spawn(move || worker.run().unwrap());
+    let dist = CloudWalker::open_store_distributed(&dir, cfg, &[addr]).unwrap();
+    let queries = || dist.worker_stats().unwrap()[0].as_ref().unwrap().queries;
+
+    assert_eq!(dist.try_single_pair(0, 1).unwrap(), local.try_single_pair(0, 1).unwrap());
+    let before = queries();
+    assert_eq!(
+        dist.try_single_source(5),
+        Err(QueryError::ResponseTooLarge { bytes: 5 + 8 * 600, max_frame: 4096 })
+    );
+    assert!(matches!(dist.try_query_cohort(5), Err(QueryError::ResponseTooLarge { .. })));
+    assert_eq!(queries(), before, "refused before the worker saw them");
+    assert_eq!(
+        dist.try_single_source_topk(5, 10).unwrap(),
+        local.try_single_source_topk(5, 10).unwrap()
+    );
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn distributed_mode_rejects_empty_worker_list_and_dead_addresses() {
     let g = Arc::new(generators::cycle(8));

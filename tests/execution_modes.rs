@@ -10,9 +10,7 @@ use pasco::graph::{generators, CsrGraph, ReverseChainIndex};
 use pasco::simrank::engine::broadcast::BroadcastEngine;
 use pasco::simrank::engine::kernel::build_diagonal_on;
 use pasco::simrank::engine::rdd::RddEngine;
-use pasco::simrank::{
-    queries, CloudWalker, ExecMode, QueryError, SimRankConfig, SimRankEngine, SimRankError,
-};
+use pasco::simrank::{queries, CloudWalker, ExecMode, SimRankConfig, SimRankEngine, SimRankError};
 use std::sync::Arc;
 
 fn build_all(g: &Arc<pasco::graph::CsrGraph>, cfg: SimRankConfig) -> [CloudWalker; 3] {
@@ -326,15 +324,18 @@ fn mapped_store_is_bit_identical_to_local_for_every_query_kind() {
             assert_eq!(per_shard.len(), parts as usize);
             assert_eq!(per_shard.iter().copied().max().unwrap(), fp.per_worker_bytes);
 
-            // No resident graph: the one query kind that needs the CSR
-            // (the deterministic-push ablation) is a typed refusal, and
-            // re-saving a mapped walker is a typed refusal too.
+            // No resident graph, yet the exact push sweeps the mapped
+            // in-links to the resident answer; re-saving a mapped walker
+            // is a typed refusal.
             assert!(mapped.graph().is_none());
             assert!(mapped.store().is_some());
-            assert!(matches!(
-                mapped.try_single_source_push(0),
-                Err(QueryError::Unsupported { .. })
-            ));
+            for &s in &[0u32, 64, 149] {
+                assert_eq!(
+                    local.try_single_source_push(s).unwrap(),
+                    mapped.try_single_source_push(s).unwrap(),
+                    "{gname}: exact push source {s}, {parts} shards"
+                );
+            }
             let other = dir.join("copy");
             assert!(matches!(mapped.save_store(&other, 1), Err(SimRankError::InvalidConfig(_))));
         }

@@ -1,13 +1,16 @@
 //! The step-synchronous kernels against walker-at-a-time oracles.
 //!
-//! The cohort kernel (`reverse_walk_counts_on`) and the MCSS forward stage
-//! (`sparse_masses_on`, `single_source_from_dists_on`) advance every walker
-//! of a frontier one step per pass. Their contract is that this changes no
-//! answer: histograms are, entry for entry, what adding up one
+//! The cohort kernel (`reverse_walk_counts_on`) and the MCSS forward
+//! stage's walks arm (`walked_masses_on`, `walked_scores_on`) advance every
+//! walker of a frontier one step per pass. Their contract is that this
+//! changes no answer: histograms are, entry for entry, what adding up one
 //! `reverse_walk_path` per walker gives, and every landed mass is summed in
 //! the `(t, support node, walker)` order a loop over `forward_walk_on`
-//! would use — so the floating-point results are equal **bitwise**. One
-//! table checks both over every storage the kernels run on; a second
+//! would use — so the floating-point results are equal **bitwise**. The
+//! forward stage's exact arm (`swept_series_on`) is held to the series
+//! summed term by term, and to the resident graph's bits on every storage.
+//! One table checks all of them over every storage the kernels run on; a
+//! second
 //! holds the offline build's row kernel (`RowKernel::push_row`, one sort per
 //! cohort) to `ai_row` over the step histograms, row by row. The block
 //! writer itself (`reverse_walk_block_on`, on its per-thread scratch) is
@@ -89,6 +92,31 @@ fn walk_series<S: ForwardSampler>(
     }
 }
 
+/// The exact-arm oracle: `Σ_t cᵗ (Pᵀ)ᵗ (D ûₜ)` term by term, each power
+/// applied as `t` separate averages over the in-links (no Horner nesting).
+fn power_series(g: &CsrGraph, dists: &StepDistributions, diag: &[f64], c: f64) -> Vec<f64> {
+    let n = g.node_count() as usize;
+    let mut sum = vec![0.0f64; n];
+    for (t, step) in dists.counts.iter().enumerate() {
+        let mut y = vec![0.0f64; n];
+        for &(k, count) in step {
+            y[k as usize] = diag[k as usize] * count as f64 / f64::from(dists.walkers);
+        }
+        for _ in 0..t {
+            let mean =
+                |ins: &[NodeId]| ins.iter().map(|&k| y[k as usize]).sum::<f64>() / ins.len() as f64;
+            y = g
+                .nodes()
+                .map(|j| g.in_neighbors(j))
+                .map(|ins| if ins.is_empty() { 0.0 } else { mean(ins) })
+                .collect();
+        }
+        let ct = c.powi(t as i32);
+        sum.iter_mut().zip(&y).for_each(|(s, v)| *s += ct * v);
+    }
+    sum
+}
+
 fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
     values.into_iter().map(f64::to_bits).collect()
 }
@@ -102,6 +130,7 @@ struct Expected {
     cfg: SimRankConfig,
     dense: Vec<u64>,
     sparse: Vec<(NodeId, u64)>,
+    swept: Vec<u64>,
 }
 
 fn check_storage<A: WalkAdjacency + ForwardSampler>(
@@ -121,11 +150,13 @@ fn check_storage<A: WalkAdjacency + ForwardSampler>(
     }
     let dists = queries::query_cohort_on(adj, cfg, *source);
     let n = WalkAdjacency::node_count(adj) as usize;
-    let dense = queries::single_source_from_dists_on(n, adj, &dists, diag, cfg);
+    let dense = queries::walked_scores_on(n, adj, &dists, diag, cfg);
     assert_eq!(bits(dense), want.dense, "{label}: dense MCSS, source {source}, R {r}");
-    let sparse = queries::sparse_masses_on(adj, &dists, diag, cfg).into_sorted_vec();
+    let sparse = queries::walked_masses_on(adj, &dists, diag, cfg).into_sorted_vec();
     let sparse: Vec<(NodeId, u64)> = sparse.into_iter().map(|(v, m)| (v, m.to_bits())).collect();
     assert_eq!(sparse, want.sparse, "{label}: sparse MCSS, source {source}, R {r}");
+    let swept = queries::swept_series_on(adj, &dists, diag, cfg, |z| bits(z.iter().copied()));
+    assert_eq!(swept, want.swept, "{label}: swept MCSS, source {source}, R {r}");
 }
 
 #[test]
@@ -177,7 +208,16 @@ fn frontier_kernels_equal_the_per_walker_oracles_on_every_storage() {
                 let sparse: MassMap = landed.into_iter().collect();
                 let sparse =
                     sparse.into_sorted_vec().into_iter().map(|(v, m)| (v, m.to_bits())).collect();
-                table.push(Expected { source, r, cohorts, cfg, dense: bits(dense), sparse });
+                let swept = queries::swept_series_on(&*g, &dists, &diag, &cfg, <[f64]>::to_vec);
+                let terms = power_series(&g, &dists, &diag, cfg.c);
+                for (v, (a, b)) in swept.iter().zip(&terms).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-12 * b.max(1.0),
+                        "{name}: swept node {v}: {a} vs {b}"
+                    );
+                }
+                let swept = bits(swept);
+                table.push(Expected { source, r, cohorts, cfg, dense: bits(dense), sparse, swept });
             }
         }
 

@@ -2,15 +2,21 @@
 //!
 //! Every other equality suite compares two engines running the *same*
 //! kernel, so a kernel change that shifted all answers consistently would
-//! pass them all. These constants were printed by this very test at the
-//! commit *before* the walk kernels became step-synchronous frontiers and
-//! have to survive any change that claims to alter no answer: FNV-1a over
-//! the little-endian bits of the diagonal, three cohorts, five MCSP
-//! scores, one dense MCSS vector and two top-20 lists, on the two graphs
-//! CI's byte-diff jobs use (`--r 64 --t 5 --r-query 1000`).
+//! pass them all. These constants were printed by this very test and have
+//! to survive any change that claims to alter no answer: FNV-1a over the
+//! little-endian bits of the diagonal, three cohorts, five MCSP scores, one
+//! dense MCSS vector and two top-20 lists, on the two graphs CI's byte-diff
+//! jobs use (`--r 64 --t 5 --r-query 1000`), plus the same MCSS and top-20
+//! lists on the forward walks arm (a small `r_forward`).
 //!
-//! A PR that changes an answer on purpose re-records them (the failure
-//! message prints the new table) and says so.
+//! The diagonal, cohort and MCSP columns date from the commit *before* the
+//! walk kernels became step-synchronous frontiers. The walks column was
+//! recorded at the parent of the exact forward sweeps and holds the walks
+//! arm to it; the dense MCSS and top-20 columns were re-recorded when the
+//! sweeps took over the forward stage on graphs this small.
+//!
+//! A PR that changes an answer on purpose re-records the columns it moves
+//! (the failure message prints the new table) and says so.
 
 use pasco::graph::{generators, CsrGraph, NodeId};
 use pasco::simrank::{CloudWalker, ExecMode, SimRankConfig};
@@ -44,7 +50,7 @@ impl Fnv {
 }
 
 /// The digests of one graph's answers, in the order of [`GOLDEN`]'s columns.
-fn digests(graph: CsrGraph) -> [u64; 5] {
+fn digests(graph: CsrGraph) -> [u64; 6] {
     let graph = Arc::new(graph);
     let mut cfg = SimRankConfig::default_paper();
     (cfg.r, cfg.t, cfg.r_query) = (64, 5, 1000);
@@ -88,20 +94,39 @@ fn digests(graph: CsrGraph) -> [u64; 5] {
             topk.float(score);
         }
     }
-    [diag.0, cohorts.0, mcsp.0, mcss.0, topk.0]
+
+    // The forward walks at an `r_forward` so small that walking is cheaper
+    // than sweeping on both graphs: this column is the walks arm itself.
+    let walks_cfg = SimRankConfig { r_forward: WALKS_R_FORWARD, ..cfg };
+    let walks = CloudWalker::build(Arc::clone(&graph), walks_cfg, ExecMode::Local).unwrap();
+    let mut walked = Fnv::new();
+    walks.try_single_source(src(2)).unwrap().iter().for_each(|&s| walked.float(s));
+    for k in [1, 6] {
+        for (node, score) in walks.try_single_source_topk(src(k), 20).unwrap() {
+            walked.u32(node);
+            walked.float(score);
+        }
+    }
+    [diag.0, cohorts.0, mcsp.0, mcss.0, topk.0, walked.0]
 }
 
-/// `(graph, [diagonal, cohorts, MCSP, dense MCSS, top-20])`, recorded at
-/// the parent of the step-synchronous kernels (commit `af263f8`).
-const GOLDEN: [(&str, [u64; 5]); 2] = [
+/// Forward walkers per term for the walks column: at `T = 5`, walks cost
+/// less than sweeps on both graphs below ≈ 60.
+const WALKS_R_FORWARD: u32 = 50;
+
+/// `(graph, [diagonal, cohorts, MCSP, dense MCSS, top-20, walks-arm MCSS
+/// and top-20])`; the first three recorded at the parent of the
+/// step-synchronous kernels (commit `af263f8`).
+const GOLDEN: [(&str, [u64; 6]); 2] = [
     (
         "ba2000",
         [
             0x7cdabadf38d88cb7,
             0xa5b945debb3b99e3,
             0x3ac7cb707e1c8ca6,
-            0x9d2399efbc05424c,
-            0xc6f2e6cf452b008c,
+            0xbdd360c2f9a0d2a2,
+            0x9546350772d9d95c,
+            0x3c34f5adc844e790,
         ],
     ),
     (
@@ -110,8 +135,9 @@ const GOLDEN: [(&str, [u64; 5]); 2] = [
             0x52c4ee1aba2092be,
             0x32a292562a54bf54,
             0x8884146e9b238184,
-            0x271b671dbde202b3,
-            0x59fdb6b49a09bd13,
+            0x30d3a3fa6969d4cb,
+            0xbeba15428b8893c9,
+            0xc895459acbba3cf8,
         ],
     ),
 ];

@@ -61,6 +61,8 @@ fn e1_e3_a1_a3_sizes_residual_and_errors() {
     rows.extend(paper::accuracy(&s));
     assert_hold(&rows, &["E1", "E3", "A1", "A3"]);
     assert!(rows.iter().all(|r| r.verdict == Verdict::Holds), "nothing here is unshown");
+    // A1: error, NDCG@20 and time for both forward arms at three R'.
+    assert_eq!(rows.iter().filter(|r| r.experiment == "A1").count(), 18);
 }
 
 #[test]

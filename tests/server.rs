@@ -433,6 +433,40 @@ fn client_refuses_requests_over_the_advertised_frame_limit() {
     join.join().unwrap();
 }
 
+/// A request is bounded before any work: a 6 000-side `PairsMatrix` (a
+/// 48 KB request) asks for a 288 MB answer, past the default 64 MB limit,
+/// and is refused at once — not after 36 M scored pairs and a 288 MB
+/// matrix — while another connection keeps being answered.
+#[test]
+fn an_oversize_answer_is_refused_before_any_work() {
+    let cw = local_walker();
+    let (addr, handle, join) = spawn_server(Arc::clone(cw) as _, ServerConfig::default());
+    let side: Vec<u32> = (0..6_000).map(|v| v % NODES).collect();
+    let huge = QueryRequest::PairsMatrix { rows: side.clone(), cols: side };
+    let bound = huge.response_bound(NODES, cw.config());
+    assert_eq!(bound, 5 + 6_000 * (4 + 8 * 6_000));
+
+    let mut big = PascoClient::connect(addr).unwrap();
+    // Computed instead of refused, the matrix would take hours: fail, not hang.
+    big.set_io_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let mut other = PascoClient::connect(addr).unwrap();
+    let t0 = std::time::Instant::now();
+    let id = big.send(&huge).unwrap();
+    let pair = other.query(QueryRequest::SinglePair { i: 1, j: 2 }).unwrap();
+    assert_eq!(pair, QueryResponse::Score(cw.try_single_pair(1, 2).unwrap()));
+    let refused = big.wait(id).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(
+        refused,
+        Err(QueryError::ResponseTooLarge { bytes: bound, max_frame: DEFAULT_MAX_FRAME })
+    );
+    assert!(took < std::time::Duration::from_secs(1), "refused after {took:?}");
+    assert!(big.is_open() && other.is_open());
+    assert!(big.query(QueryRequest::SinglePair { i: 3, j: 4 }).is_ok());
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 /// The shutdown frame drains the whole server: the shutting-down client
 /// gets every in-flight answer then a goodbye; other connected clients
 /// are told goodbye rather than cut off; `run()` returns; and a poisoned
