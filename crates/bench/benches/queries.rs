@@ -1,10 +1,11 @@
 //! Microbenchmarks: online query latency (MCSP, MCSS, MCSS-push) — the
-//! "instant response" half of the paper's headline — and the two stages of
-//! a cache hit on the benchmark spine's contract graph: `score_pair`'s
-//! merge and the `Cohort` response codec.
+//! "instant response" half of the paper's headline — the forward stage's
+//! two arms on either side of the rule that picks between them, and the
+//! two stages of a cache hit on the benchmark spine's contract graph:
+//! `score_pair`'s merge and the `Cohort` response codec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pasco_graph::{generators, ReverseChainIndex};
+use pasco_graph::{datasets, generators, GraphSampler, ReverseChainIndex, WalkAdjacency};
 use pasco_mc::walks::StepDistributions;
 use pasco_simrank::api::wire::WireCodec;
 use pasco_simrank::engine::kernel::build_diagonal_on;
@@ -23,7 +24,7 @@ fn bench_queries(c: &mut Criterion) {
     group.bench_function("mcsp", |b| {
         b.iter(|| black_box(queries::single_pair(&g, diag, &cfg, 17, 3_000)));
     });
-    group.bench_function("mcss-walks", |b| {
+    group.bench_function("mcss", |b| {
         b.iter(|| black_box(queries::single_source(&g, &rci, diag, &cfg, 17)));
     });
     group.bench_function("mcss-push", |b| {
@@ -40,6 +41,47 @@ fn bench_queries(c: &mut Criterion) {
         let diag = out.diag.as_slice().to_vec();
         group.bench_with_input(BenchmarkId::from_parameter(1u64 << scale), &g, |b, g| {
             b.iter(|| black_box(queries::single_pair(g, &diag, &cfg, 3, 999)));
+        });
+    }
+    group.finish();
+}
+
+/// The forward stage's two arms at paper parameters, on stand-ins either
+/// side of `queries::sweeps_pay`'s point: twitter-sim well below it,
+/// uk-union-sim just below, clue-web-sim past it. One cohort is simulated
+/// up front per graph; the walks (`walked_masses_on`) and the exact
+/// sweeps (`swept_series_on`) then run from it, and the id names the arm
+/// the rule picks. The time ratio of the two arms over the ratio of their
+/// work (`R_f·T(T+1)/2` steps against `T·(n + m)` in-links) is
+/// `queries::WALK_STEP_EDGES` on this machine. clue-web-sim is ≈ 7 M
+/// edges: generating it and its sampling index takes a few seconds and a
+/// few hundred MB.
+fn bench_forward_arms(c: &mut Criterion) {
+    let cfg = SimRankConfig::default_paper();
+    let mut group = c.benchmark_group("queries/forward-arms");
+    group.sample_size(10);
+    for name in ["twitter-sim", "uk-union-sim", "clue-web-sim"] {
+        let g = datasets::by_name(name).expect("a stand-in").generate();
+        let rci = ReverseChainIndex::build(&g);
+        let adj = GraphSampler::new(&g, &rci);
+        // The diagonal's values do not change the work.
+        let diag = vec![1.0 - cfg.c; g.node_count() as usize];
+        let live: Vec<u32> = g.nodes().filter(|&v| g.in_degree(v) > 0).collect();
+        let cohort = queries::query_block_on(&adj, &cfg, live[live.len() / 3]);
+        let n = u64::from(adj.node_count());
+        let picked = if queries::sweeps_pay(n, adj.edge_count(), cfg.t, cfg.r_forward) {
+            "sweeps"
+        } else {
+            "walks"
+        };
+        group.bench_function(format!("{name}/walks (rule: {picked})"), |b| {
+            b.iter(|| black_box(queries::walked_masses_on(&adj, &cohort, &diag, &cfg)));
+        });
+        group.bench_function(format!("{name}/sweeps (rule: {picked})"), |b| {
+            b.iter(|| {
+                let nonzero = |z: &[f64]| z.iter().filter(|&&m| m != 0.0).count();
+                black_box(queries::swept_series_on(&adj, &cohort, &diag, &cfg, nonzero))
+            });
         });
     }
     group.finish();
@@ -107,5 +149,5 @@ fn bench_cache_hit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_queries, bench_cache_hit);
+criterion_group!(benches, bench_queries, bench_forward_arms, bench_cache_hit);
 criterion_main!(benches);

@@ -1052,9 +1052,11 @@ impl SimRankEngine for DistributedEngine {
     ) -> Result<Vec<(NodeId, f64)>, QueryError> {
         check_node(i, self.n)?;
         let w = self.owner(i);
-        // One list of at most `min(k, n)` entries per partition.
-        let list = 4 + 12 * (k as u64).min(u64::from(self.n));
-        self.admit(w, 4 + self.workers() as u64 * list)?;
+        // One list of at most `k` entries per partition; a node is owned
+        // by one partition, so the lists together hold at most `n`.
+        let lists = self.workers() as u64;
+        let entries = lists.saturating_mul(k as u64).min(u64::from(self.n));
+        self.admit(w, 4 + 4 * lists + 12 * entries)?;
         let reply =
             self.call(w, FrameKind::ShardTopK, "query/topk", DEFAULT_IO_TIMEOUT, |link| {
                 ShardTopK { cfg: *cfg, diag: Self::diag_payload(link, diag), i, k: k as u64 }

@@ -22,8 +22,8 @@
 //! arithmetic around it is not. The accumulated rows are handed to
 //! `staged_solve` as [`StoredRows`], the forward waves are launched from
 //! the shared `mcss_series` enumeration with its walker keys, an exact
-//! sweep (one out-edge shuffle) finishes each node as the pull sweep does
-//! (`queries::pulled`), and MCSP and
+//! sweep (one combined out-edge shuffle) finishes each node as the pull
+//! sweep does (`queries::pulled`), and MCSP and
 //! top-`k` are the trait's provided methods over this engine's cohort and
 //! single-source dataflow.
 
@@ -99,11 +99,13 @@ impl RddEngine {
     }
 
     /// The exact arm: each partition holds `z` over its own nodes, and a
-    /// sweep is one shuffle along the out-edges — every non-zero `z[k]`
-    /// travels to the owner of each out-neighbour `j`, which sums what
-    /// arrives and finishes `j` as [`pulled`]; the driver then adds the
-    /// next term's support. The shuffle keeps source order, so each node
-    /// sums its in-links in ascending order, as the pull sweep does.
+    /// sweep is one shuffle along the out-edges. A partition first sums,
+    /// per out-neighbour `j`, the non-zero `z[k]` of its own nodes that
+    /// link to `j` (a map-side combine, so a sweep ships at most one
+    /// record per partition and target, not one per edge); the owner of
+    /// `j` adds the partial sums up and finishes `j` as [`pulled`]; the
+    /// driver then adds the next term's support. Grouping the in-links by
+    /// partition rounds differently from the pull sweep, within 1e-12.
     fn swept(&self, dists: &CohortBlock, diag: &[f64], cfg: &SimRankConfig) -> Vec<f64> {
         let partitioner = self.parts.partitioner();
         let shards = self.parts.shards();
@@ -121,9 +123,16 @@ impl RddEngine {
                 "query/sweep-out",
                 |pidx, zp: Vec<f64>| {
                     let gp = &shards[pidx];
-                    let live = (gp.start()..).zip(zp).filter(|&(_, m)| m != 0.0);
-                    live.flat_map(|(k, m)| gp.out_neighbors(k).iter().map(move |&j| (j, m)))
-                        .collect()
+                    let live: Vec<(NodeId, f64)> =
+                        (gp.start()..).zip(zp).filter(|&(_, m)| m != 0.0).collect();
+                    let edges = live.iter().map(|&(k, _)| gp.out_neighbors(k).len()).sum();
+                    let mut sums = MassMap::with_capacity(edges);
+                    for (k, m) in live {
+                        gp.out_neighbors(k).iter().for_each(|&j| sums.add(j, m));
+                    }
+                    // One record per target: the order they ship in does
+                    // not change any node's sum.
+                    sums.iter().collect()
                 },
             );
             let arrived = pushed.shuffle(&self.cluster, "query/sweep", self.nparts(), |&(j, _)| {

@@ -464,11 +464,16 @@ fn mcss_accumulate<S: ForwardSampler>(
     });
 }
 
-/// What one weighted walker step costs, in swept in-links: a forward step
-/// is a binary search over a node's `cum` weights (≈ 100 ns on rmat16), a
-/// swept in-link one gather and one add (≈ 2 ns). Measured on a 2-core
-/// x86 box; see [`sweeps_pay`].
-pub const WALK_STEP_EDGES: u64 = 50;
+/// What one weighted walker step costs, in swept in-links (see
+/// [`sweeps_pay`]), fitted where the rule's answer matters. On R-MAT
+/// graphs near its point (2¹⁸–2¹⁹ nodes, 2.4–6.9 M in-links, paper
+/// parameters, a 2-core Xeon) a walker step took 155–250 ns and a swept
+/// in-link 2.2–4.3 ns, a ratio of 46–84, median 67. On cache-resident
+/// graphs a step costs 5–45 ns, so the rule sweeps a few of them that the
+/// walks would finish first — in milliseconds, and the sweeps are exact.
+/// The `queries/forward-arms` bench re-measures both arms on either side
+/// of the point.
+pub const WALK_STEP_EDGES: u64 = 67;
 
 /// The one rule that picks the forward stage's arm. The exact sweeps take
 /// `T` passes over `n` nodes and `m` in-links; the walks take
@@ -757,17 +762,19 @@ mod tests {
     #[test]
     fn the_arm_rule_sweeps_below_its_point_and_walks_past_it() {
         let (t, r_f) = (10, 10_000);
-        // rmat16 (the spine) and twitter-sim sweep; uk-union-sim walks.
+        // rmat16 (the spine), twitter-sim and uk-union-sim sweep;
+        // clue-web-sim walks.
         assert!(sweeps_pay(65_536, 913_573, t, r_f));
         assert!(sweeps_pay(131_072, 1_500_802, t, r_f));
-        assert!(!sweeps_pay(262_144, 3_219_991, t, r_f));
-        // The point: T·(n + m) against 50·R_f·T(T+1)/2, strictly below.
+        assert!(sweeps_pay(262_144, 3_219_991, t, r_f));
+        assert!(!sweeps_pay(524_288, 6_873_938, t, r_f));
+        // The point: T·(n + m) against 67·R_f·T(T+1)/2, strictly below.
         let point = WALK_STEP_EDGES * u64::from(r_f) * 11 / 2;
         assert!(sweeps_pay(point - 1, 0, t, r_f));
         assert!(!sweeps_pay(point, 0, t, r_f));
         // No forward stage at T = 0; a handful of walkers beats any sweep.
         assert!(!sweeps_pay(10, 10, 0, r_f));
-        assert!(!sweeps_pay(2_000, 12_000, 5, 50));
+        assert!(!sweeps_pay(2_000, 12_000, 5, 20));
     }
 
     #[test]

@@ -73,67 +73,73 @@ fn distributed_is_bit_identical_to_local_at_worker_counts_1_2_4() {
         ("ba", Arc::new(generators::barabasi_albert(150, 3, 7))),
         ("rmat", Arc::new(generators::rmat(8, 1_600, generators::RmatParams::default(), 5))),
     ] {
-        let cfg = SimRankConfig::fast().with_seed(17);
-        let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
-        for workers in [1usize, 2, 4] {
-            let fleet = spawn_fleet(workers);
-            let dist = CloudWalker::build(Arc::clone(&g), cfg, fleet.mode()).unwrap();
-            assert_eq!(dist.mode_name(), "distributed");
-            assert_eq!(local.diagonal(), dist.diagonal(), "{gname}: index, {workers} workers");
-            for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
+        // Both forward arms: the rule sweeps these graphs, and walks them
+        // at one forward walker per term.
+        let sweeps = SimRankConfig::fast().with_seed(17);
+        for (arm, cfg) in [("sweeps", sweeps), ("walks", SimRankConfig { r_forward: 1, ..sweeps })]
+        {
+            let gname = format!("{gname} {arm}");
+            let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+            for workers in [1usize, 2, 4] {
+                let fleet = spawn_fleet(workers);
+                let dist = CloudWalker::build(Arc::clone(&g), cfg, fleet.mode()).unwrap();
+                assert_eq!(dist.mode_name(), "distributed");
+                assert_eq!(local.diagonal(), dist.diagonal(), "{gname}: index, {workers} workers");
+                for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
+                    assert_eq!(
+                        local.try_single_pair(i, j).unwrap(),
+                        dist.try_single_pair(i, j).unwrap(),
+                        "{gname}: MCSP ({i},{j}), {workers} workers"
+                    );
+                }
+                for &s in &[0u32, 64, 149] {
+                    assert_eq!(
+                        local.try_single_source(s).unwrap(),
+                        dist.try_single_source(s).unwrap(),
+                        "{gname}: dense MCSS source {s}, {workers} workers"
+                    );
+                    assert_eq!(
+                        local.try_single_source_topk(s, 10).unwrap(),
+                        dist.try_single_source_topk(s, 10).unwrap(),
+                        "{gname}: top-k source {s}, {workers} workers"
+                    );
+                    assert_eq!(
+                        local.try_query_cohort(s).unwrap(),
+                        dist.try_query_cohort(s).unwrap(),
+                        "{gname}: cohort {s}, {workers} workers"
+                    );
+                }
+
+                // Real-wire accounting: partitions and queries moved actual
+                // encoded bytes.
+                let report = dist.cluster_report().expect("distributed substrate is accounted");
+                assert!(report.shuffle_bytes > 0, "wire bytes recorded");
+                assert!(report.shuffle_records > 0);
+                assert!(report.stages > 0, "build stage recorded");
+
+                // Worker stats: one per worker, owned nodes partition the
+                // graph, each served exactly one build.
+                let stats: Vec<_> = dist
+                    .worker_stats()
+                    .expect("distributed substrate reports workers")
+                    .into_iter()
+                    .collect::<Result<_, _>>()
+                    .expect("all workers alive");
+                assert_eq!(stats.len(), workers.min(g.node_count() as usize));
                 assert_eq!(
-                    local.try_single_pair(i, j).unwrap(),
-                    dist.try_single_pair(i, j).unwrap(),
-                    "{gname}: MCSP ({i},{j}), {workers} workers"
+                    stats.iter().map(|s| u64::from(s.owned_nodes)).sum::<u64>(),
+                    u64::from(g.node_count()),
+                    "{gname}: owned nodes cover the graph"
                 );
+                assert!(stats.iter().all(|s| s.builds == 1));
+                assert!(stats.iter().all(|s| s.owned_bytes <= s.resident_bytes));
+                assert!(local.worker_stats().is_none());
+
+                // The ownership breakdown matches the per-worker stats.
+                let footprints = dist.shard_footprints().expect("ownership breakdown");
+                assert_eq!(footprints.len(), stats.len());
+                fleet.stop();
             }
-            for &s in &[0u32, 64, 149] {
-                assert_eq!(
-                    local.try_single_source(s).unwrap(),
-                    dist.try_single_source(s).unwrap(),
-                    "{gname}: dense MCSS source {s}, {workers} workers"
-                );
-                assert_eq!(
-                    local.try_single_source_topk(s, 10).unwrap(),
-                    dist.try_single_source_topk(s, 10).unwrap(),
-                    "{gname}: top-k source {s}, {workers} workers"
-                );
-                assert_eq!(
-                    local.try_query_cohort(s).unwrap(),
-                    dist.try_query_cohort(s).unwrap(),
-                    "{gname}: cohort {s}, {workers} workers"
-                );
-            }
-
-            // Real-wire accounting: partitions and queries moved actual
-            // encoded bytes.
-            let report = dist.cluster_report().expect("distributed substrate is accounted");
-            assert!(report.shuffle_bytes > 0, "wire bytes recorded");
-            assert!(report.shuffle_records > 0);
-            assert!(report.stages > 0, "build stage recorded");
-
-            // Worker stats: one per worker, owned nodes partition the
-            // graph, each served exactly one build.
-            let stats: Vec<_> = dist
-                .worker_stats()
-                .expect("distributed substrate reports workers")
-                .into_iter()
-                .collect::<Result<_, _>>()
-                .expect("all workers alive");
-            assert_eq!(stats.len(), workers.min(g.node_count() as usize));
-            assert_eq!(
-                stats.iter().map(|s| u64::from(s.owned_nodes)).sum::<u64>(),
-                u64::from(g.node_count()),
-                "{gname}: owned nodes cover the graph"
-            );
-            assert!(stats.iter().all(|s| s.builds == 1));
-            assert!(stats.iter().all(|s| s.owned_bytes <= s.resident_bytes));
-            assert!(local.worker_stats().is_none());
-
-            // The ownership breakdown matches the per-worker stats.
-            let footprints = dist.shard_footprints().expect("ownership breakdown");
-            assert_eq!(footprints.len(), stats.len());
-            fleet.stop();
         }
     }
 }
@@ -293,6 +299,38 @@ fn the_coordinator_refuses_a_reply_past_the_workers_frame_limit_before_sending()
     );
     handle.shutdown();
     join.join().unwrap();
+}
+
+#[test]
+fn the_coordinator_admits_a_top_k_past_n_whose_exact_reply_fits() {
+    // k ≥ n: each partition's list holds at most its own nodes, so the
+    // reply is bounded by n entries, not by k per partition.
+    let g = Arc::new(generators::barabasi_albert(60, 3, 7));
+    let cfg = SimRankConfig::fast().with_seed(17);
+    let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+    let dir = std::env::temp_dir().join("pasco_dist_topk_bound");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    local.save_store(&dir, 2).unwrap();
+    // Two lists, at most 60 entries: 4 + 2·4 + 12·60 = 732 bytes.
+    let small = ServerConfig { max_frame_bytes: 1024, ..ServerConfig::default() };
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let worker = PascoServer::bind_worker("127.0.0.1:0", small).unwrap();
+            let (addr, handle) = (worker.local_addr().to_string(), worker.handle());
+            (addr, handle, std::thread::spawn(move || worker.run().unwrap()))
+        })
+        .collect();
+    let addrs: Vec<String> = workers.iter().map(|(addr, _, _)| addr.clone()).collect();
+    let dist = CloudWalker::open_store_distributed(&dir, cfg, &addrs).unwrap();
+    assert_eq!(
+        dist.try_single_source_topk(5, 1_000).unwrap(),
+        local.try_single_source_topk(5, 1_000).unwrap()
+    );
+    for (_, handle, join) in workers {
+        handle.shutdown();
+        join.join().unwrap();
+    }
 }
 
 #[test]

@@ -60,33 +60,41 @@ impl Simulated {
 fn simulated_engines_answer_like_the_kernels_at_every_cluster_shape() {
     // Both topologies: preferential attachment, and the skewed R-MAT (hubs,
     // dangling nodes) that RDD's shuffled stepping has to get right.
+    // Each on both forward arms: the rule sweeps graphs this small, and
+    // walks them at one forward walker per term.
     let rmat = generators::rmat(8, 1_500, generators::RmatParams::default(), 6);
     for (gname, g) in [("ba", generators::barabasi_albert(150, 3, 4)), ("rmat", rmat)] {
-        simulated_engines_answer_like_the_kernels(gname, Arc::new(g));
+        let g = Arc::new(g);
+        let (n, m) = (u64::from(g.node_count()), g.edge_count());
+        let cfg = SimRankConfig::fast().with_seed(77);
+        let walks = SimRankConfig { r_forward: 1, ..cfg };
+        assert!(queries::sweeps_pay(n, m, cfg.t, cfg.r_forward), "{gname}: sweeps");
+        assert!(!queries::sweeps_pay(n, m, walks.t, walks.r_forward), "{gname}: walks");
+        simulated_engines_answer_like_the_kernels(&format!("{gname} sweeps"), &g, cfg);
+        simulated_engines_answer_like_the_kernels(&format!("{gname} walks"), &g, walks);
     }
 }
 
-fn simulated_engines_answer_like_the_kernels(gname: &str, g: Arc<CsrGraph>) {
+fn simulated_engines_answer_like_the_kernels(gname: &str, g: &Arc<CsrGraph>, cfg: SimRankConfig) {
     // {Broadcast, RDD} × workers {1, 3, 4}: the simulated engines run the
     // kernels inside cluster stages, so the index, the residuals, the row
     // bytes, cohorts and MCSP are bitwise the kernel's; dense MCSS (and
     // the dense top-k over it) sums the same walks in another order. What
     // differs — and is asserted — is the dataflow: Broadcast's stage
     // sequence and zero shuffles, RDD's per-step shuffles.
-    let rci = ReverseChainIndex::build(&g);
-    let cfg = SimRankConfig::fast().with_seed(77);
-    let want = build_diagonal_on(&*g, &cfg).unwrap();
+    let rci = ReverseChainIndex::build(g);
+    let want = build_diagonal_on(&**g, &cfg).unwrap();
     let diag = want.diag.as_slice();
-    let cohort = queries::query_cohort(&g, &cfg, 9);
-    let pair = queries::single_pair(&g, diag, &cfg, 4, 70);
-    let dense = queries::single_source(&g, &rci, diag, &cfg, 4);
-    let topk = queries::single_source_topk(&g, &rci, diag, &cfg, 4, 10);
+    let cohort = queries::query_cohort(g, &cfg, 9);
+    let pair = queries::single_pair(g, diag, &cfg, 4, 70);
+    let dense = queries::single_source(g, &rci, diag, &cfg, 4);
+    let topk = queries::single_source_topk(g, &rci, diag, &cfg, 4, 10);
     assert_eq!(topk.len(), 10);
 
     for model in ["broadcast", "rdd"] {
         for workers in [1usize, 3, 4] {
             let label = format!("{gname} {model} x{workers}");
-            let sim = Simulated::new(model, &g, workers);
+            let sim = Simulated::new(model, g, workers);
             let out = sim.engine().build_diagonal(&cfg).unwrap();
             assert_eq!(out.diag, want.diag, "{label}: diagonal");
             assert_eq!(out.residuals, want.residuals, "{label}: residuals");
@@ -108,7 +116,7 @@ fn simulated_engines_answer_like_the_kernels(gname: &str, g: Arc<CsrGraph>) {
                 assert!(report.shuffles >= 2 * cfg.t, "{label}: {} shuffles", report.shuffles);
             }
 
-            let sim = Simulated::new(model, &g, workers);
+            let sim = Simulated::new(model, g, workers);
             let eng = sim.engine();
             assert_eq!(SimRankEngine::name(eng), model);
             assert_eq!(
@@ -228,44 +236,50 @@ fn sharded_engine_is_bit_identical_to_local_for_every_query_kind() {
         ("ba", Arc::new(generators::barabasi_albert(150, 3, 7))),
         ("rmat", Arc::new(generators::rmat(8, 1_600, generators::RmatParams::default(), 5))),
     ] {
-        let cfg = SimRankConfig::fast().with_seed(17);
-        let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
-        for shards in [1u32, 2, 4] {
-            let sh = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Sharded { shards }).unwrap();
-            assert_eq!(sh.mode_name(), "sharded");
-            assert_eq!(local.diagonal(), sh.diagonal(), "{gname}: index, {shards} shards");
-            for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
-                assert_eq!(
-                    local.try_single_pair(i, j).unwrap(),
-                    sh.try_single_pair(i, j).unwrap(),
-                    "{gname}: MCSP ({i},{j}), {shards} shards"
-                );
+        // Both forward arms: one forward walker per term forces the walks.
+        let sweeps = SimRankConfig::fast().with_seed(17);
+        for (arm, cfg) in [("sweeps", sweeps), ("walks", SimRankConfig { r_forward: 1, ..sweeps })]
+        {
+            let gname = format!("{gname} {arm}");
+            let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+            for shards in [1u32, 2, 4] {
+                let sh =
+                    CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Sharded { shards }).unwrap();
+                assert_eq!(sh.mode_name(), "sharded");
+                assert_eq!(local.diagonal(), sh.diagonal(), "{gname}: index, {shards} shards");
+                for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
+                    assert_eq!(
+                        local.try_single_pair(i, j).unwrap(),
+                        sh.try_single_pair(i, j).unwrap(),
+                        "{gname}: MCSP ({i},{j}), {shards} shards"
+                    );
+                }
+                for &s in &[0u32, 64, 149] {
+                    assert_eq!(
+                        local.try_single_source(s).unwrap(),
+                        sh.try_single_source(s).unwrap(),
+                        "{gname}: MCSS source {s}, {shards} shards"
+                    );
+                    assert_eq!(
+                        local.try_single_source_topk(s, 10).unwrap(),
+                        sh.try_single_source_topk(s, 10).unwrap(),
+                        "{gname}: top-k source {s}, {shards} shards"
+                    );
+                    assert_eq!(
+                        local.try_query_cohort(s).unwrap(),
+                        sh.try_query_cohort(s).unwrap(),
+                        "{gname}: cohort {s}, {shards} shards"
+                    );
+                }
+                // Footprint accounting: partitioned, with a per-shard breakdown
+                // whose max is the per-worker demand.
+                let fp = sh.memory_footprint();
+                assert!(fp.partitioned);
+                let per_shard = sh.shard_footprints().expect("sharded breakdown");
+                assert_eq!(per_shard.len(), shards as usize);
+                assert_eq!(per_shard.iter().copied().max().unwrap(), fp.per_worker_bytes);
+                assert!(local.shard_footprints().is_none());
             }
-            for &s in &[0u32, 64, 149] {
-                assert_eq!(
-                    local.try_single_source(s).unwrap(),
-                    sh.try_single_source(s).unwrap(),
-                    "{gname}: MCSS source {s}, {shards} shards"
-                );
-                assert_eq!(
-                    local.try_single_source_topk(s, 10).unwrap(),
-                    sh.try_single_source_topk(s, 10).unwrap(),
-                    "{gname}: top-k source {s}, {shards} shards"
-                );
-                assert_eq!(
-                    local.try_query_cohort(s).unwrap(),
-                    sh.try_query_cohort(s).unwrap(),
-                    "{gname}: cohort {s}, {shards} shards"
-                );
-            }
-            // Footprint accounting: partitioned, with a per-shard breakdown
-            // whose max is the per-worker demand.
-            let fp = sh.memory_footprint();
-            assert!(fp.partitioned);
-            let per_shard = sh.shard_footprints().expect("sharded breakdown");
-            assert_eq!(per_shard.len(), shards as usize);
-            assert_eq!(per_shard.iter().copied().max().unwrap(), fp.per_worker_bytes);
-            assert!(local.shard_footprints().is_none());
         }
     }
 }
@@ -282,62 +296,70 @@ fn mapped_store_is_bit_identical_to_local_for_every_query_kind() {
         ("ba", Arc::new(generators::barabasi_albert(150, 3, 7))),
         ("rmat", Arc::new(generators::rmat(8, 1_600, generators::RmatParams::default(), 5))),
     ] {
-        let cfg = SimRankConfig::fast().with_seed(17);
-        let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
-        for parts in [1u32, 2, 4] {
-            let dir = std::env::temp_dir().join(format!("pasco_exec_mapped_{gname}_{parts}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            local.save_store(&dir, parts).unwrap();
-            let mapped = CloudWalker::open_store(&dir, cfg).unwrap();
-            assert_eq!(mapped.mode_name(), "mapped");
-            assert_eq!(local.diagonal(), mapped.diagonal(), "{gname}: index, {parts} shards");
-            for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
-                assert_eq!(
-                    local.try_single_pair(i, j).unwrap(),
-                    mapped.try_single_pair(i, j).unwrap(),
-                    "{gname}: MCSP ({i},{j}), {parts} shards"
-                );
-            }
-            for &s in &[0u32, 64, 149] {
-                assert_eq!(
-                    local.try_single_source(s).unwrap(),
-                    mapped.try_single_source(s).unwrap(),
-                    "{gname}: dense MCSS source {s}, {parts} shards"
-                );
-                assert_eq!(
-                    local.try_single_source_topk(s, 10).unwrap(),
-                    mapped.try_single_source_topk(s, 10).unwrap(),
-                    "{gname}: top-k source {s}, {parts} shards"
-                );
-                assert_eq!(
-                    local.try_query_cohort(s).unwrap(),
-                    mapped.try_query_cohort(s).unwrap(),
-                    "{gname}: cohort {s}, {parts} shards"
-                );
-            }
+        // Both forward arms: one forward walker per term forces the walks.
+        let sweeps = SimRankConfig::fast().with_seed(17);
+        for (arm, cfg) in [("sweeps", sweeps), ("walks", SimRankConfig { r_forward: 1, ..sweeps })]
+        {
+            let gname = format!("{gname}_{arm}");
+            let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+            for parts in [1u32, 2, 4] {
+                let dir = std::env::temp_dir().join(format!("pasco_exec_mapped_{gname}_{parts}"));
+                let _ = std::fs::remove_dir_all(&dir);
+                std::fs::create_dir_all(&dir).unwrap();
+                local.save_store(&dir, parts).unwrap();
+                let mapped = CloudWalker::open_store(&dir, cfg).unwrap();
+                assert_eq!(mapped.mode_name(), "mapped");
+                assert_eq!(local.diagonal(), mapped.diagonal(), "{gname}: index, {parts} shards");
+                for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
+                    assert_eq!(
+                        local.try_single_pair(i, j).unwrap(),
+                        mapped.try_single_pair(i, j).unwrap(),
+                        "{gname}: MCSP ({i},{j}), {parts} shards"
+                    );
+                }
+                for &s in &[0u32, 64, 149] {
+                    assert_eq!(
+                        local.try_single_source(s).unwrap(),
+                        mapped.try_single_source(s).unwrap(),
+                        "{gname}: dense MCSS source {s}, {parts} shards"
+                    );
+                    assert_eq!(
+                        local.try_single_source_topk(s, 10).unwrap(),
+                        mapped.try_single_source_topk(s, 10).unwrap(),
+                        "{gname}: top-k source {s}, {parts} shards"
+                    );
+                    assert_eq!(
+                        local.try_query_cohort(s).unwrap(),
+                        mapped.try_query_cohort(s).unwrap(),
+                        "{gname}: cohort {s}, {parts} shards"
+                    );
+                }
 
-            // Footprint is the mapped file bytes, reported per shard.
-            let fp = mapped.memory_footprint();
-            assert!(fp.partitioned);
-            let per_shard = mapped.shard_footprints().expect("mapped breakdown");
-            assert_eq!(per_shard.len(), parts as usize);
-            assert_eq!(per_shard.iter().copied().max().unwrap(), fp.per_worker_bytes);
+                // Footprint is the mapped file bytes, reported per shard.
+                let fp = mapped.memory_footprint();
+                assert!(fp.partitioned);
+                let per_shard = mapped.shard_footprints().expect("mapped breakdown");
+                assert_eq!(per_shard.len(), parts as usize);
+                assert_eq!(per_shard.iter().copied().max().unwrap(), fp.per_worker_bytes);
 
-            // No resident graph, yet the exact push sweeps the mapped
-            // in-links to the resident answer; re-saving a mapped walker
-            // is a typed refusal.
-            assert!(mapped.graph().is_none());
-            assert!(mapped.store().is_some());
-            for &s in &[0u32, 64, 149] {
-                assert_eq!(
-                    local.try_single_source_push(s).unwrap(),
-                    mapped.try_single_source_push(s).unwrap(),
-                    "{gname}: exact push source {s}, {parts} shards"
-                );
+                // No resident graph, yet the exact push sweeps the mapped
+                // in-links to the resident answer; re-saving a mapped walker
+                // is a typed refusal.
+                assert!(mapped.graph().is_none());
+                assert!(mapped.store().is_some());
+                for &s in &[0u32, 64, 149] {
+                    assert_eq!(
+                        local.try_single_source_push(s).unwrap(),
+                        mapped.try_single_source_push(s).unwrap(),
+                        "{gname}: exact push source {s}, {parts} shards"
+                    );
+                }
+                let other = dir.join("copy");
+                assert!(matches!(
+                    mapped.save_store(&other, 1),
+                    Err(SimRankError::InvalidConfig(_))
+                ));
             }
-            let other = dir.join("copy");
-            assert!(matches!(mapped.save_store(&other, 1), Err(SimRankError::InvalidConfig(_))));
         }
     }
 }
