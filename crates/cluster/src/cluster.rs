@@ -153,13 +153,6 @@ impl Cluster {
         };
         partial.report()
     }
-
-    /// Clears the metrics log.
-    pub fn reset_metrics(&self) {
-        let mut log = self.log.lock();
-        log.stages.clear();
-        log.shuffles.clear();
-    }
 }
 
 impl std::fmt::Debug for Cluster {
@@ -209,14 +202,6 @@ mod tests {
         let since = c.report_since(mark);
         assert_eq!(since.stages, 1);
         assert_eq!(c.report().stages, 2);
-    }
-
-    #[test]
-    fn reset_clears_log() {
-        let c = Cluster::new(ClusterConfig::local(2));
-        c.run_stage("s", vec![1], |_, x: i32| x);
-        c.reset_metrics();
-        assert_eq!(c.report().stages, 0);
     }
 
     #[test]

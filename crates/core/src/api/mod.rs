@@ -292,7 +292,7 @@ impl QueryRequest {
 
 /// The object-safe front door every query flows through.
 ///
-/// Implemented by [`QuerySession`] (caching, batch-parallel serving) and
+/// Implemented by [`QuerySession`] (cohort caching, shared by serving threads) and
 /// by [`CloudWalker`] (a thin adapter straight onto the engine). Holding
 /// a `Box<dyn QueryService>` or `&dyn QueryService`, a caller — the CLI,
 /// a test harness, a future HTTP/gRPC front-end — serves every query

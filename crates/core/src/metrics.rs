@@ -1,7 +1,7 @@
 //! Accuracy and ranking metrics for the effectiveness experiments.
 
 use pasco_graph::NodeId;
-pub use pasco_solver::norms::{max_abs_diff, mean_abs_diff, rmse};
+pub use pasco_solver::norms::{max_abs_diff, mean_abs_diff};
 
 /// Top-`k` entries of `scores` by value (descending), optionally excluding
 /// one index (the query node itself). Ties break toward the smaller node id
@@ -17,15 +17,6 @@ pub fn top_k(scores: &[f64], k: usize, exclude: Option<NodeId>) -> Vec<(NodeId, 
     items.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     items.truncate(k);
     items
-}
-
-/// Fraction of `truth`'s members found in `estimate` (both top-k id lists).
-pub fn precision_at_k(truth: &[NodeId], estimate: &[NodeId]) -> f64 {
-    if truth.is_empty() {
-        return 1.0;
-    }
-    let hits = estimate.iter().filter(|e| truth.contains(e)).count();
-    hits as f64 / truth.len() as f64
 }
 
 /// NDCG@k of an estimated ranking against true scores: gains are the *true*
@@ -71,13 +62,6 @@ mod tests {
         let top = top_k(&scores, 2, None);
         // tie between ids 1 and 3 at 0.9 → smaller id first
         assert_eq!(top.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![1, 3]);
-    }
-
-    #[test]
-    fn precision_counts_overlap() {
-        assert_eq!(precision_at_k(&[1, 2, 3], &[3, 4, 1]), 2.0 / 3.0);
-        assert_eq!(precision_at_k(&[], &[1]), 1.0);
-        assert_eq!(precision_at_k(&[5], &[]), 0.0);
     }
 
     #[test]

@@ -471,8 +471,10 @@ fn mcss_accumulate<S: ForwardSampler>(
 /// in-link 2.2–4.3 ns, a ratio of 46–84, median 67. On cache-resident
 /// graphs a step costs 5–45 ns, so the rule sweeps a few of them that the
 /// walks would finish first — in milliseconds, and the sweeps are exact.
-/// The `queries/forward-arms` bench re-measures both arms on either side
-/// of the point.
+/// To refit, time both arms (`walked_masses_on`, `swept_series_on`) from
+/// one cohort on the `uk-union-sim` and `clue-web-sim` stand-ins, either
+/// side of the point: the constant is their time ratio over their work
+/// ratio. The paper scorecard's A1 rows time both arms at smaller scale.
 pub const WALK_STEP_EDGES: u64 = 67;
 
 /// The one rule that picks the forward stage's arm. The exact sweeps take

@@ -687,29 +687,13 @@ impl QuerySession {
         }
         Ok(out)
     }
-
-    /// MCSS for every source in `sources`, in parallel on the engine
-    /// (cohort caching does not apply to the forward stage; listed here
-    /// for one-stop serving workloads). Fails with the first typed error.
-    pub fn single_source_batch(&self, sources: &[NodeId]) -> Result<Vec<Vec<f64>>, QueryError> {
-        sources.par_iter().map(|&i| self.walker.try_single_source(i)).collect()
-    }
-
-    /// Top-`k` MCSS for every source in `sources`, in parallel on the
-    /// engine. Fails with the first typed error.
-    pub fn single_source_topk_batch(
-        &self,
-        sources: &[NodeId],
-        k: usize,
-    ) -> Result<Vec<Vec<(NodeId, f64)>>, QueryError> {
-        sources.par_iter().map(|&i| self.walker.try_single_source_topk(i, k)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::wire::WireCodec;
+    use crate::api::{QueryRequest, QueryService};
     use crate::engine::ExecMode;
     use crate::SimRankConfig;
     use pasco_graph::generators;
@@ -733,6 +717,8 @@ mod tests {
         let bits = |rows: &[Vec<f64>]| -> Vec<u64> {
             rows.iter().flatten().map(|s| s.to_bits()).collect()
         };
+        let batch =
+            QueryRequest::Batch(nodes.iter().map(|&i| QueryRequest::SingleSource { i }).collect());
         let runs = [1, 2, 3].map(|threads| {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
             pool.install(|| {
@@ -743,7 +729,7 @@ mod tests {
                     bits(&[cw.try_single_source(nodes[0]).unwrap()]),
                     topk.iter().map(|&(v, s)| (v, s.to_bits())).collect::<Vec<_>>(),
                     bits(&session.try_pairs_matrix(&nodes, &nodes[1..]).unwrap()),
-                    bits(&session.single_source_batch(&nodes).unwrap()),
+                    session.execute(batch.clone()).unwrap().to_bytes(),
                 )
             })
         });
@@ -848,19 +834,6 @@ mod tests {
         }
         // 4 distinct nodes simulated once each.
         assert_eq!(session.cache_stats().misses, 4);
-    }
-
-    #[test]
-    fn batch_entry_points_match_engine() {
-        let cw = engine();
-        let session = QuerySession::new(Arc::clone(&cw), 8);
-        let sources = [3u32, 50, 99];
-        let batch = session.single_source_batch(&sources).unwrap();
-        let topk = session.single_source_topk_batch(&sources, 5).unwrap();
-        for (idx, &s) in sources.iter().enumerate() {
-            assert_eq!(batch[idx], cw.try_single_source(s).unwrap(), "source {s}");
-            assert_eq!(topk[idx], cw.try_single_source_topk(s, 5).unwrap(), "topk {s}");
-        }
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl GraphBuilder {
         self.n = self.n.max(n);
     }
 
-    /// Number of edges recorded so far (before deduplication).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Builds the CSR graph: counting-sorts edges into out-adjacency,
     /// deduplicates, then derives in-adjacency by a second counting sort.
     pub fn build(mut self) -> CsrGraph {

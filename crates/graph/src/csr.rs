@@ -150,18 +150,6 @@ impl CsrGraph {
     pub fn into_in_links(self) -> InLinks {
         InLinks { n: self.n, offsets: self.in_offsets, sources: self.in_sources }
     }
-
-    /// The transition probability `P[u][v] = 1/|In(v)|` if `u ∈ In(v)`,
-    /// else 0. Exposed mainly for tests and the exact baselines; hot paths
-    /// never materialise `P`.
-    pub fn transition_prob(&self, u: NodeId, v: NodeId) -> f64 {
-        let ins = self.in_neighbors(v);
-        if ins.binary_search(&u).is_ok() {
-            1.0 / ins.len() as f64
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The in-link half of a [`CsrGraph`], all the offline build's reverse
@@ -210,15 +198,6 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1), (0, 1), (1, 2)]);
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.out_neighbors(0), &[1]);
-    }
-
-    #[test]
-    fn transition_prob_matches_in_degree() {
-        let g = diamond();
-        assert!((g.transition_prob(1, 3) - 0.5).abs() < 1e-12);
-        assert!((g.transition_prob(2, 3) - 0.5).abs() < 1e-12);
-        assert_eq!(g.transition_prob(0, 3), 0.0);
-        assert!((g.transition_prob(0, 1) - 1.0).abs() < 1e-12);
     }
 
     #[test]

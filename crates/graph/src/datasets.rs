@@ -87,7 +87,7 @@ impl DatasetSpec {
     #[allow(
         clippy::panic,
         reason = "documented contract: `name` is one of the five `SPECS` keys, which only a \
-                  hand-built spec can miss; `by_name` is the fallible lookup"
+                  hand-built spec can miss"
     )]
     pub fn generate(&self) -> CsrGraph {
         match self.name {
@@ -106,31 +106,13 @@ impl DatasetSpec {
     }
 }
 
-/// Looks a stand-in up by name (`"wiki-vote-sim"`, …) or by the paper's
-/// name (`"wiki-vote"`, …).
-pub fn by_name(name: &str) -> Option<&'static DatasetSpec> {
-    SPECS.iter().find(|s| s.name == name || s.paper_name == name)
-}
-
-/// Names of all stand-ins in evaluation order.
-pub fn names() -> Vec<&'static str> {
-    SPECS.iter().map(|s| s.name).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn lookup_by_either_name() {
-        assert!(by_name("wiki-vote-sim").is_some());
-        assert!(by_name("twitter-2010").is_some());
-        assert!(by_name("nope").is_none());
-    }
-
-    #[test]
     fn smallest_standin_matches_paper_scale() {
-        let g = by_name("wiki-vote").unwrap().generate();
+        let g = SPECS.iter().find(|s| s.paper_name == "wiki-vote").unwrap().generate();
         assert_eq!(g.node_count(), 7_115);
         // ~103K edges like the paper (BA: 15 per node minus seed clique).
         assert!(g.edge_count() > 95_000 && g.edge_count() < 115_000, "{}", g.edge_count());
@@ -145,7 +127,7 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let s = by_name("wiki-talk-sim").unwrap();
+        let s = SPECS.iter().find(|s| s.name == "wiki-talk-sim").unwrap();
         assert_eq!(s.generate(), s.generate());
     }
 }

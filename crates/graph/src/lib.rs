@@ -35,7 +35,6 @@ pub mod io;
 pub mod partition;
 pub mod sampling;
 pub mod stats;
-pub mod transform;
 
 pub use adjacency::{ForwardSampler, GraphSampler, WalkAdjacency};
 pub use builder::GraphBuilder;

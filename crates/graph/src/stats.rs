@@ -53,29 +53,6 @@ pub fn degree_stats(graph: &CsrGraph, dir: Direction) -> DegreeStats {
     }
 }
 
-/// Log-2-binned degree histogram: entry `i` counts nodes with degree in
-/// `[2^i, 2^{i+1})`; entry for degree 0 is returned separately in `.0`.
-pub fn degree_histogram(graph: &CsrGraph, dir: Direction) -> (u32, Vec<u64>) {
-    let mut zeros = 0u32;
-    let mut bins: Vec<u64> = Vec::new();
-    for v in graph.nodes() {
-        let d = match dir {
-            Direction::Out => graph.out_degree(v),
-            Direction::In => graph.in_degree(v),
-        };
-        if d == 0 {
-            zeros += 1;
-            continue;
-        }
-        let bin = (31 - d.leading_zeros()) as usize;
-        if bins.len() <= bin {
-            bins.resize(bin + 1, 0);
-        }
-        bins[bin] += 1;
-    }
-    (zeros, bins)
-}
-
 /// A human-readable byte count (`476.8KB`, `11.4GB`) matching the style of
 /// the paper's dataset table.
 pub fn human_bytes(bytes: u64) -> String {
@@ -115,15 +92,6 @@ mod tests {
         let s = degree_stats(&g, Direction::In);
         assert_eq!(s.max, 5);
         assert_eq!(s.zeros, 5);
-    }
-
-    #[test]
-    fn histogram_bins_powers_of_two() {
-        let g = generators::star(9); // hub in-degree 8 -> bin 3
-        let (zeros, bins) = degree_histogram(&g, Direction::In);
-        assert_eq!(zeros, 8);
-        assert_eq!(bins.len(), 4);
-        assert_eq!(bins[3], 1);
     }
 
     #[test]

@@ -163,13 +163,6 @@ impl CountMap {
     }
 }
 
-impl MassMap {
-    /// Sum of all mass.
-    pub fn total_mass(&self) -> f64 {
-        self.iter().map(|(_, v)| v).sum()
-    }
-}
-
 impl<V: Accumulate> Default for OpenMap<V> {
     fn default() -> Self {
         Self::with_capacity(16)
@@ -279,6 +272,5 @@ mod tests {
         m.add(3, 0.5);
         m.add(8, 1.0);
         assert!((m.get(3) - 0.75).abs() < 1e-12);
-        assert!((m.total_mass() - 1.75).abs() < 1e-12);
     }
 }

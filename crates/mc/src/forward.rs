@@ -135,23 +135,9 @@ pub fn reverse_push_measure(graph: &CsrGraph, u: &[(NodeId, f64)]) -> Vec<(NodeI
     acc.into_sorted_vec()
 }
 
-/// Applies [`reverse_push_measure`] `steps` times: `u = Pˢ u₀` exactly.
-pub fn reverse_push_measure_steps(
-    graph: &CsrGraph,
-    u0: &[(NodeId, f64)],
-    steps: usize,
-) -> Vec<(NodeId, f64)> {
-    let mut u = u0.to_vec();
-    for _ in 0..steps {
-        u = reverse_push_measure(graph, &u);
-    }
-    u
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pasco_graph::generators;
 
     #[test]
     fn push_matches_hand_computation() {
@@ -178,12 +164,5 @@ mod tests {
         assert!((u2[0].1 - 1.0).abs() < 1e-12);
         // Node 0 is dangling: all mass dies at the next step.
         assert!(reverse_push_measure(&g, &u2).is_empty());
-    }
-
-    #[test]
-    fn reverse_push_steps_composes() {
-        let g = generators::cycle(5);
-        let u = reverse_push_measure_steps(&g, &[(0, 1.0)], 3);
-        assert_eq!(u, vec![(2, 1.0)]); // (0 - 3) mod 5
     }
 }

@@ -25,5 +25,5 @@ pub mod rng;
 pub mod walks;
 
 pub use counts::CountMap;
-pub use rng::{SplitMix64, Xoshiro256pp};
+pub use rng::SplitMix64;
 pub use walks::{StepDistributions, WalkParams};

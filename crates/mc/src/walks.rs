@@ -109,14 +109,6 @@ impl StepDistributions {
         self.counts.len() - 1
     }
 
-    /// The estimated probability `P̂ᵗe_s(v) = count / walkers` at step `t`.
-    pub fn prob(&self, t: usize, v: NodeId) -> f64 {
-        match self.counts[t].binary_search_by_key(&v, |&(k, _)| k) {
-            Ok(i) => self.counts[t][i].1 as f64 / self.walkers as f64,
-            Err(_) => 0.0,
-        }
-    }
-
     /// Surviving mass at step `t` (≤ 1; < 1 once walkers hit dangling nodes).
     pub fn mass(&self, t: usize) -> f64 {
         let total: u64 = self.counts[t].iter().map(|&(_, c)| c).sum();
@@ -493,22 +485,11 @@ pub fn reverse_walk_block_on<G: WalkAdjacency>(
 }
 
 /// Simulates the full cohort from `source` and records every step's
-/// distribution. This is the building block of offline indexing (`R`
-/// walkers per node) and of MCSP/MCSS (`R'` walkers per query node).
+/// distribution: [`reverse_walk_block_on`] on the resident graph, expanded.
+/// This is the building block of offline indexing (`R` walkers per node)
+/// and of MCSP/MCSS (`R'` walkers per query node).
 pub fn reverse_walk_distributions(
     graph: &CsrGraph,
-    source: NodeId,
-    params: WalkParams,
-    seed: u64,
-) -> StepDistributions {
-    reverse_walk_distributions_on(graph, source, params, seed)
-}
-
-/// [`reverse_walk_distributions`] generic over the adjacency source — one
-/// kernel behind every storage, so cross-engine bit-equality is structural:
-/// [`reverse_walk_block_on`], expanded.
-pub fn reverse_walk_distributions_on<G: WalkAdjacency>(
-    graph: &G,
     source: NodeId,
     params: WalkParams,
     seed: u64,
@@ -647,15 +628,5 @@ mod tests {
             let p = c as f64 / 20_000.0;
             assert!((p - 1.0 / 9.0).abs() < 0.01, "node {node}: {p}");
         }
-    }
-
-    #[test]
-    fn prob_lookup_matches_counts() {
-        let g = generators::complete(5);
-        let d = reverse_walk_distributions(&g, 2, WalkParams::new(2, 100), 3);
-        let total: f64 = (0..5).map(|v| d.prob(1, v)).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert_eq!(d.prob(0, 2), 1.0);
-        assert_eq!(d.prob(0, 3), 0.0);
     }
 }

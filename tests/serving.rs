@@ -5,7 +5,9 @@
 //! capacities.
 
 use pasco::graph::generators;
-use pasco::simrank::{CloudWalker, ExecMode, QuerySession, SimRankConfig};
+use pasco::simrank::{
+    CloudWalker, ExecMode, QueryRequest, QueryResponse, QueryService, QuerySession, SimRankConfig,
+};
 use std::sync::Arc;
 
 fn build(nodes: u32, seed: u64) -> Arc<CloudWalker> {
@@ -89,14 +91,18 @@ fn concurrent_batches_match_engine() {
     let cw = build(200, 23);
     let session = Arc::new(QuerySession::new(Arc::clone(&cw), 32));
     let sources: Vec<u32> = (0..16u32).map(|i| i * 11 % 200).collect();
-    let expect: Vec<Vec<f64>> = sources.iter().map(|&s| cw.try_single_source(s).unwrap()).collect();
+    let batch =
+        QueryRequest::Batch(sources.iter().map(|&i| QueryRequest::SingleSource { i }).collect());
+    let expect = QueryResponse::Batch(
+        sources.iter().map(|&s| QueryResponse::Scores(cw.try_single_source(s).unwrap())).collect(),
+    );
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let session = Arc::clone(&session);
-            let sources = sources.clone();
+            let batch = batch.clone();
             let expect = &expect;
             scope.spawn(move || {
-                let got = session.single_source_batch(&sources).unwrap();
+                let got = session.execute(batch).unwrap();
                 assert_eq!(&got, expect, "batch answers must be identical");
             });
         }
