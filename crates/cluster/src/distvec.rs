@@ -99,14 +99,20 @@ impl<T: Send> DistVec<T> {
         F: Fn(&T) -> usize + Sync,
     {
         assert!(dest_parts > 0, "need at least one destination partition");
-        // Map side: encode into per-destination buffers.
-        let encoded: Vec<Vec<Vec<u8>>> =
+        // Map side: size each destination's buffer, then encode into it.
+        let encoded: Vec<Vec<(usize, Vec<u8>)>> =
             cluster.run_stage(&format!("{label}/write"), self.parts, |_, part| {
-                let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); dest_parts];
-                for record in part {
-                    let d = dest(&record);
+                let mut sizes = vec![(0usize, 0usize); dest_parts];
+                for record in &part {
+                    let d = dest(record);
                     debug_assert!(d < dest_parts, "destination {d} out of range");
-                    record.encode(&mut bufs[d]);
+                    sizes[d].0 += 1;
+                    sizes[d].1 += record.encoded_len();
+                }
+                let mut bufs: Vec<(usize, Vec<u8>)> =
+                    sizes.into_iter().map(|(n, len)| (n, Vec::with_capacity(len))).collect();
+                for record in part {
+                    record.encode(&mut bufs[dest(&record)].1);
                 }
                 bufs
             });
@@ -115,7 +121,7 @@ impl<T: Send> DistVec<T> {
         let mut bytes = 0u64;
         let mut messages = 0u64;
         for src in &encoded {
-            for buf in src {
+            for (_, buf) in src {
                 if !buf.is_empty() {
                     bytes += buf.len() as u64;
                     messages += 1;
@@ -123,20 +129,20 @@ impl<T: Send> DistVec<T> {
             }
         }
 
-        // Transpose: destination d receives one buffer from each source.
-        let mut inboxes: Vec<Vec<Vec<u8>>> = (0..dest_parts).map(|_| Vec::new()).collect();
+        // Transpose: destination d receives one counted buffer per source.
+        let mut inboxes: Vec<Vec<(usize, Vec<u8>)>> = (0..dest_parts).map(|_| Vec::new()).collect();
         for src_bufs in encoded {
-            for (d, buf) in src_bufs.into_iter().enumerate() {
-                if !buf.is_empty() {
-                    inboxes[d].push(buf);
+            for (d, msg) in src_bufs.into_iter().enumerate() {
+                if !msg.1.is_empty() {
+                    inboxes[d].push(msg);
                 }
             }
         }
 
-        // Reduce side: decode.
-        let parts: Vec<Vec<T>> = cluster.run_stage(&format!("{label}/read"), inboxes, |_, bufs| {
-            let mut out = Vec::new();
-            for buf in bufs {
+        // Reduce side: decode into a partition sized from the inbox.
+        let parts: Vec<Vec<T>> = cluster.run_stage(&format!("{label}/read"), inboxes, |_, msgs| {
+            let mut out = Vec::with_capacity(msgs.iter().map(|(n, _)| n).sum());
+            for (_, buf) in msgs {
                 let mut slice = buf.as_slice();
                 while !slice.is_empty() {
                     out.push(T::decode(&mut slice));

@@ -47,7 +47,7 @@ use crate::error::SimRankError;
 use crate::queries;
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
-use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
+use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex, SweepPlan};
 use pasco_mc::walks::{CohortBlock, WalkScratch};
 use pasco_solver::jacobi::{self, JacobiConfig, JacobiResult, RowSource};
 use pasco_store::{MappedShard, MappedStore};
@@ -99,6 +99,10 @@ impl WalkAdjacency for Resident {
     #[inline]
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         CsrGraph::in_neighbors(&self.graph, v)
+    }
+
+    fn sweep_plan(&self) -> &SweepPlan {
+        WalkAdjacency::sweep_plan(&*self.graph)
     }
 }
 

@@ -512,17 +512,37 @@ pub(crate) fn pulled(sum: f64, c: f64, in_degree: usize) -> f64 {
 /// `out[j − first] = c·Σ_{k∈In(j)} z[k] / |In(j)|` for the nodes
 /// `first..first + out.len()`. The one sweep behind every engine's exact
 /// arm; the Broadcasting model runs it one node range per task.
-pub(crate) fn pull_sweep<A: WalkAdjacency>(
-    adj: &A,
-    z: &[f64],
-    c: f64,
-    first: NodeId,
-    out: &mut [f64],
-) {
-    for (j, slot) in (first..).zip(out) {
+/// Nodes go in [`pasco_graph::SweepPlan`] order, dead ones to `0.0`; each
+/// sum still starts at `0.0` and adds its in-links in in-link order, so
+/// every bit is node order's.
+pub fn pull_sweep<A: WalkAdjacency>(adj: &A, z: &[f64], c: f64, first: NodeId, out: &mut [f64]) {
+    let range = first..first + out.len() as NodeId;
+    let chain = |ins: &[NodeId], sum: f64| ins.iter().fold(sum, |sum, &k| sum + z[k as usize]);
+    let one = |out: &mut [f64], j: NodeId| {
         let ins = adj.in_neighbors(j);
-        let sum = ins.iter().fold(0.0, |sum, &k| sum + z[k as usize]);
-        *slot = pulled(sum, c, ins.len());
+        out[(j - first) as usize] = pulled(chain(ins, 0.0), c, ins.len());
+    };
+    out.fill(0.0);
+    for (singles, lanes) in adj.sweep_plan().blocks(range.clone()) {
+        singles.iter().filter(|j| range.contains(j)).for_each(|&j| one(out, j));
+        // Lanes of four from the top, so a leftover one to three are the
+        // block's smallest lane nodes, not its hubs.
+        let quads = lanes.rchunks_exact(4);
+        quads.remainder().iter().for_each(|&j| one(out, j));
+        for quad in quads {
+            let ins = [0, 1, 2, 3].map(|l| adj.in_neighbors(quad[l]));
+            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+            for (((&k0, &k1), &k2), &k3) in ins[0].iter().zip(ins[1]).zip(ins[2]).zip(ins[3]) {
+                s0 += z[k0 as usize];
+                s1 += z[k1 as usize];
+                s2 += z[k2 as usize];
+                s3 += z[k3 as usize];
+            }
+            let even = ins.iter().map(|i| i.len()).min().unwrap_or(0);
+            for ((&j, ins), sum) in quad.iter().zip(ins).zip([s0, s1, s2, s3]) {
+                out[(j - first) as usize] = pulled(chain(&ins[even..], sum), c, ins.len());
+            }
+        }
     }
 }
 
@@ -717,10 +737,11 @@ pub(crate) fn ranking_cmp(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ord
 /// first `k` by [`ranking_cmp`] and sort only those — a strict total order
 /// over distinct nodes, so the list a full sort would truncate. Candidates
 /// are cut back to the best `k` whenever `2k` (at least 64) pile up, so a
-/// dense input of `n` scores never holds more than that. In-process, worker
-/// per-partition and cluster dense top-`k` all rank through here, so the
-/// cross-mode ranking-equality guarantee depends on exactly one tie-break
-/// implementation.
+/// dense input of `n` scores never holds more than that, and after the
+/// first cut only those that rank before the `k`-th kept one are pushed.
+/// In-process, worker per-partition and cluster dense top-`k` all rank
+/// through here, so the cross-mode ranking-equality guarantee depends on
+/// exactly one tie-break implementation.
 pub(crate) fn rank_topk(
     items: impl IntoIterator<Item = (NodeId, f64)>,
     exclude: NodeId,
@@ -734,14 +755,19 @@ pub(crate) fn rank_topk(
     };
     let cut = k.saturating_mul(2).max(64);
     let mut out = Vec::new();
+    let mut bar = None; // the k-th best kept at the last cut
     let candidates = items
         .into_iter()
         .map(|(v, s)| (v, s.clamp(0.0, 1.0)))
         .filter(|&(v, s)| v != exclude && s > 0.0);
     for item in candidates {
+        if bar.is_some_and(|bar| ranking_cmp(&item, &bar).is_gt()) {
+            continue;
+        }
         out.push(item);
         if out.len() >= cut {
             keep_best(&mut out);
+            bar = out.last().copied();
         }
     }
     keep_best(&mut out);
@@ -898,6 +924,35 @@ mod tests {
             assert_eq!(rank_topk(items.iter().copied(), 5, k), want, "k = {k}");
         }
         assert!(rank_topk(items, 5, 0).is_empty());
+    }
+
+    #[test]
+    fn rank_topk_skips_only_candidates_that_cannot_place() {
+        // Many cuts, runs of tied scores across the k-th entry, NaNs, the
+        // query node among the best, and k past n — in the given order and
+        // sorted best first or worst first (all skipped after the first
+        // cut, or none).
+        let items: Vec<(NodeId, f64)> = (0..5_000u32)
+            .map(|v| match v % 29 {
+                0 => (v, f64::NAN),
+                1 => (v, 0.9),
+                r => (v, f64::from((v * 7_919) % 97) / 96.0 * f64::from(r % 3)),
+            })
+            .collect();
+        let exclude = 30;
+        let mut full: Vec<(NodeId, f64)> =
+            items.iter().map(|&(v, s)| (v, s.clamp(0.0, 1.0))).collect();
+        full.retain(|&(v, s)| v != exclude && s > 0.0);
+        full.sort_unstable_by(ranking_cmp);
+        let mut best_first = items.clone();
+        best_first.sort_by(|a, b| b.1.total_cmp(&a.1));
+        let worst_first: Vec<_> = best_first.iter().rev().copied().collect();
+        for input in [items, best_first, worst_first] {
+            for k in [1, 3, 20, 64, 65, 171, 1_000, full.len(), full.len() + 1, 10_000] {
+                let want = &full[..k.min(full.len())];
+                assert_eq!(rank_topk(input.iter().copied(), exclude, k), want, "k = {k}");
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! the adjacency source differs.
 
 use crate::csr::{CsrGraph, InLinks, NodeId};
+use crate::plan::SweepPlan;
 use crate::sampling::ReverseChainIndex;
 
 /// In-link adjacency for the SimRank reverse walk.
@@ -22,6 +23,10 @@ pub trait WalkAdjacency: Sync {
 
     /// In-neighbours of `v`, sorted by node id.
     fn in_neighbors(&self, v: NodeId) -> &[NodeId];
+
+    /// The order a pull sweep visits the nodes in: built on the first
+    /// sweep and cached for the storage's life.
+    fn sweep_plan(&self) -> &SweepPlan;
 }
 
 impl WalkAdjacency for CsrGraph {
@@ -38,6 +43,10 @@ impl WalkAdjacency for CsrGraph {
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         CsrGraph::in_neighbors(self, v)
     }
+
+    fn sweep_plan(&self) -> &SweepPlan {
+        self.plan.get_or_build(self)
+    }
 }
 
 /// A borrowed adjacency walks like the owned one, so a kernel that takes
@@ -53,6 +62,10 @@ impl<T: WalkAdjacency + ?Sized> WalkAdjacency for &T {
 
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         T::in_neighbors(self, v)
+    }
+
+    fn sweep_plan(&self) -> &SweepPlan {
+        T::sweep_plan(self)
     }
 }
 
@@ -71,6 +84,10 @@ impl WalkAdjacency for InLinks {
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         let (lo, hi) = (self.offsets[v as usize], self.offsets[v as usize + 1]);
         &self.sources[lo as usize..hi as usize]
+    }
+
+    fn sweep_plan(&self) -> &SweepPlan {
+        self.plan.get_or_build(self)
     }
 }
 
@@ -113,6 +130,10 @@ impl WalkAdjacency for GraphSampler<'_> {
     #[inline]
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         self.graph.in_neighbors(v)
+    }
+
+    fn sweep_plan(&self) -> &SweepPlan {
+        WalkAdjacency::sweep_plan(self.graph)
     }
 }
 

@@ -1,5 +1,7 @@
 //! Compressed-sparse-row graph storage with both edge directions.
 
+use crate::plan::SweepPlanCell;
+
 /// Node identifier. `u32` comfortably covers the simulated datasets and
 /// matches the paper's billion-node ceiling.
 pub type NodeId = u32;
@@ -21,6 +23,7 @@ pub struct CsrGraph {
     out_targets: Vec<NodeId>,
     in_offsets: Vec<u64>,
     in_sources: Vec<NodeId>,
+    pub(crate) plan: SweepPlanCell,
 }
 
 impl CsrGraph {
@@ -48,7 +51,7 @@ impl CsrGraph {
         debug_assert!(in_offsets.windows(2).all(|w| w[0] <= w[1]));
         debug_assert!(out_targets.iter().all(|&v| v < n));
         debug_assert!(in_sources.iter().all(|&v| v < n));
-        Self { n, out_offsets, out_targets, in_offsets, in_sources }
+        Self { n, out_offsets, out_targets, in_offsets, in_sources, plan: SweepPlanCell::default() }
     }
 
     /// Builds a graph directly from a directed edge list `(u, v)` meaning
@@ -146,9 +149,9 @@ impl CsrGraph {
         &self.in_sources
     }
 
-    /// Keeps the in-link half and frees the out side.
+    /// Keeps the in-link half and its sweep plan, and frees the out side.
     pub fn into_in_links(self) -> InLinks {
-        InLinks { n: self.n, offsets: self.in_offsets, sources: self.in_sources }
+        InLinks { n: self.n, offsets: self.in_offsets, sources: self.in_sources, plan: self.plan }
     }
 }
 
@@ -159,6 +162,7 @@ pub struct InLinks {
     pub(crate) n: u32,
     pub(crate) offsets: Vec<u64>,
     pub(crate) sources: Vec<NodeId>,
+    pub(crate) plan: SweepPlanCell,
 }
 
 #[cfg(test)]

@@ -120,7 +120,7 @@ pub fn read_binary(path: impl AsRef<Path>) -> Result<CsrGraph, GraphError> {
 /// out side, whose ids stream past to be checked: the same files pass.
 pub fn read_in_links(path: impl AsRef<Path>) -> Result<InLinks, GraphError> {
     let (n, [_, (offsets, sources)]) = read_sides(path, false)?;
-    Ok(InLinks { n, offsets, sources })
+    Ok(InLinks { n, offsets, sources, plan: Default::default() })
 }
 
 /// Values decoded per read.

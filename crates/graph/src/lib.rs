@@ -21,6 +21,7 @@
 //!   sums of `1/|In(j)|` over its out-edges `k→j`, so the mass-carrying
 //!   forward walk of MCSS can sample an out-neighbour `j ∝ 1/|In(j)|` with a
 //!   binary search — the `log d` factor in the paper's `O(T²R' log d)` bound.
+//! * [`plan::SweepPlan`] orders the pull sweep by in-degree inside blocks.
 //! * [`io`] reads/writes SNAP-style edge lists and a compact binary format.
 //! * [`partition`] and [`stats`] support the distributed runtime and the
 //!   dataset tables.
@@ -33,6 +34,7 @@ pub mod error;
 pub mod generators;
 pub mod io;
 pub mod partition;
+pub mod plan;
 pub mod sampling;
 pub mod stats;
 
@@ -40,4 +42,5 @@ pub use adjacency::{ForwardSampler, GraphSampler, WalkAdjacency};
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, InLinks, NodeId};
 pub use error::GraphError;
+pub use plan::SweepPlan;
 pub use sampling::ReverseChainIndex;

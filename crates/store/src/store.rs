@@ -23,6 +23,7 @@ use crate::writer::{partition_image, shard_file_name};
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
 use pasco_graph::csr::{CsrGraph, NodeId};
 use pasco_graph::partition::{Partitioner, RangeRouter};
+use pasco_graph::plan::{SweepPlan, SweepPlanCell};
 use std::path::{Path, PathBuf};
 
 /// Every shard of a store, mapped and routed.
@@ -31,6 +32,7 @@ pub struct MappedStore {
     router: RangeRouter,
     n: u32,
     dir: PathBuf,
+    plan: SweepPlanCell,
 }
 
 impl MappedStore {
@@ -122,7 +124,7 @@ impl MappedStore {
                 )));
             }
         }
-        Ok(MappedStore { shards, router, n, dir: PathBuf::new() })
+        Ok(MappedStore { shards, router, n, dir: PathBuf::new(), plan: SweepPlanCell::default() })
     }
 
     /// `graph` range-partitioned by `partitioner` into graph-only images
@@ -201,6 +203,11 @@ impl MappedStore {
         self.shards.iter().map(|s| s.header().out_edges).sum()
     }
 
+    /// True once a sweep has built this store's [`SweepPlan`].
+    pub fn sweep_planned(&self) -> bool {
+        self.plan.get().is_some()
+    }
+
     /// Verifies every shard's payload checksum — `O(total file bytes)`.
     pub fn verify(&self) -> Result<(), StoreError> {
         self.shards.iter().try_for_each(MappedShard::verify)
@@ -231,6 +238,10 @@ impl WalkAdjacency for MappedStore {
     #[inline]
     fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
         self.shard_of(v).in_neighbors(v)
+    }
+
+    fn sweep_plan(&self) -> &SweepPlan {
+        self.plan.get_or_build(self)
     }
 }
 

@@ -15,11 +15,15 @@
 //! cohort) to `ai_row` over the step histograms, row by row. The block
 //! writer itself (`reverse_walk_block_on`, on its per-thread scratch) is
 //! held to the oracle at the edges — a hub, a dead source, a cohort below
-//! the radix threshold, `T = 0` — and across reuse of its scratch.
+//! the radix threshold, `T = 0` — and across reuse of its scratch. The
+//! exact arm's one sweep (`pull_sweep`, in its plan's order) is held to
+//! node order bit for bit at the plan's edges: no live node, fewer nodes
+//! than a lane, lane remainders, a hub, ranges and shard boundaries that
+//! cut a block; and its plan is built by the first sweep, once.
 
 use pasco::graph::partition::Partitioner;
 use pasco::graph::{generators, CsrGraph, ForwardSampler, GraphSampler, NodeId};
-use pasco::graph::{ReverseChainIndex, WalkAdjacency};
+use pasco::graph::{ReverseChainIndex, SweepPlan, WalkAdjacency};
 use pasco::mc::counts::MassMap;
 use pasco::mc::forward::forward_walk_on;
 use pasco::mc::rng;
@@ -28,6 +32,7 @@ use pasco::mc::walks::{
     CohortBlock, StepDistributions, WalkParams, WalkScratch,
 };
 use pasco::simrank::ai::{ai_row, RowKernel, StoredRows};
+use pasco::simrank::engine::kernel::build_diagonal_on;
 use pasco::simrank::{queries, CloudWalker, DiagonalIndex, SimRankConfig};
 use pasco_store::{write_store, MappedStore};
 use std::collections::BTreeMap;
@@ -394,4 +399,134 @@ fn a_reused_scratch_leaks_nothing_between_cohorts() {
         let fresh = WalkScratch::default().block_on(&g, source, 0..r, 10, SEED);
         assert_eq!(reverse_walk_block_on(&g, source, 0..r, 10, SEED), fresh, "source {source}");
     }
+}
+
+/// The pull sweep's oracle: node order over `range`, one chain per node.
+fn natural_sweep<A: WalkAdjacency>(adj: &A, z: &[f64], c: f64, range: Range<NodeId>) -> Vec<u64> {
+    bits(range.map(|j| {
+        let ins = adj.in_neighbors(j);
+        let sum = ins.iter().fold(0.0, |sum, &k| sum + z[k as usize]);
+        if ins.is_empty() {
+            0.0
+        } else {
+            c * sum / ins.len() as f64
+        }
+    }))
+}
+
+/// `queries::pull_sweep` over `range`, into a buffer of NaNs so a node it
+/// skips shows.
+fn planned_sweep<A: WalkAdjacency>(adj: &A, z: &[f64], c: f64, range: Range<NodeId>) -> Vec<u64> {
+    let mut out = vec![f64::NAN; range.len()];
+    queries::pull_sweep(adj, z, c, range.start, &mut out);
+    bits(out)
+}
+
+/// An iterate with no two entries alike, so a summand out of order shows
+/// in the last bits.
+fn iterate(n: u32) -> Vec<f64> {
+    (0..n).map(|k| 1.0 / (3.0 + f64::from(k)) + f64::from(k % 5) * 1e-3).collect()
+}
+
+/// A 6 148-node graph: block `b < 4` holds `[1, 2, 3, 5][b]` nodes past
+/// the lane threshold (in-degrees 9, 14, 19, …), a run of single-chain
+/// nodes of in-degree 1 to 8 and self-loops; the last block is cut short
+/// and carries the one hub, ≈ 6 000 in-links wide.
+fn lane_edges() -> (u32, Vec<(NodeId, NodeId)>) {
+    let n = 6 * SweepPlan::BLOCK + 4;
+    let block = |b: u32| b * SweepPlan::BLOCK;
+    let mut edges = Vec::new();
+    let from = |to: NodeId, degree: u32, edges: &mut Vec<(NodeId, NodeId)>| {
+        edges.extend((0..degree).map(|i| ((to * 31 + i * 97 + 5) % n, to)));
+    };
+    for (b, lanes) in [1u32, 2, 3, 5].into_iter().enumerate() {
+        let lo = block(b as u32);
+        for i in 0..lanes {
+            from(lo + 7 * i + 3, 9 + 5 * i, &mut edges);
+        }
+        for i in 0..40 {
+            from(lo + 100 + 3 * i, 1 + i % 8, &mut edges);
+        }
+        edges.extend([(lo + 2, lo + 2), (lo + 500, lo + 500), (lo + 1, lo + 500)]);
+    }
+    let hub = block(6) + 1;
+    edges.extend((0..n).filter(|v| v % 40 != 0).map(|v| (v, hub)));
+    from(block(6) + 3, 9, &mut edges);
+    (n, edges)
+}
+
+#[test]
+fn the_planned_pull_sweep_is_node_order_bit_for_bit() {
+    let (n, edges) = lane_edges();
+    let lanes = CsrGraph::from_edges(n, &edges);
+    assert!((5_900..6_100).contains(&lanes.in_degree(6 * SweepPlan::BLOCK + 1)), "one hub");
+    let lane_counts: Vec<usize> =
+        lanes.sweep_plan().blocks(0..lanes.node_count()).map(|(_, lanes)| lanes.len()).collect();
+    assert_eq!(lane_counts, [1, 2, 3, 5, 0, 0, 2]);
+    let rmat = generators::rmat(12, 30_000, generators::RmatParams::default(), 3);
+    let cases = [
+        ("all dead", CsrGraph::from_edges(3_000, &[])),
+        ("one node, a self-loop", CsrGraph::from_edges(1, &[(0, 0)])),
+        ("two nodes", CsrGraph::from_edges(2, &[(0, 1), (1, 1)])),
+        ("three nodes", generators::complete(3)),
+        ("lanes of 1, 2, 3 and 5, a hub", lanes),
+        ("rmat12", rmat),
+        ("n off the block", generators::erdos_renyi(2_348, 20_000, 9)),
+    ];
+    for (name, g) in &cases {
+        let n = g.node_count();
+        let z = iterate(n);
+        let want = natural_sweep(g, &z, 0.6, 0..n);
+        assert_eq!(planned_sweep(g, &z, 0.6, 0..n), want, "{name}");
+        // Broadcast-style ranges: a tiling whose cuts fall inside blocks,
+        // and single ranges that start, end or sit inside one.
+        for parts in [2, 7, 320] {
+            let p = Partitioner::range(n, parts);
+            let tiled: Vec<u64> = (0..parts)
+                .filter_map(|q| p.range_of(q))
+                .flat_map(|(lo, hi)| planned_sweep(g, &z, 0.6, lo..hi))
+                .collect();
+            assert_eq!(tiled, want, "{name}: {parts} ranges");
+        }
+        let edge = SweepPlan::BLOCK.min(n);
+        for range in [1..n, 0..n - 1, edge - 1..n, n / 3..n / 2, n / 2..n / 2, n - 1..n] {
+            let (lo, hi) = (range.start as usize, range.end as usize);
+            assert_eq!(planned_sweep(g, &z, 0.6, range.clone()), want[lo..hi], "{name}: {range:?}");
+        }
+    }
+}
+
+#[test]
+fn a_shard_boundary_inside_a_block_changes_no_bit() {
+    // 3 000 nodes in 3 parts: shards of 1 000 cut the first two blocks.
+    let g = generators::erdos_renyi(3_000, 40_000, 21);
+    let store = MappedStore::of_graph(&g, &Partitioner::range(3_000, 3)).unwrap();
+    assert_eq!(store.shards()[1].start(), 1_000);
+    let z = iterate(3_000);
+    let want = natural_sweep(&g, &z, 0.8, 0..3_000);
+    assert_eq!(planned_sweep(&store, &z, 0.8, 0..3_000), want);
+    assert_eq!(planned_sweep(&store, &z, 0.8, 990..2_010), want[990..2_010]);
+}
+
+#[test]
+fn the_sweep_plan_is_built_by_the_first_sweep_and_only_once() {
+    let g = generators::rmat(10, 8_000, generators::RmatParams::default(), 4);
+    let n = g.node_count();
+    let dir = std::env::temp_dir().join("pasco_frontier_lazy_plan");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    write_store(&dir, &g, &vec![0.5; n as usize], 2).unwrap();
+    let store = MappedStore::open(&dir).unwrap();
+    assert!(!store.sweep_planned(), "open builds no plan");
+    let cfg = SimRankConfig { r: 8, ..SimRankConfig::fast() };
+    build_diagonal_on(&store, &cfg).unwrap();
+    assert!(!store.sweep_planned(), "a build does not sweep");
+    let z = iterate(n);
+    let first = planned_sweep(&store, &z, 0.6, 0..n);
+    assert!(store.sweep_planned());
+    let plan: *const SweepPlan = store.sweep_plan();
+    assert_eq!(planned_sweep(&store, &z, 0.6, 0..n), first);
+    assert!(std::ptr::eq(plan, store.sweep_plan()), "the second sweep reuses the plan");
+    let planned: usize = store.sweep_plan().blocks(0..n).map(|(s, l)| s.len() + l.len()).sum();
+    assert_eq!(planned, (0..n).filter(|&v| g.in_degree(v) > 0).count(), "every live node");
 }

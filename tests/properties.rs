@@ -210,3 +210,42 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The planned pull sweep is the node-order sweep bit for bit, over
+    /// any node range, on random graphs of up to three blocks with one
+    /// node of up to 2 500 in-links.
+    #[test]
+    fn planned_sweeps_are_node_order_sweeps(
+        n in 1u32..3_200,
+        edges in prop::collection::vec((any::<u32>(), any::<u32>()), 0..6_000),
+        hub in (any::<u32>(), 0u32..2_500),
+        cut in (any::<u32>(), any::<u32>()),
+    ) {
+        use pasco::simrank::queries::pull_sweep;
+        let mut b = GraphBuilder::new();
+        b.ensure_nodes(n);
+        for &(u, v) in &edges {
+            b.add_edge(u % n, v % n);
+        }
+        for u in 0..hub.1.min(n) {
+            b.add_edge(u, hub.0 % n);
+        }
+        let g = b.build();
+        let z: Vec<f64> = (0..n).map(|k| 1.0 / (1.0 + f64::from(k)) + f64::from(k % 3) * 0.1).collect();
+        let (lo, hi) = ((cut.0 % (n + 1)).min(cut.1 % (n + 1)), (cut.0 % (n + 1)).max(cut.1 % (n + 1)));
+        let want: Vec<u64> = (lo..hi)
+            .map(|j| {
+                let ins = g.in_neighbors(j);
+                let sum = ins.iter().fold(0.0, |sum, &k| sum + z[k as usize]);
+                if ins.is_empty() { 0.0 } else { 0.7 * sum / ins.len() as f64 }
+            })
+            .map(f64::to_bits)
+            .collect();
+        let mut out = vec![f64::NAN; (hi - lo) as usize];
+        pull_sweep(&g, &z, 0.7, lo, &mut out);
+        prop_assert_eq!(out.into_iter().map(f64::to_bits).collect::<Vec<_>>(), want);
+    }
+}
