@@ -52,8 +52,9 @@
 //! connection, while a version bump remains reserved for changes that
 //! alter the meaning of existing frames.
 
-use super::wire::{WireCodec, WireError};
+use super::wire::{cohort_wire_len, encode_cohort_response, WireCodec, WireError};
 use super::{QueryError, QueryRequest, QueryResponse};
+use crate::queries::CohortLayout;
 use bytes::{Buf, BufMut};
 use std::fmt;
 
@@ -438,6 +439,57 @@ impl Envelope {
     pub fn decode_server_info(&self) -> Result<ServerInfo, FrameError> {
         Ok(ServerInfo::from_bytes(&self.payload)?)
     }
+}
+
+/// Writes one whole frame into `frame`, cleared first: the header, then
+/// the `len` payload bytes `payload` appends in place. A payload past
+/// `u32::MAX` bytes announces `u32::MAX`, past every frame limit.
+fn write_frame_with(
+    frame: &mut Vec<u8>,
+    kind: FrameKind,
+    id: u64,
+    len: usize,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    frame.clear();
+    // Exact: a reused buffer grows to the largest frame it held, no more.
+    frame.reserve_exact(HEADER_LEN + len);
+    let payload_len = u32::try_from(len).unwrap_or(u32::MAX);
+    EnvelopeHeader { kind, request_id: id, payload_len }.encode(frame);
+    payload(frame);
+    debug_assert_eq!(frame.len(), HEADER_LEN + len);
+}
+
+/// Frames `payload` under `kind` and request id `id` into `frame`, cleared
+/// first: the bytes of `Envelope { kind, request_id: id, payload:
+/// payload.to_bytes() }.to_bytes()`, the payload encoded in place rather
+/// than into a buffer of its own and copied.
+pub fn frame_into(frame: &mut Vec<u8>, kind: FrameKind, id: u64, payload: &impl WireCodec) {
+    write_frame_with(frame, kind, id, payload.encoded_len(), |buf| payload.encode(buf));
+}
+
+/// The frame of one answer: [`Envelope::response`]'s bytes, or
+/// [`Envelope::error`]'s for a typed failure, into `frame`.
+pub(crate) fn frame_answer(
+    frame: &mut Vec<u8>,
+    id: u64,
+    answer: &Result<QueryResponse, QueryError>,
+) {
+    match answer {
+        Ok(resp) => frame_into(frame, FrameKind::Response, id, resp),
+        Err(err) => frame_into(frame, FrameKind::Error, id, err),
+    }
+}
+
+/// A `Cohort` answer's frame straight from a cohort in either layout —
+/// a cached [`pasco_mc::walks::CohortBlock`] included — into `frame`: the
+/// bytes of [`Envelope::response`] over [`QueryResponse::Cohort`] holding
+/// its nested form, which is never built.
+pub fn frame_cohort<C: CohortLayout + ?Sized>(frame: &mut Vec<u8>, id: u64, cohort: &C) {
+    let len = 1 + cohort_wire_len(cohort);
+    write_frame_with(frame, FrameKind::Response, id, len, |buf| {
+        encode_cohort_response(cohort, buf)
+    });
 }
 
 /// What a server tells a client in its [`FrameKind::HelloAck`]: enough to

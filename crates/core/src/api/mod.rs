@@ -318,6 +318,20 @@ pub trait QueryService: Send + Sync {
     fn response_bound(&self, _req: &QueryRequest) -> Option<u64> {
         None
     }
+
+    /// Answers `req` as one whole frame under request id `id`, written into
+    /// `frame` (cleared first): the bytes of [`Envelope::response`] over the
+    /// answer [`QueryService::execute`] gives, or of [`Envelope::error`]
+    /// over its typed failure. A front door frames every answer here into a
+    /// buffer it reuses; a service may encode an answer straight from what
+    /// it holds instead of building the [`QueryResponse`] first (the
+    /// session frames a cached cohort from its block).
+    ///
+    /// [`Envelope::response`]: envelope::Envelope::response
+    /// [`Envelope::error`]: envelope::Envelope::error
+    fn frame(&self, id: u64, req: QueryRequest, frame: &mut Vec<u8>) {
+        envelope::frame_answer(frame, id, &self.execute(req));
+    }
 }
 
 /// Shared batch tail of both service implementations: `req` is already
@@ -404,6 +418,19 @@ impl QueryService for QuerySession {
 
     fn response_bound(&self, req: &QueryRequest) -> Option<u64> {
         self.walker().response_bound(req)
+    }
+
+    /// A `Cohort` answer is framed straight from the cached block, with no
+    /// nested copy built; every other request as [`QueryService::execute`]
+    /// answers it. The same bytes either way.
+    fn frame(&self, id: u64, req: QueryRequest, frame: &mut Vec<u8>) {
+        let QueryRequest::Cohort { v } = req else {
+            return envelope::frame_answer(frame, id, &self.execute(req));
+        };
+        match self.try_cohort_block(v) {
+            Ok(block) => envelope::frame_cohort(frame, id, &*block),
+            Err(err) => envelope::frame_into(frame, envelope::FrameKind::Error, id, &err),
+        }
     }
 }
 

@@ -194,12 +194,14 @@ impl FrameDecoder {
 
 /// A resumable outbound frame queue for nonblocking streams.
 ///
-/// Frames are encoded once on [`WriteQueue::push`] and drained by
-/// [`WriteQueue::write_to`], which writes as much as the sink accepts and
-/// parks the rest — a short or would-block write resumes at the exact
-/// byte on the next writability event. Frames leave in push order, so a
-/// server that pushes responses as they complete gets completion-order
-/// delivery for free.
+/// Frames are encoded once — on [`WriteQueue::push`], or by the caller
+/// into a buffer it hands over whole ([`WriteQueue::push_frame`]) — and
+/// drained by [`WriteQueue::write_to`], which writes as much as the sink
+/// accepts and parks the rest: a short or would-block write resumes at the
+/// exact byte on the next writability event. Frames leave in push order,
+/// so a server that pushes responses as they complete gets
+/// completion-order delivery for free. [`WriteQueue::write_to`] hands each
+/// written frame's buffer back, for reuse.
 #[derive(Debug, Default)]
 pub struct WriteQueue {
     bufs: VecDeque<Vec<u8>>,
@@ -216,9 +218,14 @@ impl WriteQueue {
 
     /// Encodes `env` and queues it behind everything already pending.
     pub fn push(&mut self, env: &Envelope) {
-        let bytes = env.to_bytes();
-        self.pending += bytes.len();
-        self.bufs.push_back(bytes);
+        self.push_frame(env.to_bytes());
+    }
+
+    /// Queues one whole encoded frame, header included, behind everything
+    /// already pending.
+    pub fn push_frame(&mut self, frame: Vec<u8>) {
+        self.pending += frame.len();
+        self.bufs.push_back(frame);
     }
 
     /// Whether everything pushed has been fully written.
@@ -231,11 +238,17 @@ impl WriteQueue {
         self.pending
     }
 
-    /// Writes until drained or the sink stops accepting. Returns
-    /// `Ok(true)` when the queue emptied, `Ok(false)` on would-block
-    /// (progress is saved), and an error only on a real sink fault — a
-    /// sink returning `Ok(0)` counts as one ([`io::ErrorKind::WriteZero`]).
-    pub fn write_to(&mut self, w: &mut impl Write) -> io::Result<bool> {
+    /// Writes until drained or the sink stops accepting, handing each
+    /// frame's buffer to `spent` as soon as its last byte is written.
+    /// Returns `Ok(true)` when the queue emptied, `Ok(false)` on
+    /// would-block (progress is saved), and an error only on a real sink
+    /// fault — a sink returning `Ok(0)` counts as one
+    /// ([`io::ErrorKind::WriteZero`]).
+    pub fn write_to(
+        &mut self,
+        w: &mut impl Write,
+        mut spent: impl FnMut(Vec<u8>),
+    ) -> io::Result<bool> {
         while let Some(front) = self.bufs.front() {
             match w.write(&front[self.front_pos..]) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -243,7 +256,7 @@ impl WriteQueue {
                     self.front_pos += n;
                     self.pending -= n;
                     if self.front_pos == front.len() {
-                        self.bufs.pop_front();
+                        self.bufs.pop_front().into_iter().for_each(&mut spent);
                         self.front_pos = 0;
                     }
                 }
@@ -376,7 +389,7 @@ mod tests {
         assert_eq!(q.pending_bytes(), expect.len());
         let mut sink = Choppy { out: Vec::new(), cap: 5, block_next: false };
         let mut rounds = 0;
-        while !q.write_to(&mut sink).unwrap() {
+        while !q.write_to(&mut sink, drop).unwrap() {
             rounds += 1;
             assert!(rounds < 10_000, "must make progress");
         }
@@ -386,7 +399,7 @@ mod tests {
         // Drained queue stays reusable.
         q.push(&Envelope::goodbye());
         let mut sink = Choppy { out: Vec::new(), cap: 1024, block_next: false };
-        while !q.write_to(&mut sink).unwrap() {}
+        while !q.write_to(&mut sink, drop).unwrap() {}
         assert_eq!(sink.out, Envelope::goodbye().to_bytes());
     }
 
@@ -403,6 +416,6 @@ mod tests {
         }
         let mut q = WriteQueue::new();
         q.push(&Envelope::hello());
-        assert_eq!(q.write_to(&mut Dead).unwrap_err().kind(), io::ErrorKind::WriteZero);
+        assert_eq!(q.write_to(&mut Dead, drop).unwrap_err().kind(), io::ErrorKind::WriteZero);
     }
 }

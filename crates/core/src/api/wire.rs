@@ -242,8 +242,32 @@ pub(super) fn decode_ranked(
     (0..len).map(|_| Ok((read_u32(buf, decoding)?, read_f64(buf, decoding)?))).collect()
 }
 
-/// Histogram entries [`StepDistributions::encode`] packs per `put_slice`.
+/// Histogram entries [`encode_cohort`] packs per `put_slice`.
 const ENTRY_BLOCK: usize = 256;
+
+/// A cohort in either layout, encoded as a [`StepDistributions`]: source,
+/// walkers and step count, then each step's length and its 12-byte
+/// `(id, count)` records, [`ENTRY_BLOCK`] of them per `put_slice`. The one
+/// spelling of the record: a cached [`pasco_mc::walks::CohortBlock`] is
+/// encoded from here as is, with no nested copy built first.
+pub(crate) fn encode_cohort<C: CohortLayout + ?Sized>(cohort: &C, buf: &mut impl BufMut) {
+    buf.put_u32_le(cohort.source());
+    buf.put_u32_le(cohort.walkers());
+    buf.put_u32_le(cohort.histograms().count() as u32);
+    let mut block = [[0u8; 12]; ENTRY_BLOCK];
+    for step in cohort.histograms() {
+        let len = step.entries();
+        buf.put_u32_le(len as u32);
+        for first in (0..len).step_by(ENTRY_BLOCK) {
+            let records = &mut block[..ENTRY_BLOCK.min(len - first)];
+            for (record, e) in records.iter_mut().zip(first..) {
+                record[..4].copy_from_slice(&step.node(e).to_le_bytes());
+                record[4..].copy_from_slice(&step.count(e).to_le_bytes());
+            }
+            buf.put_slice(records.as_flattened());
+        }
+    }
+}
 
 /// One histogram: a `u32` length, then 12-byte `(id, count)` records,
 /// parsed in one pass once `read_len` has proven them present. Every
@@ -264,20 +288,7 @@ fn decode_step(buf: &mut impl Buf, what: &'static str) -> Result<Vec<(u32, u64)>
 
 impl WireCodec for StepDistributions {
     fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32_le(self.source);
-        buf.put_u32_le(self.walkers);
-        buf.put_u32_le(self.counts.len() as u32);
-        let mut block = [[0u8; 12]; ENTRY_BLOCK];
-        for step in &self.counts {
-            buf.put_u32_le(step.len() as u32);
-            for entries in step.chunks(ENTRY_BLOCK) {
-                for (record, &(v, c)) in block.iter_mut().zip(entries) {
-                    record[..4].copy_from_slice(&v.to_le_bytes());
-                    record[4..].copy_from_slice(&c.to_le_bytes());
-                }
-                buf.put_slice(block[..entries.len()].as_flattened());
-            }
-        }
+        encode_cohort(self, buf);
     }
 
     fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
@@ -301,6 +312,14 @@ impl WireCodec for StepDistributions {
 /// The bytes a cohort in either layout encodes to as a [`StepDistributions`].
 pub(crate) fn cohort_wire_len<C: CohortLayout + ?Sized>(cohort: &C) -> usize {
     12 + cohort.histograms().map(|step| 4 + 12 * step.entries()).sum::<usize>()
+}
+
+/// A `Cohort` answer's payload from a cohort in either layout: the bytes
+/// of [`QueryResponse::Cohort`] holding its nested form, `1 +`
+/// [`cohort_wire_len`] of them.
+pub(crate) fn encode_cohort_response<C: CohortLayout + ?Sized>(cohort: &C, buf: &mut impl BufMut) {
+    buf.put_u8(RESP_COHORT);
+    encode_cohort(cohort, buf);
 }
 
 // ---- requests ----------------------------------------------------------
@@ -458,10 +477,7 @@ impl WireCodec for QueryResponse {
                     encode_scores(row, buf);
                 }
             }
-            QueryResponse::Cohort(dists) => {
-                buf.put_u8(RESP_COHORT);
-                dists.encode(buf);
-            }
+            QueryResponse::Cohort(dists) => encode_cohort_response(dists, buf),
             QueryResponse::Batch(items) => {
                 buf.put_u8(RESP_BATCH);
                 buf.put_u32_le(items.len() as u32);

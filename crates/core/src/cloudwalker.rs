@@ -5,14 +5,14 @@ use crate::config::SimRankConfig;
 use crate::diag::DiagonalIndex;
 use crate::engine::broadcast::BroadcastEngine;
 use crate::engine::distributed::DistributedEngine;
-use crate::engine::kernel::{check_build, KernelEngine, Resident};
+use crate::engine::kernel::{check_build, walks_unsupported, KernelEngine, Resident};
 use crate::engine::rdd::RddEngine;
 use crate::engine::{ExecMode, SimRankEngine};
 use crate::error::SimRankError;
 use crate::queries;
 use pasco_cluster::ClusterReport;
 use pasco_graph::partition::Partitioner;
-use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex};
+use pasco_graph::{CsrGraph, InLinks, NodeId, ReverseChainIndex, WalkAdjacency};
 use pasco_mc::walks::{CohortBlock, StepDistributions};
 use pasco_store::MappedStore;
 use rayon::prelude::*;
@@ -58,13 +58,16 @@ pub struct CloudWalker {
 
 /// What the walker holds for adjacency: the resident CSR graph plus its
 /// reverse-chain sampling index (the very [`Resident`] value a local
-/// engine runs on) or a zero-copy mapped `PASCOSH1` shard store with no
-/// resident adjacency at all. Query paths never match on this — they go
-/// through the engine — only the backing-specific surfaces (`graph()`,
-/// the exact-push query, `save_store`) do.
+/// engine runs on), the in-links alone, or a zero-copy mapped `PASCOSH1`
+/// shard store with no resident adjacency at all. Query paths never match
+/// on this — they go through the engine — only the backing-specific
+/// surfaces (`graph()`, the exact-push query, `save_store`) do.
 enum GraphBacking {
     /// The graph lives in memory; every [`ExecMode`] engine is available.
     Resident(Arc<Resident>),
+    /// Only the in-links live in memory, and the config never takes the
+    /// forward walks ([`CloudWalker::from_in_links`]).
+    InLinks(Arc<InLinks>),
     /// Adjacency stays on disk behind the kernel page cache; walks read
     /// the mapped shards directly ([`CloudWalker::open_store`]).
     Mapped(Arc<MappedStore>),
@@ -74,6 +77,7 @@ impl GraphBacking {
     fn node_count(&self) -> u32 {
         match self {
             GraphBacking::Resident(resident) => resident.graph.node_count(),
+            GraphBacking::InLinks(links) => links.node_count(),
             GraphBacking::Mapped(store) => store.node_count(),
         }
     }
@@ -160,7 +164,8 @@ impl CloudWalker {
     ///
     /// Only a resident walker can save a store; a mapped walker *is* the
     /// store directory already, so asking it to save reports
-    /// [`SimRankError::InvalidConfig`] pointing at the existing directory.
+    /// [`SimRankError::InvalidConfig`] pointing at the existing directory,
+    /// and a walker over the in-links alone has no out-links to write.
     pub fn save_store(&self, dir: impl AsRef<Path>, parts: u32) -> Result<(), SimRankError> {
         if parts == 0 {
             return Err(SimRankError::InvalidConfig("store needs at least one shard".into()));
@@ -170,6 +175,9 @@ impl CloudWalker {
                 pasco_store::write_store(dir, &resident.graph, self.diag.as_slice(), parts)?;
                 Ok(())
             }
+            GraphBacking::InLinks(_) => Err(SimRankError::InvalidConfig(
+                "a store holds both link sides; this walker holds the in-links alone".into(),
+            )),
             GraphBacking::Mapped(store) => Err(SimRankError::InvalidConfig(format!(
                 "walker is already backed by the store at {}; copy that directory instead",
                 store.dir().display()
@@ -198,16 +206,38 @@ impl CloudWalker {
         mode: ExecMode,
     ) -> Result<Self, SimRankError> {
         cfg.validate()?;
-        if diag.len() != graph.node_count() as usize {
-            return Err(SimRankError::BadIndex(format!(
-                "index covers {} nodes but the graph has {}",
-                diag.len(),
-                graph.node_count()
-            )));
-        }
+        check_index_len(&diag, graph.node_count())?;
         let resident = Arc::new(Resident::new(graph));
         let engine = make_engine(mode, &resident)?;
         Ok(Self { backing: GraphBacking::Resident(resident), cfg, diag, engine })
+    }
+
+    /// [`CloudWalker::from_index`] over the in-links alone: no out-links and
+    /// no reverse-chain sampling index are held, because below
+    /// [`queries::sweeps_pay`]'s point every query reads the in-links only
+    /// (the cohorts walk them, the forward stage sweeps them). Answers are
+    /// bitwise those of a [`CloudWalker::from_index`] walker on the same
+    /// graph, diagonal and config. Read the in-links with
+    /// [`pasco_graph::io::read_in_links`] (or [`CsrGraph::into_in_links`]).
+    ///
+    /// # Errors
+    /// [`SimRankError::Query`] holding [`QueryError::Unsupported`] when
+    /// `cfg` takes the forward walks on this graph (past the rule's point),
+    /// which need the out-links; and what [`CloudWalker::from_index`]
+    /// refuses.
+    pub fn from_in_links(
+        links: InLinks,
+        cfg: SimRankConfig,
+        diag: DiagonalIndex,
+    ) -> Result<Self, SimRankError> {
+        cfg.validate()?;
+        check_index_len(&diag, links.node_count())?;
+        if !queries::sweeps_on(&links, &cfg) {
+            return Err(walks_unsupported().into());
+        }
+        let links = Arc::new(links);
+        let engine: Box<dyn SimRankEngine> = Box::new(KernelEngine::new(Arc::clone(&links)));
+        Ok(Self { backing: GraphBacking::InLinks(links), cfg, diag, engine })
     }
 
     /// MCSP — similarity of one node pair, `O(T·R′)`. Estimates are
@@ -279,6 +309,7 @@ impl CloudWalker {
             GraphBacking::Resident(resident) => {
                 queries::single_source_push(&**resident, diag, cfg, i)
             }
+            GraphBacking::InLinks(links) => queries::single_source_push(&**links, diag, cfg, i),
             GraphBacking::Mapped(store) => queries::single_source_push(&**store, diag, cfg, i),
         };
         for v in &mut out {
@@ -317,22 +348,24 @@ impl CloudWalker {
 
     /// The indexed graph, when resident in memory; `None` on a
     /// store-backed walker ([`CloudWalker::open_store`]), which keeps no
-    /// CSR graph at all. Use [`CloudWalker::node_count`] for the node
-    /// count — it never depends on the backing.
+    /// CSR graph at all, and on one over the in-links alone
+    /// ([`CloudWalker::from_in_links`]). Use [`CloudWalker::node_count`]
+    /// for the node count — it never depends on the backing.
     pub fn graph(&self) -> Option<&Arc<CsrGraph>> {
         match &self.backing {
             GraphBacking::Resident(resident) => Some(&resident.graph),
-            GraphBacking::Mapped(_) => None,
+            GraphBacking::InLinks(_) | GraphBacking::Mapped(_) => None,
         }
     }
 
     /// The reverse-chain sampling index shared with the engine; `None`
     /// on a store-backed walker (mapped shards sample from the on-disk
-    /// cumulative-outflow arrays instead).
+    /// cumulative-outflow arrays instead) and on one over the in-links
+    /// alone (it never samples).
     pub fn reverse_chain_index(&self) -> Option<&Arc<ReverseChainIndex>> {
         match &self.backing {
             GraphBacking::Resident(resident) => Some(&resident.rci),
-            GraphBacking::Mapped(_) => None,
+            GraphBacking::InLinks(_) | GraphBacking::Mapped(_) => None,
         }
     }
 
@@ -342,7 +375,7 @@ impl CloudWalker {
     /// backings.
     pub fn store(&self) -> Option<&Arc<MappedStore>> {
         match &self.backing {
-            GraphBacking::Resident(_) => None,
+            GraphBacking::Resident(_) | GraphBacking::InLinks(_) => None,
             GraphBacking::Mapped(store) => Some(store),
         }
     }
@@ -391,6 +424,15 @@ impl CloudWalker {
     fn check_node(&self, v: NodeId) -> Result<(), QueryError> {
         crate::api::check_node(v, self.node_count())
     }
+}
+
+/// A diagonal must cover the graph it scores, node for node.
+fn check_index_len(diag: &DiagonalIndex, nodes: u32) -> Result<(), SimRankError> {
+    if diag.len() == nodes as usize {
+        return Ok(());
+    }
+    let detail = format!("index covers {} nodes but the graph has {nodes}", diag.len());
+    Err(SimRankError::BadIndex(detail))
 }
 
 /// Composes and sanity-checks the persisted diagonal of a mapped store:
@@ -456,6 +498,7 @@ impl std::fmt::Debug for CloudWalker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let edges = match &self.backing {
             GraphBacking::Resident(resident) => resident.graph.edge_count(),
+            GraphBacking::InLinks(links) => WalkAdjacency::edge_count(&**links),
             GraphBacking::Mapped(store) => store.edge_count(),
         };
         f.debug_struct("CloudWalker")

@@ -81,7 +81,7 @@ use crate::diag::DiagonalIndex;
 use crate::engine::kernel::solve_rows;
 use crate::engine::{cohort_block, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries::{self, rank_topk, ranking_cmp};
+use crate::queries::{self, rank_topk, ranking_cmp, ForwardArm};
 use pasco_cluster::metrics::{MetricsLog, ShuffleMetrics, StageMetrics};
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::WalkAdjacency;
@@ -355,7 +355,13 @@ impl ShardWorkerCore {
             ShardQueryKind::SingleSource { i } => {
                 check_node(i, n)?;
                 let (view, diag) = self.scored(msg.diag)?;
-                QueryResponse::Scores(queries::single_source_on(view, diag, &cfg, i))
+                QueryResponse::Scores(queries::single_source_on(
+                    view,
+                    ForwardArm::of(view, &cfg),
+                    diag,
+                    &cfg,
+                    i,
+                ))
             }
             // Cohorts are score-free: the diagonal payload is ignored
             // (the coordinator sends a placeholder and leaves its
@@ -419,13 +425,15 @@ fn topk_lists(
 ) -> Vec<Vec<(NodeId, f64)>> {
     let partitioner: Partitioner = view.partitioner();
     let block = queries::query_block_on(view, cfg, i);
-    let by_shard = queries::forward_masses_on(view, &block, diag, cfg, |masses| {
-        let mut by_shard: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); partitioner.parts() as usize];
-        for (node, mass) in masses {
-            by_shard[partitioner.owner(node) as usize].push((node, mass));
-        }
-        by_shard
-    });
+    let by_shard =
+        queries::forward_masses_on(view, ForwardArm::of(view, cfg), &block, diag, cfg, |masses| {
+            let mut by_shard: Vec<Vec<(NodeId, f64)>> =
+                vec![Vec::new(); partitioner.parts() as usize];
+            for (node, mass) in masses {
+                by_shard[partitioner.owner(node) as usize].push((node, mass));
+            }
+            by_shard
+        });
     by_shard.into_par_iter().map(|entries| rank_topk(entries, i, k)).collect()
 }
 

@@ -7,10 +7,13 @@
 //! `v`" and "sample an out-edge of `v`". [`KernelEngine`] is that algorithm
 //! behind the [`SimRankEngine`] trait; a [`Storage`] says where the
 //! adjacency lives and adds only what actually differs per substrate (its
-//! name and its memory accounting):
+//! name, its memory accounting, and whether it has a sampler at all):
 //!
 //! * [`Resident`] (`"local"`) — the whole CSR graph plus its reverse-chain
 //!   sampling index in memory, accessed by direct slice index;
+//! * [`InLinks`] (`"local"` too) — the in-links alone, no sampler: what
+//!   `pasco serve --graph` holds below [`queries::sweeps_pay`]'s point,
+//!   where the forward walks never run;
 //! * [`MappedStore`], as `"sharded"` — the graph range-partitioned into
 //!   graph-only `PASCOSH1` images held in memory
 //!   ([`MappedStore::of_graph`], the images a worker receives), every
@@ -20,7 +23,7 @@
 //!   read-only: no resident adjacency at all, O(1) restart, graphs larger
 //!   than RAM.
 //!
-//! The two are one storage; the name says only whether the store was
+//! The last two are one storage; the name says only whether the store was
 //! opened from a directory.
 //!
 //! The offline rows live off the heap: coded once per 256-row group and
@@ -33,9 +36,10 @@
 //!
 //! Because walk randomness is a pure function of
 //! `(seed, source, walker, step)` and every storage serves the same
-//! neighbour slices and sampling weights, all three answer **bitwise
-//! identically** on every query kind at every shard count — structurally:
-//! there is no second implementation to drift. The RPC worker
+//! neighbour slices and sampling weights, they all answer **bitwise
+//! identically** on every query kind at every shard count (the in-links
+//! alone on every config they accept, where the walks never run) —
+//! structurally: there is no second implementation to drift. The RPC worker
 //! ([`super::distributed::ShardWorkerCore`]) calls the same functions.
 
 use crate::ai::{RowKernel, RowSpill};
@@ -44,19 +48,28 @@ use crate::config::SimRankConfig;
 use crate::diag::DiagonalIndex;
 use crate::engine::{BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries;
+use crate::queries::{self, ForwardArm};
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
-use pasco_graph::{CsrGraph, NodeId, ReverseChainIndex, SweepPlan};
+use pasco_graph::{CsrGraph, InLinks, NoSampler, NodeId, ReverseChainIndex, SweepPlan};
 use pasco_mc::walks::{CohortBlock, WalkScratch};
 use pasco_solver::jacobi::{self, JacobiConfig, JacobiResult, RowSource};
 use pasco_store::{MappedShard, MappedStore};
 use std::sync::Arc;
 
-/// Where an in-process engine's adjacency lives: the walk and sampling
-/// traits the kernels run on, plus the per-substrate name and memory
+/// Where an in-process engine's adjacency lives: the in-links the kernels
+/// walk and sweep, the out-edge sampler only the forward walks draw from
+/// (a storage may have none), plus the per-substrate name and memory
 /// accounting.
-pub trait Storage: WalkAdjacency + ForwardSampler + Send + Sync {
+pub trait Storage: WalkAdjacency + Send + Sync {
+    /// What the forward walks sample out-edges from.
+    type Sampler: ForwardSampler;
+
+    /// The out-edge sampler, or `None` on a storage that holds the
+    /// in-links alone and so answers only below [`queries::sweeps_pay`]'s
+    /// point.
+    fn sampler(&self) -> Option<&Self::Sampler>;
+
     /// The stable substrate name [`SimRankEngine::name`] reports.
     fn name(&self) -> &'static str;
 
@@ -119,6 +132,12 @@ impl ForwardSampler for Resident {
 }
 
 impl Storage for Resident {
+    type Sampler = Self;
+
+    fn sampler(&self) -> Option<&Self> {
+        Some(self)
+    }
+
     fn name(&self) -> &'static str {
         "local"
     }
@@ -132,7 +151,37 @@ impl Storage for Resident {
     }
 }
 
+/// The in-links alone: what the cohorts walk and the exact sweeps read,
+/// and all a resident server needs below [`queries::sweeps_pay`]'s point
+/// ([`crate::CloudWalker::from_in_links`]). No out-links, no sampling
+/// index.
+impl Storage for InLinks {
+    type Sampler = NoSampler;
+
+    fn sampler(&self) -> Option<&NoSampler> {
+        None
+    }
+
+    fn name(&self) -> &'static str {
+        "local"
+    }
+
+    fn shard_bytes(&self) -> Vec<u64> {
+        vec![self.memory_bytes()]
+    }
+
+    fn partitioned(&self) -> bool {
+        false
+    }
+}
+
 impl Storage for MappedStore {
+    type Sampler = Self;
+
+    fn sampler(&self) -> Option<&Self> {
+        Some(self)
+    }
+
     fn name(&self) -> &'static str {
         if self.dir().as_os_str().is_empty() {
             "sharded"
@@ -173,6 +222,25 @@ impl<A: Storage> KernelEngine<A> {
     pub fn new(adj: Arc<A>) -> Self {
         Self { adj }
     }
+
+    /// The forward stage's arm for `cfg`: a typed refusal when the rule
+    /// picks the walks and the storage has no sampler.
+    fn forward(&self, cfg: &SimRankConfig) -> Result<ForwardArm<'_, A::Sampler>, QueryError> {
+        if queries::sweeps_on(&*self.adj, cfg) {
+            return Ok(ForwardArm::Sweeps);
+        }
+        self.adj.sampler().map(ForwardArm::Walks).ok_or_else(walks_unsupported)
+    }
+}
+
+/// Why a storage without out-links refuses a config past
+/// [`queries::sweeps_pay`]'s point: the forward walks would need them.
+pub(crate) fn walks_unsupported() -> QueryError {
+    QueryError::Unsupported {
+        detail: "this config takes the forward walks, which need the out-links; \
+                 the storage holds the in-links alone"
+            .into(),
+    }
 }
 
 impl<A: Storage> SimRankEngine for KernelEngine<A> {
@@ -194,7 +262,7 @@ impl<A: Storage> SimRankEngine for KernelEngine<A> {
         cfg: &SimRankConfig,
         i: NodeId,
     ) -> Result<Vec<f64>, QueryError> {
-        Ok(queries::single_source_on(&*self.adj, diag, cfg, i))
+        Ok(queries::single_source_on(&*self.adj, self.forward(cfg)?, diag, cfg, i))
     }
 
     fn single_source_topk(
@@ -204,7 +272,7 @@ impl<A: Storage> SimRankEngine for KernelEngine<A> {
         i: NodeId,
         k: usize,
     ) -> Result<Vec<(NodeId, f64)>, QueryError> {
-        Ok(queries::single_source_topk_on(&*self.adj, diag, cfg, i, k))
+        Ok(queries::single_source_topk_on(&*self.adj, self.forward(cfg)?, diag, cfg, i, k))
     }
 
     fn cluster_report(&self) -> Option<ClusterReport> {

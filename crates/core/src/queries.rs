@@ -34,7 +34,7 @@ use pasco_mc::counts::MassMap;
 use pasco_mc::forward::{forward_walk_frontier, ForwardWalker};
 use pasco_mc::rng::{mix, mix_extend};
 use pasco_mc::walks::{reverse_walk_block_on, BlockStep, CohortBlock, StepDistributions};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
 
 /// Salt distinguishing query walks from index walks.
@@ -179,7 +179,12 @@ impl<C: CohortLayout + ?Sized> CohortLayout for std::sync::Arc<C> {
 pub fn score_pair<C: CohortLayout + ?Sized>(di: &C, dj: &C, diag: &[f64], c: f64) -> f64 {
     let ri = f64::from(di.walkers());
     let rj = f64::from(dj.walkers());
-    let mut hits = vec![(0, 0); di.histograms().map(StepHistogram::entries).max().unwrap_or(0)];
+    // Taken, not borrowed: a nested call would find an empty scratch.
+    let mut hits = HITS.take();
+    let need = di.histograms().map(StepHistogram::entries).max().unwrap_or(0);
+    if hits.len() < need {
+        hits.resize(need, (0, 0));
+    }
     let mut score = 0.0;
     let mut ct = 1.0;
     for (u, v) in di.histograms().zip(dj.histograms()) {
@@ -193,7 +198,14 @@ pub fn score_pair<C: CohortLayout + ?Sized>(di: &C, dj: &C, diag: &[f64], c: f64
         score += ct * term;
         ct *= c;
     }
+    HITS.set(hits);
     score
+}
+
+thread_local! {
+    /// [`score_pair`]'s hit pairs: sized by the longest step it merged on
+    /// this thread, never shrunk.
+    static HITS: Cell<Vec<(u32, u32)>> = const { Cell::new(Vec::new()) };
 }
 
 /// Key ranges [`merge_lanes`] merges interleaved, so that their serial
@@ -616,40 +628,67 @@ pub fn walked_masses_on<S: ForwardSampler>(
     acc
 }
 
-/// The forward stage of one cohort on the arm [`sweeps_pay`] picks, its
-/// masses handed to `read` as `(node, mass)` pairs: the non-zero entries of
-/// the exact series in node order, or the walks' landed masses in no order.
-/// Every ranking path reads it, so they all take the same arm.
-pub(crate) fn forward_masses_on<A: WalkAdjacency + ForwardSampler, R>(
+/// The forward stage's two arms, as [`sweeps_pay`] picks them for a query:
+/// the exact sweeps over the in-links, or the weighted walks drawing from a
+/// sampler. Only the walks take one, so a storage that holds no out-links
+/// (its sampler [`pasco_graph::NoSampler`], which has no values) can only
+/// ever run the sweeps.
+#[derive(Debug)]
+pub enum ForwardArm<'a, S> {
+    /// `T` pull sweeps over the in-links ([`swept_series_on`]).
+    Sweeps,
+    /// Mass-carrying forward walks on the sampler ([`walked_masses_on`]).
+    Walks(&'a S),
+}
+
+impl<'a, A: WalkAdjacency + ForwardSampler> ForwardArm<'a, A> {
+    /// The arm [`sweeps_pay`] picks on a storage that samples its own
+    /// out-edges.
+    pub fn of(adj: &'a A, cfg: &SimRankConfig) -> Self {
+        if sweeps_on(adj, cfg) {
+            ForwardArm::Sweeps
+        } else {
+            ForwardArm::Walks(adj)
+        }
+    }
+}
+
+/// The forward stage of one cohort on `arm`, its masses handed to `read`
+/// as `(node, mass)` pairs: the non-zero entries of the exact series in
+/// node order, or the walks' landed masses in no order. Every ranking path
+/// reads it, so they all take the same arm.
+pub(crate) fn forward_masses_on<A: WalkAdjacency, S: ForwardSampler, R>(
     adj: &A,
+    arm: ForwardArm<'_, S>,
     dists: &impl CohortLayout,
     diag: &[f64],
     cfg: &SimRankConfig,
     read: impl FnOnce(&mut dyn Iterator<Item = (NodeId, f64)>) -> R,
 ) -> R {
-    if sweeps_on(adj, cfg) {
-        swept_series_on(adj, dists, diag, cfg, |z| {
+    match arm {
+        ForwardArm::Sweeps => swept_series_on(adj, dists, diag, cfg, |z| {
             let entries = z.iter().enumerate().filter(|&(_, &m)| m != 0.0);
             read(&mut entries.map(|(v, &m)| (v as NodeId, m)))
-        })
-    } else {
-        read(&mut walked_masses_on(adj, dists, diag, cfg).iter())
+        }),
+        ForwardArm::Walks(sampler) => read(&mut walked_masses_on(sampler, dists, diag, cfg).iter()),
     }
 }
 
-/// MCSS: the single-source query on any storage, its forward stage on the
-/// arm [`sweeps_pay`] picks. Query node pinned to 1.
-pub fn single_source_on<A: WalkAdjacency + ForwardSampler>(
+/// MCSS: the single-source query on any storage, its forward stage on
+/// `arm` ([`ForwardArm::of`] on a storage that samples). Query node pinned
+/// to 1.
+pub fn single_source_on<A: WalkAdjacency, S: ForwardSampler>(
     adj: &A,
+    arm: ForwardArm<'_, S>,
     diag: &[f64],
     cfg: &SimRankConfig,
     i: NodeId,
 ) -> Vec<f64> {
-    if sweeps_on(adj, cfg) {
+    let ForwardArm::Walks(sampler) = arm else {
         return single_source_push(adj, diag, cfg, i);
-    }
+    };
     let block = query_block_on(adj, cfg, i);
-    walked_scores_on(adj.node_count() as usize, adj, &block, diag, cfg)
+    walked_scores_on(adj.node_count() as usize, sampler, &block, diag, cfg)
 }
 
 /// [`single_source_on`] over the resident graph and its sampling index.
@@ -660,7 +699,8 @@ pub fn single_source(
     cfg: &SimRankConfig,
     i: NodeId,
 ) -> Vec<f64> {
-    single_source_on(&GraphSampler::new(graph, rci), diag, cfg, i)
+    let sampler = GraphSampler::new(graph, rci);
+    single_source_on(&sampler, ForwardArm::of(&sampler, cfg), diag, cfg, i)
 }
 
 /// MCSS with the exact forward stage whatever the graph's size: the
@@ -680,16 +720,17 @@ pub fn single_source_push<A: WalkAdjacency>(
 
 /// Top-`k` MCSS: the top `k` scoring nodes (query node excluded), sorted
 /// by descending score with node-id tie-breaks, ranked straight from the
-/// forward stage's masses.
-pub fn single_source_topk_on<A: WalkAdjacency + ForwardSampler>(
+/// masses of the forward stage on `arm`.
+pub fn single_source_topk_on<A: WalkAdjacency, S: ForwardSampler>(
     adj: &A,
+    arm: ForwardArm<'_, S>,
     diag: &[f64],
     cfg: &SimRankConfig,
     i: NodeId,
     k: usize,
 ) -> Vec<(NodeId, f64)> {
     let block = query_block_on(adj, cfg, i);
-    forward_masses_on(adj, &block, diag, cfg, |masses| rank_topk(masses, i, k))
+    forward_masses_on(adj, arm, &block, diag, cfg, |masses| rank_topk(masses, i, k))
 }
 
 /// [`single_source_topk_on`] over the resident graph and its sampling
@@ -702,7 +743,8 @@ pub fn single_source_topk(
     i: NodeId,
     k: usize,
 ) -> Vec<(NodeId, f64)> {
-    single_source_topk_on(&GraphSampler::new(graph, rci), diag, cfg, i, k)
+    let sampler = GraphSampler::new(graph, rci);
+    single_source_topk_on(&sampler, ForwardArm::of(&sampler, cfg), diag, cfg, i, k)
 }
 
 /// The forward stage of one cohort as a [`MassMap`] of its non-zero
@@ -713,7 +755,7 @@ pub fn sparse_masses_on<A: WalkAdjacency + ForwardSampler>(
     diag: &[f64],
     cfg: &SimRankConfig,
 ) -> MassMap {
-    forward_masses_on(adj, dists, diag, cfg, |masses| {
+    forward_masses_on(adj, ForwardArm::of(adj, cfg), dists, diag, cfg, |masses| {
         let mut acc = MassMap::with_capacity(cfg.r_forward as usize);
         masses.for_each(|(v, m)| acc.add(v, m));
         acc

@@ -611,8 +611,13 @@ impl QuerySession {
     /// The (cached) query cohort of `v` — checked access to the building
     /// block both MCSP and MCSS start from, expanded from its cached block.
     pub fn try_cohort(&self, v: NodeId) -> Result<Arc<StepDistributions>, QueryError> {
+        Ok(Arc::new(StepDistributions::from(&*self.try_cohort_block(v)?)))
+    }
+
+    /// [`QuerySession::try_cohort`] as the cache holds it: the flat block.
+    pub(crate) fn try_cohort_block(&self, v: NodeId) -> Result<Arc<CohortBlock>, QueryError> {
         self.check_node(v)?;
-        Ok(Arc::new(StepDistributions::from(&*self.cohort(v)?)))
+        self.cohort(v)
     }
 
     /// Scores every pair from `rows × cols` in parallel. Each distinct

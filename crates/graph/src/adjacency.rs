@@ -102,6 +102,21 @@ pub trait ForwardSampler: Sync {
     fn sample_out(&self, v: NodeId, r: f64) -> Option<NodeId>;
 }
 
+/// The sampler of a storage that holds no out-links ([`InLinks`]): it has
+/// no values, so a kernel that needs one cannot be handed it.
+#[derive(Clone, Copy, Debug)]
+pub enum NoSampler {}
+
+impl ForwardSampler for NoSampler {
+    fn outflow(&self, _: NodeId) -> f64 {
+        match *self {}
+    }
+
+    fn sample_out(&self, _: NodeId, _: f64) -> Option<NodeId> {
+        match *self {}
+    }
+}
+
 /// The resident-graph sampler: a [`CsrGraph`] with its
 /// [`ReverseChainIndex`].
 #[derive(Clone, Copy, Debug)]

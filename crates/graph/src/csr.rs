@@ -165,6 +165,14 @@ pub struct InLinks {
     pub(crate) plan: SweepPlanCell,
 }
 
+impl InLinks {
+    /// Resident size of the two arrays in bytes: [`CsrGraph::memory_bytes`]'
+    /// in-link half.
+    pub fn memory_bytes(&self) -> u64 {
+        self.offsets.len() as u64 * 8 + self.sources.len() as u64 * 4
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -38,7 +38,7 @@ pub mod plan;
 pub mod sampling;
 pub mod stats;
 
-pub use adjacency::{ForwardSampler, GraphSampler, WalkAdjacency};
+pub use adjacency::{ForwardSampler, GraphSampler, NoSampler, WalkAdjacency};
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, InLinks, NodeId};
 pub use error::GraphError;

@@ -79,5 +79,5 @@ pub mod transport {
 }
 
 pub use pasco_simrank::api::client::{ClientError, PascoClient};
-pub use server::{PascoServer, ServerConfig, ServerHandle, ServerStats};
+pub use server::{PascoServer, ServerConfig, ServerHandle, ServerStats, FRAME_POOL_CAP};
 pub use transport::TransportError;

@@ -32,7 +32,9 @@
 
 use crate::sys::{Epoll, Event, WakeFd, EVENT_ERR, EVENT_HUP, EVENT_IN, EVENT_OUT, EVENT_RDHUP};
 use crate::wheel::{Deadline, TimerWheel};
-use pasco_simrank::api::envelope::{Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME};
+use pasco_simrank::api::envelope::{
+    frame_into, Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME, HEADER_LEN,
+};
 use pasco_simrank::api::transport::{FrameDecoder, WriteQueue, DEFAULT_IO_TIMEOUT};
 use pasco_simrank::api::wire::WireCodec;
 use pasco_simrank::api::worker::{
@@ -147,6 +149,7 @@ pub struct ServerHandle {
     signals: Arc<AtomicU8>,
     waker: WakeFd,
     stats: Arc<StatCells>,
+    pool: Arc<FramePool>,
 }
 
 impl ServerHandle {
@@ -187,9 +190,56 @@ impl ServerHandle {
         self.stats.snapshot()
     }
 
+    /// The capacities of the response-frame buffers the server holds for
+    /// reuse right now: at most `workers + 1` of them, none past
+    /// [`FRAME_POOL_CAP`].
+    pub fn pooled_frames(&self) -> Vec<usize> {
+        self.pool.lock().iter().map(Vec::capacity).collect()
+    }
+
     fn signal(&self, bit: u8) {
         self.signals.fetch_or(bit, Ordering::Release);
         self.waker.wake();
+    }
+}
+
+/// Capacity past which a written response-frame buffer is freed rather
+/// than kept for reuse. A `Cohort` answer at paper parameters (`R′ =
+/// 10 000`, `T = 10`) is at most 1,320,077 frame bytes by
+/// [`QueryService::response_bound`] (≈ 534 KB on the 2¹⁶-node R-MAT
+/// graph), and a dense row of 2¹⁶ nodes is 524,313: both are kept, while
+/// a one-off multi-megabyte matrix or build reply is not pinned for the
+/// server's life.
+pub const FRAME_POOL_CAP: usize = 2 << 20;
+
+/// The response-frame buffers a pool thread writes each frame into and
+/// the reactor hands back once the frame is on the wire, so a steady
+/// stream of large answers allocates nothing per request. At most `keep`
+/// (`workers + 1`) are held, none past [`FRAME_POOL_CAP`]; a buffer
+/// beyond either is freed.
+struct FramePool {
+    free: Mutex<Vec<Vec<u8>>>,
+    keep: usize,
+}
+
+impl FramePool {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Vec<u8>>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A buffer to frame into: a pooled one, or a fresh one when none is.
+    fn take(&self) -> Vec<u8> {
+        self.lock().pop().unwrap_or_default()
+    }
+
+    /// Returns a written buffer for reuse, or frees it.
+    fn give(&self, buf: Vec<u8>) {
+        if buf.capacity() <= FRAME_POOL_CAP {
+            let mut free = self.lock();
+            if free.len() < self.keep {
+                free.push(buf);
+            }
+        }
     }
 }
 
@@ -208,30 +258,29 @@ impl Service {
         }
     }
 
-    /// The reply to one post-handshake frame, or `None` — an undecodable
-    /// payload or a frame kind this service does not speak — to drop the
-    /// connection: a protocol violation, not a query failure. A query
-    /// whose answer could not fit `max_frame` is refused before any work.
-    fn answer(&self, env: Envelope, max_frame: u32) -> Option<Envelope> {
+    /// Frames the reply to one post-handshake frame into `frame`, or
+    /// returns false — an undecodable payload or a frame kind this service
+    /// does not speak — to drop the connection: a protocol violation, not
+    /// a query failure. A typed failure is an answer, framed as an error
+    /// on the same connection. A query whose answer could not fit
+    /// `max_frame` is refused before any work.
+    fn answer(&self, env: Envelope, max_frame: u32, frame: &mut Vec<u8>) -> bool {
         match self {
             Service::Query(svc) => {
                 if env.kind != FrameKind::Request {
-                    return None;
+                    return false;
                 }
-                let req = env.decode_request().ok()?;
-                if let Some(bytes) = svc.response_bound(&req).filter(|&b| b > u64::from(max_frame))
-                {
-                    let err = QueryError::ResponseTooLarge { bytes, max_frame };
-                    return Some(Envelope::error(env.request_id, &err));
+                let Ok(req) = env.decode_request() else { return false };
+                match svc.response_bound(&req).filter(|&b| b > u64::from(max_frame)) {
+                    Some(bytes) => {
+                        let err = QueryError::ResponseTooLarge { bytes, max_frame };
+                        frame_into(frame, FrameKind::Error, env.request_id, &err);
+                    }
+                    None => svc.frame(env.request_id, req, frame),
                 }
-                Some(match svc.execute(req) {
-                    Ok(resp) => Envelope::response(env.request_id, &resp),
-                    // A typed failure is an answer, not a fault: it travels
-                    // back as an error frame on the same connection.
-                    Err(err) => Envelope::error(env.request_id, &err),
-                })
+                true
             }
-            Service::Worker(worker) => worker.answer(env),
+            Service::Worker(worker) => worker.answer(env, frame),
         }
     }
 }
@@ -247,41 +296,48 @@ struct SimRankWorker {
 }
 
 impl SimRankWorker {
-    fn answer(&self, env: Envelope) -> Option<Envelope> {
+    fn answer(&self, env: Envelope, frame: &mut Vec<u8>) -> bool {
         match env.kind {
             FrameKind::LoadPartition => {
-                self.serve(env, |core, msg: LoadPartition| core.load_partition(msg))
+                self.serve(env, frame, |core, msg: LoadPartition| core.load_partition(msg))
             }
-            FrameKind::LoadStore => self.serve(env, |core, msg: LoadStore| core.load_store(msg)),
-            FrameKind::BuildShard => self.serve(env, |core, msg: BuildShard| core.build(&msg.cfg)),
-            FrameKind::ShardQuery => self.serve(env, |core, msg: ShardQuery| core.query(msg)),
-            FrameKind::ShardTopK => self.serve(env, |core, msg: ShardTopK| core.topk(msg)),
+            FrameKind::LoadStore => {
+                self.serve(env, frame, |core, msg: LoadStore| core.load_store(msg))
+            }
+            FrameKind::BuildShard => {
+                self.serve(env, frame, |core, msg: BuildShard| core.build(&msg.cfg))
+            }
+            FrameKind::ShardQuery => {
+                self.serve(env, frame, |core, msg: ShardQuery| core.query(msg))
+            }
+            FrameKind::ShardTopK => self.serve(env, frame, |core, msg: ShardTopK| core.topk(msg)),
             FrameKind::WorkerStats => {
-                self.serve(env, |core, _: Empty| Ok::<_, QueryError>(core.stats()))
+                self.serve(env, frame, |core, _: Empty| Ok::<_, QueryError>(core.stats()))
             }
             // Coordinators send only worker-control frames (and Shutdown,
             // which the reactor handles) after the handshake.
-            _ => None,
+            _ => false,
         }
     }
 
     /// Decodes the request payload, runs `f` on the locked compute core,
-    /// and shapes the outcome: a reply frame of the same kind, an error
-    /// frame for a typed [`QueryError`], or `None` when the payload itself
-    /// is garbage.
+    /// and frames the outcome into `frame`: a reply of the same kind, or an
+    /// error frame for a typed [`QueryError`]. False when the payload
+    /// itself is garbage.
     fn serve<M: WireCodec, R: WireCodec>(
         &self,
         env: Envelope,
+        frame: &mut Vec<u8>,
         f: impl FnOnce(&mut ShardWorkerCore, M) -> Result<R, QueryError>,
-    ) -> Option<Envelope> {
-        let Ok(msg) = M::from_bytes(&env.payload) else { return None };
+    ) -> bool {
+        let Ok(msg) = M::from_bytes(&env.payload) else { return false };
         let mut core = self.core.lock().unwrap_or_else(PoisonError::into_inner);
-        let reply = match f(&mut core, msg) {
-            Ok(reply) => Envelope::worker(env.kind, env.request_id, &reply),
-            Err(err) => Envelope::error(env.request_id, &err),
-        };
+        match f(&mut core, msg) {
+            Ok(reply) => frame_into(frame, env.kind, env.request_id, &reply),
+            Err(err) => frame_into(frame, FrameKind::Error, env.request_id, &err),
+        }
         self.node_count.store(core.node_count(), Ordering::Relaxed);
-        Some(reply)
+        true
     }
 }
 
@@ -332,6 +388,7 @@ impl PascoServer {
             signals: Arc::new(AtomicU8::new(0)),
             waker: WakeFd::new()?,
             stats: Arc::new(StatCells::default()),
+            pool: Arc::new(FramePool { free: Mutex::default(), keep: cfg.workers + 1 }),
         };
         Ok(PascoServer { listener, svc: Arc::new(svc), cfg, handle })
     }
@@ -360,9 +417,11 @@ impl PascoServer {
                 let rx = Arc::clone(&job_rx);
                 let svc = Arc::clone(&self.svc);
                 let done = Arc::clone(&completions);
-                let waker = self.handle.waker.clone();
+                let (waker, pool) = (self.handle.waker.clone(), Arc::clone(&self.handle.pool));
                 let max_frame = self.cfg.max_frame_bytes;
-                thread::spawn(move || worker_loop(&rx, svc.as_ref(), &done, &waker, max_frame))
+                thread::spawn(move || {
+                    worker_loop(&rx, svc.as_ref(), &done, &waker, &pool, max_frame)
+                })
             })
             .collect();
 
@@ -395,12 +454,12 @@ struct Job {
     env: Envelope,
 }
 
-/// A finished frame on its way back to the reactor: the reply, or `None`
-/// to drop the connection.
+/// A finished frame on its way back to the reactor: the reply, framed in
+/// a pooled buffer, or `None` to drop the connection.
 struct Completion {
     token: usize,
     epoch: u32,
-    env: Option<Envelope>,
+    frame: Option<Vec<u8>>,
 }
 
 fn worker_loop(
@@ -408,6 +467,7 @@ fn worker_loop(
     svc: &Service,
     done: &Mutex<Vec<Completion>>,
     waker: &WakeFd,
+    pool: &FramePool,
     max_frame: u32,
 ) {
     loop {
@@ -418,24 +478,31 @@ fn worker_loop(
             Err(_) => return,
         };
         let Ok(Job { token, epoch, env }) = job else { return };
-        let env = svc.answer(env, max_frame).map(|env| {
+        let id = env.request_id;
+        let mut frame = pool.take();
+        let frame = if svc.answer(env, max_frame, &mut frame) {
             // The limit the server advertises binds its own frames too:
             // an answer that would not fit (the peer reads with this
             // limit and would poison itself) degrades into a typed error
             // the caller can act on — the backstop behind the up-front
             // bound, for services that cannot bound an answer. Error
-            // frames are a few bytes, always under any sane limit.
-            if env.payload.len() as u64 > u64::from(max_frame) {
-                let bytes = env.payload.len() as u64;
-                Envelope::error(env.request_id, &QueryError::ResponseTooLarge { bytes, max_frame })
-            } else {
-                env
+            // frames are a few bytes, always under any sane limit; the
+            // oversize buffer is freed, not pooled.
+            let bytes = frame.len().saturating_sub(HEADER_LEN) as u64;
+            if bytes > u64::from(max_frame) {
+                frame = Vec::new();
+                let err = QueryError::ResponseTooLarge { bytes, max_frame };
+                frame_into(&mut frame, FrameKind::Error, id, &err);
             }
-        });
+            Some(frame)
+        } else {
+            pool.give(frame);
+            None
+        };
         let first = match done.lock() {
             Ok(mut done) => {
                 let first = done.is_empty();
-                done.push(Completion { token, epoch, env });
+                done.push(Completion { token, epoch, frame });
                 first
             }
             Err(_) => return,
@@ -867,13 +934,13 @@ impl Reactor {
             Ok(mut done) => std::mem::take(&mut *done),
             Err(_) => return,
         };
-        for Completion { token, epoch, env } in done {
+        for Completion { token, epoch, frame } in done {
             let live =
                 self.conns.get(token).and_then(Option::as_ref).is_some_and(|c| c.epoch == epoch);
             if !live {
                 continue; // the connection went away while we computed
             }
-            let Some(env) = env else {
+            let Some(frame) = frame else {
                 self.drop_conn(token); // the service refused the frame
                 continue;
             };
@@ -881,7 +948,7 @@ impl Reactor {
             // The liveness check above proved the slot occupied; a bare
             // re-check keeps this panic-free without a second epoch load.
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else { continue };
-            conn.out.push(&env);
+            conn.out.push_frame(frame);
             conn.in_flight -= 1;
             let mut replay = Vec::new();
             if conn.paused && conn.in_flight < self.pipeline_cap {
@@ -943,13 +1010,15 @@ impl Reactor {
 
     // ---- write path ----------------------------------------------------
 
-    /// Flushes as much queued output as the socket accepts. Returns false
-    /// when the connection was dropped (write fault, or a completed
-    /// drain). On a would-block the residue stays queued and EPOLLOUT
-    /// interest plus the progress deadline keep it moving.
+    /// Flushes as much queued output as the socket accepts, each written
+    /// frame's buffer back to the pool. Returns false when the connection
+    /// was dropped (write fault, or a completed drain). On a would-block
+    /// the residue stays queued and EPOLLOUT interest plus the progress
+    /// deadline keep it moving.
     fn flush(&mut self, idx: usize) -> bool {
+        let pool = &self.handle.pool;
         let Some(conn) = self.conns[idx].as_mut() else { return false };
-        match conn.out.write_to(&mut conn.stream) {
+        match conn.out.write_to(&mut conn.stream, |frame| pool.give(frame)) {
             Ok(true) => {
                 // Everything queued is on the wire. A drained conn
                 // (goodbye sent) is done; so is a half-closed peer that

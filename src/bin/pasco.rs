@@ -37,12 +37,12 @@
 use pasco::cluster::ClusterConfig;
 use pasco::graph::partition::Partitioner;
 use pasco::graph::stats::{degree_stats, human_bytes, Direction};
-use pasco::graph::{io, CsrGraph, WalkAdjacency};
+use pasco::graph::{io, CsrGraph, InLinks, WalkAdjacency};
 use pasco::server::{PascoClient, PascoServer, ServerConfig};
 use pasco::simrank::api::{QueryRequest, QueryResponse, QueryService};
 use pasco::simrank::engine::kernel::{build_diagonal_on, check_build};
 use pasco::simrank::{
-    metrics, persist, CloudWalker, ExecMode, QuerySession, SessionConfig, SimRankConfig,
+    metrics, persist, queries, CloudWalker, ExecMode, QuerySession, SessionConfig, SimRankConfig,
 };
 use std::collections::HashMap;
 use std::io::Read;
@@ -321,14 +321,20 @@ fn cmd_index(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Local `pasco index` holds only the in-links (an edge list is parsed whole,
-/// then reduced) and the build kernel frees them before its sweeps.
-fn index_local(path: &str, out: &str, cfg: &SimRankConfig) -> Result<(), String> {
-    let in_links = match is_binary(path)? {
+/// A graph file's in-links alone (an edge list is parsed whole, then
+/// reduced).
+fn load_in_links(path: &str) -> Result<InLinks, String> {
+    match is_binary(path)? {
         true => io::read_in_links(path),
         false => io::read_edge_list(path).map(CsrGraph::into_in_links),
     }
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())
+}
+
+/// Local `pasco index` holds only the in-links and the build kernel frees
+/// them before its sweeps.
+fn index_local(path: &str, out: &str, cfg: &SimRankConfig) -> Result<(), String> {
+    let in_links = load_in_links(path)?;
     check_build(cfg, in_links.node_count()).map_err(|e| e.to_string())?;
     let t0 = Instant::now();
     let built = build_diagonal_on(in_links, cfg).map_err(|e| e.to_string())?;
@@ -369,10 +375,20 @@ fn load_engine(flags: &Flags) -> Result<CloudWalker, String> {
         }
         .map_err(|e| e.to_string());
     }
-    let graph = Arc::new(load_graph(get(flags, "graph")?)?);
-    let index = persist::load_index(get(flags, "index")?).map_err(|e| e.to_string())?;
-    let mode = exec_mode(flags)?;
-    CloudWalker::from_index_with_mode(graph, cfg, index, mode).map_err(|e| e.to_string())
+    let (path, mode) = (get(flags, "graph")?, exec_mode(flags)?);
+    let index = || persist::load_index(get(flags, "index")?).map_err(|e| e.to_string());
+    // Below the forward stage's arm point every local query reads the
+    // in-links alone: hold nothing else. Past it the file is read again,
+    // whole, for the walks' out-links and sampling index.
+    if let ExecMode::Local = mode {
+        let links = load_in_links(path)?;
+        let (n, m) = (u64::from(links.node_count()), links.edge_count());
+        if queries::sweeps_pay(n, m, cfg.t, cfg.r_forward) {
+            return CloudWalker::from_in_links(links, cfg, index()?).map_err(|e| e.to_string());
+        }
+    }
+    let graph = Arc::new(load_graph(path)?);
+    CloudWalker::from_index_with_mode(graph, cfg, index()?, mode).map_err(|e| e.to_string())
 }
 
 /// Writes a graph + diagonal index as an out-of-core shard store: one

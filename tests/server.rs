@@ -10,7 +10,9 @@
 
 use pasco::graph::generators;
 use pasco::graph::partition::Partitioner;
-use pasco::server::{ClientError, PascoClient, PascoServer, ServerConfig, ServerHandle};
+use pasco::server::{
+    ClientError, PascoClient, PascoServer, ServerConfig, ServerHandle, FRAME_POOL_CAP,
+};
 use pasco::simrank::api::envelope::{
     Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC,
 };
@@ -861,6 +863,157 @@ fn handshake_advertises_node_count_and_frame_limit() {
     // Envelope encoding sanity straight from the shared codec: the ack
     // payload is the 8-byte ServerInfo.
     assert_eq!(client.server_info().encoded_len(), 8);
+    client.shutdown_server().unwrap();
+    join.join().unwrap();
+}
+
+/// Reads one whole frame, header included, off a raw stream.
+fn read_frame(s: &mut TcpStream) -> Vec<u8> {
+    let mut frame = vec![0u8; HEADER_LEN];
+    s.read_exact(&mut frame).unwrap();
+    let len = u32::from_le_bytes(frame[16..20].try_into().unwrap()) as usize;
+    frame.resize(HEADER_LEN + len, 0);
+    s.read_exact(&mut frame[HEADER_LEN..]).unwrap();
+    frame
+}
+
+/// A raw connection past its handshake.
+fn raw_peer(addr: SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(&Envelope::hello().to_bytes()).unwrap();
+    assert_eq!(read_frame(&mut s)[6], FrameKind::HelloAck as u8);
+    s
+}
+
+/// Every answer is framed once into a buffer the pool threads take from a
+/// free list and the reactor hands back after the flush: several hundred
+/// `Cohort` answers (framed from the cached blocks) and scores over two
+/// pipelined connections each arrive whole and byte-equal to
+/// `Envelope::response` over the session's answer, and the list never
+/// holds more than `workers + 1` buffers, none past the retention cap.
+#[test]
+fn pooled_frames_arrive_whole_and_the_free_list_stays_bounded() {
+    let session = Arc::new(QuerySession::new(Arc::clone(local_walker()), 128));
+    let cfg = ServerConfig { workers: 2, ..ServerConfig::default() };
+    let (addr, handle, join) = spawn_server(Arc::clone(&session) as _, cfg);
+    let request = |id: u64| match id % 3 {
+        0 => QueryRequest::SinglePair { i: (id % 80) as u32, j: (id * 7 % 80) as u32 },
+        _ => QueryRequest::Cohort { v: (id * 13 % 80) as u32 },
+    };
+    let expected = |id: u64| Envelope::response(id, &session.execute(request(id)).unwrap());
+    let clients: Vec<_> = (0..2u64)
+        .map(|c| {
+            let ids: Vec<u64> = (1..=300).map(|k| c * 1_000 + k).collect();
+            let frames: Vec<u8> =
+                ids.iter().flat_map(|&id| Envelope::request(id, &request(id)).to_bytes()).collect();
+            std::thread::spawn(move || {
+                let mut s = raw_peer(addr);
+                s.write_all(&frames).unwrap();
+                (0..ids.len()).map(|_| read_frame(&mut s)).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let mut seen = std::collections::HashSet::new();
+    for client in clients {
+        for frame in client.join().unwrap() {
+            let id = u64::from_le_bytes(frame[8..16].try_into().unwrap());
+            assert!(seen.insert(id), "request {id} answered twice");
+            assert!(frame == expected(id).to_bytes(), "request {id}: a torn or foreign frame");
+        }
+    }
+    assert_eq!(seen.len(), 600);
+    let pooled = handle.pooled_frames();
+    assert!(pooled.len() <= cfg.workers + 1, "{} buffers pooled", pooled.len());
+    assert!(pooled.iter().all(|&cap| cap <= FRAME_POOL_CAP), "{pooled:?}");
+
+    // An answer past the retention cap is delivered, then freed, not kept.
+    let cols: Vec<u32> = (0..3_300).map(|v| v % NODES).collect();
+    let matrix = QueryRequest::PairsMatrix { rows: (0..NODES).collect(), cols };
+    let want = Envelope::response(1, &session.execute(matrix.clone()).unwrap()).to_bytes();
+    assert!(want.len() > FRAME_POOL_CAP, "{} bytes", want.len());
+    let mut s = raw_peer(addr);
+    s.write_all(&Envelope::request(1, &matrix).to_bytes()).unwrap();
+    assert!(read_frame(&mut s) == want, "the large answer arrives whole");
+    s.write_all(&Envelope::request(2, &QueryRequest::Cohort { v: 3 }).to_bytes()).unwrap();
+    assert_eq!(read_frame(&mut s), expected_cohort(&session, 2, 3));
+    let pooled = handle.pooled_frames();
+    assert!(pooled.len() <= cfg.workers + 1, "{} buffers pooled", pooled.len());
+    assert!(pooled.iter().all(|&cap| cap <= FRAME_POOL_CAP), "{pooled:?}");
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+fn expected_cohort(session: &QuerySession, id: u64, v: u32) -> Vec<u8> {
+    Envelope::response(id, &QueryResponse::Cohort((*session.try_cohort(v).unwrap()).clone()))
+        .to_bytes()
+}
+
+/// A service that cannot bound its answers up front: only the worker
+/// loop's check on the framed buffer stands between an oversize answer
+/// and the wire.
+struct Unbounded(Arc<QuerySession>);
+
+impl QueryService for Unbounded {
+    fn execute(&self, req: QueryRequest) -> Result<QueryResponse, QueryError> {
+        self.0.execute(req)
+    }
+    fn node_count(&self) -> u32 {
+        self.0.node_count()
+    }
+}
+
+/// Past `max_frame`, an answer framed by the service is refused as
+/// `ResponseTooLarge` naming its payload's bytes, and the connection keeps
+/// serving.
+#[test]
+fn a_framed_answer_past_the_frame_limit_is_refused_typed() {
+    let session = Arc::new(QuerySession::new(Arc::clone(local_walker()), 16));
+    let cfg = ServerConfig { max_frame_bytes: 1_024, ..ServerConfig::default() };
+    let (addr, handle, join) = spawn_server(Arc::new(Unbounded(Arc::clone(&session))), cfg);
+    let mut client = PascoClient::connect(addr).unwrap();
+    let big = QueryRequest::Cohort { v: 5 };
+    let bytes = session.execute(big.clone()).unwrap().encoded_len() as u64;
+    assert!(bytes > 1_024, "{bytes}");
+    match client.query(big) {
+        Err(ClientError::Query(QueryError::ResponseTooLarge { bytes: b, max_frame: 1_024 })) => {
+            assert_eq!(b, bytes, "the refusal names the framed payload's bytes");
+        }
+        other => panic!("expected ResponseTooLarge, got {other:?}"),
+    }
+    assert!(client.is_open());
+    assert!(client.query(QueryRequest::SinglePair { i: 1, j: 2 }).is_ok());
+    assert!(handle.pooled_frames().iter().all(|&cap| cap <= FRAME_POOL_CAP));
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// The resident walker over the in-links alone answers every request kind
+/// over TCP as the `from_index` walker does in process.
+#[test]
+fn the_in_links_walker_answers_over_tcp_like_the_from_index_walker() {
+    let g = generators::barabasi_albert(NODES, 3, 13);
+    let full = local_walker();
+    let links =
+        CloudWalker::from_in_links(g.into_in_links(), *full.config(), full.diagonal().clone())
+            .unwrap();
+    let session = Arc::new(QuerySession::new(Arc::new(links), 32));
+    let (addr, _, join) = spawn_server(session as _, ServerConfig::default());
+    let direct = QuerySession::new(Arc::clone(full), 32);
+    let mut client = PascoClient::connect(addr).unwrap();
+    let mut reqs = all_variants();
+    reqs.push(QueryRequest::Batch(vec![
+        QueryRequest::Cohort { v: 9 },
+        QueryRequest::PairsMatrix { rows: vec![1, 2], cols: vec![3] },
+        QueryRequest::SingleSourcePush { i: 4 },
+    ]));
+    for req in reqs {
+        let over_wire = client.query(req.clone()).unwrap();
+        assert_eq!(
+            over_wire.to_bytes(),
+            direct.execute(req.clone()).unwrap().to_bytes(),
+            "{req:?}"
+        );
+    }
     client.shutdown_server().unwrap();
     join.join().unwrap();
 }
