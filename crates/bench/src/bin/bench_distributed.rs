@@ -1,7 +1,7 @@
 //! `BENCH_distributed.json` — the distributed substrate's latency
-//! snapshot: offline build, MCSP, and sparse top-`k` at 1/2/4 real
-//! loopback workers, against the in-process Sharded engine (same
-//! partition plan, no wire) and Local (the reference). CI runs this and
+//! snapshot: offline build, MCSP, and routed top-`k` at 1/2/4 real
+//! loopback workers, against Local (the in-process reference; the spine's
+//! `store.mapped_*` rows price routing without a wire). CI runs this and
 //! archives the JSON so routing/serialisation regressions show up as
 //! numbers, not vibes.
 //!
@@ -59,7 +59,6 @@ struct Snapshot {
 fn measure(g: &Arc<pasco_graph::CsrGraph>, cfg: SimRankConfig, mode: ExecMode) -> Snapshot {
     let (label, workers) = match &mode {
         ExecMode::Local => ("local".to_string(), 1),
-        ExecMode::Sharded { shards } => ("sharded".to_string(), *shards as usize),
         ExecMode::Distributed { workers } => ("distributed".to_string(), workers.len()),
         other => (format!("{other:?}"), 1),
     };
@@ -98,7 +97,6 @@ fn main() {
 
     let mut rows = Vec::new();
     rows.push(measure(&g, cfg, ExecMode::Local));
-    rows.push(measure(&g, cfg, ExecMode::Sharded { shards: 4 }));
     for workers in [1usize, 2, 4] {
         let fleet = spawn_fleet(workers);
         rows.push(measure(&g, cfg, ExecMode::Distributed { workers: fleet.addrs.clone() }));

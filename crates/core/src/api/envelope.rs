@@ -115,10 +115,10 @@ pub enum FrameKind {
     /// ([`super::worker::ShardQuery`]); the worker echoes the kind back
     /// with a [`super::QueryResponse`] payload.
     ShardQuery = 9,
-    /// Coordinator → worker: the sparse top-`k` plan
-    /// ([`super::worker::ShardTopK`]); the worker echoes the kind back
-    /// with per-partition rankings ([`super::worker::ShardTopKReply`])
-    /// for the coordinator's k-way merge.
+    /// Retired: top-`k` is a [`super::worker::ShardQueryKind`] now. The
+    /// tag stays decodable and keeps its manifest line, so it is never
+    /// reused; no peer sends it, and a worker drops any connection that
+    /// does, as for any kind it does not speak.
     ShardTopK = 10,
     /// Coordinator → worker: report runtime statistics (empty request
     /// payload); the worker echoes the kind back with a

@@ -386,22 +386,13 @@ impl QueryService for CloudWalker {
 
 impl QueryService for QuerySession {
     /// Serves through the session: single-pair, matrix and cohort
-    /// requests go through the cohort cache, single-source requests fan
-    /// out to the shared engine. Answers are bitwise identical to the
-    /// [`CloudWalker`] adapter's (caching only removes re-simulation).
+    /// requests go through the cohort cache, every other kind goes to the
+    /// [`CloudWalker`] adapter. Answers are bitwise identical to that
+    /// adapter's (caching only removes re-simulation).
     fn execute(&self, req: QueryRequest) -> Result<QueryResponse, QueryError> {
         req.validate(self.walker().node_count())?;
         Ok(match req {
             QueryRequest::SinglePair { i, j } => QueryResponse::Score(self.try_single_pair(i, j)?),
-            QueryRequest::SingleSource { i } => {
-                QueryResponse::Scores(self.walker().try_single_source(i)?)
-            }
-            QueryRequest::SingleSourcePush { i } => {
-                QueryResponse::Scores(self.walker().try_single_source_push(i)?)
-            }
-            QueryRequest::SingleSourceTopK { i, k } => {
-                QueryResponse::Ranked(self.walker().try_single_source_topk(i, k_to_usize(k))?)
-            }
             QueryRequest::PairsMatrix { rows, cols } => {
                 QueryResponse::Matrix(self.try_pairs_matrix(&rows, &cols)?)
             }
@@ -409,6 +400,7 @@ impl QueryService for QuerySession {
                 QueryResponse::Cohort(std::sync::Arc::unwrap_or_clone(self.try_cohort(v)?))
             }
             QueryRequest::Batch(reqs) => return execute_batch(self, reqs),
+            other => return QueryService::execute(&**self.walker(), other),
         })
     }
 

@@ -13,7 +13,6 @@
 //! | `LoadPartition` | [`LoadPartition`]: `owned_part` + one `PASCOSH1` shard image | [`LoadAck`] |
 //! | `BuildShard` | [`BuildShard`] | [`BuildShardReply`] |
 //! | `ShardQuery` | [`ShardQuery`] | [`super::QueryResponse`] |
-//! | `ShardTopK` | [`ShardTopK`] | [`ShardTopKReply`] |
 //! | `WorkerStats` | *(empty)* | [`WorkerStats`] |
 //! | `LoadStore` | [`LoadStore`]: a store directory's path + `owned_part` | [`LoadAck`] |
 //!
@@ -128,7 +127,7 @@ impl WireCodec for SimRankConfig {
         buf.put_u32_le(self.r_forward);
         buf.put_u64_le(self.seed);
         // The retired row-strategy byte, always `0`: fields follow a config
-        // in `ShardQuery` and `ShardTopK`, and an older peer reads it as a tag.
+        // in `ShardQuery`, and an older peer reads it as a tag.
         buf.put_u8(0);
     }
 
@@ -341,10 +340,8 @@ impl WireCodec for BuildShardReply {
     }
 }
 
-/// Which query a [`ShardQuery`] carries. Only the kinds whose whole
-/// computation runs on the owning worker appear here; top-`k` has its
-/// own frame ([`ShardTopK`]) because its reply shape (per-partition
-/// rankings for the coordinator's merge) differs.
+/// Which query a [`ShardQuery`] carries. The worker owning the routing key
+/// holds the whole graph, so each kind runs there whole.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardQueryKind {
     /// MCSP: both cohorts simulated on the worker owning `i`.
@@ -364,15 +361,23 @@ pub enum ShardQueryKind {
         /// The cohort's source (the routing key).
         v: NodeId,
     },
+    /// Top-`k` MCSS from `i`: at most `k` ranked entries cross the wire.
+    SingleSourceTopK {
+        /// The query node (the routing key).
+        i: NodeId,
+        /// How many neighbours to return.
+        k: u64,
+    },
 }
 
 const SHARD_SINGLE_PAIR: u8 = 0;
 const SHARD_SINGLE_SOURCE: u8 = 1;
 const SHARD_COHORT: u8 = 2;
+const SHARD_TOPK: u8 = 3;
 
 /// One routed query: the config and diagonal it scores against plus the
 /// query itself. Answered with a [`super::QueryResponse`] payload
-/// (`Score` / `Scores` / `Cohort`).
+/// (`Score` / `Scores` / `Cohort` / `Ranked`).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardQuery {
     /// The CloudWalker parameters (query walks derive from `cfg.seed`).
@@ -401,6 +406,11 @@ impl WireCodec for ShardQuery {
                 buf.put_u8(SHARD_COHORT);
                 buf.put_u32_le(v);
             }
+            ShardQueryKind::SingleSourceTopK { i, k } => {
+                buf.put_u8(SHARD_TOPK);
+                buf.put_u32_le(i);
+                buf.put_u64_le(k);
+            }
         }
     }
 
@@ -414,6 +424,10 @@ impl WireCodec for ShardQuery {
             }
             SHARD_SINGLE_SOURCE => ShardQueryKind::SingleSource { i: read_u32(buf, WHAT)? },
             SHARD_COHORT => ShardQueryKind::Cohort { v: read_u32(buf, WHAT)? },
+            SHARD_TOPK => ShardQueryKind::SingleSourceTopK {
+                i: read_u32(buf, WHAT)?,
+                k: read_u64(buf, WHAT)?,
+            },
             tag => return Err(WireError::UnknownTag { decoding: WHAT, tag }),
         };
         Ok(ShardQuery { cfg, diag, kind })
@@ -425,76 +439,8 @@ impl WireCodec for ShardQuery {
             + match self.kind {
                 ShardQueryKind::SinglePair { .. } => 9,
                 ShardQueryKind::SingleSource { .. } | ShardQueryKind::Cohort { .. } => 5,
+                ShardQueryKind::SingleSourceTopK { .. } => 13,
             }
-    }
-}
-
-/// The distributed top-`k` plan's routed stage: the worker owning `i`
-/// accumulates the sparse masses, splits the candidates by owning
-/// partition, ranks each split, and replies with the per-partition
-/// rankings ([`ShardTopKReply`]) — only `parts × k` entries cross the
-/// wire, and the coordinator finishes with the shared k-way merge.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardTopK {
-    /// The CloudWalker parameters.
-    pub cfg: SimRankConfig,
-    /// The diagonal index, by fingerprint or in full.
-    pub diag: DiagPayload,
-    /// The query node (the routing key).
-    pub i: NodeId,
-    /// How many neighbours to return.
-    pub k: u64,
-}
-
-impl WireCodec for ShardTopK {
-    fn encode(&self, buf: &mut impl BufMut) {
-        self.cfg.encode(buf);
-        self.diag.encode(buf);
-        buf.put_u32_le(self.i);
-        buf.put_u64_le(self.k);
-    }
-
-    fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
-        const WHAT: &str = "ShardTopK";
-        Ok(ShardTopK {
-            cfg: SimRankConfig::decode(buf)?,
-            diag: DiagPayload::decode(buf)?,
-            i: read_u32(buf, WHAT)?,
-            k: read_u64(buf, WHAT)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.cfg.encoded_len() + self.diag.encoded_len() + 12
-    }
-}
-
-/// Per-partition top-`k` rankings, each sorted by the shared ranking
-/// comparator, in partition order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardTopKReply {
-    /// `lists[p]` ranks the candidates owned by partition `p`.
-    pub lists: Vec<Vec<(NodeId, f64)>>,
-}
-
-impl WireCodec for ShardTopKReply {
-    fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32_le(self.lists.len() as u32);
-        for list in &self.lists {
-            encode_ranked(list, buf);
-        }
-    }
-
-    fn decode(buf: &mut impl Buf) -> Result<Self, WireError> {
-        const WHAT: &str = "ShardTopKReply";
-        let len = read_len(buf, 4, WHAT)?;
-        Ok(ShardTopKReply {
-            lists: (0..len).map(|_| decode_ranked(buf, WHAT)).collect::<Result<_, _>>()?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + self.lists.iter().map(|l| 4 + 12 * l.len()).sum::<usize>()
     }
 }
 
@@ -515,9 +461,9 @@ pub struct WorkerStats {
     pub owned_bytes: u64,
     /// Offline builds served.
     pub builds: u64,
-    /// Routed [`ShardQuery`] requests served.
+    /// Routed [`ShardQuery`] requests served, top-`k` excluded.
     pub queries: u64,
-    /// Routed [`ShardTopK`] requests served.
+    /// Routed [`ShardQueryKind::SingleSourceTopK`] requests served.
     pub topk_queries: u64,
 }
 
@@ -605,9 +551,10 @@ mod tests {
             diag: DiagPayload::cached(7),
             kind: ShardQueryKind::Cohort { v: 59 },
         });
-        roundtrip(ShardTopK { cfg, diag: DiagPayload::cached(1), i: 4, k: u64::MAX });
-        roundtrip(ShardTopKReply {
-            lists: vec![vec![(1, 0.5)], vec![], vec![(2, 0.25), (9, 0.1)]],
+        roundtrip(ShardQuery {
+            cfg,
+            diag: DiagPayload::cached(1),
+            kind: ShardQueryKind::SingleSourceTopK { i: 4, k: u64::MAX },
         });
         roundtrip(WorkerStats {
             owned_part: 2,
@@ -672,17 +619,16 @@ mod tests {
 
     #[test]
     fn truncation_is_detected_for_control_payloads() {
-        let msg = ShardTopK {
+        let msg = ShardQuery {
             cfg: SimRankConfig::fast(),
             diag: DiagPayload::full(&[0.5; 16]),
-            i: 3,
-            k: 10,
+            kind: ShardQueryKind::SingleSourceTopK { i: 3, k: 10 },
         };
         let bytes = msg.to_bytes();
         for cut in 0..bytes.len() {
             assert!(
                 matches!(
-                    ShardTopK::from_bytes(&bytes[..cut]),
+                    ShardQuery::from_bytes(&bytes[..cut]),
                     Err(WireError::Truncated { .. } | WireError::UnknownTag { .. })
                 ),
                 "cut at {cut}"

@@ -11,7 +11,6 @@ use crate::engine::{ExecMode, SimRankEngine};
 use crate::error::SimRankError;
 use crate::queries;
 use pasco_cluster::ClusterReport;
-use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, InLinks, NodeId, ReverseChainIndex, WalkAdjacency};
 use pasco_mc::walks::{CohortBlock, StepDistributions};
 use pasco_store::MappedStore;
@@ -156,7 +155,7 @@ impl CloudWalker {
 
     /// Persists this walker's graph and diagonal as a [`pasco_store`]
     /// shard directory with at most `parts` range-partitioned shards
-    /// ([`Partitioner::range_nonempty`]: never an empty shard file, so 8
+    /// ([`pasco_graph::partition::Partitioner::range_nonempty`]: never an empty shard file, so 8
     /// parts of a 5-node graph write 5) — the out-of-core dual of
     /// [`crate::persist::save_index`]. Reopen with
     /// [`CloudWalker::open_store`] (or serve it fleet-wide with
@@ -197,8 +196,8 @@ impl CloudWalker {
 
     /// [`CloudWalker::from_index`] on an explicit execution substrate: the
     /// offline build is skipped, but queries run (and are accounted) on
-    /// the chosen engine — e.g. a persisted index served shard-parallel
-    /// with `ExecMode::Sharded`.
+    /// the chosen engine — e.g. a persisted index served by `pasco worker`
+    /// processes with `ExecMode::Distributed`.
     pub fn from_index_with_mode(
         graph: Arc<CsrGraph>,
         cfg: SimRankConfig,
@@ -380,8 +379,8 @@ impl CloudWalker {
         }
     }
 
-    /// The engine's substrate name (`"local"`, `"sharded"`, `"broadcast"`,
-    /// `"rdd"`, `"distributed"`, `"mapped"`).
+    /// The engine's substrate name (`"local"`, `"broadcast"`, `"rdd"`,
+    /// `"distributed"`, `"mapped"`).
     pub fn mode_name(&self) -> &'static str {
         self.engine.name()
     }
@@ -394,9 +393,9 @@ impl CloudWalker {
         self.engine.worker_stats()
     }
 
-    /// Per-shard bytes for partitioned substrates (`ExecMode::Sharded`
-    /// shards, mapped shard files, distributed workers' owned
-    /// partitions); `None` on unsharded substrates.
+    /// Per-shard bytes for partitioned substrates (mapped shard files,
+    /// distributed workers' owned partitions); `None` on unsharded
+    /// substrates.
     pub fn shard_footprints(&self) -> Option<Vec<u64>> {
         self.engine.shard_footprints()
     }
@@ -412,7 +411,7 @@ impl CloudWalker {
     }
 
     /// The largest partition's bytes — the per-worker memory requirement
-    /// of every substrate that splits the graph (RDD, sharded, mapped);
+    /// of every substrate that splits the graph (RDD, mapped);
     /// `None` where the whole graph is resident per worker (local,
     /// broadcast, distributed).
     pub fn max_partition_bytes(&self) -> Option<u64> {
@@ -474,15 +473,6 @@ fn make_engine(
             Arc::clone(&resident.rci),
         )?),
         ExecMode::Rdd(cluster_cfg) => Box::new(RddEngine::new(cluster_cfg, graph)?),
-        ExecMode::Sharded { shards } => {
-            if shards == 0 {
-                return Err(SimRankError::InvalidConfig(
-                    "sharded mode needs at least one shard".into(),
-                ));
-            }
-            let partitioner = Partitioner::range_nonempty(graph.node_count(), shards);
-            Box::new(KernelEngine::new(Arc::new(MappedStore::of_graph(graph, &partitioner)?)))
-        }
         ExecMode::Distributed { workers } => {
             if workers.is_empty() {
                 return Err(SimRankError::InvalidConfig(

@@ -5,23 +5,23 @@
 //! actual processes, actual sockets, actual serialised bytes:
 //!
 //! * [`DistributedEngine`] (the **coordinator**) range-partitions the
-//!   graph with the same [`Partitioner`] the sharded storage uses, ships
+//!   graph with the same [`Partitioner`] the store writer uses, ships
 //!   each partition's `PASCOSH1` shard image to `pasco worker` processes
 //!   over TCP (or, given a store directory the workers can reach, just
-//!   its path), routes the offline walk phase and every query to the
-//!   worker owning its source, and finishes top-`k` with a k-way merge
-//!   (`merge_ranked`) of the per-partition rankings the worker emits
-//!   (`topk_lists`) — the one plan where only `k` candidates per
-//!   partition cross the wire.
+//!   its path), and routes the offline walk phase and every query to the
+//!   worker owning its source. That worker holds the whole graph, so a
+//!   query runs there whole: top-`k` comes back as at most `k` ranked
+//!   entries.
 //! * [`ShardWorkerCore`] (the **worker half**, hosted on the
 //!   `pasco_server` reactor by `PascoServer::bind_worker`) keeps **one
 //!   storage, two ways to obtain its bytes**: shard images arriving in
 //!   [`LoadPartition`] frames and shard files named by a [`LoadStore`] frame go through the
 //!   store's one validator and end up as the same [`MappedStore`] the
-//!   out-of-core engine runs on. It answers build/query/top-k requests
+//!   out-of-core engine runs on. It answers build and query requests
 //!   through the *same* generic entry points as the in-process
 //!   [`super::kernel::KernelEngine`] ([`queries::single_pair_on`],
-//!   [`queries::single_source_on`], [`queries::query_cohort_on`]).
+//!   [`queries::single_source_on`], [`queries::single_source_topk_on`],
+//!   [`queries::query_cohort_on`]).
 //!
 //! ## Work partitions; adjacency replicates
 //!
@@ -45,7 +45,7 @@
 //! `(seed, source, walker, step)` and workers execute the shared
 //! kernels over a view that answers adjacency exactly like the resident
 //! graph, every result — index, MCSP, dense MCSS, top-`k`, cohorts — is
-//! **bit-identical** to Local and Sharded at every worker count
+//! **bit-identical** to Local and a mapped store at every worker count
 //! (`tests/distributed.rs` proves it over real loopback TCP).
 //!
 //! ## Accounting and failure
@@ -73,7 +73,7 @@ use crate::api::transport::DEFAULT_IO_TIMEOUT;
 use crate::api::wire::WireCodec;
 use crate::api::worker::{
     diag_fingerprint, BuildShard, BuildShardReply, DiagPayload, Empty, LoadAck, LoadPartition,
-    LoadStore, ShardQuery, ShardQueryKind, ShardTopK, ShardTopKReply, WorkerStats,
+    LoadStore, ShardQuery, ShardQueryKind, WorkerStats,
 };
 use crate::api::{check_node, QueryError, QueryRequest, QueryResponse};
 use crate::config::SimRankConfig;
@@ -81,7 +81,7 @@ use crate::diag::DiagonalIndex;
 use crate::engine::kernel::solve_rows;
 use crate::engine::{cohort_block, BuildOutcome, EngineFootprint, SimRankEngine};
 use crate::error::SimRankError;
-use crate::queries::{self, rank_topk, ranking_cmp, ForwardArm};
+use crate::queries::{self, ranking_cmp, ForwardArm};
 use pasco_cluster::metrics::{MetricsLog, ShuffleMetrics, StageMetrics};
 use pasco_cluster::ClusterReport;
 use pasco_graph::adjacency::WalkAdjacency;
@@ -339,9 +339,8 @@ impl ShardWorkerCore {
         Ok((self.routed_view()?, self.cached_diag()?))
     }
 
-    /// Answers one routed [`ShardQuery`]: MCSP, dense MCSS, or a raw
-    /// cohort — raw (unclamped) estimates through the same entry points
-    /// as the in-process engine.
+    /// Answers one routed [`ShardQuery`]: MCSP, dense MCSS, top-`k` or a
+    /// raw cohort, through the same entry points as the in-process engine.
     pub fn query(&mut self, msg: ShardQuery) -> Result<QueryResponse, QueryError> {
         let n = WalkAdjacency::node_count(self.routed_view()?);
         let cfg = msg.cfg;
@@ -370,21 +369,18 @@ impl ShardWorkerCore {
                 check_node(v, n)?;
                 QueryResponse::Cohort(queries::query_cohort_on(self.routed_view()?, &cfg, v))
             }
+            ShardQueryKind::SingleSourceTopK { i, k } => {
+                check_node(i, n)?;
+                let (view, diag) = self.scored(msg.diag)?;
+                let k = usize::try_from(k).unwrap_or(usize::MAX);
+                let arm = ForwardArm::of(view, &cfg);
+                let ranked = queries::single_source_topk_on(view, arm, diag, &cfg, i, k);
+                self.topk_queries += 1;
+                return Ok(QueryResponse::Ranked(ranked));
+            }
         };
         self.queries += 1;
         Ok(resp)
-    }
-
-    /// Answers one [`ShardTopK`]: the owning worker's half of the
-    /// distributed top-`k` plan — per-partition rankings out, the
-    /// coordinator merges.
-    pub fn topk(&mut self, msg: ShardTopK) -> Result<ShardTopKReply, QueryError> {
-        check_node(msg.i, WalkAdjacency::node_count(self.routed_view()?))?;
-        let (view, diag) = self.scored(msg.diag)?;
-        let k = usize::try_from(msg.k).unwrap_or(usize::MAX);
-        let lists = topk_lists(view, diag, &msg.cfg, msg.i, k);
-        self.topk_queries += 1;
-        Ok(ShardTopKReply { lists })
     }
 
     /// The worker's runtime report.
@@ -403,74 +399,6 @@ impl ShardWorkerCore {
             topk_queries: self.topk_queries,
         }
     }
-}
-
-// ====================================================================
-// The distributed top-k plan (worker ranks, coordinator merges)
-// ====================================================================
-
-/// The worker's stage: simulate `i`'s cohort on `view`, run the forward
-/// stage on the arm the in-process engine takes, split the candidates by
-/// owning partition, and rank each split with [`rank_topk`] — one
-/// already-sorted list per partition, ready for [`merge_ranked`]. A single
-/// global `rank_topk` gives the same answer (what the in-process engine
-/// does; the tests assert the equality); the split-rank-merge shape exists
-/// so that only `k` candidates per partition ever cross the wire.
-fn topk_lists(
-    view: &MappedStore,
-    diag: &[f64],
-    cfg: &SimRankConfig,
-    i: NodeId,
-    k: usize,
-) -> Vec<Vec<(NodeId, f64)>> {
-    let partitioner: Partitioner = view.partitioner();
-    let block = queries::query_block_on(view, cfg, i);
-    let by_shard =
-        queries::forward_masses_on(view, ForwardArm::of(view, cfg), &block, diag, cfg, |masses| {
-            let mut by_shard: Vec<Vec<(NodeId, f64)>> =
-                vec![Vec::new(); partitioner.parts() as usize];
-            for (node, mass) in masses {
-                by_shard[partitioner.owner(node) as usize].push((node, mass));
-            }
-            by_shard
-        });
-    by_shard.into_par_iter().map(|entries| rank_topk(entries, i, k)).collect()
-}
-
-/// The coordinator's stage: k-way merge of per-partition rankings, each
-/// already sorted by [`ranking_cmp`]; picks the globally best head until
-/// `k` entries are out. Equivalent to ranking the union through
-/// [`rank_topk`] because the comparator is a total order over unique
-/// node ids.
-fn merge_ranked(lists: &[Vec<(NodeId, f64)>], k: usize) -> Vec<(NodeId, f64)> {
-    let mut heads = vec![0usize; lists.len()];
-    let mut out = Vec::with_capacity(k.min(lists.iter().map(Vec::len).sum()));
-    while out.len() < k {
-        let mut best: Option<usize> = None;
-        for (s, list) in lists.iter().enumerate() {
-            if heads[s] >= list.len() {
-                continue;
-            }
-            best = match best {
-                None => Some(s),
-                Some(b) => {
-                    if ranking_cmp(&list[heads[s]], &lists[b][heads[b]]).is_lt() {
-                        Some(s)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
-        }
-        match best {
-            None => break,
-            Some(b) => {
-                out.push(lists[b][heads[b]]);
-                heads[b] += 1;
-            }
-        }
-    }
-    out
 }
 
 // ====================================================================
@@ -524,6 +452,24 @@ fn check_row(row: &[(NodeId, f64)], i: NodeId, n: u32) -> Result<(), String> {
         Ok(k) if row[k].1 != 0.0 => Ok(()),
         _ => Err(format!("row {i}: no non-zero entry in its own column")),
     }
+}
+
+/// Checks that a worker's top-`k` answer for `i` is one
+/// [`queries::single_source_topk_on`] could give on `n` nodes: at most `k`
+/// entries, each node `< n` and not `i`, each score in `(0, 1]`, strictly
+/// ordered by [`ranking_cmp`].
+fn check_ranked(ranked: &[(NodeId, f64)], i: NodeId, k: usize, n: u32) -> Result<(), String> {
+    if ranked.len() > k {
+        return Err(format!("top-{k} answered with {} entries", ranked.len()));
+    }
+    let fits = |&&(v, s): &&(NodeId, f64)| v < n && v != i && s > 0.0 && s <= 1.0;
+    if let Some((v, s)) = ranked.iter().find(|e| !fits(e)) {
+        return Err(format!("top-k entry ({v}, {s}) for node {i} on {n} nodes"));
+    }
+    if !ranked.windows(2).all(|w| ranking_cmp(&w[0], &w[1]).is_lt()) {
+        return Err("top-k entries not strictly ranked".into());
+    }
+    Ok(())
 }
 
 /// One coordinator → worker link: the shared blocking client plus the
@@ -881,6 +827,7 @@ impl DistributedEngine {
             ShardQueryKind::SinglePair { i, j } => QueryRequest::SinglePair { i, j },
             ShardQueryKind::SingleSource { i } => QueryRequest::SingleSource { i },
             ShardQueryKind::Cohort { v } => QueryRequest::Cohort { v },
+            ShardQueryKind::SingleSourceTopK { i, k } => QueryRequest::SingleSourceTopK { i, k },
         };
         self.admit(w, asked.response_bound(self.n, cfg))?;
         let reply =
@@ -1059,23 +1006,14 @@ impl SimRankEngine for DistributedEngine {
         k: usize,
     ) -> Result<Vec<(NodeId, f64)>, QueryError> {
         check_node(i, self.n)?;
-        let w = self.owner(i);
-        // One list of at most `k` entries per partition; a node is owned
-        // by one partition, so the lists together hold at most `n`.
-        let lists = self.workers() as u64;
-        let entries = lists.saturating_mul(k as u64).min(u64::from(self.n));
-        self.admit(w, 4 + 4 * lists + 12 * entries)?;
-        let reply =
-            self.call(w, FrameKind::ShardTopK, "query/topk", DEFAULT_IO_TIMEOUT, |link| {
-                ShardTopK { cfg: *cfg, diag: Self::diag_payload(link, diag), i, k: k as u64 }
-                    .to_bytes()
-            })?;
-        let lists = ShardTopKReply::from_bytes(&reply.payload).map_err(|e| {
-            QueryError::WorkerUnavailable { detail: format!("worker {w}: bad top-k reply: {e}") }
-        })?;
-        // The coordinator's half of the plan, over lists that crossed
-        // a real wire.
-        Ok(merge_ranked(&lists.lists, k))
+        let kind = ShardQueryKind::SingleSourceTopK { i, k: k as u64 };
+        match self.routed_query(Some(diag), cfg, i, kind)? {
+            QueryResponse::Ranked(ranked) => match check_ranked(&ranked, i, k, self.n) {
+                Ok(()) => Ok(ranked),
+                Err(why) => self.protocol_violation(self.owner(i), &why),
+            },
+            _ => self.protocol_violation(self.owner(i), "top-k answered with a non-ranking"),
+        }
     }
 
     fn cluster_report(&self) -> Option<ClusterReport> {
@@ -1161,21 +1099,26 @@ mod tests {
             .collect()
     }
 
-    /// SinglePair, dense MCSS, top-k lists and a cohort from `core`, the
+    /// SinglePair, dense MCSS, top-k and a cohort from `core`, the
     /// diagonal shipped as `payload` with the first of them.
     fn answers(
         core: &mut ShardWorkerCore,
         cfg: SimRankConfig,
         payload: DiagPayload,
-        (i, j, k): (NodeId, NodeId, usize),
-    ) -> (QueryResponse, QueryResponse, ShardTopKReply, QueryResponse) {
+        (i, j, k): (NodeId, NodeId, u64),
+    ) -> (QueryResponse, QueryResponse, QueryResponse, QueryResponse) {
         let cached = DiagPayload::cached(payload.fingerprint);
         let mut ask = |diag, kind| core.query(ShardQuery { cfg, diag, kind }).unwrap();
         let pair = ask(payload, ShardQueryKind::SinglePair { i, j });
         let dense = ask(cached.clone(), ShardQueryKind::SingleSource { i });
         let cohort = ask(DiagPayload::cached(0), ShardQueryKind::Cohort { v: j });
-        let lists = core.topk(ShardTopK { cfg, diag: cached, i, k: k as u64 }).unwrap();
-        (pair, dense, lists, cohort)
+        let ranked = ask(cached, ShardQueryKind::SingleSourceTopK { i, k });
+        (pair, dense, ranked, cohort)
+    }
+
+    /// A top-`k` request for `i` with the diagonal as `diag`.
+    fn topk(cfg: SimRankConfig, diag: DiagPayload, i: NodeId, k: u64) -> ShardQuery {
+        ShardQuery { cfg, diag, kind: ShardQueryKind::SingleSourceTopK { i, k } }
     }
 
     #[test]
@@ -1198,7 +1141,7 @@ mod tests {
             // Routed queries equal the resident kernels'; everything after
             // the first rides the cached fingerprint.
             let owner = Partitioner::range(g.node_count(), cores.len() as u32).owner(7) as usize;
-            let (pair, dense, ShardTopKReply { lists }, cohort) =
+            let (pair, dense, ranked, cohort) =
                 answers(&mut cores[owner], cfg, DiagPayload::full(diag), (7, 40, 8));
             assert_eq!(pair, QueryResponse::Score(queries::single_pair(&g, diag, &cfg, 7, 40)));
             assert_eq!(
@@ -1206,11 +1149,9 @@ mod tests {
                 QueryResponse::Scores(queries::single_source(&g, &rci, diag, &cfg, 7))
             );
             assert_eq!(cohort, QueryResponse::Cohort(queries::query_cohort(&g, &cfg, 40)));
-            // Top-k lists merge to the global ranking.
-            assert_eq!(lists.len(), cores.len(), "one ranking per partition");
             assert_eq!(
-                merge_ranked(&lists, 8),
-                queries::single_source_topk(&g, &rci, diag, &cfg, 7, 8)
+                ranked,
+                QueryResponse::Ranked(queries::single_source_topk(&g, &rci, diag, &cfg, 7, 8))
             );
             let stats = cores[owner].stats();
             assert_eq!(stats.queries, 3);
@@ -1234,7 +1175,7 @@ mod tests {
         let resident = (
             QueryResponse::Score(queries::single_pair(&g, diag, &cfg, 11, 63)),
             QueryResponse::Scores(queries::single_source(&g, &rci, diag, &cfg, 11)),
-            queries::single_source_topk(&g, &rci, diag, &cfg, 11, 6),
+            QueryResponse::Ranked(queries::single_source_topk(&g, &rci, diag, &cfg, 11, 6)),
             QueryResponse::Cohort(queries::query_cohort(&g, &cfg, 63)),
         );
         for parts in [1u32, 3, 7] {
@@ -1253,17 +1194,12 @@ mod tests {
                 } else {
                     ship(&mut core, 0, &images);
                     // A fresh wire round dropped whatever diagonal was cached.
-                    let err = core
-                        .topk(ShardTopK { cfg, diag: DiagPayload::cached(fp), i: 11, k: 6 })
-                        .unwrap_err();
+                    let err = core.query(topk(cfg, DiagPayload::cached(fp), 11, 6)).unwrap_err();
                     assert!(err.to_string().contains("not cached"), "{round}: {err}");
                     DiagPayload::full(diag)
                 };
-                let (pair, dense, ShardTopKReply { lists }, cohort) =
-                    answers(&mut core, cfg, payload, ask);
-                let got = (pair, dense, merge_ranked(&lists, 6), cohort);
+                let got = answers(&mut core, cfg, payload, ask);
                 assert_eq!(got, resident, "{parts} parts, {round}");
-                assert_eq!(lists.len(), parts as usize);
                 // Both paths report the same quantity: image bytes. The
                 // store's shards carry 8 more bytes per node, the diagonal.
                 let graph_only: u64 = images.iter().map(|i| i.len() as u64).sum();
@@ -1295,25 +1231,12 @@ mod tests {
         let rci = ReverseChainIndex::build(&b);
         let cfg = SimRankConfig::fast().with_seed(8);
         let diag = vec![0.6; 60];
-        let (pair, _, ShardTopKReply { lists }, _) =
-            answers(&mut core, cfg, DiagPayload::full(&diag), (5, 41, 4));
+        let (pair, _, ranked, _) = answers(&mut core, cfg, DiagPayload::full(&diag), (5, 41, 4));
         assert_eq!(pair, QueryResponse::Score(queries::single_pair(&b, &diag, &cfg, 5, 41)));
         assert_eq!(
-            merge_ranked(&lists, 4),
-            queries::single_source_topk(&b, &rci, &diag, &cfg, 5, 4)
+            ranked,
+            QueryResponse::Ranked(queries::single_source_topk(&b, &rci, &diag, &cfg, 5, 4))
         );
-    }
-
-    #[test]
-    fn merge_ranked_equals_global_ranking() {
-        // Hand-built shard lists with a cross-shard tie: node ids break it.
-        let lists =
-            vec![vec![(0u32, 0.9), (2, 0.5), (4, 0.1)], vec![(5u32, 0.9), (1, 0.5), (3, 0.2)]];
-        let merged = merge_ranked(&lists, 5);
-        let all: Vec<(u32, f64)> = lists.concat();
-        assert_eq!(merged, rank_topk(all, u32::MAX, 5));
-        // Exhausting every list stops early.
-        assert_eq!(merge_ranked(&lists, 100).len(), 6);
     }
 
     #[test]
@@ -1369,9 +1292,9 @@ mod tests {
         assert_eq!(core.load_store(LoadStore { dir, owned_part: 1 }).unwrap().loaded, 2);
         let cfg = SimRankConfig::fast();
         let empty = DiagPayload::cached(diag_fingerprint(&[]));
-        let err = core.topk(ShardTopK { cfg, diag: empty, i: 3, k: 2 }).unwrap_err();
+        let err = core.query(topk(cfg, empty, 3, 2)).unwrap_err();
         assert!(err.to_string().contains("not cached"), "{err}");
-        core.topk(ShardTopK { cfg, diag: DiagPayload::full(&[0.5; 12]), i: 3, k: 2 }).unwrap();
+        core.query(topk(cfg, DiagPayload::full(&[0.5; 12]), 3, 2)).unwrap();
     }
 
     /// `LoadPartition { n: 6, parts: 2, owned_part: 0, part_index: 0,

@@ -14,17 +14,12 @@
 //! * [`InLinks`] (`"local"` too) — the in-links alone, no sampler: what
 //!   `pasco serve --graph` holds below [`queries::sweeps_pay`]'s point,
 //!   where the forward walks never run;
-//! * [`MappedStore`], as `"sharded"` — the graph range-partitioned into
-//!   graph-only `PASCOSH1` images held in memory
-//!   ([`MappedStore::of_graph`], the images a worker receives), every
-//!   lookup routed to the shard owning the node (the single-box form of
-//!   *partition by source*);
-//! * [`MappedStore`], as `"mapped"` — a `PASCOSH1` shard directory mapped
-//!   read-only: no resident adjacency at all, O(1) restart, graphs larger
-//!   than RAM.
-//!
-//! The last two are one storage; the name says only whether the store was
-//! opened from a directory.
+//! * [`MappedStore`] (`"mapped"`) — the graph range-partitioned into
+//!   `PASCOSH1` shard images, every lookup routed to the shard owning the
+//!   node (the single-box form of *partition by source*): a shard
+//!   directory mapped read-only (no resident adjacency at all, O(1)
+//!   restart, graphs larger than RAM), or graph-only images held in memory
+//!   ([`MappedStore::of_graph`], the images a worker receives).
 //!
 //! The offline rows live off the heap: coded once per 256-row group and
 //! spilled to an unlinked file under [`std::env::temp_dir`] (`TMPDIR`)
@@ -183,11 +178,7 @@ impl Storage for MappedStore {
     }
 
     fn name(&self) -> &'static str {
-        if self.dir().as_os_str().is_empty() {
-            "sharded"
-        } else {
-            "mapped"
-        }
+        "mapped"
     }
 
     /// Image bytes per shard, header and padding included. In memory they
@@ -213,7 +204,7 @@ pub struct KernelEngine<A> {
 
 /// The single-machine reference: [`KernelEngine`] over [`Resident`].
 pub type LocalEngine = KernelEngine<Resident>;
-/// Sharded and out-of-core execution: [`KernelEngine`] over a
+/// Routed and out-of-core execution: [`KernelEngine`] over a
 /// [`MappedStore`], its images in memory or mapped from a directory.
 pub type MappedEngine = KernelEngine<MappedStore>;
 
@@ -364,7 +355,7 @@ mod tests {
 
     /// Every in-process storage over `g`: resident, in-memory images at
     /// 1/3/8 shards, and a mapped store (holding `diag`) at 1/2/4 parts.
-    /// Each entry is `(mode name, shard count, engine)`.
+    /// Each entry is `(label, shard count, engine)`.
     fn engines(
         g: &Arc<CsrGraph>,
         diag: &[f64],
@@ -374,8 +365,8 @@ mod tests {
             vec![("local", 1, Box::new(resident))];
         for shards in [1u32, 3, 8] {
             let p = Partitioner::range_nonempty(g.node_count(), shards);
-            let sharded = KernelEngine::new(Arc::new(MappedStore::of_graph(g, &p).unwrap()));
-            all.push(("sharded", shards, Box::new(sharded)));
+            let images = KernelEngine::new(Arc::new(MappedStore::of_graph(g, &p).unwrap()));
+            all.push(("images", shards, Box::new(images)));
         }
         for parts in [1u32, 2, 4] {
             let dir = std::env::temp_dir().join(format!("pasco_kernel_engine_{parts}"));
@@ -405,7 +396,8 @@ mod tests {
         for (name, shards, eng) in engines(&g, diag) {
             let eng: &dyn SimRankEngine = &*eng;
             let label = format!("{name} x{shards}");
-            assert_eq!(eng.name(), name, "{label}: the stable mode string");
+            let mode = if name == "local" { "local" } else { "mapped" };
+            assert_eq!(eng.name(), mode, "{label}: the stable mode string");
             // A mapped store ships a diagonal, but a fresh build over it
             // never reads that section.
             let built = eng.build_diagonal(&cfg).unwrap();

@@ -5,13 +5,12 @@
 //! * **Storage** — where the adjacency lives. [`kernel::KernelEngine`] is
 //!   the single in-process engine, generic over a [`kernel::Storage`]:
 //!   the **resident** CSR graph ([`ExecMode::Local`]), or a `PASCOSH1`
-//!   shard set — range shards held as in-memory images
-//!   ([`ExecMode::Sharded`], the single-box analogue of
-//!   partition-by-source parallel SimRank) or a **mapped** store directory
-//!   ([`crate::CloudWalker::open_store`]: no resident adjacency at all,
-//!   O(1) restart, graphs larger than RAM).
+//!   shard set, range shards routed by owner — a **mapped** store
+//!   directory ([`crate::CloudWalker::open_store`]: no resident adjacency
+//!   at all, O(1) restart, graphs larger than RAM) or the same images held
+//!   in memory.
 //! * **Placement** — where the kernels execute. In-process on the caller's
-//!   rayon pool (the three storages above), or on real `pasco worker`
+//!   rayon pool (the storages above), or on real `pasco worker`
 //!   processes over TCP ([`distributed`]): the build and every query
 //!   routed to the worker owning its source through the envelope
 //!   protocol, each worker running the same kernel functions over the
@@ -41,8 +40,7 @@
 //! every engine therefore produces identical walker trajectories and the
 //! same index bit for bit — structurally, with `tests/execution_modes.rs`
 //! (storages, cost models at several cluster shapes) and
-//! `tests/distributed.rs` (the RPC placement) as the oracle; only the RDD
-//! model's shuffled stepping is a second spelling of a walk step.
+//! `tests/distributed.rs` (the RPC placement) as the oracle.
 
 pub mod broadcast;
 pub mod distributed;
@@ -78,20 +76,10 @@ pub enum ExecMode {
     /// Simulated cluster, RDD model: the graph is range-partitioned and
     /// walker state is shuffled to the owner of its next node every step.
     Rdd(ClusterConfig),
-    /// In-process sharded execution: the graph range-partitioned into
-    /// `shards` graph-only shard images held in memory, builds
-    /// shard-parallel, queries routed to the shard owning their source.
-    /// Bit-identical to [`ExecMode::Local`] at every shard count;
-    /// per-shard memory shrinks as shards are added.
-    Sharded {
-        /// Number of shards (capped at the node count; must be positive).
-        shards: u32,
-    },
     /// Real RPC workers over TCP: the graph range-partitioned across the
     /// listed `pasco worker` processes, the offline walk phase and every
     /// query routed to the worker owning its source over the envelope
-    /// protocol, top-`k` finished with the coordinator's k-way merge.
-    /// Bit-identical to [`ExecMode::Local`] at every worker count.
+    /// protocol. Bit-identical to [`ExecMode::Local`] at every worker count.
     Distributed {
         /// Worker addresses (`host:port`), one partition per worker
         /// (capped at the node count; must be non-empty).
@@ -135,8 +123,8 @@ pub struct EngineFootprint {
 /// on single-source paths (the walks themselves are identical; only the
 /// summation order differs).
 pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
-    /// A short, stable substrate name (`"local"`, `"sharded"`,
-    /// `"broadcast"`, `"rdd"`, `"distributed"`, `"mapped"`).
+    /// A short, stable substrate name (`"local"`, `"broadcast"`, `"rdd"`,
+    /// `"distributed"`, `"mapped"`).
     fn name(&self) -> &'static str;
 
     /// Runs the offline phase: estimate the rows `aᵢ` by Monte-Carlo
@@ -193,9 +181,9 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     /// every sparse path, so shapes and tie-breaks match across engines;
     /// the simulated engines use it, running (and accounting) their own
     /// single-source dataflow. [`KernelEngine`] overrides it to rank
-    /// straight from the forward stage (no length-`n` answer built),
-    /// [`DistributedEngine`] with its worker-ranks /
-    /// coordinator-merges plan (`k` candidates per partition on the wire).
+    /// straight from the forward stage (no length-`n` answer built), and
+    /// [`DistributedEngine`] routes that same ranking to the worker owning
+    /// `i` (at most `k` entries on the wire).
     fn single_source_topk(
         &self,
         diag: &[f64],
@@ -214,8 +202,8 @@ pub trait SimRankEngine: Send + Sync + std::fmt::Debug {
     fn memory_footprint(&self) -> EngineFootprint;
 
     /// Per-shard bytes, in shard order, for substrates that partition the
-    /// graph (in-memory shards, mapped shard files, worker-owned
-    /// partitions); `None` for unsharded substrates (the default).
+    /// graph (shard images, worker-owned partitions); `None` for unsharded
+    /// substrates (the default).
     fn shard_footprints(&self) -> Option<Vec<u64>> {
         None
     }

@@ -38,7 +38,7 @@ use pasco_graph::partition::Partitioner;
 use pasco_graph::{CsrGraph, NodeId};
 use pasco_mc::counts::{CountMap, MassMap};
 use pasco_mc::forward::forward_step;
-use pasco_mc::walks::{pick, step_u64, walker_keys, CohortBlock, StepDistributions};
+use pasco_mc::walks::{reverse_step, walker_keys, CohortBlock, StepDistributions};
 use pasco_store::{MappedShard, MappedStore};
 use std::sync::Arc;
 
@@ -283,18 +283,12 @@ impl SimRankEngine for RddEngine {
                 walkers = walkers.map_partitions(
                     &self.cluster,
                     "index/step",
-                    move |pidx, batch: Vec<IndexWalker>| {
-                        let gp = &parts_ref.shards()[pidx];
+                    move |_, batch: Vec<IndexWalker>| {
                         batch
                             .into_iter()
                             .filter_map(|(key, src, pos)| {
-                                let ins = gp.in_neighbors(pos);
-                                if ins.is_empty() {
-                                    None
-                                } else {
-                                    let next = ins[pick(step_u64(key, t as u32), ins.len())];
-                                    Some((key, src, next))
-                                }
+                                reverse_step(&*parts_ref, pos, key, t as u32)
+                                    .map(|next| (key, src, next))
                             })
                             .collect()
                     },
@@ -406,17 +400,11 @@ impl SimRankEngine for RddEngine {
             walkers = walkers.map_partitions(
                 &self.cluster,
                 "query/step",
-                move |pidx, batch: Vec<QueryWalker>| {
-                    let gp = &parts_ref.shards()[pidx];
+                move |_, batch: Vec<QueryWalker>| {
                     batch
                         .into_iter()
                         .filter_map(|(key, pos)| {
-                            let ins = gp.in_neighbors(pos);
-                            if ins.is_empty() {
-                                None
-                            } else {
-                                Some((key, ins[pick(step_u64(key, t as u32), ins.len())]))
-                            }
+                            reverse_step(&*parts_ref, pos, key, t as u32).map(|next| (key, next))
                         })
                         .collect()
                 },

@@ -25,9 +25,9 @@
 //! # Execution modes
 //!
 //! [`ExecMode`] selects where the work runs: [`ExecMode::Local`] on a rayon
-//! pool, [`ExecMode::Sharded`] on in-process graph shards (both — and the
-//! mapped store behind [`CloudWalker::open_store`] — are the one generic
-//! [`engine::KernelEngine`] over a different [`engine::Storage`]), the
+//! pool (it and the mapped store behind [`CloudWalker::open_store`] are the
+//! one generic [`engine::KernelEngine`] over a different
+//! [`engine::Storage`]), the
 //! simulated Spark cluster in the paper's two models —
 //! [`ExecMode::Broadcast`] (graph replicated per worker; fails when it does
 //! not fit the per-worker budget) and [`ExecMode::Rdd`] (graph partitioned;

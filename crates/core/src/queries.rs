@@ -765,10 +765,10 @@ pub fn sparse_masses_on<A: WalkAdjacency + ForwardSampler>(
 /// The total order every ranking path sorts by: descending score, node-id
 /// tie-break. Uses [`f64::total_cmp`] so a NaN score (e.g. from a poisoned
 /// diagonal entry) can never panic a query; NaN orders above every finite
-/// score under `total_cmp`, deterministically. The distributed
-/// coordinator's k-way merge and [`rank_topk`] share this comparator — the
-/// cross-engine ranking-equality guarantee depends on there being exactly
-/// one.
+/// score under `total_cmp`, deterministically. [`rank_topk`] and the
+/// distributed coordinator's check of a worker's ranking share this
+/// comparator — the cross-engine ranking-equality guarantee depends on
+/// there being exactly one.
 #[inline]
 pub(crate) fn ranking_cmp(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ordering {
     b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
@@ -781,7 +781,7 @@ pub(crate) fn ranking_cmp(a: &(NodeId, f64), b: &(NodeId, f64)) -> std::cmp::Ord
 /// are cut back to the best `k` whenever `2k` (at least 64) pile up, so a
 /// dense input of `n` scores never holds more than that, and after the
 /// first cut only those that rank before the `k`-th kept one are pushed.
-/// In-process, worker per-partition and cluster dense top-`k` all rank
+/// In-process, worker and cluster dense top-`k` all rank
 /// through here, so the cross-mode ranking-equality guarantee depends on
 /// exactly one tie-break implementation.
 pub(crate) fn rank_topk(

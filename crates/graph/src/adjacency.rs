@@ -5,9 +5,9 @@
 //! served either by the resident [`CsrGraph`] (plus its
 //! [`ReverseChainIndex`]) or by `pasco_store`'s routed shard set, in memory
 //! or mapped from disk. These traits let one walk kernel drive both — the
-//! **structural** form of the cross-engine guarantee: a sharded engine
-//! cannot drift from the local one when they execute the same kernel, only
-//! the adjacency source differs.
+//! **structural** form of the cross-engine guarantee: an engine over a
+//! routed shard set cannot drift from the local one when they execute the
+//! same kernel, only the adjacency source differs.
 
 use crate::csr::{CsrGraph, InLinks, NodeId};
 use crate::plan::SweepPlan;

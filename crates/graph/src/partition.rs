@@ -97,7 +97,7 @@ impl Partitioner {
     /// capped so that every part owns at least one node: 4 parts of a
     /// 5-node graph become 3 parts of ⌈5/4⌉ = 2, 2 and 1 nodes rather
     /// than a fourth, empty one. The one shard-count rule shared by the
-    /// sharded engine, the distributed coordinator and the store writer.
+    /// distributed coordinator and the store writer.
     pub fn range_nonempty(n: u32, want: u32) -> Self {
         assert!(want > 0, "need at least one partition");
         let chunk = chunk_size(n, want.min(n.max(1)));

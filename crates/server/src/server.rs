@@ -37,9 +37,7 @@ use pasco_simrank::api::envelope::{
 };
 use pasco_simrank::api::transport::{FrameDecoder, WriteQueue, DEFAULT_IO_TIMEOUT};
 use pasco_simrank::api::wire::WireCodec;
-use pasco_simrank::api::worker::{
-    BuildShard, Empty, LoadPartition, LoadStore, ShardQuery, ShardTopK,
-};
+use pasco_simrank::api::worker::{BuildShard, Empty, LoadPartition, LoadStore, ShardQuery};
 use pasco_simrank::engine::distributed::ShardWorkerCore;
 use pasco_simrank::{QueryError, QueryService};
 use std::io::{self, Read};
@@ -310,12 +308,12 @@ impl SimRankWorker {
             FrameKind::ShardQuery => {
                 self.serve(env, frame, |core, msg: ShardQuery| core.query(msg))
             }
-            FrameKind::ShardTopK => self.serve(env, frame, |core, msg: ShardTopK| core.topk(msg)),
             FrameKind::WorkerStats => {
                 self.serve(env, frame, |core, _: Empty| Ok::<_, QueryError>(core.stats()))
             }
             // Coordinators send only worker-control frames (and Shutdown,
-            // which the reactor handles) after the handshake.
+            // which the reactor handles) after the handshake; the retired
+            // `ShardTopK` drops the link like any kind a worker does not speak.
             _ => false,
         }
     }

@@ -24,8 +24,8 @@
 //!   wire (and one that cannot receives the very same bytes).
 //!
 //! [`MappedStore`] assembles a directory of shards — or images held in
-//! memory, the in-process `sharded` engine's and a worker's storage — into
-//! a routed view implementing the [`pasco_graph::adjacency`] traits, so the
+//! memory, a worker's and the RDD model's storage — into a routed view
+//! implementing the [`pasco_graph::adjacency`] traits, so the
 //! generic walk/MCSS kernels (and therefore every engine built on them)
 //! answer **bit-identically** over a store and the resident graph. A shard
 //! is the only partitioned form of a graph in the workspace.

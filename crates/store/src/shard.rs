@@ -22,8 +22,8 @@
 //!
 //! A lookup then costs what it costs in memory: [`MappedShard::slices`]
 //! hands the resolved views to [`PartSlices`], the one accessor body of
-//! every partitioned storage — a store directory, a worker's wire images,
-//! the in-process `sharded` engine and the RDD model's partitions all hold
+//! every partitioned storage — a store directory, a worker's wire images
+//! and the RDD model's partitions all hold
 //! their partitions as shards. Its offsets and cumulative weights are the
 //! resident graph's, sampled through the same
 //! [`pasco_graph::sampling::pick_weighted`], which is what makes walks over

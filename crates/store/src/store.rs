@@ -3,7 +3,7 @@
 //! [`MappedStore::open`] maps every `shard-*.pasco` file in a directory
 //! ([`MappedStore::from_shards`] takes shards already mapped — a worker's
 //! wire images — and runs the same cross-check; [`MappedStore::of_graph`]
-//! feeds it a resident graph's images, the in-process sharded storage),
+//! feeds it a resident graph's images),
 //! checks that the shards agree on shape and tile `[0, n)`
 //! exactly the way [`Partitioner::range`] would (readers recompute the
 //! partitioner, so the tiling *is* the routing table), and then serves

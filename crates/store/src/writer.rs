@@ -27,7 +27,7 @@ pub fn shard_file_name(part_index: u32) -> String {
 
 /// Writes a complete store directory for `graph`: range-partitions it
 /// into at most `parts` shards (the same
-/// [`Partitioner::range_nonempty`] the sharded engine uses, so every
+/// [`Partitioner::range_nonempty`] the distributed coordinator uses, so every
 /// reader routes identically and no shard file is ever empty), slices
 /// `diag` per-partition, and writes one shard file each.
 pub fn write_store(

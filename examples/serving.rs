@@ -44,12 +44,13 @@ fn main() {
         survival.iter().map(|s| format!("{s:.2}")).collect::<Vec<_>>()
     );
 
-    // Serve from the sharded substrate: the graph is range-partitioned
-    // across 4 in-process shards, queries route to the shard owning their
-    // source, and answers stay bit-identical to the local engine's.
-    let cw = Arc::new(
-        CloudWalker::build(Arc::clone(&graph), cfg, ExecMode::Sharded { shards: 4 }).unwrap(),
-    );
+    // Serve from a saved store: the graph range-partitioned into 4 shard
+    // files, mapped in place, every lookup routed to the shard owning the
+    // node, and answers bit-identical to the local engine's.
+    let built = CloudWalker::build(Arc::clone(&graph), cfg, ExecMode::Local).unwrap();
+    let store = std::env::temp_dir().join(format!("pasco_serving_example_{}", std::process::id()));
+    built.save_store(&store, 4).unwrap();
+    let cw = Arc::new(CloudWalker::open_store(&store, cfg).unwrap());
     let fp = cw.memory_footprint();
     println!("\nengine: {} ({} bytes/worker)", cw.mode_name(), fp.per_worker_bytes);
     if let Some(per_shard) = cw.shard_footprints() {
@@ -170,4 +171,5 @@ fn main() {
     client.shutdown_server().unwrap();
     server_thread.join().unwrap();
     println!("server drained cleanly");
+    std::fs::remove_dir_all(&store).unwrap();
 }

@@ -3,8 +3,8 @@
 //! ```text
 //! pasco generate --model rmat --scale 14 --edges 100000 --seed 7 --out g.bin
 //! pasco stats    --graph g.bin
-//! pasco index    --graph g.bin --out g.idx [--mode local|sharded|broadcast|rdd]
-//!                [--shards N] [--seed N]
+//! pasco index    --graph g.bin --out g.idx [--mode local|broadcast|rdd]
+//!                [--seed N]
 //! pasco sp       --graph g.bin --index g.idx --i 3 --j 99
 //! pasco ss       --graph g.bin --index g.idx --i 3 [--top 10] [--estimator walk|push]
 //! pasco topk     --graph g.bin --index g.idx --i 3 --k 10
@@ -13,7 +13,7 @@
 //! pasco save-store --graph g.bin --index g.idx --out store/ --parts 4
 //! pasco sp       --store store/ --i 3 --j 99     (any query cmd; O(1) open)
 //! pasco serve    --graph g.bin --index g.idx --addr 127.0.0.1:7878
-//!                [--mode local|sharded|broadcast|rdd|distributed] [--cache N]
+//!                [--mode local|broadcast|rdd|distributed] [--cache N]
 //!                [--workers N]
 //! pasco query    --connect 127.0.0.1:7878 --kind sp --i 3 --j 99
 //! pasco query    --connect 127.0.0.1:7878 --kind shutdown   (drain the server)
@@ -21,10 +21,11 @@
 //!                with `pasco query --connect 127.0.0.1:9000 --kind shutdown`)
 //! ```
 //!
-//! Query subcommands also accept `--mode`/`--shards`, so a persisted index
-//! can be served from any substrate (e.g. `--mode sharded --shards 8`), and
-//! `--mode distributed --workers host:port,host:port` runs the build and
-//! every query on real worker processes over TCP — bit-identical output.
+//! Query subcommands also accept `--mode`, so a persisted index can be
+//! served from any substrate (`--store <dir>` serves a saved shard store),
+//! and `--mode distributed --workers host:port,host:port` runs the build
+//! and every query on real worker processes over TCP — bit-identical
+//! output.
 //!
 //! Graphs are read as the binary format when the file starts with the
 //! `PASCOGR1` magic, otherwise as a whitespace edge list.
@@ -92,8 +93,8 @@ USAGE:
                  [--edges M] [--seed N]
   pasco stats    --graph <file>
   pasco index    --graph <file> --out <file>
-                 [--mode local|sharded|broadcast|rdd|distributed]
-                 [--shards N] [--workers host:port,...]
+                 [--mode local|broadcast|rdd|distributed]
+                 [--workers host:port,...]
                  [--seed N] [--c F] [--t N] [--l N] [--r N]
   pasco sp       --graph <file> --index <file> --i <node> --j <node>
   pasco ss       --graph <file> --index <file> --i <node> [--top K]
@@ -104,7 +105,7 @@ USAGE:
   pasco save-store --graph <file> --out <dir> [--parts N] [--index <file>]
                  (omit --index to build one first; same flags as index)
   pasco serve    --graph <file> --index <file> --addr <host:port>
-                 [--mode local|sharded|broadcast|rdd|distributed] [--shards N]
+                 [--mode local|broadcast|rdd|distributed]
                  [--cache N] [--cache-ttl-secs S] [--cache-bytes B]
                  [--workers N] [--max-frame BYTES] [--max-conns N]
                  [--io-timeout SECS]
@@ -114,7 +115,7 @@ USAGE:
                  [--i N] [--j N] [--k K (topk)] [--top N (ss)]
   pasco worker   --addr <host:port> [--max-frame BYTES]
 
-  Query subcommands (sp/ss/topk/pairs) also accept --mode/--shards to pick
+  Query subcommands (sp/ss/topk/pairs) also accept --mode to pick
   the serving substrate; results are bit-identical across substrates —
   including over the network: `pasco serve` + `pasco query --connect`
   speak the versioned envelope protocol over TCP.
@@ -250,13 +251,12 @@ fn sim_config(flags: &Flags) -> Result<SimRankConfig, String> {
     Ok(cfg)
 }
 
-/// Parses `--mode` (with `--shards` for the sharded substrate).
+/// Parses `--mode` (with `--workers` for the distributed substrate).
 fn exec_mode(flags: &Flags) -> Result<ExecMode, String> {
     match flags.get("mode").map(|s| s.as_str()).unwrap_or("local") {
         "local" => Ok(ExecMode::Local),
         "broadcast" => Ok(ExecMode::Broadcast(ClusterConfig::paper_like())),
         "rdd" => Ok(ExecMode::Rdd(ClusterConfig::paper_like())),
-        "sharded" => Ok(ExecMode::Sharded { shards: get_positive(flags, "shards", 4)? }),
         "distributed" => {
             let workers: Vec<String> = get(flags, "workers")
                 .map_err(|_| "--mode distributed needs --workers host:port,host:port,...")?
@@ -269,7 +269,7 @@ fn exec_mode(flags: &Flags) -> Result<ExecMode, String> {
             }
             Ok(ExecMode::Distributed { workers })
         }
-        other => Err(format!("unknown mode `{other}` (local|sharded|broadcast|rdd|distributed)")),
+        other => Err(format!("unknown mode `{other}` (local|broadcast|rdd|distributed)")),
     }
 }
 

@@ -17,7 +17,7 @@ use pasco::simrank::api::transport::FrameDecoder;
 use pasco::simrank::api::wire::{WireCodec, WireError};
 use pasco::simrank::api::worker::{
     BuildShard, BuildShardReply, DiagPayload, Empty, LoadAck, LoadPartition, LoadStore, ShardQuery,
-    ShardQueryKind, ShardTopK, ShardTopKReply, WorkerStats,
+    ShardQueryKind, WorkerStats,
 };
 use pasco::simrank::api::{QueryError, QueryRequest, QueryResponse, QueryService};
 use pasco::simrank::{CloudWalker, ExecMode, QuerySession, SimRankConfig};
@@ -215,13 +215,15 @@ fn every_codec() -> Vec<Codec> {
         codec("LoadStore", LoadStore { dir: "/srv/store".into(), owned_part: 1 }),
         codec("LoadAck", LoadAck { resident_bytes: 4096, loaded: 2 }),
         codec("BuildShard", BuildShard { cfg }),
-        codec("BuildShardReply", BuildShardReply { rows: ranked.clone() }),
+        codec("BuildShardReply", BuildShardReply { rows: ranked }),
         codec(
             "ShardQuery",
             ShardQuery { cfg, diag: diag.clone(), kind: ShardQueryKind::SinglePair { i: 1, j: 2 } },
         ),
-        codec("ShardTopK", ShardTopK { cfg, diag, i: 5, k: 10 }),
-        codec("ShardTopKReply", ShardTopKReply { lists: ranked }),
+        codec(
+            "ShardQuery",
+            ShardQuery { cfg, diag, kind: ShardQueryKind::SingleSourceTopK { i: 5, k: 10 } },
+        ),
         codec("WorkerStats", WorkerStats { owned_part: 1, owned_nodes: 40, ..Default::default() }),
         codec("Empty", Empty),
         Codec {

@@ -94,14 +94,12 @@ fn generate_index_query_pipeline() {
     assert!(stdout.contains("3 cohorts simulated"), "{stdout}");
 }
 
-/// The sharded substrate end to end: indexing with `--mode sharded`
-/// produces the identical index, and serving queries with any shard count
+/// Range shards end to end: serving a saved store of any shard count
 /// yields byte-identical TSV output to local serving.
 #[test]
 fn sharded_pipeline_matches_local_output() {
     let graph = tmp("sharded.bin");
     let idx_local = tmp("sharded_local.idx");
-    let idx_sharded = tmp("sharded_sharded.idx");
     assert!(bin()
         .args(["generate", "--model", "ba", "--nodes", "400", "--edges-per-node", "4"])
         .args(["--out", graph.to_str().unwrap()])
@@ -116,50 +114,35 @@ fn sharded_pipeline_matches_local_output() {
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let out = bin()
-        .args(["index", "--graph", graph.to_str().unwrap()])
-        .args(["--out", idx_sharded.to_str().unwrap()])
-        .args(["--mode", "sharded", "--shards", "3"])
-        .args(cheap)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("sharded engine"), "{stdout}");
-    assert!(stdout.contains("shards: 3"), "{stdout}");
-    assert_eq!(
-        std::fs::read(&idx_local).unwrap(),
-        std::fs::read(&idx_sharded).unwrap(),
-        "sharded index must be byte-identical to local"
-    );
 
-    // Serve the same top-k through local and sharded substrates: the TSV
+    // Serve the same top-k from the graph and from saved stores: the TSV
     // output must match byte for byte.
-    let query = |mode_args: &[&str]| {
+    let query = |source: &[&str]| {
         let out = bin()
-            .args(["topk", "--graph", graph.to_str().unwrap()])
-            .args(["--index", idx_local.to_str().unwrap()])
+            .arg("topk")
+            .args(source)
             .args(["--i", "7", "--k", "5"])
             .args(cheap)
-            .args(mode_args)
             .output()
             .unwrap();
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
         out.stdout
     };
-    let local = query(&[]);
-    assert_eq!(local, query(&["--mode", "sharded", "--shards", "2"]));
-    assert_eq!(local, query(&["--mode", "sharded", "--shards", "5"]));
-
-    // Zero shards is a clean CLI error.
-    let out = bin()
-        .args(["topk", "--graph", graph.to_str().unwrap()])
-        .args(["--index", idx_local.to_str().unwrap()])
-        .args(["--i", "7", "--k", "5", "--mode", "sharded", "--shards", "0"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--shards must be positive"));
+    let local =
+        query(&["--graph", graph.to_str().unwrap(), "--index", idx_local.to_str().unwrap()]);
+    for parts in ["2", "5"] {
+        let store = tmp(&format!("sharded_store_{parts}"));
+        let _ = std::fs::remove_dir_all(&store);
+        let out = bin()
+            .args(["save-store", "--graph", graph.to_str().unwrap()])
+            .args(["--index", idx_local.to_str().unwrap()])
+            .args(["--out", store.to_str().unwrap(), "--parts", parts])
+            .args(cheap)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(local, query(&["--store", store.to_str().unwrap()]), "{parts} parts");
+    }
 }
 
 /// `pasco index` spills its rows under `TMPDIR`: the directory is honoured
@@ -207,7 +190,7 @@ fn index_spills_under_tmpdir_and_fails_typed_without_it() {
 }
 
 /// Local `pasco index` reads only the in-links and calls the build kernel
-/// itself; its index is byte for byte the sharded CLI build's and the
+/// itself; its index is byte for byte the broadcast CLI build's and the
 /// in-process `CloudWalker` build's, from a binary graph and from the
 /// same graph as an edge list.
 #[test]
@@ -229,9 +212,7 @@ fn local_index_on_in_links_matches_every_build() {
     persist::save_index(cw.unwrap().diagonal(), &want).unwrap();
     let want = std::fs::read(&want).unwrap();
     for input in [g, t] {
-        for (name, mode) in
-            [("local", &[][..]), ("sharded", &["--mode", "sharded", "--shards", "3"])]
-        {
+        for (name, mode) in [("local", &[][..]), ("broadcast", &["--mode", "broadcast"])] {
             let idx = tmp(&format!("in_links_{name}.idx"));
             let _ = std::fs::remove_file(&idx);
             run(&[&["index", "--graph", input, "--out", idx.to_str().unwrap()], mode, &cheap[..]]
@@ -389,12 +370,22 @@ fn serve_and_query_over_loopback_with_clean_drain() {
         .unwrap()
         .success());
 
+    let store = tmp("serve_store");
+    let _ = std::fs::remove_dir_all(&store);
+    assert!(bin()
+        .args(["save-store", "--graph", graph.to_str().unwrap()])
+        .args(["--index", index.to_str().unwrap()])
+        .args(["--out", store.to_str().unwrap(), "--parts", "2"])
+        .args(fast)
+        .status()
+        .unwrap()
+        .success());
+
     // Boot the server on port 0 and read the bound address off its
     // first stdout line (flushed before the accept loop starts).
     let mut server = bin()
-        .args(["serve", "--graph", graph.to_str().unwrap()])
-        .args(["--index", index.to_str().unwrap()])
-        .args(["--addr", "127.0.0.1:0", "--mode", "sharded", "--shards", "2"])
+        .args(["serve", "--store", store.to_str().unwrap()])
+        .args(["--addr", "127.0.0.1:0"])
         .args(fast)
         .stdout(std::process::Stdio::piped())
         .spawn()

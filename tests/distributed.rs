@@ -532,22 +532,35 @@ fn a_rogue_workers_malformed_cohorts_are_typed_errors_not_scored() {
     // Worker 1, owner of nodes [50, 100), corrupts a genuine cohort's
     // first step (every walker on one of the 99 other nodes): first a node
     // id past the graph, then two ids out of order, then a cohort of the
-    // wrong size.
+    // wrong size. Its top-3 rankings are one entry too long, then name a
+    // node past the graph, then rank two entries out of order.
     let graph = Arc::clone(&g);
+    let n = g.node_count();
+    let mut rankings = vec![
+        vec![(52, 0.25), (53, 0.5)],
+        vec![(n, 0.5)],
+        vec![(50, 0.5), (51, 0.4), (52, 0.3), (53, 0.2)],
+    ];
     let mut served = 0;
     let (rogue, join) = spawn_rogue(move |env| {
         assert_eq!(env.kind, FrameKind::ShardQuery);
         let msg = ShardQuery::from_bytes(&env.payload).unwrap();
-        let ShardQueryKind::Cohort { v } = msg.kind else { panic!("rogue got {:?}", msg.kind) };
-        let mut cohort = queries::query_cohort(&graph, &msg.cfg, v);
-        let step = &mut cohort.counts[1];
-        match served {
-            0 => step.last_mut().unwrap().0 = graph.node_count(),
-            1 => step.swap(0, 1),
-            _ => cohort.walkers += 1,
-        }
-        served += 1;
-        Some(Envelope::worker(env.kind, env.request_id, &QueryResponse::Cohort(cohort)))
+        let reply = match msg.kind {
+            ShardQueryKind::Cohort { v } => {
+                let mut cohort = queries::query_cohort(&graph, &msg.cfg, v);
+                let step = &mut cohort.counts[1];
+                match served {
+                    0 => step.last_mut().unwrap().0 = graph.node_count(),
+                    1 => step.swap(0, 1),
+                    _ => cohort.walkers += 1,
+                }
+                served += 1;
+                QueryResponse::Cohort(cohort)
+            }
+            ShardQueryKind::SingleSourceTopK { .. } => QueryResponse::Ranked(rankings.pop()?),
+            other => panic!("rogue got {other:?}"),
+        };
+        Some(Envelope::worker(env.kind, env.request_id, &reply))
     });
     let workers = vec![fleet.addrs[0].clone(), rogue];
     let dist = CloudWalker::from_index_with_mode(
@@ -569,6 +582,14 @@ fn a_rogue_workers_malformed_cohorts_are_typed_errors_not_scored() {
     }
     let err = session.try_cohort(62).unwrap_err();
     assert!(matches!(err, QueryError::WorkerUnavailable { .. }), "{err}");
+    for says in ["4 entries", "entry (100, 0.5)", "not strictly ranked"] {
+        match session.walker().try_single_source_topk(60, 3).unwrap_err() {
+            QueryError::WorkerUnavailable { detail } => {
+                assert!(detail.contains("worker 1") && detail.contains(says), "{detail}");
+            }
+            other => panic!("expected WorkerUnavailable, got {other}"),
+        }
+    }
     // Nothing malformed was cached, and worker 0 keeps answering.
     assert_eq!(session.cached_cohorts(), 1, "only node 3's cohort is cached");
     assert_eq!(session.try_single_pair(1, 2).unwrap(), local.try_single_pair(1, 2).unwrap());
@@ -850,6 +871,12 @@ fn load_acks_echo_kind_and_id_over_a_raw_socket() {
         }
         other => panic!("expected WorkerUnavailable, got {other}"),
     }
+
+    // The retired top-k frame kind still decodes, but no worker speaks it:
+    // the connection is dropped, as for any kind a worker does not speak.
+    stream.set_read_timeout(Some(DEFAULT_IO_TIMEOUT)).unwrap();
+    write_envelope(&mut stream, &Envelope::worker(FrameKind::ShardTopK, 8, &Empty)).unwrap();
+    assert!(read_envelope(&mut reader, DEFAULT_MAX_FRAME).is_err(), "ShardTopK must drop the link");
     handle.shutdown();
     join.join().unwrap();
 }

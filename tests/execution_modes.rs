@@ -1,16 +1,18 @@
 //! The reproduction's strongest guarantee: the execution engines
-//! (Local, Sharded, Broadcasting, RDD — and the out-of-core mapped
+//! (Local, Broadcasting, RDD — and range shards, in memory or a mapped
 //! store) are observationally equivalent under a fixed seed — indexes
 //! bitwise equal, MCSP bitwise equal, MCSS equal to float accumulation
-//! order (bitwise for Sharded and Mapped, whose accumulation order
-//! matches Local's exactly).
+//! order (bitwise for shards, whose accumulation order matches Local's
+//! exactly).
 
 use pasco::cluster::{Cluster, ClusterConfig, ClusterError};
+use pasco::graph::partition::Partitioner;
 use pasco::graph::{generators, CsrGraph, ReverseChainIndex};
 use pasco::simrank::engine::broadcast::BroadcastEngine;
-use pasco::simrank::engine::kernel::build_diagonal_on;
+use pasco::simrank::engine::kernel::{build_diagonal_on, KernelEngine};
 use pasco::simrank::engine::rdd::RddEngine;
 use pasco::simrank::{queries, CloudWalker, ExecMode, SimRankConfig, SimRankEngine, SimRankError};
+use pasco_store::MappedStore;
 use std::sync::Arc;
 
 fn build_all(g: &Arc<pasco::graph::CsrGraph>, cfg: SimRankConfig) -> [CloudWalker; 3] {
@@ -225,151 +227,117 @@ fn topk_rankings_are_identical_across_modes() {
     assert!(r.cluster_report().unwrap().shuffle_bytes > 0);
 }
 
+/// Two graphs, each under both forward arms (one forward walker per term
+/// forces the walks), as `(label, graph, config)`.
+fn graphs_on_both_arms() -> Vec<(String, Arc<CsrGraph>, SimRankConfig)> {
+    let sweeps = SimRankConfig::fast().with_seed(17);
+    let walks = SimRankConfig { r_forward: 1, ..sweeps };
+    let ba = Arc::new(generators::barabasi_albert(150, 3, 7));
+    let rmat = Arc::new(generators::rmat(8, 1_600, generators::RmatParams::default(), 5));
+    let mut all = Vec::new();
+    for (g, graph) in [("ba", ba), ("rmat", rmat)] {
+        for (a, cfg) in [("sweeps", sweeps), ("walks", walks)] {
+            all.push((format!("{g}_{a}"), Arc::clone(&graph), cfg));
+        }
+    }
+    all
+}
+
+/// `local` saved as a store of `parts` shards and reopened through the
+/// mmap path (no CSR, no reverse-chain index rebuilt): every query kind
+/// must be *bitwise* equal to the resident walker's, and the footprint is
+/// the shards' bytes, reported per shard.
+fn saved_store_answers_like(
+    local: &CloudWalker,
+    cfg: SimRankConfig,
+    label: &str,
+    parts: u32,
+) -> CloudWalker {
+    let dir = std::env::temp_dir().join(format!("pasco_exec_{label}_{parts}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    local.save_store(&dir, parts).unwrap();
+    let mapped = CloudWalker::open_store(&dir, cfg).unwrap();
+    assert_eq!(mapped.mode_name(), "mapped");
+    assert_eq!(local.diagonal(), mapped.diagonal(), "{label}: index, {parts} shards");
+    for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
+        assert_eq!(
+            local.try_single_pair(i, j).unwrap(),
+            mapped.try_single_pair(i, j).unwrap(),
+            "{label}: MCSP ({i},{j}), {parts} shards"
+        );
+    }
+    for &s in &[0u32, 64, 149] {
+        assert_eq!(
+            local.try_single_source(s).unwrap(),
+            mapped.try_single_source(s).unwrap(),
+            "{label}: dense MCSS source {s}, {parts} shards"
+        );
+        assert_eq!(
+            local.try_single_source_topk(s, 10).unwrap(),
+            mapped.try_single_source_topk(s, 10).unwrap(),
+            "{label}: top-k source {s}, {parts} shards"
+        );
+        assert_eq!(
+            local.try_query_cohort(s).unwrap(),
+            mapped.try_query_cohort(s).unwrap(),
+            "{label}: cohort {s}, {parts} shards"
+        );
+    }
+    let fp = mapped.memory_footprint();
+    assert!(fp.partitioned);
+    let per_shard = mapped.shard_footprints().expect("per-shard breakdown");
+    assert_eq!(per_shard.len(), parts as usize);
+    assert_eq!(per_shard.iter().copied().max().unwrap(), fp.per_worker_bytes);
+    assert!(local.shard_footprints().is_none());
+    mapped
+}
+
 #[test]
 fn sharded_engine_is_bit_identical_to_local_for_every_query_kind() {
-    // The sharded engine routes walks through per-shard partition views;
-    // since the routed adjacency equals the resident graph's and the
-    // accumulation order matches the local kernels, every query kind is
-    // *bitwise* equal at shard counts 1, 2 and 4 — including dense MCSS,
-    // where the cluster engines only promise float-tolerance equality.
-    for (gname, g) in [
-        ("ba", Arc::new(generators::barabasi_albert(150, 3, 7))),
-        ("rmat", Arc::new(generators::rmat(8, 1_600, generators::RmatParams::default(), 5))),
-    ] {
-        // Both forward arms: one forward walker per term forces the walks.
-        let sweeps = SimRankConfig::fast().with_seed(17);
-        for (arm, cfg) in [("sweeps", sweeps), ("walks", SimRankConfig { r_forward: 1, ..sweeps })]
-        {
-            let gname = format!("{gname} {arm}");
-            let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
-            for shards in [1u32, 2, 4] {
-                let sh =
-                    CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Sharded { shards }).unwrap();
-                assert_eq!(sh.mode_name(), "sharded");
-                assert_eq!(local.diagonal(), sh.diagonal(), "{gname}: index, {shards} shards");
-                for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
-                    assert_eq!(
-                        local.try_single_pair(i, j).unwrap(),
-                        sh.try_single_pair(i, j).unwrap(),
-                        "{gname}: MCSP ({i},{j}), {shards} shards"
-                    );
-                }
-                for &s in &[0u32, 64, 149] {
-                    assert_eq!(
-                        local.try_single_source(s).unwrap(),
-                        sh.try_single_source(s).unwrap(),
-                        "{gname}: MCSS source {s}, {shards} shards"
-                    );
-                    assert_eq!(
-                        local.try_single_source_topk(s, 10).unwrap(),
-                        sh.try_single_source_topk(s, 10).unwrap(),
-                        "{gname}: top-k source {s}, {shards} shards"
-                    );
-                    assert_eq!(
-                        local.try_query_cohort(s).unwrap(),
-                        sh.try_query_cohort(s).unwrap(),
-                        "{gname}: cohort {s}, {shards} shards"
-                    );
-                }
-                // Footprint accounting: partitioned, with a per-shard breakdown
-                // whose max is the per-worker demand.
-                let fp = sh.memory_footprint();
-                assert!(fp.partitioned);
-                let per_shard = sh.shard_footprints().expect("sharded breakdown");
-                assert_eq!(per_shard.len(), shards as usize);
-                assert_eq!(per_shard.iter().copied().max().unwrap(), fp.per_worker_bytes);
-                assert!(local.shard_footprints().is_none());
-            }
+    // Range shards route every lookup to the shard owning the node; since
+    // the routed adjacency equals the resident graph's and the accumulation
+    // order matches the local kernels, the index built over in-memory
+    // images and every query kind over a saved store are *bitwise* equal
+    // at shard counts 1, 2 and 4 — including dense MCSS, where the cluster
+    // engines only promise float-tolerance equality.
+    for (label, g, cfg) in graphs_on_both_arms() {
+        let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+        for shards in [1u32, 2, 4] {
+            let p = Partitioner::range_nonempty(g.node_count(), shards);
+            let images = KernelEngine::new(Arc::new(MappedStore::of_graph(&g, &p).unwrap()));
+            let built = images.build_diagonal(&cfg).unwrap();
+            assert_eq!(&built.diag, local.diagonal(), "{label}: index, {shards} image shards");
+            saved_store_answers_like(&local, cfg, &format!("sharded_{label}"), shards);
         }
     }
 }
 
 #[test]
 fn mapped_store_is_bit_identical_to_local_for_every_query_kind() {
-    // The out-of-core substrate: save the walker as an on-disk shard
-    // store, reopen it through the mmap path (no CSR, no reverse-chain
-    // index rebuilt), and every query kind must be *bitwise* equal to
-    // the resident walker at shard counts 1, 2 and 4 — adjacency and
-    // sampling weights are read in place from the mapping, and the
-    // generic kernels keep the accumulation order.
-    for (gname, g) in [
-        ("ba", Arc::new(generators::barabasi_albert(150, 3, 7))),
-        ("rmat", Arc::new(generators::rmat(8, 1_600, generators::RmatParams::default(), 5))),
-    ] {
-        // Both forward arms: one forward walker per term forces the walks.
-        let sweeps = SimRankConfig::fast().with_seed(17);
-        for (arm, cfg) in [("sweeps", sweeps), ("walks", SimRankConfig { r_forward: 1, ..sweeps })]
-        {
-            let gname = format!("{gname}_{arm}");
-            let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
-            for parts in [1u32, 2, 4] {
-                let dir = std::env::temp_dir().join(format!("pasco_exec_mapped_{gname}_{parts}"));
-                let _ = std::fs::remove_dir_all(&dir);
-                std::fs::create_dir_all(&dir).unwrap();
-                local.save_store(&dir, parts).unwrap();
-                let mapped = CloudWalker::open_store(&dir, cfg).unwrap();
-                assert_eq!(mapped.mode_name(), "mapped");
-                assert_eq!(local.diagonal(), mapped.diagonal(), "{gname}: index, {parts} shards");
-                for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
-                    assert_eq!(
-                        local.try_single_pair(i, j).unwrap(),
-                        mapped.try_single_pair(i, j).unwrap(),
-                        "{gname}: MCSP ({i},{j}), {parts} shards"
-                    );
-                }
-                for &s in &[0u32, 64, 149] {
-                    assert_eq!(
-                        local.try_single_source(s).unwrap(),
-                        mapped.try_single_source(s).unwrap(),
-                        "{gname}: dense MCSS source {s}, {parts} shards"
-                    );
-                    assert_eq!(
-                        local.try_single_source_topk(s, 10).unwrap(),
-                        mapped.try_single_source_topk(s, 10).unwrap(),
-                        "{gname}: top-k source {s}, {parts} shards"
-                    );
-                    assert_eq!(
-                        local.try_query_cohort(s).unwrap(),
-                        mapped.try_query_cohort(s).unwrap(),
-                        "{gname}: cohort {s}, {parts} shards"
-                    );
-                }
-
-                // Footprint is the mapped file bytes, reported per shard.
-                let fp = mapped.memory_footprint();
-                assert!(fp.partitioned);
-                let per_shard = mapped.shard_footprints().expect("mapped breakdown");
-                assert_eq!(per_shard.len(), parts as usize);
-                assert_eq!(per_shard.iter().copied().max().unwrap(), fp.per_worker_bytes);
-
-                // No resident graph, yet the exact push sweeps the mapped
-                // in-links to the resident answer; re-saving a mapped walker
-                // is a typed refusal.
-                assert!(mapped.graph().is_none());
-                assert!(mapped.store().is_some());
-                for &s in &[0u32, 64, 149] {
-                    assert_eq!(
-                        local.try_single_source_push(s).unwrap(),
-                        mapped.try_single_source_push(s).unwrap(),
-                        "{gname}: exact push source {s}, {parts} shards"
-                    );
-                }
-                let other = dir.join("copy");
-                assert!(matches!(
-                    mapped.save_store(&other, 1),
-                    Err(SimRankError::InvalidConfig(_))
-                ));
+    // The out-of-core substrate: adjacency and sampling weights are read in
+    // place from the mapping, and the generic kernels keep the
+    // accumulation order.
+    for (label, g, cfg) in graphs_on_both_arms() {
+        let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+        for parts in [1u32, 2, 4] {
+            let mapped = saved_store_answers_like(&local, cfg, &format!("mapped_{label}"), parts);
+            // No resident graph, yet the exact push sweeps the mapped
+            // in-links to the resident answer; re-saving a mapped walker
+            // is a typed refusal.
+            assert!(mapped.graph().is_none());
+            assert!(mapped.store().is_some());
+            for &s in &[0u32, 64, 149] {
+                assert_eq!(
+                    local.try_single_source_push(s).unwrap(),
+                    mapped.try_single_source_push(s).unwrap(),
+                    "{label}: exact push source {s}, {parts} shards"
+                );
             }
+            let other = std::env::temp_dir().join(format!("pasco_exec_copy_{label}_{parts}"));
+            assert!(matches!(mapped.save_store(&other, 1), Err(SimRankError::InvalidConfig(_))));
         }
     }
-}
-
-#[test]
-fn sharded_mode_rejects_zero_shards() {
-    let g = Arc::new(generators::cycle(8));
-    let err =
-        CloudWalker::build(g, SimRankConfig::fast(), ExecMode::Sharded { shards: 0 }).unwrap_err();
-    assert!(matches!(err, SimRankError::InvalidConfig(_)), "{err}");
 }
 
 #[test]

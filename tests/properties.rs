@@ -129,16 +129,20 @@ proptest! {
         prop_assert_eq!(l.try_single_pair(1, 2).unwrap(), r.try_single_pair(1, 2).unwrap());
     }
 
-    /// The shard count of the sharded engine never changes any answer:
-    /// for arbitrary graphs, seeds and shard counts, the index, MCSP,
-    /// dense MCSS and top-k equal the local engine's bitwise.
+    /// The shard count never changes any answer: for arbitrary graphs,
+    /// seeds and shard counts, the index built over in-memory shard images
+    /// and MCSP, dense MCSS and top-k over a saved store of as many shards
+    /// equal the local engine's bitwise.
     #[test]
     fn shard_count_never_changes_results(
         edges in prop::collection::vec((0u32..40, 0u32..40), 0..160),
         shards in 1u32..7,
         seed in 0u64..1000,
     ) {
-        use pasco::simrank::{CloudWalker, ExecMode, SimRankConfig};
+        use pasco::graph::partition::Partitioner;
+        use pasco::simrank::engine::KernelEngine;
+        use pasco::simrank::{CloudWalker, ExecMode, SimRankConfig, SimRankEngine};
+        use pasco_store::MappedStore;
         use std::sync::Arc;
         let mut b = GraphBuilder::new();
         b.ensure_nodes(40);
@@ -148,11 +152,18 @@ proptest! {
         let g = Arc::new(b.build());
         let cfg = SimRankConfig::fast().with_seed(seed).with_t(4).with_r(16).with_r_query(64);
         let l = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
-        let s = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Sharded { shards }).unwrap();
-        prop_assert_eq!(l.diagonal(), s.diagonal());
+        let p = Partitioner::range_nonempty(g.node_count(), shards);
+        let images = KernelEngine::new(Arc::new(MappedStore::of_graph(&g, &p).unwrap()));
+        prop_assert_eq!(l.diagonal(), &images.build_diagonal(&cfg).unwrap().diag);
+        let dir = std::env::temp_dir()
+            .join(format!("pasco_prop_shards_{shards}_{seed}_{}", edges.len()));
+        let _ = std::fs::remove_dir_all(&dir);
+        l.save_store(&dir, shards).unwrap();
+        let s = CloudWalker::open_store(&dir, cfg).unwrap();
         prop_assert_eq!(l.try_single_pair(3, 17).unwrap(), s.try_single_pair(3, 17).unwrap());
         prop_assert_eq!(l.try_single_source(5).unwrap(), s.try_single_source(5).unwrap());
         prop_assert_eq!(l.try_single_source_topk(9, 6).unwrap(), s.try_single_source_topk(9, 6).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The shard count of the *on-disk* store never changes any answer:

@@ -2,7 +2,7 @@
 //! protocol-conformant at the byte level (golden frames, malformed-frame
 //! rejection) and semantically transparent: every `QueryRequest` variant
 //! answered over TCP is bit-identical to a direct `QueryService::execute`
-//! on the same engine — Local and Sharded alike — including pipelined
+//! on the same engine — Local and a mapped store alike — including pipelined
 //! out-of-order exchanges, typed errors as error frames, and a graceful
 //! drain on the shutdown frame. The transport guarantees — idle costs
 //! nothing, slow and hostile peers are dropped — hold for a hosted
@@ -30,14 +30,21 @@ use std::thread::JoinHandle;
 
 const NODES: u32 = 80;
 
-fn walker(mode: ExecMode) -> Arc<CloudWalker> {
-    let g = Arc::new(generators::barabasi_albert(NODES, 3, 13));
-    Arc::new(CloudWalker::build(g, SimRankConfig::fast(), mode).unwrap())
-}
-
 fn local_walker() -> &'static Arc<CloudWalker> {
     static W: OnceLock<Arc<CloudWalker>> = OnceLock::new();
-    W.get_or_init(|| walker(ExecMode::Local))
+    W.get_or_init(|| {
+        let g = Arc::new(generators::barabasi_albert(NODES, 3, 13));
+        Arc::new(CloudWalker::build(g, SimRankConfig::fast(), ExecMode::Local).unwrap())
+    })
+}
+
+/// The local walker saved as a 3-part store and reopened through the mmap
+/// path.
+fn store_walker() -> Arc<CloudWalker> {
+    let dir = std::env::temp_dir().join("pasco_server_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    local_walker().save_store(&dir, 3).unwrap();
+    Arc::new(CloudWalker::open_store(&dir, SimRankConfig::fast()).unwrap())
 }
 
 /// Boots a server over `svc` on an ephemeral loopback port.
@@ -140,11 +147,10 @@ fn all_variants() -> Vec<QueryRequest> {
 
 /// The acceptance bar: client → server → session answers are bit-identical
 /// to direct `QueryService::execute`, for every variant, on both the
-/// Local and the Sharded engine.
+/// Local engine and an opened 3-part store.
 #[test]
 fn network_answers_equal_direct_execute_on_local_and_sharded() {
-    for mode in [ExecMode::Local, ExecMode::Sharded { shards: 3 }] {
-        let cw = walker(mode);
+    for cw in [Arc::clone(local_walker()), store_walker()] {
         let session = Arc::new(QuerySession::new(Arc::clone(&cw), 32));
         let (addr, _, join) = spawn_server(Arc::clone(&session) as _, ServerConfig::default());
         let mut client = PascoClient::connect(addr).unwrap();
