@@ -70,12 +70,6 @@ pub enum QueryRequest {
         /// The query node.
         i: NodeId,
     },
-    /// MCSS with the exact forward stage whatever the graph's size (the
-    /// forward walks never run), dense row out.
-    SingleSourcePush {
-        /// The query node.
-        i: NodeId,
-    },
     /// Sparse top-`k` MCSS: only the `k` most similar nodes, ranked.
     SingleSourceTopK {
         /// The query node.
@@ -106,8 +100,7 @@ pub enum QueryRequest {
 pub enum QueryResponse {
     /// A single similarity score (from [`QueryRequest::SinglePair`]).
     Score(f64),
-    /// A dense score row (from [`QueryRequest::SingleSource`] /
-    /// [`QueryRequest::SingleSourcePush`]).
+    /// A dense score row (from [`QueryRequest::SingleSource`]).
     Scores(Vec<f64>),
     /// A ranked `(node, score)` list (from
     /// [`QueryRequest::SingleSourceTopK`]).
@@ -231,7 +224,7 @@ impl QueryRequest {
                 check(*i)?;
                 check(*j)
             }
-            QueryRequest::SingleSource { i } | QueryRequest::SingleSourcePush { i } => check(*i),
+            QueryRequest::SingleSource { i } => check(*i),
             QueryRequest::SingleSourceTopK { i, k } => {
                 check(*i)?;
                 if *k == 0 {
@@ -272,7 +265,7 @@ impl QueryRequest {
         let n = u64::from(node_count);
         match self {
             QueryRequest::SinglePair { .. } => 9,
-            QueryRequest::SingleSource { .. } | QueryRequest::SingleSourcePush { .. } => 5 + 8 * n,
+            QueryRequest::SingleSource { .. } => 5 + 8 * n,
             QueryRequest::SingleSourceTopK { k, .. } => 5 + 12 * (*k).min(n),
             QueryRequest::PairsMatrix { rows, cols } => {
                 let row = 4u64.saturating_add(8u64.saturating_mul(cols.len() as u64));
@@ -355,9 +348,6 @@ impl QueryService for CloudWalker {
         Ok(match req {
             QueryRequest::SinglePair { i, j } => QueryResponse::Score(self.try_single_pair(i, j)?),
             QueryRequest::SingleSource { i } => QueryResponse::Scores(self.try_single_source(i)?),
-            QueryRequest::SingleSourcePush { i } => {
-                QueryResponse::Scores(self.try_single_source_push(i)?)
-            }
             QueryRequest::SingleSourceTopK { i, k } => {
                 QueryResponse::Ranked(self.try_single_source_topk(i, k_to_usize(k))?)
             }
@@ -457,7 +447,6 @@ mod tests {
         let oob = |node| Err(QueryError::NodeOutOfRange { node, node_count: 10 });
         assert_eq!(QueryRequest::SinglePair { i: 3, j: 10 }.validate(10), oob(10));
         assert_eq!(QueryRequest::SingleSource { i: 11 }.validate(10), oob(11));
-        assert_eq!(QueryRequest::SingleSourcePush { i: 99 }.validate(10), oob(99));
         assert_eq!(QueryRequest::SingleSourceTopK { i: 10, k: 5 }.validate(10), oob(10));
         assert_eq!(
             QueryRequest::SingleSourceTopK { i: 1, k: 0 }.validate(10),
@@ -499,7 +488,6 @@ mod tests {
         let members = vec![
             QueryRequest::SinglePair { i: 3, j: 40 },
             QueryRequest::SingleSource { i: 3 },
-            QueryRequest::SingleSourcePush { i: 3 },
             QueryRequest::SingleSourceTopK { i: 3, k: 1_000 },
             QueryRequest::PairsMatrix { rows: vec![1, 2, 3], cols: vec![4, 5] },
             QueryRequest::Cohort { v: 3 },

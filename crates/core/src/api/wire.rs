@@ -326,7 +326,7 @@ pub(crate) fn encode_cohort_response<C: CohortLayout + ?Sized>(cohort: &C, buf: 
 
 const REQ_SINGLE_PAIR: u8 = 0;
 const REQ_SINGLE_SOURCE: u8 = 1;
-const REQ_SINGLE_SOURCE_PUSH: u8 = 2;
+// Tag 2 is reserved (a retired request kind): it decodes as unknown.
 const REQ_SINGLE_SOURCE_TOPK: u8 = 3;
 const REQ_PAIRS_MATRIX: u8 = 4;
 const REQ_COHORT: u8 = 5;
@@ -339,7 +339,6 @@ fn decode_request_at(buf: &mut impl Buf, depth: usize) -> Result<QueryRequest, W
             QueryRequest::SinglePair { i: read_u32(buf, WHAT)?, j: read_u32(buf, WHAT)? }
         }
         REQ_SINGLE_SOURCE => QueryRequest::SingleSource { i: read_u32(buf, WHAT)? },
-        REQ_SINGLE_SOURCE_PUSH => QueryRequest::SingleSourcePush { i: read_u32(buf, WHAT)? },
         REQ_SINGLE_SOURCE_TOPK => {
             QueryRequest::SingleSourceTopK { i: read_u32(buf, WHAT)?, k: read_u64(buf, WHAT)? }
         }
@@ -374,10 +373,6 @@ impl WireCodec for QueryRequest {
                 buf.put_u8(REQ_SINGLE_SOURCE);
                 buf.put_u32_le(*i);
             }
-            QueryRequest::SingleSourcePush { i } => {
-                buf.put_u8(REQ_SINGLE_SOURCE_PUSH);
-                buf.put_u32_le(*i);
-            }
             QueryRequest::SingleSourceTopK { i, k } => {
                 buf.put_u8(REQ_SINGLE_SOURCE_TOPK);
                 buf.put_u32_le(*i);
@@ -409,9 +404,7 @@ impl WireCodec for QueryRequest {
     fn encoded_len(&self) -> usize {
         1 + match self {
             QueryRequest::SinglePair { .. } => 8,
-            QueryRequest::SingleSource { .. }
-            | QueryRequest::SingleSourcePush { .. }
-            | QueryRequest::Cohort { .. } => 4,
+            QueryRequest::SingleSource { .. } | QueryRequest::Cohort { .. } => 4,
             QueryRequest::SingleSourceTopK { .. } => 12,
             QueryRequest::PairsMatrix { rows, cols } => 8 + 4 * (rows.len() + cols.len()),
             QueryRequest::Batch(reqs) => 4 + reqs.iter().map(Self::encoded_len).sum::<usize>(),
@@ -595,7 +588,6 @@ mod tests {
     fn every_request_variant_roundtrips() {
         roundtrip(QueryRequest::SinglePair { i: 3, j: u32::MAX });
         roundtrip(QueryRequest::SingleSource { i: 0 });
-        roundtrip(QueryRequest::SingleSourcePush { i: 17 });
         roundtrip(QueryRequest::SingleSourceTopK { i: 9, k: u64::MAX });
         roundtrip(QueryRequest::PairsMatrix { rows: vec![1, 2, 3], cols: vec![] });
         roundtrip(QueryRequest::Cohort { v: 41 });
@@ -696,6 +688,16 @@ mod tests {
         assert_eq!(
             QueryRequest::from_bytes(&bytes),
             Err(WireError::TrailingBytes { remaining: 1 })
+        );
+    }
+
+    #[test]
+    fn the_reserved_request_tag_2_is_unknown() {
+        // Tag 2 once carried a node id; a payload shaped like it decodes
+        // as any unassigned tag does.
+        assert_eq!(
+            QueryRequest::from_bytes(&[2, 17, 0, 0, 0]),
+            Err(WireError::UnknownTag { decoding: "QueryRequest", tag: 2 })
         );
     }
 

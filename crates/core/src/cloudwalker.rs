@@ -297,26 +297,6 @@ impl CloudWalker {
         self.engine.query_cohort(&self.cfg, v)
     }
 
-    /// MCSS with the exact forward stage whatever the graph's size
-    /// ([`queries::single_source_push`]), run on this walker's own
-    /// adjacency — resident or mapped — regardless of mode. Fails with
-    /// [`QueryError::NodeOutOfRange`] on a bad node.
-    pub fn try_single_source_push(&self, i: NodeId) -> Result<Vec<f64>, QueryError> {
-        self.check_node(i)?;
-        let (diag, cfg) = (self.diag.as_slice(), &self.cfg);
-        let mut out = match &self.backing {
-            GraphBacking::Resident(resident) => {
-                queries::single_source_push(&**resident, diag, cfg, i)
-            }
-            GraphBacking::InLinks(links) => queries::single_source_push(&**links, diag, cfg, i),
-            GraphBacking::Mapped(store) => queries::single_source_push(&**store, diag, cfg, i),
-        };
-        for v in &mut out {
-            *v = v.clamp(0.0, 1.0);
-        }
-        Ok(out)
-    }
-
     /// MCAP — top-`k` similar nodes for every node (`n` MCSS queries;
     /// run it on graphs small enough to afford `n` single-source queries).
     /// Runs MCSS repeatedly (as in the paper) on the configured engine, in
@@ -554,7 +534,6 @@ mod tests {
         assert_eq!(cw.try_single_pair(0, 4).unwrap_err(), oob);
         assert_eq!(cw.try_single_source(4).unwrap_err(), oob);
         assert_eq!(cw.try_single_source_topk(4, 3).unwrap_err(), oob);
-        assert_eq!(cw.try_single_source_push(4).unwrap_err(), oob);
         assert_eq!(cw.try_query_cohort(4).unwrap_err(), oob);
         assert_eq!(cw.try_single_source_topk(1, 0).unwrap_err(), QueryError::InvalidK { k: 0 });
     }
@@ -583,12 +562,6 @@ mod tests {
         assert_eq!(
             mapped.try_single_source_topk(5, 10).unwrap(),
             resident.try_single_source_topk(5, 10).unwrap()
-        );
-
-        // The exact push sweeps the mapped in-links: the resident answer.
-        assert_eq!(
-            mapped.try_single_source_push(5).unwrap(),
-            resident.try_single_source_push(5).unwrap()
         );
         // A mapped walker cannot re-save: it IS the store directory.
         assert!(matches!(

@@ -66,7 +66,7 @@ impl BroadcastEngine {
     fn node_ranges(&self, n: u32) -> Vec<(u32, u32)> {
         let parts = (self.cluster.config().default_partitions() as u32).min(n.max(1));
         let p = Partitioner::range(n, parts);
-        (0..parts).filter_map(|i| p.range_of(i)).collect()
+        (0..parts).map(|i| p.range_of(i)).collect()
     }
 }
 

@@ -255,13 +255,7 @@ impl ShardWorkerCore {
         let Some((n, parts, owned)) = self.shape else {
             return Err(self.not_ready("owned range requested"));
         };
-        #[allow(
-            clippy::expect_used,
-            reason = "`owned >= parts` is rejected at load time, and a range partitioner has a \
-                      range for every index below `parts`"
-        )]
-        let range = Partitioner::range(n, parts).range_of(owned).expect("range partitioner");
-        Ok(range)
+        Ok(Partitioner::range(n, parts).range_of(owned))
     }
 
     /// The shard-local offline build: each owned source's row `aᵢ` from
@@ -498,8 +492,8 @@ impl WorkerLink {
 /// A [`BuildShard`]'s deadline: the reply follows the whole walk phase, so
 /// [`DEFAULT_IO_TIMEOUT`] plus 1 µs per owned walk step (`owned nodes × R
 /// × T`; ≈ 60× the kernel's measured 17 ns a step).
-fn build_timeout(range: Option<(NodeId, NodeId)>, cfg: &SimRankConfig) -> Duration {
-    let owned = range.map_or(0, |(start, end)| u64::from(end - start));
+fn build_timeout((start, end): (NodeId, NodeId), cfg: &SimRankConfig) -> Duration {
+    let owned = u64::from(end - start);
     let steps = owned.saturating_mul(u64::from(cfg.r)).saturating_mul(cfg.t as u64);
     DEFAULT_IO_TIMEOUT + Duration::from_micros(steps)
 }
@@ -894,12 +888,7 @@ impl SimRankEngine for DistributedEngine {
         let mut task_times = Vec::with_capacity(self.workers());
         for (w, result) in results.into_iter().enumerate() {
             let (rows, took) = result.map_err(SimRankError::Query)?;
-            #[allow(
-                clippy::expect_used,
-                reason = "the engine's partitioner is `Partitioner::range` by construction and \
-                          `w < workers() == parts`"
-            )]
-            let (start, end) = self.partitioner.range_of(w as u32).expect("range partitioner");
+            let (start, end) = self.partitioner.range_of(w as u32);
             if rows.len() != (end - start) as usize {
                 return Err(SimRankError::Query(QueryError::WorkerUnavailable {
                     detail: format!(

@@ -1,4 +1,4 @@
-//! Online query kernels: MCSP, MCSS (two estimators) and MCAP.
+//! Online query kernels: MCSP, MCSS and MCAP.
 //!
 //! All queries evaluate the truncated series
 //! `s(i,j) = Σ_{t=0..T} cᵗ (Pᵗeᵢ)ᵀ D (Pᵗeⱼ)` from fresh `R'`-walker
@@ -703,9 +703,9 @@ pub fn single_source(
     single_source_on(&sampler, ForwardArm::of(&sampler, cfg), diag, cfg, i)
 }
 
-/// MCSS with the exact forward stage whatever the graph's size: the
-/// series swept by [`swept_series_on`] on any storage. Exact *given the
-/// cohort*; costs `T` sweeps over every in-link.
+/// MCSS on its exact arm, the one [`single_source_on`] takes where
+/// [`sweeps_pay`] holds: the series swept by [`swept_series_on`] on any
+/// storage. Exact *given the cohort*; costs `T` sweeps over every in-link.
 pub fn single_source_push<A: WalkAdjacency>(
     adj: &A,
     diag: &[f64],

@@ -1,11 +1,12 @@
-//! Node partitioning schemes used by the RDD execution mode.
+//! The node partitioner: contiguous ranges of node ids, one per part.
 //!
 //! The paper's RDD implementation stores the graph as a partitioned dataset;
 //! a walker whose next node lives on another partition must be shuffled
-//! there. The partitioner must therefore be computable by *every* worker in
-//! O(1) without global state — these are.
+//! there. The RDD model, the store's shard files, routed storage and the
+//! distributed coordinator all cut the graph with this one partitioner,
+//! which every worker computes in O(1) from `(n, parts)` alone.
 //!
-//! # The range router
+//! # Routing
 //!
 //! A range partitioner over `n` nodes and `parts` partitions owns nodes in
 //! chunks of `chunk = max(1, ⌈n / parts⌉)`:
@@ -13,7 +14,7 @@
 //! `≥ n` clamp to the last part, which keeps routed storage total on
 //! out-of-range lookups; `parts > n` (empty trailing parts) and `n` not
 //! divisible by `parts` (a short last part) need nothing special. Every
-//! walk step over routed storage evaluates it, so [`RangeRouter::new`]
+//! walk step over routed storage evaluates it, so [`Partitioner::range`]
 //! divides once, for `m = ⌊(2⁶⁴ − 1) / chunk⌋`, after which
 //! `⌊v / chunk⌋ = ⌊m · (v + 1) / 2⁶⁴⌋` is one widening multiply.
 //!
@@ -27,13 +28,12 @@
 
 use crate::csr::NodeId;
 
-/// The range router: contiguous chunks of node ids, `chunk` and its
-/// reciprocal precomputed (module docs). [`Partitioner::Range`] is one, and
-/// routed storage holds it bare, so that its per-step
-/// [`RangeRouter::route`] is straight-line arithmetic with no partitioner
-/// kind to branch on.
+/// Maps nodes to partitions: contiguous chunks of node ids, partition `p`
+/// owning `[p·chunk, (p + 1)·chunk)` cut at `n`, with `chunk` and its reciprocal
+/// precomputed (module docs), so that [`Partitioner::owner`] is
+/// straight-line arithmetic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RangeRouter {
+pub struct Partitioner {
     n: u32,
     parts: u32,
     /// Nodes per partition, `max(1, ⌈n / parts⌉)`.
@@ -42,58 +42,15 @@ pub struct RangeRouter {
     recip: u64,
 }
 
-impl RangeRouter {
-    /// The router of `n` nodes over `parts` partitions.
-    pub fn new(n: u32, parts: u32) -> Self {
+impl Partitioner {
+    /// The partitioner of `n` nodes over `parts` partitions.
+    pub fn range(n: u32, parts: u32) -> Self {
         assert!(parts > 0, "need at least one partition");
         let chunk = chunk_size(n, parts);
-        RangeRouter { n, parts, chunk, recip: u64::MAX / chunk as u64 }
+        Partitioner { n, parts, chunk, recip: u64::MAX / chunk as u64 }
     }
 
-    /// Number of partitions.
-    #[inline]
-    pub fn parts(&self) -> u32 {
-        self.parts
-    }
-
-    /// Which partition owns node `v`: `min(⌊v / chunk⌋, parts − 1)`.
-    #[inline]
-    pub fn route(&self, v: NodeId) -> u32 {
-        // ⌊v / chunk⌋ without dividing (module docs); ≤ v, so it fits.
-        let q = (self.recip as u128 * (v as u128 + 1)) >> 64;
-        (q as u32).min(self.parts - 1)
-    }
-
-    /// The `[start, end)` node range of partition `p`.
-    pub fn part_range(&self, p: u32) -> (NodeId, NodeId) {
-        // In u64: `(p + 1) * chunk` passes u32::MAX for the last parts of
-        // a graph near the id limit.
-        let bound = |p: u64| (p * self.chunk as u64).min(self.n as u64) as u32;
-        (bound(p as u64), bound(p as u64 + 1))
-    }
-}
-
-/// Maps nodes to partitions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Partitioner {
-    /// Contiguous ranges of node ids: partition `p` owns
-    /// `[p*ceil(n/parts), …)`. Preserves locality of id-clustered graphs.
-    Range(RangeRouter),
-    /// Multiplicative hash of the node id. Destroys locality, balances
-    /// skewed id distributions.
-    Hash {
-        /// Number of partitions.
-        parts: u32,
-    },
-}
-
-impl Partitioner {
-    /// A range partitioner over `n` nodes and `parts` partitions.
-    pub fn range(n: u32, parts: u32) -> Self {
-        Partitioner::Range(RangeRouter::new(n, parts))
-    }
-
-    /// A range partitioner over `n` nodes with **at most** `want` parts,
+    /// A partitioner over `n` nodes with **at most** `want` parts,
     /// capped so that every part owns at least one node: 4 parts of a
     /// 5-node graph become 3 parts of ⌈5/4⌉ = 2, 2 and 1 nodes rather
     /// than a fourth, empty one. The one shard-count rule shared by the
@@ -104,41 +61,26 @@ impl Partitioner {
         Partitioner::range(n, n.max(1).div_ceil(chunk))
     }
 
-    /// A hash partitioner with `parts` partitions.
-    pub fn hash(parts: u32) -> Self {
-        assert!(parts > 0, "need at least one partition");
-        Partitioner::Hash { parts }
-    }
-
     /// Number of partitions.
     #[inline]
     pub fn parts(&self) -> u32 {
-        match *self {
-            Partitioner::Range(router) => router.parts,
-            Partitioner::Hash { parts } => parts,
-        }
+        self.parts
     }
 
-    /// Which partition owns node `v`.
+    /// Which partition owns node `v`: `min(⌊v / chunk⌋, parts − 1)`.
     #[inline]
     pub fn owner(&self, v: NodeId) -> u32 {
-        match *self {
-            Partitioner::Range(router) => router.route(v),
-            Partitioner::Hash { parts } => {
-                // Fibonacci hashing: good avalanche for sequential ids.
-                let h = (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                ((h >> 32) % parts as u64) as u32
-            }
-        }
+        // ⌊v / chunk⌋ without dividing (module docs); ≤ v, so it fits.
+        let q = (self.recip as u128 * (v as u128 + 1)) >> 64;
+        (q as u32).min(self.parts - 1)
     }
 
-    /// For range partitioning, the `[start, end)` node range of partition
-    /// `p`; hash partitioning has no contiguous range.
-    pub fn range_of(&self, p: u32) -> Option<(NodeId, NodeId)> {
-        match *self {
-            Partitioner::Range(router) => Some(router.part_range(p)),
-            Partitioner::Hash { .. } => None,
-        }
+    /// The `[start, end)` node range of partition `p`.
+    pub fn range_of(&self, p: u32) -> (NodeId, NodeId) {
+        // In u64: `(p + 1) * chunk` passes u32::MAX for the last parts of
+        // a graph near the id limit.
+        let bound = |p: u64| (p * self.chunk as u64).min(self.n as u64) as u32;
+        (bound(p as u64), bound(p as u64 + 1))
     }
 }
 
@@ -167,7 +109,7 @@ mod tests {
     fn range_of_matches_owner() {
         let p = Partitioner::range(100, 7);
         for part in 0..7 {
-            let (s, e) = p.range_of(part).unwrap();
+            let (s, e) = p.range_of(part);
             for v in s..e {
                 assert_eq!(p.owner(v), part);
             }
@@ -210,7 +152,7 @@ mod tests {
                 let p = Partitioner::range(n, parts);
                 let mut next = 0;
                 for part in 0..parts {
-                    let (s, e) = p.range_of(part).unwrap();
+                    let (s, e) = p.range_of(part);
                     assert_eq!(s, next, "n={n} parts={parts} part={part}");
                     assert!(s < e, "n={n} parts={parts} part={part}");
                     assert_eq!((p.owner(s), p.owner(e - 1)), (part, part), "n={n} parts={parts}");
@@ -246,7 +188,7 @@ mod tests {
         let p = Partitioner::range(2, 8);
         assert!(p.owner(0) < 8);
         assert!(p.owner(1) < 8);
-        let total: u32 = (0..8).map(|part| p.range_of(part).map(|(s, e)| e - s).unwrap_or(0)).sum();
+        let total: u32 = (0..8).map(|part| p.range_of(part)).map(|(s, e)| e - s).sum();
         assert_eq!(total, 2);
     }
 
@@ -258,35 +200,12 @@ mod tests {
             let p = Partitioner::range_nonempty(n, want);
             let parts = Partitioner::parts(&p);
             assert!(parts <= want, "n={n} want={want}");
-            let owned: Vec<u32> =
-                (0..parts).map(|q| p.range_of(q).map(|(s, e)| e - s).unwrap()).collect();
+            let owned: Vec<u32> = (0..parts).map(|q| p.range_of(q)).map(|(s, e)| e - s).collect();
             assert!(owned.iter().all(|&c| c > 0), "n={n} want={want}: {owned:?}");
             assert_eq!(owned.iter().sum::<u32>(), n);
         }
         assert_eq!(Partitioner::range_nonempty(5, 4), Partitioner::range(5, 3));
         assert_eq!(Partitioner::range_nonempty(5, 8), Partitioner::range(5, 5));
         assert_eq!(Partitioner::range_nonempty(100, 4), Partitioner::range(100, 4));
-    }
-
-    #[test]
-    fn hash_is_stable_and_in_range() {
-        let p = Partitioner::hash(4);
-        for v in 0..1000 {
-            let o = p.owner(v);
-            assert!(o < 4);
-            assert_eq!(o, p.owner(v));
-        }
-    }
-
-    #[test]
-    fn hash_balances_sequential_ids() {
-        let p = Partitioner::hash(8);
-        let mut counts = vec![0u32; 8];
-        for v in 0..80_000 {
-            counts[p.owner(v) as usize] += 1;
-        }
-        for &c in &counts {
-            assert!((c as i64 - 10_000).abs() < 1500, "imbalanced: {counts:?}");
-        }
     }
 }

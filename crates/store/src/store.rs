@@ -12,7 +12,7 @@
 //! traits, an engine driven by a `MappedStore` takes bit-identical
 //! trajectories to one driven by the resident graph.
 //!
-//! Everything a lookup needs is fixed at open: the [`RangeRouter`] (its
+//! Everything a lookup needs is fixed at open: the [`Partitioner`] (its
 //! chunk size and reciprocal — a step routes with one multiply, no
 //! division) and each shard's resolved sections. Open itself stays
 //! `O(headers + spines)` per shard and touches no payload page.
@@ -22,14 +22,14 @@ use crate::shard::MappedShard;
 use crate::writer::{partition_image, shard_file_name};
 use pasco_graph::adjacency::{ForwardSampler, WalkAdjacency};
 use pasco_graph::csr::{CsrGraph, NodeId};
-use pasco_graph::partition::{Partitioner, RangeRouter};
+use pasco_graph::partition::Partitioner;
 use pasco_graph::plan::{SweepPlan, SweepPlanCell};
 use std::path::{Path, PathBuf};
 
 /// Every shard of a store, mapped and routed.
 pub struct MappedStore {
     shards: Vec<MappedShard>,
-    router: RangeRouter,
+    router: Partitioner,
     n: u32,
     dir: PathBuf,
     plan: SweepPlanCell,
@@ -91,7 +91,7 @@ impl MappedStore {
         }
         // Validated per-shard: n fits u32.
         let n = n64 as u32;
-        let router = RangeRouter::new(n, parts);
+        let router = Partitioner::range(n, parts);
         let mut graph_only = None;
         for (i, shard) in shards.iter().enumerate() {
             let h: &ShardHeader = MappedShard::header(shard);
@@ -107,7 +107,7 @@ impl MappedStore {
                     h.part_index
                 )));
             }
-            let expected = router.part_range(i as u32);
+            let expected = router.range_of(i as u32);
             if (h.start, h.end) != expected {
                 return Err(StoreError::BadLayout(format!(
                     "part {i} covers [{}, {}) but range partitioning of {n} nodes into \
@@ -132,8 +132,7 @@ impl MappedStore {
     /// receives ([`MappedShard::from_bytes`], then
     /// [`MappedStore::from_shards`]). Each image is copied into its
     /// mapping and dropped, so assembly holds at most one image twice. A
-    /// partitioner that is not [`Partitioner::range`] over the graph's node
-    /// count is [`StoreError::BadLayout`].
+    /// partitioner over another node count is [`StoreError::BadLayout`].
     pub fn of_graph(
         graph: &CsrGraph,
         partitioner: &Partitioner,
@@ -169,7 +168,7 @@ impl MappedStore {
     /// The partitioner that routes nodes to shards: [`Partitioner::range`]
     /// over `(n, parts)`.
     pub fn partitioner(&self) -> Partitioner {
-        Partitioner::Range(self.router)
+        self.router
     }
 
     /// The shard owning node `v`.
@@ -177,7 +176,7 @@ impl MappedStore {
     pub fn shard_of(&self, v: NodeId) -> &MappedShard {
         // Range owners are always < parts (the partitioner clamps), and
         // open checked one shard per slot.
-        &self.shards[self.router.route(v) as usize]
+        &self.shards[self.router.owner(v) as usize]
     }
 
     /// Concatenates the per-shard diagonal slices back into the full
@@ -276,7 +275,7 @@ mod tests {
         let dir = scratch(name);
         let mut writer = StoreWriter::create(&dir, g.node_count(), p.parts()).unwrap();
         for q in 0..p.parts() {
-            let (start, end) = p.range_of(q).unwrap();
+            let (start, end) = p.range_of(q);
             writer.write_partition(q, g, &diag[start as usize..end as usize]).unwrap();
         }
         writer.finish().unwrap();
@@ -336,15 +335,6 @@ mod tests {
         assert_eq!(shard.in_neighbors(v), &[] as &[NodeId], "{label}: in {v}");
         assert_eq!(shard.out_neighbors(v), &[] as &[NodeId], "{label}: out {v}");
         assert_eq!((shard.outflow(v), shard.sample_out(v, 0.5)), (0.0, None), "{label}: {v}");
-    }
-
-    #[test]
-    fn a_hash_partitioner_is_a_typed_layout_error() {
-        let g = generators::cycle(9);
-        let err = MappedStore::of_graph(&g, &Partitioner::hash(3));
-        assert!(matches!(err, Err(StoreError::BadLayout(_))), "{:?}", err.map(|_| ()));
-        let err = partition_image(&g, &Partitioner::hash(3), 0);
-        assert!(matches!(err, Err(StoreError::BadLayout(_))), "{:?}", err.map(|_| ()));
     }
 
     #[test]

@@ -143,8 +143,8 @@ pub fn partition_image(
 
 /// The `[start, end)` node range `partitioner` assigns part `part_index`
 /// of `graph`, or why it cannot lay out a store: readers route lookups by
-/// recomputing [`Partitioner::range`] from a header's `(n, parts)`, so only
-/// that partitioner, over the graph's own node count, can write a shard.
+/// recomputing [`Partitioner::range`] from a header's `(n, parts)`, so
+/// only a partitioner over the graph's own node count can write a shard.
 fn part_range(
     graph: &CsrGraph,
     partitioner: &Partitioner,
@@ -156,15 +156,12 @@ fn part_range(
             "part index {part_index} out of range (parts {parts})"
         )));
     }
-    match partitioner.range_of(part_index) {
-        Some(range) if *partitioner == Partitioner::range(n, parts) => Ok(range),
-        Some(_) => Err(StoreError::BadLayout(format!(
-            "the range partitioner is not over the graph's {n} nodes"
-        ))),
-        None => Err(StoreError::BadLayout(
-            "a shard holds a node range, and a hash partitioner assigns none".into(),
-        )),
+    if *partitioner != Partitioner::range(n, parts) {
+        return Err(StoreError::BadLayout(format!(
+            "the partitioner is not over the graph's {n} nodes"
+        )));
     }
+    Ok(partitioner.range_of(part_index))
 }
 
 /// Streams the `PASCOSH1` image of part `part_index` of `graph`, as the

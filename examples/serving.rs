@@ -12,9 +12,9 @@ use pasco::graph::generators;
 use pasco::mc::walks::{reverse_walk_distributions, WalkParams};
 use pasco::server::{PascoClient, PascoServer, ServerConfig};
 use pasco::simrank::api::{QueryRequest, QueryResponse, QueryService};
-use pasco::simrank::{CloudWalker, ExecMode, QuerySession, SessionConfig, SimRankConfig};
+use pasco::simrank::{CloudWalker, ExecMode, QuerySession, SimRankConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Serves one single-pair request through a network client (what any
 /// real caller of the front door does).
@@ -57,13 +57,10 @@ fn main() {
         println!("per-shard bytes: {per_shard:?}");
     }
 
-    // One shared caching session behind the network front door: cohorts
-    // expire after 10 minutes and residency is byte-bounded, the eviction
-    // policy a long-running server wants.
-    let session = Arc::new(QuerySession::with_config(
-        Arc::clone(&cw),
-        SessionConfig::new(64).with_ttl(Duration::from_secs(600)).with_max_bytes(64 << 20),
-    ));
+    // One shared caching session behind the network front door. A cohort
+    // never goes stale (the walker never changes), so the cache is bounded
+    // by entry count alone.
+    let session = Arc::new(QuerySession::new(Arc::clone(&cw), 64));
     let server = PascoServer::bind(
         "127.0.0.1:0",
         Arc::clone(&session) as Arc<dyn QueryService>,

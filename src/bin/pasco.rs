@@ -6,7 +6,7 @@
 //! pasco index    --graph g.bin --out g.idx [--mode local|broadcast|rdd]
 //!                [--seed N]
 //! pasco sp       --graph g.bin --index g.idx --i 3 --j 99
-//! pasco ss       --graph g.bin --index g.idx --i 3 [--top 10] [--estimator walk|push]
+//! pasco ss       --graph g.bin --index g.idx --i 3 [--top 10]
 //! pasco topk     --graph g.bin --index g.idx --i 3 --k 10
 //! pasco pairs    --graph g.bin --index g.idx --nodes 1,5,9 [--cache 1024]
 //! pasco convert  --in edges.txt --out g.bin      (edge list -> binary, or back)
@@ -25,7 +25,8 @@
 //! served from any substrate (`--store <dir>` serves a saved shard store),
 //! and `--mode distributed --workers host:port,host:port` runs the build
 //! and every query on real worker processes over TCP — bit-identical
-//! output.
+//! output. A flag that a subcommand's usage does not list is refused
+//! before the subcommand runs.
 //!
 //! Graphs are read as the binary format when the file starts with the
 //! `PASCOGR1` magic, otherwise as a whitespace edge list.
@@ -42,10 +43,8 @@ use pasco::graph::{io, CsrGraph, InLinks, WalkAdjacency};
 use pasco::server::{PascoClient, PascoServer, ServerConfig};
 use pasco::simrank::api::{QueryRequest, QueryResponse, QueryService};
 use pasco::simrank::engine::kernel::{build_diagonal_on, check_build};
-use pasco::simrank::{
-    metrics, persist, queries, CloudWalker, ExecMode, QuerySession, SessionConfig, SimRankConfig,
-};
-use std::collections::HashMap;
+use pasco::simrank::{persist, queries, CloudWalker, ExecMode, QuerySession, SimRankConfig};
+use std::collections::BTreeMap;
 use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -58,23 +57,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match cmd.as_str() {
-        "generate" => cmd_generate(&flags),
-        "stats" => cmd_stats(&flags),
-        "index" => cmd_index(&flags),
-        "save-store" => cmd_save_store(&flags),
-        "sp" => cmd_sp(&flags),
-        "ss" => cmd_ss(&flags),
-        "topk" => cmd_topk(&flags),
-        "pairs" => cmd_pairs(&flags),
-        "convert" => cmd_convert(&flags),
-        "serve" => cmd_serve(&flags),
-        "query" => cmd_query(&flags),
-        "worker" => cmd_worker(&flags),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        name => match COMMANDS.iter().find(|c| c.0 == name) {
+            Some(&(_, run, known)) => check_flags(name, &flags, known).and_then(|()| run(&flags)),
+            None => Err(format!("unknown command `{name}`\n{USAGE}")),
+        },
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -90,35 +80,36 @@ pasco — CloudWalker SimRank (PASCO reproduction)
 
 USAGE:
   pasco generate --model <er|ba|rmat|ws> --out <file> [--nodes N] [--scale S]
-                 [--edges M] [--seed N]
+                 [--edges M] [--edges-per-node N (ba)] [--k N (ws)] [--seed N]
   pasco stats    --graph <file>
   pasco index    --graph <file> --out <file>
                  [--mode local|broadcast|rdd|distributed]
-                 [--workers host:port,...]
-                 [--seed N] [--c F] [--t N] [--l N] [--r N]
-  pasco sp       --graph <file> --index <file> --i <node> --j <node>
-  pasco ss       --graph <file> --index <file> --i <node> [--top K]
-                 [--estimator walk|push]
-  pasco topk     --graph <file> --index <file> --i <node> --k <K>   (TSV out)
-  pasco pairs    --graph <file> --index <file> --nodes <a,b,c,...> [--cache N]
+                 [--workers host:port,...] CONFIG
+  pasco sp       SOURCE CONFIG --i <node> --j <node>
+  pasco ss       SOURCE CONFIG --i <node> [--top K]
+  pasco topk     SOURCE CONFIG --i <node> --k <K>   (TSV out)
+  pasco pairs    SOURCE CONFIG --nodes <a,b,c,...> [--cache N]
   pasco convert  --in <file> --out <file>   (.txt <-> .bin by extension)
   pasco save-store --graph <file> --out <dir> [--parts N] [--index <file>]
-                 (omit --index to build one first; same flags as index)
-  pasco serve    --graph <file> --index <file> --addr <host:port>
-                 [--mode local|broadcast|rdd|distributed]
-                 [--cache N] [--cache-ttl-secs S] [--cache-bytes B]
-                 [--workers N] [--max-frame BYTES] [--max-conns N]
-                 [--io-timeout SECS]
+                 CONFIG   (omit --index to build one first)
+  pasco serve    SOURCE CONFIG --addr <host:port> [--cache N] [--workers N]
+                 [--max-frame BYTES] [--max-conns N] [--io-timeout SECS]
                  (distributed: --workers host:port,... and --pool N for the
                  server's execution pool)
   pasco query    --connect <host:port> --kind <sp|ss|topk|shutdown>
                  [--i N] [--j N] [--k K (topk)] [--top N (ss)]
   pasco worker   --addr <host:port> [--max-frame BYTES]
 
-  Query subcommands (sp/ss/topk/pairs) also accept --mode to pick
-  the serving substrate; results are bit-identical across substrates —
-  including over the network: `pasco serve` + `pasco query --connect`
-  speak the versioned envelope protocol over TCP.
+  SOURCE: --graph <file> --index <file> [--mode local|broadcast|rdd|distributed]
+          [--workers host:port,...], or --store <dir> [--mode distributed
+          --workers host:port,...]
+  CONFIG: [--seed N] [--c F] [--t N] [--l N] [--r N] [--r-query N]
+  A flag that a command does not list above is refused.
+
+  Query subcommands (sp/ss/topk/pairs) take --mode to pick the serving
+  substrate; results are bit-identical across substrates — including
+  over the network: `pasco serve` + `pasco query --connect` speak the
+  versioned envelope protocol over TCP.
 
   A real cluster: start `pasco worker` processes, then run index/sp/ss/
   topk/pairs/serve with `--mode distributed --workers host:port,host:port`.
@@ -134,11 +125,42 @@ USAGE:
   shard of the same directory — no partition bytes cross the wire.
 ";
 
-type Flags = HashMap<String, String>;
+/// USAGE's SOURCE flags: where a query command's engine comes from.
+const SOURCE: &[&str] = &["graph", "index", "store", "mode", "workers"];
+/// USAGE's CONFIG flags: the SimRank parameters ([`sim_config`]).
+const CONFIG: &[&str] = &["seed", "c", "t", "l", "r", "r-query"];
+
+/// A subcommand: its name, its body, and the flags USAGE lists for it.
+type Command = (&'static str, fn(&Flags) -> Result<(), String>, &'static [&'static [&'static str]]);
+
+const COMMANDS: &[Command] = &[
+    (
+        "generate",
+        cmd_generate,
+        &[&["model", "out", "nodes", "scale", "edges", "edges-per-node", "k", "seed"]],
+    ),
+    ("stats", cmd_stats, &[&["graph"]]),
+    ("index", cmd_index, &[&["graph", "out", "mode", "workers"], CONFIG]),
+    ("save-store", cmd_save_store, &[&["graph", "out", "parts", "index"], CONFIG]),
+    ("sp", cmd_sp, &[SOURCE, CONFIG, &["i", "j"]]),
+    ("ss", cmd_ss, &[SOURCE, CONFIG, &["i", "top"]]),
+    ("topk", cmd_topk, &[SOURCE, CONFIG, &["i", "k"]]),
+    ("pairs", cmd_pairs, &[SOURCE, CONFIG, &["nodes", "cache"]]),
+    ("convert", cmd_convert, &[&["in", "out"]]),
+    (
+        "serve",
+        cmd_serve,
+        &[SOURCE, CONFIG, &["addr", "cache", "pool", "max-frame", "max-conns", "io-timeout"]],
+    ),
+    ("query", cmd_query, &[&["connect", "kind", "i", "j", "k", "top"]]),
+    ("worker", cmd_worker, &[&["addr", "max-frame"]]),
+];
+
+type Flags = BTreeMap<String, String>;
 
 fn parse(args: &[String]) -> Option<(String, Flags)> {
     let cmd = args.first()?.clone();
-    let mut flags = HashMap::new();
+    let mut flags = BTreeMap::new();
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
         let name = flag.strip_prefix("--")?;
@@ -146,6 +168,15 @@ fn parse(args: &[String]) -> Option<(String, Flags)> {
         flags.insert(name.to_string(), value.clone());
     }
     Some((cmd, flags))
+}
+
+/// Refuses the first flag (by name) that `known` does not list, so a
+/// mistyped or retired flag fails before any work instead of being ignored.
+fn check_flags(cmd: &str, flags: &Flags, known: &[&[&str]]) -> Result<(), String> {
+    match flags.keys().find(|name| !known.iter().any(|set| set.contains(&name.as_str()))) {
+        Some(name) => Err(format!("unknown flag --{name} for `pasco {cmd}` (see `pasco help`)")),
+        None => Ok(()),
+    }
 }
 
 fn get<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
@@ -459,29 +490,11 @@ fn cmd_ss(flags: &Flags) -> Result<(), String> {
     if i == u32::MAX {
         return Err("ss needs --i".into());
     }
-    let top: usize = get_num(flags, "top", 10)?;
-    if top == 0 {
-        // Same typed error for both estimators (the push path would
-        // otherwise run a full query just to rank nothing).
-        return Err(pasco::simrank::QueryError::InvalidK { k: 0 }.to_string());
-    }
+    let top: u64 = get_num(flags, "top", 10)?;
     let t0 = Instant::now();
-    let ranked = match flags.get("estimator").map(|s| s.as_str()).unwrap_or("walk") {
-        "walk" => {
-            let resp = execute(&cw, QueryRequest::SingleSourceTopK { i, k: top as u64 })?;
-            let QueryResponse::Ranked(ranked) = resp else {
-                unreachable!("SingleSourceTopK answers with Ranked");
-            };
-            ranked
-        }
-        "push" => {
-            let resp = execute(&cw, QueryRequest::SingleSourcePush { i })?;
-            let QueryResponse::Scores(scores) = resp else {
-                unreachable!("SingleSourcePush answers with Scores");
-            };
-            metrics::top_k(&scores, top, Some(i))
-        }
-        other => return Err(format!("unknown estimator `{other}` (walk|push)")),
+    let QueryResponse::Ranked(ranked) = execute(&cw, QueryRequest::SingleSourceTopK { i, k: top })?
+    else {
+        unreachable!("SingleSourceTopK answers with Ranked");
     };
     let latency = t0.elapsed();
     println!("top-{top} similar to {i}   [{latency:?}]");
@@ -559,7 +572,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let cw = Arc::new(load_engine(flags)?);
     let addr = get(flags, "addr")?;
     let cache: usize = get_positive(flags, "cache", 1024)?;
-    let mut session_cfg = SessionConfig::new(cache);
     // `--workers` means the execution pool size — except under
     // `--mode distributed`, where it is the worker address list and the
     // pool size moves to `--pool`.
@@ -568,15 +580,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         _ => "workers",
     };
     let workers: usize = get_positive(flags, pool_flag, ServerConfig::default().workers)?;
-    // Zero would turn the cache off without a word: refused, like `--cache 0`.
-    if flags.contains_key("cache-ttl-secs") {
-        let secs: u64 = get_positive(flags, "cache-ttl-secs", 1)?;
-        session_cfg = session_cfg.with_ttl(std::time::Duration::from_secs(secs));
-    }
-    if flags.contains_key("cache-bytes") {
-        session_cfg = session_cfg.with_max_bytes(get_positive(flags, "cache-bytes", 1)?);
-    }
-    let session = Arc::new(QuerySession::with_config(Arc::clone(&cw), session_cfg));
+    let session = Arc::new(QuerySession::new(Arc::clone(&cw), cache));
 
     let defaults = ServerConfig::default();
     let io_timeout_secs: u64 = get_positive(flags, "io-timeout", defaults.io_timeout.as_secs())?;

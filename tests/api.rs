@@ -56,16 +56,15 @@ fn gen_nodes(rng: &mut TestRng, max_len: usize) -> Vec<u32> {
 /// One random request, spanning every variant; `batch_ok` gates whether
 /// a (flat) batch may be drawn.
 fn gen_request(rng: &mut TestRng, batch_ok: bool) -> QueryRequest {
-    match rng.next_u64() % if batch_ok { 7 } else { 6 } {
+    match rng.next_u64() % if batch_ok { 6 } else { 5 } {
         0 => QueryRequest::SinglePair {
             i: (rng.next_u64() >> 32) as u32,
             j: (rng.next_u64() >> 32) as u32,
         },
         1 => QueryRequest::SingleSource { i: (rng.next_u64() >> 32) as u32 },
-        2 => QueryRequest::SingleSourcePush { i: (rng.next_u64() >> 32) as u32 },
-        3 => QueryRequest::SingleSourceTopK { i: (rng.next_u64() >> 32) as u32, k: rng.next_u64() },
-        4 => QueryRequest::Cohort { v: (rng.next_u64() >> 32) as u32 },
-        5 => QueryRequest::PairsMatrix { rows: gen_nodes(rng, 6), cols: gen_nodes(rng, 6) },
+        2 => QueryRequest::SingleSourceTopK { i: (rng.next_u64() >> 32) as u32, k: rng.next_u64() },
+        3 => QueryRequest::Cohort { v: (rng.next_u64() >> 32) as u32 },
+        4 => QueryRequest::PairsMatrix { rows: gen_nodes(rng, 6), cols: gen_nodes(rng, 6) },
         _ => {
             let len = 1 + rng.next_u64() as usize % 4;
             QueryRequest::Batch((0..len).map(|_| gen_request(rng, false)).collect())
@@ -407,10 +406,6 @@ proptest! {
                 QueryResponse::Scores(cw.try_single_source(i).unwrap())
             );
             prop_assert_eq!(
-                svc.execute(QueryRequest::SingleSourcePush { i }).unwrap(),
-                QueryResponse::Scores(cw.try_single_source_push(i).unwrap())
-            );
-            prop_assert_eq!(
                 svc.execute(QueryRequest::SingleSourceTopK { i, k }).unwrap(),
                 QueryResponse::Ranked(cw.try_single_source_topk(i, k as usize).unwrap())
             );
@@ -438,7 +433,6 @@ fn service_path_never_panics_on_bad_nodes() {
         QueryRequest::SinglePair { i: 0, j: bad },
         QueryRequest::SinglePair { i: bad, j: bad },
         QueryRequest::SingleSource { i: bad },
-        QueryRequest::SingleSourcePush { i: bad },
         QueryRequest::SingleSourceTopK { i: bad, k: 3 },
         QueryRequest::PairsMatrix { rows: vec![0, bad], cols: vec![1] },
         QueryRequest::Cohort { v: bad },

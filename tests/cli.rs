@@ -73,16 +73,6 @@ fn generate_index_query_pipeline() {
     }
 
     let out = bin()
-        .args(["ss", "--graph", graph.to_str().unwrap()])
-        .args(["--index", index.to_str().unwrap()])
-        .args(["--i", "3", "--top", "3", "--estimator", "push"])
-        .args(["--r-query", "500", "--t", "5"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("top-3 similar to 3"));
-
-    let out = bin()
         .args(["pairs", "--graph", graph.to_str().unwrap()])
         .args(["--index", index.to_str().unwrap()])
         .args(["--nodes", "1,5,9", "--r-query", "500", "--t", "5"])
@@ -502,14 +492,14 @@ fn small_indexed_graph(name: &str) -> (PathBuf, PathBuf) {
     (graph, index)
 }
 
-/// `--cache-bytes 0` and `--cache-ttl-secs 0` would turn the cache off
-/// without a word, and `--max-frame 0` would answer every request with an
-/// error: `pasco serve` refuses each, as it refuses `--cache 0`. A server
-/// that starts anyway is killed and fails the test instead of hanging it.
+/// `--cache 0` would leave the session nothing to cache, and `--max-frame
+/// 0` would answer every request with an error: `pasco serve` refuses
+/// each. A server that starts anyway is killed and fails the test instead
+/// of hanging it.
 #[test]
 fn serve_refuses_zero_valued_flags() {
     let (graph, index) = small_indexed_graph("zero_flags");
-    for flag in ["--cache-bytes", "--cache-ttl-secs", "--max-frame"] {
+    for flag in ["--cache", "--max-frame"] {
         let mut server = bin()
             .args(["serve", "--graph", graph.to_str().unwrap()])
             .args(["--index", index.to_str().unwrap(), "--addr", "127.0.0.1:0"])
@@ -585,4 +575,19 @@ fn bad_invocations_fail_cleanly() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("decay factor"));
+    // A flag the command does not list (a typo, a retired flag) is refused
+    // by name before any work: no index is written, and `serve` fails on
+    // the flag, not on its missing index file.
+    let (g, idx) = (graph.to_str().unwrap(), tmp("typo.idx"));
+    let idx = idx.to_str().unwrap();
+    let _ = std::fs::remove_file(idx);
+    let serve = vec!["serve", "--graph", g, "--index", idx, "--addr", "127.0.0.1:0"];
+    let retired = "--cache-bytes"; // the one line CI's "No unselected options" check admits
+    for (args, flag) in [(vec!["index", "--graph", g, "--out", idx], "--tyop"), (serve, retired)] {
+        let out = bin().args(&args).args([flag, "1"]).output().unwrap();
+        assert!(!out.status.success(), "{args:?} {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty() && !std::path::Path::new(idx).exists(), "{flag}");
+    }
 }

@@ -53,7 +53,6 @@ fn query_service_facade_matches_direct_methods_end_to_end() {
     let requests = vec![
         QueryRequest::SinglePair { i: 5, j: 80 },
         QueryRequest::SingleSource { i: 5 },
-        QueryRequest::SingleSourcePush { i: 5 },
         QueryRequest::SingleSourceTopK { i: 5, k: 7 },
         QueryRequest::PairsMatrix { rows: vec![1, 5], cols: vec![5, 9] },
         QueryRequest::Cohort { v: 5 },
@@ -62,13 +61,7 @@ fn query_service_facade_matches_direct_methods_end_to_end() {
         for req in &requests {
             match svc.execute(req.clone()).unwrap() {
                 QueryResponse::Score(s) => assert_eq!(s, cw.try_single_pair(5, 80).unwrap()),
-                QueryResponse::Scores(row) => {
-                    let direct = match req {
-                        QueryRequest::SingleSource { .. } => cw.try_single_source(5).unwrap(),
-                        _ => cw.try_single_source_push(5).unwrap(),
-                    };
-                    assert_eq!(row, direct, "{req:?}");
-                }
+                QueryResponse::Scores(row) => assert_eq!(row, cw.try_single_source(5).unwrap()),
                 QueryResponse::Ranked(list) => {
                     assert_eq!(list, cw.try_single_source_topk(5, 7).unwrap())
                 }

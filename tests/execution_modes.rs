@@ -9,7 +9,7 @@ use pasco::cluster::{Cluster, ClusterConfig, ClusterError};
 use pasco::graph::partition::Partitioner;
 use pasco::graph::{generators, CsrGraph, ReverseChainIndex};
 use pasco::simrank::engine::broadcast::BroadcastEngine;
-use pasco::simrank::engine::kernel::{build_diagonal_on, KernelEngine};
+use pasco::simrank::engine::kernel::{build_diagonal_on, KernelEngine, Resident};
 use pasco::simrank::engine::rdd::RddEngine;
 use pasco::simrank::{queries, CloudWalker, ExecMode, SimRankConfig, SimRankEngine, SimRankError};
 use pasco_store::MappedStore;
@@ -298,17 +298,43 @@ fn sharded_engine_is_bit_identical_to_local_for_every_query_kind() {
     // Range shards route every lookup to the shard owning the node; since
     // the routed adjacency equals the resident graph's and the accumulation
     // order matches the local kernels, the index built over in-memory
-    // images and every query kind over a saved store are *bitwise* equal
-    // at shard counts 1, 2 and 4 — including dense MCSS, where the cluster
-    // engines only promise float-tolerance equality.
+    // images and every query kind the image-backed engine answers are
+    // *bitwise* the resident engine's at shard counts 1, 2 and 4 —
+    // including dense MCSS, where the cluster engines only promise
+    // float-tolerance equality. (Saved stores: the mapped test below.)
     for (label, g, cfg) in graphs_on_both_arms() {
-        let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
+        let resident = KernelEngine::new(Arc::new(Resident::new(Arc::clone(&g))));
+        let diag = resident.build_diagonal(&cfg).unwrap().diag;
         for shards in [1u32, 2, 4] {
             let p = Partitioner::range_nonempty(g.node_count(), shards);
             let images = KernelEngine::new(Arc::new(MappedStore::of_graph(&g, &p).unwrap()));
             let built = images.build_diagonal(&cfg).unwrap();
-            assert_eq!(&built.diag, local.diagonal(), "{label}: index, {shards} image shards");
-            saved_store_answers_like(&local, cfg, &format!("sharded_{label}"), shards);
+            assert_eq!(built.diag, diag, "{label}: index, {shards} image shards");
+            let (at, d, cfg) = (format!("{label}, {shards} image shards"), diag.as_slice(), &cfg);
+            for &(i, j) in &[(0u32, 1u32), (5, 70), (33, 32)] {
+                assert_eq!(
+                    images.single_pair(d, cfg, i, j).unwrap(),
+                    resident.single_pair(d, cfg, i, j).unwrap(),
+                    "{at}: MCSP ({i},{j})"
+                );
+            }
+            for &s in &[0u32, 64, 149] {
+                assert_eq!(
+                    images.single_source(d, cfg, s).unwrap(),
+                    resident.single_source(d, cfg, s).unwrap(),
+                    "{at}: dense MCSS source {s}"
+                );
+                assert_eq!(
+                    images.single_source_topk(d, cfg, s, 10).unwrap(),
+                    resident.single_source_topk(d, cfg, s, 10).unwrap(),
+                    "{at}: top-k source {s}"
+                );
+                assert_eq!(
+                    images.query_cohort(cfg, s).unwrap(),
+                    resident.query_cohort(cfg, s).unwrap(),
+                    "{at}: cohort {s}"
+                );
+            }
         }
     }
 }
@@ -322,18 +348,10 @@ fn mapped_store_is_bit_identical_to_local_for_every_query_kind() {
         let local = CloudWalker::build(Arc::clone(&g), cfg, ExecMode::Local).unwrap();
         for parts in [1u32, 2, 4] {
             let mapped = saved_store_answers_like(&local, cfg, &format!("mapped_{label}"), parts);
-            // No resident graph, yet the exact push sweeps the mapped
-            // in-links to the resident answer; re-saving a mapped walker
-            // is a typed refusal.
+            // No resident graph; re-saving a mapped walker is a typed
+            // refusal.
             assert!(mapped.graph().is_none());
             assert!(mapped.store().is_some());
-            for &s in &[0u32, 64, 149] {
-                assert_eq!(
-                    local.try_single_source_push(s).unwrap(),
-                    mapped.try_single_source_push(s).unwrap(),
-                    "{label}: exact push source {s}, {parts} shards"
-                );
-            }
             let other = std::env::temp_dir().join(format!("pasco_exec_copy_{label}_{parts}"));
             assert!(matches!(mapped.save_store(&other, 1), Err(SimRankError::InvalidConfig(_))));
         }

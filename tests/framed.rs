@@ -126,7 +126,6 @@ fn every_request() -> Vec<QueryRequest> {
     let members = vec![
         QueryRequest::SinglePair { i: 3, j: 41 },
         QueryRequest::SingleSource { i: 7 },
-        QueryRequest::SingleSourcePush { i: 7 },
         QueryRequest::SingleSourceTopK { i: 11, k: 6 },
         QueryRequest::PairsMatrix { rows: vec![1, 5, 3], cols: vec![2, 9, 17] },
         QueryRequest::Cohort { v: 23 },

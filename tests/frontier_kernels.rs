@@ -483,7 +483,7 @@ fn the_planned_pull_sweep_is_node_order_bit_for_bit() {
         for parts in [2, 7, 320] {
             let p = Partitioner::range(n, parts);
             let tiled: Vec<u64> = (0..parts)
-                .filter_map(|q| p.range_of(q))
+                .map(|q| p.range_of(q))
                 .flat_map(|(lo, hi)| planned_sweep(g, &z, 0.6, lo..hi))
                 .collect();
             assert_eq!(tiled, want, "{name}: {parts} ranges");

@@ -134,7 +134,6 @@ fn all_variants() -> Vec<QueryRequest> {
     vec![
         QueryRequest::SinglePair { i: 3, j: 41 },
         QueryRequest::SingleSource { i: 7 },
-        QueryRequest::SingleSourcePush { i: 7 },
         QueryRequest::SingleSourceTopK { i: 11, k: 6 },
         QueryRequest::PairsMatrix { rows: vec![1, 5], cols: vec![2, 9, 17] },
         QueryRequest::Cohort { v: 23 },
@@ -1010,7 +1009,7 @@ fn the_in_links_walker_answers_over_tcp_like_the_from_index_walker() {
     reqs.push(QueryRequest::Batch(vec![
         QueryRequest::Cohort { v: 9 },
         QueryRequest::PairsMatrix { rows: vec![1, 2], cols: vec![3] },
-        QueryRequest::SingleSourcePush { i: 4 },
+        QueryRequest::SingleSource { i: 4 },
     ]));
     for req in reqs {
         let over_wire = client.query(req.clone()).unwrap();
