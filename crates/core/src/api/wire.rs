@@ -26,7 +26,7 @@
 //! ```
 
 use super::{QueryError, QueryRequest, QueryResponse};
-use crate::queries::{CohortLayout, StepHistogram};
+use crate::queries::{CohortLayout, IdList, StepForm};
 use bytes::{Buf, BufMut};
 use pasco_mc::walks::StepDistributions;
 use std::fmt;
@@ -247,24 +247,39 @@ const ENTRY_BLOCK: usize = 256;
 
 /// A cohort in either layout, encoded as a [`StepDistributions`]: source,
 /// walkers and step count, then each step's length and its 12-byte
-/// `(id, count)` records, [`ENTRY_BLOCK`] of them per `put_slice`. The one
-/// spelling of the record: a cached [`pasco_mc::walks::CohortBlock`] is
-/// encoded from here as is, with no nested copy built first.
+/// `(id, count)` records in id order, [`ENTRY_BLOCK`] of them per
+/// `put_slice`, whichever form the step keeps. The one spelling of the
+/// record: a cached [`pasco_mc::walks::CohortBlock`] is encoded from here
+/// as is, with no nested copy built first.
 pub(crate) fn encode_cohort<C: CohortLayout + ?Sized>(cohort: &C, buf: &mut impl BufMut) {
     buf.put_u32_le(cohort.source());
     buf.put_u32_le(cohort.walkers());
     buf.put_u32_le(cohort.histograms().count() as u32);
     let mut block = [[0u8; 12]; ENTRY_BLOCK];
+    let node = |record: &mut [u8; 12], v: u32| record[..4].copy_from_slice(&v.to_le_bytes());
+    let count = |record: &mut [u8; 12], c: u64| record[4..].copy_from_slice(&c.to_le_bytes());
     for step in cohort.histograms() {
         let len = step.entries();
         buf.put_u32_le(len as u32);
-        for first in (0..len).step_by(ENTRY_BLOCK) {
-            let records = &mut block[..ENTRY_BLOCK.min(len - first)];
-            for (record, e) in records.iter_mut().zip(first..) {
-                record[..4].copy_from_slice(&step.node(e).to_le_bytes());
-                record[4..].copy_from_slice(&step.count(e).to_le_bytes());
-            }
+        // Each block's nodes, then its counts, written into its records.
+        let (mut first, mut word) = (0, 0);
+        while first < len {
+            let records = match step {
+                StepForm::Ids(s) => {
+                    let records = &mut block[..ENTRY_BLOCK.min(len - first)];
+                    records.iter_mut().zip(first..).for_each(|(r, e)| node(r, s.node(e)));
+                    s.fill_counts(first, records, count);
+                    records
+                }
+                StepForm::Bits(s) => {
+                    let (got, next) = s.ids_from(word.max(s.span().start), &mut block, node);
+                    s.counts_into(first, &mut block[..got], |r, c| count(r, c.into()));
+                    word = next;
+                    &mut block[..got]
+                }
+            };
             buf.put_slice(records.as_flattened());
+            first += records.len();
         }
     }
 }

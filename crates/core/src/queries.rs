@@ -5,7 +5,10 @@
 //! cohorts plus the stored diagonal `D`:
 //!
 //! * **MCSP** intersects the two cohorts' per-step histograms —
-//!   `O(T·R')` after simulation.
+//!   `O(T·R')` after simulation. A cached block keeps each step as sorted
+//!   ids or as a bitmap ([`pasco_mc::walks::CohortBlock`]); [`score_pair`]
+//!   merges two id lists, ANDs two bitmaps' words, or probes ids against a
+//!   bitmap, and adds the same products in the same order whichever.
 //! * **MCSS** propagates `D ûₜ` forward `t` steps. Its forward stage has
 //!   two arms, picked by one rule ([`sweeps_pay`]) from `(n, m, T, R_f)`:
 //!   the series evaluated *exactly* by Horner's rule, `T` pull sweeps over
@@ -33,7 +36,9 @@ use pasco_graph::{
 use pasco_mc::counts::MassMap;
 use pasco_mc::forward::{forward_walk_frontier, ForwardWalker};
 use pasco_mc::rng::{mix, mix_extend};
-use pasco_mc::walks::{reverse_walk_block_on, BlockStep, CohortBlock, StepDistributions};
+use pasco_mc::walks::{
+    reverse_walk_block_on, BitStep, BlockStep, CohortBlock, IdStep, StepDistributions,
+};
 use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
 
@@ -81,8 +86,9 @@ pub fn query_cohort(graph: &CsrGraph, cfg: &SimRankConfig, source: NodeId) -> St
     query_cohort_on(graph, cfg, source)
 }
 
-/// One step's histogram, ascending by node id, in either cohort layout.
-pub trait StepHistogram: Copy {
+/// One step's histogram as a list ascending by node id: a nested
+/// cohort's step, or a block step that keeps its ids.
+pub trait IdList: Copy {
     /// Number of distinct nodes visited.
     fn entries(self) -> usize;
     /// The `i`-th node visited.
@@ -91,9 +97,14 @@ pub trait StepHistogram: Copy {
     fn count(self, i: usize) -> u64;
     /// How many entries lie below `node`.
     fn rank(self, node: NodeId) -> usize;
+    /// Hands `put` each slot of `out` with entry `from + k`'s count.
+    #[inline]
+    fn fill_counts<T>(self, from: usize, out: &mut [T], put: impl Fn(&mut T, u64)) {
+        out.iter_mut().zip(from..).for_each(|(slot, e)| put(slot, self.count(e)));
+    }
 }
 
-impl StepHistogram for &[(NodeId, u64)] {
+impl IdList for &[(NodeId, u64)] {
     fn entries(self) -> usize {
         self.len()
     }
@@ -108,7 +119,7 @@ impl StepHistogram for &[(NodeId, u64)] {
     }
 }
 
-impl StepHistogram for BlockStep<'_> {
+impl IdList for IdStep<'_> {
     fn entries(self) -> usize {
         self.ids.len()
     }
@@ -117,10 +128,43 @@ impl StepHistogram for BlockStep<'_> {
     }
     #[inline(always)]
     fn count(self, i: usize) -> u64 {
-        u64::from(BlockStep::count(&self, i))
+        u64::from(IdStep::count(&self, i))
     }
     fn rank(self, node: NodeId) -> usize {
         self.ids.partition_point(|&k| k < node)
+    }
+    #[inline]
+    fn fill_counts<T>(self, from: usize, out: &mut [T], put: impl Fn(&mut T, u64)) {
+        self.counts_into(from, out, |slot, c| put(slot, c.into()));
+    }
+}
+
+/// One step's histogram in either cohort layout: an id list, or a block
+/// step's bitmap.
+#[derive(Clone, Copy, Debug)]
+pub enum StepForm<'a, L> {
+    /// Node ids ascending.
+    Ids(L),
+    /// A [`CohortBlock`] step kept as a bitmap.
+    Bits(BitStep<'a>),
+}
+
+impl<L: IdList> StepForm<'_, L> {
+    /// Number of distinct nodes visited.
+    pub fn entries(self) -> usize {
+        match self {
+            Self::Ids(s) => s.entries(),
+            Self::Bits(s) => s.entries(),
+        }
+    }
+
+    /// Calls `f` on each `(node, count)` of the step, ascending by node.
+    #[inline]
+    pub fn for_each(self, mut f: impl FnMut(NodeId, u64)) {
+        match self {
+            Self::Ids(s) => (0..s.entries()).for_each(|i| f(s.node(i), s.count(i))),
+            Self::Bits(s) => s.for_each(|v, c| f(v, c.into())),
+        }
     }
 }
 
@@ -132,7 +176,7 @@ pub trait CohortLayout {
     /// Cohort size used for normalisation.
     fn walkers(&self) -> u32;
     /// Every step's histogram, `t = 0..=T`.
-    fn histograms(&self) -> impl Iterator<Item = impl StepHistogram>;
+    fn histograms(&self) -> impl Iterator<Item = StepForm<'_, impl IdList>>;
 }
 
 impl CohortLayout for StepDistributions {
@@ -142,8 +186,8 @@ impl CohortLayout for StepDistributions {
     fn walkers(&self) -> u32 {
         self.walkers
     }
-    fn histograms(&self) -> impl Iterator<Item = impl StepHistogram> {
-        self.counts.iter().map(Vec::as_slice)
+    fn histograms(&self) -> impl Iterator<Item = StepForm<'_, impl IdList>> {
+        self.counts.iter().map(|step| StepForm::Ids(step.as_slice()))
     }
 }
 
@@ -154,8 +198,11 @@ impl CohortLayout for CohortBlock {
     fn walkers(&self) -> u32 {
         self.walkers
     }
-    fn histograms(&self) -> impl Iterator<Item = impl StepHistogram> {
-        CohortBlock::histograms(self)
+    fn histograms(&self) -> impl Iterator<Item = StepForm<'_, impl IdList>> {
+        CohortBlock::histograms(self).map(|step| match step {
+            BlockStep::Ids(s) => StepForm::Ids(s),
+            BlockStep::Bits(s) => StepForm::Bits(s),
+        })
     }
 }
 
@@ -166,35 +213,56 @@ impl<C: CohortLayout + ?Sized> CohortLayout for std::sync::Arc<C> {
     fn walkers(&self) -> u32 {
         (**self).walkers()
     }
-    fn histograms(&self) -> impl Iterator<Item = impl StepHistogram> {
+    fn histograms(&self) -> impl Iterator<Item = StepForm<'_, impl IdList>> {
         (**self).histograms()
     }
 }
 
 /// Scores a pair from two cohorts' distributions, in either layout:
-/// `Σ_t cᵗ Σ_k x_k ûₜ(k) v̂ₜ(k)`. A branch-free lane merge finds each
-/// step's shared keys; their products are added in ascending key order, as a two-pointer
-/// merge adds them, so both layouts give the same bits. Histograms must be
-/// sorted by node id, without duplicates, as the walk kernel writes them.
+/// `Σ_t cᵗ Σ_k x_k ûₜ(k) v̂ₜ(k)`. Each step's shared keys are found by the
+/// pairing of its forms — a branch-free lane merge of two id lists, the
+/// AND of two bitmaps' words, an id list probed against a bitmap — and
+/// their products are added in ascending key order, as a two-pointer merge
+/// adds them, so every layout and form gives the same bits. Histograms
+/// must be sorted by node id, without duplicates, as the walk kernel
+/// writes them.
 pub fn score_pair<C: CohortLayout + ?Sized>(di: &C, dj: &C, diag: &[f64], c: f64) -> f64 {
     let ri = f64::from(di.walkers());
     let rj = f64::from(dj.walkers());
     // Taken, not borrowed: a nested call would find an empty scratch.
     let mut hits = HITS.take();
-    let need = di.histograms().map(StepHistogram::entries).max().unwrap_or(0);
+    let need = di.histograms().map(StepForm::entries).max().unwrap_or(0);
     if hits.len() < need {
         hits.resize(need, (0, 0));
     }
+    // `c as f64 / r` for every count below 256, divided once a call: the
+    // same quotients, looked up instead of divided hit by hit.
+    let (si, sj): ([f64; 256], [f64; 256]) =
+        (std::array::from_fn(|c| c as f64 / ri), std::array::from_fn(|c| c as f64 / rj));
+    let share = |c: u64, shares: &[f64; 256], r: f64| match shares.get(c as usize) {
+        Some(&s) => s,
+        None => c as f64 / r,
+    };
+    let product =
+        |k: NodeId, ca: u64, cb: u64| diag[k as usize] * share(ca, &si, ri) * share(cb, &sj, rj);
     let mut score = 0.0;
     let mut ct = 1.0;
     for (u, v) in di.histograms().zip(dj.histograms()) {
-        let mut term = 0.0;
-        for lane in merge_lanes(u, v, &mut hits) {
-            for &(a, b) in &hits[lane.first..lane.hit] {
-                let (ka, ca, cb) = (u.node(a as usize), u.count(a as usize), v.count(b as usize));
-                term += diag[ka as usize] * (ca as f64 / ri) * (cb as f64 / rj);
+        let term = match (u, v) {
+            (StepForm::Ids(u), StepForm::Ids(v)) => {
+                let mut term = 0.0;
+                for lane in merge_lanes(u, v, &mut hits) {
+                    for &(a, b) in &hits[lane.first..lane.hit] {
+                        let (a, b) = (a as usize, b as usize);
+                        term += product(u.node(a), u.count(a), v.count(b));
+                    }
+                }
+                term
             }
-        }
+            (StepForm::Bits(u), StepForm::Bits(v)) => and_words(u, v, product),
+            (StepForm::Ids(u), StepForm::Bits(v)) => probe(u, v, product),
+            (StepForm::Bits(u), StepForm::Ids(v)) => probe(v, u, |k, cv, cu| product(k, cu, cv)),
+        };
         score += ct * term;
         ct *= c;
     }
@@ -206,6 +274,64 @@ thread_local! {
     /// [`score_pair`]'s hit pairs: sized by the longest step it merged on
     /// this thread, never shrunk.
     static HITS: Cell<Vec<(u32, u32)>> = const { Cell::new(Vec::new()) };
+}
+
+/// The sum of `product(k, count in u, count in v)` over the nodes `k` two
+/// bitmap steps share, added in ascending `k`: the AND of their
+/// overlapping words, each count's rank taken from the popcounts of the
+/// words and bits below it.
+#[inline(always)]
+fn and_words(u: BitStep<'_>, v: BitStep<'_>, product: impl Fn(NodeId, u64, u64) -> f64) -> f64 {
+    let (su, sv) = (u.span(), v.span());
+    let both = su.start.max(sv.start)..su.end.min(sv.end);
+    let mut term = 0.0;
+    if both.is_empty() {
+        return term;
+    }
+    let below = |s: BitStep<'_>, from| (from..both.start).map(|w| s.word(w).count_ones()).sum();
+    let (mut ru, mut rv): (u32, u32) = (below(u, su.start), below(v, sv.start));
+    for w in both {
+        let (wu, wv) = (u.word(w), v.word(w));
+        let mut shared = wu & wv;
+        while shared != 0 {
+            let bit = shared.trailing_zeros();
+            let under = (1u64 << bit) - 1;
+            let cu = u.count((ru + (wu & under).count_ones()) as usize);
+            let cv = v.count((rv + (wv & under).count_ones()) as usize);
+            term += product((64 * w) as NodeId + bit, cu.into(), cv.into());
+            shared &= shared - 1;
+        }
+        ru += wu.count_ones();
+        rv += wv.count_ones();
+    }
+    term
+}
+
+/// The sum of `product(k, count in ids, count in bits)` over the nodes `k`
+/// of the id list that the bitmap step holds, added in ascending `k`: each
+/// id's bit is tested, its count's rank taken from the running popcount of
+/// the words below.
+#[inline(always)]
+fn probe<L: IdList>(ids: L, bits: BitStep<'_>, product: impl Fn(NodeId, u64, u64) -> f64) -> f64 {
+    let span = bits.span();
+    let (mut w, mut rank, mut term) = (span.start, 0, 0.0);
+    for i in ids.rank((64 * span.start) as NodeId)..ids.entries() {
+        let k = ids.node(i);
+        let kw = k as usize / 64;
+        if kw >= span.end {
+            break;
+        }
+        while w < kw {
+            rank += bits.word(w).count_ones();
+            w += 1;
+        }
+        let word = bits.word(kw);
+        if word >> (k % 64) & 1 == 1 {
+            let at = rank + (word & ((1u64 << (k % 64)) - 1)).count_ones();
+            term += product(k, ids.count(i), bits.count(at as usize).into());
+        }
+    }
+    term
 }
 
 /// Key ranges [`merge_lanes`] merges interleaved, so that their serial
@@ -235,7 +361,7 @@ impl Lane {
     /// A branch-free merge step: `(a, b)` is written, and kept if the keys
     /// match; the smaller side advances, both on a match.
     #[inline(always)]
-    fn step<S: StepHistogram>(&mut self, u: S, v: S, hits: &mut [(u32, u32)]) {
+    fn step<S: IdList>(&mut self, u: S, v: S, hits: &mut [(u32, u32)]) {
         let (ka, kb) = (u.node(self.a), v.node(self.b));
         hits[self.hit] = (self.a as u32, self.b as u32);
         self.hit += usize::from(ka == kb);
@@ -248,7 +374,7 @@ impl Lane {
 /// into `hits` (`≥ u.len()` long). Lane `l` takes the `l`-th quarter of `u`
 /// and the part of `v` below the next quarter's first key, and writes from
 /// its first `u` index on: read lane by lane, the hits ascend by key.
-fn merge_lanes<S: StepHistogram>(u: S, v: S, hits: &mut [(u32, u32)]) -> [Lane; LANES] {
+fn merge_lanes<S: IdList>(u: S, v: S, hits: &mut [(u32, u32)]) -> [Lane; LANES] {
     let mut lanes = [Lane::default(); LANES];
     let (u_len, v_len) = (u.entries(), v.entries());
     if u_len < LANE_MIN || v_len < LANE_MIN {
@@ -316,29 +442,32 @@ pub fn single_pair(
     single_pair_on(graph, diag, cfg, i, j)
 }
 
-/// The entries `(k, D_kk·ûₜ(k))` of the weighted support `yₜ = D ûₜ` of a
-/// cohort's step-`t` histogram, in either layout (none past the last step).
-fn support<'a>(
-    dists: &'a impl CohortLayout,
+/// Calls `f` on the entries `(k, D_kk·ûₜ(k))` of the weighted support
+/// `yₜ = D ûₜ` of a cohort's step-`t` histogram, in either layout (none
+/// past the last step), ascending by node.
+fn for_each_support(
+    dists: &impl CohortLayout,
     t: usize,
-    diag: &'a [f64],
-) -> impl Iterator<Item = (NodeId, f64)> + 'a {
+    diag: &[f64],
+    mut f: impl FnMut(NodeId, f64),
+) {
     let r = f64::from(dists.walkers());
-    dists.histograms().nth(t).into_iter().flat_map(move |step| {
-        (0..step.entries())
-            .map(move |e| (step.node(e), diag[step.node(e) as usize] * step.count(e) as f64 / r))
-    })
+    if let Some(step) = dists.histograms().nth(t) {
+        step.for_each(|k, c| f(k, diag[k as usize] * c as f64 / r));
+    }
 }
 
 /// The weighted support `yₜ = D ûₜ` of a cohort's step-`t` histogram, in
 /// either layout (empty past the last step).
 pub fn weighted_support(dists: &impl CohortLayout, t: usize, diag: &[f64]) -> Vec<(NodeId, f64)> {
-    support(dists, t, diag).collect()
+    let mut y = Vec::new();
+    for_each_support(dists, t, diag, |k, v| y.push((k, v)));
+    y
 }
 
 /// Adds the weighted support `yₜ` into the dense `z`, in place.
 pub(crate) fn add_support(dists: &impl CohortLayout, t: usize, diag: &[f64], z: &mut [f64]) {
-    support(dists, t, diag).for_each(|(k, y)| z[k as usize] += y);
+    for_each_support(dists, t, diag, |k, y| z[k as usize] += y);
 }
 
 /// Mass-proportional walker allocation for the forward stage: entry `k`

@@ -21,16 +21,18 @@
 //! re-simulation.
 //!
 //! The cache is flat, and so is every cohort from birth: a miss caches the
-//! [`CohortBlock`] the engine answers with (one `u32` allocation, 5 B an
-//! entry where the nested [`StepDistributions`] spend 16: a `u32` id and a
-//! one-byte count, counts of 255 or more kept exact in an escape list) as
+//! [`CohortBlock`] the engine answers with (one `u32` allocation, at most
+//! 5 B an entry where the nested [`StepDistributions`] spend 16: a
+//! one-byte count, counts of 255 or more kept exact in an escape list, and
+//! each step's nodes as `u32` ids or as a bitmap, whichever is smaller) as
 //! is. On the in-process engines that is the block the walk kernel writes on
 //! the serving thread's scratch (≈ 1 MB a thread at `R′ = 10 000`, sized by
 //! the configured `R′`, never shrunk), so a miss builds no nested histograms
 //! and flattens nothing. Single-pair and matrix queries score straight from
-//! the blocks through the one generic [`score_pair`] — the same merge and
-//! the same bits as over nested cohorts — and [`QuerySession::try_cohort`]
-//! expands a block into a fresh `StepDistributions`.
+//! the blocks through the one generic [`score_pair`] — the same products
+//! in the same order, so the same bits, as over nested cohorts — and
+//! [`QuerySession::try_cohort`] expands a block into a fresh
+//! `StepDistributions`.
 //!
 //! A session bounds its cache by entry count alone ([`SessionConfig`]): a
 //! cohort is a pure function of `(seed, source, R′, T)` and the walker
@@ -879,7 +881,9 @@ mod tests {
             let block = session.shard_of(v).lock().unwrap().get(v).unwrap();
             let entries: usize = nested.counts.iter().map(Vec::len).sum();
             let escapes = nested.counts.iter().flatten().filter(|&&(_, c)| c >= 255).count();
-            let bound = 5 * entries + 8 * escapes + (steps + 2) * 4 + 3;
+            // Entry and key offsets and a bitmap base a step, then at most
+            // an id and a count byte an entry (a bitmap step holds fewer).
+            let bound = 5 * entries + 8 * escapes + (3 * steps + 5) * 4 + 3;
             assert!(block.heap_bytes() <= bound, "node {v}");
         }
         assert!(std::mem::size_of::<CohortBlock>() <= 32, "a fixed header");

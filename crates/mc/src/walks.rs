@@ -16,22 +16,29 @@
 //! positions and keys sit in two flat arrays, in walker order, and a pass
 //! advances all of them by one step — independent iterations, so their cache
 //! misses overlap, where a walker-major loop is a chain of `T` dependent
-//! loads — compacting out the ones that die. It has one histogram writer: a
-//! step's positions are copied out, sorted and run-length encoded straight
-//! into `u32` ids, counts and a step offset the scratch keeps, and the
-//! cohort leaves as a [`CohortBlock`] in one exact-size allocation, never
-//! built nested and flattened: 5 B an entry, each count narrowed to one
-//! byte, the rare count of 255 or more escaped to an exact list. Counts are
-//! integers, so the histograms are, entry for entry, what a per-walker loop
-//! ([`reverse_walk_path`], the test oracle) adds up; the nested
-//! [`StepDistributions`] are the block expanded.
+//! loads — compacting out the ones that die. Each step's histogram is
+//! written in id order as `u32` ids, counts and a step offset the scratch
+//! keeps, by one of two writers picked once a cohort: when the whole id
+//! space's bitmap is no larger than a full frontier of ids (`n ≤ 32·R′`)
+//! the positions are counted into a dense count array and a bitmap, read
+//! back a word at a time; past that they are copied out, sorted and
+//! run-length encoded. The cohort leaves as a [`CohortBlock`] in one
+//! exact-size allocation, never built nested and flattened: each count
+//! narrowed to one byte (the rare count of 255 or more escaped to an exact
+//! list), each step's nodes kept as sorted ids or as a bitmap over their
+//! span, whichever one rule (`bitmap_pays`) finds smaller — 5 B an
+//! entry at most. Counts are integers, so the histograms are, entry for
+//! entry, what a per-walker loop ([`reverse_walk_path`], the test oracle)
+//! adds up; the nested [`StepDistributions`] are the block expanded.
 //!
 //! Serving cohorts run on a per-thread scratch: ≈ 20 B a walker (position,
 //! key, sort buffers) plus 8 B an entry, ≈ 1 MB a thread at `R′ = 10 000`,
-//! `T = 10`. It is sized by the largest cohort the thread ran — the
-//! configured `R′` — and never shrunk. The offline build runs the same walk
-//! through [`WalkScratch::visits_on`] on a scratch per piece, which sorts
-//! the whole cohort's visits once instead of once per step.
+//! `T = 10`, and, for a counted cohort, `4n` bytes of counts plus an
+//! `n`-bit bitmap (at most ≈ 1.3 MB at `R′ = 10 000`). It is sized by the
+//! largest cohort the thread ran — the configured `R′` — and never shrunk.
+//! The offline build runs the same walk through [`WalkScratch::visits_on`]
+//! on a scratch per piece, which sorts the whole cohort's visits once
+//! instead of once per step.
 
 use crate::rng::{mix, mix_extend, SplitMix64};
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
@@ -120,14 +127,33 @@ impl StepDistributions {
 /// block's escape list.
 const ESCAPE: u32 = 255;
 
-/// A cohort flattened into one `u32` block, 5 B an entry where
-/// [`StepDistributions`] spends 16: `[offsets | ids | escapes | counts]`.
-/// Step `t`'s entries are `offsets[t]..offsets[t + 1]` of `ids` and of
-/// `counts`, one byte an entry, four to a word. Nearly every count fits its
-/// byte; one of 255 or more (step 0's `R′`, a hub's) is written as the
-/// escape byte 255 and its exact value goes in `escapes`, `(entry, count)`
-/// pairs sorted by entry — a handful a cohort. Converts to and from the
-/// nested form exactly.
+/// The step-form rule, said once: a step of `entries` entries whose ids
+/// span `words` 64-bit words keeps them as a bitmap when its words take
+/// fewer `u32`s than its ids would, as sorted ids otherwise (ties included).
+#[inline]
+fn bitmap_pays(entries: usize, words: usize) -> bool {
+    2 * words < entries
+}
+
+/// The 64-bit words from the one holding `first` to the one holding `last`.
+#[inline]
+fn span(first: NodeId, last: NodeId) -> usize {
+    (last / 64 - first / 64 + 1) as usize
+}
+
+/// A cohort flattened into one `u32` block, 5 B an entry or less where
+/// [`StepDistributions`] spends 16:
+/// `[offsets | key offsets | bases | keys | escapes | counts]`. Step `t`'s
+/// entries are `offsets[t]..offsets[t + 1]` of `counts`, one byte an
+/// entry, four to a word, in id order; its keys are
+/// `key_offsets[t]..key_offsets[t + 1]` of `keys`, in one of two forms
+/// (`bitmap_pays` picks): the sorted ids, one word an entry, or a bitmap
+/// of 64-bit words (two `u32`s each, low half first) over the step's id
+/// span, whose bit 0 is node `64·bases[t]` — fewer keys than entries marks
+/// it. Nearly every count fits its byte; one of 255 or more (step 0's
+/// `R′`, a hub's) is written as the escape byte 255 and its exact value
+/// goes in `escapes`, `(entry, count)` pairs sorted by entry — a handful a
+/// cohort. Converts to and from the nested form exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CohortBlock {
     /// The source node all walkers started from.
@@ -139,11 +165,21 @@ pub struct CohortBlock {
     words: Box<[u32]>,
 }
 
-type Parts<'a> = (&'a [u32], &'a [NodeId], &'a [[u32; 2]], &'a [u32]);
+/// A block's parts, as [`CohortBlock`] lays them out.
+#[derive(Clone, Copy)]
+struct Parts<'a> {
+    offsets: &'a [u32],
+    key_offsets: &'a [u32],
+    bases: &'a [u32],
+    keys: &'a [u32],
+    escapes: &'a [[u32; 2]],
+    counts: &'a [u32],
+}
 
 impl CohortBlock {
     /// Packs step offsets (from 0), node ids and their counts into one
-    /// exact-size allocation, each count narrowed to its byte or escaped.
+    /// exact-size allocation, each step's ids kept as they are or as a
+    /// bitmap, each count narrowed to its byte or escaped.
     fn pack(source: NodeId, walkers: u32, offsets: &[u32], ids: &[NodeId], counts: &[u32]) -> Self {
         // Escapes are rare: one branch-free test per 64 counts finds them.
         let mut escapes = Vec::new();
@@ -153,16 +189,46 @@ impl CohortBlock {
                 escapes.extend(escaped.flat_map(|(e, &c)| [e, c]));
             }
         }
-        let len = offsets.len() + ids.len() + escapes.len() + counts.len().div_ceil(4);
+        let histograms = offsets.len() - 1;
+        let step = |w: &[u32]| &ids[w[0] as usize..w[1] as usize];
+        // Each step's first bitmap word (`None`: it keeps its ids) and keys.
+        let forms: Vec<(Option<u32>, u32)> = offsets
+            .windows(2)
+            .map(|w| match (step(w).first(), step(w).last()) {
+                (Some(&first), Some(&last)) if bitmap_pays(step(w).len(), span(first, last)) => {
+                    (Some(first / 64), 2 * span(first, last) as u32)
+                }
+                _ => (None, w[1] - w[0]),
+            })
+            .collect();
+        let ends = forms.iter().scan(0, |end, &(_, keys)| {
+            *end += keys;
+            Some(*end)
+        });
+        let key_offsets: Vec<u32> = std::iter::once(0).chain(ends).collect();
+        let keys = key_offsets[histograms] as usize;
+        let len = 2 * offsets.len() + histograms + keys + escapes.len() + counts.len().div_ceil(4);
         let mut words = Vec::with_capacity(len);
         words.extend_from_slice(offsets);
-        words.extend_from_slice(ids);
+        words.extend_from_slice(&key_offsets);
+        words.extend(forms.iter().map(|&(base, _)| base.unwrap_or(0)));
+        for (w, &(base, keys)) in offsets.windows(2).zip(&forms) {
+            let Some(base) = base else {
+                words.extend_from_slice(step(w));
+                continue;
+            };
+            let at = words.len();
+            words.resize(at + keys as usize, 0);
+            for &v in step(w) {
+                words[at + (v / 32 - 2 * base) as usize] |= 1 << (v % 32);
+            }
+        }
         words.extend_from_slice(&escapes);
         let (quads, rest) = counts.as_chunks();
         let b = |c: u32| c.min(ESCAPE);
         words.extend(quads.iter().map(|&[w, x, y, z]| b(w) | b(x) << 8 | b(y) << 16 | b(z) << 24));
         words.extend((!rest.is_empty()).then(|| rest.iter().rev().fold(0, |w, &c| w << 8 | b(c))));
-        Self { source, walkers, histograms: offsets.len() - 1, words: words.into_boxed_slice() }
+        Self { source, walkers, histograms, words: words.into_boxed_slice() }
     }
 
     /// Distinct `(step, node)` entries over every step.
@@ -170,22 +236,32 @@ impl CohortBlock {
         self.words[self.histograms] as usize
     }
 
-    /// The block's four parts: offsets, ids, escape pairs, count words.
+    /// The block's parts, in their order.
     #[inline]
     fn parts(&self) -> Parts<'_> {
-        let (offsets, rest) = self.words.split_at(self.histograms + 1);
-        let (ids, rest) = rest.split_at(self.entries());
+        let h = self.histograms;
+        let (offsets, rest) = self.words.split_at(h + 1);
+        let (key_offsets, rest) = rest.split_at(h + 1);
+        let (bases, rest) = rest.split_at(h);
+        let (keys, rest) = rest.split_at(key_offsets[h] as usize);
         let (escapes, counts) = rest.split_at(rest.len() - self.entries().div_ceil(4));
-        (offsets, ids, escapes.as_chunks().0, counts)
+        Parts { offsets, key_offsets, bases, keys, escapes: escapes.as_chunks().0, counts }
     }
 
     /// Every step's histogram, `t = 0..=T`.
     #[inline]
     pub fn histograms(&self) -> impl ExactSizeIterator<Item = BlockStep<'_>> {
-        let (offsets, ids, escapes, counts) = self.parts();
-        offsets.windows(2).map(move |w| {
-            let first = w[0] as usize;
-            BlockStep { ids: &ids[first..w[1] as usize], first, counts, escapes }
+        let p = self.parts();
+        (0..self.histograms).map(move |t| {
+            let (first, len) = (p.offsets[t] as usize, (p.offsets[t + 1] - p.offsets[t]) as usize);
+            let keys = &p.keys[p.key_offsets[t] as usize..p.key_offsets[t + 1] as usize];
+            let counts = StepCounts { first, counts: p.counts, escapes: p.escapes };
+            if keys.len() == len {
+                BlockStep::Ids(IdStep { ids: keys, counts })
+            } else {
+                let base = p.bases[t] as usize;
+                BlockStep::Bits(BitStep { base, words: keys.as_chunks().0, len, counts })
+            }
         })
     }
 
@@ -195,23 +271,70 @@ impl CohortBlock {
     }
 }
 
-/// One step's histogram in a [`CohortBlock`]: node ids ascending, each
-/// count read through [`Self::count`].
+/// One step's histogram in a [`CohortBlock`], in the form the block keeps.
 #[derive(Clone, Copy, Debug)]
-pub struct BlockStep<'a> {
-    /// The nodes visited, ascending.
-    pub ids: &'a [NodeId],
-    /// The block entry of `ids[0]`.
+pub enum BlockStep<'a> {
+    /// The nodes visited as ascending ids.
+    Ids(IdStep<'a>),
+    /// The nodes visited as a bitmap.
+    Bits(BitStep<'a>),
+}
+
+impl BlockStep<'_> {
+    /// Number of distinct nodes visited.
+    pub fn entries(&self) -> usize {
+        match self {
+            Self::Ids(s) => s.ids.len(),
+            Self::Bits(s) => s.entries(),
+        }
+    }
+
+    /// Calls `f` on each `(node, count)` of the step, ascending by node.
+    #[inline]
+    pub fn for_each(self, mut f: impl FnMut(NodeId, u32)) {
+        match self {
+            Self::Ids(s) => s.ids.iter().enumerate().for_each(|(i, &v)| f(v, s.count(i))),
+            Self::Bits(s) => s.for_each(f),
+        }
+    }
+}
+
+/// A step's counts, one byte an entry in the block's count words, the
+/// escaped ones in its escape list.
+#[derive(Clone, Copy, Debug)]
+struct StepCounts<'a> {
+    /// The block entry of the step's first node.
     first: usize,
-    /// The block's count bytes, four to a word, and its escape list.
     counts: &'a [u32],
     escapes: &'a [[u32; 2]],
 }
 
-impl BlockStep<'_> {
-    /// How many walkers stood on `ids[i]`.
+impl StepCounts<'_> {
+    /// Hands `put` each slot of `out` with the count of the step's node
+    /// `from + k`: four count bytes a word, with one branch-free test a
+    /// word for the escape byte, then, if any word held one, those counts
+    /// exactly.
     #[inline(always)]
-    pub fn count(&self, i: usize) -> u32 {
+    fn fill<T>(&self, from: usize, out: &mut [T], put: impl Fn(&mut T, u32)) {
+        let start = self.first + from;
+        let head = ((4 - start % 4) % 4).min(out.len());
+        let quads = (out.len() - head) / 4;
+        let words = &self.counts[(start + head) / 4..][..quads];
+        let mut escaped = 0;
+        for (quad, &w) in out[head..].chunks_exact_mut(4).zip(words) {
+            quad.iter_mut().zip(w.to_le_bytes()).for_each(|(slot, c)| put(slot, c.into()));
+            escaped |= (!w).wrapping_sub(0x0101_0101) & w & 0x8080_8080;
+        }
+        // The counts outside whole words, and the rest too past an escape.
+        let body = if escaped == 0 { head..head + 4 * quads } else { head..head };
+        for k in (0..body.start).chain(body.end..out.len()) {
+            put(&mut out[k], self.get(from + k));
+        }
+    }
+
+    /// The count of the step's `i`-th node.
+    #[inline(always)]
+    fn get(&self, i: usize) -> u32 {
         let e = self.first + i;
         let byte = self.counts[e / 4] >> (e % 4 * 8) & 0xff;
         if byte < ESCAPE {
@@ -219,6 +342,124 @@ impl BlockStep<'_> {
         } else {
             // Inlined with its callers: a call spills `score_pair`'s sum.
             self.escapes[self.escapes.partition_point(|&[at, _]| (at as usize) < e)][1]
+        }
+    }
+}
+
+/// A step kept as ids: node ids ascending, each count read through
+/// [`Self::count`].
+#[derive(Clone, Copy, Debug)]
+pub struct IdStep<'a> {
+    /// The nodes visited, ascending.
+    pub ids: &'a [NodeId],
+    counts: StepCounts<'a>,
+}
+
+impl IdStep<'_> {
+    /// How many walkers stood on `ids[i]`.
+    #[inline(always)]
+    pub fn count(&self, i: usize) -> u32 {
+        self.counts.get(i)
+    }
+
+    /// Hands `put` each slot of `out` with the count of `ids[from + k]`.
+    #[inline]
+    pub fn counts_into<T>(&self, from: usize, out: &mut [T], put: impl Fn(&mut T, u32)) {
+        self.counts.fill(from, out, put);
+    }
+}
+
+/// A step kept as a bitmap: word `w` of [`Self::span`] holds nodes
+/// `64·w .. 64·w + 64`, one bit each, and the `i`-th node set, counted in
+/// id order, has count [`Self::count`]`(i)`.
+#[derive(Clone, Copy, Debug)]
+pub struct BitStep<'a> {
+    base: usize,
+    words: &'a [[u32; 2]],
+    len: usize,
+    counts: StepCounts<'a>,
+}
+
+impl BitStep<'_> {
+    /// Number of distinct nodes visited: the bits set.
+    pub fn entries(&self) -> usize {
+        self.len
+    }
+
+    /// The words the bitmap holds, as indices into the whole id space.
+    pub fn span(&self) -> Range<usize> {
+        self.base..self.base + self.words.len()
+    }
+
+    /// Word `w` of the id space, `w` in [`Self::span`].
+    #[inline(always)]
+    pub fn word(&self, w: usize) -> u64 {
+        let [low, high] = self.words[w - self.base];
+        u64::from(low) | u64::from(high) << 32
+    }
+
+    /// How many walkers stood on the `i`-th node set.
+    #[inline(always)]
+    pub fn count(&self, i: usize) -> u32 {
+        self.counts.get(i)
+    }
+
+    /// Hands `put` each slot of `out` with the count of the node set
+    /// `from + k`.
+    #[inline]
+    pub fn counts_into<T>(&self, from: usize, out: &mut [T], put: impl Fn(&mut T, u32)) {
+        self.counts.fill(from, out, put);
+    }
+
+    /// Hands `put` the slots of `out` in order with the nodes set in words
+    /// `w..` of the id space, ascending, a whole word at a time while it
+    /// fits, and returns how many slots hold a node and the word after the
+    /// last it read. Slots past those may be handed spare values.
+    #[inline(always)]
+    pub fn ids_from<T>(
+        &self,
+        mut w: usize,
+        out: &mut [T],
+        put: impl Fn(&mut T, NodeId),
+    ) -> (usize, usize) {
+        let (mut at, mut live) = (0, [(0, 0); 16]);
+        while w < self.span().end {
+            // The group's nonzero words, found without a branch a word.
+            let group = w..self.span().end.min(w + 16);
+            let mut n = 0;
+            for v in group.clone() {
+                live[n] = (v, self.word(v));
+                n += usize::from(live[n].1 != 0);
+            }
+            for &(v, mut bits) in &live[..n] {
+                let set = bits.count_ones() as usize;
+                let Some(slots) = out.get_mut(at..at + set.next_multiple_of(8)) else {
+                    return (at, v);
+                };
+                // Eight slots a round, handed out whether set or not: a
+                // word's few nodes cost no branch on their number.
+                for round in slots.chunks_exact_mut(8) {
+                    for slot in round {
+                        put(slot, (64 * v) as NodeId + bits.trailing_zeros());
+                        bits &= bits.wrapping_sub(1);
+                    }
+                }
+                at += set;
+            }
+            w = group.end;
+        }
+        (at, w)
+    }
+
+    /// Calls `f` on each `(node, count)` of the step, ascending by node.
+    #[inline]
+    pub fn for_each(self, mut f: impl FnMut(NodeId, u32)) {
+        let mut ids = [0; 256];
+        let (mut w, mut first) = (self.base, 0);
+        while w < self.span().end {
+            let (got, next) = self.ids_from(w, &mut ids, |slot, v| *slot = v);
+            (first..).zip(&ids[..got]).for_each(|(i, &v)| f(v, self.count(i)));
+            (w, first) = (next, first + got);
         }
     }
 }
@@ -243,18 +484,16 @@ impl TryFrom<&StepDistributions> for CohortBlock {
 
 impl From<&CohortBlock> for StepDistributions {
     fn from(b: &CohortBlock) -> Self {
-        let (offsets, ids, escapes, words) = b.parts();
-        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let step = |w: &[u32]| {
-            let span = w[0] as usize..w[1] as usize;
-            ids[span.clone()].iter().zip(&bytes[span]).map(|(&v, &c)| (v, c.into())).collect()
+        let step = |s: BlockStep<'_>| {
+            let mut out = Vec::with_capacity(s.entries());
+            s.for_each(|v, c| out.push((v, c.into())));
+            out
         };
-        let mut counts: Vec<Vec<(NodeId, u64)>> = offsets.windows(2).map(step).collect();
-        for &[at, c] in escapes {
-            let t = offsets.partition_point(|&end| end <= at) - 1;
-            counts[t][(at - offsets[t]) as usize].1 = c.into();
+        StepDistributions {
+            source: b.source,
+            walkers: b.walkers,
+            counts: b.histograms().map(step).collect(),
         }
-        StepDistributions { source: b.source, walkers: b.walkers, counts }
     }
 }
 
@@ -317,6 +556,10 @@ pub struct WalkScratch {
     offsets: Vec<u32>,
     ids: Vec<NodeId>,
     counts: Vec<u32>,
+    /// A counted frontier's count per node and bitmap of the nodes set:
+    /// all zero between steps.
+    dense: Vec<u32>,
+    seen: Vec<u64>,
     /// [`Self::visits_on`]'s visit keys.
     visits: Vec<u64>,
     /// Their radix sort's second buffer.
@@ -327,7 +570,10 @@ impl WalkScratch {
     /// The cohort kernel, said once: walks the cohort members `walkers` of
     /// `source` for `steps` steps, the whole frontier one step at a time,
     /// and writes the visit histogram of each step `0..=steps` (sorted by
-    /// node id) into one block normalised by the members' number.
+    /// node id) into one block normalised by the members' number. When the
+    /// whole id space's bitmap is no larger than a full frontier of ids
+    /// (`n ≤ 32·members`) each step is counted (`4n` bytes of scratch);
+    /// past that it is sorted.
     ///
     /// # Panics
     /// If `source` is out of range, or the cohort's `(steps + 1)·walkers`
@@ -352,9 +598,18 @@ impl WalkScratch {
         self.offsets.clear();
         self.offsets.push(0);
         self.close_step();
+        let counted = u64::from(n) <= 32 * u64::from(size);
+        if counted && self.dense.len() < n as usize {
+            self.dense.resize(n as usize, 0);
+            self.seen.resize((n as usize).div_ceil(64), 0);
+        }
         for t in 1..=steps as u32 {
             self.step(graph, t);
-            self.write_frontier(n);
+            if counted {
+                self.count_frontier(n);
+            } else {
+                self.write_frontier(n);
+            }
         }
         CohortBlock::pack(source, size, &self.offsets, &self.ids, &self.counts)
     }
@@ -451,6 +706,28 @@ impl WalkScratch {
         let entries = start + run + usize::from(len > 0);
         self.ids.truncate(entries);
         self.counts.truncate(entries);
+        self.close_step();
+    }
+
+    /// Appends the frontier's histogram, its positions all below `bound`,
+    /// as the next step: counted into the dense counts and their bitmap,
+    /// then read back in id order, leaving both zero.
+    fn count_frontier(&mut self, bound: u32) {
+        for &v in &self.pos {
+            self.dense[v as usize] += 1;
+            self.seen[v as usize / 64] |= 1 << (v % 64);
+        }
+        self.ids.reserve(self.pos.len());
+        self.counts.reserve(self.pos.len());
+        for (w, word) in (0..).zip(&mut self.seen[..(bound as usize).div_ceil(64)]) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let v = 64 * w + bits.trailing_zeros();
+                self.ids.push(v);
+                self.counts.push(std::mem::take(&mut self.dense[v as usize]));
+                bits &= bits - 1;
+            }
+        }
         self.close_step();
     }
 

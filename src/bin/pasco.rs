@@ -57,12 +57,11 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = match cmd.as_str() {
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
+        "help" | "--help" | "-h" => emit(format_args!("{USAGE}")),
         name => match COMMANDS.iter().find(|c| c.0 == name) {
-            Some(&(_, run, known)) => check_flags(name, &flags, known).and_then(|()| run(&flags)),
+            Some(&(_, run, known)) => {
+                check_flags(name, &flags, known).and_then(|flags| run(&flags))
+            }
             None => Err(format!("unknown command `{name}`\n{USAGE}")),
         },
     };
@@ -158,25 +157,58 @@ const COMMANDS: &[Command] = &[
 
 type Flags = BTreeMap<String, String>;
 
-fn parse(args: &[String]) -> Option<(String, Flags)> {
+/// The command and its `--name value` pairs, in the order given.
+fn parse(args: &[String]) -> Option<(String, Vec<(&str, &str)>)> {
     let cmd = args.first()?.clone();
-    let mut flags = BTreeMap::new();
+    let mut flags = Vec::new();
     let mut it = args[1..].iter();
     while let Some(flag) = it.next() {
-        let name = flag.strip_prefix("--")?;
-        let value = it.next()?;
-        flags.insert(name.to_string(), value.clone());
+        flags.push((flag.strip_prefix("--")?, it.next()?.as_str()));
     }
     Some((cmd, flags))
 }
 
-/// Refuses the first flag (by name) that `known` does not list, so a
-/// mistyped or retired flag fails before any work instead of being ignored.
-fn check_flags(cmd: &str, flags: &Flags, known: &[&[&str]]) -> Result<(), String> {
-    match flags.keys().find(|name| !known.iter().any(|set| set.contains(&name.as_str()))) {
-        Some(name) => Err(format!("unknown flag --{name} for `pasco {cmd}` (see `pasco help`)")),
-        None => Ok(()),
+/// The flags by name, or the first (by name) that `known` does not list or
+/// that is given twice: a mistyped, retired or repeated flag fails before
+/// any work instead of being ignored or silently overridden.
+fn check_flags(cmd: &str, flags: &[(&str, &str)], known: &[&[&str]]) -> Result<Flags, String> {
+    let mut checked = Flags::new();
+    for &(name, value) in flags {
+        if !known.iter().any(|set| set.contains(&name)) {
+            return Err(format!("unknown flag --{name} for `pasco {cmd}` (see `pasco help`)"));
+        }
+        if checked.insert(name.to_string(), value.to_string()).is_some() {
+            return Err(format!("flag --{name} given twice to `pasco {cmd}`"));
+        }
     }
+    Ok(checked)
+}
+
+/// Writes command output to stdout ([`out!`] and [`outln!`]). A reader that
+/// closed it early (`pasco stats … | head -3`) ends the command quietly
+/// with status 0; any other write error is the command's error.
+fn emit(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    use std::io::Write as _;
+    stdout_result(std::io::stdout().write_fmt(args))
+}
+
+/// [`emit`]'s verdict on a stdout write or flush.
+fn stdout_result(result: std::io::Result<()>) -> Result<(), String> {
+    match result {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        other => other.map_err(|e| format!("stdout: {e}")),
+    }
+}
+
+/// `print!` through [`emit`]: `?` it.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`emit`]: `?` it.
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
 }
 
 fn get<'a>(flags: &'a Flags, key: &str) -> Result<&'a str, String> {
@@ -246,26 +278,32 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
         other => return Err(format!("unknown model `{other}` (er|ba|rmat|ws)")),
     };
     io::write_binary(&graph, out).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "wrote {out}: {} nodes, {} edges, {}",
         graph.node_count(),
         graph.edge_count(),
         human_bytes(graph.memory_bytes())
-    );
+    )?;
     Ok(())
 }
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let graph = load_graph(get(flags, "graph")?)?;
-    println!("nodes:  {}", graph.node_count());
-    println!("edges:  {}", graph.edge_count());
-    println!("memory: {}", human_bytes(graph.memory_bytes()));
+    outln!("nodes:  {}", graph.node_count())?;
+    outln!("edges:  {}", graph.edge_count())?;
+    outln!("memory: {}", human_bytes(graph.memory_bytes()))?;
     for (label, dir) in [("in", Direction::In), ("out", Direction::Out)] {
         let s = degree_stats(&graph, dir);
-        println!(
+        outln!(
             "{label}-degree: min {} p50 {} p90 {} p99 {} max {} mean {:.2} zeros {}",
-            s.min, s.p50, s.p90, s.p99, s.max, s.mean, s.zeros
-        );
+            s.min,
+            s.p50,
+            s.p90,
+            s.p99,
+            s.max,
+            s.mean,
+            s.zeros
+        )?;
     }
     Ok(())
 }
@@ -317,36 +355,36 @@ fn cmd_index(flags: &Flags) -> Result<(), String> {
     let (cw, stats) = CloudWalker::build_with_stats(graph, cfg, mode).map_err(|e| e.to_string())?;
     persist::save_index(cw.diagonal(), out).map_err(|e| e.to_string())?;
     let residuals = &stats.jacobi_residuals;
-    print_indexed(cw.diagonal().len(), t0, cw.mode_name(), residuals, out);
+    print_indexed(cw.diagonal().len(), t0, cw.mode_name(), residuals, out)?;
     if let Some(per_shard) = cw.shard_footprints() {
         let max = per_shard.iter().copied().max().unwrap_or(0);
-        println!(
+        outln!(
             "shards: {} ({} total, {} max/shard)",
             per_shard.len(),
             human_bytes(per_shard.iter().sum()),
             human_bytes(max)
-        );
+        )?;
     }
     if let Some(stats) = cw.worker_stats() {
         for (w, s) in stats.iter().enumerate() {
             match s {
-                Ok(s) => println!(
+                Ok(s) => outln!(
                     "worker {}: owns {} nodes ({}), {} resident, {} builds",
                     s.owned_part,
                     s.owned_nodes,
                     human_bytes(s.owned_bytes),
                     human_bytes(s.resident_bytes),
                     s.builds
-                ),
-                Err(e) => println!("worker {w}: UNREACHABLE ({e})"),
+                )?,
+                Err(e) => outln!("worker {w}: UNREACHABLE ({e})")?,
             }
         }
         if let Some(report) = cw.cluster_report() {
-            println!(
+            outln!(
                 "wire: {} shuffled over {} messages",
                 human_bytes(report.shuffle_bytes),
                 report.shuffle_records
-            );
+            )?;
         }
     }
     Ok(())
@@ -370,16 +408,22 @@ fn index_local(path: &str, out: &str, cfg: &SimRankConfig) -> Result<(), String>
     let t0 = Instant::now();
     let built = build_diagonal_on(in_links, cfg).map_err(|e| e.to_string())?;
     persist::save_index(&built.diag, out).map_err(|e| e.to_string())?;
-    print_indexed(built.diag.len(), t0, "local", &built.residuals, out);
+    print_indexed(built.diag.len(), t0, "local", &built.residuals, out)?;
     Ok(())
 }
 
-fn print_indexed(nodes: usize, t0: Instant, engine: &str, residuals: &[f64], out: &str) {
-    println!(
+fn print_indexed(
+    nodes: usize,
+    t0: Instant,
+    engine: &str,
+    residuals: &[f64],
+    out: &str,
+) -> Result<(), String> {
+    outln!(
         "indexed {nodes} nodes in {:.2?} on the {engine} engine (residual {:.2e}); index -> {out}",
         t0.elapsed(),
         residuals.last().copied().unwrap_or(0.0)
-    );
+    )
 }
 
 fn load_engine(flags: &Flags) -> Result<CloudWalker, String> {
@@ -455,11 +499,11 @@ fn cmd_save_store(flags: &Flags) -> Result<(), String> {
         let shard = std::path::Path::new(out).join(pasco_store::shard_file_name(p));
         bytes += std::fs::metadata(&shard).map_err(|e| format!("{}: {e}", shard.display()))?.len();
     }
-    println!(
+    outln!(
         "saved {n} nodes as {parts} shard(s) in {:.2?} ({}); serve with --store {out}",
         t0.elapsed(),
         human_bytes(bytes)
-    );
+    )?;
     Ok(())
 }
 
@@ -480,7 +524,7 @@ fn cmd_sp(flags: &Flags) -> Result<(), String> {
     let QueryResponse::Score(s) = execute(&cw, QueryRequest::SinglePair { i, j })? else {
         unreachable!("SinglePair answers with Score");
     };
-    println!("s({i}, {j}) = {s:.6}   [{:?}]", t0.elapsed());
+    outln!("s({i}, {j}) = {s:.6}   [{:?}]", t0.elapsed())?;
     Ok(())
 }
 
@@ -497,16 +541,14 @@ fn cmd_ss(flags: &Flags) -> Result<(), String> {
         unreachable!("SingleSourceTopK answers with Ranked");
     };
     let latency = t0.elapsed();
-    println!("top-{top} similar to {i}   [{latency:?}]");
-    print_similar(&ranked);
+    outln!("top-{top} similar to {i}   [{latency:?}]")?;
+    print_similar(&ranked)?;
     Ok(())
 }
 
 /// `pasco ss`'s rows: one `node  score` line per similar node.
-fn print_similar(ranked: &[(u32, f64)]) {
-    for (node, s) in ranked {
-        println!("  {node:>10}  {s:.6}");
-    }
+fn print_similar(ranked: &[(u32, f64)]) -> Result<(), String> {
+    ranked.iter().try_for_each(|(node, s)| outln!("  {node:>10}  {s:.6}"))
 }
 
 fn cmd_topk(flags: &Flags) -> Result<(), String> {
@@ -522,7 +564,7 @@ fn cmd_topk(flags: &Flags) -> Result<(), String> {
     };
     // Machine-readable: one `node<TAB>score` line per neighbour.
     for (node, s) in ranked {
-        println!("{node}\t{s:.6}");
+        outln!("{node}\t{s:.6}")?;
     }
     Ok(())
 }
@@ -542,24 +584,24 @@ fn cmd_pairs(flags: &Flags) -> Result<(), String> {
     };
     let latency = t0.elapsed();
     let stats = session.cache_stats();
-    println!(
+    outln!(
         "{}x{} similarity matrix   [{latency:?}, {} cohorts simulated, {} cache hits]",
         nodes.len(),
         nodes.len(),
         stats.misses,
         stats.hits
-    );
-    print!("{:>10}", "");
+    )?;
+    out!("{:>10}", "")?;
     for j in &nodes {
-        print!(" {j:>8}");
+        out!(" {j:>8}")?;
     }
-    println!();
+    outln!()?;
     for (r, &i) in nodes.iter().enumerate() {
-        print!("{i:>10}");
+        out!("{i:>10}")?;
         for v in &m[r] {
-            print!(" {v:>8.5}");
+            out!(" {v:>8.5}")?;
         }
-        println!();
+        outln!()?;
     }
     Ok(())
 }
@@ -592,17 +634,17 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
     let server = PascoServer::bind(addr, session as Arc<dyn QueryService>, server_cfg)
         .map_err(|e| format!("bind {addr}: {e}"))?;
-    println!(
+    outln!(
         "listening on {} ({} engine, {} nodes, cohort cache {cache})",
         server.local_addr(),
         cw.mode_name(),
         cw.node_count()
-    );
+    )?;
     // The line above is how scripts discover an ephemeral port: make sure
     // it is on the wire even when stdout is a pipe.
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    stdout_result(std::io::stdout().flush())?;
     server.run().map_err(|e| e.to_string())?;
-    println!("drained, shutting down");
+    outln!("drained, shutting down")?;
     Ok(())
 }
 
@@ -627,7 +669,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
             // is network input: a nonconforming server is a clean error,
             // not a panic.
             match client.query(QueryRequest::SinglePair { i, j }).map_err(|e| e.to_string())? {
-                QueryResponse::Score(s) => println!("s({i}, {j}) = {s:.6}"),
+                QueryResponse::Score(s) => outln!("s({i}, {j}) = {s:.6}")?,
                 other => return Err(format!("server answered SinglePair with {other:?}")),
             }
         }
@@ -640,8 +682,8 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
             let request = QueryRequest::SingleSourceTopK { i, k: top };
             match client.query(request).map_err(|e| e.to_string())? {
                 QueryResponse::Ranked(ranked) => {
-                    println!("top-{top} similar to {i}");
-                    print_similar(&ranked);
+                    outln!("top-{top} similar to {i}")?;
+                    print_similar(&ranked)?;
                 }
                 other => return Err(format!("server answered SingleSourceTopK with {other:?}")),
             }
@@ -660,7 +702,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
                 // byte-identical to serving in process.
                 QueryResponse::Ranked(ranked) => {
                     for (node, s) in ranked {
-                        println!("{node}\t{s:.6}");
+                        outln!("{node}\t{s:.6}")?;
                     }
                 }
                 other => return Err(format!("server answered SingleSourceTopK with {other:?}")),
@@ -668,7 +710,7 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
         }
         "shutdown" => {
             client.shutdown_server().map_err(|e| e.to_string())?;
-            println!("server drained");
+            outln!("server drained")?;
         }
         other => return Err(format!("unknown query kind `{other}` (sp|ss|topk|shutdown)")),
     }
@@ -687,12 +729,12 @@ fn cmd_worker(flags: &Flags) -> Result<(), String> {
         ..defaults
     };
     let worker = PascoServer::bind_worker(addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
-    println!("worker listening on {}", worker.local_addr());
+    outln!("worker listening on {}", worker.local_addr())?;
     // Scripts discover an ephemeral port from the line above: flush it
     // even when stdout is a pipe.
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
+    stdout_result(std::io::stdout().flush())?;
     worker.run().map_err(|e| e.to_string())?;
-    println!("worker drained, shutting down");
+    outln!("worker drained, shutting down")?;
     Ok(())
 }
 
@@ -705,6 +747,6 @@ fn cmd_convert(flags: &Flags) -> Result<(), String> {
     } else {
         io::write_binary(&graph, output).map_err(|e| e.to_string())?;
     }
-    println!("{input} -> {output} ({} nodes, {} edges)", graph.node_count(), graph.edge_count());
+    outln!("{input} -> {output} ({} nodes, {} edges)", graph.node_count(), graph.edge_count())?;
     Ok(())
 }

@@ -590,4 +590,57 @@ fn bad_invocations_fail_cleanly() {
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{flag}: {stderr}");
         assert!(out.stdout.is_empty() && !std::path::Path::new(idx).exists(), "{flag}");
     }
+    // A flag given twice is refused by name before any work, whichever
+    // value comes last: no stats are printed and no index is written.
+    let twice = [
+        vec!["stats", "--graph", "/nonexistent.bin", "--graph", g],
+        vec!["index", "--graph", g, "--out", idx, "--out", idx],
+    ];
+    for args in twice {
+        let out = bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = if args[0] == "stats" { "--graph" } else { "--out" };
+        assert!(stderr.contains(&format!("flag {flag} given twice")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty() && !std::path::Path::new(idx).exists(), "{args:?}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let graph = tmp("closed_stdout.bin");
+    let status = bin()
+        .args(["generate", "--model", "ba", "--nodes", "200", "--edges-per-node", "3"])
+        .args(["--out", graph.to_str().unwrap()])
+        .output()
+        .unwrap()
+        .status;
+    assert!(status.success());
+    // The reading end is closed before `pasco` starts: its first line
+    // meets a broken pipe, as under `pasco stats … | head -0`.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = bin()
+        .args(["stats", "--graph", graph.to_str().unwrap()])
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.is_empty(), "{stderr}");
+    // Any other stdout error is still the command's error.
+    let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
+        return;
+    };
+    let out = bin()
+        .args(["stats", "--graph", graph.to_str().unwrap()])
+        .stdout(full)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: stdout: "), "{stderr}");
 }

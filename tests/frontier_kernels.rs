@@ -15,7 +15,9 @@
 //! cohort) to `ai_row` over the step histograms, row by row. The block
 //! writer itself (`reverse_walk_block_on`, on its per-thread scratch) is
 //! held to the oracle at the edges — a hub, a dead source, a cohort below
-//! the radix threshold, `T = 0` — and across reuse of its scratch. The
+//! the radix threshold, `T = 0`, cohorts either side of the point where its
+//! frontiers are counted instead of sorted, fewer nodes than a bitmap word
+//! — and across reuse of its scratch. The
 //! exact arm's one sweep (`pull_sweep`, in its plan's order) is held to
 //! node order bit for bit at the plan's edges: no live node, fewer nodes
 //! than a lane, lane remainders, a hub, ranges and shard boundaries that
@@ -340,42 +342,48 @@ fn path_cohort(g: &CsrGraph, source: NodeId, r: u32, steps: usize) -> StepDistri
     StepDistributions { source, walkers: r, counts }
 }
 
-#[test]
-fn block_writer_equals_the_per_walker_oracle_at_its_edges() {
-    let g = generators::rmat(9, 4000, generators::RmatParams::default(), 5);
+/// A step's key words in a block: its ids, or its bitmap's 64-bit words,
+/// two `u32`s each, when they are strictly fewer.
+fn key_words(step: &[(NodeId, u64)]) -> usize {
+    let span = match (step.first(), step.last()) {
+        (Some(&(first, _)), Some(&(last, _))) => (last / 64 - first / 64 + 1) as usize,
+        _ => 0,
+    };
+    if 2 * span < step.len() {
+        2 * span
+    } else {
+        step.len()
+    }
+}
+
+/// The block writer on every storage of `g` against the per-walker oracle,
+/// for each `(source, R', T)` cell; `counted` says whether the writer
+/// counts the cell's frontiers (`n ≤ 32·R'`) rather than sorting them.
+fn check_block_writer(g: &CsrGraph, name: &str, cells: &[(NodeId, u32, usize)]) {
     let n = g.node_count();
-    let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
-    let dead = g.nodes().find(|&v| g.in_degree(v) == 0).unwrap();
-    let dir = std::env::temp_dir().join("pasco_block_writer");
+    let dead = g.nodes().find(|&v| g.in_degree(v) == 0);
+    let dir = std::env::temp_dir().join(format!("pasco_block_writer_{name}"));
     let _ = std::fs::remove_dir_all(&dir);
-    write_store(&dir, &g, &vec![1.0; n as usize], 2).unwrap();
+    write_store(&dir, g, &vec![1.0; n as usize], 2).unwrap();
     let mapped = MappedStore::open(&dir).unwrap();
-    let sharded = MappedStore::of_graph(&g, &Partitioner::range_nonempty(n, 3)).unwrap();
-    // A hub at R' = 10 000 (radix-sorted frontiers) and below `RADIX_MIN`,
-    // a dead source (steps 1..T empty), and `T = 0`; step 0's count escapes
-    // its byte from R' = 255 on.
-    let cells = [
-        (hub, 10_000, T),
-        (hub, 255, T),
-        (hub, 100, T),
-        (dead, 300, T),
-        (hub, 300, 0),
-        (hub, 50, 0),
-        (dead, 7, 0),
-    ];
-    for (source, r, steps) in cells {
-        let want = path_cohort(&g, source, r, steps);
-        if source == dead {
+    let sharded = MappedStore::of_graph(g, &Partitioner::range_nonempty(n, 3)).unwrap();
+    for &(source, r, steps) in cells {
+        let want = path_cohort(g, source, r, steps);
+        if Some(source) == dead {
             assert!(want.counts[1..].iter().all(Vec::is_empty), "a dead source's walkers die");
         }
         let flat = CohortBlock::try_from(&want).unwrap();
         let entries = flat.entries();
         let escapes = want.counts.iter().flatten().filter(|&&(_, c)| c >= 255).count();
         assert_eq!(escapes > 0, r >= 255, "step 0 escapes exactly when R' does");
-        let words = steps + 2 + entries + 2 * escapes + entries.div_ceil(4);
-        let label = format!("source {source}, R' {r}, T {steps}");
+        // Offsets and key offsets, a bitmap base a step, each step's keys,
+        // escape pairs, then one count byte an entry in words.
+        let keys: usize = want.counts.iter().map(|step| key_words(step)).sum();
+        let words = 3 * (steps + 1) + 2 + keys + 2 * escapes + entries.div_ceil(4);
+        let counted = n <= 32 * r;
+        let label = format!("{name}: source {source}, R' {r}, T {steps}, counted {counted}");
         let blocks = [
-            ("csr", reverse_walk_block_on(&g, source, 0..r, steps, SEED)),
+            ("csr", reverse_walk_block_on(g, source, 0..r, steps, SEED)),
             ("sharded x3", reverse_walk_block_on(&sharded, source, 0..r, steps, SEED)),
             ("mapped x2", reverse_walk_block_on(&mapped, source, 0..r, steps, SEED)),
         ];
@@ -387,6 +395,37 @@ fn block_writer_equals_the_per_walker_oracle_at_its_edges() {
     }
     drop(mapped);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn block_writer_equals_the_per_walker_oracle_at_its_edges() {
+    let g = generators::rmat(9, 4000, generators::RmatParams::default(), 5);
+    let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
+    let dead = g.nodes().find(|&v| g.in_degree(v) == 0).unwrap();
+    // A hub at R' = 10 000 and below `RADIX_MIN`, a dead source (steps
+    // 1..T empty), and `T = 0`; step 0's count escapes its byte from
+    // R' = 255 on. Its 512 nodes are counted from R' = 16 on, sorted below.
+    let cells = [
+        (hub, 10_000, T),
+        (hub, 255, T),
+        (hub, 100, T),
+        (dead, 300, T),
+        (hub, 300, 0),
+        (hub, 50, 0),
+        (dead, 7, 0),
+        (hub, 16, T),
+        (hub, 15, T),
+    ];
+    check_block_writer(&g, "rmat9", &cells);
+    // 16 384 nodes: counted from R' = 512 on; below, the frontiers of
+    // R' = 511 walkers are radix-sorted.
+    let g = generators::rmat(14, 60_000, generators::RmatParams::default(), 5);
+    let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
+    check_block_writer(&g, "rmat14", &[(hub, 512, T), (hub, 511, T), (hub, 10_000, T)]);
+    // Fewer nodes than a bitmap word, and not a multiple of 64 of them.
+    let g = generators::barabasi_albert(37, 3, 5);
+    let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
+    check_block_writer(&g, "ba37", &[(hub, 10_000, T), (hub, 2, T), (hub, 1, T)]);
 }
 
 #[test]

@@ -1,16 +1,20 @@
-//! The cache-hit path against the spellings it replaced: `score_pair`'s
-//! lane merge against the old double-`peekable` merge (every score equal
-//! `to_bits`, over nested cohorts and over the session's flat
-//! `CohortBlock`s alike), the block's exact round trip, and the
-//! `StepDistributions` bulk codec against the per-entry encoder (every
+//! The cache-hit path against the spellings it replaced: `score_pair`
+//! against the old double-`peekable` merge (every score equal `to_bits`,
+//! over nested cohorts and over the session's flat `CohortBlock`s alike, on
+//! every pairing of a block's two step forms — ids × ids by the lane merge,
+//! bitmap × bitmap by the AND of words, ids probed against a bitmap), the
+//! block's exact round trip with each step in the form the rule picks, and
+//! the `StepDistributions` bulk codec against the per-entry encoder (every
 //! byte equal) plus a digest of three `Cohort` response frames recorded
 //! with the per-entry codec.
 
 use pasco::graph::{generators, CsrGraph, NodeId};
-use pasco::mc::walks::{CohortBlock, StepDistributions};
+use pasco::mc::walks::{BlockStep, CohortBlock, StepDistributions};
 use pasco::mc::SplitMix64;
 use pasco::simrank::api::wire::WireCodec;
 use pasco::simrank::{queries, QueryResponse, SimRankConfig};
+use proptest::prelude::*;
+use proptest::TestRng;
 
 /// The MCSP merge as it was before the lane kernel, kept as the oracle.
 fn peekable_merge(di: &StepDistributions, dj: &StepDistributions, diag: &[f64], c: f64) -> f64 {
@@ -153,15 +157,61 @@ fn lane_merge_equals_the_peekable_oracle_on_hand_built_lists() {
     }
 }
 
+/// Whether each step of `d`'s block keeps a bitmap rather than its ids.
+fn bitmaps(d: &StepDistributions) -> Vec<bool> {
+    block(d).histograms().map(|step| matches!(step, BlockStep::Bits(_))).collect()
+}
+
+/// Keys `start, start + step, …` below `end`, counts cycling through 1..=5.
+fn keys(start: u32, end: u32, step: usize) -> Vec<(NodeId, u64)> {
+    (start..end).step_by(step).map(|k| (k, 1 + u64::from(k % 5))).collect()
+}
+
+#[test]
+fn every_pairing_of_step_forms_scores_to_the_oracle() {
+    let diag = ragged_diag(20_000);
+    let dense = keys(1_000, 3_000, 2); // 1 000 entries over 32 words: a bitmap
+    let other = keys(2_001, 5_000, 3); // 1 000 over 47 words, offset: a bitmap
+    let sparse = keys(7, 19_000, 97); // 196 over 296 words: ids
+    let sparse_inside = keys(1_100, 2_900, 37); // ids within the dense span
+    let cases = [
+        ("bitmap x bitmap", dense.clone(), other.clone(), [true, true]),
+        ("bitmap x bitmap, one span", dense.clone(), keys(1_000, 3_000, 4), [true, true]),
+        ("bitmap x bitmap, disjoint", dense.clone(), keys(9_000, 11_000, 2), [true, true]),
+        ("ids x bitmap", sparse.clone(), dense.clone(), [false, true]),
+        ("ids inside x bitmap", sparse_inside.clone(), other.clone(), [false, true]),
+        ("ids x ids", sparse.clone(), sparse_inside.clone(), [false, false]),
+    ];
+    for (what, u, v, forms) in cases {
+        let [di, dj] = hand_pair(u, v);
+        assert_eq!([bitmaps(&di)[1], bitmaps(&dj)[1]], forms, "{what}");
+        assert_same_score(&di, &dj, &diag, what);
+        assert_same_score(&dj, &di, &diag, what);
+    }
+}
+
 #[test]
 fn a_nan_diagonal_entry_poisons_both_merges_alike() {
-    let mut diag = ragged_diag(1_000);
-    diag[321] = f64::NAN;
-    let keys: Vec<(NodeId, u64)> = (0..1_000).map(|k| (k, 2)).collect();
-    let [di, dj] = hand_pair(keys.clone(), keys);
-    assert!(peekable_merge(&di, &dj, &diag, 0.6).is_nan());
-    assert!(queries::score_pair(&di, &dj, &diag, 0.6).is_nan());
-    assert!(queries::score_pair(&block(&di), &block(&dj), &diag, 0.6).is_nan());
+    let mut diag = ragged_diag(4_000);
+    diag[1_320] = f64::NAN;
+    let dense = keys(1_000, 3_000, 2);
+    let sparse = keys(1_000, 3_000, 40);
+    for (what, u, v) in [
+        ("bitmap x bitmap", dense.clone(), dense.clone()),
+        ("ids x bitmap", sparse.clone(), dense.clone()),
+        ("bitmap x ids", dense.clone(), sparse.clone()),
+        ("ids x ids", sparse.clone(), sparse.clone()),
+    ] {
+        let [di, dj] = hand_pair(u, v);
+        assert!(peekable_merge(&di, &dj, &diag, 0.6).is_nan(), "{what}");
+        assert!(queries::score_pair(&di, &dj, &diag, 0.6).is_nan(), "{what}");
+        assert!(queries::score_pair(&block(&di), &block(&dj), &diag, 0.6).is_nan(), "{what}");
+    }
+    // A NaN on a node only one side visited stays out of every sum.
+    diag[1_320] = 0.5;
+    diag[1_001] = f64::NAN;
+    let [di, dj] = hand_pair(keys(1_001, 3_000, 2), dense);
+    assert_same_score(&di, &dj, &diag, "NaN off the shared nodes");
 }
 
 /// Counts a block escapes: those its one count byte cannot hold.
@@ -169,12 +219,29 @@ fn escapes(d: &StepDistributions) -> usize {
     d.counts.iter().flatten().filter(|&&(_, c)| c >= 255).count()
 }
 
+/// A step's key words: its ids, or its bitmap's 64-bit words, two `u32`s
+/// each, when they are strictly fewer.
+fn key_words(step: &[(NodeId, u64)]) -> usize {
+    let span = match (step.first(), step.last()) {
+        (Some(&(first, _)), Some(&(last, _))) => (last / 64 - first / 64 + 1) as usize,
+        _ => 0,
+    };
+    if 2 * span < step.len() {
+        2 * span
+    } else {
+        step.len()
+    }
+}
+
 fn assert_round_trip(d: &StepDistributions, what: &str) {
     let b = block(d);
     let entries: usize = d.counts.iter().map(Vec::len).sum();
     assert_eq!(b.entries(), entries, "{what}");
-    // Offsets, ids, escape pairs, then one count byte an entry in words.
-    let words = d.counts.len() + 1 + entries + 2 * escapes(d) + entries.div_ceil(4);
+    // Offsets and key offsets, a bitmap base a step, each step's keys,
+    // escape pairs, then one count byte an entry in words.
+    let steps = d.counts.len();
+    let keys: usize = d.counts.iter().map(|step| key_words(step)).sum();
+    let words = 3 * steps + 2 + keys + 2 * escapes(d) + entries.div_ceil(4);
     assert_eq!(b.heap_bytes(), 4 * words, "{what}");
     assert_eq!(StepDistributions::from(&b), *d, "{what}");
 }
@@ -203,6 +270,90 @@ fn cohort_blocks_round_trip_exactly() {
     let [mut wide, _] = hand_pair(vec![(3, 1)], vec![]);
     wide.counts[1][0].1 = u64::from(u32::MAX) + 1;
     assert!(CohortBlock::try_from(&wide).is_err());
+}
+
+#[test]
+fn steps_keep_a_bitmap_exactly_past_the_rule_edge() {
+    // Ids spanning two words (four `u32`s of bitmap), from word 0 and from
+    // word 100: a bitmap for 5 ids (2·words = entries − 1), ids for 4 (the
+    // tie) and for 3 (2·words = entries + 1).
+    for base in [0, 6_400] {
+        for (n, bitmap) in [(5, true), (4, false), (3, false)] {
+            let ids: Vec<(NodeId, u64)> =
+                [0, 127].into_iter().chain(1..n - 1).map(|k| (base + k, 3)).collect();
+            let mut step = ids;
+            step.sort_unstable();
+            let [d, _] = hand_pair(step, vec![]);
+            let what = format!("{n} ids over two words from node {base}");
+            assert_eq!(bitmaps(&d), [false, bitmap], "{what}");
+            assert_round_trip(&d, &what);
+        }
+    }
+    // Fewer nodes than a bitmap word, and not a multiple of 64 of them.
+    let [d, _] = hand_pair(keys(0, 37, 1), vec![]);
+    assert_eq!(bitmaps(&d), [false, true], "37 nodes");
+    assert_round_trip(&d, "37 nodes");
+    // A dense step whose counts escape their byte, shared keys included.
+    let escape = |mut step: Vec<(NodeId, u64)>, at: &[(usize, u64)]| {
+        at.iter().for_each(|&(i, c)| step[i].1 = c);
+        step
+    };
+    let big = u64::from(u32::MAX);
+    let u = escape(keys(0, 1_000, 1), &[(0, 255), (63, 300), (64, big), (500, 256), (999, 10_000)]);
+    let v = escape(keys(0, 1_000, 2), &[(0, 254), (32, 255), (250, 70_000)]);
+    let [di, dj] = hand_pair(u, v);
+    assert_eq!((bitmaps(&di), bitmaps(&dj)), (vec![false, true], vec![false, true]));
+    assert_round_trip(&di, "a dense step with escapes");
+    assert_round_trip(&dj, "a dense step with escapes");
+    assert_same_score(&di, &dj, &ragged_diag(1_000), "dense steps with escapes");
+    assert_same_score(&dj, &di, &ragged_diag(1_000), "dense steps with escapes");
+}
+
+/// A random cohort whose steps are dense or sparse runs of ids below
+/// 8 192, so both forms and every pairing come up: counts mostly small,
+/// escapes mixed in.
+fn gen_cohort(rng: &mut TestRng) -> StepDistributions {
+    let walkers = (rng.next_u64() % 20_000) as u32 + 1;
+    let steps = (0..1 + rng.next_u64() % 5)
+        .map(|_| {
+            let gap = [2, 3, 8, 90][(rng.next_u64() % 4) as usize];
+            let mut id = (rng.next_u64() % 4_000) as NodeId;
+            let mut step = Vec::new();
+            while id < 8_192 && step.len() < 1 + (rng.next_u64() % 2_000) as usize {
+                let count = match rng.next_u64() % 12 {
+                    0 => 255 + rng.next_u64() % 100_000,
+                    _ => 1 + rng.next_u64() % 254,
+                };
+                step.push((id, count));
+                id += 1 + (rng.next_u64() % gap) as NodeId;
+            }
+            step
+        })
+        .collect();
+    let source = (rng.next_u64() % 8_192) as NodeId;
+    let mut d = StepDistributions { source, walkers, counts: vec![vec![(source, walkers.into())]] };
+    d.counts.extend::<Vec<_>>(steps);
+    d
+}
+
+struct AnyCohort;
+impl Strategy for AnyCohort {
+    type Value = StepDistributions;
+    fn generate(&self, rng: &mut TestRng) -> StepDistributions {
+        gen_cohort(rng)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random cohorts round-trip through their blocks, each step in the
+    /// form the rule picks, and score against each other like the oracle.
+    #[test]
+    fn random_cohorts_round_trip_and_score_in_both_forms(d in AnyCohort, e in AnyCohort) {
+        assert_round_trip(&d, "random cohort");
+        assert_same_score(&d, &e, &ragged_diag(8_192), "random cohorts");
+    }
 }
 
 #[test]
