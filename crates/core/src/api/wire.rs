@@ -26,9 +26,9 @@
 //! ```
 
 use super::{QueryError, QueryRequest, QueryResponse};
-use crate::queries::{CohortLayout, IdList, StepForm};
+use crate::queries::CohortLayout;
 use bytes::{Buf, BufMut};
-use pasco_mc::walks::StepDistributions;
+use pasco_mc::walks::{BlockStep, IdList, StepDistributions};
 use std::fmt;
 
 /// A malformed wire buffer (the codec never panics on input bytes).
@@ -265,13 +265,13 @@ pub(crate) fn encode_cohort<C: CohortLayout + ?Sized>(cohort: &C, buf: &mut impl
         let (mut first, mut word) = (0, 0);
         while first < len {
             let records = match step {
-                StepForm::Ids(s) => {
+                BlockStep::Ids(s) => {
                     let records = &mut block[..ENTRY_BLOCK.min(len - first)];
                     records.iter_mut().zip(first..).for_each(|(r, e)| node(r, s.node(e)));
                     s.fill_counts(first, records, count);
                     records
                 }
-                StepForm::Bits(s) => {
+                BlockStep::Bits(s) => {
                     let (got, next) = s.ids_from(word.max(s.span().start), &mut block, node);
                     s.counts_into(first, &mut block[..got], |r, c| count(r, c.into()));
                     word = next;

@@ -37,7 +37,7 @@ use pasco_mc::counts::MassMap;
 use pasco_mc::forward::{forward_walk_frontier, ForwardWalker};
 use pasco_mc::rng::{mix, mix_extend};
 use pasco_mc::walks::{
-    reverse_walk_block_on, BitStep, BlockStep, CohortBlock, IdStep, StepDistributions,
+    reverse_walk_block_on, BitStep, BlockStep, CohortBlock, IdList, StepDistributions,
 };
 use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
@@ -86,88 +86,6 @@ pub fn query_cohort(graph: &CsrGraph, cfg: &SimRankConfig, source: NodeId) -> St
     query_cohort_on(graph, cfg, source)
 }
 
-/// One step's histogram as a list ascending by node id: a nested
-/// cohort's step, or a block step that keeps its ids.
-pub trait IdList: Copy {
-    /// Number of distinct nodes visited.
-    fn entries(self) -> usize;
-    /// The `i`-th node visited.
-    fn node(self, i: usize) -> NodeId;
-    /// How many walkers stood on the `i`-th node.
-    fn count(self, i: usize) -> u64;
-    /// How many entries lie below `node`.
-    fn rank(self, node: NodeId) -> usize;
-    /// Hands `put` each slot of `out` with entry `from + k`'s count.
-    #[inline]
-    fn fill_counts<T>(self, from: usize, out: &mut [T], put: impl Fn(&mut T, u64)) {
-        out.iter_mut().zip(from..).for_each(|(slot, e)| put(slot, self.count(e)));
-    }
-}
-
-impl IdList for &[(NodeId, u64)] {
-    fn entries(self) -> usize {
-        self.len()
-    }
-    fn node(self, i: usize) -> NodeId {
-        self[i].0
-    }
-    fn count(self, i: usize) -> u64 {
-        self[i].1
-    }
-    fn rank(self, node: NodeId) -> usize {
-        self.partition_point(|&(k, _)| k < node)
-    }
-}
-
-impl IdList for IdStep<'_> {
-    fn entries(self) -> usize {
-        self.ids.len()
-    }
-    fn node(self, i: usize) -> NodeId {
-        self.ids[i]
-    }
-    #[inline(always)]
-    fn count(self, i: usize) -> u64 {
-        u64::from(IdStep::count(&self, i))
-    }
-    fn rank(self, node: NodeId) -> usize {
-        self.ids.partition_point(|&k| k < node)
-    }
-    #[inline]
-    fn fill_counts<T>(self, from: usize, out: &mut [T], put: impl Fn(&mut T, u64)) {
-        self.counts_into(from, out, |slot, c| put(slot, c.into()));
-    }
-}
-
-/// One step's histogram in either cohort layout: an id list, or a block
-/// step's bitmap.
-#[derive(Clone, Copy, Debug)]
-pub enum StepForm<'a, L> {
-    /// Node ids ascending.
-    Ids(L),
-    /// A [`CohortBlock`] step kept as a bitmap.
-    Bits(BitStep<'a>),
-}
-
-impl<L: IdList> StepForm<'_, L> {
-    /// Number of distinct nodes visited.
-    pub fn entries(self) -> usize {
-        match self {
-            Self::Ids(s) => s.entries(),
-            Self::Bits(s) => s.entries(),
-        }
-    }
-
-    /// Calls `f` on each `(node, count)` of the step, ascending by node.
-    #[inline]
-    pub fn for_each(self, mut f: impl FnMut(NodeId, u64)) {
-        match self {
-            Self::Ids(s) => (0..s.entries()).for_each(|i| f(s.node(i), s.count(i))),
-            Self::Bits(s) => s.for_each(|v, c| f(v, c.into())),
-        }
-    }
-}
-
 /// A cohort's step histograms, nested ([`StepDistributions`]) or flat
 /// ([`CohortBlock`]), or an `Arc` of either: what [`score_pair`] merges.
 pub trait CohortLayout {
@@ -176,7 +94,7 @@ pub trait CohortLayout {
     /// Cohort size used for normalisation.
     fn walkers(&self) -> u32;
     /// Every step's histogram, `t = 0..=T`.
-    fn histograms(&self) -> impl Iterator<Item = StepForm<'_, impl IdList>>;
+    fn histograms(&self) -> impl Iterator<Item = BlockStep<'_, impl IdList>>;
 }
 
 impl CohortLayout for StepDistributions {
@@ -186,8 +104,8 @@ impl CohortLayout for StepDistributions {
     fn walkers(&self) -> u32 {
         self.walkers
     }
-    fn histograms(&self) -> impl Iterator<Item = StepForm<'_, impl IdList>> {
-        self.counts.iter().map(|step| StepForm::Ids(step.as_slice()))
+    fn histograms(&self) -> impl Iterator<Item = BlockStep<'_, impl IdList>> {
+        self.counts.iter().map(|step| BlockStep::Ids(step.as_slice()))
     }
 }
 
@@ -198,11 +116,8 @@ impl CohortLayout for CohortBlock {
     fn walkers(&self) -> u32 {
         self.walkers
     }
-    fn histograms(&self) -> impl Iterator<Item = StepForm<'_, impl IdList>> {
-        CohortBlock::histograms(self).map(|step| match step {
-            BlockStep::Ids(s) => StepForm::Ids(s),
-            BlockStep::Bits(s) => StepForm::Bits(s),
-        })
+    fn histograms(&self) -> impl Iterator<Item = BlockStep<'_, impl IdList>> {
+        CohortBlock::histograms(self)
     }
 }
 
@@ -213,7 +128,7 @@ impl<C: CohortLayout + ?Sized> CohortLayout for std::sync::Arc<C> {
     fn walkers(&self) -> u32 {
         (**self).walkers()
     }
-    fn histograms(&self) -> impl Iterator<Item = StepForm<'_, impl IdList>> {
+    fn histograms(&self) -> impl Iterator<Item = BlockStep<'_, impl IdList>> {
         (**self).histograms()
     }
 }
@@ -231,25 +146,17 @@ pub fn score_pair<C: CohortLayout + ?Sized>(di: &C, dj: &C, diag: &[f64], c: f64
     let rj = f64::from(dj.walkers());
     // Taken, not borrowed: a nested call would find an empty scratch.
     let mut hits = HITS.take();
-    let need = di.histograms().map(StepForm::entries).max().unwrap_or(0);
+    let need = di.histograms().map(BlockStep::entries).max().unwrap_or(0);
     if hits.len() < need {
         hits.resize(need, (0, 0));
     }
-    // `c as f64 / r` for every count below 256, divided once a call: the
-    // same quotients, looked up instead of divided hit by hit.
-    let (si, sj): ([f64; 256], [f64; 256]) =
-        (std::array::from_fn(|c| c as f64 / ri), std::array::from_fn(|c| c as f64 / rj));
-    let share = |c: u64, shares: &[f64; 256], r: f64| match shares.get(c as usize) {
-        Some(&s) => s,
-        None => c as f64 / r,
-    };
     let product =
-        |k: NodeId, ca: u64, cb: u64| diag[k as usize] * share(ca, &si, ri) * share(cb, &sj, rj);
+        |k: NodeId, ca: u64, cb: u64| diag[k as usize] * (ca as f64 / ri) * (cb as f64 / rj);
     let mut score = 0.0;
     let mut ct = 1.0;
     for (u, v) in di.histograms().zip(dj.histograms()) {
         let term = match (u, v) {
-            (StepForm::Ids(u), StepForm::Ids(v)) => {
+            (BlockStep::Ids(u), BlockStep::Ids(v)) => {
                 let mut term = 0.0;
                 for lane in merge_lanes(u, v, &mut hits) {
                     for &(a, b) in &hits[lane.first..lane.hit] {
@@ -259,9 +166,9 @@ pub fn score_pair<C: CohortLayout + ?Sized>(di: &C, dj: &C, diag: &[f64], c: f64
                 }
                 term
             }
-            (StepForm::Bits(u), StepForm::Bits(v)) => and_words(u, v, product),
-            (StepForm::Ids(u), StepForm::Bits(v)) => probe(u, v, product),
-            (StepForm::Bits(u), StepForm::Ids(v)) => probe(v, u, |k, cv, cu| product(k, cu, cv)),
+            (BlockStep::Bits(u), BlockStep::Bits(v)) => and_words(u, v, product),
+            (BlockStep::Ids(u), BlockStep::Bits(v)) => probe(u, v, product),
+            (BlockStep::Bits(u), BlockStep::Ids(v)) => probe(v, u, |k, cv, cu| product(k, cu, cv)),
         };
         score += ct * term;
         ct *= c;

@@ -16,29 +16,24 @@
 //! positions and keys sit in two flat arrays, in walker order, and a pass
 //! advances all of them by one step — independent iterations, so their cache
 //! misses overlap, where a walker-major loop is a chain of `T` dependent
-//! loads — compacting out the ones that die. Each step's histogram is
-//! written in id order as `u32` ids, counts and a step offset the scratch
-//! keeps, by one of two writers picked once a cohort: when the whole id
-//! space's bitmap is no larger than a full frontier of ids (`n ≤ 32·R′`)
-//! the positions are counted into a dense count array and a bitmap, read
-//! back a word at a time; past that they are copied out, sorted and
-//! run-length encoded. The cohort leaves as a [`CohortBlock`] in one
-//! exact-size allocation, never built nested and flattened: each count
-//! narrowed to one byte (the rare count of 255 or more escaped to an exact
-//! list), each step's nodes kept as sorted ids or as a bitmap over their
-//! span, whichever one rule (`bitmap_pays`) finds smaller — 5 B an
-//! entry at most. Counts are integers, so the histograms are, entry for
-//! entry, what a per-walker loop ([`reverse_walk_path`], the test oracle)
-//! adds up; the nested [`StepDistributions`] are the block expanded.
+//! loads — compacting out the ones that die. It has one histogram writer: a
+//! step's positions are copied out, sorted and run-length encoded straight
+//! into `u32` ids, counts and a step offset the scratch keeps, and the
+//! cohort leaves as a [`CohortBlock`] in one exact-size allocation, never
+//! built nested and flattened: each count narrowed to one byte (the rare
+//! count of 255 or more escaped to an exact list), each step's nodes kept
+//! as sorted ids or as a bitmap over their span, whichever one rule
+//! (`bitmap_pays`) finds smaller — 5 B an entry at most. Counts are
+//! integers, so the histograms are, entry for entry, what a per-walker loop
+//! ([`reverse_walk_path`], the test oracle) adds up; the nested
+//! [`StepDistributions`] are the block expanded.
 //!
 //! Serving cohorts run on a per-thread scratch: ≈ 20 B a walker (position,
 //! key, sort buffers) plus 8 B an entry, ≈ 1 MB a thread at `R′ = 10 000`,
-//! `T = 10`, and, for a counted cohort, `4n` bytes of counts plus an
-//! `n`-bit bitmap (at most ≈ 1.3 MB at `R′ = 10 000`). It is sized by the
-//! largest cohort the thread ran — the configured `R′` — and never shrunk.
-//! The offline build runs the same walk through [`WalkScratch::visits_on`]
-//! on a scratch per piece, which sorts the whole cohort's visits once
-//! instead of once per step.
+//! `T = 10`. It is sized by the largest cohort the thread ran — the
+//! configured `R′` — and never shrunk. The offline build runs the same walk
+//! through [`WalkScratch::visits_on`] on a scratch per piece, which sorts
+//! the whole cohort's visits once instead of once per step.
 
 use crate::rng::{mix, mix_extend, SplitMix64};
 use pasco_graph::{CsrGraph, NodeId, WalkAdjacency};
@@ -271,31 +266,66 @@ impl CohortBlock {
     }
 }
 
-/// One step's histogram in a [`CohortBlock`], in the form the block keeps.
+/// One step's histogram, in the form its cohort keeps: an id list (`L`: a
+/// [`CohortBlock`] step's [`IdStep`], or a nested cohort's
+/// `&[(NodeId, u64)]`), or a block step's bitmap.
 #[derive(Clone, Copy, Debug)]
-pub enum BlockStep<'a> {
+pub enum BlockStep<'a, L = IdStep<'a>> {
     /// The nodes visited as ascending ids.
-    Ids(IdStep<'a>),
+    Ids(L),
     /// The nodes visited as a bitmap.
     Bits(BitStep<'a>),
 }
 
-impl BlockStep<'_> {
+impl<L: IdList> BlockStep<'_, L> {
     /// Number of distinct nodes visited.
-    pub fn entries(&self) -> usize {
+    pub fn entries(self) -> usize {
         match self {
-            Self::Ids(s) => s.ids.len(),
+            Self::Ids(s) => s.entries(),
             Self::Bits(s) => s.entries(),
         }
     }
 
     /// Calls `f` on each `(node, count)` of the step, ascending by node.
     #[inline]
-    pub fn for_each(self, mut f: impl FnMut(NodeId, u32)) {
+    pub fn for_each(self, mut f: impl FnMut(NodeId, u64)) {
         match self {
-            Self::Ids(s) => s.ids.iter().enumerate().for_each(|(i, &v)| f(v, s.count(i))),
-            Self::Bits(s) => s.for_each(f),
+            Self::Ids(s) => (0..s.entries()).for_each(|i| f(s.node(i), s.count(i))),
+            Self::Bits(s) => s.for_each(|v, c| f(v, c.into())),
         }
+    }
+}
+
+/// One step's histogram as a list ascending by node id: a nested
+/// cohort's step, or a block step that keeps its ids.
+pub trait IdList: Copy {
+    /// Number of distinct nodes visited.
+    fn entries(self) -> usize;
+    /// The `i`-th node visited.
+    fn node(self, i: usize) -> NodeId;
+    /// How many walkers stood on the `i`-th node.
+    fn count(self, i: usize) -> u64;
+    /// How many entries lie below `node`.
+    fn rank(self, node: NodeId) -> usize;
+    /// Hands `put` each slot of `out` with entry `from + k`'s count.
+    #[inline]
+    fn fill_counts<T>(self, from: usize, out: &mut [T], put: impl Fn(&mut T, u64)) {
+        out.iter_mut().zip(from..).for_each(|(slot, e)| put(slot, self.count(e)));
+    }
+}
+
+impl IdList for &[(NodeId, u64)] {
+    fn entries(self) -> usize {
+        self.len()
+    }
+    fn node(self, i: usize) -> NodeId {
+        self[i].0
+    }
+    fn count(self, i: usize) -> u64 {
+        self[i].1
+    }
+    fn rank(self, node: NodeId) -> usize {
+        self.partition_point(|&(k, _)| k < node)
     }
 }
 
@@ -347,7 +377,7 @@ impl StepCounts<'_> {
 }
 
 /// A step kept as ids: node ids ascending, each count read through
-/// [`Self::count`].
+/// [`IdList::count`].
 #[derive(Clone, Copy, Debug)]
 pub struct IdStep<'a> {
     /// The nodes visited, ascending.
@@ -355,17 +385,23 @@ pub struct IdStep<'a> {
     counts: StepCounts<'a>,
 }
 
-impl IdStep<'_> {
-    /// How many walkers stood on `ids[i]`.
-    #[inline(always)]
-    pub fn count(&self, i: usize) -> u32 {
-        self.counts.get(i)
+impl IdList for IdStep<'_> {
+    fn entries(self) -> usize {
+        self.ids.len()
     }
-
-    /// Hands `put` each slot of `out` with the count of `ids[from + k]`.
+    fn node(self, i: usize) -> NodeId {
+        self.ids[i]
+    }
+    #[inline(always)]
+    fn count(self, i: usize) -> u64 {
+        self.counts.get(i).into()
+    }
+    fn rank(self, node: NodeId) -> usize {
+        self.ids.partition_point(|&k| k < node)
+    }
     #[inline]
-    pub fn counts_into<T>(&self, from: usize, out: &mut [T], put: impl Fn(&mut T, u32)) {
-        self.counts.fill(from, out, put);
+    fn fill_counts<T>(self, from: usize, out: &mut [T], put: impl Fn(&mut T, u64)) {
+        self.counts.fill(from, out, |slot, c| put(slot, c.into()));
     }
 }
 
@@ -486,7 +522,7 @@ impl From<&CohortBlock> for StepDistributions {
     fn from(b: &CohortBlock) -> Self {
         let step = |s: BlockStep<'_>| {
             let mut out = Vec::with_capacity(s.entries());
-            s.for_each(|v, c| out.push((v, c.into())));
+            s.for_each(|v, c| out.push((v, c)));
             out
         };
         StepDistributions {
@@ -556,10 +592,6 @@ pub struct WalkScratch {
     offsets: Vec<u32>,
     ids: Vec<NodeId>,
     counts: Vec<u32>,
-    /// A counted frontier's count per node and bitmap of the nodes set:
-    /// all zero between steps.
-    dense: Vec<u32>,
-    seen: Vec<u64>,
     /// [`Self::visits_on`]'s visit keys.
     visits: Vec<u64>,
     /// Their radix sort's second buffer.
@@ -570,10 +602,7 @@ impl WalkScratch {
     /// The cohort kernel, said once: walks the cohort members `walkers` of
     /// `source` for `steps` steps, the whole frontier one step at a time,
     /// and writes the visit histogram of each step `0..=steps` (sorted by
-    /// node id) into one block normalised by the members' number. When the
-    /// whole id space's bitmap is no larger than a full frontier of ids
-    /// (`n ≤ 32·members`) each step is counted (`4n` bytes of scratch);
-    /// past that it is sorted.
+    /// node id) into one block normalised by the members' number.
     ///
     /// # Panics
     /// If `source` is out of range, or the cohort's `(steps + 1)·walkers`
@@ -598,18 +627,9 @@ impl WalkScratch {
         self.offsets.clear();
         self.offsets.push(0);
         self.close_step();
-        let counted = u64::from(n) <= 32 * u64::from(size);
-        if counted && self.dense.len() < n as usize {
-            self.dense.resize(n as usize, 0);
-            self.seen.resize((n as usize).div_ceil(64), 0);
-        }
         for t in 1..=steps as u32 {
             self.step(graph, t);
-            if counted {
-                self.count_frontier(n);
-            } else {
-                self.write_frontier(n);
-            }
+            self.write_frontier(n);
         }
         CohortBlock::pack(source, size, &self.offsets, &self.ids, &self.counts)
     }
@@ -706,28 +726,6 @@ impl WalkScratch {
         let entries = start + run + usize::from(len > 0);
         self.ids.truncate(entries);
         self.counts.truncate(entries);
-        self.close_step();
-    }
-
-    /// Appends the frontier's histogram, its positions all below `bound`,
-    /// as the next step: counted into the dense counts and their bitmap,
-    /// then read back in id order, leaving both zero.
-    fn count_frontier(&mut self, bound: u32) {
-        for &v in &self.pos {
-            self.dense[v as usize] += 1;
-            self.seen[v as usize / 64] |= 1 << (v % 64);
-        }
-        self.ids.reserve(self.pos.len());
-        self.counts.reserve(self.pos.len());
-        for (w, word) in (0..).zip(&mut self.seen[..(bound as usize).div_ceil(64)]) {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let v = 64 * w + bits.trailing_zeros();
-                self.ids.push(v);
-                self.counts.push(std::mem::take(&mut self.dense[v as usize]));
-                bits &= bits - 1;
-            }
-        }
         self.close_step();
     }
 

@@ -189,15 +189,20 @@ fn check_flags(cmd: &str, flags: &[(&str, &str)], known: &[&[&str]]) -> Result<F
 /// with status 0; any other write error is the command's error.
 fn emit(args: std::fmt::Arguments<'_>) -> Result<(), String> {
     use std::io::Write as _;
-    stdout_result(std::io::stdout().write_fmt(args))
-}
-
-/// [`emit`]'s verdict on a stdout write or flush.
-fn stdout_result(result: std::io::Result<()>) -> Result<(), String> {
-    match result {
+    match std::io::stdout().write_fmt(args) {
         Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
         other => other.map_err(|e| format!("stdout: {e}")),
     }
+}
+
+/// Writes a server's `listening on` line and flushes it, even when stdout
+/// is a pipe: scripts discover an ephemeral port from it. Unlike [`emit`],
+/// a closed stdout is an error here — a server nobody can find has not
+/// succeeded.
+fn announce(args: std::fmt::Arguments<'_>) -> Result<(), String> {
+    use std::io::Write as _;
+    let mut stdout = std::io::stdout().lock();
+    stdout.write_fmt(args).and_then(|()| stdout.flush()).map_err(|e| format!("stdout: {e}"))
 }
 
 /// `print!` through [`emit`]: `?` it.
@@ -610,7 +615,6 @@ fn cmd_pairs(flags: &Flags) -> Result<(), String> {
 /// caching `QuerySession`, served by `PascoServer` until a client sends
 /// the shutdown frame.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    use std::io::Write as _;
     let cw = Arc::new(load_engine(flags)?);
     let addr = get(flags, "addr")?;
     let cache: usize = get_positive(flags, "cache", 1024)?;
@@ -634,15 +638,12 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
     let server = PascoServer::bind(addr, session as Arc<dyn QueryService>, server_cfg)
         .map_err(|e| format!("bind {addr}: {e}"))?;
-    outln!(
-        "listening on {} ({} engine, {} nodes, cohort cache {cache})",
+    announce(format_args!(
+        "listening on {} ({} engine, {} nodes, cohort cache {cache})\n",
         server.local_addr(),
         cw.mode_name(),
         cw.node_count()
-    )?;
-    // The line above is how scripts discover an ephemeral port: make sure
-    // it is on the wire even when stdout is a pipe.
-    stdout_result(std::io::stdout().flush())?;
+    ))?;
     server.run().map_err(|e| e.to_string())?;
     outln!("drained, shutting down")?;
     Ok(())
@@ -721,7 +722,6 @@ fn cmd_query(flags: &Flags) -> Result<(), String> {
 /// distributed substrate, serving worker-control frames until a
 /// shutdown frame drains it.
 fn cmd_worker(flags: &Flags) -> Result<(), String> {
-    use std::io::Write as _;
     let addr = get(flags, "addr")?;
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
@@ -729,10 +729,7 @@ fn cmd_worker(flags: &Flags) -> Result<(), String> {
         ..defaults
     };
     let worker = PascoServer::bind_worker(addr, cfg).map_err(|e| format!("bind {addr}: {e}"))?;
-    outln!("worker listening on {}", worker.local_addr())?;
-    // Scripts discover an ephemeral port from the line above: flush it
-    // even when stdout is a pipe.
-    stdout_result(std::io::stdout().flush())?;
+    announce(format_args!("worker listening on {}\n", worker.local_addr()))?;
     worker.run().map_err(|e| e.to_string())?;
     outln!("worker drained, shutting down")?;
     Ok(())

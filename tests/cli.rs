@@ -630,6 +630,32 @@ fn a_closed_stdout_ends_the_command_quietly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stderr.is_empty(), "{stderr}");
+    // A server's `listening on` line is the only way to find its port: one
+    // that cannot write it exits 1, not 0, and does not serve.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let mut worker = bin()
+        .args(["worker", "--addr", "127.0.0.1:0"])
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = worker.try_wait().unwrap() {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            worker.kill().unwrap();
+            worker.wait().unwrap();
+            break None;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut worker.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.and_then(|s| s.code()), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: stdout: "), "{stderr}");
     // Any other stdout error is still the command's error.
     let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") else {
         return;

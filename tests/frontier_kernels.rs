@@ -15,9 +15,8 @@
 //! cohort) to `ai_row` over the step histograms, row by row. The block
 //! writer itself (`reverse_walk_block_on`, on its per-thread scratch) is
 //! held to the oracle at the edges — a hub, a dead source, a cohort below
-//! the radix threshold, `T = 0`, cohorts either side of the point where its
-//! frontiers are counted instead of sorted, fewer nodes than a bitmap word
-//! — and across reuse of its scratch. The
+//! the radix threshold, `T = 0`, steps kept as ids and as bitmaps, fewer
+//! nodes than a bitmap word — and across reuse of its scratch. The
 //! exact arm's one sweep (`pull_sweep`, in its plan's order) is held to
 //! node order bit for bit at the plan's edges: no live node, fewer nodes
 //! than a lane, lane remainders, a hub, ranges and shard boundaries that
@@ -31,7 +30,7 @@ use pasco::mc::forward::forward_walk_on;
 use pasco::mc::rng;
 use pasco::mc::walks::{
     reverse_walk_block_on, reverse_walk_counts_on, reverse_walk_distributions, reverse_walk_path,
-    CohortBlock, StepDistributions, WalkParams, WalkScratch,
+    BlockStep, CohortBlock, StepDistributions, WalkParams, WalkScratch,
 };
 use pasco::simrank::ai::{ai_row, RowKernel, StoredRows};
 use pasco::simrank::engine::kernel::build_diagonal_on;
@@ -357,8 +356,7 @@ fn key_words(step: &[(NodeId, u64)]) -> usize {
 }
 
 /// The block writer on every storage of `g` against the per-walker oracle,
-/// for each `(source, R', T)` cell; `counted` says whether the writer
-/// counts the cell's frontiers (`n ≤ 32·R'`) rather than sorting them.
+/// for each `(source, R', T)` cell.
 fn check_block_writer(g: &CsrGraph, name: &str, cells: &[(NodeId, u32, usize)]) {
     let n = g.node_count();
     let dead = g.nodes().find(|&v| g.in_degree(v) == 0);
@@ -380,8 +378,7 @@ fn check_block_writer(g: &CsrGraph, name: &str, cells: &[(NodeId, u32, usize)]) 
         // escape pairs, then one count byte an entry in words.
         let keys: usize = want.counts.iter().map(|step| key_words(step)).sum();
         let words = 3 * (steps + 1) + 2 + keys + 2 * escapes + entries.div_ceil(4);
-        let counted = n <= 32 * r;
-        let label = format!("{name}: source {source}, R' {r}, T {steps}, counted {counted}");
+        let label = format!("{name}: source {source}, R' {r}, T {steps}");
         let blocks = [
             ("csr", reverse_walk_block_on(g, source, 0..r, steps, SEED)),
             ("sharded x3", reverse_walk_block_on(&sharded, source, 0..r, steps, SEED)),
@@ -404,7 +401,7 @@ fn block_writer_equals_the_per_walker_oracle_at_its_edges() {
     let dead = g.nodes().find(|&v| g.in_degree(v) == 0).unwrap();
     // A hub at R' = 10 000 and below `RADIX_MIN`, a dead source (steps
     // 1..T empty), and `T = 0`; step 0's count escapes its byte from
-    // R' = 255 on. Its 512 nodes are counted from R' = 16 on, sorted below.
+    // R' = 255 on.
     let cells = [
         (hub, 10_000, T),
         (hub, 255, T),
@@ -413,15 +410,18 @@ fn block_writer_equals_the_per_walker_oracle_at_its_edges() {
         (hub, 300, 0),
         (hub, 50, 0),
         (dead, 7, 0),
-        (hub, 16, T),
-        (hub, 15, T),
     ];
     check_block_writer(&g, "rmat9", &cells);
-    // 16 384 nodes: counted from R' = 512 on; below, the frontiers of
-    // R' = 511 walkers are radix-sorted.
+    // 16 384 nodes: at R' = 511 the steps are sparse and keep their ids;
+    // at 10 000 the dense ones take the bitmap.
     let g = generators::rmat(14, 60_000, generators::RmatParams::default(), 5);
     let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
-    check_block_writer(&g, "rmat14", &[(hub, 512, T), (hub, 511, T), (hub, 10_000, T)]);
+    check_block_writer(&g, "rmat14", &[(hub, 511, T), (hub, 10_000, T)]);
+    let bitmaps = |r| {
+        let block = reverse_walk_block_on(&g, hub, 0..r, T, SEED);
+        block.histograms().filter(|step| matches!(step, BlockStep::Bits(_))).count()
+    };
+    assert_eq!((bitmaps(511), bitmaps(10_000) > 0), (0, true), "rmat14: both forms");
     // Fewer nodes than a bitmap word, and not a multiple of 64 of them.
     let g = generators::barabasi_albert(37, 3, 5);
     let hub = g.nodes().max_by_key(|&v| g.in_degree(v)).unwrap();
