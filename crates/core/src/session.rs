@@ -11,13 +11,13 @@
 //! at most once per block).
 //!
 //! The session is `Send + Sync` and every query takes `&self`: one session
-//! serves many concurrent clients. The cohort cache is sharded — each
-//! shard is an independently locked O(1) LRU (hash-indexed doubly linked
-//! list, no per-hit scans, no O(n)-in-graph-size allocation) — so
-//! concurrent queries for different nodes rarely contend, and a
-//! single-flight registry guarantees concurrent misses on the *same* node
-//! simulate its cohort exactly once. Results are bitwise identical to the
-//! underlying engine's; caching and concurrency only remove
+//! serves many concurrent clients. The cohort cache is one exact LRU under
+//! one lock — two ordered maps, node → (last use, cohort) and last use →
+//! node, so a hit restamps in O(log n) and an insert past capacity pops the
+//! oldest stamp — and the same lock guards a single-flight registry that
+//! makes concurrent misses on the *same* node simulate its cohort exactly
+//! once. Simulation runs outside the lock. Results are bitwise identical to
+//! the underlying engine's; caching and concurrency only remove
 //! re-simulation.
 //!
 //! The cache is flat, and so is every cohort from birth: a miss caches the
@@ -47,24 +47,10 @@ use crate::queries::{pair_from_cohorts, score_pair};
 use pasco_graph::NodeId;
 use pasco_mc::walks::{CohortBlock, StepDistributions};
 use rayon::prelude::*;
-use std::collections::hash_map::Entry;
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-/// Node → slot index of one LRU shard. Keyed lookup only: recency order
-/// lives in the slots' linked list, and nothing ever iterates this map,
-/// so hasher nondeterminism cannot leak into eviction or results — which
-/// is why a hash map is safe in a determinism-critical crate.
-#[expect(clippy::disallowed_types, reason = "keyed lookup only, never iterated")]
-type SlotIndex = std::collections::HashMap<NodeId, usize>;
-
-/// Node → in-flight simulation registry for single-flight misses. Keyed
-/// insert/remove only, never iterated, so hasher order is unobservable.
-#[expect(clippy::disallowed_types, reason = "keyed insert/remove only, never iterated")]
-type InFlightIndex = std::collections::HashMap<NodeId, Arc<InFlight>>;
-
-const NONE: usize = usize::MAX;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Splits `0..len` into consecutive index ranges of at most `block`.
 fn chunked_indices(
@@ -74,135 +60,47 @@ fn chunked_indices(
     (0..len.div_ceil(block)).map(move |b| (b * block)..((b + 1) * block).min(len))
 }
 
-struct Slot {
-    node: NodeId,
-    value: Arc<CohortBlock>,
-    prev: usize,
-    next: usize,
-}
-
-/// One independently locked O(1) LRU over cohort blocks: a slot slab
-/// threaded into a doubly linked recency list, indexed by a `HashMap`.
-/// Hits relink in O(1); an insert past the entry-count capacity pops the
-/// list tail in O(1).
-struct LruShard {
-    capacity: usize,
+/// Everything the session's one lock guards: the LRU over cohort blocks
+/// and the single-flight registry.
+#[derive(Default)]
+struct Cache {
+    /// Node → (last use, cohort).
+    entries: BTreeMap<NodeId, (u64, Arc<CohortBlock>)>,
+    /// Last use → node; the first entry is the least recently used.
+    by_use: BTreeMap<u64, NodeId>,
+    /// The last use stamp handed out.
+    clock: u64,
     /// Entries evicted at capacity.
     evictions: u64,
-    map: SlotIndex,
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
+    /// At most one simulation per node is ever in flight; concurrent
+    /// misses on the same node wait for it instead of simulating again.
+    inflight: BTreeMap<NodeId, Arc<InFlight>>,
 }
 
-/// The one place a list index is turned into its slot.
-#[allow(
-    clippy::expect_used,
-    reason = "a linked index always names an occupied slot: `remove` is the only writer of \
-              `None` and unlinks first"
-)]
-impl LruShard {
-    fn slot(&self, slot: usize) -> &Slot {
-        self.slots[slot].as_ref().expect("linked slot must be occupied")
-    }
-
-    fn slot_mut(&mut self, slot: usize) -> &mut Slot {
-        self.slots[slot].as_mut().expect("linked slot must be occupied")
-    }
-}
-
-impl LruShard {
-    fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            evictions: 0,
-            map: SlotIndex::with_capacity(capacity.min(1024)),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NONE,
-            tail: NONE,
-        }
-    }
-
-    fn detach(&mut self, slot: usize) {
-        let (prev, next) = (self.slot(slot).prev, self.slot(slot).next);
-        if prev == NONE {
-            self.head = next;
-        } else {
-            self.slot_mut(prev).next = next;
-        }
-        if next == NONE {
-            self.tail = prev;
-        } else {
-            self.slot_mut(next).prev = prev;
-        }
-    }
-
-    fn attach_front(&mut self, slot: usize) {
-        let head = self.head;
-        let s = self.slot_mut(slot);
-        s.prev = NONE;
-        s.next = head;
-        if head != NONE {
-            self.slot_mut(head).prev = slot;
-        }
-        self.head = slot;
-        if self.tail == NONE {
-            self.tail = slot;
-        }
-    }
-
-    /// Unlinks and frees a slot, releasing its value.
-    fn remove(&mut self, slot: usize) {
-        self.detach(slot);
-        if let Some(s) = self.slots[slot].take() {
-            self.map.remove(&s.node);
-            self.free.push(slot);
-        }
-    }
-
+impl Cache {
     fn get(&mut self, node: NodeId) -> Option<Arc<CohortBlock>> {
-        let slot = *self.map.get(&node)?;
-        self.detach(slot);
-        self.attach_front(slot);
-        Some(Arc::clone(&self.slot(slot).value))
+        let (stamp, value) = self.entries.get_mut(&node)?;
+        self.by_use.remove(stamp);
+        self.clock += 1;
+        *stamp = self.clock;
+        self.by_use.insert(self.clock, node);
+        Some(Arc::clone(value))
     }
 
-    fn insert(&mut self, node: NodeId, value: Arc<CohortBlock>) {
-        if let Some(&slot) = self.map.get(&node) {
-            // Raced with another miss on the same node; keep the resident
-            // entry (identical by determinism) and refresh its recency.
-            self.detach(slot);
-            self.attach_front(slot);
-            return;
+    /// Inserts `node` as the most recently used, evicting the least
+    /// recently used past `capacity`.
+    fn insert(&mut self, node: NodeId, value: Arc<CohortBlock>, capacity: usize) {
+        self.clock += 1;
+        if let Some((stamp, _)) = self.entries.insert(node, (self.clock, value)) {
+            self.by_use.remove(&stamp);
         }
-        let slot_value = Slot { node, value, prev: NONE, next: NONE };
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(slot_value);
-                i
+        self.by_use.insert(self.clock, node);
+        if self.entries.len() > capacity {
+            if let Some((_, oldest)) = self.by_use.pop_first() {
+                self.entries.remove(&oldest);
+                self.evictions += 1;
             }
-            None => {
-                self.slots.push(Some(slot_value));
-                self.slots.len() - 1
-            }
-        };
-        self.map.insert(node, slot);
-        self.attach_front(slot);
-        if self.map.len() > self.capacity {
-            self.remove(self.tail);
-            self.evictions += 1;
         }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The wire-encoded bytes of the resident cohorts.
-    fn wire_bytes(&self) -> usize {
-        self.slots.iter().flatten().map(|s| cohort_wire_len(&*s.value)).sum()
     }
 }
 
@@ -247,7 +145,7 @@ impl Drop for FlightGuard<'_> {
         // Unwinding: never double-panic on a poisoned lock here.
         *self.flight.state.lock().unwrap_or_else(|e| e.into_inner()) = FlightState::Abandoned;
         self.flight.ready.notify_all();
-        self.session.inflight.lock().unwrap_or_else(|e| e.into_inner()).remove(&self.node);
+        self.session.cache().inflight.remove(&self.node);
     }
 }
 
@@ -293,41 +191,30 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// How a [`QuerySession`] caches: entry-count capacity and shard count.
+/// How a [`QuerySession`] caches: its entry-count capacity.
 ///
 /// ```
 /// use pasco_simrank::SessionConfig;
 ///
-/// let cfg = SessionConfig::new(4096).with_shards(1);
-/// assert_eq!((cfg.capacity, cfg.shards), (4096, Some(1)));
+/// let cfg = SessionConfig::new(4096);
+/// assert_eq!(cfg.capacity, 4096);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Maximum number of cached cohorts (split across shards, rounded
-    /// up per shard). Must be positive.
+    /// Maximum number of cached cohorts. Must be positive.
     pub capacity: usize,
-    /// Explicit shard count, or `None` to derive one from `capacity`
-    /// (at most [`QuerySession::DEFAULT_SHARDS`], keeping every shard at
-    /// least 4 entries deep). `1` gives exact global-LRU eviction.
-    pub shards: Option<usize>,
 }
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        Self { capacity: 1024, shards: None }
+        Self { capacity: 1024 }
     }
 }
 
 impl SessionConfig {
     /// A config caching up to `capacity` cohorts.
     pub fn new(capacity: usize) -> Self {
-        Self { capacity, ..Self::default() }
-    }
-
-    /// Sets an explicit shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
+        Self { capacity }
     }
 }
 
@@ -336,56 +223,26 @@ impl SessionConfig {
 /// graph size) and safe to share: queries take `&self`.
 pub struct QuerySession {
     walker: Arc<CloudWalker>,
-    shards: Vec<Mutex<LruShard>>,
-    /// Effective total capacity (`shards × per-shard`, ≥ the requested
-    /// capacity after round-up).
+    /// The LRU and the single-flight registry, under one lock.
+    cache: Mutex<Cache>,
     capacity: usize,
-    /// Single-flight registry: at most one simulation per node is ever in
-    /// flight; concurrent misses on the same node wait for it instead of
-    /// simulating again. Only touched on the miss path, so one map (not
-    /// per-shard) is enough — simulation time dwarfs the lock.
-    inflight: Mutex<InFlightIndex>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl QuerySession {
-    /// Default shard count for [`QuerySession::new`].
-    pub const DEFAULT_SHARDS: usize = 16;
-
-    /// Minimum per-shard capacity [`QuerySession::new`] maintains, so a
-    /// small total capacity never degenerates into one-entry shards where
-    /// hash-colliding hot nodes would evict each other on every query.
-    const MIN_SHARD_CAPACITY: usize = 4;
-
-    /// A session caching up to `capacity` cohorts (each ≈ `T·R'` entries)
-    /// across up to [`QuerySession::DEFAULT_SHARDS`] shards (fewer when
-    /// `capacity` is smaller, keeping each shard at least
-    /// `MIN_SHARD_CAPACITY` (4) deep).
+    /// A session caching up to `capacity` cohorts (each ≈ `T·R'` entries).
     pub fn new(walker: Arc<CloudWalker>, capacity: usize) -> Self {
         Self::with_config(walker, SessionConfig::new(capacity))
     }
 
-    /// A session with an explicit shard count. `shards = 1` gives exact
-    /// global-LRU eviction; more shards trade eviction exactness for lower
-    /// lock contention. Total capacity is split evenly (rounded up).
-    pub fn with_shards(walker: Arc<CloudWalker>, capacity: usize, shards: usize) -> Self {
-        Self::with_config(walker, SessionConfig::new(capacity).with_shards(shards))
-    }
-
-    /// A session from a full [`SessionConfig`]: capacity and shard count.
+    /// A session from a full [`SessionConfig`].
     pub fn with_config(walker: Arc<CloudWalker>, cfg: SessionConfig) -> Self {
         assert!(cfg.capacity > 0, "cache capacity must be positive");
-        let shards = cfg.shards.unwrap_or_else(|| {
-            (cfg.capacity / Self::MIN_SHARD_CAPACITY).clamp(1, Self::DEFAULT_SHARDS)
-        });
-        assert!(shards > 0, "need at least one shard");
-        let per_shard = cfg.capacity.div_ceil(shards);
         Self {
             walker,
-            shards: (0..shards).map(|_| Mutex::new(LruShard::new(per_shard))).collect(),
-            capacity: per_shard * shards,
-            inflight: Mutex::new(InFlightIndex::new()),
+            cache: Mutex::new(Cache::default()),
+            capacity: cfg.capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -396,38 +253,28 @@ impl QuerySession {
         &self.walker
     }
 
+    fn cache(&self) -> MutexGuard<'_, Cache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Hit/miss/eviction accounting since the session started.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self
-                .shards
-                .iter()
-                .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).evictions)
-                .sum(),
+            evictions: self.cache().evictions,
         }
     }
 
-    /// Number of cohorts currently resident across all shards.
+    /// Number of cohorts currently resident.
     pub fn cached_cohorts(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len()).sum()
+        self.cache().entries.len()
     }
 
     /// Wire-encoded bytes of the cohorts currently resident: what they
     /// would take as [`crate::api::wire::WireCodec`] `Cohort` values.
     pub fn cached_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).wire_bytes())
-            .sum()
-    }
-
-    #[inline]
-    fn shard_of(&self, v: NodeId) -> &Mutex<LruShard> {
-        // Fibonacci hashing spreads consecutive node ids across shards.
-        let h = (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        &self.shards[(h >> 32) as usize % self.shards.len()]
+        self.cache().entries.values().map(|(_, c)| cohort_wire_len(&**c)).sum()
     }
 
     /// The cached cohort of `v`, fallible end to end: an engine failure
@@ -449,31 +296,18 @@ impl QuerySession {
     /// in-flight simulation was abandoned by a panicking or failing
     /// leader.
     fn cohort_once(&self, v: NodeId) -> Result<Option<Arc<CohortBlock>>, QueryError> {
-        let shard = self.shard_of(v);
-        if let Some(c) = shard.lock().unwrap_or_else(PoisonError::into_inner).get(v) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some(c));
-        }
-        // Miss: join the in-flight simulation for this node, or become it.
-        // Without this guard, N concurrent misses on one node simulated
-        // the cohort N times before the first insert landed.
+        // Hit, or join the in-flight simulation for this node, or become
+        // it — one critical section, so a leader's publish (which inserts
+        // and clears its flight under the same lock) is never missed.
         let (flight, leader) = {
-            let mut inflight = self.inflight.lock().unwrap_or_else(PoisonError::into_inner);
-            // Re-check the cache under the registry lock: a completing
-            // leader inserts into the cache *before* clearing its entry, so
-            // an empty registry here means the cache check below is
-            // authoritative.
-            if let Some(c) = shard.lock().unwrap_or_else(PoisonError::into_inner).get(v) {
+            let mut cache = self.cache();
+            if let Some(c) = cache.get(v) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Some(c));
             }
-            match inflight.entry(v) {
+            match cache.inflight.entry(v) {
                 Entry::Occupied(e) => (Arc::clone(e.get()), false),
-                Entry::Vacant(e) => {
-                    let f = Arc::new(InFlight::default());
-                    e.insert(Arc::clone(&f));
-                    (f, true)
-                }
+                Entry::Vacant(e) => (Arc::clone(e.insert(Arc::default())), true),
             }
         };
         if !leader {
@@ -503,14 +337,14 @@ impl QuerySession {
         let mut guard = FlightGuard { session: self, node: v, flight: &flight, published: false };
         self.misses.fetch_add(1, Ordering::Relaxed);
         let c = Arc::new(self.walker.try_query_block(v)?);
-        // Publish to the cache first (insert keeps a raced resident entry
-        // and just refreshes recency), then release the followers and
-        // clear the registry entry.
-        shard.lock().unwrap_or_else(PoisonError::into_inner).insert(v, Arc::clone(&c));
+        {
+            let mut cache = self.cache();
+            cache.insert(v, Arc::clone(&c), self.capacity);
+            cache.inflight.remove(&v);
+        }
         *flight.state.lock().unwrap_or_else(PoisonError::into_inner) =
             FlightState::Done(Arc::clone(&c));
         flight.ready.notify_all();
-        self.inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&v);
         guard.published = true;
         Ok(Some(c))
     }
@@ -550,10 +384,9 @@ impl QuerySession {
 
     /// Scores every pair from `rows × cols` in parallel. Each distinct
     /// cohort is warmed through the cache at most once per block (when
-    /// everything fits one block and no shard overflows from hash skew,
-    /// that is exactly once); larger requests are processed in cache-sized
-    /// blocks so pinned cohorts never exceed the session's configured
-    /// capacity. Entry `[r][c]` is `s(rows[r], cols[c])`.
+    /// everything fits one block, that is exactly once); larger requests
+    /// are processed in cache-sized blocks so pinned cohorts never exceed
+    /// the session's configured capacity. Entry `[r][c]` is `s(rows[r], cols[c])`.
     ///
     /// Every node of `rows` and `cols` is validated before any cohort is
     /// simulated, both sets must be non-empty
@@ -698,8 +531,7 @@ mod tests {
 
     #[test]
     fn eviction_respects_lru_order() {
-        // One shard = exact global LRU, the easiest shape to reason about.
-        let session = QuerySession::with_shards(engine(), 2, 1);
+        let session = QuerySession::new(engine(), 2);
         session.try_single_pair(1, 2).unwrap(); // cache {1, 2}
         session.try_single_pair(1, 3).unwrap(); // touch 1, insert 3 -> evict 2
         let misses_before = session.cache_stats().misses;
@@ -715,9 +547,8 @@ mod tests {
 
     #[test]
     fn small_capacity_hot_set_stays_resident() {
-        // Regression: capacity <= DEFAULT_SHARDS used to degenerate into
-        // one-entry shards, so hash-colliding hot nodes evicted each other
-        // on every query. A hot set within capacity must reach 100% hits.
+        // A hot set within capacity must reach 100% hits: each hot node is
+        // simulated once, however small the cache.
         let session = QuerySession::new(engine(), 8);
         for _ in 0..3 {
             session.try_single_pair(1, 2).unwrap();
@@ -744,12 +575,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_stays_within_capacity() {
+    fn cache_stays_within_capacity() {
         let session = QuerySession::new(engine(), 32);
         for i in 0..120u32 {
             session.try_single_pair(i, (i + 1) % 120).unwrap();
         }
-        assert!(session.cached_cohorts() <= 32 + QuerySession::DEFAULT_SHARDS);
+        assert!(session.cached_cohorts() <= 32);
         assert_eq!(session.cache_stats().lookups(), 240);
     }
 
@@ -767,6 +598,12 @@ mod tests {
         }
         // 4 distinct nodes simulated once each.
         assert_eq!(session.cache_stats().misses, 4);
+        // A matrix whose distinct nodes fit one block simulates each of
+        // them exactly once, however the nodes fall.
+        let fresh = QuerySession::new(Arc::clone(&cw), 32);
+        let nodes: Vec<u32> = (40..56).collect();
+        fresh.try_pairs_matrix(&nodes, &nodes).unwrap();
+        assert_eq!(fresh.cache_stats().misses, nodes.len() as u64);
     }
 
     #[test]
@@ -807,7 +644,7 @@ mod tests {
         for v in 0..20u32 {
             session.try_cohort(v).unwrap();
         }
-        assert_eq!(session.inflight.lock().unwrap().len(), 0, "registry drains after each flight");
+        assert_eq!(session.cache().inflight.len(), 0, "registry drains after each flight");
     }
 
     #[test]
@@ -822,7 +659,7 @@ mod tests {
         let session = QuerySession::new(engine(), 8);
         let err = session.cohort(10_000).unwrap_err();
         assert!(matches!(err, QueryError::NodeOutOfRange { .. }), "{err}");
-        assert_eq!(session.inflight.lock().unwrap().len(), 0, "no stale flight entry");
+        assert_eq!(session.cache().inflight.len(), 0, "no stale flight entry");
         // The session still serves: a fresh lookup becomes a fresh leader.
         session.try_cohort(5).unwrap();
         assert_eq!(session.cache_stats().misses, 2, "failed flight counted, then a clean one");
@@ -878,7 +715,7 @@ mod tests {
             let nested = cw.try_query_cohort(v).unwrap();
             assert_eq!(*session.try_cohort(v).unwrap(), nested, "node {v} expands exactly");
             wire += WireCodec::encoded_len(&nested);
-            let block = session.shard_of(v).lock().unwrap().get(v).unwrap();
+            let block = session.cache().get(v).unwrap();
             let entries: usize = nested.counts.iter().map(Vec::len).sum();
             let escapes = nested.counts.iter().flatten().filter(|&&(_, c)| c >= 255).count();
             // Entry and key offsets and a bitmap base a step, then at most

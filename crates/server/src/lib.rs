@@ -16,12 +16,12 @@
 //!   no external dependencies) that owns every connection socket in
 //!   nonblocking mode. One event loop runs accepts, handshakes,
 //!   resumable frame reassembly, response flushing, per-frame I/O
-//!   deadlines on a timer wheel, and drain orchestration; frames are
+//!   deadlines in an ordered set, and drain orchestration; frames are
 //!   answered on a bounded worker pool shared by all connections, and
 //!   responses are written as they finish — possibly out of request
 //!   order, matched by request id. 256 idle connections cost zero
-//!   threads and zero wakeups, and a slowloris peer costs one timer
-//!   slot. [`PascoServer::bind`] serves queries (`pasco serve`);
+//!   threads and zero wakeups, and a slowloris peer costs one armed
+//!   deadline. [`PascoServer::bind`] serves queries (`pasco serve`);
 //!   [`PascoServer::bind_worker`] serves one partition owner of the
 //!   distributed substrate (`pasco worker`) on the same reactor.
 //! * [`PascoClient`] ([`pasco_simrank::api::client`]) — the one blocking
@@ -66,7 +66,6 @@
 pub mod server;
 #[allow(unsafe_code, reason = "the epoll syscall shim: one of the two sanctioned unsafe modules")]
 mod sys;
-mod wheel;
 
 /// Frame I/O — re-exported from [`pasco_simrank::api::transport`], where
 /// it lives so the reactor and the one client (which the distributed

@@ -5,10 +5,10 @@
 //! One event loop owns every connection socket in nonblocking mode:
 //! accepts, handshakes, frame reassembly (via the shared resumable
 //! [`FrameDecoder`]), response flushing (via [`WriteQueue`]), per-frame
-//! I/O deadlines (a timer wheel — armed only while a connection is
-//! mid-handshake, mid-frame, or has unflushed output, so an idle server
-//! sleeps in `epoll_wait` indefinitely: zero wakeups, zero reads), and
-//! drain orchestration. The reactor never looks inside a payload: every
+//! I/O deadlines (an ordered set of `(instant, connection)` pairs — armed
+//! only while a connection is mid-handshake, mid-frame, or has unflushed
+//! output, so an idle server sleeps in `epoll_wait` indefinitely: zero
+//! wakeups, zero reads), and drain orchestration. The reactor never looks inside a payload: every
 //! post-handshake frame but `Shutdown` goes to a bounded worker pool,
 //! which asks the hosted service for the answer and hands completed
 //! envelopes back through a completion queue plus an eventfd wake, so
@@ -31,7 +31,6 @@
 //! eventfd, which works identically on wildcard binds.
 
 use crate::sys::{Epoll, Event, WakeFd, EVENT_ERR, EVENT_HUP, EVENT_IN, EVENT_OUT, EVENT_RDHUP};
-use crate::wheel::{Deadline, TimerWheel};
 use pasco_simrank::api::envelope::{
     frame_into, Envelope, FrameKind, ServerInfo, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
@@ -40,6 +39,7 @@ use pasco_simrank::api::wire::WireCodec;
 use pasco_simrank::api::worker::{BuildShard, Empty, LoadPartition, LoadStore, ShardQuery};
 use pasco_simrank::engine::distributed::ShardWorkerCore;
 use pasco_simrank::{QueryError, QueryService};
+use std::collections::BTreeSet;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -550,9 +550,8 @@ struct Conn {
     /// The peer's half-close was noted while we were not reading; RDHUP
     /// interest is dropped so the level-triggered event cannot spin.
     rdhup: bool,
-    /// Whether the progress deadline is armed (and its wheel slot).
-    deadline: Option<usize>,
-    deadline_gen: u64,
+    /// When the progress deadline fires, while it is armed.
+    deadline: Option<Instant>,
     goodbye_queued: bool,
 }
 
@@ -565,8 +564,8 @@ fn conn_token(idx: usize, epoch: u32) -> u64 {
     (idx as u64) | (u64::from(epoch) << 32)
 }
 
-/// The event loop: owns every socket, the timer wheel, and the slab of
-/// connection state machines.
+/// The event loop: owns every socket, the armed deadlines, and the slab
+/// of connection state machines.
 struct Reactor {
     epoll: Epoll,
     /// Declared before `conns`, so a killed reactor closes its listener
@@ -577,7 +576,9 @@ struct Reactor {
     handle: ServerHandle,
     job_tx: Sender<Job>,
     completions: Arc<Mutex<Vec<Completion>>>,
-    wheel: TimerWheel,
+    /// Every armed progress deadline as `(due, connection slot)`, at most
+    /// one a connection; the first entry is the next to fire.
+    deadlines: BTreeSet<(Instant, usize)>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     epochs: Vec<u32>,
@@ -603,9 +604,6 @@ impl Reactor {
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), EVENT_IN, TOK_LISTENER)?;
         epoll.add(handle.waker.raw_fd(), EVENT_IN, TOK_WAKER)?;
-        // Deadline resolution: coarse enough that arming is cheap, fine
-        // enough that a 150ms test timeout is honoured promptly.
-        let tick = (cfg.io_timeout / 8).clamp(Duration::from_millis(5), Duration::from_millis(500));
         Ok(Reactor {
             epoll,
             listener,
@@ -614,7 +612,7 @@ impl Reactor {
             handle,
             job_tx,
             completions,
-            wheel: TimerWheel::new(tick, 256),
+            deadlines: BTreeSet::new(),
             conns: Vec::new(),
             free: Vec::new(),
             epochs: Vec::new(),
@@ -626,10 +624,14 @@ impl Reactor {
 
     fn run(mut self) -> io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
-        let mut fired: Vec<Deadline> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
         loop {
-            let timeout = self.wheel.next_timeout(Instant::now());
+            // Nothing armed: sleep until an event, so an idle server never
+            // wakes.
+            let timeout = self
+                .deadlines
+                .first()
+                .map(|&(due, _)| due.saturating_duration_since(Instant::now()));
             events.clear();
             self.epoll.wait(timeout, &mut events)?;
             self.handle.stats.wakeups.fetch_add(1, Ordering::Relaxed);
@@ -665,16 +667,13 @@ impl Reactor {
             }
             self.drain_completions();
 
-            fired.clear();
-            self.wheel.expire(Instant::now(), &mut fired);
-            for d in &fired {
-                let stale = self.conns[d.token]
-                    .as_ref()
-                    .is_none_or(|c| c.deadline.is_none() || c.deadline_gen != d.generation);
-                if !stale {
-                    self.handle.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.drop_conn(d.token);
+            let now = Instant::now();
+            while let Some(&(due, idx)) = self.deadlines.first() {
+                if due > now {
+                    break;
                 }
+                self.handle.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                self.drop_conn(idx); // removes the entry with the connection
             }
 
             if self.stopping && self.alive == 0 {
@@ -735,7 +734,6 @@ impl Reactor {
             eof: false,
             rdhup: false,
             deadline: None,
-            deadline_gen: 0,
             goodbye_queued: false,
         };
         self.conns[idx] = Some(conn);
@@ -1073,13 +1071,12 @@ impl Reactor {
             conn.state == ConnState::Handshake || conn.decoder.mid_frame() || !conn.out.is_empty();
         match (need, conn.deadline) {
             (true, None) => {
-                conn.deadline_gen += 1;
-                let d = Deadline { token: idx, generation: conn.deadline_gen };
-                let slot = self.wheel.arm(Instant::now() + self.cfg.io_timeout, d);
-                conn.deadline = Some(slot);
+                let due = Instant::now() + self.cfg.io_timeout;
+                self.deadlines.insert((due, idx));
+                conn.deadline = Some(due);
             }
-            (false, Some(slot)) => {
-                self.wheel.cancel_at(idx, slot);
+            (false, Some(due)) => {
+                self.deadlines.remove(&(due, idx));
                 conn.deadline = None;
             }
             _ => {}
@@ -1092,8 +1089,8 @@ impl Reactor {
     fn drop_conn(&mut self, idx: usize) {
         let Some(conn) = self.conns[idx].take() else { return };
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
-        if let Some(slot) = conn.deadline {
-            self.wheel.cancel_at(idx, slot);
+        if let Some(due) = conn.deadline {
+            self.deadlines.remove(&(due, idx));
         }
         self.free.push(idx);
         self.alive -= 1;

@@ -294,6 +294,9 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let graph = load_graph(get(flags, "graph")?)?;
+    if graph.node_count() == 0 {
+        return Err("graph has no nodes".into());
+    }
     outln!("nodes:  {}", graph.node_count())?;
     outln!("edges:  {}", graph.edge_count())?;
     outln!("memory: {}", human_bytes(graph.memory_bytes()))?;

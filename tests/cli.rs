@@ -9,8 +9,11 @@ fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pasco"))
 }
 
+/// `name` in a directory of this test's own (named from the process id and
+/// the test), so concurrent test runs never share a scratch file.
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pasco_cli_tests");
+    let test = std::thread::current().name().unwrap_or("main").replace("::", "_");
+    let dir = std::env::temp_dir().join(format!("pasco_cli_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }
@@ -253,6 +256,13 @@ fn malformed_graph_files_fail_typed_without_panicking() {
         let serve = ["serve", "--index", idx, "--addr", "127.0.0.1:0"];
         fails_without_panic(&serve, &graph, "bad graph file");
     }
+    // An empty edge list parses to 0 nodes: `stats` refuses it before
+    // printing anything, as the other commands do.
+    let empty = tmp("malformed_empty.txt");
+    std::fs::write(&empty, "").unwrap();
+    let out = fails_without_panic(&["stats"], &empty, "graph has no nodes");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
 }
 
 #[test]

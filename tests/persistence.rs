@@ -5,8 +5,11 @@ use pasco::graph::{generators, io};
 use pasco::simrank::{persist, CloudWalker, ExecMode, SimRankConfig, SimRankError};
 use std::sync::Arc;
 
+/// `name` in a directory of this test's own (named from the process id and
+/// the test), so concurrent test runs never share a scratch file.
 fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("pasco_integration");
+    let test = std::thread::current().name().unwrap_or("main").replace("::", "_");
+    let dir = std::env::temp_dir().join(format!("pasco_persistence_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
 }

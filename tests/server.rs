@@ -383,6 +383,7 @@ fn silent_peers_are_dropped_at_the_handshake_deadline() {
     let mut silent = TcpStream::connect(addr).unwrap();
     assert!(read_to_close(&mut silent).is_empty(), "no bytes for a silent peer");
     let waited = started.elapsed();
+    assert!(waited >= cfg.io_timeout, "dropped before its deadline: {waited:?}");
     assert!(waited < std::time::Duration::from_secs(5), "dropped at the deadline, not never");
     // The server is unaffected.
     let mut client = PascoClient::connect(addr).unwrap();
@@ -616,6 +617,7 @@ fn slowloris_trickle_is_dropped_at_io_timeout() {
         assert!(sent < frame.len(), "the full frame must never get through at this rate");
         assert!(read_to_close(&mut s).is_empty(), "no answer for a slowloris frame");
         let waited = started.elapsed();
+        assert!(waited >= cfg.io_timeout, "{hosted:?}: dropped before its deadline: {waited:?}");
         assert!(
             waited < std::time::Duration::from_secs(2),
             "dropped near io_timeout, not eventually"
@@ -625,6 +627,28 @@ fn slowloris_trickle_is_dropped_at_io_timeout() {
         // The event loop is unharmed.
         let mut peer = Peer::connect(addr);
         peer.probe(hosted);
+        assert_eq!(peer.exchange(&Envelope::shutdown()).kind, FrameKind::Goodbye);
+        join.join().unwrap();
+    }
+}
+
+/// A deadline is cancelled exactly when its connection stops owing
+/// progress: a peer that completed its handshake and a request, then sits
+/// idle for three times `io_timeout`, is still served, and no deadline
+/// ever fired.
+#[test]
+fn idle_connections_outlive_io_timeout() {
+    for hosted in Hosted::BOTH {
+        let cfg = ServerConfig {
+            io_timeout: std::time::Duration::from_millis(150),
+            ..ServerConfig::default()
+        };
+        let (addr, handle, join) = hosted.spawn(cfg);
+        let mut peer = Peer::connect(addr);
+        peer.probe(hosted);
+        std::thread::sleep(3 * cfg.io_timeout);
+        peer.probe(hosted);
+        assert_eq!(handle.stats().timeouts, 0, "{hosted:?}: no deadline may fire");
         assert_eq!(peer.exchange(&Envelope::shutdown()).kind, FrameKind::Goodbye);
         join.join().unwrap();
     }

@@ -118,8 +118,8 @@ fn concurrent_batches_match_engine() {
 fn lru_hit_path_regression_at_capacity_1024() {
     const CAP: usize = 1024;
     let cw = build(2100, 3);
-    // One shard: exact global LRU, so eviction order is fully predictable.
-    let session = QuerySession::with_shards(Arc::clone(&cw), CAP, 1);
+    // An exact LRU, so eviction order is fully predictable.
+    let session = QuerySession::new(Arc::clone(&cw), CAP);
 
     // Fill to exactly capacity: 512 disjoint pairs = 1024 distinct cohorts.
     for p in 0..(CAP as u32 / 2) {
